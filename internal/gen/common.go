@@ -5,14 +5,16 @@
 // paper's analysis depends on; see DESIGN.md §2 for the substitution table.
 //
 // All generators are deterministic in (size, seed): per-vertex RNG streams
-// are derived from the seed and the vertex id, so the emitted graph does
-// not depend on worker count.
+// are derived from the seed and the vertex id, and Build hands the sorted
+// edge list to property.Bulk, whose result is the single-goroutine build
+// whatever the worker count: the emitted graph, down to the order inside
+// every adjacency list, does not depend on worker count.
 package gen
 
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -93,8 +95,10 @@ type BuildOpts struct {
 // Build materializes v vertices (IDs 0..v-1) and the packed edge list into
 // a property graph. The list is sorted and de-duplicated first; self loops
 // are dropped. Edge weights are derived deterministically from endpoints.
+// The graph is what one goroutine adding the vertices and then the sorted
+// edges would build, at every worker count (property.Bulk).
 func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+	slices.Sort(edges)
 	w := 0
 	var prev uint64
 	for i, e := range edges {
@@ -109,28 +113,27 @@ func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
 		edges[w] = e
 		w++
 	}
-	edges = edges[:w]
-
-	g := property.New(property.Options{
+	return property.Bulk(property.Options{
 		Directed:     o.Directed,
 		TrackInEdges: o.TrackIn,
 		Schema:       o.Schema,
 		Hint:         v,
-	})
-	concurrent.ParallelRange(v, o.Workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			g.AddVertex(property.VertexID(i))
-		}
-	})
-	concurrent.ParallelRange(len(edges), o.Workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			a, b := unpack(edges[i])
-			// Endpoints exist by construction, so the error is impossible.
-			_ = g.AddEdge(property.VertexID(a), property.VertexID(b), edgeWeight(a, b))
-		}
-	})
-	return g
+	}, packedEdges{v, edges[:w]}, o.Workers)
 }
+
+// packedEdges hands Build's sorted list to property.Bulk as it is: dense
+// IDs are their own indices and weights are recomputed on demand, so
+// nothing is copied.
+type packedEdges struct {
+	v     int
+	edges []uint64
+}
+
+func (p packedEdges) NumVertices() int            { return p.v }
+func (p packedEdges) ID(i int) property.VertexID  { return property.VertexID(i) }
+func (p packedEdges) NumEdges() int               { return len(p.edges) }
+func (p packedEdges) Ends(e int) (src, dst int32) { return unpack(p.edges[e]) }
+func (p packedEdges) Weight(e int) float64        { return edgeWeight(unpack(p.edges[e])) }
 
 // perVertexEdges runs emit for every vertex with its deterministic RNG and
 // concatenates the produced packed edges. emit must only append.

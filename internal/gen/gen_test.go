@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -44,20 +47,46 @@ func TestGenerateScalesVertices(t *testing.T) {
 	}
 }
 
-func TestDeterminismAcrossWorkers(t *testing.T) {
-	a := LDBC(2000, 7, 1)
-	b := LDBC(2000, 7, 4)
-	if a.VertexCount() != b.VertexCount() || a.EdgeCount() != b.EdgeCount() {
-		t.Fatalf("worker count changed the graph: %d/%d vs %d/%d",
-			a.VertexCount(), a.EdgeCount(), b.VertexCount(), b.EdgeCount())
+// adjacencyHash folds every vertex in shard order and both of its lists in
+// stored order, so two graphs with the same edges in a different
+// adjacency order hash differently.
+func adjacencyHash(g *property.Graph) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(word[:], x)
+		h.Write(word[:])
 	}
-	// Per-vertex degrees must match exactly.
-	a.ForEachVertex(func(v *property.Vertex) {
-		bv := b.FindVertex(v.ID)
-		if bv == nil || bv.OutDegree() != v.OutDegree() {
-			t.Fatalf("vertex %d differs across worker counts", v.ID)
+	g.ForEachVertex(func(v *property.Vertex) {
+		put(uint64(v.ID))
+		put(uint64(len(v.Out)))
+		for _, e := range v.Out {
+			put(uint64(e.To))
+			put(math.Float64bits(e.Weight))
+		}
+		put(uint64(len(v.In)))
+		for _, src := range v.In {
+			put(uint64(src))
 		}
 	})
+	return h.Sum64()
+}
+
+// TestDeterminismAcrossWorkers: every generator emits one graph, down to
+// the order inside every adjacency list, whatever the worker count.
+func TestDeterminismAcrossWorkers(t *testing.T) {
+	builders := map[string]func(v int, seed int64, workers int) *property.Graph{"dag": DAG}
+	for _, d := range Catalog {
+		builders[d.Name] = d.Build
+	}
+	for name, build := range builders {
+		want := adjacencyHash(build(3000, 7, 1))
+		for _, workers := range []int{2, 4, 8} {
+			if got := adjacencyHash(build(3000, 7, workers)); got != want {
+				t.Errorf("%s: adjacency hash %016x at %d workers, %016x at 1", name, got, workers, want)
+			}
+		}
+	}
 }
 
 func TestSeedChangesGraph(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,40 +31,61 @@ func Write(w io.Writer, g *property.Graph) error {
 	if _, err := fmt.Fprintf(bw, "# graphbig v1 directed=%v\n", g.Directed()); err != nil {
 		return err
 	}
-	var err error
+	// A failed write is sticky in bw and surfaces at Flush.
+	var rec []byte
 	g.ForEachVertex(func(v *property.Vertex) {
-		if err != nil {
-			return
-		}
-		_, err = fmt.Fprintf(bw, "v %d\n", v.ID)
+		rec = strconv.AppendUint(append(rec[:0], "v "...), uint64(v.ID), 10)
+		rec = append(rec, '\n')
+		bw.Write(rec)
 	})
-	if err != nil {
-		return err
-	}
 	g.ForEachVertex(func(v *property.Vertex) {
-		if err != nil {
-			return
-		}
 		for _, e := range v.Out {
 			if !g.Directed() && e.To < v.ID {
 				continue // mirrored record; the canonical copy suffices
 			}
-			if _, err = fmt.Fprintf(bw, "e %d %d %g\n", v.ID, e.To, e.Weight); err != nil {
-				return
-			}
+			rec = strconv.AppendUint(append(rec[:0], "e "...), uint64(v.ID), 10)
+			rec = strconv.AppendUint(append(rec, ' '), uint64(e.To), 10)
+			rec = strconv.AppendFloat(append(rec, ' '), e.Weight, 'g', -1, 64)
+			rec = append(rec, '\n')
+			bw.Write(rec)
 		}
 	})
-	if err != nil {
-		return err
-	}
 	return bw.Flush()
 }
 
-// Read parses an edge-list stream into a new property graph.
+// validWeight reports whether w is a weight the shortest-path kernels are
+// defined for: SPathDelta orders tentative distances by their bit patterns,
+// which agrees with numeric order only for non-negative finite floats.
+func validWeight(w float64) bool {
+	return w >= 0 && !math.Signbit(w) && !math.IsInf(w, 1)
+}
+
+func checkWeight(lineNo int, w float64) error {
+	if validWeight(w) {
+		return nil
+	}
+	return fmt.Errorf("loader: line %d: weight %v is not a non-negative finite number", lineNo, w)
+}
+
+// scanErr reports why the scanner stopped early (a line over 1 MiB, a
+// truncated gzip stream) against the line it was reading.
+func scanErr(sc *bufio.Scanner, lineNo int) error {
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("loader: line %d: %w", lineNo+1, err)
+	}
+	return nil
+}
+
+// Read parses an edge-list stream into a new property graph. Weights must
+// be non-negative and finite; duplicate and self edges are kept as
+// parallel records.
 func Read(r io.Reader) (*property.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
+		if err := scanErr(sc, 0); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("loader: empty input")
 	}
 	head := sc.Text()
@@ -71,15 +93,14 @@ func Read(r io.Reader) (*property.Graph, error) {
 		return nil, fmt.Errorf("loader: bad header %q", head)
 	}
 	directed := strings.Contains(head, "directed=true")
-	g := property.New(property.Options{Directed: directed, TrackInEdges: directed})
+	var el property.EdgeList
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if line == "" || line[0] == '#' {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case "v":
 			if len(fields) != 2 {
@@ -89,7 +110,7 @@ func Read(r io.Reader) (*property.Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
 			}
-			g.AddVertex(property.VertexID(id))
+			el.Intern(property.VertexID(id))
 		case "e":
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("loader: line %d: bad edge line", lineNo)
@@ -106,87 +127,189 @@ func Read(r io.Reader) (*property.Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
 			}
-			if err := g.AddEdge(property.VertexID(src), property.VertexID(dst), w); err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
+			if err := checkWeight(lineNo, w); err != nil {
+				return nil, err
 			}
+			si, sok := el.Lookup(property.VertexID(src))
+			di, dok := el.Lookup(property.VertexID(dst))
+			if !sok || !dok {
+				return nil, fmt.Errorf("loader: line %d: edge endpoint not declared", lineNo)
+			}
+			el.Add(si, di, w)
 		default:
 			return nil, fmt.Errorf("loader: line %d: unknown record %q", lineNo, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := scanErr(sc, lineNo); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return build(&el, directed), nil
+}
+
+// build is the one place a parsed file becomes a graph: directed files
+// track in-edges so pull phases and DeleteVertex work on loaded graphs.
+func build(el *property.EdgeList, directed bool) *property.Graph {
+	return property.Bulk(property.Options{
+		Directed:     directed,
+		TrackInEdges: directed,
+		Hint:         el.NumVertices(),
+	}, el, 0)
 }
 
 // ReadSNAP parses a SNAP-style edge list: one `src dst [weight]` pair
 // per line, whitespace-separated, with `#` comment lines (the header
 // convention of the snap.stanford.edu datasets). Vertices are created
-// on first mention; absent weights default to 1. The graph is directed
-// with in-edge tracking, so engine pull phases and reverse-CSR
-// workloads run on real datasets exactly as on generated ones. The
-// stream may be gzip-compressed — the reader sniffs the two magic
-// bytes rather than trusting a file extension.
-func ReadSNAP(r io.Reader) (*property.Graph, error) {
+// in order of first mention; absent weights default to 1, and weights
+// must be non-negative and finite. Duplicate and self edges are kept as
+// parallel records. The graph is directed with in-edge tracking, so
+// engine pull phases and reverse-CSR workloads run on real datasets
+// exactly as on generated ones. The stream may be gzip-compressed — the
+// reader sniffs the two magic bytes rather than trusting a file
+// extension.
+func ReadSNAP(r io.Reader) (*property.Graph, error) { return readSNAP(r, true) }
+
+// readSNAP with fast=false sends every line through parseSNAPLine, the
+// reference the fuzz target compares the byte-level path against.
+func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
+	var in io.Reader = br
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, fmt.Errorf("loader: gzip: %w", err)
 		}
 		defer zr.Close()
-		br = bufio.NewReaderSize(zr, 1<<20)
+		in = zr
 	}
-	g := property.New(property.Options{Directed: true, TrackInEdges: true})
-	seen := make(map[property.VertexID]struct{})
-	ensure := func(id property.VertexID) {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			g.AddVertex(id)
-		}
-	}
-	sc := bufio.NewScanner(br)
+	var el property.EdgeList
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
-	edges := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' {
-			continue
+		var src, dst uint64
+		var w float64
+		ok := false
+		if fast {
+			src, dst, w, ok = parseSNAPFast(sc.Bytes())
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %q", lineNo, line)
-		}
-		src, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-		}
-		dst, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-		}
-		w := 1.0
-		if len(fields) == 3 {
-			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
+		if !ok {
+			var err error
+			if src, dst, w, ok, err = parseSNAPLine(sc.Text(), lineNo); err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue // blank or comment
 			}
 		}
-		ensure(property.VertexID(src))
-		ensure(property.VertexID(dst))
-		if err := g.AddEdge(property.VertexID(src), property.VertexID(dst), w); err != nil {
-			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-		}
-		edges++
+		el.Add(el.Intern(property.VertexID(src)), el.Intern(property.VertexID(dst)), w)
 	}
-	if err := sc.Err(); err != nil {
+	if err := scanErr(sc, lineNo); err != nil {
 		return nil, err
 	}
-	if edges == 0 && len(seen) == 0 {
+	if el.NumEdges() == 0 {
 		return nil, fmt.Errorf("loader: no edges in SNAP input")
 	}
-	return g, nil
+	return build(&el, true), nil
+}
+
+// parseSNAPLine is the general parser and the owner of every error
+// message: Unicode whitespace, any number strconv accepts. ok=false with a
+// nil error is a blank or comment line.
+func parseSNAPLine(text string, lineNo int) (src, dst uint64, w float64, ok bool, err error) {
+	line := strings.TrimSpace(text)
+	if line == "" || line[0] == '#' {
+		return 0, 0, 0, false, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 2 && len(fields) != 3 {
+		return 0, 0, 0, false, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %q", lineNo, line)
+	}
+	if src, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
+		return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+	}
+	if dst, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
+		return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+	}
+	w = 1
+	if len(fields) == 3 {
+		if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
+			return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+		}
+		if err = checkWeight(lineNo, w); err != nil {
+			return 0, 0, 0, false, err
+		}
+	}
+	return src, dst, w, true, nil
+}
+
+// parseSNAPFast recognises the canonical ASCII line
+//
+//	digits ws digits [ws number] [ws]      ws = spaces and tabs
+//
+// straight from the scanner's buffer. It reports ok=false for anything
+// else — comments and blanks, a 20-digit ID, a byte outside printable
+// ASCII, a weight strconv or validWeight would refuse — and the caller
+// sends that line through parseSNAPLine, so the two can only differ in
+// speed. Integral weights below 2^53 are exact in a float64 and converted
+// directly; other weights go through strconv.ParseFloat here too.
+func parseSNAPFast(b []byte) (src, dst uint64, w float64, ok bool) {
+	i := 0
+	if src, i = scanDigits(b, i); i < 0 {
+		return 0, 0, 0, false
+	}
+	j := skipBlanks(b, i)
+	if j == i {
+		return 0, 0, 0, false
+	}
+	if dst, i = scanDigits(b, j); i < 0 {
+		return 0, 0, 0, false
+	}
+	j = skipBlanks(b, i)
+	if j == len(b) {
+		return src, dst, 1, true
+	}
+	if j == i {
+		return 0, 0, 0, false
+	}
+	end := j
+	for end < len(b) && b[end] > ' ' && b[end] < 0x7f {
+		end++
+	}
+	if skipBlanks(b, end) != len(b) {
+		return 0, 0, 0, false
+	}
+	if u, k := scanDigits(b, j); k == end && end-j <= 15 {
+		return src, dst, float64(u), true
+	}
+	w, err := strconv.ParseFloat(string(b[j:end]), 64)
+	if err != nil || !validWeight(w) {
+		return 0, 0, 0, false
+	}
+	return src, dst, w, true
+}
+
+// scanDigits reads one to nineteen decimal digits at b[i:] (nineteen
+// cannot overflow a uint64) and returns the value and the index after
+// them, or -1.
+func scanDigits(b []byte, i int) (uint64, int) {
+	var u uint64
+	start := i
+	for i < len(b) && b[i]-'0' <= 9 {
+		u = u*10 + uint64(b[i]-'0')
+		i++
+	}
+	if i == start || i-start > 19 {
+		return 0, -1
+	}
+	return u, i
+}
+
+func skipBlanks(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+		i++
+	}
+	return i
 }
 
 // LoadSNAP reads a SNAP edge list (plain or gzipped) from path.

@@ -272,19 +272,8 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		return old, false
 	}
 	nprops := g.sch.cap
-	v = &Vertex{
-		ID:    id,
-		props: make([]float64, nprops),
-		addr:  g.arena.Alloc(vertexRecordBytes+uint64(nprops)*propSlotBytes, 64),
-	}
-	sh.index[id] = v
-	sh.verts = append(sh.verts, v)
-	sh.idxCount++
-	grew := sh.idxCount*2 > sh.idxCap
-	if grew {
-		sh.idxCap *= 2
-		sh.idxAddr = g.arena.Alloc(sh.idxCap*indexBucketBytes, 64)
-	}
+	v = &Vertex{ID: id, props: make([]float64, nprops)}
+	grew := g.place(sh, v)
 	sh.mu.Unlock()
 	g.nVerts.Add(1)
 	if t != nil {
@@ -298,6 +287,22 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		t.Exit()
 	}
 	return v, true
+}
+
+// place enters a new vertex record into its shard: simulated address,
+// index entry, insertion order, and the simulated index table's doubling,
+// which it reports. AddVertex calls it under the shard lock, Bulk on a
+// graph no one else can see yet.
+func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
+	v.addr = g.arena.Alloc(vertexRecordBytes+uint64(len(v.props))*propSlotBytes, 64)
+	sh.index[v.ID] = v
+	sh.verts = append(sh.verts, v)
+	sh.idxCount++
+	if grew = sh.idxCount*2 > sh.idxCap; grew {
+		sh.idxCap *= 2
+		sh.idxAddr = g.arena.Alloc(sh.idxCap*indexBucketBytes, 64)
+	}
+	return grew
 }
 
 // growEdges moves v's out-edge chunk to a new simulated address with doubled

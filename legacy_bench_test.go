@@ -47,9 +47,6 @@ func legacyBFS(g *property.Graph, vw *property.View) int64 {
 				if nb == nil {
 					return true
 				}
-				if g.GetProp(nb, lvl) >= 0 {
-					return true
-				}
 				nbIdx := int(g.GetProp(nb, idxSlot))
 				if visited.TrySet(nbIdx) {
 					g.SetProp(nb, lvl, levelVal)
@@ -96,9 +93,6 @@ func legacyCComp(g *property.Graph, vw *property.View) int {
 				g.Neighbors(u, func(_ int, e *property.Edge) bool {
 					nb := g.FindVertex(e.To)
 					if nb == nil {
-						return true
-					}
-					if g.GetProp(nb, lbl) >= 0 {
 						return true
 					}
 					nbIdx := int(g.GetProp(nb, idxSlot))
