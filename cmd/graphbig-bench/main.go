@@ -4,14 +4,12 @@
 // Usage:
 //
 //	graphbig-bench [-scale 0.02] [-seed 42] [-exp fig05] [-md] [-o out.md]
-//	graphbig-bench -json [-scale 0.05]   # machine-readable perf trajectory
 //
 // -scale 1.0 reproduces the paper's dataset sizes (Table 7); the default
 // runs a small-scale sweep in minutes. Absolute counter values are model
 // outputs, not Xeon/K40 measurements — compare shapes, not magnitudes.
 // -order composes a vertex reordering (internal/order) into every dataset
-// view; -json measures view construction, per-ordering engine wall-clock
-// and per-ordering simulated MPKI, writing results/BENCH_<scale>.json.
+// view. Wall-clock is measured elsewhere: `go run ./benchmark`.
 package main
 
 import (
@@ -30,12 +28,9 @@ func main() {
 	scale := flag.Float64("scale", cfg.Scale, "fraction of paper-scale dataset sizes")
 	seed := flag.Int64("seed", cfg.Seed, "generation seed")
 	exp := flag.String("exp", "", "experiment id(s), comma-separated (e.g. fig05,fig07); empty = all")
-	input := flag.String("input", "", "SNAP edge-list input, plain or gzipped, substituted for generated datasets")
-	deltaW := flag.Float64("delta", 0, "SPathDelta bucket width override in native benches (0 = sampled heuristic)")
+	input := flag.String("input", "", "graph file (SNAP or graphbig v1 edge list, plain or gzipped) substituted for generated datasets")
 	ordering := flag.String("order", "", "vertex ordering for dataset views: "+order.FlagUsage())
 	partitions := flag.Int("partitions", 0, "k-way partition plan composed into dataset views; 0 = flat")
-	jsonOut := flag.Bool("json", false, "measure the benchmark trajectory and write results/BENCH_<scale>.json")
-	jsonDir := flag.String("json-dir", "results", "directory for -json output")
 	md := flag.Bool("md", false, "emit markdown tables")
 	csvOut := flag.Bool("csv", false, "emit CSV rows")
 	chart := flag.Bool("chart", false, "append an ASCII bar chart of each report's last column")
@@ -55,21 +50,7 @@ func main() {
 	cfg.Order = *ordering
 	cfg.Partitions = *partitions
 	cfg.Input = *input
-	cfg.Delta = *deltaW
 	s := harness.NewSession(cfg)
-
-	if *jsonOut {
-		recs, err := harness.BenchRecords(s)
-		if err != nil {
-			fatal(err)
-		}
-		path := harness.BenchPath(*jsonDir, cfg.Scale)
-		if err := harness.WriteBenchJSON(path, harness.NewBenchMeta(cfg), recs); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(recs), path)
-		return
-	}
 
 	var reports []harness.Report
 	start := time.Now()

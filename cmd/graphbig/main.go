@@ -7,7 +7,7 @@
 //	graphbig -workload BFS -dataset ldbc -scale 0.02          # native CPU
 //	graphbig -workload BFS -dataset ldbc -profile             # CPU counters
 //	graphbig -workload CComp -dataset ca-road -gpu            # SIMT device
-//	graphbig -workload SPath -in mygraph.el                   # file input
+//	graphbig -workload SPath -input mygraph.txt.gz            # file input
 //	graphbig -list
 package main
 
@@ -35,8 +35,7 @@ import (
 func main() {
 	wlName := flag.String("workload", "BFS", "workload name (see -list)")
 	dataset := flag.String("dataset", "ldbc", "generated dataset name")
-	in := flag.String("in", "", "edge-list file input (overrides -dataset)")
-	input := flag.String("input", "", "SNAP edge-list input, plain or gzipped (overrides -dataset)")
+	input := flag.String("input", "", "graph file: SNAP or graphbig-gen edge list, plain or gzipped (overrides -dataset)")
 	scale := flag.Float64("scale", 0.02, "generation scale")
 	seed := flag.Int64("seed", 42, "seed")
 	workers := flag.Int("workers", 0, "native worker count (0 = GOMAXPROCS)")
@@ -109,18 +108,12 @@ func main() {
 	}
 
 	var g *property.Graph
-	switch {
-	case *input != "":
-		g, err = loader.LoadSNAP(*input)
+	if *input != "" {
+		g, err = loader.Load(*input)
 		if err != nil {
 			fatal(err)
 		}
-	case *in != "":
-		g, err = loader.Load(*in)
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		d, err := gen.ByName(*dataset)
 		if err != nil {
 			fatal(err)

@@ -1,7 +1,7 @@
 // Package boundscheck reports slice and array indexing on the CSR hot
 // paths that the value-range analysis cannot prove in bounds. Every
 // unproven index in a nested loop is a per-element branch the compiler
-// keeps (see cmd/graphbig-bce for the ground truth): the Go compiler's
+// keeps (see cmd/graphbig-ratchet for the ground truth): the Go compiler's
 // BCE pass works from the same kind of facts this analyzer's prover
 // does, so an index that is provable here is one the compiler can
 // usually eliminate, and an unprovable one is both a latent panic site

@@ -1,6 +1,6 @@
-// Package hotloop protects the engine-refactor speedups recorded in
-// results/engine_refactor.json (~50x native BFS/CComp on LDBC): the inner
-// loops of the frontier engine and the workload native kernels iterate
+// Package hotloop protects what the engine refactor bought (CHANGES.md
+// PR 1; engine.bfs_vs_seq in results/BENCH_17.json is today's figure): the
+// inner loops of the frontier engine and the workload native kernels iterate
 // flat int32 CSR arrays precisely because per-edge hash probes, heap
 // allocations and dynamic dispatch are what made the legacy framework
 // walk slow (GraphBIG §4.1's pointer-chasing overhead). This analyzer

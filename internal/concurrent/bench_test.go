@@ -2,8 +2,8 @@ package concurrent
 
 import "testing"
 
-func BenchmarkBitmapTrySet(b *testing.B) {
-	bm := NewBitmap(1 << 20)
+func BenchmarkHierBitmapTrySet(b *testing.B) {
+	bm := NewHierBitmap(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bm.TrySet(i & (1<<20 - 1))

@@ -1,104 +1,16 @@
 // Package concurrent provides the shared-memory parallel building blocks
-// used by the native (wall-clock) GraphBIG workloads: an atomic visited
-// bitmap, a level-synchronous frontier, static range partitioning, and
-// sharded counters. These are the Go equivalents of the OpenMP scaffolding
-// in the original C++ suite.
+// used by the native (wall-clock) GraphBIG workloads: an atomic two-level
+// bitmap (HierBitmap), a level-synchronous frontier, static range
+// partitioning, and sharded counters. These are the Go equivalents of the
+// OpenMP scaffolding in the original C++ suite.
 package concurrent
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Bitmap is a fixed-size bitmap with atomic test-and-set semantics, used as
-// the visited set of parallel traversals.
-type Bitmap struct {
-	words []atomic.Uint64
-	n     int
-}
-
-// NewBitmap returns a bitmap of n bits, all clear.
-func NewBitmap(n int) *Bitmap {
-	return &Bitmap{words: make([]atomic.Uint64, (n+63)/64), n: n}
-}
-
-// Len returns the number of bits.
-func (b *Bitmap) Len() int { return b.n }
-
-// Test reports whether bit i is set.
-func (b *Bitmap) Test(i int) bool {
-	return b.words[i>>6].Load()&(1<<(uint(i)&63)) != 0
-}
-
-// TrySet atomically sets bit i and reports whether this call changed it
-// (i.e. returns false if the bit was already set).
-func (b *Bitmap) TrySet(i int) bool {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := w.Load()
-		if old&mask != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|mask) {
-			return true
-		}
-	}
-}
-
-// Set sets bit i unconditionally (non-atomic callers should not race Set
-// with Test on the same bit; TrySet is the racing-safe variant).
-func (b *Bitmap) Set(i int) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := w.Load()
-		if old&mask != 0 || w.CompareAndSwap(old, old|mask) {
-			return
-		}
-	}
-}
-
-// Clear clears every bit.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i].Store(0)
-	}
-}
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(b.words[i].Load())
-	}
-	return c
-}
-
-// AppendSet appends the indices of all set bits to dst in ascending order
-// and returns the extended slice. It must not race with concurrent Set
-// calls; the engine uses it between pull phases to sparsify a dense
-// frontier.
-func (b *Bitmap) AppendSet(dst []int32) []int32 {
-	words := b.words
-	if len(words) > (1<<31-1)/64 {
-		// Bit indices are produced as int32 vertex IDs below; a bitmap
-		// this large cannot have been built from int32 IDs.
-		panic("concurrent: bitmap too large for int32 vertex IDs")
-	}
-	for wi := range words {
-		w := words[wi].Load()
-		base := int32(wi << 6)
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
 
 // Frontier is a concurrent append-only queue of int32 vertex indices used
 // for level-synchronous traversal. Writers call Push from many goroutines;

@@ -8,59 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(130)
-	if b.Len() != 130 {
-		t.Errorf("Len = %d", b.Len())
-	}
-	if b.Test(0) || b.Test(129) {
-		t.Error("fresh bitmap has set bits")
-	}
-	if !b.TrySet(129) {
-		t.Error("first TrySet must succeed")
-	}
-	if b.TrySet(129) {
-		t.Error("second TrySet must fail")
-	}
-	if !b.Test(129) {
-		t.Error("bit not set")
-	}
-	b.Set(5)
-	b.Set(5)
-	if b.Count() != 2 {
-		t.Errorf("Count = %d, want 2", b.Count())
-	}
-	b.Clear()
-	if b.Count() != 0 {
-		t.Error("Clear failed")
-	}
-}
-
-func TestBitmapTrySetExactlyOnce(t *testing.T) {
-	const n, workers = 4096, 8
-	b := NewBitmap(n)
-	var wins atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if b.TrySet(i) {
-					wins.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if wins.Load() != n {
-		t.Errorf("wins = %d, want %d (each bit claimed exactly once)", wins.Load(), n)
-	}
-	if b.Count() != n {
-		t.Errorf("Count = %d", b.Count())
-	}
-}
-
 func TestFrontierConcurrentPush(t *testing.T) {
 	const n = 10000
 	f := NewFrontier(n)
@@ -111,28 +58,6 @@ func TestFrontierPushOverflowPanics(t *testing.T) {
 		}
 	}()
 	f.Push(9)
-}
-
-func TestBitmapAppendSet(t *testing.T) {
-	b := NewBitmap(200)
-	want := []int32{0, 1, 63, 64, 65, 127, 128, 199}
-	for _, i := range want {
-		b.Set(int(i))
-	}
-	got := b.AppendSet(nil)
-	if len(got) != len(want) {
-		t.Fatalf("AppendSet returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendSet returned %v, want %v", got, want)
-		}
-	}
-	// Appending onto an existing prefix keeps it.
-	got = b.AppendSet([]int32{-1})
-	if got[0] != -1 || len(got) != len(want)+1 {
-		t.Errorf("AppendSet clobbered prefix: %v", got)
-	}
 }
 
 func TestParallelRangeCoversOnce(t *testing.T) {

@@ -6,12 +6,12 @@ import (
 )
 
 // HierBitmap is a bit-packed two-level frontier: a flat word array with
-// the same atomic test-and-set contract as Bitmap, plus a summary-word
-// hierarchy — bit w of sum[w>>6] is set iff words[w] has ever been set
-// since the last Clear. Scans (Clear, Count, CountRange, NextSet,
+// atomic test-and-set semantics (the visited set of parallel traversals)
+// plus a summary-word hierarchy — bit w of sum[w>>6] is set iff words[w]
+// has ever been set since the last Clear. Scans (Clear, Count, CountRange, NextSet,
 // AppendSet) walk the summary and touch only populated leaf words, so a
 // sparse frontier over a large vertex set costs O(set words + n/4096)
-// instead of the flat bitmap's O(n/64) — the difference between a pull
+// instead of a flat bitmap's O(n/64) — the difference between a pull
 // round's bookkeeping touching one word per vertex and touching only the
 // frontier's cache lines (DESIGN.md §12).
 type HierBitmap struct {
@@ -50,10 +50,10 @@ func (b *HierBitmap) mark(wi int) {
 //
 // Both setters arbitrate through a Load+CAS loop rather than the
 // value-returning atomic Or: the CAS publishes the summary mark before
-// any racer can observe the leaf word non-zero, and the loop shape
-// matches Bitmap.TrySet. (The one-shot Or form also miscompiles under
-// register pressure on go1.24.0 amd64 — its CMPXCHG expansion clobbers
-// a live register — so the CAS loop is load-bearing, not stylistic.)
+// any racer can observe the leaf word non-zero. (The one-shot Or form
+// also miscompiles under register pressure on go1.24.0 amd64 — its
+// CMPXCHG expansion clobbers a live register — so the CAS loop is
+// load-bearing, not stylistic.)
 func (b *HierBitmap) TrySet(i int) bool {
 	wi := i >> 6
 	mask := uint64(1) << (uint(i) & 63)

@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,80 +39,102 @@ func TestHierBitmapBasics(t *testing.T) {
 	}
 }
 
-// TestHierBitmapVsFlatOracle drives random op sequences against both the
-// hierarchical bitmap and the flat Bitmap oracle, checking set/query/
-// iterate equivalence after every op batch. Sizes straddle the word and
-// summary-word (64 and 4096 bit) boundaries where the hierarchy math can
-// go wrong.
-func TestHierBitmapVsFlatOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 63, 64, 65, 127, 4095, 4096, 4097, 20000} {
-		h := NewHierBitmap(n)
-		o := NewBitmap(n)
-		for round := 0; round < 40; round++ {
-			// A batch of random mutations applied to both.
-			for op := 0; op < 50; op++ {
-				i := rng.Intn(n)
-				switch rng.Intn(3) {
-				case 0:
-					h.Set(i)
-					o.Set(i)
-				case 1:
-					hs, os := h.TrySet(i), o.TrySet(i)
-					if hs != os {
-						t.Fatalf("n=%d: TrySet(%d) = %v, oracle %v", n, i, hs, os)
-					}
-				case 2:
-					if h.Test(i) != o.Test(i) {
-						t.Fatalf("n=%d: Test(%d) mismatch", n, i)
-					}
+// runBitmapOps interprets ops as a program over a HierBitmap of n bits
+// and a []bool model of it, one 5-byte instruction at a time (opcode, two
+// 16-bit operands), and fails on the first answer the two disagree on.
+// The model is the whole specification: bit i is set iff model[i].
+func runBitmapOps(t *testing.T, n int, ops []byte) {
+	t.Helper()
+	h := NewHierBitmap(n)
+	model := make([]bool, n)
+	check := func() {
+		t.Helper()
+		want := []int32{-1} // AppendSet must keep the prefix it is handed
+		for i, set := range model {
+			if set {
+				want = append(want, int32(i))
+			}
+		}
+		if got := h.AppendSet([]int32{-1}); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: AppendSet = %v, model %v", n, got, want)
+		}
+		if h.Count() != len(want)-1 {
+			t.Fatalf("n=%d: Count = %d, model %d", n, h.Count(), len(want)-1)
+		}
+		// A NextSet-driven scan must visit exactly the model's bits.
+		k := 1
+		for i := h.NextSet(0); i != -1; i = h.NextSet(i + 1) {
+			if k >= len(want) || int32(i) != want[k] {
+				t.Fatalf("n=%d: NextSet scan diverged at bit %d (position %d)", n, i, k-1)
+			}
+			k++
+		}
+		if k != len(want) {
+			t.Fatalf("n=%d: NextSet scan stopped after %d of %d bits", n, k-1, len(want)-1)
+		}
+	}
+	for ; len(ops) >= 5; ops = ops[5:] {
+		a, b := int(ops[1])<<8|int(ops[2]), int(ops[3])<<8|int(ops[4])
+		i := a % n
+		switch ops[0] % 8 {
+		case 0, 1:
+			h.Set(i)
+			model[i] = true
+		case 2, 3:
+			if got := h.TrySet(i); got == model[i] {
+				t.Fatalf("n=%d: TrySet(%d) = %v with the bit already %v", n, i, got, model[i])
+			}
+			model[i] = true
+		case 4:
+			if h.Test(i) != model[i] {
+				t.Fatalf("n=%d: Test(%d) = %v, model %v", n, i, h.Test(i), model[i])
+			}
+		case 5:
+			lo, hi := a%(n+1), b%(n+1)
+			want := 0
+			for j := lo; j < hi; j++ {
+				if model[j] {
+					want++
 				}
 			}
-			if h.Count() != o.Count() {
-				t.Fatalf("n=%d round=%d: Count = %d, oracle %d", n, round, h.Count(), o.Count())
+			if got := h.CountRange(lo, hi); got != want {
+				t.Fatalf("n=%d: CountRange(%d,%d) = %d, model %d", n, lo, hi, got, want)
 			}
-			hs, os := h.AppendSet(nil), o.AppendSet(nil)
-			if len(hs) != len(os) {
-				t.Fatalf("n=%d: AppendSet lengths %d vs %d", n, len(hs), len(os))
-			}
-			for k := range hs {
-				if hs[k] != os[k] {
-					t.Fatalf("n=%d: AppendSet[%d] = %d, oracle %d", n, k, hs[k], os[k])
-				}
-			}
-			// NextSet-driven range scan must visit exactly the oracle's bits.
-			k := 0
-			for i := h.NextSet(0); i != -1; i = h.NextSet(i + 1) {
-				if k >= len(os) || int32(i) != os[k] {
-					t.Fatalf("n=%d: NextSet scan diverged at %d (pos %d)", n, i, k)
-				}
-				k++
-			}
-			if k != len(os) {
-				t.Fatalf("n=%d: NextSet scan stopped after %d of %d bits", n, k, len(os))
-			}
-			// CountRange against a brute-force oracle on random windows.
-			for probe := 0; probe < 8; probe++ {
-				lo, hi := rng.Intn(n+1), rng.Intn(n+1)
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				want := 0
-				for i := lo; i < hi; i++ {
-					if o.Test(i) {
-						want++
-					}
-				}
-				if got := h.CountRange(lo, hi); got != want {
-					t.Fatalf("n=%d: CountRange(%d,%d) = %d, want %d", n, lo, hi, got, want)
-				}
-			}
-			if round%7 == 3 {
+		case 6:
+			check()
+		case 7:
+			if b%64 == 0 { // rare, or no program ever fills a bitmap
 				h.Clear()
-				o.Clear()
+				clear(model)
 			}
 		}
 	}
+	check()
+}
+
+// bitmapSizes straddle the word and summary-word (64 and 4096 bit)
+// boundaries where the hierarchy arithmetic can go wrong.
+var bitmapSizes = []int{1, 63, 64, 65, 127, 4095, 4096, 4097, 20000}
+
+// TestHierBitmapVsFlatOracle runs random programs against the []bool
+// model at every boundary size.
+func TestHierBitmapVsFlatOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ops := make([]byte, 5*2000)
+	for _, n := range bitmapSizes {
+		rng.Read(ops)
+		runBitmapOps(t, n, ops)
+	}
+}
+
+// FuzzHierBitmap lets the fuzzer write the program and pick the size.
+func FuzzHierBitmap(f *testing.F) {
+	for _, n := range bitmapSizes {
+		f.Add(uint16(n), []byte{0, 0, 0, 0, 0, 2, 0xff, 0xff, 0, 0, 5, 0, 0, 0xff, 0xff, 7, 0, 0, 0, 0, 1, 0x0f, 0xff, 0, 0})
+	}
+	f.Fuzz(func(t *testing.T, size uint16, ops []byte) {
+		runBitmapOps(t, 1+int(size)%8300, ops)
+	})
 }
 
 func TestHierBitmapCountRangeClamps(t *testing.T) {

@@ -42,16 +42,12 @@ type Config struct {
 	// supersteps). Results are partition-invariant; instrumented runs
 	// ignore the plan, keeping parity streams byte-identical.
 	Partitions int
-	// Input, when non-empty, is a SNAP edge-list file (plain or gzipped)
-	// substituted for every generated dataset: Graph() loads it once and
-	// serves it under any requested name, so the bench trajectory and
-	// experiments run on a real downloaded graph instead of the
-	// generators. Scale and Seed still label the records.
+	// Input, when non-empty, is a graph file (SNAP or graphbig v1 edge
+	// list, plain or gzipped; see loader.Load) substituted for every
+	// generated dataset: Graph() loads it once and serves it under any
+	// requested name, so the experiments run on a real downloaded graph
+	// instead of the generators. Scale and Seed still label the reports.
 	Input string
-	// Delta, when > 0, overrides SPathDelta's sampled bucket-width
-	// heuristic in native engine benchmarks. Distances are
-	// delta-invariant; only scheduling and wall-clock change.
-	Delta float64
 	// Machine is the simulated CPU (Table 6).
 	Machine perfmon.Config
 	// CPUClockHz and CPUCores parameterize the Fig 12 CPU-side cost model.
@@ -128,7 +124,7 @@ func NewSession(cfg Config) *Session {
 }
 
 // Graph returns the cached dataset, generating it on first use. When
-// Cfg.Input names a SNAP file, that file is loaded once and substituted
+// Cfg.Input names a file, that file is loaded once and substituted
 // for every dataset name (mutating workloads still clone, so the shared
 // graph stays pristine).
 func (s *Session) Graph(name string) (*property.Graph, error) {
@@ -139,7 +135,7 @@ func (s *Session) Graph(name string) (*property.Graph, error) {
 		g, ok := s.graphs["\x00input"]
 		if !ok {
 			var err error
-			if g, err = loader.LoadSNAP(s.Cfg.Input); err != nil {
+			if g, err = loader.Load(s.Cfg.Input); err != nil {
 				return nil, err
 			}
 			s.graphs["\x00input"] = g

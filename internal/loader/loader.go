@@ -10,6 +10,9 @@
 //	e <src> <dst> <weight>
 //
 // Vertex lines precede edge lines. Undirected graphs store each edge once.
+//
+// Load reads either that format or a SNAP edge list (ReadSNAP), plain or
+// gzipped, and tells them apart by the file's first bytes.
 package loader
 
 import (
@@ -25,10 +28,13 @@ import (
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
+// v1Header opens every file Write produces; Load recognises the format by it.
+const v1Header = "# graphbig v1"
+
 // Write streams g to w in edge-list format.
 func Write(w io.Writer, g *property.Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "# graphbig v1 directed=%v\n", g.Directed()); err != nil {
+	if _, err := fmt.Fprintf(bw, v1Header+" directed=%v\n", g.Directed()); err != nil {
 		return err
 	}
 	// A failed write is sticky in bw and surfaces at Flush.
@@ -89,7 +95,7 @@ func Read(r io.Reader) (*property.Graph, error) {
 		return nil, fmt.Errorf("loader: empty input")
 	}
 	head := sc.Text()
-	if !strings.HasPrefix(head, "# graphbig v1") {
+	if !strings.HasPrefix(head, v1Header) {
 		return nil, fmt.Errorf("loader: bad header %q", head)
 	}
 	directed := strings.Contains(head, "directed=true")
@@ -171,15 +177,9 @@ func ReadSNAP(r io.Reader) (*property.Graph, error) { return readSNAP(r, true) }
 // readSNAP with fast=false sends every line through parseSNAPLine, the
 // reference the fuzz target compares the byte-level path against.
 func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var in io.Reader = br
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("loader: gzip: %w", err)
-		}
-		defer zr.Close()
-		in = zr
+	in, err := gunzip(r)
+	if err != nil {
+		return nil, err
 	}
 	var el property.EdgeList
 	sc := bufio.NewScanner(in)
@@ -211,6 +211,20 @@ func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
 		return nil, fmt.Errorf("loader: no edges in SNAP input")
 	}
 	return build(&el, true), nil
+}
+
+// gunzip returns r buffered, behind a gzip reader when it opens with the
+// two gzip magic bytes.
+func gunzip(r io.Reader) (io.Reader, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+		zr, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, fmt.Errorf("loader: gzip: %w", err)
+		}
+		return zr, nil
+	}
+	return br, nil
 }
 
 // parseSNAPLine is the general parser and the owner of every error
@@ -335,12 +349,22 @@ func Save(path string, g *property.Graph) error {
 	return f.Close()
 }
 
-// Load reads a graph from path.
+// Load reads a graph from path in whichever format the file is in: a gzip
+// stream is inflated, then a first line opening with "# graphbig v1" goes
+// to Read and anything else to ReadSNAP. File extensions are not consulted.
 func Load(path string) (*property.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	in, err := gunzip(f)
+	if err != nil {
+		return nil, err
+	}
+	br := bufio.NewReaderSize(in, 1<<20)
+	if head, _ := br.Peek(len(v1Header)); string(head) == v1Header {
+		return Read(br)
+	}
+	return ReadSNAP(br)
 }

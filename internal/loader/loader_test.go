@@ -139,18 +139,21 @@ func TestReadSNAP(t *testing.T) {
 	}
 }
 
-func TestReadSNAPGzipAndErrors(t *testing.T) {
-	raw := "# c\n0 1\n1 2\n"
+func gzipped(t *testing.T, data []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write([]byte(raw)); err != nil {
-		t.Fatal(err)
-	}
+	zw.Write(data) // a failed write surfaces at Close
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+func TestReadSNAPGzipAndErrors(t *testing.T) {
+	raw := "# c\n0 1\n1 2\n"
 	path := filepath.Join(t.TempDir(), "g.txt.gz")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, gzipped(t, []byte(raw)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	g, err := LoadSNAP(path)
@@ -173,6 +176,52 @@ func TestReadSNAPGzipAndErrors(t *testing.T) {
 		if _, err := ReadSNAP(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadSNAP(%q) accepted bad input", bad)
 		}
+	}
+}
+
+// TestLoadSniffsFormat saves one graph four ways — v1 and SNAP, each plain
+// and gzipped, every file under an extension that says nothing — and
+// loads all four through Load. Within a format the gzipped file must load
+// to the plain file's graph record for record, in order; across formats
+// (v1 lists every vertex in storage order, SNAP only edge endpoints in
+// first-mention order) the edge counts must agree.
+func TestLoadSniffsFormat(t *testing.T) {
+	g := gen.DAG(200, 6, 0)
+	var v1, snap bytes.Buffer
+	if err := Write(&v1, g); err != nil {
+		t.Fatal(err)
+	}
+	g.ForEachVertex(func(v *property.Vertex) {
+		for _, e := range v.Out {
+			fmt.Fprintf(&snap, "%d\t%d\t%g\n", v.ID, e.To, e.Weight)
+		}
+	})
+	dir := t.TempDir()
+	load := func(name string, data []byte, zip bool) *property.Graph {
+		t.Helper()
+		if zip {
+			data = gzipped(t, data)
+		}
+		path := filepath.Join(dir, name+".dat")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return r
+	}
+	fromV1, fromSNAP := load("v1", v1.Bytes(), false), load("snap", snap.Bytes(), false)
+	if d := sameGraph(fromV1, load("v1gz", v1.Bytes(), true)); d != "" {
+		t.Errorf("v1 vs v1.gz: %s", d)
+	}
+	if d := sameGraph(fromSNAP, load("snapgz", snap.Bytes(), true)); d != "" {
+		t.Errorf("SNAP vs SNAP.gz: %s", d)
+	}
+	if fromV1.VertexCount() != g.VertexCount() || fromV1.EdgeCount() != g.EdgeCount() || fromSNAP.EdgeCount() != g.EdgeCount() {
+		t.Errorf("loaded %d vertices/%d edges from v1 and %d edges from SNAP, saved %d/%d",
+			fromV1.VertexCount(), fromV1.EdgeCount(), fromSNAP.EdgeCount(), g.VertexCount(), g.EdgeCount())
 	}
 }
 

@@ -75,8 +75,8 @@ func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int3
 	t := g.Tracker()
 	w := workers(g, opt)
 
-	frontier := concurrent.NewBitmap(n)
-	next := concurrent.NewBitmap(n)
+	frontier := concurrent.NewHierBitmap(n)
+	next := concurrent.NewHierBitmap(n)
 	fSim := newSimArr(g, n/8+1, 8)
 
 	src := vw.Verts[srcIdx]

@@ -45,7 +45,9 @@ type Options struct {
 	// heuristic. Final distances do not depend on it (delta-stepping
 	// converges to the same shortest-path sums for any width), but
 	// wall-clock does: small deltas approach Dijkstra's work-efficiency
-	// with little parallelism, large ones approach Bellman-Ford.
+	// with little parallelism, large ones approach Bellman-Ford. It
+	// arrives from a command-line flag; SPathDelta rejects what cannot be
+	// a width (NaN, infinite, negative, below minDelta).
 	Delta float64
 	// Seed drives workload-internal sampling (GUp victims, Gibbs).
 	Seed int64

@@ -187,38 +187,133 @@ func TestSPathDeltaOverride(t *testing.T) {
 	}
 }
 
-// TestSPathDeltaPartitionSweepBitwise pins the CAS kernel against the
-// partitioned kernel across a k-sweep: per-vertex distances must be
-// bitwise identical (both take minima over the same left-to-right
-// float path sums, so no tolerance is needed).
+// TestSPathDeltaRejectsBadOverride: a width that is not a width is an
+// error, not a silently wrong answer (NaN used to settle one vertex) or an
+// index panic (1e-300 used to), and the graph is left untouched.
+func TestSPathDeltaRejectsBadOverride(t *testing.T) {
+	g := gen.Road(100, 4, 0)
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300, 1e-300, minDelta / 2} {
+		if res, err := SPathDelta(g, Options{Delta: d}); err == nil {
+			t.Errorf("Delta %v: ran (%+v), want an error", d, res)
+		}
+	}
+	if g.Schema().Field(SPathDistField) >= 0 {
+		t.Error("a rejected override still added the distance field")
+	}
+	for _, d := range []float64{0, math.Copysign(0, -1), 1e-3, math.MaxFloat64} {
+		if _, err := SPathDelta(gen.Road(100, 4, 0), Options{Delta: d}); err != nil {
+			t.Errorf("Delta %v: %v", d, err)
+		}
+	}
+}
+
+// bellmanFord is the textbook reference for the delta-stepping kernels:
+// relax every edge of the view until nothing moves. It takes minima over
+// the same left-to-right float path sums as they do, so its distances
+// (by view index) must match theirs bit for bit.
+func bellmanFord(vw *property.View, src int32) []float64 {
+	dist := make([]float64, vw.Len())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	for changed := true; changed; {
+		changed = false
+		for u := range dist {
+			du := dist[u]
+			if math.IsInf(du, 1) {
+				continue
+			}
+			adj := vw.Adj(int32(u))
+			wts := vw.AdjW(int32(u))
+			for j, v := range adj {
+				if nd := du + wts[j]; nd < dist[v] {
+					dist[v] = nd
+					changed = true
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// TestBellmanFordOracle checks the reference itself on a handmade graph
+// where the greedy first path is not the shortest: 1->2->4 costs 6,
+// 1->3->4 costs 3.
+func TestBellmanFordOracle(t *testing.T) {
+	g := property.New(property.Options{Directed: true, TrackInEdges: true})
+	for id := property.VertexID(1); id <= 5; id++ {
+		g.AddVertex(id)
+	}
+	for _, e := range []struct {
+		s, d property.VertexID
+		w    float64
+	}{{1, 2, 1}, {2, 4, 5}, {1, 3, 2}, {3, 4, 1}, {4, 5, 0.5}} {
+		if err := g.AddEdge(e.s, e.d, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vw := g.View()
+	dist := bellmanFord(vw, vw.IndexOf(1))
+	for id, want := range map[property.VertexID]float64{1: 0, 2: 1, 3: 2, 4: 3, 5: 3.5} {
+		if got := dist[vw.IndexOf(id)]; got != want {
+			t.Errorf("dist[%d] = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestSPathDeltaPartitionSweepBitwise pins the flat CAS kernel against
+// Bellman-Ford and the partitioned kernel against the flat one across a
+// k-sweep: per-vertex distances must be bitwise identical (all three take
+// minima over the same left-to-right float path sums, so no tolerance is
+// needed). The second input is the one the retired wall-clock ratchet ran
+// this check on.
 func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
-	base := gen.LDBC(1500, 21, 0)
-	flat, err := SPathDelta(base, Options{})
+	ldbc, err := gen.ByName("ldbc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := base.Schema().MustField(SPathDistField)
-	fvw := base.View()
-	for _, k := range []int{1, 2, 3, 5, 8} {
-		g := gen.LDBC(1500, 21, 0)
-		vw := g.ViewWith(property.ViewOpts{Partitions: k})
-		res, err := SPathDelta(g, Options{View: vw, Workers: 3})
+	for _, tc := range []struct {
+		name  string
+		build func() *property.Graph
+		ks    []int
+	}{
+		{"ldbc-1500", func() *property.Graph { return gen.LDBC(1500, 21, 0) }, []int{1, 2, 3, 5, 8}},
+		{"ldbc-0.02", func() *property.Graph { return ldbc.Generate(0.02, 42, 0) }, []int{1, 2, 4}},
+	} {
+		base := tc.build()
+		fvw := base.View()
+		src := fvw.Verts[0].ID
+		flat, err := SPathDelta(base, Options{Source: src, View: fvw})
 		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			t.Fatal(err)
 		}
-		if res.Visited != flat.Visited || res.Checksum != flat.Checksum {
-			t.Fatalf("k=%d: %d/%g vs flat %d/%g",
-				k, res.Visited, res.Checksum, flat.Visited, flat.Checksum)
-		}
-		pd := g.Schema().MustField(SPathDistField)
-		for i := range vw.Verts {
-			j := fvw.IndexOf(vw.Verts[i].ID)
-			if j < 0 {
-				t.Fatalf("k=%d: vertex %d missing from flat view", k, vw.Verts[i].ID)
+		fd := base.Schema().MustField(SPathDistField)
+		for i, want := range bellmanFord(fvw, 0) {
+			if got := fvw.Verts[i].Prop(fd); got != want {
+				t.Fatalf("%s flat: dist[%d] = %v, Bellman-Ford says %v", tc.name, fvw.Verts[i].ID, got, want)
 			}
-			a, b := vw.Verts[i].Prop(pd), fvw.Verts[j].Prop(fd)
-			if a != b && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
-				t.Fatalf("k=%d: dist[%d] = %v, flat %v", k, vw.Verts[i].ID, a, b)
+		}
+		for _, k := range tc.ks {
+			g := tc.build()
+			vw := g.ViewWith(property.ViewOpts{Partitions: k})
+			res, err := SPathDelta(g, Options{Source: src, View: vw, Workers: 3})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			if res.Visited != flat.Visited || res.Checksum != flat.Checksum {
+				t.Fatalf("%s k=%d: %d/%g vs flat %d/%g",
+					tc.name, k, res.Visited, res.Checksum, flat.Visited, flat.Checksum)
+			}
+			pd := g.Schema().MustField(SPathDistField)
+			for i := range vw.Verts {
+				j := fvw.IndexOf(vw.Verts[i].ID)
+				if j < 0 {
+					t.Fatalf("%s k=%d: vertex %d missing from flat view", tc.name, k, vw.Verts[i].ID)
+				}
+				if a, b := vw.Verts[i].Prop(pd), fvw.Verts[j].Prop(fd); a != b {
+					t.Fatalf("%s k=%d: dist[%d] = %v, flat %v", tc.name, k, vw.Verts[i].ID, a, b)
+				}
 			}
 		}
 	}

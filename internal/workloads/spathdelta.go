@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -35,8 +36,14 @@ import (
 // edge weight — estimated by a deterministic strided sample over the
 // view's flat weight array (edge-sampled, so skewed degree
 // distributions do not bias it the way per-vertex sampling did) —
-// divided by the average out-degree (see tunedDelta).
+// divided by the average out-degree (see tunedDelta). An override that
+// is NaN, infinite, negative or narrower than minDelta is an error.
 func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
+	// NaN fails `delta <= 0` below and would reach the kernels as a width;
+	// !(d >= 0) catches it together with the negatives.
+	if d := opt.Delta; !(d >= 0) || math.IsInf(d, 1) || d != 0 && d < minDelta {
+		return nil, fmt.Errorf("workloads: SPathDelta: delta %v is neither 0 (sampled) nor a finite width >= %g", d, minDelta)
+	}
 	vw := view(g, &opt)
 	n := vw.Len()
 	if n == 0 {
@@ -131,6 +138,13 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 		},
 	}, nil
 }
+
+// minDelta is the narrowest bucket width accepted as an override. Buckets
+// are a dense array indexed by int(dist/delta) and at most MaxInt32 of
+// them are ever drained: a narrower width puts a path of length one beyond
+// the last bucket the scan can reach, and from 2^-63 down the conversion
+// overflows into a negative index.
+const minDelta = 1.0 / (1 << 31)
 
 // sampleDelta estimates the mean edge weight with a deterministic
 // strided sample over the view's flat weight array. Sampling edges
