@@ -12,9 +12,12 @@ import (
 	"sync/atomic"
 )
 
-// Frontier is a concurrent append-only queue of int32 vertex indices used
-// for level-synchronous traversal. Writers call Push from many goroutines;
-// after a barrier, readers consume the Slice.
+// Frontier is an append-only queue of int32 vertex indices used for
+// level-synchronous traversal. A round fills it one of two ways, never
+// both at once: many goroutines call Push (one atomic add per entry), or
+// one goroutine appends to Tail and publishes the result with Commit (no
+// atomics per entry). After the round's barrier — or, for the single
+// writer, after Commit — readers consume the Slice.
 type Frontier struct {
 	buf []int32
 	len atomic.Int64
@@ -35,6 +38,26 @@ func (f *Frontier) Push(v int32) {
 		panic(fmt.Sprintf("concurrent: Frontier capacity %d exceeded pushing vertex %d (a vertex was enqueued more than once?)", len(f.buf), v))
 	}
 	f.buf[i] = v
+}
+
+// Tail returns the unused capacity as an empty slice positioned after the
+// queued entries. A single writer appends to it and hands the result to
+// Commit; nothing is queued until then, and no Push may run in between.
+func (f *Frontier) Tail() []int32 {
+	s := f.Slice()
+	return s[len(s):]
+}
+
+// Commit queues the entries a single writer appended to the slice Tail
+// returned. Appending past the capacity reallocates the slice away from
+// the frontier's buffer, so the overflow Push diagnoses (a vertex enqueued
+// more than once) shows up here as a tail longer than the room that was
+// left; the re-slice panics on it, on the caller's own stack, with both
+// numbers in the message.
+func (f *Frontier) Commit(tail []int32) {
+	n := f.Len() + len(tail)
+	_ = f.buf[:n]
+	f.len.Store(int64(n))
 }
 
 // Slice returns the current contents. Callers must not Push concurrently
@@ -133,7 +156,12 @@ func ChunkBounds(n, parts int) []int {
 
 // ParallelItems runs body(i) for every i in [0,n) using a dynamic
 // work-stealing counter, which balances skewed per-item costs (e.g.
-// per-vertex work proportional to degree).
+// per-vertex work proportional to degree). Each call launches workers
+// goroutines and waits for them, whatever n is; the only floor here is
+// n <= grain (or one worker), which runs inline in index order. That
+// floor counts items, not work: a caller that knows what its items cost
+// — the engine's push rounds and SPathDelta's drains know their edge
+// visits — decides whether the fork pays before it calls.
 func ParallelItems(n, workers int, grain int, body func(i int)) {
 	workers = Workers(workers)
 	if grain < 1 {

@@ -60,6 +60,41 @@ func TestFrontierPushOverflowPanics(t *testing.T) {
 	f.Push(9)
 }
 
+// A single writer appends to Tail and Commit queues the result behind
+// whatever Push queued before; a tail that outgrew the capacity is not in
+// the buffer any more, and Commit must refuse it.
+func TestFrontierTailCommit(t *testing.T) {
+	f := NewFrontier(5)
+	f.Push(10)
+	tail := f.Tail()
+	if len(tail) != 0 || cap(tail) != 4 {
+		t.Fatalf("Tail after one Push: len %d cap %d, want 0 and 4", len(tail), cap(tail))
+	}
+	tail = append(tail, 11, 12)
+	if f.Len() != 1 {
+		t.Fatalf("Len = %d before Commit, want 1", f.Len())
+	}
+	f.Commit(tail)
+	f.Push(13)
+	f.Commit(append(f.Tail(), 14))
+	got := f.Slice()
+	for i, want := range []int32{10, 11, 12, 13, 14} {
+		if i >= len(got) || got[i] != want {
+			t.Fatalf("Slice = %v, want [10 11 12 13 14]", got)
+		}
+	}
+	f.Reset()
+	if tail := f.Tail(); len(tail) != 0 || cap(tail) != 5 {
+		t.Fatalf("Tail after Reset: len %d cap %d, want 0 and 5", len(tail), cap(tail))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Commit of a tail beyond capacity did not panic")
+		}
+	}()
+	f.Commit(append(f.Tail(), 1, 2, 3, 4, 5, 6))
+}
+
 func TestParallelRangeCoversOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 5, 100} {

@@ -81,6 +81,40 @@ func BenchmarkTraversePushOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkTraverseRoad is the many-narrow-rounds regime LDBC never
+// enters: ca-road at 0.05 of the paper scale (95 k vertices, a BFS of
+// several hundred rounds of a few hundred vertices each), at one worker
+// and at GOMAXPROCS. rounds and serial-rounds say how many rounds one
+// traversal took and how many of them stayed below the engine's floor.
+func BenchmarkTraverseRoad(b *testing.B) {
+	g := gen.Road(95_000, 42, 0)
+	vw := g.View()
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(g, vw, bc.workers)
+			dist := make([]int32, e.N())
+			var st Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range dist {
+					dist[j] = -1
+				}
+				dist[0] = 0
+				st = e.Traverse(&Spec{Dist: dist}, 0)
+			}
+			if st.Reached < int64(e.N())/2 {
+				b.Fatalf("traversal reached %d of %d vertices", st.Reached, e.N())
+			}
+			b.ReportMetric(float64(st.PushRounds+st.PullRounds), "rounds")
+			b.ReportMetric(float64(st.SerialRounds), "serial-rounds")
+		})
+	}
+}
+
 // View construction: the serial seed implementation vs the parallel
 // pipeline, the pair the bench JSON's view_build record compares.
 func BenchmarkViewBuildReference(b *testing.B) {

@@ -47,12 +47,18 @@ type Spec struct {
 
 // Stats summarizes one Traverse call. PushRounds/PullRounds count global
 // rounds in flat mode and the sum of partition-local rounds in partitioned
-// mode; Supersteps and BoundarySent are zero except in partitioned mode.
+// mode; Supersteps and BoundarySent are zero outside partitioned mode,
+// SerialRounds outside native flat mode.
 type Stats struct {
 	Reached    int64 // vertices claimed, including the sources
 	Depth      int32 // highest round assigned (0 if only sources)
 	PushRounds int
 	PullRounds int
+
+	// SerialRounds is how many of PushRounds ran on the caller as a plain
+	// sequential loop because the round was at or below serialGrain (or
+	// the engine has one worker); the rest forked.
+	SerialRounds int
 
 	Supersteps   int   // partitioned mode: boundary-exchange iterations
 	BoundarySent int64 // partitioned mode: cross-partition messages posted
@@ -64,11 +70,14 @@ type Stats struct {
 // per-call stats.
 //
 // Native runs direction-optimize: rounds run in push mode (scatter from a
-// sparse frontier, atomic CAS claims) until the frontier's out-degree sum
-// exceeds unexplored/Alpha, then in pull mode (every unvisited vertex
-// scans its in-neighbors against a dense bitmap, single writer per slot)
-// until the awake count drops below n/Beta. Instrumented runs always use
-// the single-threaded push loop around Spec.TrackedVisit.
+// sparse frontier) until the frontier's out-degree sum exceeds
+// unexplored/Alpha, then in pull mode (every unvisited vertex scans its
+// in-neighbors against a dense bitmap, single writer per slot) until the
+// awake count drops below n/Beta, then in push mode to the end. A push
+// round forks across the workers (atomic CAS claims) only when its
+// frontier holds more than serialGrain edge visits; at or below that it
+// is a sequential loop on the caller. Instrumented runs always use the
+// single-threaded push loop around Spec.TrackedVisit.
 func (e *Engine) Traverse(spec *Spec, srcs ...int32) Stats {
 	if len(spec.Dist) != e.n {
 		panic("engine: Spec.Dist length does not match view")
@@ -116,27 +125,49 @@ func (e *Engine) trackedPush(spec *Spec, cur, next *concurrent.Frontier, st *Sta
 	}
 }
 
+// serialGrain is the round floor, in edge visits: a push round whose
+// frontier has an out-degree sum at or below it costs less than forking
+// it does (goroutine launches, the WaitGroup barrier, waking threads that
+// parked during the serial rounds before it, and the cache lines of the
+// frontier length and the claim counters bouncing between cores), so it
+// runs on the caller. Chosen from the sweep in DESIGN.md §6: the road
+// graph needs 4 Ki or more and is flat from there to infinity, the social
+// graph keeps improving up to here, and a push-only social run is at its
+// best between here and 1 Mi and loses a third again if nothing ever
+// forks. SPathDelta's bucket drain (internal/workloads) applies the same
+// floor in the same unit.
+const serialGrain = 256 << 10
+
+// nativeTraverse is the flat native loop. Each round picks its direction
+// from the Alpha test and, for push rounds, its width from the frontier's
+// own work estimate: scout, the out-degree sum of the live frontier, is
+// exactly the number of edge visits the round is about to make.
 func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *Stats) {
-	vw := e.vw
+	oneWorker := e.Workers() == 1
 	// edgesLeft approximates the unexplored-edge count driving the
-	// push->pull switch; scout is the out-degree sum of the live frontier.
-	edgesLeft := vw.EdgeTotal()
-	scout := int64(0)
-	for _, s := range cur.Slice() {
-		scout += int64(vw.Degree(s))
-	}
+	// push->pull switch.
+	edgesLeft := e.vw.EdgeTotal()
+	scout := e.degreeSum(cur.Slice())
+	pull := !spec.NoPull
 	round := int32(1)
 	for cur.Len() > 0 {
-		if !spec.NoPull && scout > edgesLeft/Alpha {
+		if pull && scout > edgesLeft/Alpha {
 			e.pullPhase(spec, cur, &round, st)
-			scout = 0
-			for _, s := range cur.Slice() {
-				scout += int64(vw.Degree(s))
-			}
-			edgesLeft = 0 // pull scanned the remainder; stay in push from here
+			scout = e.degreeSum(cur.Slice())
+			// The pull phase ran until the frontier was past its peak and
+			// scanned the remainder on the way: finish in push. Testing
+			// Alpha again would re-enter on every round of a long tail,
+			// each one a scan of all n vertices for a handful of claims.
+			pull = false
 			continue
 		}
-		produced, scouted := e.pushRound(spec, cur, next, round)
+		var produced, scouted int64
+		if oneWorker || scout <= serialGrain {
+			produced, scouted = e.pushRoundSerial(spec, cur, next, round)
+			st.SerialRounds++
+		} else {
+			produced, scouted = e.pushRound(spec, cur, next, round)
+		}
 		edgesLeft -= scout
 		scout = scouted
 		st.Reached += produced
@@ -150,10 +181,53 @@ func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *
 	}
 }
 
-// pushRound scatters from the sparse frontier: each worker claims
-// unvisited neighbors with an atomic CAS on Dist, which makes the claim
-// the sole arbiter — no racy reads of shared workload state. Returns the
-// number of vertices produced and the sum of their degrees (scout count).
+// degreeSum is the scout count of a frontier: the edge visits expanding
+// it will make.
+func (e *Engine) degreeSum(fr []int32) int64 {
+	sum := int64(0)
+	for _, s := range fr {
+		sum += int64(e.vw.Degree(s))
+	}
+	return sum
+}
+
+// pushRoundSerial is the round at or below the floor: one goroutine, so
+// the claim is a plain load and store on Dist, the next frontier a
+// single-writer append, and labels, Visit calls and the scout sum are one
+// pass over what the round produced — which keeps calls, and the
+// registers they cost, out of the per-edge loop. Same contract and same
+// return values as pushRound.
+func (e *Engine) pushRoundSerial(spec *Spec, cur, next *concurrent.Frontier, round int32) (produced, scouted int64) {
+	off, nbr := e.vw.NbrOff, e.vw.Nbr
+	dist := spec.Dist
+	out := next.Tail()
+	for _, u := range cur.Slice() {
+		for _, v := range nbr[off[u]:off[u+1]] {
+			if dist[v] < 0 {
+				dist[v] = round
+				out = append(out, v)
+			}
+		}
+	}
+	next.Commit(out)
+	if spec.Labels != nil {
+		for _, v := range out {
+			spec.Labels[v] = spec.Label
+		}
+	}
+	if spec.Visit != nil {
+		for _, v := range out {
+			spec.Visit(v, round)
+		}
+	}
+	return int64(len(out)), e.degreeSum(out)
+}
+
+// pushRound scatters from the sparse frontier across the workers: each
+// claims unvisited neighbors with an atomic CAS on Dist, which makes the
+// claim the sole arbiter — no racy reads of shared workload state. Returns
+// the number of vertices produced and the sum of their degrees (scout
+// count).
 func (e *Engine) pushRound(spec *Spec, cur, next *concurrent.Frontier, round int32) (int64, int64) {
 	vw := e.vw
 	dist := spec.Dist

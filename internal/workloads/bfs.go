@@ -25,14 +25,18 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	}
 	lvl := g.EnsureField(BFSLevelField)
 	idxSlot := g.EnsureField(property.SysIndexField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(lvl, -1)
+	t := g.Tracker()
+	if t != nil {
+		// TrackedVisit reads the level property as its visited test; the
+		// native run writes every slot once, after the traversal.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(lvl, -1)
+		}
 	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
 	}
-	t := g.Tracker()
 	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
 	qSim := newSimArr(g, n, 4)
 
@@ -75,9 +79,7 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	} else {
 		st = eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
 		eng.ForVertices(256, func(i int) {
-			if d := dist[i]; d > 0 {
-				vw.Verts[i].SetPropRaw(lvl, float64(d))
-			}
+			vw.Verts[i].SetPropRaw(lvl, float64(dist[i]))
 		})
 	}
 

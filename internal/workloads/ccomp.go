@@ -25,10 +25,14 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 	}
 	lbl := g.EnsureField(CCompField)
 	idxSlot := g.EnsureField(property.SysIndexField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(lbl, -1)
-	}
 	t := g.Tracker()
+	if t != nil {
+		// TrackedVisit reads the label property as its visited test; the
+		// native run overwrites every slot after the last traversal.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(lbl, -1)
+		}
+	}
 	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
 	qSim := newSimArr(g, n, 4)
 

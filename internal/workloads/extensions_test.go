@@ -319,6 +319,83 @@ func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
 	}
 }
 
+// weightedLollipop is two k-cliques joined by a path of `path` vertices,
+// with weights in [1,4) that break the triangle inequality inside the
+// cliques, so a wide bucket re-relaxes its own members. Under a bucket
+// width of 8 each clique is one drain of (k-1)^2 edge visits and the path
+// a run of drains of a few vertices each.
+func weightedLollipop(k, path int) *property.Graph {
+	n := 2*k + path
+	g := property.New(property.Options{})
+	for i := 0; i < n; i++ {
+		g.AddVertex(property.VertexID(i))
+	}
+	add := func(u, v int) {
+		w := 1 + 3*float64((u*31+v*17)%97)/97
+		if err := g.AddEdge(property.VertexID(u), property.VertexID(v), w); err != nil {
+			panic(err)
+		}
+	}
+	for _, lo := range []int{0, k + path} {
+		for u := lo; u < lo+k; u++ {
+			for v := u + 1; v < lo+k; v++ {
+				add(u, v)
+			}
+		}
+	}
+	for i := k - 1; i < k+path; i++ {
+		add(i, i+1)
+	}
+	return g
+}
+
+// TestSPathDeltaDrainSeam runs the flat kernel where its drains sit on
+// both sides of serialVisits — the lollipop's clique drains fork, its
+// path drains and every drain of the road grid stay on the caller — and
+// holds the distances to Bellman-Ford bit for bit at one, two and four
+// workers. Each graph is solved from a second source first, so a slot the
+// final write-back skipped would still hold that run's distance; the road
+// grid has vertices neither source reaches. The relaxed counts are the
+// ones the kernel made at one worker before it had a serial path.
+func TestSPathDeltaDrainSeam(t *testing.T) {
+	const k = 514
+	if (k-1)*(k-1) <= serialVisits {
+		t.Fatal("clique no longer outgrows serialVisits; enlarge it")
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *property.Graph
+		delta   float64
+		relaxed float64
+	}{
+		{"lollipop", weightedLollipop(k, 300), 8, 3538},
+		{"road", gen.Road(6000, 5, 0), 0, 6804},
+	} {
+		vw := tc.g.View()
+		src := vw.Verts[0].ID
+		want := bellmanFord(vw, 0)
+		fd := tc.g.EnsureField(SPathDistField)
+		for _, workers := range []int{1, 2, 4} {
+			other := vw.Verts[vw.Len()/2].ID
+			if _, err := SPathDelta(tc.g, Options{Source: other, View: vw, Workers: workers, Delta: tc.delta}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := SPathDelta(tc.g, Options{Source: src, View: vw, Workers: workers, Delta: tc.delta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got := vw.Verts[i].Prop(fd); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("%s workers=%d: dist[%d] = %v, Bellman-Ford says %v", tc.name, workers, vw.Verts[i].ID, got, want[i])
+				}
+			}
+			if workers == 1 && res.Stats["relaxed"] != tc.relaxed {
+				t.Errorf("%s: %v relaxations at one worker, the forking kernel made %v", tc.name, res.Stats["relaxed"], tc.relaxed)
+			}
+		}
+	}
+}
+
 func TestSPathDeltaMatchesDijkstra(t *testing.T) {
 	g := gen.LDBC(1200, 17, 0)
 	dj, err := SPath(g, Options{})

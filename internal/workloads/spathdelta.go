@@ -52,9 +52,6 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	distF := g.EnsureField(SPathDistField)
 	idxSlot := g.EnsureField(property.SysIndexField)
 	inf := math.Inf(1)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(distF, inf)
-	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
@@ -62,6 +59,16 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	w := workers(g, opt)
 	t := g.Tracker()
 	tracked := t != nil
+	// MaxIters bounds a global bucket scan that has no partitioned
+	// equivalent, so bounded runs keep the flat kernel.
+	partitioned := vw.Partitions() != nil && !tracked && opt.MaxIters <= 0
+	if tracked || partitioned {
+		// These two kernels write the property only where a distance
+		// improved; the flat native one writes every slot at the end.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(distF, inf)
+		}
+	}
 
 	delta := opt.Delta
 	if delta <= 0 {
@@ -81,10 +88,8 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	// delta-stepping kernel over its owned subgraph with single-writer
 	// distance slots (no mutex), exchanging cut-edge relaxations between
 	// supersteps. Distances are bitwise identical to the flat kernel —
-	// both converge to the min over the same float path sums. MaxIters
-	// bounds a global bucket scan that has no partitioned equivalent, so
-	// bounded runs keep the flat kernel.
-	if plan := vw.Partitions(); plan != nil && !tracked && opt.MaxIters <= 0 {
+	// both converge to the min over the same float path sums.
+	if partitioned {
 		dist[srcIdx] = 0
 		g.SetProp(vw.Verts[srcIdx], distF, 0)
 		eng := newEngine(g, vw, w, opt.engineSink)
@@ -121,10 +126,10 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	settled := int64(0)
 	sum := 0.0
 	for i := range dist {
+		vw.Verts[i].SetPropRaw(distF, dist[i])
 		if !math.IsInf(dist[i], 1) {
 			settled++
 			sum += dist[i]
-			vw.Verts[i].SetPropRaw(distF, dist[i])
 		}
 	}
 	return &Result{
@@ -314,6 +319,10 @@ func casSPathDelta(vw *property.View, dist []float64, delta float64, srcIdx int3
 				bucketsDone++
 				counted = true
 			}
+			if w == 1 || fewVisits(vw.NbrOff, work) {
+				ss.relaxSerial(vw, db, work, b, delta)
+				continue
+			}
 			wk := work
 			concurrent.ParallelItems(w, w, 1, func(p int) {
 				ss.relaxChunk(vw, db, wk, b, delta, p, w)
@@ -327,6 +336,52 @@ func casSPathDelta(vw *property.View, dist []float64, delta float64, srcIdx int3
 		relaxed += ss.relaxed[p]
 	}
 	return bucketsDone, relaxed
+}
+
+// serialVisits is the drain floor, in edge visits: the engine's
+// serialGrain under another package's name — same unit, same value, same
+// sweep (DESIGN.md §6). A merged work list whose out-degree sum is at or
+// below it is relaxed on the caller; forking it costs more than the
+// relaxations do.
+const serialVisits = 256 << 10
+
+// fewVisits reports whether relaxing work scans at most serialVisits
+// edges. It stops adding at the floor, so a wide list costs no more to
+// size than a narrow one.
+func fewVisits(off, work []int32) bool {
+	visits := 0
+	for _, u := range work {
+		visits += int(off[u+1] - off[u])
+		if visits > serialVisits {
+			return false
+		}
+	}
+	return true
+}
+
+// relaxSerial is relaxChunk for a drain below the floor (or a one-worker
+// run): the whole list on the caller, the min a plain compare and store
+// on the bit pattern, every winner into shard 0. With one worker it makes
+// the same relaxations in the same order as relaxChunk did.
+func (ss *deltaShards) relaxSerial(vw *property.View, db []uint64, work []int32, b int, delta float64) {
+	var relaxed int64
+	for _, ui := range work {
+		du := math.Float64frombits(db[ui])
+		if int(du/delta) < b {
+			continue // stale entry; settled in a lower bucket
+		}
+		adj := vw.Adj(ui)
+		wts := vw.AdjW(ui)[:len(adj)]
+		for j, wi := range adj {
+			nd := du + wts[j]
+			if math.Float64bits(nd) < db[wi] {
+				db[wi] = math.Float64bits(nd)
+				ss.push(0, int(nd/delta), wi)
+				relaxed++
+			}
+		}
+	}
+	ss.relaxed[0] += relaxed
 }
 
 // relaxChunk relaxes worker p's contiguous chunk of the merged work
