@@ -50,39 +50,31 @@ type COO struct {
 	W        []float64
 }
 
-// FromProperty converts the live vertices of g, using vw's dense indices.
-// Destinations that fell outside the view (deleted vertices) are skipped.
+// FromProperty converts vw's snapshot of g: the View already holds every
+// live vertex's out-records over dense indices, with destinations that fell
+// outside it (deleted vertices) dropped, so its rows are copied, not
+// resolved a second time.
 func FromProperty(g *property.Graph, vw *property.View) *Graph {
 	n := vw.Len()
 	c := &Graph{
 		N:      n,
 		RowPtr: make([]int64, n+1),
+		Col:    make([]int32, len(vw.Nbr)),
+		W:      make([]float64, len(vw.NbrW)),
 		IDs:    make([]property.VertexID, n),
 	}
-	total := 0
+	copy(c.Col, vw.Nbr)
+	copy(c.W, vw.NbrW)
+	// Canonical CSR keeps each row sorted by destination (the dynamic
+	// store keeps insertion order); kernels rely on ordered rows.
+	var row rowSorter
 	for i, v := range vw.Verts {
 		c.IDs[i] = v.ID
-		total += len(v.Out)
+		lo, hi := vw.NbrOff[i], vw.NbrOff[i+1]
+		c.RowPtr[i+1] = int64(hi)
+		row.col, row.w = c.Col[lo:hi], c.W[lo:hi]
+		sort.Sort(&row)
 	}
-	c.Col = make([]int32, 0, total)
-	c.W = make([]float64, 0, total)
-	for i, v := range vw.Verts {
-		c.RowPtr[i] = int64(len(c.Col))
-		for _, e := range v.Out {
-			j := vw.IndexOf(e.To)
-			if j < 0 {
-				continue
-			}
-			c.Col = append(c.Col, j)
-			c.W = append(c.W, e.Weight)
-		}
-		// Canonical CSR keeps each row sorted by destination (the dynamic
-		// store keeps insertion order); kernels rely on ordered rows.
-		row := c.Col[c.RowPtr[i]:]
-		wts := c.W[c.RowPtr[i]:]
-		sort.Sort(&rowSorter{row, wts})
-	}
-	c.RowPtr[n] = int64(len(c.Col))
 	// Simulated layout: three contiguous arrays, as a real CSR would be.
 	ar := g.Arena()
 	c.rowAddr = ar.Alloc(uint64(len(c.RowPtr))*8, 64)

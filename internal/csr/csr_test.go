@@ -1,6 +1,8 @@
 package csr
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/gen"
@@ -134,5 +136,78 @@ func TestTraverseInstrumented(t *testing.T) {
 	}
 	if ct.Loads[mem.ClassUser] == 0 {
 		t.Error("instrumented traversal reported no loads")
+	}
+}
+
+// fromPropertyByLookup is FromProperty as it was before it copied the
+// View's rows: every out-record of every vertex resolved again through
+// IndexOf, appended, and the row sorted. Kept as the oracle for the copy.
+func fromPropertyByLookup(g *property.Graph, vw *property.View) *Graph {
+	n := vw.Len()
+	c := &Graph{N: n, RowPtr: make([]int64, n+1), IDs: make([]property.VertexID, n)}
+	for i, v := range vw.Verts {
+		c.IDs[i] = v.ID
+		c.RowPtr[i] = int64(len(c.Col))
+		for _, e := range v.Out {
+			if j := vw.IndexOf(e.To); j >= 0 {
+				c.Col = append(c.Col, j)
+				c.W = append(c.W, e.Weight)
+			}
+		}
+		sort.Sort(&rowSorter{c.Col[c.RowPtr[i]:], c.W[c.RowPtr[i]:]})
+	}
+	c.RowPtr[n] = int64(len(c.Col))
+	ar := g.Arena()
+	c.rowAddr = ar.Alloc(uint64(len(c.RowPtr))*8, 64)
+	c.colAddr = ar.Alloc(uint64(len(c.Col))*4, 64)
+	c.wAddr = ar.Alloc(uint64(len(c.W))*8, 64)
+	return c
+}
+
+// TestFromPropertyMatchesLookupLoop builds every input twice, so both
+// conversions allocate from arenas in the same state, and requires the
+// same arrays and the same three simulated base addresses: on LDBC
+// (unsorted rows, the benchmark's input), on a road grid with deleted
+// vertices (holes in the ID space, so indices are not IDs), and on LDBC
+// under an ordering permutation.
+func TestFromPropertyMatchesLookupLoop(t *testing.T) {
+	reverse := func(n int, _, _ []int32) []int32 {
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(n - 1 - i)
+		}
+		return perm
+	}
+	for name, build := range map[string]func() (*property.Graph, *property.View){
+		"ldbc": func() (*property.Graph, *property.View) {
+			g := gen.LDBC(700, 3, 0)
+			return g, g.View()
+		},
+		"road with deleted vertices": func() (*property.Graph, *property.View) {
+			g := gen.Road(900, 5, 0)
+			for id := property.VertexID(7); id < 900; id += 13 {
+				if _, err := g.DeleteVertex(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return g, g.View()
+		},
+		"ldbc reordered": func() (*property.Graph, *property.View) {
+			g := gen.LDBC(700, 3, 0)
+			return g, g.ViewWith(property.ViewOpts{Order: reverse})
+		},
+	} {
+		got, want := FromProperty(build()), fromPropertyByLookup(build())
+		if got.N != want.N || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) ||
+			!slices.Equal(got.W, want.W) || !slices.Equal(got.IDs, want.IDs) {
+			t.Errorf("%s: arrays differ from the lookup loop's (%d vertices, %d vs %d records)", name, got.N, len(got.Col), len(want.Col))
+		}
+		if got.rowAddr != want.rowAddr || got.colAddr != want.colAddr || got.wAddr != want.wAddr {
+			t.Errorf("%s: base addresses %x %x %x, want %x %x %x", name,
+				got.rowAddr, got.colAddr, got.wAddr, want.rowAddr, want.colAddr, want.wAddr)
+		}
+		if got.NumEdges() == 0 {
+			t.Errorf("%s: no edges", name)
+		}
 	}
 }

@@ -35,11 +35,6 @@ func unpack(e uint64) (u, v int32) {
 	return int32(uint32(e >> 32)), int32(uint32(e))
 }
 
-// vrng returns a deterministic per-vertex random stream.
-func vrng(seed int64, v int32) *rand.Rand {
-	return rand.New(rand.NewPCG(uint64(seed), uint64(v)*0x9e3779b97f4a7c15+1))
-}
-
 func mix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -122,18 +117,25 @@ func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
 }
 
 // packedEdges hands Build's sorted list to property.Bulk as it is: dense
-// IDs are their own indices and weights are recomputed on demand, so
-// nothing is copied.
+// IDs are their own indices and weights are recomputed as each block is
+// unpacked, so nothing is copied.
 type packedEdges struct {
 	v     int
 	edges []uint64
 }
 
-func (p packedEdges) NumVertices() int            { return p.v }
-func (p packedEdges) ID(i int) property.VertexID  { return property.VertexID(i) }
-func (p packedEdges) NumEdges() int               { return len(p.edges) }
-func (p packedEdges) Ends(e int) (src, dst int32) { return unpack(p.edges[e]) }
-func (p packedEdges) Weight(e int) float64        { return edgeWeight(unpack(p.edges[e])) }
+func (p packedEdges) NumVertices() int           { return p.v }
+func (p packedEdges) ID(i int) property.VertexID { return property.VertexID(i) }
+func (p packedEdges) NumEdges() int              { return len(p.edges) }
+
+func (p packedEdges) Edges(e int, buf []property.BulkEdge) []property.BulkEdge {
+	buf = buf[:min(len(buf), len(p.edges)-e)]
+	for k := range buf {
+		u, v := unpack(p.edges[e+k])
+		buf[k] = property.BulkEdge{Src: u, Dst: v, W: edgeWeight(u, v)}
+	}
+	return buf
+}
 
 // perVertexEdges runs emit for every vertex with its deterministic RNG and
 // concatenates the produced packed edges. emit must only append.
@@ -149,8 +151,14 @@ func perVertexEdges(v int, seed int64, workers int, perVertexCap int, emit func(
 	parts := make([][]uint64, workers)
 	concurrent.ParallelRange(v, workers, func(s, e int) {
 		buf := make([]uint64, 0, (e-s)*perVertexCap/2+16)
+		// Every vertex has its own deterministic stream, a PCG seeded from
+		// (seed, vertex); one generator per worker is re-seeded to it, which
+		// gives the stream of a fresh one without two allocations a vertex.
+		src := new(rand.PCG)
+		r := rand.New(src)
 		for i := s; i < e; i++ {
-			buf = emit(vrng(seed, int32(i)), int32(i), buf)
+			src.Seed(uint64(seed), uint64(i)*0x9e3779b97f4a7c15+1)
+			buf = emit(r, int32(i), buf)
 		}
 		parts[s/chunk] = buf // chunked ranges start at multiples of chunk
 	})

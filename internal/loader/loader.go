@@ -73,13 +73,17 @@ func checkWeight(lineNo int, w float64) error {
 	return fmt.Errorf("loader: line %d: weight %v is not a non-negative finite number", lineNo, w)
 }
 
-// scanErr reports why the scanner stopped early (a line over 1 MiB, a
-// truncated gzip stream) against the line it was reading.
-func scanErr(sc *bufio.Scanner, lineNo int) error {
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("loader: line %d: %w", lineNo+1, err)
+// lineErr is the error for line lineNo: err, which says why the line did
+// not parse (nil if it did, or if there was no line), unless the reader
+// under the scanner has failed — a line over 1 MiB, a truncated gzip
+// stream. Then that failure is the error: the scanner hands over whatever
+// preceded it as one last line, and a fragment that happens not to parse
+// is not what is wrong with the input.
+func lineErr(sc *bufio.Scanner, lineNo int, err error) error {
+	if rerr := sc.Err(); rerr != nil {
+		return fmt.Errorf("loader: line %d: %w", lineNo, rerr)
 	}
-	return nil
+	return err
 }
 
 // Read parses an edge-list stream into a new property graph. Weights must
@@ -89,67 +93,73 @@ func Read(r io.Reader) (*property.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
-		if err := scanErr(sc, 0); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("loader: empty input")
+		return nil, lineErr(sc, 1, fmt.Errorf("loader: empty input"))
 	}
 	head := sc.Text()
 	if !strings.HasPrefix(head, v1Header) {
-		return nil, fmt.Errorf("loader: bad header %q", head)
+		return nil, lineErr(sc, 1, fmt.Errorf("loader: bad header %q", head))
 	}
 	directed := strings.Contains(head, "directed=true")
 	var el property.EdgeList
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || fields[0][0] == '#' {
-			continue
-		}
-		switch fields[0] {
-		case "v":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("loader: line %d: bad vertex line", lineNo)
-			}
-			id, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-			}
-			el.Intern(property.VertexID(id))
-		case "e":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("loader: line %d: bad edge line", lineNo)
-			}
-			src, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-			}
-			dst, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-			}
-			w, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-			}
-			if err := checkWeight(lineNo, w); err != nil {
-				return nil, err
-			}
-			si, sok := el.Lookup(property.VertexID(src))
-			di, dok := el.Lookup(property.VertexID(dst))
-			if !sok || !dok {
-				return nil, fmt.Errorf("loader: line %d: edge endpoint not declared", lineNo)
-			}
-			el.Add(si, di, w)
-		default:
-			return nil, fmt.Errorf("loader: line %d: unknown record %q", lineNo, fields[0])
+		if err := readV1Line(&el, sc.Text(), lineNo); err != nil {
+			return nil, lineErr(sc, lineNo, err)
 		}
 	}
-	if err := scanErr(sc, lineNo); err != nil {
+	if err := lineErr(sc, lineNo+1, nil); err != nil {
 		return nil, err
 	}
 	return build(&el, directed), nil
+}
+
+// readV1Line enters one `v <id>` or `e <src> <dst> <weight>` line into el;
+// blank and comment lines are skipped.
+func readV1Line(el *property.EdgeList, line string, lineNo int) error {
+	fields := strings.Fields(line)
+	if len(fields) == 0 || fields[0][0] == '#' {
+		return nil
+	}
+	switch fields[0] {
+	case "v":
+		if len(fields) != 2 {
+			return fmt.Errorf("loader: line %d: bad vertex line", lineNo)
+		}
+		id, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+		}
+		el.Intern(property.VertexID(id))
+	case "e":
+		if len(fields) != 4 {
+			return fmt.Errorf("loader: line %d: bad edge line", lineNo)
+		}
+		src, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+		}
+		dst, err := strconv.ParseUint(fields[2], 10, 64)
+		if err != nil {
+			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+		}
+		w, err := strconv.ParseFloat(fields[3], 64)
+		if err != nil {
+			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+		}
+		if err := checkWeight(lineNo, w); err != nil {
+			return err
+		}
+		si, sok := el.Lookup(property.VertexID(src))
+		di, dok := el.Lookup(property.VertexID(dst))
+		if !sok || !dok {
+			return fmt.Errorf("loader: line %d: edge endpoint not declared", lineNo)
+		}
+		el.Add(si, di, w)
+	default:
+		return fmt.Errorf("loader: line %d: unknown record %q", lineNo, fields[0])
+	}
+	return nil
 }
 
 // build is the one place a parsed file becomes a graph: directed files
@@ -196,7 +206,7 @@ func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
 		if !ok {
 			var err error
 			if src, dst, w, ok, err = parseSNAPLine(sc.Text(), lineNo); err != nil {
-				return nil, err
+				return nil, lineErr(sc, lineNo, err)
 			}
 			if !ok {
 				continue // blank or comment
@@ -204,7 +214,7 @@ func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
 		}
 		el.Add(el.Intern(property.VertexID(src)), el.Intern(property.VertexID(dst)), w)
 	}
-	if err := scanErr(sc, lineNo); err != nil {
+	if err := lineErr(sc, lineNo+1, nil); err != nil {
 		return nil, err
 	}
 	if el.NumEdges() == 0 {

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -298,6 +299,46 @@ func TestScanErrorsNameTheLine(t *testing.T) {
 }
 
 func readErr(_ *property.Graph, err error) error { return err }
+
+// TestTruncatedGzipReportsTheTruncation: the scanner hands over whatever
+// was inflated before the stream broke off as one last line, and only then
+// reports the break. Wherever the cut falls — inside the trailer, on a
+// line boundary, inside a line whose fragment still parses, inside one
+// whose fragment does not (20 bytes short leaves "1" as line 19998) — the
+// error is the truncation, against the line it happened on.
+func TestTruncatedGzipReportsTheTruncation(t *testing.T) {
+	var snap, v1 bytes.Buffer
+	v1.WriteString(v1Header + " directed=true\n")
+	for i := 0; i <= 20000; i++ {
+		fmt.Fprintf(&v1, "v %d\n", i)
+	}
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&snap, "%d %d 1.5\n", i, i+1)
+		fmt.Fprintf(&v1, "e %d %d 1.5\n", i, i+1)
+	}
+	readV1 := func(cut []byte) error {
+		zr, err := gzip.NewReader(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readErr(Read(zr))
+	}
+	zsnap, zv1 := gzipped(t, snap.Bytes()), gzipped(t, v1.Bytes())
+	shorts := []int{len(zsnap) / 2, len(zsnap) / 3}
+	for short := 1; short <= 32; short++ {
+		shorts = append(shorts, short)
+	}
+	for _, short := range shorts {
+		for name, err := range map[string]error{
+			"SNAP": readErr(ReadSNAP(bytes.NewReader(zsnap[:len(zsnap)-short]))),
+			"v1":   readV1(zv1[:len(zv1)-short]),
+		} {
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "loader: line ") {
+				t.Errorf("%s cut %d bytes short: %v, want loader: line N: unexpected EOF", name, short, err)
+			}
+		}
+	}
+}
 
 // TestWriteGolden pins Write's bytes (they were fmt's %d and %g before the
 // records were built with strconv) and that they survive a round trip.

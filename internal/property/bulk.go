@@ -2,24 +2,51 @@ package property
 
 import "github.com/graphbig/graphbig-go/internal/concurrent"
 
+// BulkEdge is one edge of a BulkInput: its endpoints as indices into the
+// input's vertex order, and its weight.
+type BulkEdge struct {
+	Src, Dst int32
+	W        float64
+}
+
 // BulkInput is what Bulk builds a graph from: the vertices in the order
 // they are to be added, and the edges, in the order they are to be added,
 // over indices into that vertex order. Bulk reads the edge sequence
 // several times and from several goroutines at once, so every method must
-// be a pure function of its argument, and vertex IDs must be distinct.
+// be a pure function of its arguments, and vertex IDs must be distinct.
 type BulkInput interface {
 	NumVertices() int
 	ID(i int) VertexID
 	NumEdges() int
-	Ends(e int) (src, dst int32)
-	Weight(e int) float64
+	// Edges returns the edges from e on as one run, at least one of them
+	// while e < NumEdges(): either a stretch of the input's own storage,
+	// which the caller only reads, or buf filled from the front. A reader
+	// goes through the sequence one call per run instead of one per edge.
+	Edges(e int, buf []BulkEdge) []BulkEdge
+}
+
+// bulkBlock is the buffer Bulk hands to Edges: 64 KiB of records, a run
+// long enough to make the call free and short enough to stay in L2.
+const bulkBlock = 4096
+
+// forEdgeBlocks calls fn on the runs of in's edge sequence, in order.
+func forEdgeBlocks(in BulkInput, fn func(run []BulkEdge)) {
+	buf := make([]BulkEdge, bulkBlock)
+	for e, m := 0, in.NumEdges(); e < m; {
+		run := in.Edges(e, buf)
+		if len(run) == 0 {
+			panic("property: BulkInput.Edges returned no edge before the end of the sequence")
+		}
+		fn(run)
+		e += len(run)
+	}
 }
 
 // Bulk builds a graph whole. The result is defined as equal to
 //
 //	g := New(opt)
 //	for i := range in.NumVertices() { g.AddVertex(in.ID(i)) }
-//	for e := range in.NumEdges()    { g.AddEdge(ID(src), ID(dst), in.Weight(e)) }
+//	for each edge {src, dst, w}     { g.AddEdge(in.ID(src), in.ID(dst), w) }
 //
 // issued from one goroutine: the same shard order, the same order inside
 // every Out and In list, and the same simulated layout (every address and
@@ -27,13 +54,16 @@ type BulkInput interface {
 // differs: records, property blocks and adjacency lists are carved out of
 // exact-size slabs instead of being grown one append at a time.
 //
-// It works in two passes over the edge sequence. The first counts degrees
-// and replays the arena bookkeeping, calling growEdges/growIn at the very
-// edge where AddEdge would have; the simulated layout is a function of the
-// order of those calls, so it is replayed rather than derived. The second
-// fills the lists: workers own disjoint vertex ranges, and each scans the
-// whole sequence for the records that land in its range, so every list has
-// one writer, is filled in sequence order, and needs no lock.
+// The simulated layout is a function of the order of the arena's
+// allocations, so it is replayed rather than derived, on one goroutine:
+// vertex records and index-table doublings in vertex order (place), then a
+// first pass over the edge sequence that counts degrees and calls
+// growEdges/growIn at the very edge where AddEdge would have. What the
+// layout does not depend on runs wide: the shards' index maps are filled
+// shard by shard, and a second pass fills the lists — workers own disjoint
+// vertex ranges, and each scans the whole sequence for the records that
+// land in its range, so every list has one writer, is filled in sequence
+// order, and needs no lock.
 //
 // Lists are capacity-limited slices of the slab (s[lo:hi:hi]): a later
 // AddEdge on a bulk-built graph reallocates that one list instead of
@@ -44,7 +74,7 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	g := New(opt)
 	n, m := in.NumVertices(), in.NumEdges()
 	mirror, trackIn := !opt.Directed, opt.Directed && opt.TrackInEdges
-	// Ends addresses vertices, and the fill its slab rows, as int32.
+	// BulkEdge addresses vertices, and the fill its slab rows, as int32.
 	Index32(n)
 	if mirror {
 		Index32(2 * m)
@@ -52,27 +82,47 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 		Index32(m)
 	}
 
-	perShard := make([]int, len(g.shards))
-	for i := 0; i < n; i++ {
-		perShard[mix64(uint64(in.ID(i)))&g.mask]++
-	}
-	slots := make([]*Vertex, n)
-	at := 0
-	for i, c := range perShard {
-		g.shards[i].verts = slots[at : at : at+c]
-		at += c
-	}
+	// Vertices. Shard s holds slots[start[s]:start[s+1]], filled through
+	// next[s] in vertex order: the order AddVertex would have left it in.
 	np := g.sch.cap
+	ids := make([]VertexID, n)
+	start := make([]int, len(g.shards)+1)
+	for i := range ids {
+		ids[i] = in.ID(i)
+		start[(mix64(uint64(ids[i]))&g.mask)+1]++
+	}
+	for s := range g.shards {
+		start[s+1] += start[s]
+	}
+	next := make([]int, len(g.shards))
+	copy(next, start)
 	vs := make([]Vertex, n)
 	props := make([]float64, n*np)
+	slots := make([]*Vertex, n)
 	for i := range vs {
 		v := &vs[i]
-		v.ID = in.ID(i)
+		v.ID = ids[i]
 		v.props = props[i*np : (i+1)*np : (i+1)*np]
-		g.place(g.shardOf(v.ID), v)
+		s := mix64(uint64(v.ID)) & g.mask
+		g.place(&g.shards[s], v)
+		slots[next[s]] = v
+		next[s]++
 	}
+	// The maps take no part in the layout, so they are filled a shard range
+	// per worker, one map at a time, each under its own lock.
+	concurrent.ParallelRange(len(g.shards), workers, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sh := &g.shards[s]
+			sh.mu.Lock()
+			sh.verts = slots[start[s]:start[s+1]:start[s+1]]
+			for _, v := range sh.verts {
+				sh.index[v.ID] = v
+			}
+			sh.mu.Unlock()
+		}
+	})
 	for i := range g.shards {
-		if len(g.shards[i].index) != perShard[i] {
+		if sh := &g.shards[i]; len(sh.index) != len(sh.verts) {
 			panic("property: Bulk: duplicate vertex ID")
 		}
 	}
@@ -84,24 +134,26 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	if trackIn {
 		inN = make([]int32, n+1)
 	}
-	for e := 0; e < m; e++ {
-		s, d := in.Ends(e)
-		if sv := &vs[s]; int(outN[s+1]) >= sv.edgeCap {
-			g.growEdges(sv, nil)
-		}
-		outN[s+1]++
-		if mirror {
-			if dv := &vs[d]; int(outN[d+1]) >= dv.edgeCap {
-				g.growEdges(dv, nil)
+	forEdgeBlocks(in, func(run []BulkEdge) {
+		for _, e := range run {
+			s, d := e.Src, e.Dst
+			if sv := &vs[s]; int(outN[s+1]) >= sv.edgeCap {
+				g.growEdges(sv, nil)
 			}
-			outN[d+1]++
-		} else if trackIn {
-			if dv := &vs[d]; int(inN[d+1]) >= dv.inCap {
-				g.growIn(dv, nil)
+			outN[s+1]++
+			if mirror {
+				if dv := &vs[d]; int(outN[d+1]) >= dv.edgeCap {
+					g.growEdges(dv, nil)
+				}
+				outN[d+1]++
+			} else if trackIn {
+				if dv := &vs[d]; int(inN[d+1]) >= dv.inCap {
+					g.growIn(dv, nil)
+				}
+				inN[d+1]++
 			}
-			inN[d+1]++
 		}
-	}
+	})
 	g.nEdges.Store(int64(m))
 
 	// Pass 2. The counts become row offsets into the slabs; outAt and inAt
@@ -126,26 +178,27 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 		}
 	}
 	concurrent.ParallelRange(n, workers, func(lo, hi int) {
-		for e := 0; e < m; e++ {
-			s, d := in.Ends(e)
-			si, di := int(s), int(d)
-			if si >= lo && si < hi {
-				row := outSlab[outOff[si]:outOff[si+1]]
-				row[outAt[si]] = Edge{To: in.ID(di), Weight: in.Weight(e)}
-				outAt[si]++
-			}
-			if di >= lo && di < hi {
-				if mirror {
-					row := outSlab[outOff[di]:outOff[di+1]]
-					row[outAt[di]] = Edge{To: in.ID(si), Weight: in.Weight(e)}
-					outAt[di]++
-				} else if trackIn {
-					row := inSlab[inOff[di]:inOff[di+1]]
-					row[inAt[di]] = in.ID(si)
-					inAt[di]++
+		forEdgeBlocks(in, func(run []BulkEdge) {
+			for _, e := range run {
+				si, di := int(e.Src), int(e.Dst)
+				if si >= lo && si < hi {
+					row := outSlab[outOff[si]:outOff[si+1]]
+					row[outAt[si]] = Edge{To: ids[di], Weight: e.W}
+					outAt[si]++
+				}
+				if di >= lo && di < hi {
+					if mirror {
+						row := outSlab[outOff[di]:outOff[di+1]]
+						row[outAt[di]] = Edge{To: ids[si], Weight: e.W}
+						outAt[di]++
+					} else if trackIn {
+						row := inSlab[inOff[di]:inOff[di+1]]
+						row[inAt[di]] = ids[si]
+						inAt[di]++
+					}
 				}
 			}
-		}
+		})
 	})
 	return g
 }
@@ -155,49 +208,41 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 // buffering a file's edges allocates their size once, not five times.
 const edgeListChunk = 1 << 14
 
-type listEdge struct {
-	src, dst int32
-	w        float64
-}
-
 // EdgeList is the BulkInput for edges that arrive one at a time over
 // sparse IDs, as a file reader meets them: it gives every ID an index on
-// first mention (the one id→index lookup an endpoint costs) and buffers
-// the edges over those indices. The zero value is an empty list.
+// first mention (the one id→index lookup an endpoint costs — an array read
+// while the IDs are dense) and buffers the edges over those indices. The
+// zero value is an empty list.
 type EdgeList struct {
 	ids    []VertexID
-	index  map[VertexID]int32
-	chunks [][]listEdge
+	index  idIndex
+	chunks [][]BulkEdge
 	m      int
 }
 
 // Intern returns id's index, adding id as the next vertex if it is new.
 func (l *EdgeList) Intern(id VertexID) int32 {
-	if i, ok := l.index[id]; ok {
+	if i := l.index.get(id); i >= 0 {
 		return i
 	}
-	if l.index == nil {
-		l.index = make(map[VertexID]int32)
-	}
-	i := Index32(len(l.ids))
-	l.index[id] = i
 	l.ids = append(l.ids, id)
-	return i
+	l.index.add(l.ids)
+	return Index32(len(l.ids) - 1)
 }
 
 // Lookup returns id's index and whether id has been interned.
 func (l *EdgeList) Lookup(id VertexID) (int32, bool) {
-	i, ok := l.index[id]
-	return i, ok
+	i := l.index.get(id)
+	return i, i >= 0
 }
 
 // Add appends an edge between two interned vertices.
 func (l *EdgeList) Add(src, dst int32, w float64) {
 	at := l.m % edgeListChunk
 	if at == 0 {
-		l.chunks = append(l.chunks, make([]listEdge, edgeListChunk))
+		l.chunks = append(l.chunks, make([]BulkEdge, edgeListChunk))
 	}
-	l.chunks[l.m/edgeListChunk][at] = listEdge{src, dst, w}
+	l.chunks[l.m/edgeListChunk][at] = BulkEdge{src, dst, w}
 	l.m++
 }
 
@@ -207,11 +252,8 @@ func (l *EdgeList) NumVertices() int  { return len(l.ids) }
 func (l *EdgeList) ID(i int) VertexID { return l.ids[i] }
 func (l *EdgeList) NumEdges() int     { return l.m }
 
-func (l *EdgeList) Ends(e int) (src, dst int32) {
-	r := &l.chunks[e/edgeListChunk][e%edgeListChunk]
-	return r.src, r.dst
-}
-
-func (l *EdgeList) Weight(e int) float64 {
-	return l.chunks[e/edgeListChunk][e%edgeListChunk].w
+// Edges returns what is left of e's chunk; buf is not used.
+func (l *EdgeList) Edges(e int, _ []BulkEdge) []BulkEdge {
+	c := e / edgeListChunk
+	return l.chunks[c][e%edgeListChunk : min(edgeListChunk, l.m-c*edgeListChunk)]
 }

@@ -2,25 +2,54 @@ package property
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
 // incremental is the definition Bulk is held to: New, then every vertex,
-// then every edge, from one goroutine.
+// then every edge, from one goroutine. It reads the edges the way a second
+// implementation of the reader would, with a caller buffer of one record.
 func incremental(t testing.TB, opt Options, in BulkInput) *Graph {
 	t.Helper()
 	g := New(opt)
 	for i := 0; i < in.NumVertices(); i++ {
 		g.AddVertex(in.ID(i))
 	}
-	for e := 0; e < in.NumEdges(); e++ {
-		s, d := in.Ends(e)
-		if err := g.AddEdge(in.ID(int(s)), in.ID(int(d)), in.Weight(e)); err != nil {
-			t.Fatal(err)
+	buf := make([]BulkEdge, 1)
+	for e := 0; e < in.NumEdges(); {
+		run := in.Edges(e, buf)
+		if len(run) == 0 {
+			t.Fatalf("Edges(%d) of %d is empty", e, in.NumEdges())
 		}
+		for _, r := range run {
+			if err := g.AddEdge(in.ID(int(r.Src)), in.ID(int(r.Dst)), r.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e += len(run)
 	}
 	return g
+}
+
+// copied is its input read the way gen's packed list is: every run is the
+// caller's buffer, filled, so Bulk's own blocks cut the sequence wherever
+// they fall. With one set, the buffer is used one record at a time.
+type copied struct {
+	*EdgeList
+	one bool
+}
+
+func (c copied) Edges(e int, buf []BulkEdge) []BulkEdge {
+	if c.one {
+		buf = buf[:1]
+	}
+	buf = buf[:min(len(buf), c.NumEdges()-e)]
+	for k := range buf {
+		buf[k] = c.EdgeList.Edges(e+k, nil)[0]
+	}
+	return buf
 }
 
 // diffGraphs compares everything the equality contract names: shard
@@ -64,8 +93,13 @@ func diffGraphs(a, b *Graph) string {
 				return fmt.Sprintf("vertex %d degrees %d/%d vs %d/%d", va.ID, len(va.Out), len(va.In), len(vb.Out), len(vb.In))
 			}
 			for j := range va.Out {
-				if va.Out[j].To != vb.Out[j].To || va.Out[j].Weight != vb.Out[j].Weight {
+				if va.Out[j] != vb.Out[j] {
 					return fmt.Sprintf("vertex %d Out[%d] %v vs %v", va.ID, j, va.Out[j], vb.Out[j])
+				}
+				for slot := 0; slot < a.edgeSlots; slot++ {
+					if pa, pb := a.edgeProp(va, j, slot), b.edgeProp(vb, j, slot); pa != pb {
+						return fmt.Sprintf("vertex %d Out[%d] edge property %d: %v vs %v", va.ID, j, slot, pa, pb)
+					}
 				}
 			}
 			for j := range va.In {
@@ -87,9 +121,9 @@ var bulkModes = []struct {
 	{"undirected", Options{}},
 }
 
-// randomEdgeList draws a multigraph over sparse IDs with duplicate edges,
-// self loops, a few hubs (so lists regrow many times) and vertices no edge
-// mentions.
+// randomEdgeList draws a multigraph of exactly edges edges over sparse IDs
+// with duplicate edges, self loops, a few hubs (so lists regrow many times)
+// and vertices no edge mentions.
 func randomEdgeList(rng *rand.Rand, verts, edges int) *EdgeList {
 	ids := make([]VertexID, verts)
 	for i := range ids {
@@ -102,7 +136,7 @@ func randomEdgeList(rng *rand.Rand, verts, edges int) *EdgeList {
 		}
 		return ids[rng.IntN(verts)]
 	}
-	for e := 0; e < edges; e++ {
+	for el.NumEdges() < edges {
 		src, dst := pick(), pick()
 		switch rng.IntN(10) {
 		case 0:
@@ -111,7 +145,7 @@ func randomEdgeList(rng *rand.Rand, verts, edges int) *EdgeList {
 			el.Intern(pick())
 		}
 		el.Add(el.Intern(src), el.Intern(dst), float64(rng.IntN(100)))
-		if rng.IntN(8) == 0 {
+		if rng.IntN(8) == 0 && el.NumEdges() < edges {
 			el.Add(el.Intern(src), el.Intern(dst), 7)
 		}
 	}
@@ -120,9 +154,16 @@ func randomEdgeList(rng *rand.Rand, verts, edges int) *EdgeList {
 
 func TestBulkEqualsIncremental(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 1))
+	// Twelve random sizes, then the three edge counts around an EdgeList
+	// chunk: the run Edges returns ends one short of, on, and one past it.
+	sizes := [][2]int{{400, edgeListChunk - 1}, {400, edgeListChunk}, {400, edgeListChunk + 1}}
 	for round := 0; round < 12; round++ {
 		verts := 1 + rng.IntN(400)
-		el := randomEdgeList(rng, verts, rng.IntN(6*verts))
+		sizes = append(sizes, [2]int{verts, rng.IntN(6 * verts)})
+	}
+	for round, size := range sizes {
+		verts := size[0]
+		el := randomEdgeList(rng, verts, size[1])
 		for _, mode := range bulkModes {
 			opt := mode.opt
 			opt.Shards = 1 << rng.IntN(9)
@@ -132,10 +173,11 @@ func TestBulkEqualsIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				got := Bulk(opt, el, workers)
-				if d := diffGraphs(got, want); d != "" {
-					t.Fatalf("round %d %s workers=%d (%d vertices, %d edges): %s",
-						round, mode.name, workers, el.NumVertices(), el.NumEdges(), d)
+				for name, in := range map[string]BulkInput{"own chunks": el, "filled buffer": copied{el, false}, "one record": copied{el, true}} {
+					if d := diffGraphs(Bulk(opt, in, workers), want); d != "" {
+						t.Fatalf("round %d %s workers=%d %s (%d vertices, %d edges): %s",
+							round, mode.name, workers, name, el.NumVertices(), el.NumEdges(), d)
+					}
 				}
 			}
 		}
@@ -181,11 +223,27 @@ func TestBulkThenMutate(t *testing.T) {
 		el := randomEdgeList(rng, 60, 400)
 		opt := mode.opt
 		opt.Shards = 4
+		opt.EdgePropSlots = 2
 		a, b := Bulk(opt, el, 4), incremental(t, opt, el)
 		id := func() VertexID { return el.ID(rng.IntN(el.NumVertices())) }
+		// Edge properties are set before the mutations, on a third of the
+		// vertex pairs, and among them: the rows beside a slab-cut list
+		// must follow it through every append, swap-remove and delete.
+		setProp := func(x, y VertexID) string {
+			slot, val := rng.IntN(2), float64(1+rng.IntN(1000))
+			if ea, eb := a.SetEdgeProp(x, y, slot, val), b.SetEdgeProp(x, y, slot, val); ea != eb {
+				t.Fatalf("%s: SetEdgeProp(%d,%d): %v vs %v", mode.name, x, y, ea, eb)
+			}
+			return fmt.Sprintf("SetEdgeProp(%d,%d,%d,%v)", x, y, slot, val)
+		}
+		for i := 0; i < 1200; i++ {
+			setProp(id(), id())
+		}
 		for step := 0; step < 600; step++ {
 			var op string
-			switch x, y := id(), id(); rng.IntN(8) {
+			switch x, y := id(), id(); rng.IntN(10) {
+			case 8, 9:
+				op = setProp(x, y)
 			case 0:
 				op = fmt.Sprintf("DeleteVertex(%d)", x)
 				na, _ := a.DeleteVertex(x)
@@ -218,6 +276,79 @@ func TestBulkThenMutate(t *testing.T) {
 	}
 }
 
+// TestEdgeListInternMatchesAMap: whatever mix of IDs arrives — dense and in
+// order, dense and out of order, huge, one either side of the size the flat
+// table may then have — Intern numbers them in first-mention order exactly
+// as a plain map would, and Lookup agrees before the ID is interned, after,
+// and after every later growth of the table.
+func TestEdgeListInternMatchesAMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 2))
+	grew := false
+	for round := 0; round < 30; round++ {
+		var el EdgeList
+		want := map[VertexID]int32{}
+		calls := 1 + rng.IntN(30000)
+		dense := VertexID(1 + rng.IntN(2*calls))
+		mix := 1 + rng.IntN(4)
+		for i := 0; i < calls; i++ {
+			var id VertexID
+			switch rng.IntN(mix) {
+			case 0:
+				id = VertexID(len(want))
+			case 1:
+				id = VertexID(rng.Uint64()) % dense
+			case 2:
+				id = VertexID(denseIDLimit(len(want)+1)) + VertexID(rng.IntN(3)) - 1
+			case 3:
+				id = VertexID(rng.Uint64() >> rng.IntN(40))
+			}
+			w, known := want[id]
+			if got, ok := el.Lookup(id); ok != known || (ok && got != w) {
+				t.Fatalf("round %d: Lookup(%d) = %d, %v; a map holds %d, %v", round, id, got, ok, w, known)
+			}
+			if !known {
+				w = int32(len(want))
+				want[id] = w
+			}
+			if got := el.Intern(id); got != w {
+				t.Fatalf("round %d: Intern(%d) = %d, want %d", round, id, got, w)
+			}
+		}
+		if el.NumVertices() != len(want) {
+			t.Fatalf("round %d: %d vertices, want %d", round, el.NumVertices(), len(want))
+		}
+		for id, w := range want {
+			if got, ok := el.Lookup(id); !ok || got != w || el.ID(int(w)) != id {
+				t.Fatalf("round %d: after the last growth Lookup(%d) = %d, %v, want %d", round, id, got, ok, w)
+			}
+		}
+		if n := uint64(len(el.index.flat)); n > denseIDLimit(len(want)) {
+			t.Fatalf("round %d: flat table of %d entries for %d vertices", round, n, len(want))
+		}
+		grew = grew || (len(el.index.flat) > 4096 && len(el.index.sparse) > 0)
+	}
+	if !grew {
+		t.Fatal("no round grew the flat table past its first sizes beside a populated map")
+	}
+}
+
+// A two-line file naming the largest ID must cost what it cost when the
+// index was a map: huge IDs live in the map, and the table stays small.
+func TestEdgeListHugeIDsAllocateLittle(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	var el EdgeList
+	for i, id := range []VertexID{0, 1, 1 << 40, math.MaxUint64} {
+		if got := el.Intern(id); got != int32(i) {
+			t.Fatalf("Intern(%d) = %d, want %d", id, got, i)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<20 {
+		t.Fatalf("interning four IDs allocated %d bytes", b)
+	}
+}
+
 // FuzzBulkBuild decodes small adversarial edge lists — few IDs, so
 // duplicates, self loops and long lists are the common case — and holds
 // Bulk to the incremental build.
@@ -239,8 +370,11 @@ func FuzzBulkBuild(f *testing.F) {
 			src, dst := VertexID(b>>4)*0x9e3779b97f4a7c15, VertexID(b&15)*0x9e3779b97f4a7c15
 			el.Add(el.Intern(src), el.Intern(dst), float64(i))
 		}
-		if d := diffGraphs(Bulk(opt, el, workers), incremental(t, opt, el)); d != "" {
-			t.Fatal(d)
+		want := incremental(t, opt, el)
+		for _, in := range []BulkInput{el, copied{el, false}, copied{el, true}} {
+			if d := diffGraphs(Bulk(opt, in, workers), want); d != "" {
+				t.Fatal(d)
+			}
 		}
 	})
 }

@@ -31,10 +31,11 @@ func Clone(g *Graph) *Graph {
 			if len(v.Out) > 0 {
 				nv.Out = make([]Edge, len(v.Out))
 				copy(nv.Out, v.Out)
-				for j := range nv.Out {
-					if len(v.Out[j].props) > 0 {
-						nv.Out[j].props = append([]float64(nil), v.Out[j].props...)
-					}
+				if rows, ok := sh.eprops[v]; ok {
+					nsh := ng.shardOf(v.ID)
+					nsh.mu.Lock()
+					nsh.putEdgeProps(nv, append([]float64(nil), rows...))
+					nsh.mu.Unlock()
 				}
 				nv.edgeCap = len(v.Out)
 				nv.edgeAddr = ng.arena.Alloc(uint64(nv.edgeCap)*ng.edgeRec, 64)

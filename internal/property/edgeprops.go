@@ -21,24 +21,74 @@ var ErrNoEdgeProps = errors.New("property: graph built without edge property slo
 // the addressed edge.
 var ErrEdgeNotFound = errors.New("property: edge not found")
 
-// EdgeProp reads slot of the e-th record without framework accounting.
-func (e *Edge) EdgeProp(slot int) float64 {
-	if slot >= len(e.props) {
-		return 0
+var errEdgeSlotRange = errors.New("property: edge property slot out of range")
+
+// Edge-property rows live beside the adjacency list, not in the record: a
+// graph built without EdgePropSlots, and a vertex none of whose edges has
+// had a slot written, pay nothing for them. Where a vertex has rows there
+// is one per record of v.Out, in the same order, Graph.edgeSlots wide and
+// zero until written. The simulated layout is unaffected: slot s of record
+// i is still at edgeAddr + i*edgeRec + edgeRecordBytes + 8s.
+
+// edgeProp reads slot of v.Out[i] (0 if never written).
+func (g *Graph) edgeProp(v *Vertex, i, slot int) float64 {
+	sh := g.shardOf(v.ID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if rows, ok := sh.eprops[v]; ok {
+		return rows[i*g.edgeSlots+slot]
 	}
-	return e.props[slot]
+	return 0
 }
 
 // setEdgePropRecord updates one record (and reports the store).
 func (g *Graph) setEdgePropRecord(v *Vertex, i int, slot int, x float64) {
-	e := &v.Out[i]
-	if slot >= len(e.props) {
-		e.props = append(e.props, make([]float64, slot+1-len(e.props))...)
+	sh := g.shardOf(v.ID)
+	sh.mu.Lock()
+	rows, ok := sh.eprops[v]
+	if !ok {
+		rows = make([]float64, len(v.Out)*g.edgeSlots)
+		sh.putEdgeProps(v, rows)
 	}
-	e.props[slot] = x
+	rows[i*g.edgeSlots+slot] = x
+	sh.mu.Unlock()
 	if t := g.trk; t != nil {
 		t.Store(v.edgeAddr+uint64(i)*g.edgeRec+uint64(edgeRecordBytes+slot*8), 8)
 		t.Inst(2)
+	}
+}
+
+// putEdgeProps stores v's rows, making the shard's map on first use. The
+// caller holds sh.mu.
+func (sh *shard) putEdgeProps(v *Vertex, rows []float64) {
+	if sh.eprops == nil {
+		sh.eprops = make(map[*Vertex][]float64)
+	}
+	sh.eprops[v] = rows
+}
+
+// growEdgeProps gives the record just appended to v.Out its zero row, if v
+// has rows at all. The caller holds v's shard lock, as for the append.
+func (g *Graph) growEdgeProps(v *Vertex) {
+	sh := g.shardOf(v.ID)
+	if rows, ok := sh.eprops[v]; ok {
+		// Zeros one by one: what lies past len(rows) may be a row an
+		// earlier swap-remove left behind.
+		for s := 0; s < g.edgeSlots; s++ {
+			rows = append(rows, 0)
+		}
+		sh.eprops[v] = rows
+	}
+}
+
+// swapRemoveEdgeProps mirrors removeOutRecord's swap-remove of record i
+// (last moved into its place) on v's rows, under the same lock.
+func (g *Graph) swapRemoveEdgeProps(v *Vertex, i, last int) {
+	sh := g.shardOf(v.ID)
+	if rows, ok := sh.eprops[v]; ok {
+		k := g.edgeSlots
+		copy(rows[i*k:(i+1)*k], rows[last*k:(last+1)*k])
+		sh.eprops[v] = rows[:last*k]
 	}
 }
 
@@ -50,7 +100,7 @@ func (g *Graph) SetEdgeProp(src, dst VertexID, slot int, x float64) error {
 		return ErrNoEdgeProps
 	}
 	if slot < 0 || slot >= g.edgeSlots {
-		return errors.New("property: edge property slot out of range")
+		return errEdgeSlotRange
 	}
 	t := g.trk
 	if t != nil {
@@ -96,6 +146,9 @@ func (g *Graph) GetEdgeProp(src, dst VertexID, slot int) (float64, error) {
 	if g.edgeSlots == 0 {
 		return 0, ErrNoEdgeProps
 	}
+	if slot < 0 || slot >= g.edgeSlots {
+		return 0, errEdgeSlotRange
+	}
 	t := g.trk
 	if t != nil {
 		t.Enter(mem.ClassFramework)
@@ -115,7 +168,7 @@ func (g *Graph) GetEdgeProp(src, dst VertexID, slot int) (float64, error) {
 			if t != nil {
 				t.Load(sv.edgeAddr+uint64(i)*g.edgeRec+uint64(edgeRecordBytes+slot*8), 8)
 			}
-			return sv.Out[i].EdgeProp(slot), nil
+			return g.edgeProp(sv, i, slot), nil
 		}
 	}
 	return 0, ErrEdgeNotFound

@@ -2,7 +2,9 @@ package property
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
 )
@@ -156,5 +158,134 @@ func TestCloneCopiesEdgePropsAndMeta(t *testing.T) {
 	}
 	if got, _ := g.GetEdgeProp(0, 1, 0); got != 4.5 {
 		t.Errorf("clone aliased original edge props: %v", got)
+	}
+	// Nor the other way round, and the clone's rows are its own through a
+	// delete and an append on either side.
+	if err := g.SetEdgeProp(1, 2, 1, 6); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.GetEdgeProp(1, 2, 1); got != 0 {
+		t.Errorf("original's later write shows in the clone: %v", got)
+	}
+	g.DeleteEdge(0, 1)
+	if err := c.AddEdge(0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.GetEdgeProp(0, 1, 0); err != nil || got != 9 {
+		t.Errorf("clone's edge property after the original lost the edge = %v, %v", got, err)
+	}
+	if got, err := c.GetEdgeProp(0, 3, 0); err != nil || got != 0 {
+		t.Errorf("clone's new edge reads %v, %v, want 0", got, err)
+	}
+}
+
+// The record is 16 bytes: destination and weight. A property pointer per
+// record cost 24 more on every graph, and no benchmark graph has one.
+func TestEdgeRecordIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Edge{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
+	}
+}
+
+// TestEdgePropsFollowTheirRecords keeps the graph simple (no parallel
+// edges, no self loops, whose second record no primitive addresses) and gives every edge a unique weight w, and slots (w, -w) when w
+// is odd, nothing when it is even. That ties a row to its record by
+// content, so after any mutation — DeleteEdge swapping the last record
+// into a middle one, DeleteVertex stripping a neighbour's list, AddEdge on
+// lists cut from Bulk's slab — every record of every list must still read
+// its own two values, through the public primitive and in the rows.
+func TestEdgePropsFollowTheirRecords(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 1))
+	for _, mode := range bulkModes {
+		if mode.opt.Directed && !mode.opt.TrackInEdges {
+			continue // DeleteVertex needs in-edges
+		}
+		opt := mode.opt
+		opt.Shards, opt.EdgePropSlots = 4, 2
+		const verts = 40
+		next := 1.0 // the next edge's weight
+		el := new(EdgeList)
+		for i := 0; i < verts; i++ {
+			el.Intern(VertexID(i))
+		}
+		has := map[[2]VertexID]bool{}
+		for len(has) < 150 {
+			x, y := VertexID(rng.IntN(verts)), VertexID(rng.IntN(verts))
+			if x != y && !has[[2]VertexID{x, y}] && !has[[2]VertexID{y, x}] {
+				has[[2]VertexID{x, y}] = true
+				el.Add(int32(x), int32(y), next)
+				next++
+			}
+		}
+		g := Bulk(opt, el, 2)
+		mark := func(x, y VertexID, w float64) {
+			if int(w)%2 == 0 {
+				return
+			}
+			for slot, val := range []float64{w, -w} {
+				if err := g.SetEdgeProp(x, y, slot, val); err != nil {
+					t.Fatalf("%s: SetEdgeProp(%d,%d): %v", mode.name, x, y, err)
+				}
+			}
+		}
+		g.ForEachVertex(func(v *Vertex) {
+			for _, e := range v.Out {
+				mark(v.ID, e.To, e.Weight)
+			}
+		})
+		check := func(after string) {
+			t.Helper()
+			g.ForEachVertex(func(v *Vertex) {
+				for i, e := range v.Out {
+					want := [2]float64{}
+					if int(e.Weight)%2 == 1 {
+						want = [2]float64{e.Weight, -e.Weight}
+					}
+					for slot := range want {
+						got, err := g.GetEdgeProp(v.ID, e.To, slot)
+						if err != nil || got != want[slot] || g.edgeProp(v, i, slot) != want[slot] {
+							t.Fatalf("%s after %s: %d->%d (w=%v, Out[%d]) slot %d reads %v / row %v (%v), want %v", mode.name,
+								after, v.ID, e.To, e.Weight, i, slot, got, g.edgeProp(v, i, slot), err, want[slot])
+						}
+					}
+				}
+			})
+		}
+		check("Bulk")
+		for step := 0; step < 400; step++ {
+			x, y := VertexID(rng.IntN(verts)), VertexID(rng.IntN(verts))
+			switch rng.IntN(8) {
+			case 0:
+				if _, err := g.DeleteVertex(x); err != nil {
+					t.Fatal(err)
+				}
+				check("DeleteVertex")
+			case 1, 2, 3:
+				// The first record of a long list: the last is swapped in.
+				if v := g.FindVertex(x); v != nil && len(v.Out) > 2 {
+					g.DeleteEdge(x, v.Out[rng.IntN(len(v.Out)-1)].To)
+					check("DeleteEdge")
+				}
+			default:
+				g.AddVertex(x)
+				g.AddVertex(y)
+				if x != y && g.FindEdge(x, y) == nil {
+					if err := g.AddEdge(x, y, next); err != nil {
+						t.Fatal(err)
+					}
+					// A record appended to a list that has rows reads zero
+					// until it is written.
+					if got, err := g.GetEdgeProp(x, y, 0); err != nil || got != 0 {
+						t.Fatalf("%s: new edge %d->%d reads %v, %v before any write", mode.name, x, y, got, err)
+					}
+					mark(x, y, next)
+					next++
+					check("AddEdge")
+				}
+			}
+		}
+		if err := Validate(g); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

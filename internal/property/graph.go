@@ -32,15 +32,14 @@ const (
 	SiteUserBase uint32 = 64
 )
 
-// Edge is one outgoing edge record stored inside its source vertex.
+// Edge is one outgoing edge record stored inside its source vertex: 16
+// bytes of Go memory whatever the simulated stride (Graph.edgeRec) says.
 // Weight is the universally-present property; graphs built with
-// Options.EdgePropSlots carry additional per-edge slots behind the
-// SetEdgeProp/GetEdgeProp primitives.
+// Options.EdgePropSlots keep additional per-edge slots beside the list
+// (shard.eprops), behind the SetEdgeProp/GetEdgeProp primitives.
 type Edge struct {
 	To     VertexID
 	Weight float64
-
-	props []float64
 }
 
 // Vertex is the basic unit of the graph: identity, properties and the
@@ -78,6 +77,13 @@ type shard struct {
 	idxAddr  uint64    // simulated base of this shard's index table
 	idxCap   uint64    // simulated bucket capacity (power of two)
 	idxCount uint64
+
+	// eprops holds the edge-property rows of the shard's vertices: row i of
+	// eprops[v] is the Graph.edgeSlots slots of v.Out[i]. A vertex has an
+	// entry only once SetEdgeProp has written one of its records, and the
+	// map exists only once some vertex has; every mutation of v.Out keeps
+	// the rows parallel to it (edgeprops.go).
+	eprops map[*Vertex][]float64
 }
 
 // Options configures a Graph.
@@ -273,6 +279,8 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 	}
 	nprops := g.sch.cap
 	v = &Vertex{ID: id, props: make([]float64, nprops)}
+	sh.index[id] = v
+	sh.verts = append(sh.verts, v)
 	grew := g.place(sh, v)
 	sh.mu.Unlock()
 	g.nVerts.Add(1)
@@ -289,14 +297,12 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 	return v, true
 }
 
-// place enters a new vertex record into its shard: simulated address,
-// index entry, insertion order, and the simulated index table's doubling,
-// which it reports. AddVertex calls it under the shard lock, Bulk on a
-// graph no one else can see yet.
+// place gives a new vertex record of sh its simulated layout: the record's
+// address and the simulated index table's count and doubling, which it
+// reports. AddVertex calls it under the shard lock, Bulk, in vertex order,
+// on a graph no one else can see yet.
 func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
 	v.addr = g.arena.Alloc(vertexRecordBytes+uint64(len(v.props))*propSlotBytes, 64)
-	sh.index[v.ID] = v
-	sh.verts = append(sh.verts, v)
 	sh.idxCount++
 	if grew = sh.idxCount*2 > sh.idxCap; grew {
 		sh.idxCap *= 2
@@ -342,6 +348,9 @@ func (g *Graph) appendOut(src *Vertex, e Edge, t mem.Tracker) {
 		g.growEdges(src, t)
 	}
 	src.Out = append(src.Out, e)
+	if g.edgeSlots > 0 {
+		g.growEdgeProps(src)
+	}
 	if t != nil {
 		t.Inst(10)
 		t.Store(src.edgeAddr+uint64(len(src.Out)-1)*g.edgeRec, edgeRecordBytes)
@@ -537,6 +546,9 @@ func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, t mem.Tracker) bool {
 			last := len(src.Out) - 1
 			src.Out[i] = src.Out[last]
 			src.Out = src.Out[:last]
+			if g.edgeSlots > 0 {
+				g.swapRemoveEdgeProps(src, i, last)
+			}
 			if t != nil {
 				t.Store(src.edgeAddr+uint64(i)*g.edgeRec, edgeRecordBytes)
 				t.Store(src.addr, 8)
@@ -679,6 +691,7 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 	sh := g.shardOf(id)
 	sh.mu.Lock()
 	delete(sh.index, id)
+	delete(sh.eprops, v)
 	sh.idxCount--
 	sh.mu.Unlock()
 	g.nVerts.Add(-1)

@@ -1,7 +1,9 @@
 package property
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,7 +34,7 @@ import (
 // the memory layout the engine streams differs (DESIGN.md §8).
 type View struct {
 	Verts []*Vertex
-	pos   map[VertexID]int32
+	idx   idIndex // VertexID -> index into Verts
 
 	// NbrOff has one entry per vertex plus a terminator: the out-neighbors
 	// of dense index i occupy Nbr[NbrOff[i]:NbrOff[i+1]], in adjacency-list
@@ -87,8 +89,8 @@ type ViewOpts struct {
 }
 
 // View snapshots the graph and index-resolves its adjacency with default
-// options: ID-sorted numbering, parallel construction. It is an
-// O(V log V + E) operation.
+// options: ID-sorted numbering, parallel construction. It is O(V + E) over
+// dense IDs and O(V log V + E) otherwise.
 func (g *Graph) View() *View { return g.ViewWith(ViewOpts{}) }
 
 // ViewWith snapshots the graph with explicit construction options. The
@@ -99,14 +101,9 @@ func (g *Graph) ViewWith(opt ViewOpts) *View {
 	if g.trk != nil {
 		workers = 1
 	}
-	vs := g.gather(workers)
-	sortVertsByID(vs, workers)
+	vs, idx := indexByID(g.gather(workers))
 	idxSlot := g.EnsureField(SysIndexField)
-	pos := make(map[VertexID]int32, len(vs))
-	for i, v := range vs {
-		pos[v.ID] = Index32(i)
-	}
-	vw := &View{Verts: vs, pos: pos}
+	vw := &View{Verts: vs, idx: idx}
 	vw.resolve(g.directed, workers)
 	if opt.Order != nil {
 		vw.applyOrder(opt.Order(len(vs), vw.NbrOff, vw.Nbr), g.directed, workers)
@@ -122,8 +119,9 @@ func (g *Graph) ViewWith(opt ViewOpts) *View {
 // ViewReference is the seed serial implementation (shard-order gather,
 // single-threaded sort, map-probed resolution), retained as the honest
 // wall-clock baseline for the view-construction benchmarks and as a
-// differential-testing oracle for the parallel path. Its output is
-// identical to View().
+// differential-testing oracle for ViewWith: it resolves through a map of
+// its own, never through the flat table, so the two share no lookup. Its
+// output is identical to View().
 func (g *Graph) ViewReference() *View {
 	n := g.VertexCount()
 	vs := make([]*Vertex, 0, n)
@@ -143,137 +141,98 @@ func (g *Graph) ViewReference() *View {
 	for i, v := range vs {
 		pos[v.ID] = Index32(i)
 	}
-	vw := &View{Verts: vs, pos: pos}
-	vw.resolveReference(g.directed)
+	vw := &View{Verts: vs, idx: idIndex{sparse: pos}}
+	vw.resolveReference(g.directed, pos)
 	g.publishIndex(vw, idxSlot, 1)
 	return vw
 }
 
-// gather snapshots the live vertices of every shard under its read lock.
-// Shard-parallel: each worker drains a contiguous range of shards into its
-// own bucket, then buckets are concatenated in shard order, so the result
-// matches the serial shard-order walk exactly.
-func (g *Graph) gather(workers int) []*Vertex {
-	ns := len(g.shards)
-	if workers <= 1 {
-		vs := make([]*Vertex, 0, g.VertexCount())
-		for i := 0; i < ns; i++ {
-			vs = g.gatherShard(i, vs)
-		}
-		return vs
-	}
-	bounds := concurrent.ChunkBounds(ns, workers)
-	parts := make([][]*Vertex, len(bounds)-1)
-	var wg sync.WaitGroup
-	for w := 0; w < len(parts); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := make([]*Vertex, 0, g.VertexCount()/workers+8)
+// idVert is a snapshot entry: a vertex and, beside the pointer, its ID, so
+// that ordering the snapshot never goes back to the vertex records, which
+// a walk in shard order finds scattered.
+type idVert struct {
+	id VertexID
+	v  *Vertex
+}
+
+// gather snapshots the live vertices of every shard under its read lock,
+// a contiguous range of shards per worker, and returns one part per worker.
+// The parts are in shard order; nothing downstream depends on that, since
+// indexByID orders by ID.
+func (g *Graph) gather(workers int) [][]idVert {
+	bounds := concurrent.ChunkBounds(len(g.shards), workers)
+	parts := make([][]idVert, len(bounds)-1)
+	concurrent.ParallelRange(len(parts), len(parts), func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			room := 0
 			for i := bounds[w]; i < bounds[w+1]; i++ {
-				part = g.gatherShard(i, part)
+				sh := &g.shards[i]
+				sh.mu.RLock()
+				room += len(sh.verts)
+				sh.mu.RUnlock()
+			}
+			part := make([]idVert, 0, room)
+			for i := bounds[w]; i < bounds[w+1]; i++ {
+				sh := &g.shards[i]
+				sh.mu.RLock()
+				for _, v := range sh.verts {
+					if !v.dead {
+						part = append(part, idVert{v.ID, v})
+					}
+				}
+				sh.mu.RUnlock()
 			}
 			parts[w] = part
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	vs := make([]*Vertex, 0, total)
-	for _, p := range parts {
-		vs = append(vs, p...)
-	}
-	return vs
+		}
+	})
+	return parts
 }
 
-func (g *Graph) gatherShard(i int, dst []*Vertex) []*Vertex {
-	sh := &g.shards[i]
-	sh.mu.RLock()
-	for _, v := range sh.verts {
-		if !v.dead {
-			dst = append(dst, v)
+// indexByID puts the snapshot in ID order and returns it with its id→index
+// table. Dense IDs (denseIDLimit) are never compared: every vertex is
+// scattered to slot[ID] of a pointer table, then one walk in ID order
+// compacts the table in place and writes each vertex's final index into
+// flat — O(n + maxID), no sort, no map. Sparse IDs go through one sort and
+// into a map. Either way the result depends on the set of vertices only,
+// not on how gather split them.
+func indexByID(parts [][]idVert) ([]*Vertex, idIndex) {
+	n := 0
+	var maxID VertexID
+	for _, part := range parts {
+		n += len(part)
+		for _, e := range part {
+			maxID = max(maxID, e.id)
 		}
 	}
-	sh.mu.RUnlock()
-	return dst
-}
-
-// sortVertsByID sorts the snapshot by VertexID. Above a size floor it
-// sorts contiguous chunks in parallel and merges pairwise bottom-up;
-// below it (or single-threaded) it falls back to one sort.Slice. IDs are
-// unique, so every merge is stable-equivalent and the result matches the
-// serial sort exactly.
-func sortVertsByID(vs []*Vertex, workers int) {
-	n := len(vs)
-	if workers <= 1 || n < 8192 {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
-		return
-	}
-	bounds := concurrent.ChunkBounds(n, workers)
-	parts := len(bounds) - 1
-	var wg sync.WaitGroup
-	for w := 0; w < parts; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			part := vs[lo:hi]
-			sort.Slice(part, func(i, j int) bool { return part[i].ID < part[j].ID })
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
-	// Bottom-up pairwise merges, ping-ponging between vs and a scratch
-	// buffer. runs holds the current sorted-run boundaries.
-	src, dst := vs, make([]*Vertex, n)
-	runs := bounds
-	for len(runs) > 2 {
-		next := make([]int, 0, len(runs)/2+2)
-		next = append(next, 0)
-		var mg sync.WaitGroup
-		for r := 0; r+2 < len(runs); r += 2 {
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeVerts(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(runs[r], runs[r+1], runs[r+2])
-			next = append(next, runs[r+2])
+	if n == 0 || uint64(maxID) >= denseIDLimit(n) {
+		all := slices.Concat(parts...)
+		slices.SortFunc(all, func(a, b idVert) int { return cmp.Compare(a.id, b.id) })
+		verts := make([]*Vertex, n)
+		sparse := make(map[VertexID]int32, n)
+		for i, e := range all {
+			verts[i] = e.v
+			sparse[e.id] = Index32(i)
 		}
-		if len(runs)%2 == 0 {
-			// Odd run count: the last run has no partner this level.
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			copy(dst[lo:hi], src[lo:hi])
-			if next[len(next)-1] != hi {
-				next = append(next, hi)
-			}
+		return verts, idIndex{sparse: sparse}
+	}
+	slot := make([]*Vertex, maxID+1)
+	for _, part := range parts {
+		for _, e := range part {
+			slot[e.id] = e.v
 		}
-		mg.Wait()
-		src, dst = dst, src
-		runs = next
 	}
-	if &src[0] != &vs[0] {
-		copy(vs, src)
-	}
-}
-
-func mergeVerts(dst, a, b []*Vertex) {
-	i, j := 0, 0
-	for k := range dst {
-		if j >= len(b) || (i < len(a) && a[i].ID <= b[j].ID) {
-			dst[k] = a[i]
+	flat := make([]int32, len(slot))
+	i := 0
+	for id, v := range slot {
+		flat[id] = -1
+		if v != nil {
+			flat[id] = Index32(i)
+			slot[i] = v
 			i++
-		} else {
-			dst[k] = b[j]
-			j++
 		}
 	}
+	return slot[:n:n], idIndex{flat: flat}
 }
-
-// denseIDLimit bounds the lookup-table fast path: when the maximum live
-// VertexID fits in ~4n slots the per-edge pos-map probes of resolution are
-// replaced with a flat []int32 table. Generated datasets have dense IDs,
-// so resolution of the hot path is a pure array walk.
-func denseIDLimit(n int) uint64 { return uint64(4*n) + 1024 }
 
 // resolve builds the flat adjacency arrays from the snapshot. The output
 // is byte-identical to resolveReference for every worker count: pass one
@@ -282,49 +241,14 @@ func denseIDLimit(n int) uint64 { return uint64(4*n) + 1024 }
 // workers ever write the same element.
 func (vw *View) resolve(directed bool, workers int) {
 	n := len(vw.Verts)
-	var lut []int32
-	if n > 0 {
-		if maxID := uint64(vw.Verts[n-1].ID); maxID < denseIDLimit(n) {
-			lut = make([]int32, maxID+1)
-			concurrent.ParallelRange(len(lut), workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					lut[i] = -1
-				}
-			})
-			// Waived, not proven: the disjointness here rests on Verts IDs
-			// being strictly ascending — a data-monotonicity fact about the
-			// slice's contents. The sharedwrite ownership lattice tracks
-			// index-derived slot ownership (who may write element i), not
-			// value-level properties of what is stored at i, so no lattice
-			// refinement can discharge this site; the waiver stays with its
-			// differential test as the oracle.
-			concurrent.ParallelRange(n, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					lut[vw.Verts[i].ID] = Index32(i) //vet:sharedwrite Verts IDs are strictly ascending, so distinct i map to distinct lut slots; pinned by TestViewParallelMatchesReference
-				}
-			})
-		}
-	}
-	indexOf := func(id VertexID) int32 {
-		if lut != nil {
-			if uint64(id) < uint64(len(lut)) {
-				return lut[id]
-			}
-			return -1
-		}
-		if j, ok := vw.pos[id]; ok {
-			return j
-		}
-		return -1
-	}
-
+	idx := &vw.idx
 	off := make([]int32, n+1)
 	concurrent.ParallelRange(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d := int32(0)
 			out := vw.Verts[i].Out
 			for k := range out {
-				if indexOf(out[k].To) >= 0 {
+				if idx.get(out[k].To) >= 0 {
 					d++
 				}
 			}
@@ -345,7 +269,7 @@ func (vw *View) resolve(directed bool, workers int) {
 			p := 0
 			out := vw.Verts[i].Out
 			for k := range out {
-				if j := indexOf(out[k].To); j >= 0 {
+				if j := idx.get(out[k].To); j >= 0 {
 					row[p] = j
 					wrow[p] = out[k].Weight
 					p++
@@ -363,14 +287,14 @@ func (vw *View) resolve(directed bool, workers int) {
 
 // resolveReference is the seed serial resolution kept verbatim as the
 // differential oracle (see ViewReference).
-func (vw *View) resolveReference(directed bool) {
+func (vw *View) resolveReference(directed bool, pos map[VertexID]int32) {
 	n := len(vw.Verts)
 	off := make([]int32, n+1)
 	deg := 0
 	for i, v := range vw.Verts {
 		off[i] = Index32(deg)
 		for k := range v.Out {
-			if _, ok := vw.pos[v.Out[k].To]; ok {
+			if _, ok := pos[v.Out[k].To]; ok {
 				deg++
 			}
 		}
@@ -381,7 +305,7 @@ func (vw *View) resolveReference(directed bool) {
 	p := 0
 	for _, v := range vw.Verts {
 		for k := range v.Out {
-			if j, ok := vw.pos[v.Out[k].To]; ok {
+			if j, ok := pos[v.Out[k].To]; ok {
 				nbr[p] = j
 				wts[p] = v.Out[k].Weight
 				p++
@@ -504,7 +428,7 @@ func reverseCSRSerial(n int, off, nbr []int32) (inOff, inNbr []int32) {
 }
 
 // applyOrder composes perm (perm[new] = old) into the view: Verts, the
-// forward CSR and pos move together, and the reverse arrays are rebuilt so
+// forward CSR and the id→index table move together, and the reverse arrays are rebuilt so
 // in-neighbors stay ascending in the new index space. Within-vertex
 // neighbor order is preserved under relabeling.
 func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
@@ -549,11 +473,10 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 			}
 		}
 	})
-	pos := make(map[VertexID]int32, n)
 	for i, v := range verts {
-		pos[v.ID] = Index32(i)
+		vw.idx.put(v.ID, Index32(i))
 	}
-	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW, vw.pos = verts, off, nbr, wts, pos
+	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW = verts, off, nbr, wts
 	if !directed {
 		vw.InOff, vw.InNbr = off, nbr
 		return
@@ -573,7 +496,7 @@ func (g *Graph) publishIndex(vw *View, idxSlot, workers int) {
 				if v.dead {
 					continue
 				}
-				if i, ok := vw.pos[v.ID]; ok {
+				if i := vw.idx.get(v.ID); i >= 0 {
 					v.props[idxSlot] = float64(i)
 				}
 			}
@@ -583,12 +506,7 @@ func (g *Graph) publishIndex(vw *View, idxSlot, workers int) {
 }
 
 // IndexOf returns the dense index of id, or -1.
-func (vw *View) IndexOf(id VertexID) int32 {
-	if i, ok := vw.pos[id]; ok {
-		return i
-	}
-	return -1
-}
+func (vw *View) IndexOf(id VertexID) int32 { return vw.idx.get(id) }
 
 // Len returns the number of vertices in the view.
 func (vw *View) Len() int { return len(vw.Verts) }

@@ -1,24 +1,47 @@
 package property
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
+// ID layouts for buildViewTestGraph: every vertex its own index; spread so
+// the flat table is off the table; and dense but for one ID that is the
+// last the flat table takes for that many live vertices, or the first it
+// does not.
+const (
+	idsDense = iota
+	idsSparse
+	idsLastDense
+	idsFirstSparse
+)
+
 // buildViewTestGraph returns a directed graph exercising the awkward
-// resolution paths: sparse IDs (defeating the dense-LUT fast path when
-// spread is large), dead edge targets, and uneven degrees.
-func buildViewTestGraph(t testing.TB, n int, seed int64, sparse bool) *Graph {
+// resolution paths: the ID layout asked for, dead edge targets, and uneven
+// degrees.
+func buildViewTestGraph(t testing.TB, n int, seed int64, layout int) *Graph {
 	t.Helper()
 	g := New(Options{Directed: true, TrackInEdges: true, Shards: 16, Hint: n})
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]VertexID, n)
 	for i := range ids {
-		if sparse {
+		if layout == idsSparse {
 			ids[i] = VertexID(i*97 + rng.Intn(13)*7919)
 		} else {
 			ids[i] = VertexID(i)
 		}
+	}
+	live := n
+	for i := 3; i < n; i += 11 {
+		live-- // killed below
+	}
+	switch layout {
+	case idsLastDense:
+		ids[0] = VertexID(denseIDLimit(live) - 1)
+	case idsFirstSparse:
+		ids[0] = VertexID(denseIDLimit(live))
 	}
 	for _, id := range ids {
 		g.AddVertex(id)
@@ -47,7 +70,7 @@ func buildViewTestGraph(t testing.TB, n int, seed int64, sparse bool) *Graph {
 	return g
 }
 
-func viewsEqual(t *testing.T, label string, a, b *View) {
+func viewsEqual(t testing.TB, label string, a, b *View) {
 	t.Helper()
 	if len(a.Verts) != len(b.Verts) {
 		t.Fatalf("%s: vert count %d != %d", label, len(a.Verts), len(b.Verts))
@@ -71,32 +94,168 @@ func viewsEqual(t *testing.T, label string, a, b *View) {
 	eq32("Nbr", a.Nbr, b.Nbr)
 	eq32("InOff", a.InOff, b.InOff)
 	eq32("InNbr", a.InNbr, b.InNbr)
+	if len(a.NbrW) != len(b.NbrW) {
+		t.Fatalf("%s: NbrW length %d != %d", label, len(a.NbrW), len(b.NbrW))
+	}
 	for i := range a.NbrW {
 		if a.NbrW[i] != b.NbrW[i] {
 			t.Fatalf("%s: NbrW[%d] = %v != %v", label, i, a.NbrW[i], b.NbrW[i])
 		}
 	}
-	for id, p := range a.pos {
-		if b.pos[id] != p {
-			t.Fatalf("%s: pos[%d] = %d != %d", label, id, p, b.pos[id])
+	for i, v := range a.Verts {
+		if a.IndexOf(v.ID) != Index32(i) || b.IndexOf(v.ID) != Index32(i) {
+			t.Fatalf("%s: IndexOf(%d) = %d and %d, want %d", label, v.ID, a.IndexOf(v.ID), b.IndexOf(v.ID), i)
 		}
 	}
 }
 
-// TestViewParallelMatchesReference checks the tentpole's central contract:
-// ViewWith output is a function of graph state only, identical across
-// worker counts and identical to the retained seed implementation.
+// TestViewParallelMatchesReference checks the central contract: ViewWith
+// output is a function of graph state only, identical across worker counts
+// and identical to the retained seed implementation, whichever form the
+// id→index table takes — flat, map, and the two ID sets one vertex either
+// side of the line between them.
 func TestViewParallelMatchesReference(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
+	for layout, name := range []string{"dense", "sparse", "last dense", "first sparse"} {
 		for _, n := range []int{1, 5, 300, 3000} {
-			g := buildViewTestGraph(t, n, int64(n)+3, sparse)
+			g := buildViewTestGraph(t, n, int64(n)+3, layout)
 			ref := g.ViewReference()
-			for _, w := range []int{1, 2, 8} {
+			for _, w := range []int{1, 2, 4, 8} {
 				vw := g.ViewWith(ViewOpts{Workers: w})
-				viewsEqual(t, "workers", ref, vw)
+				// The spread layout is past the limit only from a few dozen
+				// vertices up; the other three are exact.
+				if flat := vw.idx.flat != nil; flat != (layout == idsDense || layout == idsLastDense) && (layout != idsSparse || n >= 300) {
+					t.Fatalf("%s n=%d: flat table = %v", name, n, flat)
+				}
+				viewsEqual(t, name, ref, vw)
 			}
 		}
 	}
+}
+
+// fuzzID spreads a byte over the IDs that matter to the id→index table: a
+// dense handful; the stretch that holds denseIDLimit(n)-1, the limit and
+// limit+1 for every n a fuzz input can reach; and lone huge IDs, the
+// largest among them.
+func fuzzID(b byte) VertexID {
+	switch {
+	case b < 96:
+		return VertexID(b % 24)
+	case b < 240:
+		return VertexID(1016 + uint64(b-96))
+	default:
+		return [...]VertexID{math.MaxUint64, math.MaxUint64 - 1, 1 << 63, 1 << 40, 1 << 32, 1<<31 - 1, 5000, 1160}[b%8]
+	}
+}
+
+// permuted is ref under perm (perm[new] = old), spelled out serially: what
+// ViewOpts.Order must produce, derived from the reference view alone.
+func permuted(ref *View, perm []int32, directed bool) *View {
+	n := len(perm)
+	inv := make([]int32, n)
+	for ni, oi := range perm {
+		inv[oi] = int32(ni)
+	}
+	vw := &View{NbrOff: make([]int32, n+1), InOff: make([]int32, n+1), idx: idIndex{sparse: map[VertexID]int32{}}}
+	in := make([][]int32, n)
+	for i, o := range perm {
+		vw.Verts = append(vw.Verts, ref.Verts[o])
+		vw.idx.sparse[ref.Verts[o].ID] = int32(i)
+		for k, j := range ref.Adj(o) {
+			vw.Nbr = append(vw.Nbr, inv[j])
+			vw.NbrW = append(vw.NbrW, ref.AdjW(o)[k])
+			in[inv[j]] = append(in[inv[j]], int32(i))
+		}
+		vw.NbrOff[i+1] = int32(len(vw.Nbr))
+	}
+	if !directed {
+		vw.InOff, vw.InNbr = vw.NbrOff, vw.Nbr
+		return vw
+	}
+	for j, srcs := range in {
+		vw.InNbr = append(vw.InNbr, srcs...)
+		vw.InOff[j+1] = int32(len(vw.InNbr))
+	}
+	return vw
+}
+
+// FuzzViewBuild builds small adversarial graphs — IDs either side of the
+// flat table's limit, huge IDs alone among dense ones, deleted vertices,
+// self and duplicate edges, directed with and without in-lists and
+// undirected — and holds ViewWith at 1, 2 and 4 workers, with and without
+// an Order permutation, to ViewReference field by field: Verts, the five
+// CSR arrays, IndexOf of every ID present and of absent ones, and the
+// sys.index each vertex was left with. The reference resolves through its
+// own map, so no lookup is shared with the path under test.
+func FuzzViewBuild(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{1, 3, 9, 0, 1, 9, 1, 2, 9, 2, 0, 9, 1, 1, 9, 0, 1})                   // directed triangle, a self loop, a duplicate
+	f.Add([]byte{3, 1, 9, 0, 104, 9, 104, 1, 9, 2, 105, 0, 1, 0})                      // IDs 1024, 1025; then vertex 1 deleted
+	f.Add([]byte{0x42, 7, 9, 0, 240, 9, 240, 1, 9, 1, 2})                              // 2^64-1 among dense ones, undirected, 2 shards
+	f.Add([]byte{0x87, 5, 9, 0, 1, 9, 1, 2, 9, 2, 3, 9, 3, 108, 9, 109, 0, 0, 2, 0})   // ordered, straddling IDs, a delete
+	f.Add([]byte{0xc4, 2, 9, 5, 6, 9, 6, 7, 9, 7, 5, 9, 244, 5, 1, 6, 7, 9, 246, 247}) // ordered undirected, 8 shards, DeleteEdge
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		opt := Options{Directed: data[0]&1 != 0, Shards: 1 << (data[0] >> 6)}
+		opt.TrackInEdges = opt.Directed && data[0]&2 != 0
+		g := New(opt)
+		for ops := data[2:]; len(ops) >= 3; ops = ops[3:] {
+			a, b := fuzzID(ops[1]), fuzzID(ops[2])
+			switch ops[0] % 8 {
+			case 0:
+				if !opt.Directed || opt.TrackInEdges {
+					if _, err := g.DeleteVertex(a); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 1:
+				g.DeleteEdge(a, b)
+			default:
+				g.AddVertex(a)
+				g.AddVertex(b)
+				if err := g.AddEdge(a, b, float64(ops[0])); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		want := g.ViewReference()
+		n := want.Len()
+		var order OrderFunc
+		if data[0]&4 != 0 && n > 0 {
+			// A rotation of the reversed order: a bijection for every n.
+			perm := make([]int32, n)
+			for i := range perm {
+				perm[i] = int32((n - 1 - i + int(data[1])) % n)
+			}
+			order = func(int, []int32, []int32) []int32 { return perm }
+			want = permuted(want, perm, opt.Directed)
+		}
+		idxSlot := g.EnsureField(SysIndexField)
+		for _, workers := range []int{1, 2, 4} {
+			vw := g.ViewWith(ViewOpts{Workers: workers, Order: order})
+			viewsEqual(t, fmt.Sprintf("workers=%d", workers), want, vw)
+			for i, v := range vw.Verts {
+				if v.Prop(idxSlot) != float64(i) {
+					t.Fatalf("workers=%d: sys.index of %d = %v, want %d", workers, v.ID, v.Prop(idxSlot), i)
+				}
+			}
+			// Every ID an input can name, and the three around the limit for
+			// this many vertices: absent ones must read -1.
+			probe := []VertexID{VertexID(denseIDLimit(n) - 1), VertexID(denseIDLimit(n)), VertexID(denseIDLimit(n) + 1)}
+			for b := 0; b < 256; b++ {
+				probe = append(probe, fuzzID(byte(b)))
+			}
+			for _, id := range probe {
+				if got, want := vw.IndexOf(id), want.IndexOf(id); got != want {
+					t.Fatalf("workers=%d: IndexOf(%d) = %d, want %d", workers, id, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestReverseCSRParallelMatchesSerial is the satellite property test: the
@@ -136,7 +295,7 @@ func TestReverseCSRParallelMatchesSerial(t *testing.T) {
 // weights), IndexOf, sys.index, and the reverse arrays all stay mutually
 // consistent with the unordered baseline.
 func TestViewOrderComposition(t *testing.T) {
-	g := buildViewTestGraph(t, 500, 21, true)
+	g := buildViewTestGraph(t, 500, 21, idsSparse)
 	base := g.View()
 	idxSlot := g.EnsureField(SysIndexField)
 
@@ -232,7 +391,7 @@ func TestViewOrderComposition(t *testing.T) {
 }
 
 func TestApplyOrderRejectsNonBijections(t *testing.T) {
-	g := buildViewTestGraph(t, 40, 5, false)
+	g := buildViewTestGraph(t, 40, 5, idsDense)
 	for name, bad := range map[string]OrderFunc{
 		"short":     func(n int, off, nbr []int32) []int32 { return make([]int32, n/2) },
 		"duplicate": func(n int, off, nbr []int32) []int32 { return make([]int32, n) },
@@ -256,7 +415,7 @@ func TestApplyOrderRejectsNonBijections(t *testing.T) {
 }
 
 func TestRelayoutPreservesContent(t *testing.T) {
-	g := buildViewTestGraph(t, 200, 9, false)
+	g := buildViewTestGraph(t, 200, 9, idsDense)
 	vw := g.View()
 	type snap struct {
 		id    VertexID
@@ -293,7 +452,7 @@ func TestRelayoutPreservesContent(t *testing.T) {
 }
 
 func TestViewWithPartitions(t *testing.T) {
-	g := buildViewTestGraph(t, 300, 11, false)
+	g := buildViewTestGraph(t, 300, 11, idsDense)
 	if g.View().Partitions() != nil {
 		t.Fatal("default view should carry no partition plan")
 	}
@@ -332,7 +491,7 @@ func TestViewWithPartitions(t *testing.T) {
 }
 
 func TestRelayoutPartitionedVaultAlignment(t *testing.T) {
-	g := buildViewTestGraph(t, 200, 13, false)
+	g := buildViewTestGraph(t, 200, 13, idsDense)
 	vw := g.ViewWith(ViewOpts{Partitions: 4})
 	plan := vw.Partitions()
 	const region = 1 << 20
