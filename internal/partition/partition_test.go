@@ -8,31 +8,35 @@ import (
 // randCSR builds a random directed CSR over n vertices plus its reverse
 // arrays, the same inputs property.View hands to New.
 func randCSR(r *rand.Rand, n, m int) (off, nbr, inOff, inNbr []int32) {
-	adj := make([][]int32, n)
-	for i := 0; i < m; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		adj[u] = append(adj[u], int32(v))
+	edges := make([][2]int32, m)
+	for i := range edges {
+		edges[i] = [2]int32{int32(r.Intn(n)), int32(r.Intn(n))}
 	}
-	off = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + int32(len(adj[u]))
-	}
-	nbr = make([]int32, 0, m)
-	for u := 0; u < n; u++ {
-		nbr = append(nbr, adj[u]...)
-	}
-	inOff = make([]int32, n+1)
-	for _, v := range nbr {
-		inOff[v+1]++
+	return buildCSR(n, edges)
+}
+
+// buildCSR lays the edges out as a forward CSR, each row in the order the
+// edges came, and reverses it: in-neighbors in ascending order, as
+// property.View leaves them.
+func buildCSR(n int, edges [][2]int32) (off, nbr, inOff, inNbr []int32) {
+	off, inOff = make([]int32, n+1), make([]int32, n+1)
+	for _, e := range edges {
+		off[e[0]+1]++
+		inOff[e[1]+1]++
 	}
 	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
 		inOff[i+1] += inOff[i]
 	}
-	inNbr = make([]int32, len(nbr))
+	nbr, inNbr = make([]int32, len(edges)), make([]int32, len(edges))
 	fill := make([]int32, n)
+	for _, e := range edges {
+		nbr[off[e[0]]+fill[e[0]]] = e[1]
+		fill[e[0]]++
+	}
+	clear(fill)
 	for u := 0; u < n; u++ {
-		for k := off[u]; k < off[u+1]; k++ {
-			v := nbr[k]
+		for _, v := range nbr[off[u]:off[u+1]] {
 			inNbr[inOff[v]+fill[v]] = int32(u)
 			fill[v]++
 		}
@@ -194,4 +198,82 @@ func TestEmptyAndTiny(t *testing.T) {
 	if p.K != 1 || p.Len(0) != 1 {
 		t.Fatalf("single-vertex plan: %+v", p)
 	}
+}
+
+// FuzzPartitionPlan decodes small adversarial graphs — no vertices, no
+// edges, every edge on one hub, more partitions asked for than vertices,
+// none or a negative number asked for — and checks a plan in both modes
+// against counts made edge by edge: the ranges tile [0,n) with no empty
+// one, Owner follows them, and CutEdges, Boundary, Edges and LocalEdges
+// are what a walk over the edge list finds.
+func FuzzPartitionPlan(f *testing.F) {
+	f.Add([]byte{0, 3})                                     // empty graph
+	f.Add([]byte{8, 3})                                     // isolated vertices
+	f.Add([]byte{9, 4, 0, 1, 0, 2, 0, 3, 0, 4, 5, 0, 0, 0}) // one hub, a self loop
+	f.Add([]byte{3, 40, 0, 1, 1, 2, 2, 0})                  // k > n
+	f.Add([]byte{5, 0xff, 0, 4, 4, 0})                      // k < 0
+	f.Add([]byte{33, 7, 1, 32, 32, 1, 16, 17, 17, 16, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, k := int(data[0])%41, int(int8(data[1]))
+		var edges [][2]int32
+		if n > 0 {
+			for i := 2; i+1 < len(data); i += 2 {
+				edges = append(edges, [2]int32{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
+			}
+		}
+		off, nbr, inOff, inNbr := buildCSR(n, edges)
+		for _, mode := range []Mode{EdgeBalanced, VertexBalanced} {
+			p := New(n, off, nbr, inOff, inNbr, k, mode)
+			if want := max(1, min(k, n)); p.K != want || len(p.Bounds) != want+1 {
+				t.Fatalf("n=%d k=%d %v: K=%d with %d bounds, want %d", n, k, mode, p.K, len(p.Bounds), want)
+			}
+			if p.Bounds[0] != 0 || p.Bounds[p.K] != int32(n) {
+				t.Fatalf("n=%d k=%d %v: bounds %v do not span [0,%d)", n, k, mode, p.Bounds, n)
+			}
+			for q := 0; q < p.K; q++ {
+				lo, hi := p.Range(q)
+				if n > 0 && lo >= hi {
+					t.Fatalf("n=%d k=%d %v: partition %d is [%d,%d)", n, k, mode, q, lo, hi)
+				}
+				for v := lo; v < hi; v++ {
+					if p.Of(v) != int32(q) {
+						t.Fatalf("n=%d k=%d %v: Owner[%d]=%d inside partition %d", n, k, mode, v, p.Of(v), q)
+					}
+				}
+			}
+			var cut int64
+			boundary := make([]bool, n)
+			owned, local := make([]int64, p.K), make([]int64, p.K)
+			for _, e := range edges {
+				qu, qv := p.Owner[e[0]], p.Owner[e[1]]
+				owned[qu]++
+				if qu == qv {
+					local[qu]++
+				} else {
+					cut++
+					boundary[e[0]], boundary[e[1]] = true, true
+				}
+			}
+			nb := 0
+			for v, b := range boundary {
+				if p.Boundary[v] != b {
+					t.Fatalf("n=%d k=%d %v: Boundary[%d]=%v, an edge walk says %v", n, k, mode, v, p.Boundary[v], b)
+				}
+				if b {
+					nb++
+				}
+			}
+			if p.CutEdges != cut || p.BoundaryCount() != nb {
+				t.Fatalf("n=%d k=%d %v: CutEdges=%d BoundaryCount=%d, an edge walk says %d and %d", n, k, mode, p.CutEdges, p.BoundaryCount(), cut, nb)
+			}
+			for q := range owned {
+				if p.Edges[q] != owned[q] || p.LocalEdges[q] != local[q] {
+					t.Fatalf("n=%d k=%d %v: partition %d holds %d edges, %d local; an edge walk says %d, %d", n, k, mode, q, p.Edges[q], p.LocalEdges[q], owned[q], local[q])
+				}
+			}
+		}
+	})
 }

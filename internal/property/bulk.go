@@ -1,6 +1,10 @@
 package property
 
-import "github.com/graphbig/graphbig-go/internal/concurrent"
+import (
+	"sync/atomic"
+
+	"github.com/graphbig/graphbig-go/internal/concurrent"
+)
 
 // BulkEdge is one edge of a BulkInput: its endpoints as indices into the
 // input's vertex order, and its weight.
@@ -51,16 +55,18 @@ func forEdgeBlocks(in BulkInput, fn func(run []BulkEdge)) {
 // issued from one goroutine: the same shard order, the same order inside
 // every Out and In list, and the same simulated layout (every address and
 // capacity, arena.Used()), at every worker count. Only the Go-side memory
-// differs: records, property blocks and adjacency lists are carved out of
-// exact-size slabs instead of being grown one append at a time.
+// differs: records and adjacency lists are carved out of exact-size slabs
+// instead of being grown one append at a time, property chunks serve
+// consecutive input indices, and over dense IDs (denseIDLimit) one flat
+// id→vertex table stands where the shards' maps would.
 //
 // The simulated layout is a function of the order of the arena's
 // allocations, so it is replayed rather than derived, on one goroutine:
 // vertex records and index-table doublings in vertex order (place), then a
 // first pass over the edge sequence that counts degrees and calls
 // growEdges/growIn at the very edge where AddEdge would have. What the
-// layout does not depend on runs wide: the shards' index maps are filled
-// shard by shard, and a second pass fills the lists — workers own disjoint
+// layout does not depend on runs wide: the index is filled shard by
+// shard, and a second pass fills the lists — workers own disjoint
 // vertex ranges, and each scans the whole sequence for the records that
 // land in its range, so every list has one writer, is filled in sequence
 // order, and needs no lock.
@@ -71,7 +77,7 @@ func forEdgeBlocks(in BulkInput, fn func(run []BulkEdge)) {
 // opt.Tracker; GCons, GUp and TMorph, which measure dynamic construction,
 // use AddVertex/AddEdge.
 func Bulk(opt Options, in BulkInput, workers int) *Graph {
-	g := New(opt)
+	g := newGraph(opt, false)
 	n, m := in.NumVertices(), in.NumEdges()
 	mirror, trackIn := !opt.Directed, opt.Directed && opt.TrackInEdges
 	// BulkEdge addresses vertices, and the fill its slab rows, as int32.
@@ -84,12 +90,22 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 
 	// Vertices. Shard s holds slots[start[s]:start[s+1]], filled through
 	// next[s] in vertex order: the order AddVertex would have left it in.
-	np := g.sch.cap
 	ids := make([]VertexID, n)
 	start := make([]int, len(g.shards)+1)
+	var maxID VertexID
 	for i := range ids {
 		ids[i] = in.ID(i)
+		maxID = max(maxID, ids[i])
 		start[(mix64(uint64(ids[i]))&g.mask)+1]++
+	}
+	// The Go-side index: one flat table while the IDs are dense, else each
+	// shard's map at its exact size.
+	if denseIDs(n, maxID) {
+		g.flat = make([]*Vertex, maxID+1)
+	} else {
+		for s := range g.shards {
+			g.shards[s].index = make(map[VertexID]*Vertex, start[s+1])
+		}
 	}
 	for s := range g.shards {
 		start[s+1] += start[s]
@@ -97,34 +113,36 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	next := make([]int, len(g.shards))
 	copy(next, start)
 	vs := make([]Vertex, n)
-	props := make([]float64, n*np)
+	chunks := newPropChunks((n+chunkRows-1)/chunkRows, g.sch.cap)
 	slots := make([]*Vertex, n)
 	for i := range vs {
 		v := &vs[i]
 		v.ID = ids[i]
-		v.props = props[i*np : (i+1)*np : (i+1)*np]
+		v.chunk, v.row = &chunks[i/chunkRows], Index16(i%chunkRows)
 		s := mix64(uint64(v.ID)) & g.mask
 		g.place(&g.shards[s], v)
 		slots[next[s]] = v
 		next[s]++
 	}
-	// The maps take no part in the layout, so they are filled a shard range
-	// per worker, one map at a time, each under its own lock.
+	// The index takes no part in the layout, so it is filled a shard range
+	// per worker, each shard's entries under its own lock.
+	var dup atomic.Bool
 	concurrent.ParallelRange(len(g.shards), workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sh := &g.shards[s]
 			sh.mu.Lock()
 			sh.verts = slots[start[s]:start[s+1]:start[s+1]]
 			for _, v := range sh.verts {
-				sh.index[v.ID] = v
+				if g.lookup(sh, v.ID) != nil {
+					dup.Store(true)
+				}
+				g.setIndex(sh, v.ID, v)
 			}
 			sh.mu.Unlock()
 		}
 	})
-	for i := range g.shards {
-		if sh := &g.shards[i]; len(sh.index) != len(sh.verts) {
-			panic("property: Bulk: duplicate vertex ID")
-		}
+	if dup.Load() {
+		panic("property: Bulk: duplicate vertex ID")
 	}
 	g.nVerts.Store(int64(n))
 
@@ -137,17 +155,17 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	forEdgeBlocks(in, func(run []BulkEdge) {
 		for _, e := range run {
 			s, d := e.Src, e.Dst
-			if sv := &vs[s]; int(outN[s+1]) >= sv.edgeCap {
+			if sv := &vs[s]; outN[s+1] >= sv.edgeCap {
 				g.growEdges(sv, nil)
 			}
 			outN[s+1]++
 			if mirror {
-				if dv := &vs[d]; int(outN[d+1]) >= dv.edgeCap {
+				if dv := &vs[d]; outN[d+1] >= dv.edgeCap {
 					g.growEdges(dv, nil)
 				}
 				outN[d+1]++
 			} else if trackIn {
-				if dv := &vs[d]; int(inN[d+1]) >= dv.inCap {
+				if dv := &vs[d]; inN[d+1] >= dv.inCap {
 					g.growIn(dv, nil)
 				}
 				inN[d+1]++

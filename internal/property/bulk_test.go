@@ -52,10 +52,26 @@ func (c copied) Edges(e int, buf []BulkEdge) []BulkEdge {
 	return buf
 }
 
+// indexed counts the entries of g's Go-side index, table and maps.
+func indexed(g *Graph) int {
+	n := 0
+	for _, v := range g.flat {
+		if v != nil {
+			n++
+		}
+	}
+	for i := range g.shards {
+		n += len(g.shards[i].index)
+	}
+	return n
+}
+
 // diffGraphs compares everything the equality contract names: shard
 // order, both lists of every vertex in order, every simulated address and
-// capacity, the index tables and the arena's high-water mark. It returns
-// the first difference, or "".
+// capacity, the index tables and the arena's high-water mark — and what
+// the Go-side storage must agree on however it is laid out: a lookup of
+// every live ID finds its record, the index holds nothing else, and every
+// property slot reads the same. It returns the first difference, or "".
 func diffGraphs(a, b *Graph) string {
 	if a.VertexCount() != b.VertexCount() || a.EdgeCount() != b.EdgeCount() {
 		return fmt.Sprintf("counts %d/%d vs %d/%d", a.VertexCount(), a.EdgeCount(), b.VertexCount(), b.EdgeCount())
@@ -66,25 +82,36 @@ func diffGraphs(a, b *Graph) string {
 	if a.arena.Used() != b.arena.Used() {
 		return fmt.Sprintf("arena.Used %d vs %d", a.arena.Used(), b.arena.Used())
 	}
+	if a.sch.Cap() != b.sch.Cap() {
+		return fmt.Sprintf("schema capacity %d vs %d", a.sch.Cap(), b.sch.Cap())
+	}
+	if na, nb := indexed(a), indexed(b); na != a.VertexCount() || nb != b.VertexCount() {
+		return fmt.Sprintf("index holds %d and %d entries for %d vertices", na, nb, a.VertexCount())
+	}
 	for i := range a.shards {
 		sa, sb := &a.shards[i], &b.shards[i]
 		if sa.idxAddr != sb.idxAddr || sa.idxCap != sb.idxCap || sa.idxCount != sb.idxCount {
 			return fmt.Sprintf("shard %d index table %x/%d/%d vs %x/%d/%d", i,
 				sa.idxAddr, sa.idxCap, sa.idxCount, sb.idxAddr, sb.idxCap, sb.idxCount)
 		}
-		if len(sa.verts) != len(sb.verts) || len(sa.index) != len(sb.index) {
-			return fmt.Sprintf("shard %d holds %d/%d vs %d/%d", i, len(sa.verts), len(sa.index), len(sb.verts), len(sb.index))
+		if len(sa.verts) != len(sb.verts) {
+			return fmt.Sprintf("shard %d holds %d vs %d", i, len(sa.verts), len(sb.verts))
 		}
 		for k, va := range sa.verts {
 			vb := sb.verts[k]
 			if va.ID != vb.ID || va.dead != vb.dead {
 				return fmt.Sprintf("shard %d slot %d: vertex %d vs %d", i, k, va.ID, vb.ID)
 			}
-			if !va.dead && (sa.index[va.ID] != va || sb.index[vb.ID] != vb) {
+			if !va.dead && (a.FindVertex(va.ID) != va || b.FindVertex(vb.ID) != vb) {
 				return fmt.Sprintf("vertex %d: index does not point at the record", va.ID)
 			}
+			for slot := 0; slot < a.sch.Cap(); slot++ {
+				if pa, pb := va.Prop(slot), vb.Prop(slot); pa != pb {
+					return fmt.Sprintf("vertex %d property %d: %v vs %v", va.ID, slot, pa, pb)
+				}
+			}
 			if va.addr != vb.addr || va.edgeAddr != vb.edgeAddr || va.edgeCap != vb.edgeCap ||
-				va.inAddr != vb.inAddr || va.inCap != vb.inCap || len(va.props) != len(vb.props) {
+				va.inAddr != vb.inAddr || va.inCap != vb.inCap {
 				return fmt.Sprintf("vertex %d layout %x %x/%d %x/%d vs %x %x/%d %x/%d", va.ID,
 					va.addr, va.edgeAddr, va.edgeCap, va.inAddr, va.inCap,
 					vb.addr, vb.edgeAddr, vb.edgeCap, vb.inAddr, vb.inCap)
@@ -351,12 +378,19 @@ func TestEdgeListHugeIDsAllocateLittle(t *testing.T) {
 
 // FuzzBulkBuild decodes small adversarial edge lists — few IDs, so
 // duplicates, self loops and long lists are the common case — and holds
-// Bulk to the incremental build.
+// Bulk to the incremental build: as built, and after both have had the
+// same vertices added (holes inside a flat table, IDs past its end, IDs
+// already there) and the same properties written. The second byte's top
+// bit picks the IDs: sixteen sparse, shard-colliding ones, or 0..15, which
+// Bulk indexes by table.
 func FuzzBulkBuild(f *testing.F) {
 	f.Add([]byte{0, 1})
 	f.Add([]byte{1, 3, 0x00, 0x11, 0x11, 0x10, 0x01})
 	f.Add([]byte{2, 7, 0x12, 0x21, 0x12, 0x33, 0x34, 0x45, 0x56, 0x67, 0x70})
 	f.Add([]byte{5, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf0, 0x0f})
+	f.Add([]byte{2, 0x83, 0x12, 0x21, 0x05, 0xf0, 0x9e})
+	f.Add([]byte{0x44, 0x80, 0xee})
+	f.Add([]byte("00\x00")) // the one sparse ID is 0: dense after all
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -364,16 +398,37 @@ func FuzzBulkBuild(f *testing.F) {
 		opt := bulkModes[int(data[0])%len(bulkModes)].opt
 		opt.Shards = 1 << (data[0] / 64)
 		workers := 1 + int(data[1])%8
+		stride := VertexID(0x9e3779b97f4a7c15)
+		if data[1]&0x80 != 0 {
+			stride = 1
+		}
 		el := new(EdgeList)
+		var maxID VertexID
 		for i, b := range data[2:] {
-			// Sparse, shard-colliding IDs from a 16-value space.
-			src, dst := VertexID(b>>4)*0x9e3779b97f4a7c15, VertexID(b&15)*0x9e3779b97f4a7c15
+			src, dst := VertexID(b>>4)*stride, VertexID(b&15)*stride
+			maxID = max(maxID, src, dst)
 			el.Add(el.Intern(src), el.Intern(dst), float64(i))
+		}
+		mutate := func(g *Graph) *Graph {
+			for id := VertexID(0); id < 18; id++ {
+				g.AddVertex(id * stride)
+			}
+			for i, b := range data[2:] {
+				g.SetProp(g.FindVertex(VertexID(b>>4)*stride), int(b&15), float64(i+1))
+			}
+			return g
 		}
 		want := incremental(t, opt, el)
 		for _, in := range []BulkInput{el, copied{el, false}, copied{el, true}} {
-			if d := diffGraphs(Bulk(opt, in, workers), want); d != "" {
+			got := Bulk(opt, in, workers)
+			if (got.flat != nil) != denseIDs(el.NumVertices(), maxID) {
+				t.Fatalf("flat table of %d entries over %d IDs up to %d", len(got.flat), el.NumVertices(), maxID)
+			}
+			if d := diffGraphs(got, want); d != "" {
 				t.Fatal(d)
+			}
+			if d := diffGraphs(mutate(got), mutate(incremental(t, opt, el))); d != "" {
+				t.Fatalf("after AddVertex and SetProp: %s", d)
 			}
 		}
 	})

@@ -22,11 +22,9 @@ func Clone(g *Graph) *Graph {
 				continue
 			}
 			nv, _ := ng.AddVertex(v.ID)
-			copy(nv.props, v.props)
-			if len(v.meta) > 0 {
-				for k, m := range v.meta {
-					ng.SetMeta(nv, k, m.data)
-				}
+			copyProps(nv, v)
+			for k, m := range sh.meta[v] {
+				ng.SetMeta(nv, k, m.data)
 			}
 			if len(v.Out) > 0 {
 				nv.Out = make([]Edge, len(v.Out))
@@ -37,13 +35,13 @@ func Clone(g *Graph) *Graph {
 					nsh.putEdgeProps(nv, append([]float64(nil), rows...))
 					nsh.mu.Unlock()
 				}
-				nv.edgeCap = len(v.Out)
+				nv.edgeCap = Index32(len(v.Out))
 				nv.edgeAddr = ng.arena.Alloc(uint64(nv.edgeCap)*ng.edgeRec, 64)
 			}
 			if len(v.In) > 0 {
 				nv.In = make([]VertexID, len(v.In))
 				copy(nv.In, v.In)
-				nv.inCap = len(v.In)
+				nv.inCap = Index32(len(v.In))
 				nv.inAddr = ng.arena.Alloc(uint64(nv.inCap)*inRecordBytes, 64)
 			}
 		}

@@ -180,7 +180,8 @@ func (g *Graph) EdgePropSlots() int { return g.edgeSlots }
 // --- vertex metadata blobs --------------------------------------------------
 
 // meta is the free-form payload attached to a vertex: rich metadata such
-// as user profiles or gene annotations (paper §2).
+// as user profiles or gene annotations (paper §2). The blobs of a shard's
+// vertices live in shard.meta, under the shard lock.
 type meta struct {
 	data []byte
 	addr uint64
@@ -195,13 +196,19 @@ func (g *Graph) SetMeta(v *Vertex, key string, data []byte) {
 		t.Enter(mem.ClassFramework)
 		t.Inst(uint64(8 + len(key)))
 	}
-	if v.meta == nil {
-		v.meta = make(map[string]meta, 2)
-	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	addr := g.arena.Alloc(uint64(len(data))+16, 16)
-	v.meta[key] = meta{data: cp, addr: addr}
+	sh := g.shardOf(v.ID)
+	sh.mu.Lock()
+	if sh.meta == nil {
+		sh.meta = make(map[*Vertex]map[string]meta)
+	}
+	if sh.meta[v] == nil {
+		sh.meta[v] = make(map[string]meta, 2)
+	}
+	sh.meta[v][key] = meta{data: cp, addr: addr}
+	sh.mu.Unlock()
 	if t != nil {
 		t.Store(addr, Size32(uint64(len(data))+16))
 		t.Exit()
@@ -216,7 +223,10 @@ func (g *Graph) Meta(v *Vertex, key string) []byte {
 		t.Enter(mem.ClassFramework)
 		t.Inst(uint64(6 + len(key)))
 	}
-	m, ok := v.meta[key]
+	sh := g.shardOf(v.ID)
+	sh.mu.RLock()
+	m, ok := sh.meta[v][key]
+	sh.mu.RUnlock()
 	if t != nil {
 		if ok {
 			t.Load(m.addr, Size32(uint64(len(m.data))+16))
@@ -231,8 +241,11 @@ func (g *Graph) Meta(v *Vertex, key string) []byte {
 
 // MetaKeys returns the metadata keys attached to v (order unspecified).
 func (g *Graph) MetaKeys(v *Vertex) []string {
-	out := make([]string, 0, len(v.meta))
-	for k := range v.meta {
+	sh := g.shardOf(v.ID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	out := make([]string, 0, len(sh.meta[v]))
+	for k := range sh.meta[v] {
 		out = append(out, k)
 	}
 	return out

@@ -2,7 +2,9 @@ package property
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -184,6 +186,52 @@ func TestCloneCopiesEdgePropsAndMeta(t *testing.T) {
 func TestEdgeRecordIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Edge{}); n != 16 {
 		t.Fatalf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
+	}
+}
+
+// The vertex record holds what every vertex has — identity, two list
+// headers, the simulated layout — and a pointer and row into the shared
+// property columns. Values and metadata are not in it.
+func TestVertexRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Vertex{}); n > 104 {
+		t.Fatalf("unsafe.Sizeof(Vertex{}) = %d, want at most 104", n)
+	}
+}
+
+// TestMetaConcurrentWithClone: metadata of two vertices of one shard is
+// written while the graph is cloned and read; -race is the judge.
+func TestMetaConcurrentWithClone(t *testing.T) {
+	g := New(Options{Shards: 1})
+	a, _ := g.AddVertex(1)
+	b, _ := g.AddVertex(2)
+	g.SetMeta(a, "k", []byte("a0"))
+	var wg sync.WaitGroup
+	for _, v := range []*Vertex{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				g.SetMeta(v, fmt.Sprintf("k%d", i%4), []byte{byte(i)})
+				g.Meta(v, "k0")
+				g.MetaKeys(v)
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		c := Clone(g)
+		if got := c.Meta(c.FindVertex(1), "k"); string(got) != "a0" {
+			t.Errorf("clone %d lost a blob set before it began: %q", i, got)
+		}
+	}
+	wg.Wait()
+	if _, err := g.DeleteVertex(1); err != nil {
+		t.Fatal(err)
+	}
+	if g.shards[0].meta[a] != nil || len(g.MetaKeys(a)) != 0 {
+		t.Error("DeleteVertex left the vertex's metadata behind")
+	}
+	if len(g.MetaKeys(b)) != 4 {
+		t.Errorf("the other vertex holds keys %v, want 4", g.MetaKeys(b))
 	}
 }
 

@@ -43,19 +43,23 @@ type Edge struct {
 }
 
 // Vertex is the basic unit of the graph: identity, properties and the
-// outgoing adjacency list live together (vertex-centric representation).
+// outgoing adjacency list belong together (vertex-centric representation).
+// In the simulated layout the property block follows the record; in Go
+// memory the values are row `row` of the field columns of `chunk`
+// (props.go), and metadata blobs sit in the shard (edgeprops.go), so a
+// vertex costs 104 bytes plus what has been written to it.
 type Vertex struct {
 	ID  VertexID
 	Out []Edge
 	In  []VertexID // populated only when Options.TrackInEdges
 
-	props    []float64
-	meta     map[string]meta
+	chunk    *propChunk
 	addr     uint64 // simulated base of the vertex record (props follow)
 	edgeAddr uint64 // simulated base of the out-edge chunk
-	edgeCap  int
 	inAddr   uint64
-	inCap    int
+	edgeCap  int32
+	inCap    int32
+	row      uint16 // this vertex's row of chunk, < chunkRows
 	dead     bool
 }
 
@@ -70,8 +74,11 @@ func (v *Vertex) propAddr(slot int) uint64 {
 }
 
 type shard struct {
-	id       int
-	mu       sync.RWMutex
+	id int
+	mu sync.RWMutex
+	// index holds the shard's vertices whose ID lies outside Graph.flat:
+	// all of them on a graph built incrementally or over sparse IDs, none
+	// (a nil map) on one bulk-built over dense IDs until such an ID is added.
 	index    map[VertexID]*Vertex
 	verts    []*Vertex // insertion order; dead vertices stay as tombstones
 	idxAddr  uint64    // simulated base of this shard's index table
@@ -84,6 +91,10 @@ type shard struct {
 	// map exists only once some vertex has; every mutation of v.Out keeps
 	// the rows parallel to it (edgeprops.go).
 	eprops map[*Vertex][]float64
+
+	// meta holds the metadata blobs of the shard's vertices, under the same
+	// rule: no map until a SetMeta, no entry for a vertex without one.
+	meta map[*Vertex]map[string]meta
 }
 
 // Options configures a Graph.
@@ -106,7 +117,9 @@ type Options struct {
 	EdgePropSlots int
 	// Shards is the lock-shard count (power of two; default 256).
 	Shards int
-	// Hint is the expected vertex count, used to presize shard maps.
+	// Hint is the expected vertex count. It sizes the simulated index
+	// tables, and the shard maps of a graph built by AddVertex; Bulk sizes
+	// its Go-side index from its input instead.
 	Hint int
 }
 
@@ -122,6 +135,16 @@ type Graph struct {
 	arena     *mem.Arena
 	trk       mem.Tracker
 
+	// flat is the id→vertex table of a graph bulk-built over dense IDs: the
+	// entry of every ID below len(flat), nil when absent. Slot id is read and
+	// written under the lock of id's shard, like the map entry it stands
+	// for; the table itself is made before the graph is shared and never
+	// resized, so IDs past it live in the shard maps.
+	flat []*Vertex
+
+	// rows hands AddVertex the property rows of the vertices it creates.
+	rows rowAllocator
+
 	nVerts atomic.Int64
 	nEdges atomic.Int64 // logical edges (an undirected edge counts once)
 }
@@ -131,7 +154,12 @@ type Graph struct {
 var ErrNeedInEdges = errors.New("property: DeleteVertex on a directed graph requires TrackInEdges")
 
 // New returns an empty graph.
-func New(opt Options) *Graph {
+func New(opt Options) *Graph { return newGraph(opt, true) }
+
+// newGraph is New with or without the shard maps: Bulk, which knows its
+// vertices, leaves them out and gives the graph a flat table or exact-size
+// maps instead.
+func newGraph(opt Options, maps bool) *Graph {
 	ns := opt.Shards
 	if ns <= 0 {
 		ns = 256
@@ -168,7 +196,9 @@ func New(opt Options) *Graph {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.id = i
-		sh.index = make(map[VertexID]*Vertex, per)
+		if maps {
+			sh.index = make(map[VertexID]*Vertex, per)
+		}
 		cap64 := uint64(16)
 		for cap64 < uint64(2*per) {
 			cap64 <<= 1
@@ -204,14 +234,17 @@ func (g *Graph) VertexCount() int { return int(g.nVerts.Load()) }
 func (g *Graph) EdgeCount() int { return int(g.nEdges.Load()) }
 
 // EnsureField registers a property field (idempotent) and returns its slot.
-// Fields beyond the reserved capacity (16 slots, see Schema) panic: the
-// per-vertex property block is allocated at vertex creation.
+// Fields beyond the reserved capacity (16 slots, see Schema) panic, leaving
+// the schema as it was: the simulated property block is sized at vertex
+// creation.
 func (g *Graph) EnsureField(name string) int {
-	i := g.sch.add(name)
-	if i >= g.sch.cap {
+	if i := g.sch.Field(name); i >= 0 {
+		return i
+	}
+	if g.sch.NumFields() >= g.sch.cap {
 		panic("property: schema capacity exceeded; declare fields in NewSchema")
 	}
-	return i
+	return g.sch.add(name)
 }
 
 func mix64(x uint64) uint64 {
@@ -231,6 +264,31 @@ func (sh *shard) bucketAddr(id VertexID) uint64 {
 	return sh.idxAddr + (mix64(uint64(id))&(sh.idxCap-1))*indexBucketBytes
 }
 
+// lookup returns id's entry in the index, nil if it has none. The caller
+// holds the lock of sh, id's shard.
+func (g *Graph) lookup(sh *shard, id VertexID) *Vertex {
+	if uint64(id) < uint64(len(g.flat)) {
+		return g.flat[id]
+	}
+	return sh.index[id]
+}
+
+// setIndex makes v id's entry in the index, or drops the entry when v is
+// nil. The caller holds the write lock of sh, id's shard.
+func (g *Graph) setIndex(sh *shard, id VertexID, v *Vertex) {
+	switch {
+	case uint64(id) < uint64(len(g.flat)):
+		g.flat[id] = v
+	case v == nil:
+		delete(sh.index, id)
+	default:
+		if sh.index == nil {
+			sh.index = make(map[VertexID]*Vertex)
+		}
+		sh.index[id] = v
+	}
+}
+
 // --- framework primitives -------------------------------------------------
 
 // FindVertex looks the vertex up through the index, returning nil if absent.
@@ -244,7 +302,7 @@ func (g *Graph) FindVertex(id VertexID) *Vertex {
 		t.Branch(siteFindProbe, true)
 	}
 	sh.mu.RLock()
-	v := sh.index[id]
+	v := g.lookup(sh, id)
 	sh.mu.RUnlock()
 	if t != nil {
 		if v != nil {
@@ -269,7 +327,7 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		t.Load(sh.bucketAddr(id), indexBucketBytes)
 	}
 	sh.mu.Lock()
-	if old, ok := sh.index[id]; ok && !old.dead {
+	if old := g.lookup(sh, id); old != nil && !old.dead {
 		sh.mu.Unlock()
 		if t != nil {
 			t.Load(old.addr, vertexRecordBytes)
@@ -277,16 +335,16 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		}
 		return old, false
 	}
-	nprops := g.sch.cap
-	v = &Vertex{ID: id, props: make([]float64, nprops)}
-	sh.index[id] = v
+	v = &Vertex{ID: id}
+	v.chunk, v.row = g.rows.next(g.sch.cap)
+	g.setIndex(sh, id, v)
 	sh.verts = append(sh.verts, v)
 	grew := g.place(sh, v)
 	sh.mu.Unlock()
 	g.nVerts.Add(1)
 	if t != nil {
 		t.Store(sh.bucketAddr(id), indexBucketBytes)
-		t.Store(v.addr, Size32(uint64(vertexRecordBytes+nprops*propSlotBytes)))
+		t.Store(v.addr, Size32(g.recordBytes()))
 		if grew {
 			// Rehash: stream the old table through the new one.
 			t.Load(sh.idxAddr, Size32(sh.idxCap/2*indexBucketBytes))
@@ -297,12 +355,18 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 	return v, true
 }
 
+// recordBytes is the simulated size of a vertex record with its property
+// block: every reserved slot, whatever has been written.
+func (g *Graph) recordBytes() uint64 {
+	return vertexRecordBytes + uint64(g.sch.cap)*propSlotBytes
+}
+
 // place gives a new vertex record of sh its simulated layout: the record's
 // address and the simulated index table's count and doubling, which it
 // reports. AddVertex calls it under the shard lock, Bulk, in vertex order,
 // on a graph no one else can see yet.
 func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
-	v.addr = g.arena.Alloc(vertexRecordBytes+uint64(len(v.props))*propSlotBytes, 64)
+	v.addr = g.arena.Alloc(g.recordBytes(), 64)
 	sh.idxCount++
 	if grew = sh.idxCount*2 > sh.idxCap; grew {
 		sh.idxCap *= 2
@@ -314,37 +378,33 @@ func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
 // growEdges moves v's out-edge chunk to a new simulated address with doubled
 // capacity, accounting for the copy.
 func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
-	newCap := v.edgeCap * 2
-	if newCap < 4 {
-		newCap = 4
-	}
+	oldCap := int(v.edgeCap)
+	newCap := Index32(max(2*oldCap, 4))
 	old := v.edgeAddr
 	v.edgeAddr = g.arena.Alloc(uint64(newCap)*g.edgeRec, 64)
-	if t != nil && v.edgeCap > 0 {
-		t.Load(old, Size32(uint64(v.edgeCap)*g.edgeRec))
-		t.Store(v.edgeAddr, Size32(uint64(v.edgeCap)*g.edgeRec))
-		t.Inst(uint64(4 + v.edgeCap))
+	if t != nil && oldCap > 0 {
+		t.Load(old, Size32(uint64(oldCap)*g.edgeRec))
+		t.Store(v.edgeAddr, Size32(uint64(oldCap)*g.edgeRec))
+		t.Inst(uint64(4 + oldCap))
 	}
 	v.edgeCap = newCap
 }
 
 func (g *Graph) growIn(v *Vertex, t mem.Tracker) {
-	newCap := v.inCap * 2
-	if newCap < 4 {
-		newCap = 4
-	}
+	oldCap := int(v.inCap)
+	newCap := Index32(max(2*oldCap, 4))
 	old := v.inAddr
 	v.inAddr = g.arena.Alloc(uint64(newCap)*inRecordBytes, 64)
-	if t != nil && v.inCap > 0 {
-		t.Load(old, Size32(uint64(v.inCap)*inRecordBytes))
-		t.Store(v.inAddr, Size32(uint64(v.inCap)*inRecordBytes))
-		t.Inst(uint64(4 + v.inCap/2))
+	if t != nil && oldCap > 0 {
+		t.Load(old, Size32(uint64(oldCap)*inRecordBytes))
+		t.Store(v.inAddr, Size32(uint64(oldCap)*inRecordBytes))
+		t.Inst(uint64(4 + oldCap/2))
 	}
 	v.inCap = newCap
 }
 
 func (g *Graph) appendOut(src *Vertex, e Edge, t mem.Tracker) {
-	if len(src.Out) >= src.edgeCap {
+	if len(src.Out) >= int(src.edgeCap) {
 		g.growEdges(src, t)
 	}
 	src.Out = append(src.Out, e)
@@ -359,7 +419,7 @@ func (g *Graph) appendOut(src *Vertex, e Edge, t mem.Tracker) {
 }
 
 func (g *Graph) appendIn(dst *Vertex, src VertexID, t mem.Tracker) {
-	if len(dst.In) >= dst.inCap {
+	if len(dst.In) >= int(dst.inCap) {
 		g.growIn(dst, t)
 	}
 	dst.In = append(dst.In, src)
@@ -414,7 +474,7 @@ func (g *Graph) AddEdge(src, dst VertexID, w float64) error {
 			t.Load(dsh.bucketAddr(dst), indexBucketBytes)
 		}
 		dsh.mu.RLock()
-		dv = dsh.index[dst]
+		dv = g.lookup(dsh, dst)
 		dsh.mu.RUnlock()
 		if dv != nil && dv.dead {
 			dv = nil
@@ -512,7 +572,7 @@ func (g *Graph) GetProp(v *Vertex, slot int) float64 {
 		t.Load(v.propAddr(slot), propSlotBytes)
 		t.Exit()
 	}
-	return v.props[slot]
+	return v.Prop(slot)
 }
 
 // SetProp writes property slot of v through the framework.
@@ -523,15 +583,8 @@ func (g *Graph) SetProp(v *Vertex, slot int, x float64) {
 		t.Store(v.propAddr(slot), propSlotBytes)
 		t.Exit()
 	}
-	v.props[slot] = x
+	v.SetPropRaw(slot, x)
 }
-
-// Prop returns v's property without framework accounting; native kernels
-// on hot paths use it after the algorithm has located the vertex.
-func (v *Vertex) Prop(slot int) float64 { return v.props[slot] }
-
-// SetPropRaw writes v's property without framework accounting.
-func (v *Vertex) SetPropRaw(slot int, x float64) { v.props[slot] = x }
 
 // removeOutRecord deletes the first record src->dst, reporting whether one
 // was removed. Caller holds src's shard lock (or runs single-threaded).
@@ -690,8 +743,9 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 	v.dead = true
 	sh := g.shardOf(id)
 	sh.mu.Lock()
-	delete(sh.index, id)
+	g.setIndex(sh, id, nil)
 	delete(sh.eprops, v)
+	delete(sh.meta, v)
 	sh.idxCount--
 	sh.mu.Unlock()
 	g.nVerts.Add(-1)

@@ -1,6 +1,7 @@
 package property
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -196,6 +197,36 @@ func TestProperties(t *testing.T) {
 	g.SetProp(v, extra, 7)
 	if v.Prop(extra) != 7 {
 		t.Error("raw Prop disagrees with SetProp")
+	}
+}
+
+// A field the schema has no room for is refused before it is registered:
+// the schema must not be left naming a slot no vertex has.
+func TestEnsureFieldRefusalLeavesSchema(t *testing.T) {
+	g := New(Options{Schema: NewSchema("a")})
+	sch := g.Schema()
+	for i := 1; i < sch.Cap(); i++ {
+		g.EnsureField(fmt.Sprintf("f%d", i))
+	}
+	v, _ := g.AddVertex(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("EnsureField past the capacity did not panic")
+			}
+		}()
+		g.EnsureField("one too many")
+	}()
+	if sch.NumFields() != sch.Cap() || sch.Field("one too many") != -1 || len(sch.Names()) != sch.Cap() {
+		t.Errorf("refused field left %d fields (capacity %d), Field = %d", sch.NumFields(), sch.Cap(), sch.Field("one too many"))
+	}
+	if again := g.EnsureField("f3"); again != 3 {
+		t.Errorf("EnsureField of a registered field on a full schema = %d, want 3", again)
+	}
+	last := sch.Cap() - 1
+	g.SetProp(v, last, 5)
+	if g.GetProp(v, last) != 5 {
+		t.Error("last slot of a full schema does not hold its value")
 	}
 }
 

@@ -15,6 +15,12 @@ type idIndex struct {
 // what it indexes. Generated datasets number their vertices 0..n-1.
 func denseIDLimit(n int) uint64 { return uint64(4*n) + 1024 }
 
+// denseIDs reports whether n vertices whose largest ID is maxID get a flat
+// table: the one rule the View's index and Bulk's id→vertex table share.
+func denseIDs(n int, maxID VertexID) bool {
+	return n > 0 && uint64(maxID) < denseIDLimit(n)
+}
+
 // get returns id's index, or -1.
 func (x *idIndex) get(id VertexID) int32 {
 	if uint64(id) < uint64(len(x.flat)) {

@@ -20,6 +20,15 @@ func Index32(i int) int32 {
 	return int32(i)
 }
 
+// Index16 converts a non-negative index (a row of a property chunk) to
+// uint16, panicking when it does not fit.
+func Index16(i int) uint16 {
+	if i < 0 || i > math.MaxUint16 {
+		panic("property: index overflows uint16")
+	}
+	return uint16(i)
+}
+
 // Size32 converts a byte or element count to uint32, panicking when it
 // does not fit.
 func Size32(n uint64) uint32 {

@@ -48,7 +48,7 @@ func RelayoutPartitioned(g *Graph, vw *View, regionBytes uint64) {
 }
 
 func relayoutVertex(g *Graph, v *Vertex) {
-	v.addr = g.arena.Alloc(vertexRecordBytes+uint64(len(v.props))*propSlotBytes, 64)
+	v.addr = g.arena.Alloc(g.recordBytes(), 64)
 	if v.edgeCap > 0 {
 		v.edgeAddr = g.arena.Alloc(uint64(v.edgeCap)*g.edgeRec, 64)
 	}

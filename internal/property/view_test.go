@@ -424,15 +424,19 @@ func TestRelayoutPreservesContent(t *testing.T) {
 	}
 	before := make([]snap, vw.Len())
 	for i, v := range vw.Verts {
-		before[i] = snap{v.ID, append([]float64(nil), v.props...), append([]Edge(nil), v.Out...)}
+		props := make([]float64, g.Schema().Cap())
+		for k := range props {
+			props[k] = v.Prop(k)
+		}
+		before[i] = snap{v.ID, props, append([]Edge(nil), v.Out...)}
 	}
 	Relayout(g, vw)
 	for i, v := range vw.Verts {
 		if v.ID != before[i].id {
 			t.Fatalf("vertex %d ID changed", i)
 		}
-		for k := range v.props {
-			if v.props[k] != before[i].props[k] {
+		for k := range before[i].props {
+			if v.Prop(k) != before[i].props[k] {
 				t.Fatalf("vertex %d prop %d changed", i, k)
 			}
 		}
