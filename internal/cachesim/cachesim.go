@@ -6,6 +6,12 @@ package cachesim
 
 // Config describes one set-associative cache (or, with LineBytes 1, a TLB
 // over page numbers).
+//
+// New rounds the set count SizeBytes/LineBytes/Ways down to a power of two
+// (and LineBytes up to one), so a size that is not a power-of-two multiple
+// of LineBytes*Ways is modelled smaller than declared: 24 MiB at 16 ways and
+// 64-byte lines is 16 384 sets, 16 MiB. Every recorded figure was counted
+// over that geometry; Sets reports it.
 type Config struct {
 	SizeBytes int
 	LineBytes int
@@ -55,40 +61,48 @@ func New(c Config) *Cache {
 	}
 }
 
+// set returns the way list of line's set.
+func (c *Cache) set(line uint64) []uint64 {
+	s := int(line&c.setMask) * c.ways
+	return c.tags[s : s+c.ways : s+c.ways]
+}
+
 // AccessLine touches the given line address and reports whether it hit.
+// A hit on way 0 is the common case (the line touched last in its set) and
+// leaves the LRU order as it was, so only the counter moves.
 func (c *Cache) AccessLine(line uint64) bool {
 	c.accesses++
-	set := int(line&c.setMask) * c.ways
-	ways := c.tags[set : set+c.ways]
-	tag := line + 1
-	for i, t := range ways {
-		if t == tag {
-			copy(ways[1:i+1], ways[:i]) // move to front (MRU)
-			ways[0] = tag
-			return true
-		}
+	ways, tag := c.set(line), line+1
+	if ways[0] == tag {
+		return true
 	}
-	c.misses++
-	copy(ways[1:], ways[:c.ways-1])
-	ways[0] = tag
-	return false
+	hit := toFront(ways, tag)
+	if !hit {
+		c.misses++
+	}
+	return hit
 }
 
 // Install places a line into the cache as MRU without touching the
 // access/miss counters — the fill path used by prefetchers.
-func (c *Cache) Install(line uint64) {
-	set := int(line&c.setMask) * c.ways
-	ways := c.tags[set : set+c.ways]
-	tag := line + 1
-	for i, t := range ways {
+func (c *Cache) Install(line uint64) { toFront(c.set(line), line+1) }
+
+// toFront makes tag the MRU way of its set, reporting whether tag was in
+// the set. The ways in front of it (all of them, evicting the last, when
+// it was not) move back one place in the same pass that looks for it: each
+// step stores the way before it and carries its own on. A set is a few
+// ways deep, and this one loop beats a scan followed by a copy (memmove)
+// on hits and misses alike.
+func toFront(ways []uint64, tag uint64) (hit bool) {
+	carried := tag
+	for j, t := range ways {
+		ways[j] = carried
 		if t == tag {
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = tag
-			return
+			return true
 		}
+		carried = t
 	}
-	copy(ways[1:], ways[:c.ways-1])
-	ways[0] = tag
+	return false
 }
 
 // Access touches the line containing byte address addr.
@@ -99,6 +113,10 @@ func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
 
 // LineShift returns log2 of the line size.
 func (c *Cache) LineShift() uint { return c.lineShift }
+
+// Sets returns the number of sets modelled: SizeBytes/LineBytes/Ways rounded
+// down to a power of two, so the effective capacity is Sets()*Ways*LineBytes.
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Accesses returns the total probes so far.
 func (c *Cache) Accesses() uint64 { return c.accesses }

@@ -9,7 +9,11 @@
 // ICache MPKI and branch miss rate (Fig 6), and IPC (Figs 8 and 9).
 package perfmon
 
-// CacheConfig describes one set-associative cache level.
+// CacheConfig describes one set-associative cache level. LineBytes is a
+// power of two (cachesim rounds any other up to one), and the set count
+// SizeBytes/LineBytes/Ways is rounded down to a power of two: a level whose
+// size is not a power-of-two multiple of LineBytes*Ways is modelled
+// smaller than declared (see DefaultConfig's L3).
 type CacheConfig struct {
 	SizeBytes int
 	LineBytes int
@@ -21,7 +25,11 @@ type CacheConfig struct {
 
 // Config describes the simulated machine. DefaultConfig models the paper's
 // test machine (Table 6): a dual-socket Xeon-class core with 32KB L1D,
-// 256KB L2 and a large shared LLC.
+// 256KB L2 and a large shared LLC. The LLC is declared as 24 MiB at 16
+// ways, 24 576 sets; cachesim rounds that down to 16 384 sets, so the
+// modelled L3 holds 16 MiB. Every committed figure was counted over those
+// 16 MiB: making the model hold the declared size changes them all and is
+// a deliberate, recounted change (TestEffectiveCacheGeometry pins it).
 type Config struct {
 	L1D CacheConfig
 	L2  CacheConfig

@@ -154,6 +154,90 @@ func TestQuickMetricsSane(t *testing.T) {
 	}
 }
 
+// TestHotJumpThresholdMatchesDivision: for every draw, the integer compare
+// Branch makes sends the jump where float64(draw)/1e6 < HotJumpProb would.
+func TestHotJumpThresholdMatchesDivision(t *testing.T) {
+	probs := []float64{0, 0.5, 0.9, 0.995, 1, 1.5, -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		0.0000005, 0.9999995, math.Nextafter(0.995, 1), math.Nextafter(0.995, 0), math.SmallestNonzeroFloat64}
+	for _, prob := range probs {
+		th := hotJumpThreshold(prob)
+		for x := uint64(0); x < jumpDraws; x++ {
+			if want := float64(x)/jumpDraws < prob; (x < th) != want {
+				t.Fatalf("HotJumpProb %v: draw %d goes hot=%v by the threshold %d, %v by division", prob, x, x < th, th, want)
+			}
+		}
+	}
+}
+
+// TestBranchHotJumpAtTheThreshold steers the jump generator onto the draws
+// on either side of the threshold and checks where Branch sends the PC.
+func TestBranchHotJumpAtTheThreshold(t *testing.T) {
+	const mul, inc = 6364136223846793005, 1442695040888963407
+	inv := uint64(mul) // Newton's iteration for mul⁻¹ mod 2^64
+	for range 6 {
+		inv *= 2 - mul*inv
+	}
+	cfg := DefaultConfig()
+	cfg.HotRegionBytes = 7 // below 7, unlike a cold landing from these draws
+	th := hotJumpThreshold(cfg.HotJumpProb)
+	for _, x := range []uint64{th - 1, th, th + 1, jumpDraws - 1} {
+		p := NewProfile(cfg)
+		p.jumpRNG = (x<<33 - inc) * inv // the next draw is x
+		p.Branch(1, true)
+		want := x % uint64(cfg.CodeFootprintBytes)
+		if float64(x)/jumpDraws < cfg.HotJumpProb {
+			want = x % uint64(cfg.HotRegionBytes)
+		}
+		if p.pc != want {
+			t.Errorf("draw %d: pc %d, want %d", x, p.pc, want)
+		}
+	}
+}
+
+// TestPCWrapsAtTheSpanEnd: the sequential PC wraps to the start of the
+// code span exactly when it reaches the span's end, however far it runs.
+func TestPCWrapsAtTheSpanEnd(t *testing.T) {
+	cfg := DefaultConfig()
+	fp := uint64(cfg.CodeFootprintBytes)
+	for _, c := range []struct{ pc, n, want uint64 }{
+		{0, 1, 4},
+		{fp - 8, 1, fp - 4},
+		{fp - 4, 1, 0},
+		{fp - 4, 3, 8},
+		{fp - 4, fp/2 + 1, 0}, // two whole spans past the end
+	} {
+		p := NewProfile(cfg)
+		p.pc = c.pc
+		p.Inst(c.n)
+		if p.pc != c.want {
+			t.Errorf("pc %d + %d insts: pc %d, want %d", c.pc, c.n, p.pc, c.want)
+		}
+	}
+}
+
+// TestEffectiveCacheGeometry pins what DefaultConfig's caches hold as
+// modelled: the L3's 24 MiB is rounded to 16 MiB (16 384 sets). A change
+// here moves every figure; make it on purpose, with the figures recounted.
+func TestEffectiveCacheGeometry(t *testing.T) {
+	cfg := DefaultConfig()
+	p := NewProfile(cfg)
+	for _, c := range []struct {
+		name       string
+		sets, ways int
+		line, want int
+		declared   int
+	}{
+		{"L1D", p.l1d.Sets(), cfg.L1D.Ways, cfg.L1D.LineBytes, 32 << 10, cfg.L1D.SizeBytes},
+		{"L2", p.l2.Sets(), cfg.L2.Ways, cfg.L2.LineBytes, 256 << 10, cfg.L2.SizeBytes},
+		{"L3", p.l3.Sets(), cfg.L3.Ways, cfg.L3.LineBytes, 16 << 20, cfg.L3.SizeBytes},
+		{"L1I", p.l1i.Sets(), cfg.L1I.Ways, cfg.L1I.LineBytes, 32 << 10, cfg.L1I.SizeBytes},
+	} {
+		if got := c.sets * c.ways * c.line; got != c.want {
+			t.Errorf("%s (declared %d B) is modelled as %d sets, %d B; pinned at %d B", c.name, c.declared, c.sets, got, c.want)
+		}
+	}
+}
+
 func TestDefaultConfigMatchesTable6Spirit(t *testing.T) {
 	c := DefaultConfig()
 	if c.L1D.SizeBytes != 32<<10 || c.L2.SizeBytes != 256<<10 {

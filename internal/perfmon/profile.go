@@ -1,6 +1,8 @@
 package perfmon
 
 import (
+	"sort"
+
 	"github.com/graphbig/graphbig-go/internal/cachesim"
 	"github.com/graphbig/graphbig-go/internal/mem"
 )
@@ -27,7 +29,9 @@ type Profile struct {
 
 	pc         uint64 // synthetic program counter (byte address in code span)
 	fetched    uint64 // last fetched I-line
+	iShift     uint   // log2 of the I-line size: pc>>iShift is pc's line
 	jumpRNG    uint64
+	hotJump    uint64 // jump draws below it land in the hot region
 	prefetched uint64 // last line staged by the adjacent-line prefetcher
 
 	l2PrefetchProbes uint64
@@ -41,6 +45,7 @@ func toCS(c CacheConfig) cachesim.Config {
 
 // NewProfile returns a profile over cfg.
 func NewProfile(cfg Config) *Profile {
+	l1i := cachesim.New(toCS(cfg.L1I))
 	return &Profile{
 		cfg:     cfg,
 		l1d:     cachesim.New(toCS(cfg.L1D)),
@@ -48,11 +53,28 @@ func NewProfile(cfg Config) *Profile {
 		l3:      cachesim.New(toCS(cfg.L3)),
 		dtlb:    cachesim.NewTLB(cfg.DTLBEntries, cfg.DTLBWays, cfg.PageBytes),
 		stlb:    cachesim.NewTLB(cfg.STLBEntries, cfg.STLBWays, cfg.PageBytes),
-		l1i:     cachesim.New(toCS(cfg.L1I)),
+		l1i:     l1i,
 		bp:      newGshare(cfg.PredictorBits, cfg.HistoryBits),
+		iShift:  l1i.LineShift(),
 		jumpRNG: 0x9e3779b97f4a7c15,
+		hotJump: hotJumpThreshold(cfg.HotJumpProb),
 		stack:   make([]mem.Class, 1, 16),
 	}
+}
+
+// jumpDraws is the resolution of the hot-jump draw: a taken branch draws
+// r%jumpDraws and goes to the hot region with probability HotJumpProb.
+const jumpDraws = 1000000
+
+// hotJumpThreshold returns how many of the draws 0..jumpDraws-1 send a
+// taken branch to the hot region, those x with float64(x)/jumpDraws < prob.
+// The quotient never falls as x grows, so they are a prefix of the range
+// and Branch compares its draw with this count instead of dividing: the
+// same outcome for every draw and every prob, NaN (no draw) included.
+func hotJumpThreshold(prob float64) uint64 {
+	return uint64(sort.Search(jumpDraws, func(x int) bool {
+		return !(float64(x)/jumpDraws < prob)
+	}))
 }
 
 // Config returns the machine model in use.
@@ -133,7 +155,7 @@ func (p *Profile) Branch(site uint32, taken bool) {
 		// despite branchy code — the flat framework's hot loops fit in L1I.
 		p.jumpRNG = p.jumpRNG*6364136223846793005 + 1442695040888963407
 		r := p.jumpRNG >> 33
-		if float64(r%1000000)/1000000 < p.cfg.HotJumpProb {
+		if r%jumpDraws < p.hotJump {
 			p.pc = r % uint64(p.cfg.HotRegionBytes)
 		} else {
 			p.pc = r % uint64(p.cfg.CodeFootprintBytes)
@@ -145,21 +167,25 @@ func (p *Profile) Branch(site uint32, taken bool) {
 }
 
 // advancePC moves the sequential fetch stream forward n instructions,
-// touching the ICache once per newly entered line.
+// touching the ICache once per newly entered line. The PC wraps at the end
+// of the code span; end%fp is end itself while end < fp, so the division
+// runs only on the calls that reach the end of the span.
 func (p *Profile) advancePC(n uint64) {
 	end := p.pc + n*uint64(p.cfg.BytesPerInst)
-	lineBytes := uint64(p.cfg.L1I.LineBytes)
-	for l := p.pc / lineBytes; l <= end/lineBytes; l++ {
+	for l := p.pc >> p.iShift; l <= end>>p.iShift; l++ {
 		if l != p.fetched {
 			p.l1i.AccessLine(l)
 			p.fetched = l
 		}
 	}
-	p.pc = end % uint64(p.cfg.CodeFootprintBytes)
+	if fp := uint64(p.cfg.CodeFootprintBytes); end >= fp {
+		end %= fp
+	}
+	p.pc = end
 }
 
 func (p *Profile) fetchAt(pc uint64) {
-	l := pc / uint64(p.cfg.L1I.LineBytes)
+	l := pc >> p.iShift
 	if l != p.fetched {
 		p.l1i.AccessLine(l)
 		p.fetched = l

@@ -118,8 +118,8 @@ type Options struct {
 	// Shards is the lock-shard count (power of two; default 256).
 	Shards int
 	// Hint is the expected vertex count. It sizes the simulated index
-	// tables, and the shard maps of a graph built by AddVertex; Bulk sizes
-	// its Go-side index from its input instead.
+	// tables, and the shard maps of a graph built by AddVertex; Bulk and
+	// Clone size their Go-side index from the vertices they copy instead.
 	Hint int
 }
 
@@ -135,11 +135,11 @@ type Graph struct {
 	arena     *mem.Arena
 	trk       mem.Tracker
 
-	// flat is the id→vertex table of a graph bulk-built over dense IDs: the
-	// entry of every ID below len(flat), nil when absent. Slot id is read and
-	// written under the lock of id's shard, like the map entry it stands
-	// for; the table itself is made before the graph is shared and never
-	// resized, so IDs past it live in the shard maps.
+	// flat is the id→vertex table of a graph bulk-built or cloned over
+	// dense IDs: the entry of every ID below len(flat), nil when absent.
+	// Slot id is read and written under the lock of id's shard, like the map
+	// entry it stands for; the table itself is made before the graph is
+	// shared and never resized, so IDs past it live in the shard maps.
 	flat []*Vertex
 
 	// rows hands AddVertex the property rows of the vertices it creates.
@@ -156,9 +156,9 @@ var ErrNeedInEdges = errors.New("property: DeleteVertex on a directed graph requ
 // New returns an empty graph.
 func New(opt Options) *Graph { return newGraph(opt, true) }
 
-// newGraph is New with or without the shard maps: Bulk, which knows its
-// vertices, leaves them out and gives the graph a flat table or exact-size
-// maps instead.
+// newGraph is New with or without the shard maps: Bulk and Clone, which
+// know their vertices, leave them out and give the graph a flat table or
+// exact-size maps instead.
 func newGraph(opt Options, maps bool) *Graph {
 	ns := opt.Shards
 	if ns <= 0 {

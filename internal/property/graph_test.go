@@ -2,6 +2,7 @@ package property
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -317,6 +318,108 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if len(g.FindVertex(0).Out) != 1 {
 		t.Error("original adjacency corrupted by clone deletion")
+	}
+}
+
+// TestCloneKeepsFlatIndex: a clone indexes its live vertices the way Bulk
+// would index them, by one flat table while denseIDs holds for their
+// number and largest ID (tombstones count toward neither) and by shard maps
+// otherwise. Its simulated layout, and after the same AddVertex /
+// DeleteVertex calls inside and outside the table everything else, equals
+// that of a clone made without a table.
+func TestCloneKeepsFlatIndex(t *testing.T) {
+	const n = 100
+	limit := VertexID(denseIDLimit(n))
+	base := func(last VertexID) []VertexID {
+		ids := make([]VertexID, 0, n)
+		for i := VertexID(0); i < n-1; i++ {
+			ids = append(ids, i)
+		}
+		return append(ids, last)
+	}
+	span := func(lo, k VertexID) []VertexID {
+		var ids []VertexID
+		for i := lo; i < lo+k; i++ {
+			ids = append(ids, i)
+		}
+		return ids
+	}
+	cases := []struct {
+		name       string
+		live, dead []VertexID
+		flat       int // len of the clone's table; 0 = shard maps
+	}{
+		{"largest ID one below the limit", base(limit - 1), nil, int(limit)},
+		{"largest ID at the limit", base(limit), nil, 0},
+		{"largest ID 2^64-1", base(math.MaxUint64), nil, 0},
+		{"dead IDs past the limit", base(n - 1), []VertexID{limit, limit + 9, math.MaxUint64}, n},
+		// Counting these 60 tombstones, limit would be dense for 160 IDs.
+		{"dead IDs would make it dense", base(limit), span(2*n, 60), 0},
+	}
+	for _, mode := range bulkModes {
+		if mode.opt.Directed && !mode.opt.TrackInEdges {
+			continue // DeleteVertex needs the in-lists
+		}
+		for _, tc := range cases {
+			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
+				opt := mode.opt
+				opt.Schema = NewSchema("a")
+				g := New(opt)
+				for _, id := range append(append([]VertexID(nil), tc.live...), tc.dead...) {
+					g.AddVertex(id)
+				}
+				all := append(append([]VertexID(nil), tc.live...), tc.dead...)
+				for i, id := range all {
+					g.AddEdge(id, all[(7*i+3)%len(all)], float64(i))
+					g.SetProp(g.FindVertex(id), 0, float64(id%1000))
+				}
+				for _, id := range tc.dead {
+					if _, err := g.DeleteVertex(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c, ref := Clone(g), clone(g, false)
+				if len(c.flat) != tc.flat {
+					t.Fatalf("clone has a flat table of %d entries, want %d", len(c.flat), tc.flat)
+				}
+				for i := range c.shards {
+					if (c.shards[i].index != nil) == (tc.flat > 0) {
+						t.Fatalf("shard %d has map %v beside a table of %d", i, c.shards[i].index, len(c.flat))
+					}
+				}
+				if ref.flat != nil {
+					t.Fatal("clone(g, false) made a flat table")
+				}
+				if d := diffGraphs(c, ref); d != "" {
+					t.Fatalf("as cloned: %s", d)
+				}
+				// Inside the table (a hole, a live ID) and outside it.
+				for _, id := range []VertexID{n + 5, 3, limit + 100, math.MaxUint64 - 1} {
+					for _, h := range []*Graph{c, ref} {
+						h.AddVertex(id)
+						if h.FindVertex(id) == nil {
+							t.Fatalf("vertex %d not found after AddVertex", id)
+						}
+					}
+				}
+				for _, id := range []VertexID{n + 5, limit + 100, 0} {
+					for _, h := range []*Graph{c, ref} {
+						if _, err := h.DeleteVertex(id); err != nil {
+							t.Fatal(err)
+						}
+						if h.FindVertex(id) != nil {
+							t.Fatalf("vertex %d found after DeleteVertex", id)
+						}
+					}
+				}
+				if d := diffGraphs(c, ref); d != "" {
+					t.Fatalf("after AddVertex/DeleteVertex on both: %s", d)
+				}
+				if err := Validate(c); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -60,6 +60,8 @@ var idRegimes = []struct {
 // bulk-built graph — AddVertex inside and outside the flat table, fields
 // registered after construction, writes through both setters, DeleteVertex
 // then AddVertex of the same ID, Clone — against one []float64 per live ID.
+// A clone must have a flat table exactly when denseIDs holds for the live
+// IDs, and the layout of a clone made without one.
 func TestPropStorageMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	for _, regime := range idRegimes {
@@ -129,6 +131,20 @@ func TestPropStorageMatchesModel(t *testing.T) {
 					}
 				case op == 5:
 					c := Clone(g)
+					var maxID VertexID
+					for id := range model {
+						maxID = max(maxID, id)
+					}
+					if dense := denseIDs(len(model), maxID); (c.flat != nil) != dense || dense && uint64(len(c.flat)) != uint64(maxID)+1 {
+						t.Fatalf("%s: clone of %d live vertices up to ID %d has a flat table of %d entries", regime.name, len(model), maxID, len(c.flat))
+					}
+					if d := diffGraphs(c, clone(g, false)); d != "" {
+						t.Fatalf("%s: the clone and a clone without a flat table differ: %s", regime.name, d)
+					}
+					// The clone's own table edge and the limit for its vertex
+					// count join the pool.
+					limit := VertexID(denseIDLimit(len(model)))
+					pool = append(pool, VertexID(len(c.flat))-1, VertexID(len(c.flat)), limit-1, limit)
 					if v := g.FindVertex(id); v != nil {
 						c.FindVertex(id).SetPropRaw(0, -1)
 						if got := v.Prop(0); got != model[id][0] {

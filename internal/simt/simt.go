@@ -38,7 +38,10 @@ type Config struct {
 }
 
 // KeplerConfig models the paper's Tesla K40: 15 SMs, 745 MHz, 288 GB/s,
-// 1.5 MB L2.
+// 1.5 MB L2. The L2 is a cachesim.Cache, which rounds the declared 768 sets
+// (1.5 MiB over 16 ways of 128-byte segments) down to 512: the modelled L2
+// holds 1 MiB, and every committed GPU figure was counted over that
+// (TestEffectiveL2Geometry pins it).
 func KeplerConfig() Config {
 	return Config{
 		WarpSize:             32,

@@ -217,3 +217,15 @@ func TestSharedMixedWithGlobal(t *testing.T) {
 		t.Errorf("replays = %d, want 1 (one bank conflict, coalesced load)", st.Replays)
 	}
 }
+
+// TestEffectiveL2Geometry pins what KeplerConfig's L2 holds as modelled:
+// the declared 1.5 MiB is rounded to 512 sets of 16 × 128 B, 1 MiB. A
+// change here moves every GPU figure; make it on purpose, recounted.
+func TestEffectiveL2Geometry(t *testing.T) {
+	cfg := KeplerConfig()
+	d := NewDevice(cfg)
+	if cfg.L2Bytes != 1536<<10 || d.l2.Sets() != 512 || d.l2.Sets()*cfg.L2Ways*cfg.SegmentBytes != 1<<20 {
+		t.Errorf("L2 declared %d B is modelled as %d sets of %d × %d B; pinned at 1.5 MiB as 512 sets, 1 MiB",
+			cfg.L2Bytes, d.l2.Sets(), cfg.L2Ways, cfg.SegmentBytes)
+	}
+}
