@@ -1,5 +1,5 @@
-// Command graphbig-ratchet is the compiler-truth side of the boundscheck
-// and escape analyzers. It compiles the hot packages once with the
+// Command graphbig-ratchet holds the hot packages to what the compiler
+// decided about them. It compiles the hot packages once with the
 // compiler's own diagnostics switched on, counts per file what each
 // probe looks for, and ratchets the counts against
 // results/ratchet_baseline.json:
@@ -9,12 +9,10 @@
 //   - alloc: the heap-escape decisions ("moved to heap: x", "... escapes
 //     to heap") of escape analysis (-m=2).
 //
-// The analyzers reason about what should be provable or should stay on
-// the stack; this tool measures what the compiler decided. The two
-// disagree at the margins, so the contract is a ratchet, not equality: a
-// change that grows a file's count — a retained check or a per-call
-// allocation in steady-state traversal code, which a timing cannot
-// localize — fails CI until the baseline is rewritten with -write.
+// The contract is a ratchet: a change that grows a file's count — a
+// retained check or a per-call allocation in steady-state traversal
+// code, which a timing cannot localize — fails CI until the baseline is
+// rewritten with -write.
 //
 // Only decision lines are counted, and an identical line once. For each
 // escaping value -m=2 prints an explanation header ("x escapes to heap:",
@@ -63,7 +61,7 @@ var probes = []probe{{
 	name:   "bce",
 	gcflag: "-d=ssa/check_bce/debug=1",
 	re:     regexp.MustCompile(`^(.*\.go):\d+:\d+: Found Is(?:Slice)?InBounds$`),
-	// The boundscheck analyzer's scope: inner loops that pay per edge.
+	// The packages whose inner loops pay per edge.
 	pkgs:   []string{"internal/engine", "internal/csr", "internal/concurrent", "internal/workloads"},
 	noun:   "retained bounds checks",
 	advice: "eliminate the checks",

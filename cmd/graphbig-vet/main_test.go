@@ -13,16 +13,11 @@ import (
 // multichecker with documentation and a runner (per-package or module).
 func TestAnalyzersRegistered(t *testing.T) {
 	as := Analyzers()
-	want := []string{"determinism", "trackedprim", "hotloop", "atomichygiene", "escape", "lockset", "purity", "boundscheck", "overflowconv", "divmod", "spawnsite", "wgbalance", "phasediscipline", "sharedwrite", "immutview", "aliasleak", "nilness", "constprop"}
+	want := []string{"determinism", "hotloop", "overflowconv", "constprop", "aliasleak"}
 	if len(as) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(as), len(want))
 	}
-	module := map[string]bool{
-		"escape": true, "lockset": true, "purity": true,
-		"boundscheck": true, "overflowconv": true, "divmod": true,
-		"spawnsite": true, "wgbalance": true, "phasediscipline": true, "sharedwrite": true,
-		"immutview": true, "aliasleak": true, "nilness": true, "constprop": true,
-	}
+	module := map[string]bool{"overflowconv": true, "constprop": true, "aliasleak": true}
 	for i, a := range as {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d = %q, want %q", i, a.Name, want[i])
@@ -72,7 +67,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("empty -run selected %d analyzers, want %d", len(all), len(Analyzers()))
 	}
 
-	sel, err := selectAnalyzers("aliasleak, sharedwrite ,immutview,sharedwrite")
+	sel, err := selectAnalyzers("aliasleak, constprop ,overflowconv,constprop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	for i, a := range sel {
 		got[i] = a.Name
 	}
-	want := []string{"sharedwrite", "immutview", "aliasleak"}
+	want := []string{"overflowconv", "constprop", "aliasleak"}
 	if len(got) != len(want) {
 		t.Fatalf("selectAnalyzers = %v, want %v", got, want)
 	}
@@ -90,9 +85,9 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	if _, err := selectAnalyzers("sharedwrte"); err == nil {
+	if _, err := selectAnalyzers("aliasleek"); err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown analyzer name")
-	} else if !strings.Contains(err.Error(), "sharedwrte") || !strings.Contains(err.Error(), "sharedwrite") {
+	} else if !strings.Contains(err.Error(), "aliasleek") || !strings.Contains(err.Error(), "aliasleak") {
 		t.Fatalf("unknown-analyzer error should name the typo and the choices: %v", err)
 	}
 
@@ -130,10 +125,10 @@ func TestVetRunFilterTimings(t *testing.T) {
 // justification-free records each count against the tree.
 func TestReportWaivers(t *testing.T) {
 	recs := []analysis.WaiverRecord{
-		{Analyzer: "sharedwrite", File: "a.go", Line: 3, Justification: "pinned by TestX", Used: true},
-		{Analyzer: "sharedwrite", File: "a.go", Line: 9, Justification: "obsolete", Stale: true},
-		{Analyzer: "sharedwrte", File: "b.go", Line: 4, Justification: "typo", Stale: true, Unknown: true},
-		{Analyzer: "immutview", File: "c.go", Line: 7, Used: true},
+		{Analyzer: "aliasleak", File: "a.go", Line: 3, Justification: "pinned by TestX", Used: true},
+		{Analyzer: "aliasleak", File: "a.go", Line: 9, Justification: "obsolete", Stale: true},
+		{Analyzer: "aliasleek", File: "b.go", Line: 4, Justification: "typo", Stale: true, Unknown: true},
+		{Analyzer: "aliasleak", File: "c.go", Line: 7, Used: true},
 	}
 	var out bytes.Buffer
 	bad, err := reportWaivers(&out, recs, false)
@@ -144,7 +139,7 @@ func TestReportWaivers(t *testing.T) {
 		t.Fatalf("reportWaivers counted %d bad waiver(s), want 3", bad)
 	}
 	text := out.String()
-	for _, frag := range []string{"a.go:3: vet:sharedwrite [used]", "STALE", "UNKNOWN ANALYZER", "(NO JUSTIFICATION)"} {
+	for _, frag := range []string{"a.go:3: vet:aliasleak [used]", "STALE", "UNKNOWN ANALYZER", "(NO JUSTIFICATION)"} {
 		if !strings.Contains(text, frag) {
 			t.Fatalf("inventory output missing %q:\n%s", frag, text)
 		}

@@ -33,7 +33,6 @@ import (
 	"go/types"
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
-	"github.com/graphbig/graphbig-go/internal/analysis/immutview"
 	"github.com/graphbig/graphbig-go/internal/analysis/pointsto"
 )
 
@@ -45,8 +44,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // orderPkg is the path suffix of the package whose exported functions
-// must return freshly allocated permutations.
-const orderPkg = "internal/order"
+// must return freshly allocated permutations; propertyPkg publishes the
+// View whose memory is frozen.
+const (
+	orderPkg    = "internal/order"
+	propertyPkg = "internal/property"
+)
 
 // scratchSlots is the registry of phase-recycled scratch fields.
 var scratchSlots = []struct {
@@ -63,7 +66,7 @@ type checker struct {
 	r  *pointsto.Result
 	ws *analysis.WaiverSet
 
-	// frozen is the published-View closure immutview protects.
+	// frozen is the closure of the published View's memory.
 	frozen map[*pointsto.Object]bool
 	// global holds every object reachable from a package-level variable.
 	global map[*pointsto.Object]bool
@@ -81,7 +84,7 @@ func run(mp *analysis.ModulePass) error {
 		m:         m,
 		r:         r,
 		ws:        m.Waivers("aliasleak"),
-		frozen:    immutview.FrozenObjects(m, r),
+		frozen:    frozenObjects(m, r),
 		global:    globalReachable(m, r),
 		slot:      slotFields(m),
 		badWaiver: map[*analysis.Waiver]bool{},
@@ -89,6 +92,41 @@ func run(mp *analysis.ModulePass) error {
 	c.checkOrder()
 	c.checkScratch()
 	return nil
+}
+
+// frozenObjects computes the published View's memory: every object
+// reachable from the return values of the module's View publishers
+// (functions of internal/property returning a *property.View), stopping
+// at the extern blur — traversing it would freeze the universe — and at
+// vertex records, which stay mutable under the graph's own locking.
+func frozenObjects(m *analysis.Module, r *pointsto.Result) map[*pointsto.Object]bool {
+	var seeds []*pointsto.Object
+	for _, pkg := range m.Pkgs {
+		if !analysis.HasPathSuffix(pkg.PkgPath, propertyPkg) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				sig := fn.Type().(*types.Signature)
+				for i := 0; i < sig.Results().Len(); i++ {
+					if analysis.NamedIn(sig.Results().At(i).Type(), "View", propertyPkg) {
+						seeds = append(seeds, r.ReturnObjects(fn, i)...)
+					}
+				}
+			}
+		}
+	}
+	return r.Reachable(seeds, func(o *pointsto.Object) bool {
+		return o.Kind == pointsto.KExtern || o.Type != nil && analysis.NamedIn(o.Type, "Vertex", propertyPkg)
+	})
 }
 
 // globalReachable computes the field/element closure of everything the
@@ -241,8 +279,8 @@ func (c *checker) checkStored(info *types.Info, rhs ast.Expr, pos token.Pos, lab
 			badGlobal = true
 		}
 	}
-	// One finding per store, worst class first: frozen-view aliasing is
-	// the corruption immutview guards, global aliasing leaks scratch
+	// One finding per store, worst class first: frozen-view aliasing
+	// corrupts the published View, global aliasing leaks scratch
 	// writes across engines, extern means unanalyzed code may hold it.
 	switch {
 	case badFrozen:

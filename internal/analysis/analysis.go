@@ -18,8 +18,9 @@
 //   - analysistest.go: a golden-comment test harness compatible with the
 //     x/tools `// want "regexp"` convention.
 //
-// The project's analyzers live in subpackages (determinism, trackedprim,
-// hotloop, atomichygiene) and are aggregated by cmd/graphbig-vet.
+// The project's analyzers live in subpackages (determinism, hotloop,
+// overflowconv, constprop, aliasleak) and are aggregated by
+// cmd/graphbig-vet.
 package analysis
 
 import (

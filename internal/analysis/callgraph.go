@@ -6,8 +6,9 @@ import (
 	"sort"
 )
 
-// This file builds the module-wide call graph the interprocedural
-// analyzers (escape, lockset, purity) traverse. Resolution policy:
+// This file builds the module-wide call graph the module analyzers walk
+// (every declared function, and the return-range summaries of the value
+// range layer). Resolution policy:
 //
 //   - Static calls (package functions, concrete methods) resolve to the
 //     callee's *types.Func; callees declared in the analyzed packages get
@@ -58,9 +59,8 @@ type CGEdge struct {
 	// Kind classifies resolution: "static", "interface" (CHA-resolved),
 	// "ref" (function referenced as a value), "go" (callee spawned as a
 	// goroutine via a go statement), or "defer" (callee invoked through a
-	// defer statement). Spawn edges matter to the concurrency analyzers:
-	// a "go" callee runs on a fresh goroutine, so it inherits neither the
-	// caller's locks (lockset) nor its sequential happens-before position.
+	// defer statement). A "go" callee runs on a fresh goroutine, so it
+	// inherits none of the caller's sequential context.
 	Kind string
 }
 
@@ -218,8 +218,8 @@ func (b *cgBuilder) walkBody(node *CGNode, pkg *Package, body ast.Node) {
 // chaEdges adds class-hierarchy edges for an interface method call: one
 // per module-declared type implementing the interface with this method.
 func (b *cgBuilder) chaEdges(node *CGNode, call *ast.CallExpr, ifaceMethod *types.Func, iface *types.Interface) {
-	// Keep the abstract edge too: purity et al. treat an unresolved
-	// interface callee conservatively.
+	// Keep the abstract edge too, so a walk over the graph can treat an
+	// unresolved interface callee conservatively.
 	b.edge(node, ifaceMethod, call, "interface")
 	name := ifaceMethod.Name()
 	for _, named := range b.named {

@@ -19,9 +19,8 @@ import (
 //     fall-off-the-end, or an explicit panic(...) statement — routes
 //     through a chain of defer.run blocks holding the deferred call
 //     expressions in reverse registration order before reaching Exit.
-//     This is a static over-approximation (all defers run on every exit),
-//     which is the conservative direction for lockset-style analyses:
-//     a deferred Unlock is released only at exit, never mid-body.
+//     This is a static over-approximation (all defers run on every exit):
+//     a deferred call takes effect only at exit, never mid-body.
 //
 // Function literals are NOT inlined into the enclosing CFG: a closure's
 // statements execute when the closure is called, not where it is written,
@@ -135,26 +134,6 @@ func (c *CFG) PostOrder() []*Block {
 	}
 	visit(c.Entry)
 	return order
-}
-
-// BlockOf returns the reachable block holding the smallest node that
-// spans pos, or nil. Smallest-span wins because loop-head blocks carry
-// their whole statement (a RangeStmt's span covers its body) while the
-// body's own statements live in narrower nodes of inner blocks.
-func (c *CFG) BlockOf(pos token.Pos) *Block {
-	var best *Block
-	var bestSpan token.Pos = -1
-	for _, b := range c.Reachable() {
-		for _, n := range b.Nodes {
-			if n.Pos() <= pos && pos <= n.End() {
-				span := n.End() - n.Pos()
-				if bestSpan < 0 || span < bestSpan {
-					best, bestSpan = b, span
-				}
-			}
-		}
-	}
-	return best
 }
 
 type cfgBuilder struct {

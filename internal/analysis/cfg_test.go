@@ -316,3 +316,23 @@ loop:
 		t.Fatal("goto loop did not create a back edge")
 	}
 }
+
+// BlockOf returns the reachable block holding the smallest node that
+// spans pos, or nil. Smallest-span wins because loop-head blocks carry
+// their whole statement (a RangeStmt's span covers its body) while the
+// body's own statements live in narrower nodes of inner blocks.
+func (c *CFG) BlockOf(pos token.Pos) *Block {
+	var best *Block
+	var bestSpan token.Pos = -1
+	for _, b := range c.Reachable() {
+		for _, n := range b.Nodes {
+			if n.Pos() <= pos && pos <= n.End() {
+				span := n.End() - n.Pos()
+				if bestSpan < 0 || span < bestSpan {
+					best, bestSpan = b, span
+				}
+			}
+		}
+	}
+	return best
+}

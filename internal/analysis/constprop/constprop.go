@@ -51,7 +51,7 @@ func run(mp *analysis.ModulePass) error {
 			continue
 		}
 		checkFunc(mp, n.Pkg, info.FuncOf(n.Pkg, n.Decl))
-		for _, lit := range analysis.FuncLits(n.Decl) {
+		for _, lit := range funcLits(n.Decl) {
 			checkFunc(mp, n.Pkg, info.FuncOf(n.Pkg, lit))
 		}
 	}
@@ -350,4 +350,28 @@ func (s *sccp) report() {
 			s.mp.Report(b.Cond.Pos(), "condition is always false; the true branch is unreachable")
 		}
 	}
+}
+
+// funcLits returns every function literal inside decl (a *ast.FuncDecl or
+// *ast.FuncLit) at any depth, in source order — the closure units of the
+// enclosing declaration.
+func funcLits(decl ast.Node) []*ast.FuncLit {
+	var body *ast.BlockStmt
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		body = d.Body
+	case *ast.FuncLit:
+		body = d.Body
+	}
+	var lits []*ast.FuncLit
+	if body == nil {
+		return lits
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+		return true
+	})
+	return lits
 }

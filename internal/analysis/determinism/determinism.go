@@ -19,23 +19,23 @@
 // only.
 //
 // This analyzer is intraprocedural: it flags the sin at its source line,
-// inside the parity scope. Its interprocedural complement is the purity
-// analyzer, which flags parity-scope call sites whose callees outside the
-// scope commit the same sins transitively.
+// inside the parity scope. A sin laundered through a helper outside the
+// scope is left to the golden parity tests, which caught every such row of
+// the catch matrix (results/vet_catch_matrix.json).
 package determinism
 
 import (
 	"go/ast"
+	"go/types"
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
 )
 
-// ParityScope lists the packages whose execution must be bit-reproducible:
+// parityScope lists the packages whose execution must be bit-reproducible:
 // the tracker/simulation pipeline (perfmon, cachesim, simt), everything
 // that feeds it (workloads, gen, bayes), and the dataset serializer/stats
-// used by golden files. The purity analyzer uses the same scope for its
-// interprocedural entry points.
-var ParityScope = []string{
+// used by golden files.
+var parityScope = []string{
 	"internal/perfmon",
 	"internal/simt",
 	"internal/cachesim",
@@ -63,7 +63,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	parity := analysis.HasPathSuffix(pass.Pkg.Path(), ParityScope...)
+	parity := analysis.HasPathSuffix(pass.Pkg.Path(), parityScope...)
 	output := analysis.HasPathSuffix(pass.Pkg.Path(), outputScope...)
 	if !parity && !output {
 		return nil
@@ -71,14 +71,14 @@ func run(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			if analysis.IsMap(pass.TypesInfo, n.X) && !analysis.IsKeyCollectionRange(n) {
+			if analysis.IsMap(pass.TypesInfo, n.X) && !isKeyCollectionRange(n) {
 				pass.Report(n.Pos(), "range over map is nondeterministically ordered; iterate a sorted key slice instead")
 			}
 		case *ast.CallExpr:
 			if !parity {
 				return true
 			}
-			switch analysis.NondeterministicCall(pass.TypesInfo, n) {
+			switch nondeterministicCall(pass.TypesInfo, n) {
 			case "time.Now":
 				pass.Report(n.Pos(), "time.Now in a parity-critical package makes runs irreproducible; thread timestamps in from the caller")
 			case "the global math/rand source":
@@ -88,4 +88,60 @@ func run(pass *analysis.Pass) error {
 		return true
 	})
 	return nil
+}
+
+// isKeyCollectionRange recognizes `for k := range m { s = append(s, k) }`:
+// keys only (no value binding) and a body that is exactly one append of
+// the key onto a slice. The result is order-insensitive once sorted, so
+// it is exempt — it is exactly the rewrite the diagnostic asks for.
+func isKeyCollectionRange(n *ast.RangeStmt) bool {
+	if n.Value != nil || n.Body == nil || len(n.Body.List) != 1 {
+		return false
+	}
+	key, ok := n.Key.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	asg, ok := n.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
+		return false
+	}
+	call, ok := asg.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
+		return false
+	}
+	arg, ok := call.Args[1].(*ast.Ident)
+	return ok && arg.Name == key.Name
+}
+
+// randConstructors are the math/rand functions that build explicitly
+// seeded generators; everything else at package level draws from the
+// globally seeded source.
+var randConstructors = map[string]bool{
+	"New": true, "NewPCG": true, "NewSource": true,
+	"NewZipf": true, "NewChaCha8": true,
+}
+
+// nondeterministicCall classifies a call as a reproducibility hazard:
+// it returns "time.Now" for wall-clock reads, "the global math/rand
+// source" for package-level math/rand draws, or "" for anything else.
+func nondeterministicCall(info *types.Info, call *ast.CallExpr) string {
+	fn := analysis.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
+		return ""
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if fn.Name() == "Now" {
+			return "time.Now"
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			return "the global math/rand source"
+		}
+	}
+	return ""
 }

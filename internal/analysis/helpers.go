@@ -1,10 +1,7 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -45,178 +42,6 @@ func IsMap(info *types.Info, e ast.Expr) bool {
 	}
 	_, isMap := tv.Type.Underlying().(*types.Map)
 	return isMap
-}
-
-// IsKeyCollectionRange recognizes `for k := range m { s = append(s, k) }`:
-// keys only (no value binding) and a body that is exactly one append of
-// the key onto a slice. The result is order-insensitive once sorted, so
-// the determinism and purity analyzers exempt it — it is exactly the
-// rewrite their diagnostics ask for.
-func IsKeyCollectionRange(n *ast.RangeStmt) bool {
-	if n.Value != nil || n.Body == nil || len(n.Body.List) != 1 {
-		return false
-	}
-	key, ok := n.Key.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	asg, ok := n.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
-		return false
-	}
-	call, ok := asg.Rhs[0].(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return false
-	}
-	if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
-		return false
-	}
-	arg, ok := call.Args[1].(*ast.Ident)
-	return ok && arg.Name == key.Name
-}
-
-// randConstructors are the math/rand functions that build explicitly
-// seeded generators; everything else at package level draws from the
-// globally seeded source.
-var randConstructors = map[string]bool{
-	"New": true, "NewPCG": true, "NewSource": true,
-	"NewZipf": true, "NewChaCha8": true,
-}
-
-// NondeterministicCall classifies a call as a reproducibility hazard:
-// it returns "time.Now" for wall-clock reads, "the global math/rand
-// source" for package-level math/rand draws, or "" for anything else.
-// Shared by the intraprocedural determinism analyzer and the
-// interprocedural purity analyzer so both enforce the same leaf rule.
-func NondeterministicCall(info *types.Info, call *ast.CallExpr) string {
-	fn := Callee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
-		return ""
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Now" {
-			return "time.Now"
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[fn.Name()] {
-			return "the global math/rand source"
-		}
-	}
-	return ""
-}
-
-// FieldOf resolves sel to the struct field it selects, excluding fields
-// of the sync/atomic wrapper types (their method API is safe by
-// construction). Shared by atomichygiene (same-function mixed-access
-// check) and lockset (module-wide protection-consistency check).
-func FieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return nil
-	}
-	f, ok := selection.Obj().(*types.Var)
-	if !ok || !f.IsField() {
-		return nil
-	}
-	if named, ok := f.Type().(*types.Named); ok {
-		if p := named.Obj().Pkg(); p != nil && p.Path() == "sync/atomic" {
-			return nil
-		}
-	}
-	return f
-}
-
-// WalkLoopDepth walks the AST under root calling visit(n, depth) with the
-// lexical loop depth of each node. Loop conditions and post statements
-// execute once per iteration and are visited at body depth; for-init and
-// range operands execute once and stay at the enclosing depth, as do the
-// ForStmt/RangeStmt nodes themselves. Function literals inherit the depth
-// of their enclosing scope (the engine's ForItems/ForChunks bodies run
-// once per work item), which is the semantics hotloop documents. Shared
-// by hotloop (syntactic per-edge hazards) and escape (interprocedural
-// escaping allocations) so both agree on what "inside a hot loop" means.
-func WalkLoopDepth(root ast.Node, visit func(n ast.Node, depth int)) {
-	var walk func(n ast.Node, depth int)
-	walk = func(n ast.Node, depth int) {
-		if n == nil {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch s := m.(type) {
-			case nil:
-				return false
-			case *ast.ForStmt:
-				visit(m, depth)
-				walk(s.Init, depth)
-				walk(s.Cond, depth+1)
-				walk(s.Post, depth+1)
-				walk(s.Body, depth+1)
-				return false
-			case *ast.RangeStmt:
-				visit(m, depth)
-				walk(s.X, depth)
-				walk(s.Key, depth+1)
-				walk(s.Value, depth+1)
-				walk(s.Body, depth+1)
-				return false
-			}
-			visit(m, depth)
-			return true
-		})
-	}
-	walk(root, 0)
-}
-
-// WalkUnits visits every node under decl with its lexical loop depth
-// and innermost function unit (decl itself, or the nearest enclosing
-// FuncLit). Loop depth crosses FuncLit boundaries unchanged, matching
-// WalkLoopDepth: a closure body inside a hot loop still runs per
-// iteration — but range facts must be queried against the closure's
-// own unit, which is what the unit argument names.
-func WalkUnits(decl *ast.FuncDecl, visit func(n ast.Node, depth int, unit ast.Node)) {
-	var walk func(n ast.Node, depth int, unit ast.Node)
-	walk = func(n ast.Node, depth int, unit ast.Node) {
-		if n == nil {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch s := m.(type) {
-			case nil:
-				return false
-			case *ast.ForStmt:
-				visit(m, depth, unit)
-				walk(s.Init, depth, unit)
-				walk(s.Cond, depth+1, unit)
-				walk(s.Post, depth+1, unit)
-				walk(s.Body, depth+1, unit)
-				return false
-			case *ast.RangeStmt:
-				visit(m, depth, unit)
-				walk(s.X, depth, unit)
-				walk(s.Key, depth+1, unit)
-				walk(s.Value, depth+1, unit)
-				walk(s.Body, depth+1, unit)
-				return false
-			case *ast.FuncLit:
-				visit(m, depth, unit)
-				walk(s.Body, depth, m)
-				return false
-			}
-			visit(m, depth, unit)
-			return true
-		})
-	}
-	walk(decl.Body, 0, decl)
-}
-
-// ExprString renders an expression for a finding message.
-func ExprString(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return "<expr>"
-	}
-	return buf.String()
 }
 
 // NamedIn reports whether t (after stripping pointers) is the named type

@@ -48,7 +48,7 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analysis.WalkLoopDepth(fd.Body, func(n ast.Node, depth int) {
+				walkLoopDepth(fd.Body, func(n ast.Node, depth int) {
 					check(pass, n, depth)
 				})
 			}
@@ -58,7 +58,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // check flags per-edge hazards at the given lexical loop depth (the depth
-// accounting lives in analysis.WalkLoopDepth, shared with escape).
+// accounting lives in walkLoopDepth).
 func check(pass *analysis.Pass, n ast.Node, depth int) {
 	switch s := n.(type) {
 	case *ast.RangeStmt:
@@ -117,4 +117,43 @@ func isIfaceConversion(info *types.Info, call *ast.CallExpr) bool {
 	}
 	argT, ok := info.Types[call.Args[0]]
 	return ok && argT.Type != nil && !types.IsInterface(argT.Type)
+}
+
+// walkLoopDepth walks the AST under root calling visit(n, depth) with the
+// lexical loop depth of each node. Loop conditions and post statements
+// execute once per iteration and are visited at body depth; for-init and
+// range operands execute once and stay at the enclosing depth, as do the
+// ForStmt/RangeStmt nodes themselves. Function literals inherit the depth
+// of their enclosing scope (the engine's ForItems/ForChunks bodies run
+// once per work item), which is the semantics hotloop documents.
+func walkLoopDepth(root ast.Node, visit func(n ast.Node, depth int)) {
+	var walk func(n ast.Node, depth int)
+	walk = func(n ast.Node, depth int) {
+		if n == nil {
+			return
+		}
+		ast.Inspect(n, func(m ast.Node) bool {
+			switch s := m.(type) {
+			case nil:
+				return false
+			case *ast.ForStmt:
+				visit(m, depth)
+				walk(s.Init, depth)
+				walk(s.Cond, depth+1)
+				walk(s.Post, depth+1)
+				walk(s.Body, depth+1)
+				return false
+			case *ast.RangeStmt:
+				visit(m, depth)
+				walk(s.X, depth)
+				walk(s.Key, depth+1)
+				walk(s.Value, depth+1)
+				walk(s.Body, depth+1)
+				return false
+			}
+			visit(m, depth)
+			return true
+		})
+	}
+	walk(root, 0)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the value-range abstract domain used by the
-// boundscheck, overflowconv and divmod analyzers: intervals over 64-bit
+// overflowconv analyzer: intervals over 64-bit
 // integers whose endpoints may be symbolic — a constant offset from a
 // local variable ("n-1") or from the length of a local slice
 // ("len(vs)-1"). Symbolic endpoints are what make slice-index proofs
@@ -54,8 +54,7 @@ func SymBound(sym types.Object, k int64, isLen bool) Bound {
 	return Bound{K: k, Sym: sym, IsLen: isLen}
 }
 
-func (b Bound) isFinite() bool  { return b.Inf == 0 }
-func (b Bound) isConst() bool   { return b.Inf == 0 && b.Sym == nil }
+func (b Bound) isConst() bool            { return b.Inf == 0 && b.Sym == nil }
 func (b Bound) refs(o types.Object) bool { return b.Sym != nil && b.Sym == o }
 
 // AddK shifts a finite endpoint by k, saturating to the matching

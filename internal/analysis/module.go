@@ -73,11 +73,6 @@ func (m *Module) Waivers(analyzer string) *WaiverSet {
 	return ws
 }
 
-// CFGOf returns the control-flow graph of a declared node, cached.
-func (m *Module) CFGOf(n *CGNode) *CFG {
-	return m.CFGOfFunc(n.Decl)
-}
-
 // CFGOfFunc returns the control-flow graph of any function syntax node —
 // an *ast.FuncDecl or *ast.FuncLit — cached by node. The SSA layer uses
 // it to share one CFG per function literal across analyzers instead of
@@ -91,18 +86,6 @@ func (m *Module) CFGOfFunc(fn ast.Node) *CFG {
 		m.cfgs[fn] = c
 	}
 	return c
-}
-
-// PackageOf returns the analyzed package declaring pos, or nil.
-func (m *Module) PackageOf(pos token.Pos) *Package {
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return pkg
-			}
-		}
-	}
-	return nil
 }
 
 // ModulePass carries the Module to an Analyzer.RunModule, mirroring how

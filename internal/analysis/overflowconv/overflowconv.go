@@ -16,7 +16,10 @@
 package overflowconv
 
 import (
+	"bytes"
 	"go/ast"
+	"go/printer"
+	"go/token"
 	"go/types"
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
@@ -42,7 +45,7 @@ func run(mp *analysis.ModulePass) error {
 			continue
 		}
 		info := n.Pkg.TypesInfo
-		analysis.WalkUnits(n.Decl, func(m ast.Node, depth int, unit ast.Node) {
+		walkUnits(n.Decl, func(m ast.Node, unit ast.Node) {
 			call, ok := m.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
 				return
@@ -66,7 +69,7 @@ func run(mp *analysis.ModulePass) error {
 			if ok, iv := fr.ProveFits(env, call.Args[0], tv.Type); !ok {
 				fset := mp.Module.Fset
 				msg := "narrowing conversion " + types.TypeString(tv.Type, types.RelativeTo(n.Pkg.Types)) +
-					"(" + analysis.ExprString(fset, call.Args[0]) +
+					"(" + exprString(fset, call.Args[0]) +
 					") from " + types.TypeString(src.Type, types.RelativeTo(n.Pkg.Types)) +
 					" may wrap silently; guard the range first or use a checked helper (e.g. property.Index32)"
 				if analysis.DebugEnabled() {
@@ -110,4 +113,35 @@ func intWidth(t types.Type) int {
 		return wordBits
 	}
 	return 0
+}
+
+// walkUnits visits every node under decl with its innermost function
+// unit: decl itself, or the nearest enclosing FuncLit. Range facts are
+// per unit, so a conversion inside a closure is queried against the
+// closure's own facts.
+func walkUnits(decl *ast.FuncDecl, visit func(n ast.Node, unit ast.Node)) {
+	var walk func(n ast.Node, unit ast.Node)
+	walk = func(n ast.Node, unit ast.Node) {
+		ast.Inspect(n, func(m ast.Node) bool {
+			if lit, ok := m.(*ast.FuncLit); ok {
+				visit(m, unit)
+				walk(lit.Body, lit)
+				return false
+			}
+			if m != nil {
+				visit(m, unit)
+			}
+			return m != nil
+		})
+	}
+	walk(decl.Body, decl)
+}
+
+// exprString renders an expression for a finding message.
+func exprString(fset *token.FileSet, e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, e); err != nil {
+		return "<expr>"
+	}
+	return buf.String()
 }

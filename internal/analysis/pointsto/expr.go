@@ -52,7 +52,7 @@ func (g *gen) evalExpr(pkg *analysis.Package, expr ast.Expr) NodeID {
 		if sel, ok := info.Selections[e]; ok {
 			switch sel.Kind() {
 			case types.FieldVal:
-				f := analysis.FieldOf(info, e)
+				f := fieldOf(info, e)
 				base := g.selBase(pkg, e)
 				if f == nil || base < 0 {
 					return -1
@@ -212,7 +212,7 @@ func (g *gen) addrOf(pkg *analysis.Package, x ast.Expr) NodeID {
 	case *ast.StarExpr:
 		return g.nodeOf(pkg, e.X) // &*p == p
 	case *ast.SelectorExpr:
-		if f := analysis.FieldOf(info, e); f != nil {
+		if f := fieldOf(info, e); f != nil {
 			if isAggregate(f.Type()) {
 				// The field cell objects themselves.
 				base := g.selBase(pkg, e)

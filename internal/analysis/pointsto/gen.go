@@ -139,19 +139,16 @@ func analyze(m *analysis.Module) *Result {
 	g.s.Solve()
 	g.resolveIndirect()
 
-	r := &Result{
-		Module:    m,
-		s:         g.s,
-		objects:   g.objects,
-		varN:      g.varN,
-		exprN:     g.exprN,
-		retN:      g.retN,
-		callN:     g.callN,
-		fldID:     g.fldByVar,
-		fldPos:    g.fldByPos,
-		externObj: g.externObj,
+	return &Result{
+		Module:  m,
+		s:       g.s,
+		objects: g.objects,
+		varN:    g.varN,
+		exprN:   g.exprN,
+		retN:    g.retN,
+		fldID:   g.fldByVar,
+		fldPos:  g.fldByPos,
 	}
-	return r
 }
 
 // resolveIndirect runs the outer fixpoint binding indirect call sites
@@ -1031,7 +1028,7 @@ func (g *gen) assignToLValue(pkg *analysis.Package, lhs ast.Expr, src NodeID, t 
 			g.assign(dst, src, t)
 		}
 	case *ast.SelectorExpr:
-		if f := analysis.FieldOf(info, l); f != nil {
+		if f := fieldOf(info, l); f != nil {
 			base := g.selBase(pkg, l)
 			if base >= 0 {
 				if isStructish(t) {
@@ -1163,4 +1160,24 @@ func derefStruct(t types.Type) *types.Struct {
 	}
 	st, _ := t.Underlying().(*types.Struct)
 	return st
+}
+
+// fieldOf resolves sel to the struct field it selects, excluding fields
+// of the sync/atomic wrapper types, whose method API is safe by
+// construction.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	selection, ok := info.Selections[sel]
+	if !ok || selection.Kind() != types.FieldVal {
+		return nil
+	}
+	f, ok := selection.Obj().(*types.Var)
+	if !ok || !f.IsField() {
+		return nil
+	}
+	if named, ok := f.Type().(*types.Named); ok {
+		if p := named.Obj().Pkg(); p != nil && p.Path() == "sync/atomic" {
+			return nil
+		}
+	}
+	return f
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestRealModule runs the analysis over the whole graphbig module: it
-// must terminate quickly (the CI vet budget depends on it), and the
-// query the immutview analyzer is built on — the set of objects
-// reachable from a published View — must be non-trivial.
+// must terminate quickly, and the query aliasleak's frozen set is built
+// on — the set of objects reachable from a published View — must be
+// non-trivial.
 func TestRealModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module")
@@ -28,9 +28,7 @@ func TestRealModule(t *testing.T) {
 	start := time.Now()
 	r := Of(m)
 	elapsed := time.Since(start)
-	st := r.SolverStats()
-	t.Logf("analyze: %v — nodes=%d objects=%d copyEdges=%d iters=%d collapsed=%d",
-		elapsed, st.Nodes, st.Objects, st.CopyEdges, st.Iterations, st.Collapsed)
+	t.Logf("analyze: %v", elapsed)
 	if elapsed > 30*time.Second {
 		t.Errorf("points-to analysis took %v on the module; solver regression", elapsed)
 	}

@@ -1,10 +1,9 @@
 // Package pointsto implements a flow-insensitive, field-sensitive,
 // context-insensitive Andersen-style (inclusion-based) points-to
-// analysis over an analysis.Module. It gives the graphbig-vet analyzers
-// aliasing facts the syntactic provers cannot derive: which abstract
-// objects an expression may refer to, whether two expressions may
-// alias, and whether an object can be reached from outside the module's
-// analyzed code (Escapes).
+// analysis over an analysis.Module. It gives the aliasleak analyzer the
+// aliasing facts syntax cannot: which abstract objects an expression may
+// refer to, whether two object sets may alias, and which objects are
+// reachable from a set of roots.
 //
 // # Abstraction
 //
@@ -129,30 +128,11 @@ type Result struct {
 	varN  map[*types.Var]NodeID
 	exprN map[ast.Expr]NodeID
 	retN  map[*types.Func][]NodeID
-	callN map[*ast.CallExpr][]NodeID
 	fldID map[*types.Var]int32
 	// fldPos canonicalizes generic instantiations: every instance of a
 	// struct field shares the declaring position, so a field var from a
 	// different instantiation than generation saw still resolves.
 	fldPos map[token.Pos]int32
-
-	externObj ObjID
-
-	escOnce sync.Once
-	escaped bitset
-
-	holdOnce sync.Once
-	// holders[o] lists every node whose points-to set contains o,
-	// tagged with the position that makes the holder "live" (the var's
-	// declaration, the holding object's site, NoPos for extern/returns).
-	holders [][]holderRef
-}
-
-type holderRef struct {
-	pos token.Pos
-	// ret marks call-result/return holders: visible to callers, so
-	// always outside any syntactic range.
-	ret bool
 }
 
 var cache sync.Map // *analysis.Module -> *Result
@@ -174,12 +154,6 @@ func (r *Result) Objects() []*Object { return r.objects }
 
 // Object returns the object with the given ID.
 func (r *Result) Object(id ObjID) *Object { return r.objects[id] }
-
-// Extern returns the object standing for unanalyzed memory.
-func (r *Result) Extern() *Object { return r.objects[r.externObj] }
-
-// SolverStats exposes the underlying solver counters.
-func (r *Result) SolverStats() Stats { return r.s.Stats() }
 
 func (r *Result) objsOf(n NodeID) []*Object {
 	if n < 0 {
@@ -276,19 +250,6 @@ func (r *Result) EvalObjects(info *types.Info, e ast.Expr) []*Object {
 	return nil
 }
 
-// Aliases reports whether a and b may refer to a common object. Untracked
-// expressions conservatively alias everything tracked (returns true)
-// unless both are untracked non-pointer expressions, where aliasing is
-// meaningless and false is returned.
-func (r *Result) Aliases(a, b ast.Expr) bool {
-	na, oka := r.exprN[a]
-	nb, okb := r.exprN[b]
-	if !oka || !okb {
-		return oka || okb
-	}
-	return r.nodesIntersect(na, nb)
-}
-
 // MayAlias reports whether the two object sets intersect.
 func (r *Result) MayAlias(as, bs []*Object) bool {
 	if len(as) == 0 || len(bs) == 0 {
@@ -300,15 +261,6 @@ func (r *Result) MayAlias(as, bs []*Object) bool {
 	}
 	for _, o := range bs {
 		if seen[o.ID] {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Result) nodesIntersect(a, b NodeID) bool {
-	for _, o := range r.s.PointsTo(a) {
-		if r.s.Contains(b, o) {
 			return true
 		}
 	}
@@ -355,106 +307,4 @@ func (r *Result) fieldNodesOf(o ObjID) []NodeID {
 		}
 	}
 	return out
-}
-
-// Escapes reports whether o is reachable from outside the analyzed
-// code: from a package-level variable, from the extern blur (passed to
-// or allocated by unanalyzed code), or from the return values of
-// exported functions and methods of the analyzed packages.
-func (r *Result) Escapes(o *Object) bool {
-	r.escOnce.Do(r.computeEscaped)
-	return r.escaped.has(int32(o.ID))
-}
-
-func (r *Result) computeEscaped() {
-	var seeds []*Object
-	seen := map[ObjID]bool{}
-	addNode := func(n NodeID) {
-		for _, id := range r.s.PointsTo(n) {
-			if !seen[id] {
-				seen[id] = true
-				seeds = append(seeds, r.objects[id])
-			}
-		}
-	}
-	for v, n := range r.varN {
-		if v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			addNode(n) // package-level variable
-		}
-	}
-	for fn, rets := range r.retN {
-		if fn.Exported() {
-			for _, n := range rets {
-				addNode(n)
-			}
-		}
-	}
-	if !seen[r.externObj] {
-		seeds = append(seeds, r.objects[r.externObj])
-	}
-	var esc bitset
-	for o := range r.Reachable(seeds, nil) {
-		esc.set(int32(o.ID))
-	}
-	r.escaped = esc
-}
-
-// HolderOutside reports whether some node whose points-to set contains
-// o belongs to code outside [start, end): a variable declared outside
-// the range, a field of an object allocated outside the range, or a
-// call-result/return visible to callers. Analyzers use it to prove a
-// context-local allocation is not shared: an object allocated inside a
-// parallel callback with no outside holder cannot be reached by any
-// other worker.
-func (r *Result) HolderOutside(o *Object, start, end token.Pos) bool {
-	r.holdOnce.Do(r.computeHolders)
-	if int(o.ID) >= len(r.holders) {
-		return false
-	}
-	for _, h := range r.holders[o.ID] {
-		if h.ret {
-			return true
-		}
-		if h.pos < start || h.pos >= end {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Result) computeHolders() {
-	r.holders = make([][]holderRef, len(r.objects))
-	add := func(n NodeID, ref holderRef) {
-		for _, id := range r.s.PointsTo(n) {
-			r.holders[id] = append(r.holders[id], ref)
-		}
-	}
-	for v, n := range r.varN {
-		add(n, holderRef{pos: v.Pos()})
-	}
-	for k, n := range r.s.field {
-		if n < 0 {
-			continue
-		}
-		holder := r.objects[k.obj]
-		ref := holderRef{pos: holder.Pos()}
-		if holder.Kind == KExtern {
-			ref.ret = true
-		}
-		add(r.s.FieldNode(k.obj, k.field), ref)
-	}
-	for _, rets := range r.retN {
-		for _, n := range rets {
-			if n >= 0 {
-				add(n, holderRef{ret: true})
-			}
-		}
-	}
-	for call, results := range r.callN {
-		for _, n := range results {
-			if n >= 0 {
-				add(n, holderRef{pos: call.Pos()})
-			}
-		}
-	}
 }

@@ -210,14 +210,15 @@ func H() {
 	if !intersects(leak, inner) {
 		t.Error("slice-of-slice store lost: leak should alias inner")
 	}
+	global := r.Reachable(leak, nil)
 	for _, o := range allocsOf(inner) {
-		if !r.Escapes(o) {
-			t.Error("inner reaches a package-level var but does not Escape")
+		if !global[o] {
+			t.Error("inner is not reachable from the package-level var holding it")
 		}
 	}
 	for _, o := range allocsOf(r.VarObjects(varByName(t, pkg, "private"))) {
-		if r.Escapes(o) {
-			t.Error("private allocation escapes but is never shared")
+		if global[o] {
+			t.Error("private allocation reachable from package-level state but never shared")
 		}
 	}
 }
@@ -343,4 +344,13 @@ func TestSolverIncremental(t *testing.T) {
 	if !s.Contains(b, o) {
 		t.Error("copy edge added after Solve did not propagate")
 	}
+}
+
+// Contains reports o ∈ pts(n) without materializing the set.
+func (s *Solver) Contains(n NodeID, o ObjID) bool {
+	if n < 0 {
+		return false
+	}
+	n = s.find(n)
+	return s.pts[n].has(int32(o)) || s.delta[n].has(int32(o))
 }

@@ -86,16 +86,6 @@ func (b bitset) empty() bool {
 	return true
 }
 
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 func (b bitset) forEach(fn func(int32)) {
 	for w, word := range b {
 		for word != 0 {
@@ -395,15 +385,6 @@ func (s *Solver) PointsTo(n NodeID) []ObjID {
 	})
 	sortIDs(out)
 	return out
-}
-
-// Contains reports o ∈ pts(n) without materializing the set.
-func (s *Solver) Contains(n NodeID, o ObjID) bool {
-	if n < 0 {
-		return false
-	}
-	n = s.find(n)
-	return s.pts[n].has(int32(o)) || s.delta[n].has(int32(o))
 }
 
 // Stats returns cumulative solver effort counters.

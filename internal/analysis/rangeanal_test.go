@@ -510,3 +510,38 @@ func f(run func(func())) {
 		t.Errorf("closure-assigned i should be untracked, got %s", got)
 	}
 }
+
+// The two queries below phrase the inference as index and divisor facts;
+// only the tests ask them (overflowconv asks ProveFits).
+
+// ProveIndex reports that idx is provably within [0, len(x)) — or
+// [0, N) for arrays — under env, returning the inferred index interval
+// either way for diagnostics.
+func (fr *FuncRanges) ProveIndex(env *Env, idx, x ast.Expr) (bool, Interval) {
+	iv := fr.fa.Eval(env, idx)
+	if env == nil {
+		return false, iv
+	}
+	if !env.proveLE(ConstBound(0), iv.Lo) {
+		return false, iv
+	}
+	if t, ok := fr.fa.info.Types[x]; ok {
+		if n, aok := arrayLen(t.Type); aok {
+			return env.proveLE(iv.Hi, ConstBound(n-1)), iv
+		}
+	}
+	o := fr.fa.lenIdent(x)
+	if o == nil {
+		return false, iv
+	}
+	return env.proveLE(iv.Hi, SymBound(o, -1, true)), iv
+}
+
+// ProveNonZero reports that e is provably nonzero under env.
+func (fr *FuncRanges) ProveNonZero(env *Env, e ast.Expr) (bool, Interval) {
+	iv := fr.fa.Eval(env, e)
+	if env == nil {
+		return false, iv
+	}
+	return env.proveLE(ConstBound(1), iv.Lo) || env.proveLE(iv.Hi, ConstBound(-1)), iv
+}

@@ -557,29 +557,6 @@ func (fr *FuncRanges) Eval(env *Env, e ast.Expr) Interval {
 	return fr.fa.Eval(env, e)
 }
 
-// ProveIndex reports that idx is provably within [0, len(x)) — or
-// [0, N) for arrays — under env, returning the inferred index interval
-// either way for diagnostics.
-func (fr *FuncRanges) ProveIndex(env *Env, idx, x ast.Expr) (bool, Interval) {
-	iv := fr.fa.Eval(env, idx)
-	if env == nil {
-		return false, iv
-	}
-	if !env.proveLE(ConstBound(0), iv.Lo) {
-		return false, iv
-	}
-	if t, ok := fr.fa.info.Types[x]; ok {
-		if n, aok := arrayLen(t.Type); aok {
-			return env.proveLE(iv.Hi, ConstBound(n-1)), iv
-		}
-	}
-	o := fr.fa.lenIdent(x)
-	if o == nil {
-		return false, iv
-	}
-	return env.proveLE(iv.Hi, SymBound(o, -1, true)), iv
-}
-
 // ProveFits reports that e's value provably fits t without wrapping.
 func (fr *FuncRanges) ProveFits(env *Env, e ast.Expr, t types.Type) (bool, Interval) {
 	iv := fr.fa.Eval(env, e)
@@ -587,22 +564,4 @@ func (fr *FuncRanges) ProveFits(env *Env, e ast.Expr, t types.Type) (bool, Inter
 		return false, iv
 	}
 	return fr.fa.fits(env, iv, t), iv
-}
-
-// ProveNonZero reports that e is provably nonzero under env.
-func (fr *FuncRanges) ProveNonZero(env *Env, e ast.Expr) (bool, Interval) {
-	iv := fr.fa.Eval(env, e)
-	if env == nil {
-		return false, iv
-	}
-	return env.proveLE(ConstBound(1), iv.Lo) || env.proveLE(iv.Hi, ConstBound(-1)), iv
-}
-
-// ProveNonNeg reports that e is provably >= 0 under env.
-func (fr *FuncRanges) ProveNonNeg(env *Env, e ast.Expr) (bool, Interval) {
-	iv := fr.fa.Eval(env, e)
-	if env == nil {
-		return false, iv
-	}
-	return env.proveLE(ConstBound(0), iv.Lo), iv
 }

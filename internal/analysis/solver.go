@@ -9,7 +9,8 @@ package analysis
 // via goto, and the worklist handles those too, just slower.
 
 // Direction selects fact propagation: Forward pushes facts along Succs
-// edges (reaching definitions, lockset), Backward along Preds (liveness).
+// edges (reaching definitions, value ranges), Backward along Preds
+// (liveness).
 type Direction int
 
 const (
@@ -20,7 +21,7 @@ const (
 // Lattice describes one dataflow problem with facts of type F.
 type Lattice[F any] struct {
 	// Boundary is the fact at the entry block (Forward) or exit block
-	// (Backward) — the analysis context, e.g. the lockset callers hold.
+	// (Backward) — the analysis context, e.g. the facts callers establish.
 	Boundary F
 	// Top is the identity of Meet, used to initialize interior blocks:
 	// Meet(Top, x) must equal x.

@@ -212,3 +212,147 @@ func f(n int) int {
 		t.Error("`s` not live at the loop head despite the return after the loop")
 	}
 }
+
+// callNamesIn lists the identifiers called by the block's nodes — the
+// token tests drive transfer functions off bare call names.
+func callNamesIn(b *Block) []string {
+	var names []string
+	for _, n := range b.Nodes {
+		ast.Inspect(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok {
+					names = append(names, id.Name)
+				}
+			}
+			return true
+		})
+	}
+	return names
+}
+
+// mayJoin is union with nil as Top.
+func mayJoin(a, b stringSet) stringSet {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	return union(a, b)
+}
+
+// tokenLattice is a set lattice with nil as Top whose transfer applies
+// step to a copy of the input once per call in the block.
+func tokenLattice(boundary stringSet, meet func(a, b stringSet) stringSet, step func(in stringSet, call string) stringSet) Lattice[stringSet] {
+	return Lattice[stringSet]{
+		Boundary: boundary,
+		Top:      func() stringSet { return nil },
+		Meet:     meet,
+		Equal:    func(a, b stringSet) bool { return (a == nil) == (b == nil) && setEqual(a, b) },
+		Transfer: func(b *Block, in stringSet) stringSet {
+			if in == nil {
+				return nil
+			}
+			out := union(in, nil)
+			for _, name := range callNamesIn(b) {
+				out = step(out, name)
+			}
+			return out
+		},
+	}
+}
+
+// TestSolvePhaseTokens: a forward may-analysis (union meet) on the
+// solver. A "put" raises a token, a "barrier" lowers every token, and
+// the token stays raised at a join if ANY path into it carries an
+// unlowered put.
+func TestSolvePhaseTokens(t *testing.T) {
+	run := func(src string) stringSet {
+		cfg, _, _ := buildTestCFG(t, src)
+		res := Solve(cfg, Forward, tokenLattice(stringSet{}, mayJoin, func(in stringSet, name string) stringSet {
+			switch name {
+			case "put":
+				in["mb"] = true
+			case "barrier":
+				in = stringSet{}
+			}
+			return in
+		}))
+		return res.In[cfg.Exit]
+	}
+
+	// Barrier on only one branch: the token survives the join.
+	tokens := run(`
+func f(c bool, put, barrier func()) {
+	put()
+	if c {
+		barrier()
+	}
+}`)
+	if !tokens["mb"] {
+		t.Error("one-sided barrier: token should survive the may-join")
+	}
+
+	// Barrier on every path: the token is definitely lowered.
+	tokens = run(`
+func f(c bool, put, barrier func()) {
+	put()
+	if c {
+		barrier()
+	} else {
+		barrier()
+	}
+}`)
+	if tokens["mb"] {
+		t.Error("all-paths barrier: token should be lowered at exit")
+	}
+
+	// A put inside a loop stays raised across the back edge.
+	tokens = run(`
+func f(n int, put func()) {
+	for i := 0; i < n; i++ {
+		put()
+	}
+}`)
+	if !tokens["mb"] {
+		t.Error("loop put: token should reach exit through the loop exit edge")
+	}
+}
+
+// TestSolveMustJoinTokens: a backward must-analysis (intersection meet)
+// on the solver, where a "wait" only counts if it appears on EVERY path
+// from the point to exit.
+func TestSolveMustJoinTokens(t *testing.T) {
+	run := func(src string) stringSet {
+		cfg, _, _ := buildTestCFG(t, src)
+		res := Solve(cfg, Backward, tokenLattice(stringSet{}, intersect, func(in stringSet, name string) stringSet {
+			if name == "wait" {
+				in["wg"] = true
+			}
+			return in
+		}))
+		return res.Out[cfg.Entry]
+	}
+
+	joined := run(`
+func f(c bool, wait func()) {
+	if c {
+		wait()
+	} else {
+		wait()
+	}
+}`)
+	if !joined["wg"] {
+		t.Error("wait on both branches: wg must be joined on every path")
+	}
+
+	joined = run(`
+func f(c bool, wait func()) {
+	if c {
+		wait()
+	}
+}`)
+	if joined["wg"] {
+		t.Error("wait on one branch only: wg must NOT count as joined")
+	}
+}

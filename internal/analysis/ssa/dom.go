@@ -1,10 +1,8 @@
 // Package ssa constructs pruned static single-assignment form over the
 // analysis package's control-flow graphs: an iterative dominator tree
 // with dominance frontiers (this file), liveness-pruned phi placement,
-// def-use chains, and a sparse fact-propagation driver (ssa.go, prop.go).
-// Results are cached per Module, alongside the points-to cache, so the
-// flow-sensitive analyzers (nilness, constprop, sharedwrite's ownership
-// lattice) share one SSA build per function.
+// and def-use chains (ssa.go). Results are cached per Module, alongside
+// the points-to cache, so constprop builds each function's SSA once.
 //
 // The construction deliberately stays at the AST level — values are
 // *types.Var versions, definitions carry their defining expression — so

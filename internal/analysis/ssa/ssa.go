@@ -10,8 +10,7 @@ import (
 )
 
 // Info caches per-function SSA over one Module. Obtain it with Of; the
-// cache is keyed by Module identity so repeated analyzers (nilness,
-// constprop, sharedwrite) share builds, mirroring pointsto.Of.
+// cache is keyed by Module identity, mirroring pointsto.Of.
 type Info struct {
 	m   *analysis.Module
 	mu  sync.Mutex
@@ -41,11 +40,6 @@ func (in *Info) FuncOf(pkg *analysis.Package, fn ast.Node) *Func {
 		in.fns[fn] = f
 	}
 	return f
-}
-
-// NodeOf returns the SSA form of a declared call-graph node.
-func (in *Info) NodeOf(n *analysis.CGNode) *Func {
-	return in.FuncOf(n.Pkg, n.Decl)
 }
 
 // DefKind classifies how a Def assigns its variable.

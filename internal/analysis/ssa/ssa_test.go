@@ -291,11 +291,55 @@ func f(c bool) (int, int) {
 			return fact{2, ""}
 		}
 	}
-	vals := Fixpoint(fn, fact{}, func(a, b fact) bool { return a == b }, eval)
+	vals := fixpoint(fn, fact{}, func(a, b fact) bool { return a == b }, eval)
 	if got := vals[lastUse(t, fn, "y")]; got != (fact{1, "1"}) {
 		t.Fatalf("y fact = %+v, want const 1", got)
 	}
 	if got := vals[lastUse(t, fn, "z")]; got.state != 2 {
 		t.Fatalf("z fact = %+v, want top (1 meet 2)", got)
 	}
+}
+
+// fixpoint runs sparse forward fact propagation over fn's definitions:
+// every Def starts at bottom, eval recomputes a Def's fact from the
+// facts of the definitions it depends on (phi arguments, reaching
+// definitions of identifiers in its Rhs), and changed facts requeue
+// their Dependents until the map is stable. eval must be monotone over
+// a finite-height lattice for termination; get returns bottom for
+// definitions not yet evaluated.
+func fixpoint[F any](fn *Func, bottom F, equal func(a, b F) bool, eval func(d *Def, get func(*Def) F) F) map[*Def]F {
+	vals := make(map[*Def]F, len(fn.Defs))
+	get := func(d *Def) F {
+		if d == nil {
+			return bottom
+		}
+		if v, ok := vals[d]; ok {
+			return v
+		}
+		return bottom
+	}
+	inWork := make(map[*Def]bool, len(fn.Defs))
+	work := make([]*Def, 0, len(fn.Defs))
+	for _, d := range fn.Defs {
+		work = append(work, d)
+		inWork[d] = true
+	}
+	for len(work) > 0 {
+		d := work[0]
+		work = work[1:]
+		inWork[d] = false
+		nv := eval(d, get)
+		if equal(nv, get(d)) {
+			vals[d] = nv
+			continue
+		}
+		vals[d] = nv
+		for _, e := range fn.Dependents(d) {
+			if !inWork[e] {
+				inWork[e] = true
+				work = append(work, e)
+			}
+		}
+	}
+	return vals
 }

@@ -255,10 +255,8 @@ func (m *Mailboxes[T]) Drain(dst int32, fn func(msg T)) int {
 // partition src during a superstep, Drain only from partition dst after
 // the barrier, never concurrently — is not observable from inside the
 // type: the whole point of the design is that there is no
-// synchronization state to witness. That contract is enforced
-// statically by the phasediscipline analyzer in cmd/graphbig-vet, which
-// checks that Put and Drain calls sit in distinct barrier-separated
-// phases of the caller (DESIGN.md §7).
+// synchronization state to witness. The race detector and the
+// partitioned differential tests catch a violation (DESIGN.md §7).
 func (m *Mailboxes[T]) Validate(requireEmpty bool) error {
 	if m.k <= 0 {
 		return fmt.Errorf("concurrent: Mailboxes has non-positive partition count %d", m.k)

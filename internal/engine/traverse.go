@@ -289,9 +289,9 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 			}
 			// Re-slice to the chunk extent: d and off are windows of the
 			// same [lo,hi) range, with off one element longer so off[dv+1]
-			// reads the row end. The two one-time probes teach the
-			// bounds-check eliminator (and the vet prover) that relation in
-			// both directions, so the loop body indexes check-free.
+			// reads the row end. The two one-time probes state that
+			// relation in both directions, so the loop body indexes
+			// check-free.
 			d := dist[lo:hi]
 			off := inOff[lo : hi+1]
 			_ = off[len(d)]

@@ -263,7 +263,7 @@ func (vw *View) resolve(directed bool, workers int) {
 		for i := lo; i < hi; i++ {
 			// Each vertex fills its own CSR row [off[i], off[i+1]), disjoint
 			// across i by prefixSum32 — cutting the rows out makes them
-			// worker-owned windows the prover verifies.
+			// worker-owned windows.
 			row := nbr[off[i]:off[i+1]]
 			wrow := wts[off[i]:off[i+1]]
 			p := 0
@@ -385,17 +385,16 @@ func reverseCSR(n int, off, nbr []int32, workers int) (inOff, inNbr []int32) {
 		go func(wi int) {
 			defer wg.Done()
 			h := hist[wi*n : wi*n+n]
-			// Waived, not proven: worker wi's slots in bucket j are
+			// Worker wi's slots in bucket j are
 			// [inOff[j]+hist[wi*n+j], inOff[j]+hist[wi*n+j]+count), carved
-			// by the column scan above. Disjointness follows from the
-			// per-bucket counts summing monotonically across workers —
-			// arithmetic over runtime array contents, which the sharedwrite
-			// lattice (index-ownership only) cannot express; the
-			// serial-vs-parallel differential test is the oracle instead.
+			// by the column scan above, so the workers' writes are
+			// disjoint: the per-bucket counts sum monotonically across
+			// workers. TestReverseCSRParallelMatchesSerial pins it against
+			// the serial counting sort.
 			for i := bounds[wi]; i < bounds[wi+1]; i++ {
 				for k := off[i]; k < off[i+1]; k++ {
 					j := nbr[k]
-					inNbr[inOff[j]+h[j]] = Index32(i) //vet:sharedwrite the column scan gave each worker an exclusive slot range per bucket j; pinned by TestReverseCSRParallelMatchesSerial
+					inNbr[inOff[j]+h[j]] = Index32(i)
 					h[j]++
 				}
 			}
@@ -464,7 +463,7 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 			o := perm[i]
 			s := oldOff[o]
 			// Row [off[i], off[i+1]) is vertex i's alone (prefixSum32), so
-			// the cut slices are worker-owned windows the prover verifies.
+			// the cut slices are worker-owned windows.
 			row := nbr[off[i]:off[i+1]]
 			wrow := wts[off[i]:off[i+1]]
 			for k := range row {
