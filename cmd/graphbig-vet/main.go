@@ -9,12 +9,11 @@
 // compiler ratchet. Two per-package analyzers: determinism (no map-order,
 // clock or global-rand nondeterminism in parity code, sorted map output in
 // reports) and hotloop (no map access, allocation or interface conversion
-// in per-edge loops). Three module analyzers: overflowconv
-// (width-reducing integer conversions need a dominating range guard, on a
-// value-range abstract interpretation), constprop (no branch condition
-// made constant by value flow, on an SSA layer) and aliasleak (ordering
-// functions return fresh permutations and phase-recycled scratch buffers
-// hold no escaping memory, on an Andersen points-to layer). DESIGN.md §7
+// in per-edge loops). Two module analyzers: overflowconv (width-reducing
+// integer conversions need a dominating range guard, on a value-range
+// abstract interpretation) and aliasleak (ordering functions return fresh
+// permutations and phase-recycled scratch buffers hold no escaping memory,
+// on an Andersen points-to layer). DESIGN.md §7
 // has the matrix's verdict per analyzer.
 //
 // Flags:
@@ -47,7 +46,6 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
 	"github.com/graphbig/graphbig-go/internal/analysis/aliasleak"
-	"github.com/graphbig/graphbig-go/internal/analysis/constprop"
 	"github.com/graphbig/graphbig-go/internal/analysis/determinism"
 	"github.com/graphbig/graphbig-go/internal/analysis/hotloop"
 	"github.com/graphbig/graphbig-go/internal/analysis/overflowconv"
@@ -60,7 +58,6 @@ func Analyzers() []*analysis.Analyzer {
 		determinism.Analyzer,
 		hotloop.Analyzer,
 		overflowconv.Analyzer,
-		constprop.Analyzer,
 		aliasleak.Analyzer,
 	}
 }

@@ -13,11 +13,11 @@ import (
 // multichecker with documentation and a runner (per-package or module).
 func TestAnalyzersRegistered(t *testing.T) {
 	as := Analyzers()
-	want := []string{"determinism", "hotloop", "overflowconv", "constprop", "aliasleak"}
+	want := []string{"determinism", "hotloop", "overflowconv", "aliasleak"}
 	if len(as) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(as), len(want))
 	}
-	module := map[string]bool{"overflowconv": true, "constprop": true, "aliasleak": true}
+	module := map[string]bool{"overflowconv": true, "aliasleak": true}
 	for i, a := range as {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d = %q, want %q", i, a.Name, want[i])
@@ -67,7 +67,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("empty -run selected %d analyzers, want %d", len(all), len(Analyzers()))
 	}
 
-	sel, err := selectAnalyzers("aliasleak, constprop ,overflowconv,constprop")
+	sel, err := selectAnalyzers("aliasleak, hotloop ,overflowconv,hotloop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	for i, a := range sel {
 		got[i] = a.Name
 	}
-	want := []string{"overflowconv", "constprop", "aliasleak"}
+	want := []string{"hotloop", "overflowconv", "aliasleak"}
 	if len(got) != len(want) {
 		t.Fatalf("selectAnalyzers = %v, want %v", got, want)
 	}

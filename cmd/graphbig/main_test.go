@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/loader"
+	"github.com/graphbig/graphbig-go/internal/property"
 )
 
 // TestHostileCommandLines runs the built binary on input a user can get
@@ -104,12 +106,13 @@ func TestHostileCommandLines(t *testing.T) {
 		t.Fatalf("reference run: exit %d\n%s%s", exit, stdout, stderr)
 	}
 
-	for _, tc := range []struct {
+	type hostile struct {
 		name string
 		args []string
 		exit int
 		want string // exit 0: the result line; otherwise: a prefix of stderr's first line
-	}{
+	}
+	cases := []hostile{
 		{"empty file", []string{"-input", file("empty", nil)}, 1, "graphbig: loader: no edges in SNAP input"},
 		{"comments only", []string{"-input", file("comments", []byte("# a\n# b\n"))}, 1, "graphbig: loader: no edges in SNAP input"},
 		{"missing file", []string{"-input", filepath.Join(dir, "absent")}, 1, "graphbig: open "},
@@ -131,7 +134,32 @@ func TestHostileCommandLines(t *testing.T) {
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},
+	}
+	// Delta-stepping inputs whose bucket indices outrun any dense array: a
+	// path with one edge a trillion widths long, one whose quotient passes
+	// the largest int, and a width far below LDBC's integer weights. Each
+	// must come out as Bellman-Ford says, flat, partitioned and profiled.
+	for _, in := range []struct {
+		name string
+		args []string
+		g    *property.Graph
+	}{
+		{"1e12 edge", []string{"-input", file("path1e12", heavyPath("1e12"))}, nil},
+		{"1e19 edge", []string{"-input", file("path1e19", heavyPath("1e19"))}, nil},
+		{"delta 1e-9", append([]string{"-delta", "1e-9"}, small...), ldbc.Generate(0.002, 42, 0)},
 	} {
+		g := in.g
+		if g == nil {
+			if g, err = loader.Load(in.args[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, mode := range [][]string{nil, {"-partitions", "2"}, {"-profile"}} {
+			args := append(append([]string{"-workload", "SPathDelta"}, in.args...), mode...)
+			cases = append(cases, hostile{fmt.Sprint("SPathDelta ", in.name, mode), args, 0, bellmanFordLine(g)})
+		}
+	}
+	for _, tc := range cases {
 		stdout, stderr, exit := run(tc.args...)
 		got, _, _ := strings.Cut(stderr, "\n")
 		if exit == 0 {
@@ -141,4 +169,54 @@ func TestHostileCommandLines(t *testing.T) {
 			t.Errorf("%s: exit %d, %q; want exit %d, %q…\nstderr: %s", tc.name, exit, got, tc.exit, tc.want, stderr)
 		}
 	}
+}
+
+// heavyPath is a 6000-edge SNAP path of unit weights but one, w, placed
+// where SPathDelta's strided weight sample does not look, so the sampled
+// bucket width stays 1.
+func heavyPath(w string) []byte {
+	var buf bytes.Buffer
+	for i := 0; i < 6000; i++ {
+		wt := "1"
+		if i == 3001 {
+			wt = w
+		}
+		fmt.Fprintf(&buf, "%d %d %s\n", i, i+1, wt)
+	}
+	return buf.Bytes()
+}
+
+// bellmanFordLine is the SPathDelta result line graphbig must print for g:
+// the vertices Bellman-Ford reaches from the default source (ID 0 when
+// present, else the first vertex) and their distance sum in view order.
+func bellmanFordLine(g *property.Graph) string {
+	vw := g.View()
+	src := vw.IndexOf(0)
+	if src < 0 {
+		src = 0
+	}
+	dist := make([]float64, vw.Len())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	for changed := true; changed; {
+		changed = false
+		for u, du := range dist {
+			wts := vw.AdjW(int32(u))
+			for j, v := range vw.Adj(int32(u)) {
+				if nd := du + wts[j]; nd < dist[v] {
+					dist[v], changed = nd, true
+				}
+			}
+		}
+	}
+	visited, sum := 0, 0.0
+	for _, d := range dist {
+		if !math.IsInf(d, 1) {
+			visited++
+			sum += d
+		}
+	}
+	return fmt.Sprintf("SPathDelta: visited=%d checksum=%g", visited, sum)
 }

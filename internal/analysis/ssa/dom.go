@@ -2,7 +2,7 @@
 // analysis package's control-flow graphs: an iterative dominator tree
 // with dominance frontiers (this file), liveness-pruned phi placement,
 // and def-use chains (ssa.go). Results are cached per Module, alongside
-// the points-to cache, so constprop builds each function's SSA once.
+// the points-to cache, so each function's SSA is built once.
 //
 // The construction deliberately stays at the AST level — values are
 // *types.Var versions, definitions carry their defining expression — so

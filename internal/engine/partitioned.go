@@ -58,7 +58,7 @@ type partState struct {
 	localApply  []int64 // per-partition applied-update counts (one exchange)
 	localClaims []int64 // per-partition claim counts for Stats.Reached
 
-	sssp *ssspState // delta-stepping extension (sssp.go), lazily allocated
+	sssp *concurrent.Mailboxes[wmsg] // delta-stepping's boundary messages (sssp.go), lazily allocated
 }
 
 // partitioned returns the cached partitioned-mode scaffolding.
@@ -101,7 +101,7 @@ func (e *Engine) ValidateExchange(requireEmpty bool) error {
 		return err
 	}
 	if e.prt.sssp != nil {
-		return e.prt.sssp.mail.Validate(requireEmpty)
+		return e.prt.sssp.Validate(requireEmpty)
 	}
 	return nil
 }

@@ -1,19 +1,18 @@
 package engine
 
 import (
+	"math"
+	"sync/atomic"
+
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
-// Partitioned delta-stepping (the SPathDelta kernel as a subgraph-centric
-// computation). The structure mirrors partitionedTraverse: each partition
-// runs a sequential delta-stepping pass over its owned subgraph — local
-// dense buckets, single writer on the distance slots it owns, no mutex —
-// and cut-edge relaxations travel as (vertex, distance) float messages
-// between supersteps. Relaxation is label-correcting by nature, so the
-// loop converges to exactly the flat kernel's distances: both compute the
-// minimum over the same set of left-to-right float path sums, making the
-// results bitwise identical (the workload differential tests pin this).
+// The native delta-stepping kernels over ring.go's Buckets. The
+// partitioned one mirrors partitionedTraverse: each partition drains its
+// own ring over its own vertices, and cut-edge relaxations travel as
+// messages between supersteps. Both take the minimum over the same
+// left-to-right float path sums, so their distances agree bit for bit.
 
 // wmsg is one weighted boundary message: "vertex V is reachable at
 // tentative distance D".
@@ -22,7 +21,8 @@ type wmsg struct {
 	d float64
 }
 
-// SSSPStats summarizes one PartitionedSSSP call.
+// SSSPStats summarizes one SSSP call. Supersteps and BoundarySent are zero
+// outside partitioned mode.
 type SSSPStats struct {
 	Relaxed      int64 // successful relaxations (local + applied boundary)
 	Buckets      int64 // non-empty buckets drained, summed over partitions
@@ -30,53 +30,128 @@ type SSSPStats struct {
 	BoundarySent int64
 }
 
-// ssspState extends the partitioned scaffolding with the delta-stepping
-// buckets, allocated on first PartitionedSSSP use.
-type ssspState struct {
-	mail  *concurrent.Mailboxes[wmsg]
-	bkt   [][][]int32 // bkt[p][b]: partition p's bucket b
-	bhigh []int       // highest bucket index pushed per partition
-	spare [][]int32   // per-partition drained-bucket backing, ping-ponged in localSSSP
+// SSSP runs delta-stepping from srcs with bucket width delta, in place on
+// dist (+Inf everywhere but at the sources); partitioned views run
+// PartitionedSSSP. Flat, distances are bit patterns under casMin and each
+// worker pushes into its own shard. A drain of at most serialGrain edge
+// visits (or any, at one worker) runs on the caller; wider ones fork.
+func (e *Engine) SSSP(dist []float64, delta float64, srcs ...int32) SSSPStats {
+	if len(dist) != e.n {
+		panic("engine: dist length does not match view")
+	}
+	if e.vw.Partitions() != nil && !e.Tracked() {
+		return e.PartitionedSSSP(dist, delta, srcs...)
+	}
+	vw := e.vw
+	w := e.Workers()
+	db := make([]uint64, len(dist))
+	for i := range db {
+		db[i] = math.Float64bits(dist[i])
+	}
+	q := NewBuckets(delta, w)
+	for _, s := range srcs {
+		q.Push(0, dist[s], s)
+	}
+	var relaxed atomic.Int64
+	drained := q.Drain(func(work []int32, b int) {
+		if w == 1 || e.degreeSum(work) <= serialGrain {
+			relaxed.Add(relaxSerial(vw, q, db, work, b))
+			return
+		}
+		concurrent.ParallelItems(w, w, 1, func(p int) {
+			relaxed.Add(relaxChunk(vw, q, db, work, b, p, w))
+		})
+	})
+	for i := range dist {
+		dist[i] = math.Float64frombits(db[i])
+	}
+	return SSSPStats{Relaxed: relaxed.Load(), Buckets: drained}
 }
 
-func (e *Engine) ssspScaffold(ps *partState) *ssspState {
-	if ps.sssp == nil {
-		k := ps.plan.K
-		ps.sssp = &ssspState{
-			mail:  concurrent.NewMailboxes[wmsg](k),
-			bkt:   make([][][]int32, k),
-			bhigh: make([]int, k),
-			spare: make([][]int32, k),
+// casMin lowers *addr (a float64's IEEE-754 bits) to nd if nd is smaller,
+// reporting whether it won. Non-negative floats, +Inf included, order like
+// their bit patterns, so the uint64 CAS is a correct concurrent float min.
+func casMin(addr *uint64, nd float64) bool {
+	ndb := math.Float64bits(nd)
+	for {
+		old := atomic.LoadUint64(addr)
+		if ndb >= old {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(addr, old, ndb) {
+			return true
 		}
 	}
-	return ps.sssp
 }
 
-// PartitionedSSSP runs delta-stepping from srcs over the view's partition
-// plan. dist must hold +Inf for unreached slots and the sources' tentative
-// distances (0 by convention); it is updated in place to the exact
-// shortest-path distances. The view must carry a partition plan and the
-// engine must not be tracked — callers gate on View().Partitions().
+// relaxSerial is relaxChunk on the caller: the min a plain compare and
+// store, every winner into shard 0. With one worker it makes the same
+// relaxations in the same order as relaxChunk would.
+func relaxSerial(vw *property.View, q *Buckets, db []uint64, work []int32, b int) (relaxed int64) {
+	for _, ui := range work {
+		du := math.Float64frombits(db[ui])
+		if q.Of(du) < b {
+			continue // stale entry; settled in a lower bucket
+		}
+		adj := vw.Adj(ui)
+		wts := vw.AdjW(ui)[:len(adj)]
+		for j, wi := range adj {
+			nd := du + wts[j]
+			if math.Float64bits(nd) < db[wi] {
+				db[wi] = math.Float64bits(nd)
+				q.Push(0, nd, wi)
+				relaxed++
+			}
+		}
+	}
+	return relaxed
+}
+
+// relaxChunk relaxes worker p's contiguous chunk of the merged work list
+// into worker p's shard (ChunkBounds' split, inline so nothing allocates).
+func relaxChunk(vw *property.View, q *Buckets, db []uint64, work []int32, b, p, w int) (relaxed int64) {
+	lo, hi := p*len(work)/w, (p+1)*len(work)/w
+	for _, ui := range work[lo:hi] {
+		du := math.Float64frombits(atomic.LoadUint64(&db[ui]))
+		if q.Of(du) < b {
+			continue // stale entry; settled in a lower bucket
+		}
+		adj := vw.Adj(ui)
+		wts := vw.AdjW(ui)[:len(adj)] // pinned: no wts[j] bounds check
+		for j, wi := range adj {
+			nd := du + wts[j]
+			if casMin(&db[wi], nd) {
+				q.Push(p, nd, wi)
+				relaxed++
+			}
+		}
+	}
+	return relaxed
+}
+
+// PartitionedSSSP is SSSP over the view's partition plan; the engine must
+// not be tracked.
 func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) SSSPStats {
 	if len(dist) != e.n {
 		panic("engine: dist length does not match view")
 	}
 	ps := e.partitioned()
-	ss := e.ssspScaffold(ps)
+	if ps.sssp == nil {
+		ps.sssp = concurrent.NewMailboxes[wmsg](ps.plan.K)
+	}
+	mail := ps.sssp
 	plan := ps.plan
 	k := plan.K
 	var st SSSPStats
+	q := make([]*Buckets, k)
 	for p := 0; p < k; p++ {
 		ps.dirty[p] = ps.dirty[p][:0]
-		for b := range ss.bkt[p] {
-			ss.bkt[p][b] = ss.bkt[p][b][:0]
-		}
-		ss.bhigh[p] = 0
+		q[p] = NewBuckets(delta, 1)
 	}
 	ps.dirtyStamp = ps.nextStamp()
 	for _, s := range srcs {
 		p := plan.Of(s)
-		ss.push(int(p), int(dist[s]/delta), s)
+		q[p].Push(0, dist[s], s)
 		ps.markDirty(p, s)
 	}
 	workers := e.Workers()
@@ -85,7 +160,7 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 1 — each partition drains all its buckets to local
 		// convergence; cross-partition edges are skipped here.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.localSSSP(ps, ss, dist, delta, property.Index32(p))
+			e.localSSSP(ps, q[p], dist, property.Index32(p))
 		})
 		for p := 0; p < k; p++ {
 			st.Relaxed += ps.localApply[p]
@@ -94,9 +169,9 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 2 — emit every dirty boundary vertex's tentative distance
 		// across its cut edges, one message per (vertex, cut edge).
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.emitSSSP(ps, ss, dist, property.Index32(p))
+			e.emitSSSP(ps, mail, dist, property.Index32(p))
 		})
-		sent := ss.mail.Pending()
+		sent := mail.Pending()
 		st.BoundarySent += sent
 		ps.dirtyStamp = ps.nextStamp()
 		if sent == 0 {
@@ -105,10 +180,10 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 3 — apply improvements into the owner's buckets.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
 			var got int64
-			ss.mail.Drain(property.Index32(p), func(m wmsg) {
+			mail.Drain(property.Index32(p), func(m wmsg) {
 				if m.d < dist[m.v] {
 					dist[m.v] = m.d
-					ss.push(p, int(m.d/delta), m.v)
+					q[p].Push(0, m.d, m.v)
 					ps.markDirty(property.Index32(p), m.v)
 					got++
 				}
@@ -127,74 +202,40 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 	return st
 }
 
-// push appends v to partition p's bucket b, growing the dense bucket
-// array as needed. Only partition p's worker may call it during a phase.
-func (ss *ssspState) push(p, b int, v int32) {
-	for b >= len(ss.bkt[p]) {
-		ss.bkt[p] = append(ss.bkt[p], nil)
-	}
-	ss.bkt[p][b] = append(ss.bkt[p][b], v)
-	if b > ss.bhigh[p] {
-		ss.bhigh[p] = b
-	}
-}
-
-// localSSSP is the partition-local delta-stepping pass: drain buckets in
-// ascending order, re-adding entries whose tentative distance improves,
-// until every local bucket is empty. Stale entries (settled into a lower
-// bucket since being pushed) are skipped, exactly like the flat kernel.
-// Per-partition counters ride in localApply (relaxations) and localPush
-// (non-empty buckets drained).
-func (e *Engine) localSSSP(ps *partState, ss *ssspState, dist []float64, delta float64, p int32) {
+// localSSSP drains partition p's ring over the edges inside p. Its
+// counters ride in localApply (relaxations) and localPush (buckets).
+func (e *Engine) localSSSP(ps *partState, q *Buckets, dist []float64, p int32) {
 	vw := e.vw
 	lo, hi := ps.plan.Range(int(p))
-	var relaxed, drained int64
-	for b := 0; b <= ss.bhigh[p]; b++ {
-		if b >= len(ss.bkt[p]) || len(ss.bkt[p][b]) == 0 {
-			continue
-		}
-		drained++
-		for {
-			work := ss.bkt[p][b]
-			if len(work) == 0 {
-				break
+	var relaxed int64
+	ps.localPush[p] = q.Drain(func(work []int32, b int) {
+		for _, u := range work {
+			du := dist[u]
+			if q.Of(du) < b {
+				continue // stale entry; settled in a lower bucket
 			}
-			// Ping-pong the drained slice with the partition's spare
-			// backing: re-adds append into last round's capacity, and the
-			// just-drained buffer becomes next round's spare, so
-			// steady-state drains allocate nothing.
-			ss.bkt[p][b] = ss.spare[p][:0]
-			for _, u := range work {
-				du := dist[u]
-				if int(du/delta) < b {
-					continue // stale entry; settled in a lower bucket
+			adj := vw.Adj(u)
+			wts := vw.AdjW(u)[:len(adj)]
+			for j, v := range adj {
+				if v < lo || v >= hi {
+					continue
 				}
-				adj := vw.Adj(u)
-				wts := vw.AdjW(u)[:len(adj)]
-				for j, v := range adj {
-					if v < lo || v >= hi {
-						continue
-					}
-					nd := du + wts[j]
-					if nd < dist[v] {
-						dist[v] = nd
-						ss.push(int(p), int(nd/delta), v)
-						ps.markDirty(p, v)
-						relaxed++
-					}
+				nd := du + wts[j]
+				if nd < dist[v] {
+					dist[v] = nd
+					q.Push(0, nd, v)
+					ps.markDirty(p, v)
+					relaxed++
 				}
 			}
-			ss.spare[p] = work[:0]
 		}
-	}
-	ss.bhigh[p] = 0
+	})
 	ps.localApply[p] = relaxed
-	ps.localPush[p] = drained
 }
 
 // emitSSSP posts each dirty boundary vertex's tentative distance plus the
 // cut-edge weight to the edge target's owner.
-func (e *Engine) emitSSSP(ps *partState, ss *ssspState, dist []float64, p int32) {
+func (e *Engine) emitSSSP(ps *partState, mail *concurrent.Mailboxes[wmsg], dist []float64, p int32) {
 	vw := e.vw
 	plan := ps.plan
 	lo, hi := plan.Range(int(p))
@@ -206,7 +247,7 @@ func (e *Engine) emitSSSP(ps *partState, ss *ssspState, dist []float64, p int32)
 			if v >= lo && v < hi {
 				continue
 			}
-			ss.mail.Put(p, plan.Of(v), wmsg{v: v, d: du + wts[j]})
+			mail.Put(p, plan.Of(v), wmsg{v: v, d: du + wts[j]})
 		}
 	}
 	ps.dirty[p] = ps.dirty[p][:0]

@@ -134,8 +134,7 @@ func (e *Engine) trackedPush(spec *Spec, cur, next *concurrent.Frontier, st *Sta
 // graph needs 4 Ki or more and is flat from there to infinity, the social
 // graph keeps improving up to here, and a push-only social run is at its
 // best between here and 1 Mi and loses a third again if nothing ever
-// forks. SPathDelta's bucket drain (internal/workloads) applies the same
-// floor in the same unit.
+// forks. SSSP's bucket drains apply the same floor.
 const serialGrain = 256 << 10
 
 // nativeTraverse is the flat native loop. Each round picks its direction

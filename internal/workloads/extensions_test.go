@@ -262,12 +262,34 @@ func TestBellmanFordOracle(t *testing.T) {
 	}
 }
 
+// heavyPath is a 6000-edge directed path of unit weights but one, w, at an
+// edge the strided weight sample skips, so the sampled bucket width stays
+// 1 and the heavy edge's far end lands w buckets up — past any dense
+// bucket array at 1e12, past the largest int at 1e19.
+func heavyPath(w float64) *property.Graph {
+	g := property.New(property.Options{Directed: true, TrackInEdges: true})
+	for i := 0; i <= 6000; i++ {
+		g.AddVertex(property.VertexID(i))
+	}
+	for i := 0; i < 6000; i++ {
+		wt := 1.0
+		if i == 3001 {
+			wt = w
+		}
+		if err := g.AddEdge(property.VertexID(i), property.VertexID(i+1), wt); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
 // TestSPathDeltaPartitionSweepBitwise pins the flat CAS kernel against
 // Bellman-Ford and the partitioned kernel against the flat one across a
 // k-sweep: per-vertex distances must be bitwise identical (all three take
 // minima over the same left-to-right float path sums, so no tolerance is
 // needed). The second input is the one the retired wall-clock ratchet ran
-// this check on.
+// this check on; the two paths drain through spilled and saturated
+// buckets.
 func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
 	ldbc, err := gen.ByName("ldbc")
 	if err != nil {
@@ -280,6 +302,8 @@ func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
 	}{
 		{"ldbc-1500", func() *property.Graph { return gen.LDBC(1500, 21, 0) }, []int{1, 2, 3, 5, 8}},
 		{"ldbc-0.02", func() *property.Graph { return ldbc.Generate(0.02, 42, 0) }, []int{1, 2, 4}},
+		{"path-1e12", func() *property.Graph { return heavyPath(1e12) }, []int{1, 2, 4}},
+		{"path-1e19", func() *property.Graph { return heavyPath(1e19) }, []int{1, 2, 4}},
 	} {
 		base := tc.build()
 		fvw := base.View()
@@ -350,7 +374,8 @@ func weightedLollipop(k, path int) *property.Graph {
 }
 
 // TestSPathDeltaDrainSeam runs the flat kernel where its drains sit on
-// both sides of serialVisits — the lollipop's clique drains fork, its
+// both sides of the drain floor (the engine's serialGrain, 256 Ki edge
+// visits) — the lollipop's clique drains fork, its
 // path drains and every drain of the road grid stay on the caller — and
 // holds the distances to Bellman-Ford bit for bit at one, two and four
 // workers. Each graph is solved from a second source first, so a slot the
@@ -358,9 +383,9 @@ func weightedLollipop(k, path int) *property.Graph {
 // grid has vertices neither source reaches. The relaxed counts are the
 // ones the kernel made at one worker before it had a serial path.
 func TestSPathDeltaDrainSeam(t *testing.T) {
-	const k = 514
-	if (k-1)*(k-1) <= serialVisits {
-		t.Fatal("clique no longer outgrows serialVisits; enlarge it")
+	const k, floor = 514, 256 << 10
+	if (k-1)*(k-1) <= floor {
+		t.Fatal("clique no longer outgrows the drain floor; enlarge it")
 	}
 	for _, tc := range []struct {
 		name    string

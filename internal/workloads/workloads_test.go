@@ -161,6 +161,34 @@ func TestCCompCounts(t *testing.T) {
 	}
 }
 
+// TestGColorMaxIters: MaxIters bounds the rounds, natively and under a
+// tracker. One round colors only the vertices that beat every neighbour's
+// priority; on a path that leaves the rest at -1.
+func TestGColorMaxIters(t *testing.T) {
+	for _, tracked := range []bool{false, true} {
+		g := pathGraph(t, 40)
+		vw := g.View()
+		if tracked {
+			g.SetTracker(mem.NewCounting())
+		}
+		res, err := GColor(g, Options{View: vw, MaxIters: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := g.Schema().MustField(ColorField)
+		colored := int64(0)
+		for _, v := range vw.Verts {
+			if v.Prop(col) >= 0 {
+				colored++
+			}
+		}
+		if res.Stats["rounds"] != 1 || colored != res.Visited || colored == 0 || colored == int64(vw.Len()) {
+			t.Errorf("tracked=%v: %v rounds, %d of %d colored (Visited %d); want 1 round and some left uncolored",
+				tracked, res.Stats["rounds"], colored, vw.Len(), res.Visited)
+		}
+	}
+}
+
 func TestGColorProper(t *testing.T) {
 	g := trianglePlusTail(t)
 	res, err := GColor(g, Options{})
