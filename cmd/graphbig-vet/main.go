@@ -9,43 +9,33 @@
 // compiler ratchet. Two per-package analyzers: determinism (no map-order,
 // clock or global-rand nondeterminism in parity code, sorted map output in
 // reports) and hotloop (no map access, allocation or interface conversion
-// in per-edge loops). Two module analyzers: overflowconv (width-reducing
+// in per-edge loops). One module analyzer: overflowconv (width-reducing
 // integer conversions need a dominating range guard, on a value-range
-// abstract interpretation) and aliasleak (ordering functions return fresh
-// permutations and phase-recycled scratch buffers hold no escaping memory,
-// on an Andersen points-to layer). DESIGN.md §7
-// has the matrix's verdict per analyzer.
+// abstract interpretation). DESIGN.md §7 has the matrix's verdict per
+// analyzer.
 //
 // Flags:
 //
 //	-run a,b,...    run only the named analyzers (default: the full suite)
 //	-list           print the registered analyzers with their one-line docs
-//	-waivers        audit //vet:* directives instead of reporting findings:
-//	                print the inventory (analyzer, file:line, justification,
-//	                used) and exit 1 if any directive is stale (suppressed
-//	                nothing this run), names no analyzer in the run set, or
-//	                lacks a justification
 //	-timings        print per-analyzer wall-clock to stderr after the run
 //	-timings-out f  write the same numbers as a JSON array to f
-//	-json           emit the findings (or, with -waivers, the inventory) as
-//	                JSON instead of text
+//	-json           emit the findings as JSON instead of text
 //	-debug=ranges   append inferred intervals to range-analyzer findings
 //
 // Exit status is 0 when the tree is clean, 1 when any analyzer reports a
-// finding (or the waiver audit fails), 2 on internal failure (package
-// loading, type errors, unknown flag values).
+// finding, 2 on internal failure (package loading, type errors, unknown
+// flag values).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
-	"github.com/graphbig/graphbig-go/internal/analysis/aliasleak"
 	"github.com/graphbig/graphbig-go/internal/analysis/determinism"
 	"github.com/graphbig/graphbig-go/internal/analysis/hotloop"
 	"github.com/graphbig/graphbig-go/internal/analysis/overflowconv"
@@ -58,7 +48,6 @@ func Analyzers() []*analysis.Analyzer {
 		determinism.Analyzer,
 		hotloop.Analyzer,
 		overflowconv.Analyzer,
-		aliasleak.Analyzer,
 	}
 }
 
@@ -99,51 +88,15 @@ func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
 	return sel, nil
 }
 
-// reportWaivers writes the inventory and returns the number of
-// directives that fail the audit: stale, unknown-analyzer, or
-// justification-free.
-func reportWaivers(w io.Writer, recs []analysis.WaiverRecord, jsonOut bool) (int, error) {
-	bad := 0
-	for _, r := range recs {
-		if r.Stale || r.Justification == "" {
-			bad++
-		}
-	}
-	if jsonOut {
-		if recs == nil {
-			recs = []analysis.WaiverRecord{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return bad, enc.Encode(recs)
-	}
-	for _, r := range recs {
-		status := "used"
-		switch {
-		case r.Unknown:
-			status = "UNKNOWN ANALYZER"
-		case r.Stale:
-			status = "STALE"
-		}
-		just := r.Justification
-		if just == "" {
-			just = "(NO JUSTIFICATION)"
-		}
-		fmt.Fprintf(w, "%s:%d: vet:%s [%s] %s\n", r.File, r.Line, r.Analyzer, status, just)
-	}
-	return bad, nil
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings (or the -waivers inventory) as JSON")
+	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	debug := flag.String("debug", "", "debug mode: 'ranges' appends inferred value ranges to range-analyzer findings")
 	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	waivers := flag.Bool("waivers", false, "audit //vet:* directives: print the inventory, fail on stale or unjustified ones")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock to stderr")
 	timingsOut := flag.String("timings-out", "", "write per-analyzer wall-clock as a JSON array to this file (the CI trajectory artifact)")
 	list := flag.Bool("list", false, "print every registered analyzer with its one-line doc and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-waivers] [-timings] [-timings-out f.json] [-json] [-debug=ranges] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
+		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-timings] [-timings-out f.json] [-json] [-debug=ranges] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
 	}
 	flag.Parse()
 	if *list {
@@ -186,40 +139,24 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	fail := false
-	if *waivers {
-		bad, err := reportWaivers(os.Stdout, res.Waivers, *jsonOut)
-		if err != nil {
+	if *jsonOut {
+		finds := res.Findings
+		if finds == nil {
+			finds = []analysis.Finding{}
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(finds); err != nil {
 			fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
 			os.Exit(2)
 		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "graphbig-vet: %d waiver(s) are stale, unknown, or unjustified\n", bad)
-			fail = true
-		}
 	} else {
-		if *jsonOut {
-			finds := res.Findings
-			if finds == nil {
-				finds = []analysis.Finding{}
-			}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(finds); err != nil {
-				fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
-				os.Exit(2)
-			}
-		} else {
-			for _, f := range res.Findings {
-				fmt.Fprintf(os.Stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-			}
-		}
-		if n := len(res.Findings); n > 0 {
-			fmt.Fprintf(os.Stderr, "graphbig-vet: %d finding(s)\n", n)
-			fail = true
+		for _, f := range res.Findings {
+			fmt.Fprintf(os.Stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}
 	}
-	if fail {
+	if n := len(res.Findings); n > 0 {
+		fmt.Fprintf(os.Stderr, "graphbig-vet: %d finding(s)\n", n)
 		os.Exit(1)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // multichecker with documentation and a runner (per-package or module).
 func TestAnalyzersRegistered(t *testing.T) {
 	as := Analyzers()
-	want := []string{"determinism", "hotloop", "overflowconv", "aliasleak"}
+	want := []string{"determinism", "hotloop", "overflowconv"}
 	if len(as) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(as), len(want))
 	}
-	module := map[string]bool{"overflowconv": true, "aliasleak": true}
+	module := map[string]bool{"overflowconv": true}
 	for i, a := range as {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d = %q, want %q", i, a.Name, want[i])
@@ -67,7 +67,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("empty -run selected %d analyzers, want %d", len(all), len(Analyzers()))
 	}
 
-	sel, err := selectAnalyzers("aliasleak, hotloop ,overflowconv,hotloop")
+	sel, err := selectAnalyzers("overflowconv, hotloop ,hotloop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	for i, a := range sel {
 		got[i] = a.Name
 	}
-	want := []string{"hotloop", "overflowconv", "aliasleak"}
+	want := []string{"hotloop", "overflowconv"}
 	if len(got) != len(want) {
 		t.Fatalf("selectAnalyzers = %v, want %v", got, want)
 	}
@@ -85,9 +85,9 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	if _, err := selectAnalyzers("aliasleek"); err == nil {
+	if _, err := selectAnalyzers("hotlop"); err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown analyzer name")
-	} else if !strings.Contains(err.Error(), "aliasleek") || !strings.Contains(err.Error(), "aliasleak") {
+	} else if !strings.Contains(err.Error(), "hotlop") || !strings.Contains(err.Error(), "hotloop") {
 		t.Fatalf("unknown-analyzer error should name the typo and the choices: %v", err)
 	}
 
@@ -117,44 +117,6 @@ func TestVetRunFilterTimings(t *testing.T) {
 		if tm.Seconds < 0 {
 			t.Fatalf("negative wall-clock for %s", tm.Analyzer)
 		}
-	}
-}
-
-// TestReportWaivers pins the audit's failure counting and both output
-// modes: a used+justified record passes; stale, unknown, and
-// justification-free records each count against the tree.
-func TestReportWaivers(t *testing.T) {
-	recs := []analysis.WaiverRecord{
-		{Analyzer: "aliasleak", File: "a.go", Line: 3, Justification: "pinned by TestX", Used: true},
-		{Analyzer: "aliasleak", File: "a.go", Line: 9, Justification: "obsolete", Stale: true},
-		{Analyzer: "aliasleek", File: "b.go", Line: 4, Justification: "typo", Stale: true, Unknown: true},
-		{Analyzer: "aliasleak", File: "c.go", Line: 7, Used: true},
-	}
-	var out bytes.Buffer
-	bad, err := reportWaivers(&out, recs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 3 {
-		t.Fatalf("reportWaivers counted %d bad waiver(s), want 3", bad)
-	}
-	text := out.String()
-	for _, frag := range []string{"a.go:3: vet:aliasleak [used]", "STALE", "UNKNOWN ANALYZER", "(NO JUSTIFICATION)"} {
-		if !strings.Contains(text, frag) {
-			t.Fatalf("inventory output missing %q:\n%s", frag, text)
-		}
-	}
-
-	out.Reset()
-	if _, err := reportWaivers(&out, nil, true); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []analysis.WaiverRecord
-	if err := json.Unmarshal(out.Bytes(), &parsed); err != nil {
-		t.Fatalf("-waivers -json wrote invalid JSON: %v\n%s", err, out.String())
-	}
-	if parsed == nil {
-		t.Fatalf("-waivers -json wrote null, want []: %s", out.String())
 	}
 }
 

@@ -19,7 +19,7 @@
 //     x/tools `// want "regexp"` convention.
 //
 // The project's analyzers live in subpackages (determinism, hotloop,
-// overflowconv, aliasleak) and are aggregated by cmd/graphbig-vet.
+// overflowconv) and are aggregated by cmd/graphbig-vet.
 package analysis
 
 import (

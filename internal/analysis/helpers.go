@@ -43,24 +43,3 @@ func IsMap(info *types.Info, e ast.Expr) bool {
 	_, isMap := tv.Type.Underlying().(*types.Map)
 	return isMap
 }
-
-// NamedIn reports whether t (after stripping pointers) is the named type
-// typeName declared in a package whose path matches pkgSuffix per
-// HasPathSuffix.
-func NamedIn(t types.Type, typeName, pkgSuffix string) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != typeName || obj.Pkg() == nil {
-		return false
-	}
-	return HasPathSuffix(obj.Pkg().Path(), pkgSuffix)
-}

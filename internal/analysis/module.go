@@ -17,11 +17,10 @@ type Module struct {
 	Pkgs []*Package
 	Fset *token.FileSet
 
-	mu      sync.Mutex
-	cg      *CallGraph
-	cfgs    map[ast.Node]*CFG
-	ranges  *RangeInfo
-	waivers map[string]*WaiverSet
+	mu     sync.Mutex
+	cg     *CallGraph
+	cfgs   map[ast.Node]*CFG
+	ranges *RangeInfo
 }
 
 // NewModule wraps pkgs (which must share one FileSet, as Loader
@@ -53,24 +52,6 @@ func (m *Module) Ranges() *RangeInfo {
 		m.ranges = newRangeInfo(m)
 	}
 	return m.ranges
-}
-
-// Waivers returns the module's //vet:<analyzer> directives, collected
-// once per analyzer and cached — the same Waiver objects are handed to
-// the analyzer (which marks the ones that suppress findings) and to the
-// -waivers audit (which reports the ones never marked).
-func (m *Module) Waivers(analyzer string) *WaiverSet {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.waivers == nil {
-		m.waivers = map[string]*WaiverSet{}
-	}
-	ws, ok := m.waivers[analyzer]
-	if !ok {
-		ws = collectWaiverSet(m.Pkgs, analyzer)
-		m.waivers[analyzer] = ws
-	}
-	return ws
 }
 
 // CFGOfFunc returns the control-flow graph of any function syntax node —

@@ -27,27 +27,11 @@ type AnalyzerTiming struct {
 	Seconds  float64 `json:"seconds"`
 }
 
-// WaiverRecord is one //vet:* directive in the -waivers inventory.
-// Stale means no analyzer in the run marked it as suppressing a finding
-// (the code it excused got fixed, or the analyzer name is a typo no
-// analyzer answers to — Unknown distinguishes the latter). Stale and
-// unjustified directives fail the CI waiver audit.
-type WaiverRecord struct {
-	Analyzer      string `json:"analyzer"`
-	File          string `json:"file"`
-	Line          int    `json:"line"`
-	Justification string `json:"justification,omitempty"`
-	Used          bool   `json:"used"`
-	Stale         bool   `json:"stale"`
-	Unknown       bool   `json:"unknown,omitempty"`
-}
-
-// VetResult bundles one run of the suite: the findings, per-analyzer
-// wall-clock, and the waiver inventory with post-run used marks.
+// VetResult bundles one run of the suite: the findings and per-analyzer
+// wall-clock.
 type VetResult struct {
 	Findings []Finding        `json:"findings"`
 	Timings  []AnalyzerTiming `json:"timings"`
-	Waivers  []WaiverRecord   `json:"waivers"`
 }
 
 // VetAll loads the packages matching patterns (module packages only;
@@ -56,9 +40,6 @@ type VetResult struct {
 // analyzers once to the whole set, each analyzer timed individually.
 // Findings come back sorted by file, line, column. Test files are not
 // analyzed: the invariants protect shipped simulation and engine code.
-// The waiver inventory is collected after the analyzers run, so its
-// used marks reflect this run; staleness is only judged for directives
-// whose analyzer was in the run set.
 func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -105,45 +86,7 @@ func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
 	for i, a := range analyzers {
 		res.Timings = append(res.Timings, AnalyzerTiming{Analyzer: a.Name, Seconds: elapsed[i].Seconds()})
 	}
-	res.Waivers = auditWaivers(m, analyzers)
 	return res, nil
-}
-
-// auditWaivers builds the post-run waiver inventory: the cached
-// per-analyzer sets carry the used marks the analyzers left behind, and
-// directives naming no analyzer in the run set surface as unknown (a
-// typo'd name suppresses nothing and must not linger).
-func auditWaivers(m *Module, analyzers []*Analyzer) []WaiverRecord {
-	known := map[string]bool{}
-	var recs []WaiverRecord
-	for _, a := range analyzers {
-		known[a.Name] = true
-		for _, w := range m.Waivers(a.Name).All() {
-			recs = append(recs, WaiverRecord{
-				Analyzer:      w.Analyzer,
-				File:          w.File,
-				Line:          w.Line,
-				Justification: w.Justification,
-				Used:          w.Used(),
-				Stale:         !w.Used(),
-			})
-		}
-	}
-	for _, w := range WaiverDirectives(m.Pkgs) {
-		if known[w.Analyzer] {
-			continue
-		}
-		recs = append(recs, WaiverRecord{
-			Analyzer:      w.Analyzer,
-			File:          w.File,
-			Line:          w.Line,
-			Justification: w.Justification,
-			Stale:         true,
-			Unknown:       true,
-		})
-	}
-	SortWaiverRecords(recs)
-	return recs
 }
 
 // SortFindings orders findings deterministically by (file, line, col,
@@ -166,20 +109,6 @@ func SortFindings(finds []Finding) {
 			return a.Analyzer < b.Analyzer
 		}
 		return a.Message < b.Message
-	})
-}
-
-// SortWaiverRecords orders the -waivers inventory deterministically by
-// (file, line, analyzer), the same stability contract as SortFindings.
-func SortWaiverRecords(recs []WaiverRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].File != recs[j].File {
-			return recs[i].File < recs[j].File
-		}
-		if recs[i].Line != recs[j].Line {
-			return recs[i].Line < recs[j].Line
-		}
-		return recs[i].Analyzer < recs[j].Analyzer
 	})
 }
 

@@ -30,24 +30,3 @@ func TestSortFindings(t *testing.T) {
 		t.Fatalf("SortFindings order:\n got %+v\nwant %+v", finds, want)
 	}
 }
-
-// TestSortWaiverRecords pins the -waivers inventory order: (file, line,
-// analyzer), the same stability contract the JSON artifact relies on.
-func TestSortWaiverRecords(t *testing.T) {
-	recs := []WaiverRecord{
-		{Analyzer: "sharedwrite", File: "b.go", Line: 3},
-		{Analyzer: "immutview", File: "a.go", Line: 7},
-		{Analyzer: "sharedwrite", File: "a.go", Line: 7},
-		{Analyzer: "sharedwrite", File: "a.go", Line: 2},
-	}
-	SortWaiverRecords(recs)
-	want := []WaiverRecord{
-		{Analyzer: "sharedwrite", File: "a.go", Line: 2},
-		{Analyzer: "immutview", File: "a.go", Line: 7},
-		{Analyzer: "sharedwrite", File: "a.go", Line: 7},
-		{Analyzer: "sharedwrite", File: "b.go", Line: 3},
-	}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("SortWaiverRecords order:\n got %+v\nwant %+v", recs, want)
-	}
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // Info caches per-function SSA over one Module. Obtain it with Of; the
-// cache is keyed by Module identity, mirroring pointsto.Of.
+// cache is keyed by Module identity.
 type Info struct {
 	m   *analysis.Module
 	mu  sync.Mutex

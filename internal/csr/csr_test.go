@@ -55,6 +55,25 @@ func TestFromPropertyStructure(t *testing.T) {
 	}
 }
 
+// TestFromPropertyLeavesViewUnchanged: the View is published and shared,
+// so sorting rows must happen in FromProperty's own arrays. buildGraph's
+// row 0 is unsorted (0->3 before 0->1), so a conversion that borrowed the
+// View's arrays would reorder them.
+func TestFromPropertyLeavesViewUnchanged(t *testing.T) {
+	g, vw := buildGraph(t)
+	nbr, nbrW, nbrOff := slices.Clone(vw.Nbr), slices.Clone(vw.NbrW), slices.Clone(vw.NbrOff)
+	FromProperty(g, vw)
+	if !slices.Equal(vw.Nbr, nbr) {
+		t.Errorf("FromProperty changed the View: Nbr %v -> %v", nbr, vw.Nbr)
+	}
+	if !slices.Equal(vw.NbrW, nbrW) {
+		t.Errorf("FromProperty changed the View: NbrW %v -> %v", nbrW, vw.NbrW)
+	}
+	if !slices.Equal(vw.NbrOff, nbrOff) {
+		t.Errorf("FromProperty changed the View: NbrOff %v -> %v", nbrOff, vw.NbrOff)
+	}
+}
+
 func TestRowsSorted(t *testing.T) {
 	g := gen.LDBC(500, 3, 0)
 	vw := g.View()

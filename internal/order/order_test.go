@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // randomCSR builds a random simple undirected CSR (mirrored edges) over n
@@ -75,6 +76,48 @@ func TestAllStrategiesProduceBijections(t *testing.T) {
 			checkBijection(t, name, n, fn(n, off, nbr))
 		}
 	}
+}
+
+// TestResultsAreFresh pins the contract property.ViewWith relies on when
+// it composes a permutation: no strategy hands back memory that shares a
+// backing array with its off or nbr inputs, on the empty graph (off = [0])
+// as much as on real ones, so a later write or append to the permutation
+// cannot scribble on the caller's adjacency.
+func TestResultsAreFresh(t *testing.T) {
+	inputs := []struct {
+		n        int
+		off, nbr []int32
+	}{
+		{0, []int32{0}, []int32{}},
+		{1, []int32{0, 0}, []int32{}},
+		{4, []int32{0, 1, 3, 4, 4}, []int32{1, 0, 2, 1}},
+	}
+	for _, in := range inputs {
+		for _, name := range Names {
+			fn, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fn == nil {
+				fn = None
+			}
+			perm := fn(in.n, in.off, in.nbr)
+			if overlaps(perm, in.off) || overlaps(perm, in.nbr) {
+				t.Errorf("%s(n=%d) returns memory shared with its inputs", name, in.n)
+			}
+		}
+	}
+}
+
+// overlaps reports whether the backing ranges [SliceData, SliceData+cap)
+// of a and b share a byte.
+func overlaps(a, b []int32) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(int32(0))
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b))*size && pb < pa+uintptr(cap(a))*size
 }
 
 func TestByNameUnknown(t *testing.T) {

@@ -81,7 +81,11 @@ func TestPlanDisjointCover(t *testing.T) {
 // every partition's edge count stays within one maximum vertex degree of
 // the |E|/k target (the split point can overshoot the ideal boundary by
 // at most the degree of the vertex it lands on), except for partitions
-// the non-empty-range clamp squeezed to a single vertex.
+// the non-empty-range clamp squeezed to a single vertex. It also pins
+// edgeBounds's definition, which the bound alone cannot tell from a split
+// one vertex late: split point p is the smallest vertex v with
+// off[v] >= p*|E|/k, moved only by the clamp that leaves every partition
+// at least one vertex.
 func TestEdgeBalanceTolerance(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -104,6 +108,19 @@ func TestEdgeBalanceTolerance(t *testing.T) {
 				if p.Edges[q] > target+maxDeg {
 					t.Fatalf("n=%d m=%d k=%d: partition %d holds %d edges, tolerance %d (target %d + maxdeg %d)",
 						n, m, k, q, p.Edges[q], target+maxDeg, target, maxDeg)
+				}
+			}
+			for q := 1; q < p.K; q++ {
+				split := int64(off[n]) * int64(q) / int64(p.K)
+				want := int32(0)
+				for want < int32(n) && int64(off[want]) < split {
+					want++
+				}
+				want = min(want, int32(n-(p.K-q)))
+				want = max(want, p.Bounds[q-1]+1)
+				if p.Bounds[q] != want {
+					t.Fatalf("n=%d m=%d k=%d: split point %d is vertex %d, want %d (first vertex with off >= %d)",
+						n, m, k, q, p.Bounds[q], want, split)
 				}
 			}
 		}

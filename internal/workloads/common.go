@@ -72,9 +72,9 @@ type Options struct {
 	// it to assert the exchange-buffer phase discipline after each run;
 	// production code leaves it nil. Deliberately a caller-owned sink, not
 	// a package-level registry or callback, so engines never become
-	// reachable from package-level or extern state (which would trip the
-	// aliasleak analyzer — correctly, since its escape model is
-	// flow-insensitive).
+	// reachable from package-level state, and tests that run at the same
+	// time never see each other's engines (a package-level registry would
+	// be shared by all of them).
 	engineSink *[]*engine.Engine
 }
 

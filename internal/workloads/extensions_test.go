@@ -58,6 +58,16 @@ func TestBFSDirOptMatchesBFS(t *testing.T) {
 	if base.Visited != opt.Visited || base.Checksum != opt.Checksum {
 		t.Errorf("direction-optimized BFS differs: %+v vs %+v", base, opt)
 	}
+	// The checksum is summed from the kernel's distances, so it cannot see
+	// a level the write-back dropped: compare the stored property too.
+	lvl := g.Schema().MustField(BFSLevelField)
+	lvl2 := g2.Schema().MustField(BFSLevelField)
+	vw, vw2 := g.View(), g2.View()
+	for i, v := range vw.Verts {
+		if a, b := v.Prop(lvl), vw2.Verts[i].Prop(lvl2); a != b {
+			t.Fatalf("vertex %d: BFS level %v, BFSDirOpt level %v", v.ID, a, b)
+		}
+	}
 	// On a dense social graph the bottom-up path must actually engage.
 	if opt.Stats["bottom_up_levels"] == 0 {
 		t.Error("bottom-up never engaged on a social graph")

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/engine"
@@ -45,18 +46,53 @@ func validateEngines(t *testing.T) (*[]*engine.Engine, func()) {
 	return &engines, check
 }
 
+// frozenView snapshots the View's adjacency arrays and vertex order and
+// returns a check that they are bit-identical after a run. The View is
+// published memory: a scratch buffer the engine recycles between phases
+// (Engine.sparse, partState.nx, Mailboxes.box) must never be one of its
+// arrays, or the next phase's writes land in the graph every later run
+// reads.
+func frozenView(t *testing.T, vw *property.View) func() {
+	t.Helper()
+	verts := slices.Clone(vw.Verts)
+	nbrOff, nbr, inOff, inNbr := slices.Clone(vw.NbrOff), slices.Clone(vw.Nbr), slices.Clone(vw.InOff), slices.Clone(vw.InNbr)
+	nbrW := slices.Clone(vw.NbrW)
+	return func() {
+		t.Helper()
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		for _, c := range []struct {
+			name string
+			same bool
+		}{
+			{"Verts", slices.Equal(vw.Verts, verts)},
+			{"NbrOff", slices.Equal(vw.NbrOff, nbrOff)},
+			{"Nbr", slices.Equal(vw.Nbr, nbr)},
+			{"NbrW", slices.EqualFunc(vw.NbrW, nbrW, sameBits)},
+			{"InOff", slices.Equal(vw.InOff, inOff)},
+			{"InNbr", slices.Equal(vw.InNbr, inNbr)},
+		} {
+			if !c.same {
+				t.Fatalf("the run changed the View's %s", c.name)
+			}
+		}
+	}
+}
+
 // propsByID runs fn on a fresh copy of the seed graph viewed under ord and
-// returns field values keyed by VertexID.
+// returns field values keyed by VertexID. The run must leave the View as
+// it found it.
 func propsByID(t *testing.T, seed uint64, ord property.OrderFunc, fn runWorkload, field string, samples int) map[property.VertexID]float64 {
 	t.Helper()
 	g := randomGraph(seed)
 	vw := g.ViewWith(property.ViewOpts{Order: ord})
+	frozen := frozenView(t, vw)
 	sink, check := validateEngines(t)
 	_, err := fn(g, Options{View: vw, Source: 0, Seed: int64(seed), Samples: samples, engineSink: sink})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	check()
+	frozen()
 	slot := g.Schema().MustField(field)
 	out := make(map[property.VertexID]float64, vw.Len())
 	for _, v := range vw.Verts {

@@ -22,17 +22,20 @@ import (
 // exactly what these tests pin.
 
 // partPropsByID runs fn on a fresh copy of the seed graph with a k-way
-// partitioned view and returns field values keyed by VertexID.
+// partitioned view and returns field values keyed by VertexID. The run
+// must leave the View as it found it.
 func partPropsByID(t *testing.T, seed uint64, k int, fn runWorkload, field string, samples int) map[property.VertexID]float64 {
 	t.Helper()
 	g := randomGraph(seed)
 	vw := g.ViewWith(property.ViewOpts{Partitions: k})
+	frozen := frozenView(t, vw)
 	sink, check := validateEngines(t)
 	_, err := fn(g, Options{View: vw, Source: 0, Seed: int64(seed), Samples: samples, engineSink: sink})
 	if err != nil {
 		t.Fatalf("seed %d k %d: %v", seed, k, err)
 	}
 	check()
+	frozen()
 	slot := g.Schema().MustField(field)
 	out := make(map[property.VertexID]float64, vw.Len())
 	for _, v := range vw.Verts {
