@@ -6,13 +6,12 @@
 // The suite is what a catch matrix over seeded bugs
 // (results/vet_catch_matrix.json) showed no other detector covers — go
 // vet, the race detector, the tests, the benchmark's oracles and the
-// compiler ratchet. Two per-package analyzers: determinism (no map-order,
-// clock or global-rand nondeterminism in parity code, sorted map output in
-// reports) and hotloop (no map access, allocation or interface conversion
-// in per-edge loops). One module analyzer: overflowconv (width-reducing
-// integer conversions need a dominating range guard, on a value-range
-// abstract interpretation). DESIGN.md §7 has the matrix's verdict per
-// analyzer.
+// compiler ratchet. Three per-package syntactic analyzers: determinism (no
+// map-order, clock or global-rand nondeterminism in parity code, sorted map
+// output in reports), hotloop (no map access, allocation or interface
+// conversion in per-edge loops) and overflowconv (no non-constant
+// narrowing integer conversion outside the checked helpers in
+// internal/narrow). DESIGN.md §7 has the matrix's verdict per analyzer.
 //
 // Flags:
 //
@@ -21,7 +20,6 @@
 //	-timings        print per-analyzer wall-clock to stderr after the run
 //	-timings-out f  write the same numbers as a JSON array to f
 //	-json           emit the findings as JSON instead of text
-//	-debug=ranges   append inferred intervals to range-analyzer findings
 //
 // Exit status is 0 when the tree is clean, 1 when any analyzer reports a
 // finding, 2 on internal failure (package loading, type errors, unknown
@@ -41,8 +39,7 @@ import (
 	"github.com/graphbig/graphbig-go/internal/analysis/overflowconv"
 )
 
-// Analyzers returns the full registered suite, in reporting order:
-// per-package analyzers first, then the interprocedural module analyzers.
+// Analyzers returns the full registered suite, in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
@@ -90,26 +87,17 @@ func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	debug := flag.String("debug", "", "debug mode: 'ranges' appends inferred value ranges to range-analyzer findings")
 	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock to stderr")
 	timingsOut := flag.String("timings-out", "", "write per-analyzer wall-clock as a JSON array to this file (the CI trajectory artifact)")
 	list := flag.Bool("list", false, "print every registered analyzer with its one-line doc and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-timings] [-timings-out f.json] [-json] [-debug=ranges] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
+		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-timings] [-timings-out f.json] [-json] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
 	}
 	flag.Parse()
 	if *list {
 		fmt.Print(analysis.Doc(Analyzers()))
 		return
-	}
-	switch *debug {
-	case "":
-	case "ranges":
-		analysis.SetDebug(true)
-	default:
-		fmt.Fprintf(os.Stderr, "graphbig-vet: unknown -debug mode %q (supported: ranges)\n", *debug)
-		os.Exit(2)
 	}
 	selected, err := selectAnalyzers(*runList)
 	if err != nil {

@@ -10,14 +10,13 @@ import (
 )
 
 // TestAnalyzersRegistered asserts the full suite is wired into the
-// multichecker with documentation and a runner (per-package or module).
+// multichecker with documentation and a per-package runner.
 func TestAnalyzersRegistered(t *testing.T) {
 	as := Analyzers()
 	want := []string{"determinism", "hotloop", "overflowconv"}
 	if len(as) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(as), len(want))
 	}
-	module := map[string]bool{"overflowconv": true}
 	for i, a := range as {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d = %q, want %q", i, a.Name, want[i])
@@ -25,11 +24,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no doc", a.Name)
 		}
-		if module[a.Name] {
-			if a.RunModule == nil {
-				t.Errorf("analyzer %s should be module-scoped", a.Name)
-			}
-		} else if a.Run == nil {
+		if a.Run == nil {
 			t.Errorf("analyzer %s has no runner", a.Name)
 		}
 	}

@@ -18,8 +18,15 @@
 //   - analysistest.go: a golden-comment test harness compatible with the
 //     x/tools `// want "regexp"` convention.
 //
-// The project's analyzers live in subpackages (determinism, hotloop,
-// overflowconv) and are aggregated by cmd/graphbig-vet.
+// Every analyzer is per-package: Run sees one package's syntax and type
+// information, and nothing spans packages. The project's analyzers live
+// in subpackages (determinism, hotloop, overflowconv) and are aggregated
+// by cmd/graphbig-vet.
+//
+// The control-flow graph (cfg.go), dataflow solver (solver.go), call
+// graph (callgraph.go), intraprocedural range analysis (interval.go,
+// rangeanal.go, rangexfer.go, rangeprove.go) and the ssa subpackage are
+// no analyzer's dependency; only their own tests exercise them.
 package analysis
 
 import (
@@ -42,10 +49,6 @@ type Analyzer struct {
 	// pass.Report. The returned error aborts the whole vet run (reserved
 	// for internal failures, not findings).
 	Run func(pass *Pass) error
-	// RunModule, when set instead of Run, applies the analyzer once to
-	// the whole set of analyzed packages — the entry point for
-	// interprocedural analyzers that need the module call graph.
-	RunModule func(mp *ModulePass) error
 }
 
 // Pass carries one analyzed package to an Analyzer.Run. The fields mirror
@@ -88,9 +91,6 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue // module-scoped analyzer; see RunModuleAnalyzers
-		}
 		pass := &Pass{
 			Analyzer:    a,
 			Fset:        pkg.Fset,

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -13,33 +12,15 @@ import (
 	"testing"
 )
 
-// -ranges.debug mirrors `graphbig-vet -debug=ranges` inside analyzer
-// tests: fixture findings carry the inferred intervals, which is how a
-// failing `// want` is diagnosed. Off by default — the wants match the
-// production messages.
-var debugRangesFlag = flag.Bool("ranges.debug", false, "append inferred value ranges to range-analyzer findings in RunTest")
-
 // RunTest loads each fixture package from <cwd>/testdata/src/<pkgpath>,
 // applies the analyzer, and compares its findings against `// want "re"`
 // comments, the x/tools analysistest convention: every line carrying a
 // want comment must produce a diagnostic matching the quoted regular
 // expression, and every diagnostic must be claimed by a want comment.
 // Several quoted regexes may follow one want for lines with multiple
-// findings.
-//
-// Per-package analyzers (Run set) are applied to each fixture package in
-// turn. Module analyzers (RunModule set) are applied once to a Module
-// holding every loaded package — the named fixtures, fixture siblings
-// pulled in through imports, and any real module packages the fixtures
-// import — and the want comments of every fixture package (siblings
-// included) are checked, so a fixture can demonstrate caller-side
-// reporting of a violation that lives only in an imported helper.
+// findings. The analyzer is applied to each fixture package in turn.
 func RunTest(t *testing.T, a *Analyzer, pkgpaths ...string) {
 	t.Helper()
-	if *debugRangesFlag {
-		SetDebug(true)
-		defer SetDebug(false)
-	}
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +28,6 @@ func RunTest(t *testing.T, a *Analyzer, pkgpaths ...string) {
 	l.TestdataRoot, err = filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.RunModule != nil {
-		runModuleTest(t, l, a, pkgpaths)
-		return
 	}
 	for _, pkgpath := range pkgpaths {
 		pkg, err := l.LoadFixture(pkgpath)
@@ -63,37 +40,6 @@ func RunTest(t *testing.T, a *Analyzer, pkgpaths ...string) {
 		}
 		checkWants(t, pkg.Fset, pkg.Files, diags)
 	}
-}
-
-func runModuleTest(t *testing.T, l *Loader, a *Analyzer, pkgpaths []string) {
-	t.Helper()
-	for _, pkgpath := range pkgpaths {
-		if _, err := l.LoadFixture(pkgpath); err != nil {
-			t.Fatalf("loading fixture %s: %v", pkgpath, err)
-		}
-	}
-	// Every package with syntax participates in the module (the call
-	// graph needs the real module callees too); want comments are checked
-	// only in fixture files.
-	var pkgs []*Package
-	var fixtureFiles []*ast.File
-	var fset *token.FileSet
-	for _, pkg := range l.loaded {
-		pkgs = append(pkgs, pkg)
-		fset = pkg.Fset
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.FileStart).Filename
-			if strings.HasPrefix(name, l.TestdataRoot+string(filepath.Separator)) {
-				fixtureFiles = append(fixtureFiles, f)
-			}
-		}
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
-	diags, err := RunModuleAnalyzers(NewModule(pkgs), []*Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	checkWants(t, fset, fixtureFiles, diags)
 }
 
 type want struct {

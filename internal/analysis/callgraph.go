@@ -6,9 +6,9 @@ import (
 	"sort"
 )
 
-// This file builds the module-wide call graph the module analyzers walk
-// (every declared function, and the return-range summaries of the value
-// range layer). Resolution policy:
+// This file builds a may-call graph over a set of packages. No analyzer
+// walks it: every graphbig-vet analyzer is per-package. Resolution
+// policy:
 //
 //   - Static calls (package functions, concrete methods) resolve to the
 //     callee's *types.Func; callees declared in the analyzed packages get
@@ -101,7 +101,7 @@ func (cg *CallGraph) Node(fn *types.Func) *CGNode {
 }
 
 // Declared returns the nodes that carry syntax, sorted by position —
-// the functions an interprocedural analyzer can actually inspect.
+// the functions whose bodies are available to inspect.
 func (cg *CallGraph) Declared() []*CGNode {
 	var out []*CGNode
 	for _, n := range cg.Nodes {

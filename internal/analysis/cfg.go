@@ -7,10 +7,11 @@ import (
 )
 
 // This file implements per-function control-flow graph construction over
-// the type-checked AST, the substrate of the dataflow solver (solver.go)
-// and the interprocedural analyzers built on it. The shape follows
-// golang.org/x/tools/go/cfg with two deliberate extensions that the
-// project's analyzers need:
+// the type-checked AST, the substrate of the dataflow solver (solver.go),
+// the range analysis (rangeanal.go) and the ssa package. No graphbig-vet
+// analyzer builds one: overflowconv, the last user, became syntactic.
+// The shape follows golang.org/x/tools/go/cfg with two deliberate
+// extensions:
 //
 //   - short-circuit conditions (&&, ||, !) are split into separate
 //     condition blocks, so a fact established by evaluating the left

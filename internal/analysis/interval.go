@@ -8,8 +8,9 @@ import (
 	"strconv"
 )
 
-// This file implements the value-range abstract domain used by the
-// overflowconv analyzer: intervals over 64-bit
+// This file implements the value-range abstract domain of the range
+// analysis (rangeanal.go), which no graphbig-vet analyzer runs since
+// overflowconv became syntactic: intervals over 64-bit
 // integers whose endpoints may be symbolic — a constant offset from a
 // local variable ("n-1") or from the length of a local slice
 // ("len(vs)-1"). Symbolic endpoints are what make slice-index proofs
@@ -418,7 +419,7 @@ func (b Bound) String() string {
 }
 
 // intWidth is the width of int/uint on the analyzing platform. The
-// analyzers prove properties of the binary CI builds and ships (amd64 /
+// range analysis proves properties of the binary CI builds and ships (amd64 /
 // arm64: 64-bit), and using the host width keeps the tool honest when
 // someone does run it on a 32-bit host.
 const intWidth = bits.UintSize

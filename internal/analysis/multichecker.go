@@ -20,8 +20,7 @@ type Finding struct {
 }
 
 // AnalyzerTiming is one analyzer's wall-clock accumulated across every
-// package (per-package analyzers) or the whole module (module
-// analyzers), in suite order — what the CI time-budget step records.
+// package, in suite order — what the CI time-budget step records.
 type AnalyzerTiming struct {
 	Analyzer string  `json:"analyzer"`
 	Seconds  float64 `json:"seconds"`
@@ -36,8 +35,8 @@ type VetResult struct {
 
 // VetAll loads the packages matching patterns (module packages only;
 // the standard-library closure is type-checked but never analyzed) and
-// applies the suite: per-package analyzers to each package, module
-// analyzers once to the whole set, each analyzer timed individually.
+// applies every analyzer to each package, each analyzer timed
+// individually.
 // Findings come back sorted by file, line, column. Test files are not
 // analyzed: the invariants protect shipped simulation and engine code.
 func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
@@ -66,19 +65,6 @@ func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
 				pos := pkg.Fset.Position(d.Pos)
 				finds = append(finds, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message})
 			}
-		}
-	}
-	m := NewModule(pkgs)
-	for i, a := range analyzers {
-		start := time.Now()
-		mdiags, err := RunModuleAnalyzers(m, []*Analyzer{a})
-		elapsed[i] += time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range mdiags {
-			pos := m.Fset.Position(d.Pos)
-			finds = append(finds, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message})
 		}
 	}
 	SortFindings(finds)

@@ -1,12 +1,12 @@
-// Package overflowconv reports width-reducing integer conversions that
-// no dominating guard justifies. GraphBIG's CSR builders narrow int
-// loop counters and lengths into the int32/uint32 on-disk and in-memory
-// vertex encodings constantly; each such T(x) silently wraps when x
-// exceeds T's range, corrupting vertex IDs and offsets instead of
-// failing. The value-range analysis discharges the conversions that a
-// guard (if n > math.MaxInt32 { ... }), a loop bound, or a length link
-// provably covers; everything else is reported with the guarded-helper
-// idiom as the fix.
+// Package overflowconv reports width-reducing integer conversions.
+// GraphBIG's CSR builders narrow int loop counters and lengths into the
+// int32/uint32 on-disk and in-memory vertex encodings constantly; each
+// such T(x) silently wraps when x exceeds T's range, corrupting vertex
+// IDs and offsets instead of failing. The rule is syntactic: every
+// non-constant narrowing conversion in scope is reported, and the fix is
+// a checked helper (narrow.Index32, narrow.Index16, narrow.Size32), which
+// panics instead of wrapping. The helpers' own conversions are the
+// guarded ones: internal/narrow is outside the scope.
 //
 // Only width-reducing conversions are checked (int -> int32 yes,
 // int64 -> uint64 no): same-width sign flips are deliberate bit
@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"go/ast"
 	"go/printer"
-	"go/token"
 	"go/types"
 
 	"github.com/graphbig/graphbig-go/internal/analysis"
@@ -32,53 +31,42 @@ var scope = []string{
 }
 
 var Analyzer = &analysis.Analyzer{
-	Name:      "overflowconv",
-	Doc:       "report width-reducing integer conversions without a dominating range guard",
-	RunModule: run,
+	Name: "overflowconv",
+	Doc:  "report non-constant width-reducing integer conversions outside the checked helpers",
+	Run:  run,
 }
 
-func run(mp *analysis.ModulePass) error {
-	cg := mp.Module.CallGraph()
-	ri := mp.Module.Ranges()
-	for _, n := range cg.Declared() {
-		if !analysis.HasPathSuffix(n.Pkg.PkgPath, scope...) || n.Decl.Body == nil {
-			continue
-		}
-		info := n.Pkg.TypesInfo
-		walkUnits(n.Decl, func(m ast.Node, unit ast.Node) {
-			call, ok := m.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return
-			}
-			tv, ok := info.Types[call.Fun]
-			if !ok || !tv.IsType() {
-				return
-			}
-			if ctv, ok := info.Types[call]; ok && ctv.Value != nil {
-				return // constant conversion, checked by the compiler
-			}
-			src, sok := info.Types[call.Args[0]]
-			if !sok || !narrowing(src.Type, tv.Type) {
-				return
-			}
-			fr := ri.ForFunc(n.Pkg, unit)
-			env := fr.EnvAt(call.Pos())
-			if env == nil {
-				return
-			}
-			if ok, iv := fr.ProveFits(env, call.Args[0], tv.Type); !ok {
-				fset := mp.Module.Fset
-				msg := "narrowing conversion " + types.TypeString(tv.Type, types.RelativeTo(n.Pkg.Types)) +
-					"(" + exprString(fset, call.Args[0]) +
-					") from " + types.TypeString(src.Type, types.RelativeTo(n.Pkg.Types)) +
-					" may wrap silently; guard the range first or use a checked helper (e.g. property.Index32)"
-				if analysis.DebugEnabled() {
-					msg += "; inferred operand range " + iv.String()
-				}
-				mp.Report(call.Pos(), "%s", msg)
-			}
-		})
+func run(pass *analysis.Pass) error {
+	if !analysis.HasPathSuffix(pass.Pkg.Path(), scope...) {
+		return nil
 	}
+	info := pass.TypesInfo
+	qual := types.RelativeTo(pass.Pkg)
+	pass.Inspect(func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 {
+			return true
+		}
+		tv, ok := info.Types[call.Fun]
+		if !ok || !tv.IsType() {
+			return true
+		}
+		if ctv, ok := info.Types[call]; ok && ctv.Value != nil {
+			return true // constant conversion, checked by the compiler
+		}
+		src, ok := info.Types[call.Args[0]]
+		if !ok || !narrowing(src.Type, tv.Type) {
+			return true
+		}
+		var arg bytes.Buffer
+		if err := printer.Fprint(&arg, pass.Fset, call.Args[0]); err != nil {
+			arg.Reset()
+			arg.WriteString("<expr>")
+		}
+		pass.Report(call.Pos(), "narrowing conversion %s(%s) from %s may wrap silently; use a checked helper (e.g. narrow.Index32)",
+			types.TypeString(tv.Type, qual), arg.String(), types.TypeString(src.Type, qual))
+		return true
+	})
 	return nil
 }
 
@@ -113,35 +101,4 @@ func intWidth(t types.Type) int {
 		return wordBits
 	}
 	return 0
-}
-
-// walkUnits visits every node under decl with its innermost function
-// unit: decl itself, or the nearest enclosing FuncLit. Range facts are
-// per unit, so a conversion inside a closure is queried against the
-// closure's own facts.
-func walkUnits(decl *ast.FuncDecl, visit func(n ast.Node, unit ast.Node)) {
-	var walk func(n ast.Node, unit ast.Node)
-	walk = func(n ast.Node, unit ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if lit, ok := m.(*ast.FuncLit); ok {
-				visit(m, unit)
-				walk(lit.Body, lit)
-				return false
-			}
-			if m != nil {
-				visit(m, unit)
-			}
-			return m != nil
-		})
-	}
-	walk(decl.Body, decl)
-}
-
-// exprString renders an expression for a finding message.
-func exprString(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return "<expr>"
-	}
-	return buf.String()
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestOverflowConv(t *testing.T) {
-	analysis.RunTest(t, overflowconv.Analyzer, "internal/property")
+	analysis.RunTest(t, overflowconv.Analyzer, "internal/property", "internal/narrow")
 }

@@ -1,6 +1,6 @@
-// Fixture for the overflowconv analyzer: width-reducing integer
-// conversions need a dominating range guard (or the checked helpers
-// built on one).
+// Fixture for the overflowconv analyzer: a non-constant width-reducing
+// integer conversion is reported wherever it is written, guarded or not;
+// only the checked helpers (fixture internal/narrow) may contain one.
 package property
 
 // Positive: nothing bounds n.
@@ -13,23 +13,23 @@ func toSize(n uint64) uint32 {
 	return uint32(n) // want "narrowing conversion uint32\\(n\\) from uint64"
 }
 
-// Negative: the checked-helper guard shape — a single dominating
-// comparison whose panic edge leaves the conversion's range proven.
+// Positive: a hand-written guard is not accepted; only the checked
+// helpers are.
 func toIDGuarded(n int) int32 {
 	if n < 0 || n > 1<<31-1 {
 		panic("index overflows int32")
 	}
-	return int32(n)
+	return int32(n) // want "narrowing conversion int32\\(n\\) from int"
 }
 
-// Negative: a loop counter inherits its bound's proven range.
+// Positive: nor is a loop bound, however tight.
 func counters(m []int8) []int32 {
 	out := make([]int32, 0, len(m))
 	if len(m) > 1<<31-1 {
 		panic("too long")
 	}
 	for i := 0; i < len(m); i++ {
-		out = append(out, int32(i))
+		out = append(out, int32(i)) // want "narrowing conversion int32\\(i\\) from int"
 	}
 	return out
 }

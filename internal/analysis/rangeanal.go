@@ -33,9 +33,8 @@ import (
 //   - Executed index/slice expressions assert their own safety: after
 //     s[e] runs, e <= len(s)-1 and e >= 0 hold. This is what makes the
 //     documented `_ = s[n-1]` bounds-hint idiom visible to the prover.
-//   - Interprocedural summaries (RangeInfo) are closed-world over the
-//     analyzed packages: _test.go callers are outside the proof
-//     boundary — they exercise the code, they do not ship.
+//   - The analysis is intraprocedural: a unit's parameters and every
+//     call result span their types.
 
 // Env is the dataflow fact: value ranges for integer locals and length
 // ranges for slice/string locals. A nil *Env means "unreachable"; an
@@ -198,7 +197,7 @@ func widenEnv(old, merged *Env) *Env {
 }
 
 // funcAnalysis holds the per-unit context the transfer function and
-// prover need: type info, trackability sets, and the callee-return hook.
+// prover need: type info and trackability sets.
 type funcAnalysis struct {
 	info *types.Info
 	unit ast.Node // *ast.FuncDecl or *ast.FuncLit
@@ -212,18 +211,14 @@ type funcAnalysis struct {
 	// is re-applied every iteration from the loop's original operand
 	// value.
 	assignN map[types.Object]int
-	// retIv, when non-nil, supplies the return-value interval of a
-	// called function (interprocedural summaries).
-	retIv func(*types.Func) Interval
 }
 
-func newFuncAnalysis(info *types.Info, unit ast.Node, retIv func(*types.Func) Interval) *funcAnalysis {
+func newFuncAnalysis(info *types.Info, unit ast.Node) *funcAnalysis {
 	fa := &funcAnalysis{
 		info:        info,
 		unit:        unit,
 		untrackable: map[types.Object]bool{},
 		assignN:     map[types.Object]int{},
-		retIv:       retIv,
 	}
 	assigns := fa.assignN
 	bump := func(e ast.Expr, inLit bool) {

@@ -60,7 +60,7 @@ func buildRangeUnit(t *testing.T, src string) *rangeUnit {
 	if ru.fd == nil {
 		t.Fatal("no function in source")
 	}
-	ru.fr = analyzeUnit(info, ru.fd, nil, nil)
+	ru.fr = analyzeUnit(info, ru.fd)
 	return ru
 }
 

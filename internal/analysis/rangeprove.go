@@ -443,7 +443,7 @@ func (fa *funcAnalysis) fits(env *Env, iv Interval, t types.Type) bool {
 
 // FuncRanges is the solved range analysis of one unit (function
 // declaration or literal): the fixpoint environments plus the query
-// API the analyzers consume.
+// API the tests query.
 type FuncRanges struct {
 	fa    *funcAnalysis
 	cfg   *CFG
@@ -451,15 +451,13 @@ type FuncRanges struct {
 	in    map[*Block]*Env
 }
 
-// analyzeUnit solves the interval problem for unit with the given
-// entry environment, then runs two narrowing passes to recover
+// analyzeUnit solves the interval problem for unit from an
+// unconstrained entry, then runs two narrowing passes to recover
 // precision lost to widening.
-func analyzeUnit(info *types.Info, unit ast.Node, entry *Env, retIv func(*types.Func) Interval) *FuncRanges {
-	fa := newFuncAnalysis(info, unit, retIv)
+func analyzeUnit(info *types.Info, unit ast.Node) *FuncRanges {
+	fa := newFuncAnalysis(info, unit)
 	cfg := BuildCFG(unit)
-	if entry == nil {
-		entry = &Env{}
-	}
+	entry := &Env{}
 	lat := Lattice[*Env]{
 		Boundary: entry,
 		Top:      func() *Env { return nil },

@@ -128,11 +128,6 @@ func (fa *funcAnalysis) evalCall(env *Env, call *ast.CallExpr) Interval {
 			return fa.evalBuiltin(env, bi.Name(), call)
 		}
 	}
-	if fa.retIv != nil {
-		if fn := Callee(fa.info, call); fn != nil {
-			return fa.typeRangeOf(call).Meet(fa.retIv(fn))
-		}
-	}
 	return fa.typeRangeOf(call)
 }
 

@@ -3,6 +3,8 @@ package concurrent
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // HierBitmap is a bit-packed two-level frontier: a flat word array with
@@ -200,11 +202,6 @@ func (b *HierBitmap) NextSet(i int) int {
 // phases to sparsify a dense frontier.
 func (b *HierBitmap) AppendSet(dst []int32) []int32 {
 	words, sum := b.words, b.sum
-	if len(words) > (1<<31-1)/64 {
-		// Bit indices are produced as int32 vertex IDs below; a bitmap
-		// this large cannot have been built from int32 IDs.
-		panic("concurrent: hierarchical bitmap too large for int32 vertex IDs")
-	}
 	for si := range sum {
 		s := sum[si].Load()
 		sbase := si << 6
@@ -215,9 +212,8 @@ func (b *HierBitmap) AppendSet(dst []int32) []int32 {
 				break // summary bits never exceed the leaf range
 			}
 			w := words[wi].Load()
-			base := int32(wi << 6)
 			for w != 0 {
-				dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+				dst = append(dst, narrow.Index32(wi<<6+bits.TrailingZeros64(w)))
 				w &= w - 1
 			}
 		}

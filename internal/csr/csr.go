@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -108,7 +109,7 @@ func (c *Graph) ToCOO() *COO {
 		Dst: make([]int32, len(c.Col)),
 		W:   make([]float64, len(c.Col)),
 	}
-	n := property.Index32(c.N)
+	n := narrow.Index32(c.N)
 	for i := int32(0); i < n; i++ {
 		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
 			co.Src[k] = i
@@ -137,7 +138,7 @@ func (c *Graph) WAddr(k int64) uint64 { return c.wAddr + uint64(k)*8 }
 // ForEachVertex+Neighbors sweep).
 func (c *Graph) TraverseInstrumented(t mem.Tracker) uint64 {
 	var sum uint64
-	n := property.Index32(c.N)
+	n := narrow.Index32(c.N)
 	for i := int32(0); i < n; i++ {
 		t.Load(c.RowAddr(i), 8)
 		t.Load(c.RowAddr(i+1), 8)

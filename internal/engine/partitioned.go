@@ -2,8 +2,8 @@ package engine
 
 import (
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/partition"
-	"github.com/graphbig/graphbig-go/internal/property"
 )
 
 // Partitioned (subgraph-centric) traversal mode — DESIGN.md §10.
@@ -146,7 +146,7 @@ func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *S
 		// Phase 1 — partition-local push/pull to convergence. One worker
 		// per partition at a time: interior claims are plain stores.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.localTraverse(ps, spec, property.Index32(p))
+			e.localTraverse(ps, spec, narrow.Index32(p))
 		})
 		for p := 0; p < k; p++ {
 			st.PushRounds += int(ps.localPush[p])
@@ -157,7 +157,7 @@ func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *S
 		// edge. The window closes here, so improvements applied in phase
 		// 3 re-enter the next window's dirty list.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.emitBoundary(ps, spec, property.Index32(p))
+			e.emitBoundary(ps, spec, narrow.Index32(p))
 		})
 		sent := ps.mail.Pending()
 		st.BoundarySent += sent
@@ -168,7 +168,7 @@ func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *S
 		// Phase 3 — apply: each partition drains its own mailbox column
 		// and claims improvements into its next-superstep frontier.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			q := property.Index32(p)
+			q := narrow.Index32(p)
 			var got int64
 			ps.mail.Drain(q, func(m bmsg) {
 				if dv := dist[m.v]; dv < 0 || m.d < dv {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -160,7 +161,7 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 1 — each partition drains all its buckets to local
 		// convergence; cross-partition edges are skipped here.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.localSSSP(ps, q[p], dist, property.Index32(p))
+			e.localSSSP(ps, q[p], dist, narrow.Index32(p))
 		})
 		for p := 0; p < k; p++ {
 			st.Relaxed += ps.localApply[p]
@@ -169,7 +170,7 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 2 — emit every dirty boundary vertex's tentative distance
 		// across its cut edges, one message per (vertex, cut edge).
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.emitSSSP(ps, mail, dist, property.Index32(p))
+			e.emitSSSP(ps, mail, dist, narrow.Index32(p))
 		})
 		sent := mail.Pending()
 		st.BoundarySent += sent
@@ -180,11 +181,11 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		// Phase 3 — apply improvements into the owner's buckets.
 		concurrent.ParallelItems(k, workers, 1, func(p int) {
 			var got int64
-			mail.Drain(property.Index32(p), func(m wmsg) {
+			mail.Drain(narrow.Index32(p), func(m wmsg) {
 				if m.d < dist[m.v] {
 					dist[m.v] = m.d
 					q[p].Push(0, m.d, m.v)
-					ps.markDirty(property.Index32(p), m.v)
+					ps.markDirty(narrow.Index32(p), m.v)
 					got++
 				}
 			})

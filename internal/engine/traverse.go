@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
-	"github.com/graphbig/graphbig-go/internal/property"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // Spec configures one Traverse call. Dist is the only required field: it is
@@ -316,7 +316,7 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 					spec.Labels[v] = spec.Label
 				}
 				if spec.Visit != nil {
-					spec.Visit(property.Index32(v), r)
+					spec.Visit(narrow.Index32(v), r)
 				}
 				nextBits.Set(v)
 				p++

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // BulkEdge is one edge of a BulkInput: its endpoints as indices into the
@@ -81,11 +82,11 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	n, m := in.NumVertices(), in.NumEdges()
 	mirror, trackIn := !opt.Directed, opt.Directed && opt.TrackInEdges
 	// BulkEdge addresses vertices, and the fill its slab rows, as int32.
-	Index32(n)
+	narrow.Index32(n)
 	if mirror {
-		Index32(2 * m)
+		narrow.Index32(2 * m)
 	} else {
-		Index32(m)
+		narrow.Index32(m)
 	}
 
 	// Vertices. Shard s holds slots[start[s]:start[s+1]], filled through
@@ -118,7 +119,7 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	for i := range vs {
 		v := &vs[i]
 		v.ID = ids[i]
-		v.chunk, v.row = &chunks[i/chunkRows], Index16(i%chunkRows)
+		v.chunk, v.row = &chunks[i/chunkRows], narrow.Index16(i%chunkRows)
 		s := mix64(uint64(v.ID)) & g.mask
 		g.place(&g.shards[s], v)
 		slots[next[s]] = v
@@ -245,7 +246,7 @@ func (l *EdgeList) Intern(id VertexID) int32 {
 	}
 	l.ids = append(l.ids, id)
 	l.index.add(l.ids)
-	return Index32(len(l.ids) - 1)
+	return narrow.Index32(len(l.ids) - 1)
 }
 
 // Lookup returns id's index and whether id has been interned.

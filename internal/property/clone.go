@@ -1,5 +1,7 @@
 package property
 
+import "github.com/graphbig/graphbig-go/internal/narrow"
+
 // Clone returns a deep copy of g: same vertices, edges, in-lists and
 // property values, sharing no mutable state with the original. The clone
 // carries no tracker and a fresh arena. Destructive workloads (GUp,
@@ -68,13 +70,13 @@ func clone(g *Graph, flat bool) *Graph {
 					nsh.putEdgeProps(nv, append([]float64(nil), rows...))
 					nsh.mu.Unlock()
 				}
-				nv.edgeCap = Index32(len(v.Out))
+				nv.edgeCap = narrow.Index32(len(v.Out))
 				nv.edgeAddr = ng.arena.Alloc(uint64(nv.edgeCap)*ng.edgeRec, 64)
 			}
 			if len(v.In) > 0 {
 				nv.In = make([]VertexID, len(v.In))
 				copy(nv.In, v.In)
-				nv.inCap = Index32(len(v.In))
+				nv.inCap = narrow.Index32(len(v.In))
 				nv.inAddr = ng.arena.Alloc(uint64(nv.inCap)*inRecordBytes, 64)
 			}
 		}

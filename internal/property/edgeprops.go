@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // The paper's property-graph model attaches user-defined properties to
@@ -210,7 +211,7 @@ func (g *Graph) SetMeta(v *Vertex, key string, data []byte) {
 	sh.meta[v][key] = meta{data: cp, addr: addr}
 	sh.mu.Unlock()
 	if t != nil {
-		t.Store(addr, Size32(uint64(len(data))+16))
+		t.Store(addr, narrow.Size32(uint64(len(data))+16))
 		t.Exit()
 	}
 }
@@ -229,7 +230,7 @@ func (g *Graph) Meta(v *Vertex, key string) []byte {
 	sh.mu.RUnlock()
 	if t != nil {
 		if ok {
-			t.Load(m.addr, Size32(uint64(len(m.data))+16))
+			t.Load(m.addr, narrow.Size32(uint64(len(m.data))+16))
 		}
 		t.Exit()
 	}

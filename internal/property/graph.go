@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // VertexID identifies a vertex. IDs are user-assigned and need not be dense.
@@ -344,11 +345,11 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 	g.nVerts.Add(1)
 	if t != nil {
 		t.Store(sh.bucketAddr(id), indexBucketBytes)
-		t.Store(v.addr, Size32(g.recordBytes()))
+		t.Store(v.addr, narrow.Size32(g.recordBytes()))
 		if grew {
 			// Rehash: stream the old table through the new one.
-			t.Load(sh.idxAddr, Size32(sh.idxCap/2*indexBucketBytes))
-			t.Store(sh.idxAddr, Size32(sh.idxCap*indexBucketBytes))
+			t.Load(sh.idxAddr, narrow.Size32(sh.idxCap/2*indexBucketBytes))
+			t.Store(sh.idxAddr, narrow.Size32(sh.idxCap*indexBucketBytes))
 		}
 		t.Exit()
 	}
@@ -379,12 +380,12 @@ func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
 // capacity, accounting for the copy.
 func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
 	oldCap := int(v.edgeCap)
-	newCap := Index32(max(2*oldCap, 4))
+	newCap := narrow.Index32(max(2*oldCap, 4))
 	old := v.edgeAddr
 	v.edgeAddr = g.arena.Alloc(uint64(newCap)*g.edgeRec, 64)
 	if t != nil && oldCap > 0 {
-		t.Load(old, Size32(uint64(oldCap)*g.edgeRec))
-		t.Store(v.edgeAddr, Size32(uint64(oldCap)*g.edgeRec))
+		t.Load(old, narrow.Size32(uint64(oldCap)*g.edgeRec))
+		t.Store(v.edgeAddr, narrow.Size32(uint64(oldCap)*g.edgeRec))
 		t.Inst(uint64(4 + oldCap))
 	}
 	v.edgeCap = newCap
@@ -392,12 +393,12 @@ func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
 
 func (g *Graph) growIn(v *Vertex, t mem.Tracker) {
 	oldCap := int(v.inCap)
-	newCap := Index32(max(2*oldCap, 4))
+	newCap := narrow.Index32(max(2*oldCap, 4))
 	old := v.inAddr
 	v.inAddr = g.arena.Alloc(uint64(newCap)*inRecordBytes, 64)
 	if t != nil && oldCap > 0 {
-		t.Load(old, Size32(uint64(oldCap)*inRecordBytes))
-		t.Store(v.inAddr, Size32(uint64(oldCap)*inRecordBytes))
+		t.Load(old, narrow.Size32(uint64(oldCap)*inRecordBytes))
+		t.Store(v.inAddr, narrow.Size32(uint64(oldCap)*inRecordBytes))
 		t.Inst(uint64(4 + oldCap/2))
 	}
 	v.inCap = newCap

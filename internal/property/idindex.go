@@ -1,5 +1,7 @@
 package property
 
+import "github.com/graphbig/graphbig-go/internal/narrow"
+
 // idIndex maps vertex IDs to dense int32 indices. An ID below len(flat) has
 // its entry in flat (-1 when absent) and every other ID in sparse, so a
 // lookup over dense IDs is one array read. A View builds the whole index at
@@ -64,7 +66,7 @@ func (x *idIndex) add(ids []VertexID) {
 			}
 			for k, known := range ids[:i] {
 				if uint64(known) < size {
-					x.flat[known] = Index32(k)
+					x.flat[known] = narrow.Index32(k)
 					if uint64(known) >= old {
 						delete(x.sparse, known)
 					}
@@ -75,5 +77,5 @@ func (x *idIndex) add(ids []VertexID) {
 	if x.sparse == nil && uint64(id) >= uint64(len(x.flat)) {
 		x.sparse = make(map[VertexID]int32)
 	}
-	x.put(id, Index32(i))
+	x.put(id, narrow.Index32(i))
 }

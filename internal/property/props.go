@@ -3,6 +3,8 @@ package property
 import (
 	"sync"
 	"sync/atomic"
+
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // Property values are stored by field, not by vertex. A propChunk serves a
@@ -60,7 +62,7 @@ func (a *rowAllocator) next(np int) (*propChunk, uint16) {
 	if a.chunk == nil || a.used == chunkRows {
 		a.chunk, a.used = &newPropChunks(1, np)[0], 0
 	}
-	chunk, row := a.chunk, Index16(a.used)
+	chunk, row := a.chunk, narrow.Index16(a.used)
 	a.used++
 	a.mu.Unlock()
 	return chunk, row

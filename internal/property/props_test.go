@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // idRegimes are the ID sets the storage treats differently: dense (one flat
@@ -73,7 +75,7 @@ func TestPropStorageMatchesModel(t *testing.T) {
 				el.Intern(id)
 			}
 			for e := 0; e < n; e++ {
-				el.Add(Index32(rng.IntN(n)), Index32(rng.IntN(n)), 1)
+				el.Add(narrow.Index32(rng.IntN(n)), narrow.Index32(rng.IntN(n)), 1)
 			}
 			g := Bulk(Options{Schema: NewSchema("a", "b"), Shards: 1 << rng.IntN(5)}, &el, 1+rng.IntN(4))
 			if (g.flat != nil) != regime.flat {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/partition"
 )
 
@@ -139,7 +140,7 @@ func (g *Graph) ViewReference() *View {
 	idxSlot := g.EnsureField(SysIndexField)
 	pos := make(map[VertexID]int32, len(vs))
 	for i, v := range vs {
-		pos[v.ID] = Index32(i)
+		pos[v.ID] = narrow.Index32(i)
 	}
 	vw := &View{Verts: vs, idx: idIndex{sparse: pos}}
 	vw.resolveReference(g.directed, pos)
@@ -211,7 +212,7 @@ func indexByID(parts [][]idVert) ([]*Vertex, idIndex) {
 		sparse := make(map[VertexID]int32, n)
 		for i, e := range all {
 			verts[i] = e.v
-			sparse[e.id] = Index32(i)
+			sparse[e.id] = narrow.Index32(i)
 		}
 		return verts, idIndex{sparse: sparse}
 	}
@@ -226,7 +227,7 @@ func indexByID(parts [][]idVert) ([]*Vertex, idIndex) {
 	for id, v := range slot {
 		flat[id] = -1
 		if v != nil {
-			flat[id] = Index32(i)
+			flat[id] = narrow.Index32(i)
 			slot[i] = v
 			i++
 		}
@@ -292,14 +293,14 @@ func (vw *View) resolveReference(directed bool, pos map[VertexID]int32) {
 	off := make([]int32, n+1)
 	deg := 0
 	for i, v := range vw.Verts {
-		off[i] = Index32(deg)
+		off[i] = narrow.Index32(deg)
 		for k := range v.Out {
 			if _, ok := pos[v.Out[k].To]; ok {
 				deg++
 			}
 		}
 	}
-	off[n] = Index32(deg)
+	off[n] = narrow.Index32(deg)
 	nbr := make([]int32, deg)
 	wts := make([]float64, deg)
 	p := 0
@@ -394,7 +395,7 @@ func reverseCSR(n int, off, nbr []int32, workers int) (inOff, inNbr []int32) {
 			for i := bounds[wi]; i < bounds[wi+1]; i++ {
 				for k := off[i]; k < off[i+1]; k++ {
 					j := nbr[k]
-					inNbr[inOff[j]+h[j]] = Index32(i)
+					inNbr[inOff[j]+h[j]] = narrow.Index32(i)
 					h[j]++
 				}
 			}
@@ -419,7 +420,7 @@ func reverseCSRSerial(n int, off, nbr []int32) (inOff, inNbr []int32) {
 	for i := 0; i < n; i++ {
 		for k := off[i]; k < off[i+1]; k++ {
 			j := nbr[k]
-			inNbr[inOff[j]+fill[j]] = Index32(i)
+			inNbr[inOff[j]+fill[j]] = narrow.Index32(i)
 			fill[j]++
 		}
 	}
@@ -442,7 +443,7 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 			panic(fmt.Sprintf("property: order permutation is not a bijection at entry %d (old index %d)", ni, oi))
 		}
 		seen[oi] = true
-		inv[oi] = Index32(ni)
+		inv[oi] = narrow.Index32(ni)
 	}
 
 	oldVerts, oldOff, oldNbr, oldWts := vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW
@@ -467,13 +468,13 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 			row := nbr[off[i]:off[i+1]]
 			wrow := wts[off[i]:off[i+1]]
 			for k := range row {
-				row[k] = inv[oldNbr[s+Index32(k)]]
-				wrow[k] = oldWts[s+Index32(k)]
+				row[k] = inv[oldNbr[s+narrow.Index32(k)]]
+				wrow[k] = oldWts[s+narrow.Index32(k)]
 			}
 		}
 	})
 	for i, v := range verts {
-		vw.idx.put(v.ID, Index32(i))
+		vw.idx.put(v.ID, narrow.Index32(i))
 	}
 	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW = verts, off, nbr, wts
 	if !directed {

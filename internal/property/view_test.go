@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // ID layouts for buildViewTestGraph: every vertex its own index; spread so
@@ -103,7 +105,7 @@ func viewsEqual(t testing.TB, label string, a, b *View) {
 		}
 	}
 	for i, v := range a.Verts {
-		if a.IndexOf(v.ID) != Index32(i) || b.IndexOf(v.ID) != Index32(i) {
+		if a.IndexOf(v.ID) != narrow.Index32(i) || b.IndexOf(v.ID) != narrow.Index32(i) {
 			t.Fatalf("%s: IndexOf(%d) = %d and %d, want %d", label, v.ID, a.IndexOf(v.ID), b.IndexOf(v.ID), i)
 		}
 	}
@@ -328,7 +330,7 @@ func TestViewOrderComposition(t *testing.T) {
 	adjOf := func(vw *View) map[VertexID][]edge {
 		m := make(map[VertexID][]edge, vw.Len())
 		for i, v := range vw.Verts {
-			i32 := Index32(i)
+			i32 := narrow.Index32(i)
 			adj, wts := vw.Adj(i32), vw.AdjW(i32)
 			es := make([]edge, len(adj))
 			for k := range adj {
@@ -359,7 +361,7 @@ func TestViewOrderComposition(t *testing.T) {
 			}
 		}
 		for i, v := range vw.Verts {
-			if vw.IndexOf(v.ID) != Index32(i) {
+			if vw.IndexOf(v.ID) != narrow.Index32(i) {
 				t.Fatalf("%s: IndexOf(%d) = %d, want %d", name, v.ID, vw.IndexOf(v.ID), i)
 			}
 			if int(v.Prop(idxSlot)) != i {
@@ -370,12 +372,12 @@ func TestViewOrderComposition(t *testing.T) {
 		n := vw.Len()
 		wantIn := make([][]int32, n)
 		for i := 0; i < n; i++ {
-			for _, j := range vw.Adj(Index32(i)) {
-				wantIn[j] = append(wantIn[j], Index32(i))
+			for _, j := range vw.Adj(narrow.Index32(i)) {
+				wantIn[j] = append(wantIn[j], narrow.Index32(i))
 			}
 		}
 		for j := 0; j < n; j++ {
-			got := vw.InAdj(Index32(j))
+			got := vw.InAdj(narrow.Index32(j))
 			if len(got) != len(wantIn[j]) {
 				t.Fatalf("%s: in-degree of %d = %d, want %d", name, j, len(got), len(wantIn[j]))
 			}

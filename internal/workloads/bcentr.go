@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -53,7 +54,7 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 
 	touched := int64(0)
 	for s := 0; s < k; s++ {
-		srcIdx := property.Index32(int(uint64(s) * uint64(n) / uint64(k)))
+		srcIdx := narrow.Index32(int(uint64(s) * uint64(n) / uint64(k)))
 		for i := range sigma {
 			sigma[i], dist[i], delta[i] = 0, -1, 0
 		}
@@ -124,7 +125,7 @@ func bcentrTracked(g *property.Graph, vw *property.View, bc, k int) (*Result, er
 
 	touched := int64(0)
 	for s := 0; s < k; s++ {
-		srcIdx := property.Index32(int(uint64(s) * uint64(n) / uint64(k)))
+		srcIdx := narrow.Index32(int(uint64(s) * uint64(n) / uint64(k)))
 		for i := range sigma {
 			sigma[i], dist[i], delta[i] = 0, -1, 0
 		}

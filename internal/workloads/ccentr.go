@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -49,7 +50,7 @@ func CCentr(g *property.Graph, opt Options) (*Result, error) {
 	// closeness of every vertex is exact. With sampling, the per-source
 	// estimates are averaged into the sources' own closeness values.
 	for s := 0; s < k; s++ {
-		srcIdx := property.Index32(int(uint64(s) * uint64(n) / uint64(k)))
+		srcIdx := narrow.Index32(int(uint64(s) * uint64(n) / uint64(k)))
 		for i := range dist {
 			dist[i] = -1
 		}

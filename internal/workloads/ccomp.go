@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"github.com/graphbig/graphbig-go/internal/engine"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -55,7 +56,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		if seen {
 			continue
 		}
-		label := property.Index32(comps)
+		label := narrow.Index32(comps)
 		comps++
 		dist[s] = 0
 		labels[s] = label
@@ -86,7 +87,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 				})
 			}
 		}
-		st := eng.Traverse(&spec, property.Index32(s))
+		st := eng.Traverse(&spec, narrow.Index32(s))
 		touched += st.Reached
 		if st.Reached > largest {
 			largest = st.Reached

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -54,7 +55,7 @@ func CCompLP(g *property.Graph, opt Options) (*Result, error) {
 		concurrent.ParallelItems(n, w, 128, func(i int) {
 			best := cur[i]
 			if !tracked {
-				for _, wi := range vw.Adj(property.Index32(i)) {
+				for _, wi := range vw.Adj(narrow.Index32(i)) {
 					if l := cur[wi]; l < best {
 						best = l
 					}

@@ -24,6 +24,7 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/partition"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -183,14 +184,14 @@ func (a simArr) at(i int) uint64 { return a.base + (uint64(i)%a.n)*a.elem }
 // Ld records a read of element i.
 func (a simArr) Ld(i int) {
 	if a.t != nil {
-		a.t.Load(a.at(i), property.Size32(a.elem))
+		a.t.Load(a.at(i), narrow.Size32(a.elem))
 	}
 }
 
 // St records a write of element i.
 func (a simArr) St(i int) {
 	if a.t != nil {
-		a.t.Store(a.at(i), property.Size32(a.elem))
+		a.t.Store(a.at(i), narrow.Size32(a.elem))
 	}
 }
 

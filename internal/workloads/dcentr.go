@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -34,7 +35,7 @@ func DCentr(g *property.Graph, opt Options) (*Result, error) {
 		eng := newEngine(g, vw, opt.Workers, opt.engineSink)
 		sum := 0.0
 		eng.ForVertices(256, func(i int) {
-			deg := int(vw.Degree(property.Index32(i)))
+			deg := int(vw.Degree(narrow.Index32(i)))
 			if g.Directed() {
 				deg += vw.Verts[i].InDegree()
 			}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -49,7 +50,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 	}
 	work := make([]int32, n)
 	for i := range work {
-		work[i] = property.Index32(i)
+		work[i] = narrow.Index32(i)
 	}
 	// win[k] records whether work[k] won its round. It is indexed by work
 	// position (not vertex) so the phase-1 write is provably item-distinct;
@@ -161,7 +162,7 @@ func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(prop
 
 	work := make([]int32, n)
 	for i := range work {
-		work[i] = property.Index32(i)
+		work[i] = narrow.Index32(i)
 	}
 	wSim := newSimArr(g, n, 4)
 

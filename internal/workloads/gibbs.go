@@ -1,11 +1,10 @@
 package workloads
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"github.com/graphbig/graphbig-go/internal/bayes"
-	"github.com/graphbig/graphbig-go/internal/property"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // Gibbs performs Gibbs sampling for approximate inference in a Bayesian
@@ -32,7 +31,7 @@ func Gibbs(net *bayes.Network, opt Options) (*Result, error) {
 
 	state := make([]int32, n)
 	for i := range state {
-		state[i] = property.Index32(r.IntN(int(net.Nodes[i].States)))
+		state[i] = narrow.Index32(r.IntN(int(net.Nodes[i].States)))
 	}
 	// Evidence nodes (observed variables, the expert-system use case) are
 	// clamped to their observed state and never resampled. opt.MaxIters
@@ -50,14 +49,9 @@ func Gibbs(net *bayes.Network, opt Options) (*Result, error) {
 	probs := make([]float64, 0, 16)
 	var drawn int64
 	hist := make([]int64, 8) // state histogram of node 0 (posterior sample)
-	// The guard, rather than a hoisted Index32, keeps the node count's
-	// identity with len(state)/len(evidence) visible through the loop
-	// condition below.
-	if n > math.MaxInt32 {
-		panic("workloads: node count overflows int32")
-	}
+	n32 := narrow.Index32(n)
 	for sw := 0; sw < sweeps; sw++ {
-		for i := int32(0); i < int32(n); i++ {
+		for i := int32(0); i < n32; i++ {
 			if evidence[i] {
 				inst(t, 1)
 				continue
@@ -82,7 +76,7 @@ func Gibbs(net *bayes.Network, opt Options) (*Result, error) {
 				branch(t, siteSample, hit)
 				inst(t, 2)
 				if hit {
-					chosen = property.Index32(s)
+					chosen = narrow.Index32(s)
 					break
 				}
 			}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -31,7 +32,7 @@ func KCore(g *property.Graph, opt Options) (*Result, error) {
 	deg := make([]int32, n)
 	maxDeg := int32(0)
 	for i, v := range vw.Verts {
-		deg[i] = property.Index32(v.OutDegree())
+		deg[i] = narrow.Index32(v.OutDegree())
 		if deg[i] > maxDeg {
 			maxDeg = deg[i]
 		}
@@ -51,7 +52,7 @@ func KCore(g *property.Graph, opt Options) (*Result, error) {
 	for i := 0; i < n; i++ {
 		p := next[deg[i]]
 		next[deg[i]]++
-		vert[p] = property.Index32(i)
+		vert[p] = narrow.Index32(i)
 		pos[i] = p
 	}
 
@@ -102,7 +103,7 @@ func kcoreTracked(g *property.Graph, vw *property.View, core int) (*Result, erro
 	degSim := newSimArr(g, n, 4)
 	maxDeg := int32(0)
 	for i, v := range vw.Verts {
-		deg[i] = property.Index32(v.OutDegree())
+		deg[i] = narrow.Index32(v.OutDegree())
 		degSim.St(i)
 		inst(t, 2)
 		if deg[i] > maxDeg {
@@ -133,7 +134,7 @@ func kcoreTracked(g *property.Graph, vw *property.View, core int) (*Result, erro
 	for i := 0; i < n; i++ {
 		p := next[deg[i]]
 		next[deg[i]]++
-		vert[p] = property.Index32(i)
+		vert[p] = narrow.Index32(i)
 		pos[i] = p
 		vertSim.St(int(p))
 		posSim.St(i)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -31,7 +32,7 @@ func TC(g *property.Graph, opt Options) (*Result, error) {
 	// the intersection cost. Lists are index-sorted for merging.
 	deg := make([]int32, n)
 	for i, v := range vw.Verts {
-		deg[i] = property.Index32(v.OutDegree())
+		deg[i] = narrow.Index32(v.OutDegree())
 	}
 	rankLess := func(a, b int32) bool {
 		if deg[a] != deg[b] {
@@ -49,7 +50,7 @@ func TC(g *property.Graph, opt Options) (*Result, error) {
 				return true
 			}
 			j := int32(g.GetProp(nb, idxSlot))
-			keep := rankLess(property.Index32(i), j)
+			keep := rankLess(narrow.Index32(i), j)
 			branch(t, siteCompare, keep)
 			if keep {
 				lst = append(lst, j)
