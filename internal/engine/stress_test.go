@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -18,7 +19,10 @@ import (
 // to let `go test -race` patrol it. The two-ended lollipop adds the seam
 // inside one traversal: its rounds go serial, forked, serial for the
 // length of the path, forked again, so the same Dist array passes from
-// plain stores to CAS claims and back under the detector's eyes.
+// plain stores to CAS claims and back under the detector's eyes. Each
+// goroutine then hands its levels back through property.SetColumn into a
+// field of its own, so column writes of different fields share the View's
+// segments and chunks concurrently, first column allocations included.
 func TestTraverseConcurrentEnginesStress(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -43,10 +47,15 @@ func TestTraverseConcurrentEnginesStress(t *testing.T) {
 		if testing.Short() {
 			rounds = 2
 		}
+		var slots [goroutines]int
+		for gi := range slots {
+			slots[gi] = g.EnsureField(fmt.Sprintf("stress.level.%d", gi))
+		}
 		var wg sync.WaitGroup
 		for gi := 0; gi < goroutines; gi++ {
 			workers := 1 + rng.IntN(8)
 			noPull := gi%2 == 0
+			slot := slots[gi]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -62,6 +71,13 @@ func TestTraverseConcurrentEnginesStress(t *testing.T) {
 					for i := range dist {
 						if dist[i] != ref[i] {
 							t.Errorf("%s workers=%d noPull=%v: dist[%d] = %d, want %d", tc.name, workers, noPull, i, dist[i], ref[i])
+							return
+						}
+					}
+					property.SetColumn(vw, slot, dist)
+					for i, v := range vw.Verts {
+						if got := v.Prop(slot); got != float64(ref[i]) {
+							t.Errorf("%s workers=%d noPull=%v: written level of %d = %v, want %d", tc.name, workers, noPull, i, got, ref[i])
 							return
 						}
 					}

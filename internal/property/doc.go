@@ -27,7 +27,8 @@
 // That layout is what the instrumented runs see; it is not how the Go
 // structures are laid out. A Vertex holds its identity, its lists and its
 // simulated addresses; property values sit in per-field columns that exist
-// once written (props.go), metadata and edge-property rows in shard side
+// once written (props.go) and that native kernels fill a View segment at a
+// time (SetColumn), metadata and edge-property rows in shard side
 // storage that exists once used, and a bulk-built graph over dense IDs is
 // indexed by one flat table. Simulated sizes come from Schema.Cap(), Go
 // memory from what was written.

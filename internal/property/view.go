@@ -3,6 +3,7 @@ package property
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -51,6 +52,10 @@ type View struct {
 	// ascending dense-index order.
 	InOff []int32
 	InNbr []int32
+
+	// segs are the View's segments (props.go), in index order, through
+	// which SetColumn writes a field without reading Verts.
+	segs []segment
 
 	// parts is the partition plan recorded by ViewOpts.Partitions (nil
 	// when partitioned execution was not requested). It is computed over
@@ -487,19 +492,51 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 // publishIndex writes each snapshot vertex's dense index into its
 // sys.index property slot, holding every shard's write lock meanwhile so
 // that the publication excludes the mutations those locks order, another
-// View's publication among them. It goes in view order — down the
-// sys.index columns of a bulk-built graph, a few nanoseconds a vertex —
-// not shard by shard, which scatters each shard's writes over every column.
+// View's publication among them. Its one walk over the vertex records, in
+// view order, finds the View's segments; the index column is then written
+// segment by segment, as SetColumn writes a kernel's results.
 func (g *Graph) publishIndex(vw *View, idxSlot int) {
 	for s := range g.shards {
 		g.shards[s].mu.Lock()
 	}
-	for i, v := range vw.Verts {
-		v.SetPropRaw(idxSlot, float64(i))
+	vw.segs = segmentsOf(vw.Verts)
+	for k := range vw.segs {
+		lo, dst := vw.span(k, idxSlot)
+		for j := range dst {
+			dst[j] = float64(lo + j)
+		}
 	}
 	for s := range g.shards {
 		g.shards[s].mu.Unlock()
 	}
+}
+
+// segmentsOf returns the segments of vs. The walk over the records marks
+// where a segment starts in a bitmap and counts them, so the table is made
+// at its final size; filling it reads back only the records that start one.
+// A bulk-built graph's ID-ordered View is a few segments per chunk, a View
+// permuted by an ordering or over rows given in first-mention order is up
+// to one per vertex.
+func segmentsOf(vs []*Vertex) []segment {
+	starts := make([]uint64, (len(vs)+63)/64)
+	nseg := 0
+	var chunk *propChunk
+	row := 0
+	for i, v := range vs {
+		if v.chunk != chunk || int(v.row) != row+1 {
+			starts[i/64] |= 1 << (i % 64)
+			nseg++
+		}
+		chunk, row = v.chunk, int(v.row)
+	}
+	segs := make([]segment, 0, nseg)
+	for w, word := range starts {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			segs = append(segs, segment{start: narrow.Index32(i), row: vs[i].row, chunk: vs[i].chunk})
+		}
+	}
+	return segs
 }
 
 // IndexOf returns the dense index of id, or -1.

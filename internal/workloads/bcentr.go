@@ -31,9 +31,6 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	bc := g.EnsureField(BCentrField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(bc, 0)
-	}
 	k := opt.Samples
 	if k <= 0 {
 		k = 8
@@ -42,6 +39,10 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 		k = n
 	}
 	if g.Tracker() != nil {
+		// The tracked sweep accumulates into the field.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(bc, 0)
+		}
 		return bcentrTracked(g, vw, bc, k)
 	}
 
@@ -94,10 +95,10 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 			}
 		}
 	}
+	property.SetColumn(vw, bc, bcv)
 	sum := 0.0
-	for i, v := range vw.Verts {
-		v.SetPropRaw(bc, bcv[i])
-		sum += bcv[i]
+	for _, x := range bcv {
+		sum += x
 	}
 	return &Result{
 		Workload: "BCentr",

@@ -78,9 +78,7 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 		}, srcIdx)
 	} else {
 		st = eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
-		eng.ForVertices(256, func(i int) {
-			vw.Verts[i].SetPropRaw(lvl, float64(dist[i]))
-		})
+		property.SetColumn(vw, lvl, dist)
 	}
 
 	// Verification pass (uninstrumented): level checksum.

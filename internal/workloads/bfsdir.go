@@ -25,14 +25,19 @@ func BFSDirOpt(g *property.Graph, opt Options) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	lvl := g.EnsureField(BFSLevelField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(lvl, -1)
+	t := g.Tracker()
+	if t != nil {
+		// The tracked formulation reads the level property as its visited
+		// test; the native run writes every slot once, after the traversal.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(lvl, -1)
+		}
 	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
 	}
-	if g.Tracker() != nil {
+	if t != nil {
 		return bfsDirOptTracked(g, vw, lvl, srcIdx, opt)
 	}
 
@@ -42,13 +47,8 @@ func BFSDirOpt(g *property.Graph, opt Options) (*Result, error) {
 		dist[i] = -1
 	}
 	dist[srcIdx] = 0
-	vw.Verts[srcIdx].SetPropRaw(lvl, 0)
 	st := eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
-	eng.ForVertices(256, func(i int) {
-		if d := dist[i]; d > 0 {
-			vw.Verts[i].SetPropRaw(lvl, float64(d))
-		}
-	})
+	property.SetColumn(vw, lvl, dist)
 	sum := 0.0
 	for i := range dist {
 		if dist[i] >= 0 {

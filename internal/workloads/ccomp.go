@@ -96,9 +96,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		boundarySent += st.BoundarySent
 	}
 	if t == nil {
-		eng.ForVertices(256, func(i int) {
-			vw.Verts[i].SetPropRaw(lbl, float64(labels[i]))
-		})
+		property.SetColumn(vw, lbl, labels)
 	}
 	res := &Result{
 		Workload: "CComp",

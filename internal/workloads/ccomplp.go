@@ -93,14 +93,16 @@ func CCompLP(g *property.Graph, opt Options) (*Result, error) {
 		}
 	}
 
-	// Publish labels through the framework and count components.
+	// Publish labels (through the framework when tracked) and count
+	// components.
+	if !tracked {
+		property.SetColumn(vw, lbl, cur)
+	}
 	seen := map[float64]int{}
 	largest := 0
 	for i, v := range vw.Verts {
 		if tracked {
 			g.SetProp(v, lbl, cur[i])
-		} else {
-			v.SetPropRaw(lbl, cur[i])
 		}
 		seen[cur[i]]++
 		if seen[cur[i]] > largest {

@@ -33,16 +33,18 @@ func DCentr(g *property.Graph, opt Options) (*Result, error) {
 	}
 	if t == nil {
 		eng := newEngine(g, vw, opt.Workers, opt.engineSink)
-		sum := 0.0
+		dcv := make([]float64, n)
 		eng.ForVertices(256, func(i int) {
 			deg := int(vw.Degree(narrow.Index32(i)))
 			if g.Directed() {
 				deg += vw.Verts[i].InDegree()
 			}
-			vw.Verts[i].SetPropRaw(dc, float64(deg)*norm)
+			dcv[i] = float64(deg) * norm
 		})
-		for _, v := range vw.Verts {
-			sum += v.Prop(dc)
+		property.SetColumn(vw, dc, dcv)
+		sum := 0.0
+		for _, x := range dcv {
+			sum += x
 		}
 		return &Result{
 			Workload: "DCentr",

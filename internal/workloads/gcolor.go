@@ -31,15 +31,16 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	col := g.EnsureField(ColorField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(col, -1)
-	}
 	maxIters := opt.MaxIters
 	if maxIters <= 0 {
 		maxIters = 4 * 1024
 	}
 	prio := func(id property.VertexID) uint64 { return mix64(uint64(id) + uint64(opt.Seed)) }
 	if g.Tracker() != nil {
+		// The tracked rounds read the field to find the uncolored vertices.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(col, -1)
+		}
 		return gcolorTracked(g, vw, col, prio, maxIters, opt)
 	}
 
@@ -135,9 +136,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 		work = append(work[:0], nextWork.Slice()...)
 	}
 
-	eng.ForVertices(256, func(i int) {
-		vw.Verts[i].SetPropRaw(col, float64(colors[i]))
-	})
+	property.SetColumn(vw, col, colors)
 	sum := 0.0
 	for i := range colors {
 		sum += float64(colors[i])

@@ -65,7 +65,6 @@ func KCore(g *property.Graph, opt Options) (*Result, error) {
 		if c > maxCore {
 			maxCore = c
 		}
-		vw.Verts[vi].SetPropRaw(core, float64(c))
 		sum += float64(c)
 		for _, wi := range vw.Adj(vi) {
 			if deg[wi] > c {
@@ -84,6 +83,9 @@ func KCore(g *property.Graph, opt Options) (*Result, error) {
 			}
 		}
 	}
+	// A peeled vertex's degree is never lowered again, so deg now holds
+	// every core number.
+	property.SetColumn(vw, core, deg)
 	return &Result{
 		Workload: "kCore",
 		Visited:  int64(n),

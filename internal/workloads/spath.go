@@ -28,8 +28,11 @@ func SPath(g *property.Graph, opt Options) (*Result, error) {
 	}
 	distF := g.EnsureField(SPathDistField)
 	inf := math.Inf(1)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(distF, inf)
+	if g.Tracker() != nil {
+		// The tracked relaxation reads the field as its distance array.
+		for _, v := range vw.Verts {
+			v.SetPropRaw(distF, inf)
+		}
 	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
@@ -109,11 +112,7 @@ func SPath(g *property.Graph, opt Options) (*Result, error) {
 			}
 		}
 	}
-	for i := range dist {
-		if !math.IsInf(dist[i], 1) {
-			vw.Verts[i].SetPropRaw(distF, dist[i])
-		}
-	}
+	property.SetColumn(vw, distF, dist)
 	return &Result{
 		Workload: "SPath",
 		Visited:  settled,

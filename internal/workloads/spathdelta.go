@@ -57,10 +57,10 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 		st = newEngine(g, vw, opt.Workers, opt.engineSink).SSSP(dist, delta, srcIdx)
 	}
 
+	property.SetColumn(vw, distF, dist)
 	settled := int64(0)
 	sum := 0.0
 	for i := range dist {
-		vw.Verts[i].SetPropRaw(distF, dist[i])
 		if !math.IsInf(dist[i], 1) {
 			settled++
 			sum += dist[i]
