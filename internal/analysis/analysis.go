@@ -23,10 +23,10 @@
 // in subpackages (determinism, hotloop, overflowconv) and are aggregated
 // by cmd/graphbig-vet.
 //
-// The control-flow graph (cfg.go), dataflow solver (solver.go), call
-// graph (callgraph.go), intraprocedural range analysis (interval.go,
-// rangeanal.go, rangexfer.go, rangeprove.go) and the ssa subpackage are
-// no analyzer's dependency; only their own tests exercise them.
+// The control-flow graph (cfg.go), dataflow solver (solver.go),
+// intraprocedural range analysis (interval.go, rangeanal.go, rangexfer.go,
+// rangeprove.go) and the ssa subpackage are no analyzer's dependency; only
+// their own tests exercise them.
 package analysis
 
 import (

@@ -10,9 +10,9 @@ import (
 //
 // When the view carries a partition plan (property.ViewOpts.Partitions),
 // Traverse runs GoFFish-style: the partition — not the vertex — is the
-// unit of parallelism. Each partition's worker runs the push/pull kernels
-// over its own contiguous vertex range sequentially to local convergence,
-// so interior vertices have a single writer and need no CAS at all; only
+// unit of parallelism. Each partition's worker runs a push kernel over its
+// own contiguous vertex range sequentially to local convergence, so
+// interior vertices have a single writer and need no CAS at all; only
 // boundary vertices (the plan's cross-partition set) are exchanged, as
 // (vertex, distance) messages routed through concurrent.Mailboxes between
 // supersteps. Because a shorter path may enter a partition late, the
@@ -39,50 +39,54 @@ type partState struct {
 	dirty   [][]int32 // boundary vertices improved since the last exchange
 	claimed [][]int32 // vertices claimed (-1 -> d) this traversal
 
-	// mark/inFr are per-vertex epoch stamps (single writer: the owning
-	// partition), replacing O(n) clears: mark tracks dirty-list
-	// membership for the current exchange window, inFr tracks pull-round
-	// frontier membership. stamp backs the exchange-window counter and is
-	// only advanced between parallel phases; pull rounds inside the
-	// concurrent localTraverse use frStamp[p] instead — inFr[u] is owned
-	// by u's partition, so per-partition counters stay collision-free
-	// without sharing a counter across workers.
-	mark    []int64
-	inFr    []int64
-	stamp   int64
-	frStamp []int64
+	// mark is a per-vertex stamp of dirty-list membership (single writer:
+	// the owning partition): v is on its partition's dirty list iff
+	// mark[v] == window, so opening a window is one increment instead of
+	// an O(n) clear. window is only advanced between parallel phases.
+	mark   []int64
+	window int64
 
-	dirtyStamp  int64   // stamp of the open exchange window
-	localPush   []int64 // per-partition push-round counters (one superstep)
-	localPull   []int64
-	localApply  []int64 // per-partition applied-update counts (one exchange)
-	localClaims []int64 // per-partition claim counts for Stats.Reached
+	count []partCount // per-partition counters over one call
 
 	sssp *concurrent.Mailboxes[wmsg] // delta-stepping's boundary messages (sssp.go), lazily allocated
 }
 
-// partitioned returns the cached partitioned-mode scaffolding.
+// partCount is one partition's counters over one partitioned call. Only
+// the partition's own worker writes its entry; supersteps sums them once,
+// after the loop.
+type partCount struct {
+	rounds  int64 // local rounds: BFS push rounds, SSSP buckets drained
+	relaxed int64 // SSSP local relaxations
+	applied int64 // boundary messages that improved their target
+	claims  int64 // BFS first claims, for Stats.Reached
+}
+
+// partitioned returns the cached partitioned-mode scaffolding readied for
+// one call: the dirty lists empty, the counters zero and the first
+// exchange window open, so the caller can seed its sources with
+// markDirty.
 func (e *Engine) partitioned() *partState {
 	if e.prt == nil {
 		plan := e.vw.Partitions()
 		k := plan.K
 		e.prt = &partState{
-			plan:        plan,
-			mail:        concurrent.NewMailboxes[bmsg](k),
-			fr:          make([][]int32, k),
-			nx:          make([][]int32, k),
-			dirty:       make([][]int32, k),
-			claimed:     make([][]int32, k),
-			mark:        make([]int64, e.n),
-			inFr:        make([]int64, e.n),
-			frStamp:     make([]int64, k),
-			localPush:   make([]int64, k),
-			localPull:   make([]int64, k),
-			localApply:  make([]int64, k),
-			localClaims: make([]int64, k),
+			plan:    plan,
+			mail:    concurrent.NewMailboxes[bmsg](k),
+			fr:      make([][]int32, k),
+			nx:      make([][]int32, k),
+			dirty:   make([][]int32, k),
+			claimed: make([][]int32, k),
+			mark:    make([]int64, e.n),
+			count:   make([]partCount, k),
 		}
 	}
-	return e.prt
+	ps := e.prt
+	for p := range ps.dirty {
+		ps.dirty[p] = ps.dirty[p][:0]
+		ps.count[p] = partCount{}
+	}
+	ps.window++
+	return ps
 }
 
 // ValidateExchange runs the Mailboxes debug assertions over the
@@ -106,11 +110,6 @@ func (e *Engine) ValidateExchange(requireEmpty bool) error {
 	return nil
 }
 
-func (ps *partState) nextStamp() int64 {
-	ps.stamp++
-	return ps.stamp
-}
-
 // partitionedOK reports whether spec can run in partitioned mode: the
 // label-correcting supersteps may revisit a vertex, so the exactly-once
 // Visit contract (and the instrumented TrackedVisit stream) cannot be
@@ -120,83 +119,109 @@ func (e *Engine) partitionedOK(spec *Spec) bool {
 		spec.TrackedVisit == nil && spec.Visit == nil
 }
 
-// partitionedTraverse runs the superstep loop. Sources are already in cur
-// (with Dist set by the caller); st accumulates the per-call stats,
-// including the boundary-traffic counters.
+// partitionedTraverse is Traverse over the partition plan. Sources are
+// already in cur (with Dist set by the caller); st accumulates the
+// per-call stats, including the boundary-traffic counters.
 func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *Stats) {
 	ps := e.partitioned()
 	plan := ps.plan
-	k := plan.K
 	dist := spec.Dist
-	for p := 0; p < k; p++ {
+	for p := range ps.fr {
 		ps.fr[p] = ps.fr[p][:0]
-		ps.dirty[p] = ps.dirty[p][:0]
 		ps.claimed[p] = ps.claimed[p][:0]
-		ps.localClaims[p] = 0
 	}
-	ps.dirtyStamp = ps.nextStamp()
 	for _, s := range cur.Slice() {
 		p := plan.Of(s)
 		ps.fr[p] = append(ps.fr[p], s)
 		ps.markDirty(p, s)
 	}
-	workers := e.Workers()
-	for {
-		st.Supersteps++
-		// Phase 1 — partition-local push/pull to convergence. One worker
-		// per partition at a time: interior claims are plain stores.
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.localTraverse(ps, spec, narrow.Index32(p))
+	steps, sent, total := supersteps(e, ps, ps.mail,
+		func(p int32) { e.localTraverse(ps, spec, p) },
+		func(p int32) { e.emitBoundary(ps, spec, p) },
+		func(p int32, m bmsg) bool {
+			if dv := dist[m.v]; dv < 0 || m.d < dv {
+				e.claimPart(ps, spec, p, m.v, m.d)
+				ps.fr[p] = append(ps.fr[p], m.v)
+				return true
+			}
+			return false
 		})
-		for p := 0; p < k; p++ {
-			st.PushRounds += int(ps.localPush[p])
-			st.PullRounds += int(ps.localPull[p])
-		}
-		// Phase 2 — emit: each partition walks its dirty boundary
-		// vertices and posts their best-known distance across every cut
-		// edge. The window closes here, so improvements applied in phase
-		// 3 re-enter the next window's dirty list.
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.emitBoundary(ps, spec, narrow.Index32(p))
-		})
-		sent := ps.mail.Pending()
-		st.BoundarySent += sent
-		ps.dirtyStamp = ps.nextStamp()
-		if sent == 0 {
-			break
-		}
-		// Phase 3 — apply: each partition drains its own mailbox column
-		// and claims improvements into its next-superstep frontier.
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			q := narrow.Index32(p)
-			var got int64
-			ps.mail.Drain(q, func(m bmsg) {
-				if dv := dist[m.v]; dv < 0 || m.d < dv {
-					e.claimPart(ps, spec, q, m.v, m.d)
-					ps.fr[q] = append(ps.fr[q], m.v)
-					got++
-				}
-			})
-			ps.localApply[p] = got
-		})
-		var applied int64
-		for p := 0; p < k; p++ {
-			applied += ps.localApply[p]
-		}
-		if applied == 0 {
-			break
-		}
-	}
-	// Final stats from the claim lists: distances may have improved after
-	// first claim, so Reached/Depth read the converged values.
-	for p := 0; p < k; p++ {
-		st.Reached += ps.localClaims[p]
+	st.Supersteps += steps
+	st.BoundarySent += sent
+	st.PushRounds += int(total.rounds)
+	st.Reached += total.claims
+	// Depth from the claim lists: distances may have improved after first
+	// claim, so it reads the converged values.
+	for p := range ps.claimed {
 		for _, v := range ps.claimed[p] {
 			if d := dist[v]; d > st.Depth {
 				st.Depth = d
 			}
 		}
 	}
+}
+
+// supersteps is the superstep loop of every partitioned kernel, generic
+// over its boundary message (bmsg for Traverse, wmsg for SSSP). Each
+// superstep runs three phases, each with one worker per partition at a
+// time, and the ParallelItems barrier between phases is the only
+// synchronisation:
+//
+//  1. local runs partition p to local convergence over its own edges;
+//  2. emit posts p's dirty boundary vertices into mail. The exchange
+//     window then closes, so improvements applied in phase 3 enter the
+//     next window's dirty list;
+//  3. each partition drains its own mail column through apply, which
+//     reports whether a message improved its target.
+//
+// The loop ends after an exchange that sends or applies nothing, since
+// then no partition has work left. It returns the superstep count, the
+// messages sent and the partitions' summed counters.
+func supersteps[M any](e *Engine, ps *partState, mail *concurrent.Mailboxes[M],
+	local, emit func(p int32), apply func(p int32, m M) bool) (steps int, sent int64, total partCount) {
+	k := ps.plan.K
+	workers := e.Workers()
+	var applied int64
+	for {
+		steps++
+		concurrent.ParallelItems(k, workers, 1, func(p int) {
+			local(narrow.Index32(p))
+		})
+		concurrent.ParallelItems(k, workers, 1, func(p int) {
+			emit(narrow.Index32(p))
+		})
+		n := mail.Pending()
+		sent += n
+		ps.window++
+		if n == 0 {
+			break
+		}
+		concurrent.ParallelItems(k, workers, 1, func(p int) {
+			q := narrow.Index32(p)
+			var got int64
+			mail.Drain(q, func(m M) {
+				if apply(q, m) {
+					got++
+				}
+			})
+			ps.count[p].applied += got
+		})
+		var now int64
+		for _, c := range ps.count {
+			now += c.applied
+		}
+		if now == applied {
+			break // this exchange applied nothing
+		}
+		applied = now
+	}
+	for _, c := range ps.count {
+		total.rounds += c.rounds
+		total.relaxed += c.relaxed
+		total.applied += c.applied
+		total.claims += c.claims
+	}
+	return steps, sent, total
 }
 
 // claimPart records an improvement of v to nd inside partition p. First
@@ -209,7 +234,7 @@ func (e *Engine) claimPart(ps *partState, spec *Spec, p, v, nd int32) {
 			spec.Labels[v] = spec.Label
 		}
 		ps.claimed[p] = append(ps.claimed[p], v)
-		ps.localClaims[p]++
+		ps.count[p].claims++
 	}
 	spec.Dist[v] = nd
 	ps.markDirty(p, v)
@@ -219,79 +244,32 @@ func (e *Engine) claimPart(ps *partState, spec *Spec, p, v, nd int32) {
 // at most once per window (interior vertices are ignored — their
 // improvements never cross a cut edge).
 func (ps *partState) markDirty(p, v int32) {
-	if ps.plan.Boundary[v] && ps.mark[v] != ps.dirtyStamp {
-		ps.mark[v] = ps.dirtyStamp
+	if ps.plan.Boundary[v] && ps.mark[v] != ps.window {
+		ps.mark[v] = ps.window
 		ps.dirty[p] = append(ps.dirty[p], v)
 	}
 }
 
-// localTraverse is the partition-local kernel: the flat engine's
-// direction-optimizing loop restricted to the partition's own vertex
-// range, run sequentially by the partition's worker. Push rounds scatter
-// the local frontier across intra-partition edges; pull rounds sweep the
-// owned range against the frontier stamp. Cross-partition edges are
+// localTraverse is the partition-local kernel: a label-correcting push
+// BFS over the partition's own vertex range, run sequentially by the
+// partition's worker until its frontier is empty. A target is claimed
+// again whenever a shorter distance reaches it. Cross-partition edges are
 // deliberately not walked here — emitBoundary covers them from the dirty
-// list, so each cut edge is traversed once per window, not once per
-// local round.
+// list, so each cut edge is traversed once per window, not once per local
+// round.
+//
+// There is no pull phase. A partition-local pull cannot stop at a
+// vertex's first frontier parent, because a visited vertex may still
+// improve; so each pull round reads every in-edge of every owned vertex,
+// which on a symmetric graph is never fewer edge reads than the push
+// round it would replace (DESIGN.md §10).
 func (e *Engine) localTraverse(ps *partState, spec *Spec, p int32) {
 	vw := e.vw
 	dist := spec.Dist
 	lo, hi := ps.plan.Range(int(p))
-	owned := int64(hi - lo)
-	ps.localPush[p] = 0
-	ps.localPull[p] = 0
-	cur := ps.fr[p]
-	next := ps.nx[p][:0]
-	if len(cur) == 0 {
-		return
-	}
-	edgesLeft := ps.plan.LocalEdges[p]
-	scout := int64(0)
-	for _, u := range cur {
-		scout += int64(vw.Degree(u))
-	}
-	var pushRounds, pullRounds int64
-	for len(cur) > 0 {
-		if !spec.NoPull && scout > edgesLeft/Alpha {
-			// Pull rounds: stamp the frontier, sweep the owned range.
-			for {
-				ps.frStamp[p]++
-				fs := ps.frStamp[p]
-				for _, u := range cur {
-					ps.inFr[u] = fs
-				}
-				next = next[:0]
-				for v := lo; v < hi; v++ {
-					dv := dist[v]
-					best := dv
-					for _, u := range vw.InAdj(v) {
-						if u < lo || u >= hi || ps.inFr[u] != fs {
-							continue
-						}
-						if nd := dist[u] + 1; best < 0 || nd < best {
-							best = nd
-						}
-					}
-					if best != dv {
-						e.claimPart(ps, spec, p, v, best)
-						next = append(next, v)
-					}
-				}
-				pullRounds++
-				cur, next = next, cur
-				awake := int64(len(cur))
-				if awake == 0 || awake < owned/Beta {
-					break
-				}
-			}
-			scout = 0
-			for _, u := range cur {
-				scout += int64(vw.Degree(u))
-			}
-			edgesLeft = 0 // sweep covered the remainder; finish in push mode
-			continue
-		}
-		// Push round: scatter the local frontier over owned targets.
+	cur, next := ps.fr[p], ps.nx[p]
+	var rounds int64
+	for ; len(cur) > 0; rounds++ {
 		next = next[:0]
 		for _, u := range cur {
 			nd := dist[u] + 1
@@ -305,18 +283,11 @@ func (e *Engine) localTraverse(ps *partState, spec *Spec, p int32) {
 				}
 			}
 		}
-		pushRounds++
-		edgesLeft -= scout
 		cur, next = next, cur
-		scout = 0
-		for _, u := range cur {
-			scout += int64(vw.Degree(u))
-		}
 	}
 	ps.fr[p] = cur[:0]
 	ps.nx[p] = next[:0]
-	ps.localPush[p] = pushRounds
-	ps.localPull[p] = pullRounds
+	ps.count[p].rounds += rounds
 }
 
 // emitBoundary posts the best-known distance of every dirty boundary

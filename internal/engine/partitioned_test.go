@@ -41,6 +41,9 @@ func TestPartitionedChainLevels(t *testing.T) {
 		if st.BoundarySent == 0 {
 			t.Errorf("workers=%d: BoundarySent = 0, want boundary traffic on a cut path", workers)
 		}
+		if st.PullRounds != 0 {
+			t.Errorf("workers=%d: %d pull rounds, want a push-only run", workers, st.PullRounds)
+		}
 		for id := 0; id < 10; id++ {
 			i := vw.IndexOf(property.VertexID(id))
 			if dist[i] != int32(id) {
@@ -50,16 +53,64 @@ func TestPartitionedChainLevels(t *testing.T) {
 	}
 }
 
+// testGraph is one input of the partitioned differential tests.
+type testGraph struct {
+	name string
+	g    *property.Graph
+}
+
+// testGraphs are LDBC graphs of three sizes, low-diameter with a dense
+// core, and road grids, whose BFS runs hundreds of narrow rounds (the
+// high-diameter regime).
+func testGraphs(seed int64) []testGraph {
+	return []testGraph{
+		{"ldbc-50", gen.LDBC(50, seed, 0)},
+		{"ldbc-500", gen.LDBC(500, seed, 0)},
+		{"ldbc-2000", gen.LDBC(2000, seed, 0)},
+		{"road-3000", gen.Road(3000, seed, 0)},
+		{"road-20000", gen.Road(20000, seed, 0)},
+	}
+}
+
+// giantSource returns the lowest index of vw's largest component. Road
+// grids have many small components; a source in the giant one makes the
+// traversal cross every partition.
+func giantSource(vw *property.View) int32 {
+	seen := make([]bool, vw.Len())
+	best, bestSize := int32(0), 0
+	for s := range int32(vw.Len()) {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		q := []int32{s}
+		for i := 0; i < len(q); i++ {
+			for _, v := range vw.Adj(q[i]) {
+				if !seen[v] {
+					seen[v] = true
+					q = append(q, v)
+				}
+			}
+		}
+		if len(q) > bestSize {
+			best, bestSize = s, len(q)
+		}
+	}
+	return best
+}
+
 // TestPartitionedMatchesFlat differential-tests the partitioned engine
 // against the flat engine per vertex on generated graphs across partition
-// counts, including k values that do not divide the vertex count.
+// counts, including k values that do not divide the vertex count. The
+// partition-local kernel is push-only, so no partitioned run may report a
+// pull round.
 func TestPartitionedMatchesFlat(t *testing.T) {
-	for _, n := range []int{50, 500, 2000} {
-		g := gen.LDBC(n, 7, 0)
+	for _, tc := range testGraphs(7) {
+		g := tc.g
 		flatView := g.ViewWith(property.ViewOpts{Order: order.Cluster, Workers: 4})
 		eFlat := New(g, flatView, 4)
 		want := newDist(eFlat.N())
-		src := int32(0)
+		src := giantSource(flatView)
 		want[src] = 0
 		wst := eFlat.Traverse(&Spec{Dist: want}, src)
 
@@ -73,19 +124,22 @@ func TestPartitionedMatchesFlat(t *testing.T) {
 			// the same index space and dist arrays compare directly.
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("n=%d k=%d: dist[%d] = %d, flat %d", n, k, i, got[i], want[i])
+					t.Fatalf("%s k=%d: dist[%d] = %d, flat %d", tc.name, k, i, got[i], want[i])
 				}
 			}
 			if gst.Reached != wst.Reached || gst.Depth != wst.Depth {
-				t.Errorf("n=%d k=%d: stats %+v, flat %+v", n, k, gst, wst)
+				t.Errorf("%s k=%d: stats %+v, flat %+v", tc.name, k, gst, wst)
+			}
+			if gst.PullRounds != 0 {
+				t.Errorf("%s k=%d: %d pull rounds, want a push-only run", tc.name, k, gst.PullRounds)
 			}
 			if k == 1 && gst.BoundarySent != 0 {
-				t.Errorf("n=%d k=1: BoundarySent = %d, want 0", n, gst.BoundarySent)
+				t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, gst.BoundarySent)
 			}
 			// Between traversals every exchange box must be drained —
 			// the Mailboxes debug assertion backing the phase contract.
 			if err := e.prt.mail.Validate(true); err != nil {
-				t.Errorf("n=%d k=%d: %v", n, k, err)
+				t.Errorf("%s k=%d: %v", tc.name, k, err)
 			}
 		}
 	}
@@ -153,8 +207,8 @@ func TestPartitionedLabels(t *testing.T) {
 // sweep, bit-for-bit (both compute min over the same left-to-right float
 // path sums).
 func TestPartitionedSSSPMatchesBellmanFord(t *testing.T) {
-	for _, n := range []int{60, 800} {
-		g := gen.LDBC(n, 11, 0)
+	for _, tc := range testGraphs(11) {
+		g := tc.g
 		for _, k := range []int{1, 2, 3, 5, 8} {
 			vw := partView(g, k)
 			e := New(g, vw, 4)
@@ -163,7 +217,7 @@ func TestPartitionedSSSPMatchesBellmanFord(t *testing.T) {
 			for i := range dist {
 				dist[i] = inf
 			}
-			src := int32(0)
+			src := giantSource(vw)
 			dist[src] = 0
 			st := e.PartitionedSSSP(dist, 10, src)
 
@@ -191,14 +245,14 @@ func TestPartitionedSSSPMatchesBellmanFord(t *testing.T) {
 			}
 			for i := range want {
 				if dist[i] != want[i] {
-					t.Fatalf("n=%d k=%d: dist[%d] = %v, want %v", n, k, i, dist[i], want[i])
+					t.Fatalf("%s k=%d: dist[%d] = %v, want %v", tc.name, k, i, dist[i], want[i])
 				}
 			}
 			if k == 1 && st.BoundarySent != 0 {
-				t.Errorf("n=%d k=1: BoundarySent = %d, want 0", n, st.BoundarySent)
+				t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, st.BoundarySent)
 			}
 			if st.Relaxed == 0 {
-				t.Errorf("n=%d k=%d: no relaxations recorded", n, k)
+				t.Errorf("%s k=%d: no relaxations recorded", tc.name, k)
 			}
 		}
 	}

@@ -5,15 +5,15 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
-	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
 // The native delta-stepping kernels over ring.go's Buckets. The
-// partitioned one mirrors partitionedTraverse: each partition drains its
-// own ring over its own vertices, and cut-edge relaxations travel as
-// messages between supersteps. Both take the minimum over the same
-// left-to-right float path sums, so their distances agree bit for bit.
+// partitioned one runs partitioned.go's superstep loop: each partition
+// drains its own ring over its own vertices, and cut-edge relaxations
+// travel as messages between supersteps. Both take the minimum over the
+// same left-to-right float path sums, so their distances agree bit for
+// bit.
 
 // wmsg is one weighted boundary message: "vertex V is reachable at
 // tentative distance D".
@@ -140,76 +140,43 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 	if ps.sssp == nil {
 		ps.sssp = concurrent.NewMailboxes[wmsg](ps.plan.K)
 	}
-	mail := ps.sssp
 	plan := ps.plan
-	k := plan.K
-	var st SSSPStats
-	q := make([]*Buckets, k)
-	for p := 0; p < k; p++ {
-		ps.dirty[p] = ps.dirty[p][:0]
+	q := make([]*Buckets, plan.K)
+	for p := range q {
 		q[p] = NewBuckets(delta, 1)
 	}
-	ps.dirtyStamp = ps.nextStamp()
 	for _, s := range srcs {
 		p := plan.Of(s)
 		q[p].Push(0, dist[s], s)
 		ps.markDirty(p, s)
 	}
-	workers := e.Workers()
-	for {
-		st.Supersteps++
-		// Phase 1 — each partition drains all its buckets to local
-		// convergence; cross-partition edges are skipped here.
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.localSSSP(ps, q[p], dist, narrow.Index32(p))
+	steps, sent, total := supersteps(e, ps, ps.sssp,
+		func(p int32) { e.localSSSP(ps, q[p], dist, p) },
+		func(p int32) { e.emitSSSP(ps, ps.sssp, dist, p) },
+		func(p int32, m wmsg) bool {
+			if m.d < dist[m.v] {
+				dist[m.v] = m.d
+				q[p].Push(0, m.d, m.v)
+				ps.markDirty(p, m.v)
+				return true
+			}
+			return false
 		})
-		for p := 0; p < k; p++ {
-			st.Relaxed += ps.localApply[p]
-			st.Buckets += ps.localPush[p] // localPush reused: buckets drained
-		}
-		// Phase 2 — emit every dirty boundary vertex's tentative distance
-		// across its cut edges, one message per (vertex, cut edge).
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			e.emitSSSP(ps, mail, dist, narrow.Index32(p))
-		})
-		sent := mail.Pending()
-		st.BoundarySent += sent
-		ps.dirtyStamp = ps.nextStamp()
-		if sent == 0 {
-			break
-		}
-		// Phase 3 — apply improvements into the owner's buckets.
-		concurrent.ParallelItems(k, workers, 1, func(p int) {
-			var got int64
-			mail.Drain(narrow.Index32(p), func(m wmsg) {
-				if m.d < dist[m.v] {
-					dist[m.v] = m.d
-					q[p].Push(0, m.d, m.v)
-					ps.markDirty(narrow.Index32(p), m.v)
-					got++
-				}
-			})
-			ps.localApply[p] = got
-		})
-		var applied int64
-		for p := 0; p < k; p++ {
-			applied += ps.localApply[p]
-			st.Relaxed += ps.localApply[p]
-		}
-		if applied == 0 {
-			break
-		}
+	return SSSPStats{
+		Relaxed:      total.relaxed + total.applied,
+		Buckets:      total.rounds,
+		Supersteps:   steps,
+		BoundarySent: sent,
 	}
-	return st
 }
 
-// localSSSP drains partition p's ring over the edges inside p. Its
-// counters ride in localApply (relaxations) and localPush (buckets).
+// localSSSP drains partition p's ring over the edges inside p, counting
+// the buckets drained as p's local rounds.
 func (e *Engine) localSSSP(ps *partState, q *Buckets, dist []float64, p int32) {
 	vw := e.vw
 	lo, hi := ps.plan.Range(int(p))
 	var relaxed int64
-	ps.localPush[p] = q.Drain(func(work []int32, b int) {
+	drained := q.Drain(func(work []int32, b int) {
 		for _, u := range work {
 			du := dist[u]
 			if q.Of(du) < b {
@@ -231,7 +198,8 @@ func (e *Engine) localSSSP(ps *partState, q *Buckets, dist []float64, p int32) {
 			}
 		}
 	})
-	ps.localApply[p] = relaxed
+	ps.count[p].rounds += drained
+	ps.count[p].relaxed += relaxed
 }
 
 // emitSSSP posts each dirty boundary vertex's tentative distance plus the

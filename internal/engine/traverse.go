@@ -46,9 +46,10 @@ type Spec struct {
 }
 
 // Stats summarizes one Traverse call. PushRounds/PullRounds count global
-// rounds in flat mode and the sum of partition-local rounds in partitioned
-// mode; Supersteps and BoundarySent are zero outside partitioned mode,
-// SerialRounds outside native flat mode.
+// rounds in flat mode; in partitioned mode PushRounds is the sum of
+// partition-local rounds and PullRounds is zero, since the local kernel
+// is push-only. Supersteps and BoundarySent are zero outside partitioned
+// mode, SerialRounds outside native flat mode.
 type Stats struct {
 	Reached    int64 // vertices claimed, including the sources
 	Depth      int32 // highest round assigned (0 if only sources)

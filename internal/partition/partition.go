@@ -77,10 +77,6 @@ type Plan struct {
 	// Edges is the per-partition count of out-edge records owned by the
 	// partition's vertices (intra- and cross-partition alike).
 	Edges []int64
-	// LocalEdges is the per-partition count of out-edge records whose
-	// target is also owned — the edges a partition-local kernel can relax
-	// without an exchange.
-	LocalEdges []int64
 	// CutEdges counts directed edge records whose endpoints live in
 	// different partitions.
 	CutEdges int64
@@ -100,13 +96,12 @@ func New(n int, off, nbr, inOff, inNbr []int32, k int, mode Mode) *Plan {
 		bounds = edgeBounds(n, off, k)
 	}
 	p := &Plan{
-		K:          len(bounds) - 1,
-		Mode:       mode,
-		Bounds:     bounds,
-		Owner:      make([]int32, n),
-		Boundary:   make([]bool, n),
-		Edges:      make([]int64, len(bounds)-1),
-		LocalEdges: make([]int64, len(bounds)-1),
+		K:        len(bounds) - 1,
+		Mode:     mode,
+		Bounds:   bounds,
+		Owner:    make([]int32, n),
+		Boundary: make([]bool, n),
+		Edges:    make([]int64, len(bounds)-1),
 	}
 	for q := 0; q < p.K; q++ {
 		for v := bounds[q]; v < bounds[q+1]; v++ {
@@ -126,7 +121,6 @@ func New(n int, off, nbr, inOff, inNbr []int32, k int, mode Mode) *Plan {
 				}
 			}
 		}
-		p.LocalEdges[q] = local
 		p.CutEdges += p.Edges[q] - local
 	}
 	// A vertex whose cross edges are all incoming is boundary too: it

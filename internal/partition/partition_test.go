@@ -168,22 +168,29 @@ func TestBoundaryExact(t *testing.T) {
 	}
 }
 
-// TestPerPartitionEdgeAccounting cross-checks Edges/LocalEdges/CutEdges.
+// TestPerPartitionEdgeAccounting cross-checks Edges/CutEdges.
 func TestPerPartitionEdgeAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	n := 120
 	off, nbr, inOff, inNbr := randCSR(r, n, 700)
 	p := New(n, off, nbr, inOff, inNbr, 5, EdgeBalanced)
-	var edges, local int64
+	var edges, cut int64
 	for q := 0; q < p.K; q++ {
 		edges += p.Edges[q]
-		local += p.LocalEdges[q]
+		lo, hi := p.Range(q)
+		for u := lo; u < hi; u++ {
+			for _, v := range nbr[off[u]:off[u+1]] {
+				if v < lo || v >= hi {
+					cut++
+				}
+			}
+		}
 	}
 	if edges != int64(off[n]) {
 		t.Fatalf("sum Edges = %d, want %d", edges, off[n])
 	}
-	if edges-local != p.CutEdges {
-		t.Fatalf("edges-local = %d, want CutEdges %d", edges-local, p.CutEdges)
+	if cut != p.CutEdges {
+		t.Fatalf("cross-partition edge records = %d, want CutEdges %d", cut, p.CutEdges)
 	}
 	if p.Imbalance() < 1 {
 		t.Fatalf("imbalance %v < 1", p.Imbalance())
@@ -221,8 +228,8 @@ func TestEmptyAndTiny(t *testing.T) {
 // edges, every edge on one hub, more partitions asked for than vertices,
 // none or a negative number asked for — and checks a plan in both modes
 // against counts made edge by edge: the ranges tile [0,n) with no empty
-// one, Owner follows them, and CutEdges, Boundary, Edges and LocalEdges
-// are what a walk over the edge list finds.
+// one, Owner follows them, and CutEdges, Boundary and Edges are what a
+// walk over the edge list finds.
 func FuzzPartitionPlan(f *testing.F) {
 	f.Add([]byte{0, 3})                                     // empty graph
 	f.Add([]byte{8, 3})                                     // isolated vertices
@@ -263,13 +270,11 @@ func FuzzPartitionPlan(f *testing.F) {
 			}
 			var cut int64
 			boundary := make([]bool, n)
-			owned, local := make([]int64, p.K), make([]int64, p.K)
+			owned := make([]int64, p.K)
 			for _, e := range edges {
 				qu, qv := p.Owner[e[0]], p.Owner[e[1]]
 				owned[qu]++
-				if qu == qv {
-					local[qu]++
-				} else {
+				if qu != qv {
 					cut++
 					boundary[e[0]], boundary[e[1]] = true, true
 				}
@@ -287,8 +292,8 @@ func FuzzPartitionPlan(f *testing.F) {
 				t.Fatalf("n=%d k=%d %v: CutEdges=%d BoundaryCount=%d, an edge walk says %d and %d", n, k, mode, p.CutEdges, p.BoundaryCount(), cut, nb)
 			}
 			for q := range owned {
-				if p.Edges[q] != owned[q] || p.LocalEdges[q] != local[q] {
-					t.Fatalf("n=%d k=%d %v: partition %d holds %d edges, %d local; an edge walk says %d, %d", n, k, mode, q, p.Edges[q], p.LocalEdges[q], owned[q], local[q])
+				if p.Edges[q] != owned[q] {
+					t.Fatalf("n=%d k=%d %v: partition %d holds %d edges; an edge walk says %d", n, k, mode, q, p.Edges[q], owned[q])
 				}
 			}
 		}
