@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -106,42 +108,44 @@ func giantSource(vw *property.View) int32 {
 // pull round.
 func TestPartitionedMatchesFlat(t *testing.T) {
 	for _, tc := range testGraphs(7) {
-		g := tc.g
-		flatView := g.ViewWith(property.ViewOpts{Order: order.Cluster, Workers: 4})
-		eFlat := New(g, flatView, 4)
-		want := newDist(eFlat.N())
-		src := giantSource(flatView)
-		want[src] = 0
-		wst := eFlat.Traverse(&Spec{Dist: want}, src)
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			flatView := g.ViewWith(property.ViewOpts{Order: order.Cluster, Workers: 4})
+			eFlat := New(g, flatView, 4)
+			want := newDist(eFlat.N())
+			src := giantSource(flatView)
+			want[src] = 0
+			wst := eFlat.Traverse(&Spec{Dist: want}, src)
 
-		for _, k := range []int{1, 2, 3, 5, 8} {
-			vw := partView(g, k)
-			e := New(g, vw, 4)
-			got := newDist(e.N())
-			got[src] = 0
-			gst := e.Traverse(&Spec{Dist: got}, src)
-			// Cluster ordering is deterministic, so flatView and vw share
-			// the same index space and dist arrays compare directly.
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s k=%d: dist[%d] = %d, flat %d", tc.name, k, i, got[i], want[i])
+			for _, k := range []int{1, 2, 3, 5, 8} {
+				vw := partView(g, k)
+				e := New(g, vw, 4)
+				got := newDist(e.N())
+				got[src] = 0
+				gst := e.Traverse(&Spec{Dist: got}, src)
+				// Cluster ordering is deterministic, so flatView and vw share
+				// the same index space and dist arrays compare directly.
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s k=%d: dist[%d] = %d, flat %d", tc.name, k, i, got[i], want[i])
+					}
+				}
+				if gst.Reached != wst.Reached || gst.Depth != wst.Depth {
+					t.Errorf("%s k=%d: stats %+v, flat %+v", tc.name, k, gst, wst)
+				}
+				if gst.PullRounds != 0 {
+					t.Errorf("%s k=%d: %d pull rounds, want a push-only run", tc.name, k, gst.PullRounds)
+				}
+				if k == 1 && gst.BoundarySent != 0 {
+					t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, gst.BoundarySent)
+				}
+				// Between traversals every exchange box must be drained —
+				// the Mailboxes debug assertion backing the phase contract.
+				if err := e.prt.mail.Validate(true); err != nil {
+					t.Errorf("%s k=%d: %v", tc.name, k, err)
 				}
 			}
-			if gst.Reached != wst.Reached || gst.Depth != wst.Depth {
-				t.Errorf("%s k=%d: stats %+v, flat %+v", tc.name, k, gst, wst)
-			}
-			if gst.PullRounds != 0 {
-				t.Errorf("%s k=%d: %d pull rounds, want a push-only run", tc.name, k, gst.PullRounds)
-			}
-			if k == 1 && gst.BoundarySent != 0 {
-				t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, gst.BoundarySent)
-			}
-			// Between traversals every exchange box must be drained —
-			// the Mailboxes debug assertion backing the phase contract.
-			if err := e.prt.mail.Validate(true); err != nil {
-				t.Errorf("%s k=%d: %v", tc.name, k, err)
-			}
-		}
+		})
 	}
 }
 
@@ -208,53 +212,55 @@ func TestPartitionedLabels(t *testing.T) {
 // path sums).
 func TestPartitionedSSSPMatchesBellmanFord(t *testing.T) {
 	for _, tc := range testGraphs(11) {
-		g := tc.g
-		for _, k := range []int{1, 2, 3, 5, 8} {
-			vw := partView(g, k)
-			e := New(g, vw, 4)
-			inf := math.Inf(1)
-			dist := make([]float64, e.N())
-			for i := range dist {
-				dist[i] = inf
-			}
-			src := giantSource(vw)
-			dist[src] = 0
-			st := e.PartitionedSSSP(dist, 10, src)
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			for _, k := range []int{1, 2, 3, 5, 8} {
+				vw := partView(g, k)
+				e := New(g, vw, 4)
+				inf := math.Inf(1)
+				dist := make([]float64, e.N())
+				for i := range dist {
+					dist[i] = inf
+				}
+				src := giantSource(vw)
+				dist[src] = 0
+				st := e.PartitionedSSSP(dist, 10, src)
 
-			want := make([]float64, e.N())
-			for i := range want {
-				want[i] = inf
-			}
-			want[src] = 0
-			for changed := true; changed; {
-				changed = false
-				for u := int32(0); int(u) < e.N(); u++ {
-					du := want[u]
-					if math.IsInf(du, 1) {
-						continue
-					}
-					adj := vw.Adj(u)
-					wts := vw.AdjW(u)
-					for j, v := range adj {
-						if nd := du + wts[j]; nd < want[v] {
-							want[v] = nd
-							changed = true
+				want := make([]float64, e.N())
+				for i := range want {
+					want[i] = inf
+				}
+				want[src] = 0
+				for changed := true; changed; {
+					changed = false
+					for u := int32(0); int(u) < e.N(); u++ {
+						du := want[u]
+						if math.IsInf(du, 1) {
+							continue
+						}
+						adj := vw.Adj(u)
+						wts := vw.AdjW(u)
+						for j, v := range adj {
+							if nd := du + wts[j]; nd < want[v] {
+								want[v] = nd
+								changed = true
+							}
 						}
 					}
 				}
-			}
-			for i := range want {
-				if dist[i] != want[i] {
-					t.Fatalf("%s k=%d: dist[%d] = %v, want %v", tc.name, k, i, dist[i], want[i])
+				for i := range want {
+					if dist[i] != want[i] {
+						t.Fatalf("%s k=%d: dist[%d] = %v, want %v", tc.name, k, i, dist[i], want[i])
+					}
+				}
+				if k == 1 && st.BoundarySent != 0 {
+					t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, st.BoundarySent)
+				}
+				if st.Relaxed == 0 {
+					t.Errorf("%s k=%d: no relaxations recorded", tc.name, k)
 				}
 			}
-			if k == 1 && st.BoundarySent != 0 {
-				t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, st.BoundarySent)
-			}
-			if st.Relaxed == 0 {
-				t.Errorf("%s k=%d: no relaxations recorded", tc.name, k)
-			}
-		}
+		})
 	}
 }
 
@@ -291,5 +297,188 @@ func TestPartitionedFallbacks(t *testing.T) {
 	d2[0] = 0
 	if st := ef.Traverse(&Spec{Dist: d2}, 0); st.Supersteps != 0 {
 		t.Errorf("plan-less view ran partitioned: %+v", st)
+	}
+}
+
+// relay is a toy partitioned protocol for the superstep loop's own tests:
+// one token starts in partition 0 and is passed one partition up per
+// exchange until it reaches partition k-1, which keeps it. Each phase
+// touches only its own partition's slot, as the loop's barriers allow.
+type relay struct {
+	ps   *partState
+	mail *concurrent.Mailboxes[int32]
+	has  []bool
+	got  []bool
+}
+
+func newRelay(ps *partState) *relay {
+	k := ps.plan.K
+	r := &relay{
+		ps:   ps,
+		mail: concurrent.NewMailboxes[int32](k),
+		has:  make([]bool, k),
+		got:  make([]bool, k),
+	}
+	r.has[0], r.got[0] = true, true
+	return r
+}
+
+func (r *relay) local(p int32) { r.ps.count[p].rounds++ }
+
+func (r *relay) emit(p int32) {
+	if r.has[p] && int(p)+1 < r.ps.plan.K {
+		r.mail.Put(p, p+1, p+1)
+		r.has[p] = false
+	}
+}
+
+func (r *relay) apply(p int32, m int32) bool {
+	if m != p || r.got[p] {
+		return false
+	}
+	r.has[p], r.got[p] = true, true
+	return true
+}
+
+// superstepState returns an engine over a 4-way partitioned path and its
+// partitioned scaffolding, readied for one call.
+func superstepState(t *testing.T) (*Engine, *partState) {
+	t.Helper()
+	g := chain(16)
+	e := New(g, partView(g, 4), 4)
+	ps := e.partitioned()
+	if ps.plan.K != 4 {
+		t.Fatalf("plan has %d partitions, want 4", ps.plan.K)
+	}
+	return e, ps
+}
+
+// TestSuperstepsStopWhenNothingSent: with no boundary traffic the loop
+// runs exactly one superstep and never reaches its apply phase.
+func TestSuperstepsStopWhenNothingSent(t *testing.T) {
+	e, ps := superstepState(t)
+	mail := concurrent.NewMailboxes[int32](ps.plan.K)
+	w0 := ps.window
+	steps, sent, total := supersteps(e, ps, mail,
+		func(p int32) { ps.count[p].rounds++ },
+		func(p int32) {},
+		func(p int32, m int32) bool {
+			t.Errorf("partition %d: apply ran with nothing sent", p)
+			return false
+		})
+	if steps != 1 || sent != 0 {
+		t.Errorf("steps, sent = %d, %d; want 1, 0", steps, sent)
+	}
+	if total.rounds != int64(ps.plan.K) {
+		t.Errorf("summed rounds = %d, want one per partition (%d)", total.rounds, ps.plan.K)
+	}
+	if ps.window != w0+1 {
+		t.Errorf("window advanced by %d, want 1 per superstep", ps.window-w0)
+	}
+}
+
+// TestSuperstepsStopWhenNothingApplied: an exchange whose messages all
+// fail to improve their targets ends the loop, with every box drained.
+func TestSuperstepsStopWhenNothingApplied(t *testing.T) {
+	e, ps := superstepState(t)
+	k := ps.plan.K
+	mail := concurrent.NewMailboxes[int32](k)
+	var applies atomic.Int64
+	steps, sent, total := supersteps(e, ps, mail,
+		func(p int32) {},
+		func(p int32) { mail.Put(p, int32((int(p)+1)%k), p) },
+		func(p int32, m int32) bool {
+			applies.Add(1)
+			return false
+		})
+	if steps != 1 || sent != int64(k) {
+		t.Errorf("steps, sent = %d, %d; want 1, %d", steps, sent, k)
+	}
+	if applies.Load() != int64(k) || total.applied != 0 {
+		t.Errorf("apply ran %d times and %d applied; want %d and 0", applies.Load(), total.applied, k)
+	}
+	if err := mail.Validate(true); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSuperstepsRelayConverges: the loop keeps exchanging while each
+// exchange applies something, and stops on the first superstep that
+// sends nothing — k supersteps and k-1 messages for a relay across k
+// partitions.
+func TestSuperstepsRelayConverges(t *testing.T) {
+	e, ps := superstepState(t)
+	k := ps.plan.K
+	r := newRelay(ps)
+	w0 := ps.window
+	steps, sent, total := supersteps(e, ps, r.mail, r.local, r.emit, r.apply)
+	if steps != k || sent != int64(k-1) {
+		t.Errorf("steps, sent = %d, %d; want %d, %d", steps, sent, k, k-1)
+	}
+	if total.applied != int64(k-1) {
+		t.Errorf("summed applied = %d, want %d", total.applied, k-1)
+	}
+	if total.rounds != int64(k*steps) {
+		t.Errorf("summed rounds = %d, want one per partition per superstep (%d)", total.rounds, k*steps)
+	}
+	if !r.has[k-1] {
+		t.Error("the token never reached the last partition")
+	}
+	if ps.window != w0+int64(steps) {
+		t.Errorf("window advanced by %d over %d supersteps", ps.window-w0, steps)
+	}
+}
+
+// TestSuperstepsPhaseOrder pins the barrier order: within a superstep
+// every local run ends before any emit starts, every emit ends before any
+// apply starts, and the exchange window closes between emit and apply,
+// so an improvement applied in phase 3 is dirty in the next window.
+func TestSuperstepsPhaseOrder(t *testing.T) {
+	e, ps := superstepState(t)
+	k := int64(ps.plan.K)
+	r := newRelay(ps)
+	var locals, emits atomic.Int64
+	emitWindow := make([]int64, k)
+	local := func(p int32) {
+		c := locals.Add(1)
+		if got, want := emits.Load(), k*((c-1)/k); got != want {
+			t.Errorf("local %d: %d emits done, want %d", c, got, want)
+		}
+		r.local(p)
+	}
+	emit := func(p int32) {
+		c := emits.Add(1)
+		if got, want := locals.Load(), k*((c-1)/k+1); got != want {
+			t.Errorf("emit %d: %d local runs done, want %d", c, got, want)
+		}
+		emitWindow[p] = ps.window
+		r.emit(p)
+	}
+	apply := func(p int32, m int32) bool {
+		if l, em := locals.Load(), emits.Load(); em != l || em%k != 0 {
+			t.Errorf("apply: %d emits after %d local runs, want a whole superstep of each", em, l)
+		}
+		if ps.window != emitWindow[p]+1 {
+			t.Errorf("apply in partition %d: window %d, want the emit window %d + 1", p, ps.window, emitWindow[p])
+		}
+		return r.apply(p, m)
+	}
+	if steps, _, _ := supersteps(e, ps, r.mail, local, emit, apply); steps != int(k) {
+		t.Errorf("steps = %d, want %d", steps, k)
+	}
+}
+
+// TestSuperstepsCountersPerCall: the partition counters cover one call
+// only. A second call readied by partitioned() reports the same totals
+// as the first, not their sum.
+func TestSuperstepsCountersPerCall(t *testing.T) {
+	e, ps := superstepState(t)
+	r := newRelay(ps)
+	_, _, first := supersteps(e, ps, r.mail, r.local, r.emit, r.apply)
+	ps = e.partitioned()
+	r = newRelay(ps)
+	_, _, second := supersteps(e, ps, r.mail, r.local, r.emit, r.apply)
+	if first != second {
+		t.Errorf("second call totals %+v, first %+v", second, first)
 	}
 }
