@@ -10,11 +10,11 @@ import (
 // HierBitmap is a bit-packed two-level frontier: a flat word array with
 // atomic test-and-set semantics (the visited set of parallel traversals)
 // plus a summary-word hierarchy — bit w of sum[w>>6] is set iff words[w]
-// has ever been set since the last Clear. Scans (Clear, Count, CountRange, NextSet,
-// AppendSet) walk the summary and touch only populated leaf words, so a
-// sparse frontier over a large vertex set costs O(set words + n/4096)
-// instead of a flat bitmap's O(n/64) — the difference between a pull
-// round's bookkeeping touching one word per vertex and touching only the
+// has ever been set since the last Clear. The scans (Clear, AppendSet)
+// walk the summary and touch only populated leaf words, so a sparse
+// frontier over a large vertex set costs O(set words + n/4096) instead of
+// a flat bitmap's O(n/64) — the difference between a pull round's
+// bookkeeping touching one word per vertex and touching only the
 // frontier's cache lines (DESIGN.md §12).
 type HierBitmap struct {
 	words []atomic.Uint64
@@ -106,94 +106,6 @@ func (b *HierBitmap) Clear() {
 		}
 		b.sum[si].Store(0)
 	}
-}
-
-// Count returns the number of set bits, scanning populated words only.
-func (b *HierBitmap) Count() int {
-	c := 0
-	for si := range b.sum {
-		s := b.sum[si].Load()
-		base := si << 6
-		for s != 0 {
-			c += bits.OnesCount64(b.words[base+bits.TrailingZeros64(s)].Load())
-			s &= s - 1
-		}
-	}
-	return c
-}
-
-// CountRange returns the number of set bits in [lo, hi), the per-chunk
-// population count backing chunk-local awake accounting. Bounds are
-// clamped to [0, Len()).
-func (b *HierBitmap) CountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	first, last := lo>>6, (hi-1)>>6
-	headMask := ^uint64(0) << (uint(lo) & 63)
-	tailMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if first == last {
-		return bits.OnesCount64(b.words[first].Load() & headMask & tailMask)
-	}
-	c := bits.OnesCount64(b.words[first].Load() & headMask)
-	// Interior words go through the summary so empty runs cost one summary
-	// probe per 4096 bits.
-	for wi := first + 1; wi < last; {
-		s := b.sum[wi>>6].Load() >> (uint(wi) & 63)
-		if s == 0 {
-			wi += 64 - wi&63
-			continue
-		}
-		skip := bits.TrailingZeros64(s)
-		wi += skip
-		if wi >= last {
-			break
-		}
-		c += bits.OnesCount64(b.words[wi].Load())
-		wi++
-	}
-	return c + bits.OnesCount64(b.words[last].Load()&tailMask)
-}
-
-// NextSet returns the index of the first set bit >= i, or -1. The summary
-// level skips empty 4096-bit spans in one probe, making repeated
-// NextSet calls a range scan over the set bits.
-func (b *HierBitmap) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i >> 6
-	if w := b.words[wi].Load() >> (uint(i) & 63); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	wi++
-	for wi < len(b.words) {
-		s := b.sum[wi>>6].Load() >> (uint(wi) & 63)
-		if s == 0 {
-			wi += 64 - wi&63
-			continue
-		}
-		wi += bits.TrailingZeros64(s)
-		if wi >= len(b.words) {
-			break
-		}
-		if w := b.words[wi].Load(); w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		// Summary bits are sticky until Clear: the word was populated once
-		// but only by a racing setter we must not rely on. Skip it.
-		wi++
-	}
-	return -1
 }
 
 // AppendSet appends the indices of all set bits to dst in ascending order

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -27,15 +28,12 @@ func TestHierBitmapBasics(t *testing.T) {
 	}
 	b.Set(5)
 	b.Set(5)
-	if b.Count() != 2 {
-		t.Errorf("Count = %d, want 2", b.Count())
+	if got := b.AppendSet(nil); !slices.Equal(got, []int32{5, 129}) {
+		t.Errorf("AppendSet = %v, want [5 129]", got)
 	}
 	b.Clear()
-	if b.Count() != 0 {
-		t.Error("Clear failed")
-	}
-	if b.NextSet(0) != -1 {
-		t.Error("NextSet on cleared bitmap must be -1")
+	if got := b.AppendSet(nil); len(got) != 0 {
+		t.Errorf("AppendSet after Clear = %v", got)
 	}
 }
 
@@ -47,30 +45,18 @@ func runBitmapOps(t *testing.T, n int, ops []byte) {
 	t.Helper()
 	h := NewHierBitmap(n)
 	model := make([]bool, n)
-	check := func() {
+	// check holds AppendSet onto prefix to the model: prefix kept, then
+	// the model's bits in ascending order.
+	check := func(prefix []int32) {
 		t.Helper()
-		want := []int32{-1} // AppendSet must keep the prefix it is handed
+		want := slices.Clone(prefix)
 		for i, set := range model {
 			if set {
 				want = append(want, int32(i))
 			}
 		}
-		if got := h.AppendSet([]int32{-1}); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: AppendSet = %v, model %v", n, got, want)
-		}
-		if h.Count() != len(want)-1 {
-			t.Fatalf("n=%d: Count = %d, model %d", n, h.Count(), len(want)-1)
-		}
-		// A NextSet-driven scan must visit exactly the model's bits.
-		k := 1
-		for i := h.NextSet(0); i != -1; i = h.NextSet(i + 1) {
-			if k >= len(want) || int32(i) != want[k] {
-				t.Fatalf("n=%d: NextSet scan diverged at bit %d (position %d)", n, i, k-1)
-			}
-			k++
-		}
-		if k != len(want) {
-			t.Fatalf("n=%d: NextSet scan stopped after %d of %d bits", n, k-1, len(want)-1)
+		if got := h.AppendSet(prefix); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: AppendSet(%v) = %v, model %v", n, prefix, got, want)
 		}
 	}
 	for ; len(ops) >= 5; ops = ops[5:] {
@@ -90,18 +76,14 @@ func runBitmapOps(t *testing.T, n int, ops []byte) {
 				t.Fatalf("n=%d: Test(%d) = %v, model %v", n, i, h.Test(i), model[i])
 			}
 		case 5:
-			lo, hi := a%(n+1), b%(n+1)
-			want := 0
-			for j := lo; j < hi; j++ {
-				if model[j] {
-					want++
-				}
+			// A prefix of 0..3 entries, with spare capacity or without.
+			prefix := make([]int32, a%4, a%4+b%3)
+			for j := range prefix {
+				prefix[j] = int32(-1 - j)
 			}
-			if got := h.CountRange(lo, hi); got != want {
-				t.Fatalf("n=%d: CountRange(%d,%d) = %d, model %d", n, lo, hi, got, want)
-			}
+			check(prefix)
 		case 6:
-			check()
+			check(nil)
 		case 7:
 			if b%64 == 0 { // rare, or no program ever fills a bitmap
 				h.Clear()
@@ -109,7 +91,7 @@ func runBitmapOps(t *testing.T, n int, ops []byte) {
 			}
 		}
 	}
-	check()
+	check([]int32{-1})
 }
 
 // bitmapSizes straddle the word and summary-word (64 and 4096 bit)
@@ -127,6 +109,43 @@ func TestHierBitmapVsFlatOracle(t *testing.T) {
 	}
 }
 
+// TestHierBitmapAppendSetBoundaries sets the first and last bit and the
+// bits either side of the word and summary-word boundaries inside each
+// size, and checks AppendSet lists exactly them, in order, after the
+// prefix it is handed.
+func TestHierBitmapAppendSetBoundaries(t *testing.T) {
+	for _, n := range bitmapSizes {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			b := NewHierBitmap(n)
+			var want []int32
+			for _, i := range []int{0, 63, 64, 4095, 4096, n - 1} {
+				if i < n && !slices.Contains(want, int32(i)) {
+					b.Set(i)
+					want = append(want, int32(i))
+				}
+			}
+			slices.Sort(want)
+			if got := b.AppendSet([]int32{-1}); !slices.Equal(got, append([]int32{-1}, want...)) {
+				t.Errorf("AppendSet = %v, want [-1] then %v", got, want)
+			}
+			for i := 0; i < n; i++ {
+				if b.Test(i) != slices.Contains(want, int32(i)) {
+					t.Fatalf("Test(%d) = %v", i, b.Test(i))
+				}
+			}
+			for _, i := range want {
+				if b.TrySet(int(i)) {
+					t.Errorf("TrySet(%d) claimed a set bit", i)
+				}
+			}
+			b.Clear()
+			if got := b.AppendSet(nil); len(got) != 0 {
+				t.Errorf("AppendSet after Clear = %v", got)
+			}
+		})
+	}
+}
+
 // FuzzHierBitmap lets the fuzzer write the program and pick the size.
 func FuzzHierBitmap(f *testing.F) {
 	for _, n := range bitmapSizes {
@@ -135,21 +154,6 @@ func FuzzHierBitmap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint16, ops []byte) {
 		runBitmapOps(t, 1+int(size)%8300, ops)
 	})
-}
-
-func TestHierBitmapCountRangeClamps(t *testing.T) {
-	b := NewHierBitmap(100)
-	b.Set(0)
-	b.Set(99)
-	if got := b.CountRange(-5, 1000); got != 2 {
-		t.Errorf("clamped CountRange = %d, want 2", got)
-	}
-	if got := b.CountRange(50, 50); got != 0 {
-		t.Errorf("empty CountRange = %d, want 0", got)
-	}
-	if got := b.CountRange(70, 30); got != 0 {
-		t.Errorf("inverted CountRange = %d, want 0", got)
-	}
 }
 
 func TestHierBitmapTrySetExactlyOnce(t *testing.T) {
@@ -172,34 +176,32 @@ func TestHierBitmapTrySetExactlyOnce(t *testing.T) {
 	if wins.Load() != n {
 		t.Errorf("wins = %d, want %d (each bit claimed exactly once)", wins.Load(), n)
 	}
-	if b.Count() != n {
-		t.Errorf("Count = %d", b.Count())
-	}
 	// Every summary mark must have survived the racing setters: a lost
 	// mark would hide a populated word from the scans.
-	if got := len(b.AppendSet(nil)); got != n {
-		t.Errorf("AppendSet found %d bits, want %d", got, n)
+	got := b.AppendSet(nil)
+	if len(got) != n {
+		t.Fatalf("AppendSet found %d bits, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != int32(i) {
+			t.Fatalf("AppendSet[%d] = %d", i, v)
+		}
 	}
 }
 
-// TestHierBitmapSparseScanTouchesSummary sets one bit far into a large
-// bitmap and checks the scans still find it (the summary-skip paths).
+// TestHierBitmapSparseScanTouchesSummary sets two bits 254 summary words
+// apart in a large bitmap and checks the scans still find exactly them
+// (the summary-skip paths).
 func TestHierBitmapSparseScanTouchesSummary(t *testing.T) {
 	const n = 1 << 20
 	b := NewHierBitmap(n)
 	b.Set(n - 2)
-	if got := b.NextSet(0); got != n-2 {
-		t.Errorf("NextSet(0) = %d, want %d", got, n-2)
-	}
-	if got := b.CountRange(0, n); got != 1 {
-		t.Errorf("CountRange = %d, want 1", got)
-	}
-	s := b.AppendSet(nil)
-	if len(s) != 1 || s[0] != n-2 {
-		t.Errorf("AppendSet = %v", s)
+	b.Set(4097)
+	if s := b.AppendSet(nil); !slices.Equal(s, []int32{4097, n - 2}) {
+		t.Errorf("AppendSet = %v, want [4097 %d]", s, n-2)
 	}
 	b.Clear()
-	if b.Count() != 0 || b.NextSet(0) != -1 {
-		t.Error("Clear left bits behind")
+	if s := b.AppendSet(nil); len(s) != 0 {
+		t.Errorf("Clear left bits behind: %v", s)
 	}
 }

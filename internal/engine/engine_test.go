@@ -123,14 +123,12 @@ func TestTraverseVisitExactlyOnceAndLabels(t *testing.T) {
 	for i := range labels {
 		labels[i] = -1
 	}
-	visits := make([]int32, e.N()) // only claimed slots written; owner-exclusive via CAS
 	dist[3] = 0
 	labels[3] = 99
 	st := e.Traverse(&Spec{
 		Dist:   dist,
 		Label:  99,
 		Labels: labels,
-		Visit:  func(v, round int32) { visits[v]++ },
 	}, 3)
 	var reached int64 = 0
 	for i := range dist {
@@ -139,11 +137,8 @@ func TestTraverseVisitExactlyOnceAndLabels(t *testing.T) {
 			if labels[i] != 99 {
 				t.Fatalf("claimed vertex %d has label %d", i, labels[i])
 			}
-			if int32(i) != 3 && visits[i] != 1 {
-				t.Fatalf("vertex %d visited %d times", i, visits[i])
-			}
-		} else if visits[i] != 0 {
-			t.Fatalf("unclaimed vertex %d got a Visit call", i)
+		} else if labels[i] != -1 {
+			t.Fatalf("unclaimed vertex %d has label %d", i, labels[i])
 		}
 	}
 	if reached != st.Reached {
@@ -190,7 +185,7 @@ func TestTraverseMultiComponentReuse(t *testing.T) {
 }
 
 // A tracker pins the engine to the single-threaded TrackedVisit loop and
-// never touches the native callbacks.
+// never writes the native labels.
 func TestTraverseTrackedMode(t *testing.T) {
 	g := chain(6)
 	vw := g.View() // view before tracker, matching the harness ordering
@@ -203,12 +198,12 @@ func TestTraverseTrackedMode(t *testing.T) {
 	}
 	dist := newDist(e.N())
 	dist[0] = 0
+	labels := newDist(e.N())
 	var order []int32
 	st := e.Traverse(&Spec{
-		Dist: dist,
-		Visit: func(v, round int32) {
-			t.Error("native Visit must not run in tracked mode")
-		},
+		Dist:   dist,
+		Label:  5,
+		Labels: labels,
 		TrackedVisit: func(k int, u, round int32, emit func(v int32) int) {
 			for _, v := range vw.Adj(u) {
 				if dist[v] < 0 {
@@ -228,6 +223,11 @@ func TestTraverseTrackedMode(t *testing.T) {
 	}
 	if st.PullRounds != 0 {
 		t.Errorf("tracked run took pull rounds: %+v", st)
+	}
+	for v, l := range labels {
+		if l != -1 {
+			t.Errorf("tracked run wrote native label %d to vertex %d", l, v)
+		}
 	}
 	for i, v := range order {
 		if v != int32(i+1) {

@@ -111,12 +111,12 @@ func (e *Engine) ValidateExchange(requireEmpty bool) error {
 }
 
 // partitionedOK reports whether spec can run in partitioned mode: the
-// label-correcting supersteps may revisit a vertex, so the exactly-once
-// Visit contract (and the instrumented TrackedVisit stream) cannot be
-// honored; those specs fall back to the flat engine.
+// label-correcting supersteps may revisit a vertex, so the instrumented
+// TrackedVisit stream cannot be honored; those specs fall back to the
+// flat engine.
 func (e *Engine) partitionedOK(spec *Spec) bool {
 	return e.vw.Partitions() != nil && !e.Tracked() &&
-		spec.TrackedVisit == nil && spec.Visit == nil
+		spec.TrackedVisit == nil
 }
 
 // partitionedTraverse is Traverse over the partition plan. Sources are

@@ -7,6 +7,7 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/gen"
+	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -264,32 +265,51 @@ func TestPartitionedSSSPMatchesBellmanFord(t *testing.T) {
 	}
 }
 
-// TestPartitionedFallbacks pins the dispatch rule: Visit callbacks cannot
-// run partitioned (the label-correcting loop would revisit), and a view
-// without a plan never reports partitioned stats.
+// TestPartitionedFallbacks pins the dispatch rule: a tracked run, or a
+// spec carrying a TrackedVisit, runs the flat loop on a partitioned view
+// (the label-correcting supersteps would break the single-threaded event
+// stream), and a view without a plan never reports partitioned stats.
 func TestPartitionedFallbacks(t *testing.T) {
 	g := chain(20)
 	vw := partView(g, 4)
-	e := New(g, vw, 2)
-	visits := make([]int, e.N())
-	dist := newDist(e.N())
 	src := vw.IndexOf(property.VertexID(0))
-	dist[src] = 0
-	st := e.Traverse(&Spec{Dist: dist, Visit: func(v, round int32) { visits[v]++ }}, src)
-	if st.Supersteps != 0 || st.BoundarySent != 0 {
-		t.Errorf("Visit spec ran partitioned: %+v", st)
+	ref := newDist(vw.Len())
+	ref[src] = 0
+	if st := New(g, vw, 2).Traverse(&Spec{Dist: ref}, src); st.Supersteps == 0 {
+		t.Fatalf("untracked run on a 4-way view did not run partitioned: %+v", st)
 	}
-	for i, c := range visits {
-		if i == int(src) {
-			if c != 0 {
-				t.Errorf("source visited %d times", c)
+	run := func(name string, e *Engine) {
+		t.Helper()
+		dist := newDist(e.N())
+		dist[src] = 0
+		st := e.Traverse(&Spec{
+			Dist: dist,
+			TrackedVisit: func(k int, u, round int32, emit func(v int32) int) {
+				for _, v := range vw.Adj(u) {
+					if dist[v] < 0 {
+						dist[v] = round
+						emit(v)
+					}
+				}
+			},
+		}, src)
+		if st.Supersteps != 0 || st.BoundarySent != 0 {
+			t.Errorf("%s ran partitioned: %+v", name, st)
+		}
+		if st.Reached != 20 || st.Depth != 19 {
+			t.Errorf("%s: stats %+v, want Reached=20 Depth=19", name, st)
+		}
+		for i := range ref {
+			if dist[i] != ref[i] {
+				t.Fatalf("%s: dist[%d] = %d, partitioned run %d", name, i, dist[i], ref[i])
 			}
-			continue
-		}
-		if c != 1 {
-			t.Errorf("vertex %d visited %d times, want exactly 1", i, c)
 		}
 	}
+	// Without a tracker the flat native loop claims the slots itself.
+	run("TrackedVisit spec", New(g, vw, 2))
+	g.SetTracker(mem.NewCounting())
+	run("tracked run", New(g, vw, 2))
+	g.SetTracker(nil)
 
 	flat := g.View()
 	ef := New(g, flat, 2)

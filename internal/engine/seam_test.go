@@ -91,13 +91,13 @@ const seamClique = 514
 
 // seamRun is everything the seam test compares between two traversals.
 type seamRun struct {
-	dist, labels, visits []int32
-	st                   Stats
+	dist, labels []int32
+	st           Stats
 }
 
 func traverseSeam(g *property.Graph, vw *property.View, workers int, noPull bool, src int32) seamRun {
 	e := New(g, vw, workers)
-	r := seamRun{dist: newDist(e.N()), labels: newDist(e.N()), visits: make([]int32, e.N())}
+	r := seamRun{dist: newDist(e.N()), labels: newDist(e.N())}
 	r.dist[src] = 0
 	r.labels[src] = 7
 	r.st = e.Traverse(&Spec{
@@ -105,8 +105,6 @@ func traverseSeam(g *property.Graph, vw *property.View, workers int, noPull bool
 		Label:  7,
 		Labels: r.labels,
 		NoPull: noPull,
-		// Each slot is written by the one goroutine that claimed it.
-		Visit: func(v, round int32) { r.visits[v]++ },
 	}, src)
 	return r
 }
@@ -187,13 +185,6 @@ func TestTraverseSerialParallelSeam(t *testing.T) {
 					if got.dist[v] != ref.dist[v] || got.labels[v] != ref.labels[v] {
 						t.Fatalf("%s: vertex %d: dist %d label %d, reference dist %d label %d",
 							name, v, got.dist[v], got.labels[v], ref.dist[v], ref.labels[v])
-					}
-					wantVisits := int32(1)
-					if int32(v) == src || ref.dist[v] < 0 {
-						wantVisits = 0
-					}
-					if got.visits[v] != wantVisits {
-						t.Fatalf("%s: vertex %d got %d Visit calls, want %d", name, v, got.visits[v], wantVisits)
 					}
 				}
 				st := got.st

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
-	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
 // Spec configures one Traverse call. Dist is the only required field: it is
@@ -17,12 +16,6 @@ type Spec struct {
 	// round (0 for sources) into each claimed slot. len(Dist) must equal
 	// the engine's vertex count.
 	Dist []int32
-
-	// Visit, if set, is called exactly once per newly claimed vertex with
-	// its discovery round. In native runs it may be called from multiple
-	// goroutines concurrently; it must not touch framework primitives.
-	// Sources do not get a Visit call — callers initialize them.
-	Visit func(v, round int32)
 
 	// Label, if set with Labels, is written to Labels[v] when v is
 	// claimed, giving CComp-style workloads a race-free component tag
@@ -193,10 +186,9 @@ func (e *Engine) degreeSum(fr []int32) int64 {
 
 // pushRoundSerial is the round at or below the floor: one goroutine, so
 // the claim is a plain load and store on Dist, the next frontier a
-// single-writer append, and labels, Visit calls and the scout sum are one
-// pass over what the round produced — which keeps calls, and the
-// registers they cost, out of the per-edge loop. Same contract and same
-// return values as pushRound.
+// single-writer append, and labels and the scout sum are one pass over
+// what the round produced, outside the per-edge loop. Same contract and
+// same return values as pushRound.
 func (e *Engine) pushRoundSerial(spec *Spec, cur, next *concurrent.Frontier, round int32) (produced, scouted int64) {
 	off, nbr := e.vw.NbrOff, e.vw.Nbr
 	dist := spec.Dist
@@ -213,11 +205,6 @@ func (e *Engine) pushRoundSerial(spec *Spec, cur, next *concurrent.Frontier, rou
 	if spec.Labels != nil {
 		for _, v := range out {
 			spec.Labels[v] = spec.Label
-		}
-	}
-	if spec.Visit != nil {
-		for _, v := range out {
-			spec.Visit(v, round)
 		}
 	}
 	return int64(len(out)), e.degreeSum(out)
@@ -240,9 +227,6 @@ func (e *Engine) pushRound(spec *Spec, cur, next *concurrent.Frontier, round int
 			if atomic.LoadInt32(&dist[v]) < 0 && atomic.CompareAndSwapInt32(&dist[v], -1, round) {
 				if spec.Labels != nil {
 					spec.Labels[v] = spec.Label
-				}
-				if spec.Visit != nil {
-					spec.Visit(v, round)
 				}
 				next.Push(v)
 				p++
@@ -315,9 +299,6 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 				v := lo + dv
 				if spec.Labels != nil {
 					spec.Labels[v] = spec.Label
-				}
-				if spec.Visit != nil {
-					spec.Visit(narrow.Index32(v), r)
 				}
 				nextBits.Set(v)
 				p++

@@ -123,11 +123,6 @@ func diffGraphs(a, b *Graph) string {
 				if va.Out[j] != vb.Out[j] {
 					return fmt.Sprintf("vertex %d Out[%d] %v vs %v", va.ID, j, va.Out[j], vb.Out[j])
 				}
-				for slot := 0; slot < a.edgeSlots; slot++ {
-					if pa, pb := a.edgeProp(va, j, slot), b.edgeProp(vb, j, slot); pa != pb {
-						return fmt.Sprintf("vertex %d Out[%d] edge property %d: %v vs %v", va.ID, j, slot, pa, pb)
-					}
-				}
 			}
 			for j := range va.In {
 				if va.In[j] != vb.In[j] {
@@ -250,27 +245,11 @@ func TestBulkThenMutate(t *testing.T) {
 		el := randomEdgeList(rng, 60, 400)
 		opt := mode.opt
 		opt.Shards = 4
-		opt.EdgePropSlots = 2
 		a, b := Bulk(opt, el, 4), incremental(t, opt, el)
 		id := func() VertexID { return el.ID(rng.IntN(el.NumVertices())) }
-		// Edge properties are set before the mutations, on a third of the
-		// vertex pairs, and among them: the rows beside a slab-cut list
-		// must follow it through every append, swap-remove and delete.
-		setProp := func(x, y VertexID) string {
-			slot, val := rng.IntN(2), float64(1+rng.IntN(1000))
-			if ea, eb := a.SetEdgeProp(x, y, slot, val), b.SetEdgeProp(x, y, slot, val); ea != eb {
-				t.Fatalf("%s: SetEdgeProp(%d,%d): %v vs %v", mode.name, x, y, ea, eb)
-			}
-			return fmt.Sprintf("SetEdgeProp(%d,%d,%d,%v)", x, y, slot, val)
-		}
-		for i := 0; i < 1200; i++ {
-			setProp(id(), id())
-		}
 		for step := 0; step < 600; step++ {
 			var op string
 			switch x, y := id(), id(); rng.IntN(10) {
-			case 8, 9:
-				op = setProp(x, y)
 			case 0:
 				op = fmt.Sprintf("DeleteVertex(%d)", x)
 				na, _ := a.DeleteVertex(x)

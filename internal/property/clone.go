@@ -20,12 +20,11 @@ func Clone(g *Graph) *Graph { return clone(g, true) }
 // the two indexes to one layout.
 func clone(g *Graph, flat bool) *Graph {
 	ng := newGraph(Options{
-		Directed:      g.directed,
-		TrackInEdges:  g.trackIn,
-		Schema:        NewSchema(g.sch.Names()...),
-		EdgePropSlots: g.edgeSlots,
-		Shards:        len(g.shards),
-		Hint:          g.VertexCount(),
+		Directed:     g.directed,
+		TrackInEdges: g.trackIn,
+		Schema:       NewSchema(g.sch.Names()...),
+		Shards:       len(g.shards),
+		Hint:         g.VertexCount(),
 	}, false)
 	// Same shard count, so shard i of the clone holds shard i's vertices.
 	live := make([]int, len(g.shards))
@@ -58,20 +57,11 @@ func clone(g *Graph, flat bool) *Graph {
 			}
 			nv, _ := ng.AddVertex(v.ID)
 			copyProps(nv, v)
-			for k, m := range sh.meta[v] {
-				ng.SetMeta(nv, k, m.data)
-			}
 			if len(v.Out) > 0 {
 				nv.Out = make([]Edge, len(v.Out))
 				copy(nv.Out, v.Out)
-				if rows, ok := sh.eprops[v]; ok {
-					nsh := ng.shardOf(v.ID)
-					nsh.mu.Lock()
-					nsh.putEdgeProps(nv, append([]float64(nil), rows...))
-					nsh.mu.Unlock()
-				}
 				nv.edgeCap = narrow.Index32(len(v.Out))
-				nv.edgeAddr = ng.arena.Alloc(uint64(nv.edgeCap)*ng.edgeRec, 64)
+				nv.edgeAddr = ng.arena.Alloc(uint64(nv.edgeCap)*edgeRecordBytes, 64)
 			}
 			if len(v.In) > 0 {
 				nv.In = make([]VertexID, len(v.In))

@@ -28,8 +28,8 @@
 // structures are laid out. A Vertex holds its identity, its lists and its
 // simulated addresses; property values sit in per-field columns that exist
 // once written (props.go) and that native kernels fill a View segment at a
-// time (SetColumn), metadata and edge-property rows in shard side
-// storage that exists once used, and a bulk-built graph over dense IDs is
-// indexed by one flat table. Simulated sizes come from Schema.Cap(), Go
-// memory from what was written.
+// time (SetColumn), an edge is its destination and weight, and a
+// bulk-built graph over dense IDs is indexed by one flat table. Simulated
+// sizes come from Schema.Cap() and the 24-byte edge record, Go memory from
+// what was written.
 package property

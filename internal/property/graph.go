@@ -34,10 +34,8 @@ const (
 )
 
 // Edge is one outgoing edge record stored inside its source vertex: 16
-// bytes of Go memory whatever the simulated stride (Graph.edgeRec) says.
-// Weight is the universally-present property; graphs built with
-// Options.EdgePropSlots keep additional per-edge slots beside the list
-// (shard.eprops), behind the SetEdgeProp/GetEdgeProp primitives.
+// bytes of Go memory, whatever the simulated record (edgeRecordBytes)
+// says. Weight is the one edge property.
 type Edge struct {
 	To     VertexID
 	Weight float64
@@ -47,8 +45,8 @@ type Edge struct {
 // outgoing adjacency list belong together (vertex-centric representation).
 // In the simulated layout the property block follows the record; in Go
 // memory the values are row `row` of the field columns of `chunk`
-// (props.go), and metadata blobs sit in the shard (edgeprops.go), so a
-// vertex costs 104 bytes plus what has been written to it.
+// (props.go), so a vertex costs 104 bytes plus what has been written to
+// its properties.
 type Vertex struct {
 	ID  VertexID
 	Out []Edge
@@ -85,17 +83,6 @@ type shard struct {
 	idxAddr  uint64    // simulated base of this shard's index table
 	idxCap   uint64    // simulated bucket capacity (power of two)
 	idxCount uint64
-
-	// eprops holds the edge-property rows of the shard's vertices: row i of
-	// eprops[v] is the Graph.edgeSlots slots of v.Out[i]. A vertex has an
-	// entry only once SetEdgeProp has written one of its records, and the
-	// map exists only once some vertex has; every mutation of v.Out keeps
-	// the rows parallel to it (edgeprops.go).
-	eprops map[*Vertex][]float64
-
-	// meta holds the metadata blobs of the shard's vertices, under the same
-	// rule: no map until a SetMeta, no entry for a vertex without one.
-	meta map[*Vertex]map[string]meta
 }
 
 // Options configures a Graph.
@@ -113,9 +100,6 @@ type Options struct {
 	Tracker mem.Tracker
 	// Arena supplies simulated addresses; a fresh one is created if nil.
 	Arena *mem.Arena
-	// EdgePropSlots reserves per-edge property slots, enabling the
-	// SetEdgeProp/GetEdgeProp primitives (0 = weight-only edges).
-	EdgePropSlots int
 	// Shards is the lock-shard count (power of two; default 256).
 	Shards int
 	// Hint is the expected vertex count. It sizes the simulated index
@@ -126,15 +110,13 @@ type Options struct {
 
 // Graph is a dynamic vertex-centric property graph.
 type Graph struct {
-	directed  bool
-	trackIn   bool
-	edgeSlots int
-	edgeRec   uint64 // simulated edge-record stride (base + prop slots)
-	sch       *Schema
-	shards    []shard
-	mask      uint64
-	arena     *mem.Arena
-	trk       mem.Tracker
+	directed bool
+	trackIn  bool
+	sch      *Schema
+	shards   []shard
+	mask     uint64
+	arena    *mem.Arena
+	trk      mem.Tracker
 
 	// flat is the id→vertex table of a graph bulk-built or cloned over
 	// dense IDs: the entry of every ID below len(flat), nil when absent.
@@ -179,19 +161,14 @@ func newGraph(opt Options, maps bool) *Graph {
 	if ar == nil {
 		ar = mem.NewArena(1 << 20)
 	}
-	if opt.EdgePropSlots < 0 {
-		opt.EdgePropSlots = 0
-	}
 	g := &Graph{
-		directed:  opt.Directed,
-		trackIn:   opt.TrackInEdges,
-		edgeSlots: opt.EdgePropSlots,
-		edgeRec:   uint64(edgeRecordBytes + opt.EdgePropSlots*8),
-		sch:       sch,
-		shards:    make([]shard, ns),
-		mask:      uint64(ns - 1),
-		arena:     ar,
-		trk:       opt.Tracker,
+		directed: opt.Directed,
+		trackIn:  opt.TrackInEdges,
+		sch:      sch,
+		shards:   make([]shard, ns),
+		mask:     uint64(ns - 1),
+		arena:    ar,
+		trk:      opt.Tracker,
 	}
 	per := opt.Hint/ns + 4
 	for i := range g.shards {
@@ -382,10 +359,10 @@ func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
 	oldCap := int(v.edgeCap)
 	newCap := narrow.Index32(max(2*oldCap, 4))
 	old := v.edgeAddr
-	v.edgeAddr = g.arena.Alloc(uint64(newCap)*g.edgeRec, 64)
+	v.edgeAddr = g.arena.Alloc(uint64(newCap)*edgeRecordBytes, 64)
 	if t != nil && oldCap > 0 {
-		t.Load(old, narrow.Size32(uint64(oldCap)*g.edgeRec))
-		t.Store(v.edgeAddr, narrow.Size32(uint64(oldCap)*g.edgeRec))
+		t.Load(old, narrow.Size32(uint64(oldCap)*edgeRecordBytes))
+		t.Store(v.edgeAddr, narrow.Size32(uint64(oldCap)*edgeRecordBytes))
 		t.Inst(uint64(4 + oldCap))
 	}
 	v.edgeCap = newCap
@@ -409,12 +386,9 @@ func (g *Graph) appendOut(src *Vertex, e Edge, t mem.Tracker) {
 		g.growEdges(src, t)
 	}
 	src.Out = append(src.Out, e)
-	if g.edgeSlots > 0 {
-		g.growEdgeProps(src)
-	}
 	if t != nil {
 		t.Inst(10)
-		t.Store(src.edgeAddr+uint64(len(src.Out)-1)*g.edgeRec, edgeRecordBytes)
+		t.Store(src.edgeAddr+uint64(len(src.Out)-1)*edgeRecordBytes, edgeRecordBytes)
 		t.Store(src.addr, 8) // degree field
 	}
 }
@@ -521,7 +495,7 @@ func (g *Graph) FindEdge(src, dst VertexID) *Edge {
 	var found *Edge
 	for i := range sv.Out {
 		if t != nil {
-			t.Load(sv.edgeAddr+uint64(i)*g.edgeRec, edgeRecordBytes)
+			t.Load(sv.edgeAddr+uint64(i)*edgeRecordBytes, edgeRecordBytes)
 			t.Branch(siteEdgeScan, sv.Out[i].To != dst)
 			t.Inst(2)
 		}
@@ -547,7 +521,7 @@ func (g *Graph) Neighbors(v *Vertex, fn func(i int, e *Edge) bool) {
 	}
 	for i := range v.Out {
 		if t != nil {
-			t.Load(v.edgeAddr+uint64(i)*g.edgeRec, edgeRecordBytes)
+			t.Load(v.edgeAddr+uint64(i)*edgeRecordBytes, edgeRecordBytes)
 			t.Branch(siteNeighborLoop, i+1 < len(v.Out))
 			t.Inst(2)
 			t.Exit() // user callback
@@ -592,7 +566,7 @@ func (g *Graph) SetProp(v *Vertex, slot int, x float64) {
 func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, t mem.Tracker) bool {
 	for i := range src.Out {
 		if t != nil {
-			t.Load(src.edgeAddr+uint64(i)*g.edgeRec, edgeRecordBytes)
+			t.Load(src.edgeAddr+uint64(i)*edgeRecordBytes, edgeRecordBytes)
 			t.Branch(siteEdgeScan, src.Out[i].To != dst)
 			t.Inst(2)
 		}
@@ -600,11 +574,8 @@ func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, t mem.Tracker) bool {
 			last := len(src.Out) - 1
 			src.Out[i] = src.Out[last]
 			src.Out = src.Out[:last]
-			if g.edgeSlots > 0 {
-				g.swapRemoveEdgeProps(src, i, last)
-			}
 			if t != nil {
-				t.Store(src.edgeAddr+uint64(i)*g.edgeRec, edgeRecordBytes)
+				t.Store(src.edgeAddr+uint64(i)*edgeRecordBytes, edgeRecordBytes)
 				t.Store(src.addr, 8)
 				t.Inst(4)
 			}
@@ -745,8 +716,6 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 	sh := g.shardOf(id)
 	sh.mu.Lock()
 	g.setIndex(sh, id, nil)
-	delete(sh.eprops, v)
-	delete(sh.meta, v)
 	sh.idxCount--
 	sh.mu.Unlock()
 	g.nVerts.Add(-1)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
 )
@@ -311,13 +312,44 @@ func TestCloneIndependence(t *testing.T) {
 	if c.FindVertex(0).Prop(p) != 11 {
 		t.Error("property not copied")
 	}
-	// Mutating the clone must not affect the original.
+	// Mutating the original must not affect the clone. Vertex 1's list is
+	// [0 2], so the delete moves 2 into the first record.
+	if !g.DeleteEdge(1, 0) {
+		t.Fatal("DeleteEdge(1, 0) on the original removed nothing")
+	}
+	if c.EdgeCount() != 2 || c.FindEdge(1, 0) == nil || c.FindEdge(0, 1) == nil || c.FindEdge(1, 2) == nil {
+		t.Error("original's DeleteEdge reached the clone")
+	}
+	// Nor the other way round.
+	if err := c.AddEdge(0, 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	if g.EdgeCount() != 1 || g.FindEdge(0, 3) != nil || g.FindEdge(3, 0) != nil {
+		t.Error("clone's AddEdge reached the original")
+	}
 	c.DeleteVertex(1)
-	if g.VertexCount() != 4 || g.EdgeCount() != 2 {
+	if g.VertexCount() != 4 || g.EdgeCount() != 1 {
 		t.Error("clone mutation leaked into original")
 	}
-	if len(g.FindVertex(0).Out) != 1 {
+	if len(g.FindVertex(1).Out) != 1 || g.FindEdge(1, 2) == nil {
 		t.Error("original adjacency corrupted by clone deletion")
+	}
+}
+
+// The record is 16 bytes: destination and weight. A property pointer per
+// record cost 24 more on every graph, and no benchmark graph has one.
+func TestEdgeRecordIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Edge{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(Edge{}) = %d, want 16", n)
+	}
+}
+
+// The vertex record holds what every vertex has — identity, two list
+// headers, the simulated layout — and a pointer and row into the shared
+// property columns. Values are not in it.
+func TestVertexRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Vertex{}); n > 104 {
+		t.Fatalf("unsafe.Sizeof(Vertex{}) = %d, want at most 104", n)
 	}
 }
 
@@ -481,6 +513,41 @@ func TestFrameworkAccounting(t *testing.T) {
 	}
 }
 
+// TestMutationAccounting: lookups and deletes are framework work too, and
+// Clone, whose copy carries no tracker, records nothing on the original's.
+func TestMutationAccounting(t *testing.T) {
+	c := mem.NewCounting()
+	g := New(Options{Tracker: c})
+	for i := VertexID(1); i <= 4; i++ {
+		g.AddVertex(i)
+	}
+	for i := VertexID(1); i < 4; i++ {
+		if err := g.AddEdge(i, i+1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loads, stores, insts := c.Loads, c.Stores, c.Insts
+	Clone(g)
+	if c.Loads != loads || c.Stores != stores || c.Insts != insts {
+		t.Error("Clone recorded events on the original's tracker")
+	}
+	if g.FindEdge(1, 2) == nil || !g.DeleteEdge(2, 3) {
+		t.Fatal("edges 1-2 and 2-3 should exist")
+	}
+	if n, err := g.DeleteVertex(4); n != 1 || err != nil {
+		t.Fatalf("DeleteVertex(4) = %d, %v, want 1 edge", n, err)
+	}
+	if c.Insts[mem.ClassUser] != 0 {
+		t.Errorf("lookups and deletes recorded %d user insts", c.Insts[mem.ClassUser])
+	}
+	if c.Loads[mem.ClassFramework] == loads[mem.ClassFramework] {
+		t.Error("edge scans recorded no loads")
+	}
+	if c.Stores[mem.ClassFramework] == stores[mem.ClassFramework] {
+		t.Error("deletes recorded no stores")
+	}
+}
+
 func TestNeighborsCallbackIsUserClass(t *testing.T) {
 	c := mem.NewCounting()
 	g := New(Options{Tracker: c})
@@ -510,6 +577,79 @@ func TestEdgeChunkGrowthMovesAddress(t *testing.T) {
 	}
 	if len(v.Out) != 20 {
 		t.Errorf("out degree = %d, want 20", len(v.Out))
+	}
+}
+
+// storeLog is a Tracker that keeps the address and size of every store.
+type storeLog struct {
+	*mem.Counting
+	stores [][2]uint64
+}
+
+func (s *storeLog) Store(addr uint64, size uint32) {
+	s.Counting.Store(addr, size)
+	s.stores = append(s.stores, [2]uint64{addr, uint64(size)})
+}
+
+// TestEdgeRecordStride pins the simulated edge record at 24 bytes: an
+// appended record is stored 24 bytes per record before it past its list's
+// chunk address, on both lists of an undirected edge, and a full chunk
+// moves to a fresh 64-byte-aligned one inside the arena with a copy of 24
+// bytes per record it held.
+func TestEdgeRecordStride(t *testing.T) {
+	for _, mode := range bulkModes {
+		t.Run(mode.name, func(t *testing.T) {
+			log := &storeLog{Counting: mem.NewCounting()}
+			opt := mode.opt
+			opt.Tracker = log
+			g := New(opt)
+			for i := VertexID(0); i <= 20; i++ {
+				g.AddVertex(i)
+			}
+			stored := func(from int, addr, size uint64) bool {
+				for _, s := range log.stores[from:] {
+					if s == [2]uint64{addr, size} {
+						return true
+					}
+				}
+				return false
+			}
+			for i := VertexID(1); i <= 20; i++ {
+				for _, e := range [][2]VertexID{{0, i}, {i, i%20 + 1}} {
+					ends := []*Vertex{g.FindVertex(e[0])}
+					if !opt.Directed {
+						ends = append(ends, g.FindVertex(e[1]))
+					}
+					type list struct {
+						n, cap int
+						addr   uint64
+					}
+					before := make([]list, len(ends))
+					for j, v := range ends {
+						before[j] = list{len(v.Out), int(v.edgeCap), v.edgeAddr}
+					}
+					from := len(log.stores)
+					if err := g.AddEdge(e[0], e[1], 1); err != nil {
+						t.Fatal(err)
+					}
+					for j, v := range ends {
+						b := before[j]
+						if !stored(from, v.edgeAddr+uint64(b.n)*24, 24) {
+							t.Fatalf("AddEdge(%d,%d): no 24-byte store of record %d of vertex %d's list", e[0], e[1], b.n, v.ID)
+						}
+						if b.n < b.cap {
+							continue
+						}
+						if v.edgeAddr == b.addr || v.edgeAddr%64 != 0 || g.arena.Used() < v.edgeAddr+uint64(v.edgeCap)*24 {
+							t.Fatalf("vertex %d's chunk grew to %#x (cap %d, arena %#x)", v.ID, v.edgeAddr, v.edgeCap, g.arena.Used())
+						}
+						if b.cap > 0 && !stored(from, v.edgeAddr, uint64(b.cap)*24) {
+							t.Fatalf("vertex %d's chunk grew without a %d-byte copy", v.ID, b.cap*24)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -50,7 +50,7 @@ func RelayoutPartitioned(g *Graph, vw *View, regionBytes uint64) {
 func relayoutVertex(g *Graph, v *Vertex) {
 	v.addr = g.arena.Alloc(g.recordBytes(), 64)
 	if v.edgeCap > 0 {
-		v.edgeAddr = g.arena.Alloc(uint64(v.edgeCap)*g.edgeRec, 64)
+		v.edgeAddr = g.arena.Alloc(uint64(v.edgeCap)*edgeRecordBytes, 64)
 	}
 	if v.inCap > 0 {
 		v.inAddr = g.arena.Alloc(uint64(v.inCap)*inRecordBytes, 64)

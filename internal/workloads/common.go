@@ -25,7 +25,6 @@ import (
 	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/narrow"
-	"github.com/graphbig/graphbig-go/internal/partition"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -52,22 +51,15 @@ type Options struct {
 	Delta float64
 	// Seed drives workload-internal sampling (GUp victims, Gibbs).
 	Seed int64
-	// View is an optional pre-built vertex view; one is created if nil.
-	// Harness code builds the view before installing the tracker so that
-	// snapshot setup is not attributed to the measured region.
+	// View is an optional pre-built vertex view; a plain one is created if
+	// nil. Harness code builds the view before installing the tracker so
+	// that snapshot setup is not attributed to the measured region. A View
+	// built with ViewOpts.Partitions runs the engine-backed traversal
+	// workloads partitioned (subgraph-centric): each partition's kernel runs
+	// locally and boundary frontiers are exchanged between supersteps.
+	// Results are identical to flat execution; instrumented runs stay
+	// single-threaded and flat.
 	View *property.View
-	// Partitions requests k-way partitioned (subgraph-centric) execution
-	// for the engine-backed traversal workloads: when > 0 and no View is
-	// supplied, the view is built with a k-way partition plan, and the
-	// engine runs each partition's kernel locally, exchanging boundary
-	// frontiers between supersteps. Results are identical to flat
-	// execution; instrumented runs ignore it (the parity event streams
-	// stay single-threaded and flat). Ignored when View is supplied —
-	// pass a partitioned view instead.
-	Partitions int
-	// PartitionMode picks the balance target (edge- or vertex-balanced
-	// contiguous chunking) for the plan built when Partitions > 0.
-	PartitionMode partition.Mode
 	// engineSink, when non-nil, collects every engine the run constructs
 	// (threaded through the newEngine funnel). The metamorphic suites set
 	// it to assert the exchange-buffer phase discipline after each run;
@@ -97,14 +89,7 @@ var ErrEmptyGraph = errors.New("workloads: empty graph")
 
 func view(g *property.Graph, opt *Options) *property.View {
 	if opt.View == nil {
-		if opt.Partitions > 0 {
-			opt.View = g.ViewWith(property.ViewOpts{
-				Partitions:    opt.Partitions,
-				PartitionMode: opt.PartitionMode,
-			})
-		} else {
-			opt.View = g.View()
-		}
+		opt.View = g.View()
 	}
 	return opt.View
 }

@@ -140,7 +140,7 @@ func TestPartitionedStatsSurface(t *testing.T) {
 		{"SPathDelta", SPathDelta},
 	} {
 		g := randomGraph(3)
-		res, err := tc.fn(g, Options{Partitions: 4})
+		res, err := tc.fn(g, Options{View: g.ViewWith(property.ViewOpts{Partitions: 4})})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
