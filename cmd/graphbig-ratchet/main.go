@@ -61,17 +61,19 @@ var probes = []probe{{
 	name:   "bce",
 	gcflag: "-d=ssa/check_bce/debug=1",
 	re:     regexp.MustCompile(`^(.*\.go):\d+:\d+: Found Is(?:Slice)?InBounds$`),
-	// The packages whose inner loops pay per edge.
-	pkgs:   []string{"internal/engine", "internal/csr", "internal/concurrent", "internal/workloads"},
+	// The packages whose inner loops pay per edge, and the simulator's,
+	// which pay per instrumented event.
+	pkgs:   []string{"internal/engine", "internal/csr", "internal/concurrent", "internal/workloads", "internal/perfmon", "internal/cachesim"},
 	noun:   "retained bounds checks",
 	advice: "eliminate the checks",
 }, {
 	name:   "alloc",
 	gcflag: "-m=2",
 	re:     regexp.MustCompile(`^(.*\.go):\d+:\d+: (?:moved to heap: .+|.+ escapes to heap)$`),
-	// The engine and its scaffolding, the kernels, and the ordering and
-	// partitioning layers whose scratch arrays must stay amortized.
-	pkgs:   []string{"internal/engine", "internal/concurrent", "internal/workloads", "internal/order", "internal/partition"},
+	// The engine and its scaffolding, the kernels, the ordering and
+	// partitioning layers whose scratch arrays must stay amortized, and
+	// the simulator, whose per-event path must not allocate.
+	pkgs:   []string{"internal/engine", "internal/concurrent", "internal/workloads", "internal/order", "internal/partition", "internal/perfmon", "internal/cachesim"},
 	noun:   "heap escapes",
 	advice: "keep the value on the stack",
 }}

@@ -42,8 +42,12 @@ type Metrics struct {
 // frontend charges ICache misses; backend charges the memory hierarchy
 // (hit latencies below L1 plus DRAM) divided by the machine's
 // memory-level parallelism, plus TLB penalties.
+//
+// Report first waits for the data side to drain every access queued so
+// far; it is the only reader of the data side's state.
 func (p *Profile) Report() Metrics {
-	cfg := p.cfg
+	p.sync()
+	cfg, d := p.cfg, p.data
 	insts := p.Insts()
 
 	var m Metrics
@@ -52,18 +56,18 @@ func (p *Profile) Report() Metrics {
 	m.Stores = p.stores
 	m.Branches = p.bp.branches
 
-	m.L1DMPKI = p.l1d.MPKI(insts)
+	m.L1DMPKI = d.l1d.MPKI(insts)
 	// Prefetch probes inflate raw L2 access counts; expose demand MPKI.
-	m.L2MPKI = p.l2.MPKI(insts)
-	m.L3MPKI = p.l3.MPKI(insts)
+	m.L2MPKI = d.l2.MPKI(insts)
+	m.L3MPKI = d.l3.MPKI(insts)
 	// Hidden stack/spill accesses (see Inst) always hit L1D.
-	l1acc := p.l1d.Accesses() + p.hiddenL1
+	l1acc := d.l1d.Accesses() + p.hiddenL1
 	m.L1DHit = 1
 	if l1acc > 0 {
-		m.L1DHit = 1 - float64(p.l1d.Misses())/float64(l1acc)
+		m.L1DHit = 1 - float64(d.l1d.Misses())/float64(l1acc)
 	}
-	m.L2Hit = p.l2.HitRate()
-	m.L3Hit = p.l3.HitRate()
+	m.L2Hit = d.l2.HitRate()
+	m.L3Hit = d.l3.HitRate()
 	m.ICacheMPKI = p.l1i.MPKI(insts)
 	// The tracker emits the data-dependent branches explicitly; the many
 	// trivially-predicted control branches of real code (loop bounds,
@@ -73,22 +77,22 @@ func (p *Profile) Report() Metrics {
 	if b := float64(p.bp.branches) + implicitBr; b > 0 {
 		m.BranchMiss = float64(p.bp.misses) / b
 	}
-	m.DTLBMisses = p.dtlb.Misses()
+	m.DTLBMisses = d.dtlb.Misses()
 	m.FrameworkShare = p.FrameworkShare()
 
 	retiring := float64(insts) / float64(cfg.IssueWidth)
 	badspec := float64(p.bp.misses) * float64(cfg.BranchMissPenalty)
 	frontend := float64(p.l1i.Misses()) * float64(cfg.ICacheMissCost)
 
-	l2Hits := p.l2.Hits()
-	l3Hits := p.l3.Hits()
-	memAcc := p.l3.Misses()
+	l2Hits := d.l2.Hits()
+	l3Hits := d.l3.Hits()
+	memAcc := d.l3.Misses()
 	memStall := (float64(l2Hits)*float64(cfg.L2.LatencyCycles) +
 		float64(l3Hits)*float64(cfg.L3.LatencyCycles) +
 		float64(memAcc)*float64(cfg.MemLatency)) / cfg.MLP
 
-	stlbHits := p.stlb.Accesses() - p.stlb.Misses()
-	walks := p.stlb.Misses()
+	stlbHits := d.stlb.Accesses() - d.stlb.Misses()
+	walks := d.stlb.Misses()
 	tlbStall := float64(stlbHits)*float64(cfg.STLBHitCost) +
 		float64(walks)*float64(cfg.PageWalkCost)
 
@@ -105,6 +109,6 @@ func (p *Profile) Report() Metrics {
 	m.TotalCycles = uint64(total)
 	m.IPC = float64(insts) / total
 	m.DTLBPenaltyPC = tlbStall / total * 100
-	m.SimBytesTouched = p.l3.Misses() * uint64(cfg.L3.LineBytes)
+	m.SimBytesTouched = d.l3.Misses() * uint64(cfg.L3.LineBytes)
 	return m
 }

@@ -105,20 +105,26 @@ func goldenConfigs() map[string]Config {
 	return map[string]Config{"default": DefaultConfig(), "prefetch": pf}
 }
 
+// TestProfileGolden checks the golden at both places a full chunk can
+// drain (see atProcs).
 func TestProfileGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profile golden is not a -short test")
 	}
 	streams := goldenStreams(t)
-	got := map[string]map[string]uint64{}
-	for cname, cfg := range goldenConfigs() {
-		for i, s := range streams {
-			p, _ := replay(t, s, cfg)
-			got[cname+"|"+goldenKernels[i]] = metricBits(p.Report())
+	report := func(t *testing.T) map[string]map[string]uint64 {
+		got := map[string]map[string]uint64{}
+		for cname, cfg := range goldenConfigs() {
+			for i, s := range streams {
+				p, _ := replay(t, s, cfg)
+				got[cname+"|"+goldenKernels[i]] = metricBits(p.Report())
+			}
 		}
+		return got
 	}
 
 	if os.Getenv("GRAPHBIG_UPDATE_PROFILE") != "" {
+		got := report(t)
 		if err := os.MkdirAll(filepath.Dir(profileGolden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -146,25 +152,28 @@ func TestProfileGolden(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if len(want) != len(got) {
-		t.Errorf("golden has %d records, run produced %d", len(want), len(got))
-	}
-	for _, key := range keys {
-		g, ok := got[key]
-		if !ok {
-			t.Errorf("%s: missing from run", key)
-			continue
+	atProcs(t, func(t *testing.T) {
+		got := report(t)
+		if len(want) != len(got) {
+			t.Errorf("golden has %d records, run produced %d", len(want), len(got))
 		}
-		if !reflect.DeepEqual(g, want[key]) {
-			t.Errorf("%s:\n  got  %v\n  want %v", key, g, want[key])
+		for _, key := range keys {
+			g, ok := got[key]
+			if !ok {
+				t.Errorf("%s: missing from run", key)
+				continue
+			}
+			if !reflect.DeepEqual(g, want[key]) {
+				t.Errorf("%s:\n  got  %v\n  want %v", key, g, want[key])
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkProfileReplay replays the golden's streams, each into a fresh
-// default Profile, and reports the model's rate in Mevents/s: the cache,
-// TLB, branch and PC models alone, without the framework walk that
-// produced the events.
+// default Profile whose Report is taken, and reports the model's rate in
+// Mevents/s: the cache, TLB, branch and PC models alone, without the
+// framework walk that produced the events.
 func BenchmarkProfileReplay(b *testing.B) {
 	streams := goldenStreams(b)
 	cfg := DefaultConfig()
@@ -172,7 +181,8 @@ func BenchmarkProfileReplay(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		for _, s := range streams {
-			_, n := replay(b, s, cfg)
+			p, n := replay(b, s, cfg)
+			reportSink = p.Report()
 			events += n
 		}
 	}

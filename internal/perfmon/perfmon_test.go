@@ -227,9 +227,9 @@ func TestEffectiveCacheGeometry(t *testing.T) {
 		line, want int
 		declared   int
 	}{
-		{"L1D", p.l1d.Sets(), cfg.L1D.Ways, cfg.L1D.LineBytes, 32 << 10, cfg.L1D.SizeBytes},
-		{"L2", p.l2.Sets(), cfg.L2.Ways, cfg.L2.LineBytes, 256 << 10, cfg.L2.SizeBytes},
-		{"L3", p.l3.Sets(), cfg.L3.Ways, cfg.L3.LineBytes, 16 << 20, cfg.L3.SizeBytes},
+		{"L1D", p.data.l1d.Sets(), cfg.L1D.Ways, cfg.L1D.LineBytes, 32 << 10, cfg.L1D.SizeBytes},
+		{"L2", p.data.l2.Sets(), cfg.L2.Ways, cfg.L2.LineBytes, 256 << 10, cfg.L2.SizeBytes},
+		{"L3", p.data.l3.Sets(), cfg.L3.Ways, cfg.L3.LineBytes, 16 << 20, cfg.L3.SizeBytes},
 		{"L1I", p.l1i.Sets(), cfg.L1I.Ways, cfg.L1I.LineBytes, 32 << 10, cfg.L1I.SizeBytes},
 	} {
 		if got := c.sets * c.ways * c.line; got != c.want {

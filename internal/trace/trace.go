@@ -16,6 +16,10 @@
 //	  4 enter  : byte class
 //	  5 exit   : —
 //
+// A size is 1 to math.MaxUint32 (instrumented code never reports an
+// access of no bytes) and a class is a mem.Class; Replay rejects a record
+// outside either range instead of handing a tracker what no run produces.
+//
 // Address deltas against the previous access compress the stream well:
 // graph traversals revisit nearby structures constantly.
 package trace
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
 )
@@ -156,6 +161,9 @@ func Replay(rd io.Reader, t mem.Tracker) (uint64, error) {
 			if err != nil {
 				return events, err
 			}
+			if size == 0 || size > math.MaxUint32 {
+				return events, fmt.Errorf("trace: access size %d out of range", size)
+			}
 			lastAddr = uint64(int64(lastAddr) + unzigzag(d))
 			if op == opLoad {
 				t.Load(lastAddr, uint32(size))
@@ -178,6 +186,9 @@ func Replay(rd io.Reader, t mem.Tracker) (uint64, error) {
 			c, err := binary.ReadUvarint(br)
 			if err != nil {
 				return events, err
+			}
+			if c > uint64(mem.ClassFramework) {
+				return events, fmt.Errorf("trace: unknown class %d", c)
 			}
 			t.Enter(mem.Class(c))
 		case opExit:

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,20 @@ func TestReplayErrors(t *testing.T) {
 	}
 	if _, err := Replay(strings.NewReader("GBT1\x00"), mem.NewCounting()); err == nil {
 		t.Error("truncated record should fail")
+	}
+	// An access of no bytes ("GBT1 00 00 00"), and sizes a uint32 would
+	// cut to 0 and to 8.
+	for _, size := range []uint64{0, 1 << 32, 1<<32 + 8} {
+		for _, op := range []byte{opLoad, opStore} {
+			rec := append([]byte("GBT1"), op, 0)
+			rec = binary.AppendUvarint(rec, size)
+			if _, err := Replay(bytes.NewReader(rec), mem.NewCounting()); err == nil {
+				t.Errorf("op %d, access size %d should fail", op, size)
+			}
+		}
+	}
+	if _, err := Replay(strings.NewReader("GBT1\x04\x02"), mem.NewCounting()); err == nil {
+		t.Error("unknown class should fail")
 	}
 }
 
