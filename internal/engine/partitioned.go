@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/partition"
+	"github.com/graphbig/graphbig-go/internal/property"
 )
 
 // Partitioned (subgraph-centric) traversal mode — DESIGN.md §10.
@@ -15,16 +19,98 @@ import (
 // interior vertices have a single writer and need no CAS at all; only
 // boundary vertices (the plan's cross-partition set) are exchanged, as
 // (vertex, distance) messages routed through concurrent.Mailboxes between
-// supersteps. Because a shorter path may enter a partition late, the
+// supersteps, each sender folding its messages to one per remote target
+// (emit). Because a shorter path may enter a partition late, the
 // local kernels are label-correcting — a claimed vertex is re-relaxed
 // when a smaller distance arrives — and the superstep loop runs until an
 // exchange applies no update, at which point every distance equals the
 // flat engine's (the unique fixpoint of the distance equations; the
 // differential tests in internal/workloads pin this per vertex).
 
-// bmsg is one boundary-exchange message: "vertex V can be reached in D".
-type bmsg struct {
-	v, d int32
+// distance is a partitioned kernel's distance type: BFS hop counts (Traverse)
+// or float path sums (PartitionedSSSP).
+type distance interface{ int32 | float64 }
+
+// bmsg is one boundary-exchange message: "vertex v is reachable at
+// distance d".
+type bmsg[D distance] struct {
+	v int32
+	d D
+}
+
+// exchange is one kernel's boundary exchange: the mailboxes and, per
+// sender partition, a combiner that folds the sender's messages of one
+// window into one minimum per remote target, like a Pregel combiner.
+// The slot of a target not on touched holds none, so emit posts and
+// resets exactly the slots it touched and no window needs a clear.
+type exchange[D distance] struct {
+	mail *concurrent.Mailboxes[bmsg[D]]
+	comb []combiner[D]
+	none D // the empty slot: no distance reaches it
+	// weight returns u's edge weights, aligned with its adjacency; nil
+	// when every edge weighs one.
+	weight func(u int32) []D
+}
+
+// combiner is one sender partition's slots, one per vertex: v's is
+// pages[v>>pageBits][v&pageMask], the smallest distance folded for v this
+// window. A page is allocated when a target in it is first touched, so a
+// plan with few cut edges costs a few pages, not n slots per sender. Only
+// the sender's worker touches them, in its emit phase.
+type combiner[D distance] struct {
+	pages   []*page[D]
+	touched []int32 // targets whose slot is not none
+}
+
+// page is a block of 1 Ki consecutive vertices' combine slots.
+type page[D distance] [1 << pageBits]D
+
+const (
+	pageBits = 10
+	pageMask = 1<<pageBits - 1
+)
+
+func newExchange[D distance](k, n int, none D, weight func(u int32) []D) *exchange[D] {
+	x := &exchange[D]{mail: concurrent.NewMailboxes[bmsg[D]](k), comb: make([]combiner[D], k), none: none, weight: weight}
+	for p := range x.comb {
+		x.comb[p].pages = make([]*page[D], (n+pageMask)>>pageBits)
+	}
+	return x
+}
+
+// newPage returns a page of empty slots.
+func (x *exchange[D]) newPage() *page[D] {
+	pg := new(page[D])
+	for i := range pg {
+		pg[i] = x.none
+	}
+	return pg
+}
+
+// Validate runs the Mailboxes debug assertion and, when requireEmpty is
+// set, also requires every combine slot back at none and every touched
+// list empty: a stale slot would swallow a later message that does not
+// beat it, and a stale touched entry would post a message nobody sent.
+func (x *exchange[D]) Validate(requireEmpty bool) error {
+	if err := x.mail.Validate(requireEmpty); err != nil || !requireEmpty {
+		return err
+	}
+	for p, c := range x.comb {
+		if len(c.touched) != 0 {
+			return fmt.Errorf("engine: partition %d's combiner still lists %d touched target(s)", p, len(c.touched))
+		}
+		for j, pg := range c.pages {
+			if pg == nil {
+				continue
+			}
+			for i, b := range pg {
+				if b != x.none {
+					return fmt.Errorf("engine: partition %d's combine slot for vertex %d holds %v, not the empty sentinel", p, j<<pageBits+i, b)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // partState is the cached per-engine scaffolding of partitioned
@@ -32,7 +118,7 @@ type bmsg struct {
 // (CComp runs one traversal per component).
 type partState struct {
 	plan *partition.Plan
-	mail *concurrent.Mailboxes[bmsg]
+	hops *exchange[int32] // Traverse's boundary exchange, lazily allocated
 
 	fr      [][]int32 // per-partition frontier seeding the next superstep
 	nx      [][]int32 // per-partition local next-queue scratch
@@ -48,7 +134,7 @@ type partState struct {
 
 	count []partCount // per-partition counters over one call
 
-	sssp *concurrent.Mailboxes[wmsg] // delta-stepping's boundary messages (sssp.go), lazily allocated
+	sssp *exchange[float64] // delta-stepping's boundary exchange (sssp.go), lazily allocated
 }
 
 // partCount is one partition's counters over one partitioned call. Only
@@ -71,7 +157,6 @@ func (e *Engine) partitioned() *partState {
 		k := plan.K
 		e.prt = &partState{
 			plan:    plan,
-			mail:    concurrent.NewMailboxes[bmsg](k),
 			fr:      make([][]int32, k),
 			nx:      make([][]int32, k),
 			dirty:   make([][]int32, k),
@@ -89,10 +174,10 @@ func (e *Engine) partitioned() *partState {
 	return ps
 }
 
-// ValidateExchange runs the Mailboxes debug assertions over the
-// partitioned scaffolding's exchange buffers — the traversal mailboxes
-// and, when delta-stepping ran, the SSSP mailboxes. Between traversals
-// every box must be drained (requireEmpty); an engine that never entered
+// ValidateExchange runs the debug assertions over the partitioned
+// scaffolding's exchanges — the traversal one and, when delta-stepping
+// ran, the SSSP one. Between traversals every box must be drained and
+// every combine slot empty (requireEmpty); an engine that never entered
 // partitioned mode validates trivially. The metamorphic suites call this
 // on every engine a workload builds, so a phase-discipline violation
 // surfaces across all workloads and partition counts instead of only in
@@ -101,8 +186,10 @@ func (e *Engine) ValidateExchange(requireEmpty bool) error {
 	if e.prt == nil {
 		return nil
 	}
-	if err := e.prt.mail.Validate(requireEmpty); err != nil {
-		return err
+	if e.prt.hops != nil {
+		if err := e.prt.hops.Validate(requireEmpty); err != nil {
+			return err
+		}
 	}
 	if e.prt.sssp != nil {
 		return e.prt.sssp.Validate(requireEmpty)
@@ -124,6 +211,9 @@ func (e *Engine) partitionedOK(spec *Spec) bool {
 // per-call stats, including the boundary-traffic counters.
 func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *Stats) {
 	ps := e.partitioned()
+	if ps.hops == nil {
+		ps.hops = newExchange[int32](ps.plan.K, e.n, math.MaxInt32, nil)
+	}
 	plan := ps.plan
 	dist := spec.Dist
 	for p := range ps.fr {
@@ -135,10 +225,10 @@ func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *S
 		ps.fr[p] = append(ps.fr[p], s)
 		ps.markDirty(p, s)
 	}
-	steps, sent, total := supersteps(e, ps, ps.mail,
+	steps, sent, total := supersteps(e, ps, ps.hops.mail,
 		func(p int32) { e.localTraverse(ps, spec, p) },
-		func(p int32) { e.emitBoundary(ps, spec, p) },
-		func(p int32, m bmsg) bool {
+		func(p int32) { emit(e.vw, ps, ps.hops, dist, p) },
+		func(p int32, m bmsg[int32]) bool {
 			if dv := dist[m.v]; dv < 0 || m.d < dv {
 				e.claimPart(ps, spec, p, m.v, m.d)
 				ps.fr[p] = append(ps.fr[p], m.v)
@@ -162,7 +252,8 @@ func (e *Engine) partitionedTraverse(spec *Spec, cur *concurrent.Frontier, st *S
 }
 
 // supersteps is the superstep loop of every partitioned kernel, generic
-// over its boundary message (bmsg for Traverse, wmsg for SSSP). Each
+// over its boundary message (bmsg[int32] for Traverse, bmsg[float64] for
+// SSSP). Each
 // superstep runs three phases, each with one worker per partition at a
 // time, and the ParallelItems barrier between phases is the only
 // synchronisation:
@@ -254,7 +345,7 @@ func (ps *partState) markDirty(p, v int32) {
 // BFS over the partition's own vertex range, run sequentially by the
 // partition's worker until its frontier is empty. A target is claimed
 // again whenever a shorter distance reaches it. Cross-partition edges are
-// deliberately not walked here — emitBoundary covers them from the dirty
+// deliberately not walked here — emit covers them from the dirty
 // list, so each cut edge is traversed once per window, not once per local
 // round.
 //
@@ -290,22 +381,53 @@ func (e *Engine) localTraverse(ps *partState, spec *Spec, p int32) {
 	ps.count[p].rounds += rounds
 }
 
-// emitBoundary posts the best-known distance of every dirty boundary
-// vertex across its cut edges. Message volume — the cross-partition
-// traffic the BENCH records track — is one message per (dirty vertex,
-// cut edge) pair per superstep.
-func (e *Engine) emitBoundary(ps *partState, spec *Spec, p int32) {
-	vw := e.vw
+// emit is the emit phase of both partitioned kernels. It folds every cut
+// edge of partition p's dirty boundary vertices into p's combiner — the
+// candidate for the edge's target is dist[u] plus the edge's weight, or
+// plus one when the exchange has no weights — then posts one message
+// per touched target, carrying the minimum, and resets that slot. Message
+// volume, the cross-partition traffic the BENCH records track, is one
+// message per (sender partition, remote target) pair per superstep. Only
+// p's own distances are read: a sender never filters by its target's
+// distance.
+func emit[D distance](vw *property.View, ps *partState, x *exchange[D], dist []D, p int32) {
 	plan := ps.plan
 	lo, hi := plan.Range(int(p))
+	c := &x.comb[p]
+	pages, none, weighted := c.pages, x.none, x.weight != nil
 	for _, u := range ps.dirty[p] {
-		nd := spec.Dist[u] + 1
-		for _, v := range vw.Adj(u) {
+		du := dist[u]
+		adj := vw.Adj(u)
+		var wts []D
+		if weighted {
+			wts = x.weight(u)[:len(adj)]
+		}
+		for j, v := range adj {
 			if v >= lo && v < hi {
 				continue
 			}
-			ps.mail.Put(p, plan.Of(v), bmsg{v: v, d: nd})
+			nd := du + 1
+			if weighted {
+				nd = du + wts[j]
+			}
+			pg := pages[v>>pageBits]
+			if pg == nil {
+				pg = x.newPage()
+				pages[v>>pageBits] = pg
+			}
+			if b := &pg[v&pageMask]; nd < *b {
+				if *b == none {
+					c.touched = append(c.touched, v)
+				}
+				*b = nd
+			}
 		}
 	}
 	ps.dirty[p] = ps.dirty[p][:0]
+	for _, v := range c.touched {
+		b := &pages[v>>pageBits][v&pageMask]
+		x.mail.Put(p, plan.Of(v), bmsg[D]{v: v, d: *b})
+		*b = none
+	}
+	c.touched = c.touched[:0]
 }

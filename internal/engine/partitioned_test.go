@@ -9,6 +9,7 @@ import (
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/order"
+	"github.com/graphbig/graphbig-go/internal/partition"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -140,9 +141,10 @@ func TestPartitionedMatchesFlat(t *testing.T) {
 				if k == 1 && gst.BoundarySent != 0 {
 					t.Errorf("%s k=1: BoundarySent = %d, want 0", tc.name, gst.BoundarySent)
 				}
-				// Between traversals every exchange box must be drained —
-				// the Mailboxes debug assertion backing the phase contract.
-				if err := e.prt.mail.Validate(true); err != nil {
+				// Between traversals every exchange box must be drained and
+				// every combine slot empty — the debug assertion backing the
+				// phase contract.
+				if err := e.ValidateExchange(true); err != nil {
 					t.Errorf("%s k=%d: %v", tc.name, k, err)
 				}
 			}
@@ -317,6 +319,135 @@ func TestPartitionedFallbacks(t *testing.T) {
 	d2[0] = 0
 	if st := ef.Traverse(&Spec{Dist: d2}, 0); st.Supersteps != 0 {
 		t.Errorf("plan-less view ran partitioned: %+v", st)
+	}
+}
+
+// fanIn is a directed two-partition graph whose only cut edges fan in:
+// a path r -> s1 -> ... -> s8 fills partition 0, every si has a cut edge
+// into t1 and every even si one into t2, and partition 1 holds t1, t2 and
+// isolated fillers (vertex-balanced, so the split falls right after s8).
+// The cut-edge weights are distinct; si's is fanInWeights[i-1].
+var fanInWeights = []float64{9, 7, 12, 4.5, 8, 11, 10, 13}
+
+func fanIn(t *testing.T) (g *property.Graph, vw *property.View, r, t1, t2 int32) {
+	t.Helper()
+	m := len(fanInWeights)
+	g = property.New(property.Options{Directed: true, TrackInEdges: true})
+	for id := 0; id < 2*(m+1); id++ {
+		g.AddVertex(property.VertexID(id))
+	}
+	add := func(a, b int, w float64) {
+		if err := g.AddEdge(property.VertexID(a), property.VertexID(b), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= m; i++ {
+		add(i-1, i, 1)
+		add(i, m+1, fanInWeights[i-1])
+		if i%2 == 0 {
+			add(i, m+2, fanInWeights[i-1]+1)
+		}
+	}
+	vw = g.ViewWith(property.ViewOpts{Partitions: 2, PartitionMode: partition.VertexBalanced, Workers: 2})
+	plan := vw.Partitions()
+	r, t1, t2 = vw.IndexOf(0), vw.IndexOf(property.VertexID(m+1)), vw.IndexOf(property.VertexID(m+2))
+	if plan.K != 2 || plan.Of(r) != 0 || plan.Of(vw.IndexOf(property.VertexID(m))) != 0 || plan.Of(t1) != 1 {
+		t.Fatalf("fan-in plan bounds %v do not split after s%d", plan.Bounds, m)
+	}
+	if plan.CutEdges != int64(m+m/2) {
+		t.Fatalf("fan-in plan has %d cut edges, want %d", plan.CutEdges, m+m/2)
+	}
+	return g, vw, r, t1, t2
+}
+
+// TestBoundaryMessagesCombined pins the per-destination combiner on the
+// fan-in graph. Its one exchange with traffic has twelve cut edges behind
+// it but only two (sender partition, target) pairs, so exactly two
+// messages are posted, and each must carry the minimum over its edges.
+func TestBoundaryMessagesCombined(t *testing.T) {
+	g, vw, r, t1, t2 := fanIn(t)
+	const pairs = 2
+	for _, workers := range []int{1, 2} {
+		e := New(g, vw, workers)
+		hops := newDist(e.N())
+		hops[r] = 0
+		st := e.Traverse(&Spec{Dist: hops}, r)
+		if st.BoundarySent != pairs || st.Supersteps != 2 {
+			t.Errorf("workers=%d Traverse: BoundarySent, Supersteps = %d, %d; want %d, 2", workers, st.BoundarySent, st.Supersteps, pairs)
+		}
+		// s1 -> t1 and s2 -> t2 are the shortest ways across.
+		if hops[t1] != 2 || hops[t2] != 3 {
+			t.Errorf("workers=%d Traverse: t1, t2 at %d, %d hops; want 2, 3", workers, hops[t1], hops[t2])
+		}
+
+		inf := math.Inf(1)
+		dist := make([]float64, e.N())
+		for i := range dist {
+			dist[i] = inf
+		}
+		dist[r] = 0
+		sst := e.PartitionedSSSP(dist, 1, r)
+		if sst.BoundarySent != pairs || sst.Supersteps != 2 {
+			t.Errorf("workers=%d PartitionedSSSP: BoundarySent, Supersteps = %d, %d; want %d, 2", workers, sst.BoundarySent, sst.Supersteps, pairs)
+		}
+		want1, want2 := inf, inf
+		for i, w := range fanInWeights {
+			want1 = min(want1, float64(i+1)+w)
+			if (i+1)%2 == 0 {
+				want2 = min(want2, float64(i+1)+w+1)
+			}
+		}
+		if dist[t1] != want1 || dist[t2] != want2 {
+			t.Errorf("workers=%d PartitionedSSSP: t1, t2 at %v, %v; want the minima %v, %v", workers, dist[t1], dist[t2], want1, want2)
+		}
+		if err := e.ValidateExchange(true); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// TestValidateExchangeCombineSlots: between calls every combine slot is
+// back at its sentinel and every touched list is empty, and
+// ValidateExchange(true) fails on either kind of leftover. A stale slot
+// would swallow a later message that does not beat it.
+func TestValidateExchangeCombineSlots(t *testing.T) {
+	g, vw, r, t1, _ := fanIn(t)
+	e := New(g, vw, 2)
+	hops := newDist(e.N())
+	hops[r] = 0
+	e.Traverse(&Spec{Dist: hops}, r)
+	dist := make([]float64, e.N())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[r] = 0
+	e.PartitionedSSSP(dist, 1, r)
+	if err := e.ValidateExchange(true); err != nil {
+		t.Fatalf("after a clean run: %v", err)
+	}
+
+	hc, sc := &e.prt.hops.comb[0], &e.prt.sssp.comb[0]
+	hs, ss := &hc.pages[t1>>pageBits][t1&pageMask], &sc.pages[t1>>pageBits][t1&pageMask]
+	for _, c := range []struct {
+		name          string
+		corrupt, heal func()
+	}{
+		{"stale BFS slot", func() { *hs = 2 }, func() { *hs = math.MaxInt32 }},
+		{"stale SSSP slot", func() { *ss = 8.5 }, func() { *ss = math.Inf(1) }},
+		{"touched BFS target", func() { hc.touched = append(hc.touched, t1) }, func() { hc.touched = hc.touched[:0] }},
+		{"touched SSSP target", func() { sc.touched = append(sc.touched, t1) }, func() { sc.touched = sc.touched[:0] }},
+	} {
+		c.corrupt()
+		if err := e.ValidateExchange(true); err == nil {
+			t.Errorf("%s: ValidateExchange(true) passed", c.name)
+		}
+		if err := e.ValidateExchange(false); err != nil {
+			t.Errorf("%s: ValidateExchange(false) = %v, want only the structural checks", c.name, err)
+		}
+		c.heal()
+	}
+	if err := e.ValidateExchange(true); err != nil {
+		t.Fatalf("after healing: %v", err)
 	}
 }
 

@@ -11,19 +11,14 @@ import (
 // The native delta-stepping kernels over ring.go's Buckets. The
 // partitioned one runs partitioned.go's superstep loop: each partition
 // drains its own ring over its own vertices, and cut-edge relaxations
-// travel as messages between supersteps. Both take the minimum over the
-// same left-to-right float path sums, so their distances agree bit for
-// bit.
-
-// wmsg is one weighted boundary message: "vertex V is reachable at
-// tentative distance D".
-type wmsg struct {
-	v int32
-	d float64
-}
+// travel between supersteps as messages, one per sender and target. Both
+// take the minimum over the same left-to-right float path sums, so their
+// distances agree bit for bit.
 
 // SSSPStats summarizes one SSSP call. Supersteps and BoundarySent are zero
-// outside partitioned mode.
+// outside partitioned mode, where BoundarySent counts the messages posted:
+// each superstep, one per (sender partition, remote target) pair, carrying
+// the smallest tentative distance over the sender's cut edges into it.
 type SSSPStats struct {
 	Relaxed      int64 // successful relaxations (local + applied boundary)
 	Buckets      int64 // non-empty buckets drained, summed over partitions
@@ -138,7 +133,7 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 	}
 	ps := e.partitioned()
 	if ps.sssp == nil {
-		ps.sssp = concurrent.NewMailboxes[wmsg](ps.plan.K)
+		ps.sssp = newExchange(ps.plan.K, e.n, math.Inf(1), e.vw.AdjW)
 	}
 	plan := ps.plan
 	q := make([]*Buckets, plan.K)
@@ -150,10 +145,10 @@ func (e *Engine) PartitionedSSSP(dist []float64, delta float64, srcs ...int32) S
 		q[p].Push(0, dist[s], s)
 		ps.markDirty(p, s)
 	}
-	steps, sent, total := supersteps(e, ps, ps.sssp,
+	steps, sent, total := supersteps(e, ps, ps.sssp.mail,
 		func(p int32) { e.localSSSP(ps, q[p], dist, p) },
-		func(p int32) { e.emitSSSP(ps, ps.sssp, dist, p) },
-		func(p int32, m wmsg) bool {
+		func(p int32) { emit(e.vw, ps, ps.sssp, dist, p) },
+		func(p int32, m bmsg[float64]) bool {
 			if m.d < dist[m.v] {
 				dist[m.v] = m.d
 				q[p].Push(0, m.d, m.v)
@@ -200,24 +195,4 @@ func (e *Engine) localSSSP(ps *partState, q *Buckets, dist []float64, p int32) {
 	})
 	ps.count[p].rounds += drained
 	ps.count[p].relaxed += relaxed
-}
-
-// emitSSSP posts each dirty boundary vertex's tentative distance plus the
-// cut-edge weight to the edge target's owner.
-func (e *Engine) emitSSSP(ps *partState, mail *concurrent.Mailboxes[wmsg], dist []float64, p int32) {
-	vw := e.vw
-	plan := ps.plan
-	lo, hi := plan.Range(int(p))
-	for _, u := range ps.dirty[p] {
-		du := dist[u]
-		adj := vw.Adj(u)
-		wts := vw.AdjW(u)[:len(adj)]
-		for j, v := range adj {
-			if v >= lo && v < hi {
-				continue
-			}
-			mail.Put(p, plan.Of(v), wmsg{v: v, d: du + wts[j]})
-		}
-	}
-	ps.dirty[p] = ps.dirty[p][:0]
 }

@@ -54,8 +54,12 @@ type Stats struct {
 	// the engine has one worker); the rest forked.
 	SerialRounds int
 
-	Supersteps   int   // partitioned mode: boundary-exchange iterations
-	BoundarySent int64 // partitioned mode: cross-partition messages posted
+	Supersteps int // partitioned mode: boundary-exchange iterations
+	// BoundarySent counts the cross-partition messages posted in
+	// partitioned mode: each superstep, one per (sender partition, remote
+	// target) pair, since a sender combines its cut edges into one
+	// minimum per target.
+	BoundarySent int64
 }
 
 // Traverse runs a level-synchronous traversal from srcs. Sources must

@@ -45,9 +45,18 @@ func Write(w io.Writer, g *property.Graph) error {
 		bw.Write(rec)
 	})
 	g.ForEachVertex(func(v *property.Vertex) {
+		self := 0
 		for _, e := range v.Out {
-			if !g.Directed() && e.To < v.ID {
-				continue // mirrored record; the canonical copy suffices
+			// An undirected edge is stored once at each end and written
+			// once. Both records of a self loop are v's own, so every
+			// second one is the mirror.
+			if !g.Directed() && e.To <= v.ID {
+				if e.To < v.ID {
+					continue
+				}
+				if self++; self%2 == 0 {
+					continue
+				}
 			}
 			rec = strconv.AppendUint(append(rec[:0], "e "...), uint64(v.ID), 10)
 			rec = strconv.AppendUint(append(rec, ' '), uint64(e.To), 10)

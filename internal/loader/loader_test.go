@@ -3,6 +3,7 @@ package loader
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -398,6 +399,61 @@ e 0 0 1.23456789125e+08
 	}
 }
 
+// TestWriteSelfLoopsOnce: a round trip keeps every edge count, self loops
+// included. An undirected self loop is two records at one vertex, and
+// writing both as edge lines doubled it on every Write/Read.
+func TestWriteSelfLoopsOnce(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := property.New(property.Options{Directed: directed, TrackInEdges: directed})
+		for id := range property.VertexID(3) {
+			g.AddVertex(id)
+		}
+		for _, e := range [][2]property.VertexID{{1, 1}, {0, 1}, {2, 2}, {2, 2}} {
+			if err := g.AddEdge(e[0], e[1], 1.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := g
+		for trip := 1; trip <= 2; trip++ {
+			var buf bytes.Buffer
+			if err := Write(&buf, r); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if r, err = Read(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if r.EdgeCount() != g.EdgeCount() {
+				t.Errorf("directed=%v trip %d: EdgeCount %d, want %d", directed, trip, r.EdgeCount(), g.EdgeCount())
+			}
+			if got, want := edgeMultiset(r), edgeMultiset(g); !slices.Equal(got, want) {
+				t.Errorf("directed=%v trip %d: edge records %v, want %v", directed, trip, got, want)
+			}
+		}
+	}
+}
+
+// edgeRec is one Out record, weight as bits, for multiset comparison.
+type edgeRec struct {
+	src, dst property.VertexID
+	w        uint64
+}
+
+// edgeMultiset returns g's Out records sorted, so graphs whose vertices
+// or lists come in different orders compare equal.
+func edgeMultiset(g *property.Graph) []edgeRec {
+	var recs []edgeRec
+	g.ForEachVertex(func(v *property.Vertex) {
+		for _, e := range v.Out {
+			recs = append(recs, edgeRec{v.ID, e.To, math.Float64bits(e.Weight)})
+		}
+	})
+	slices.SortFunc(recs, func(a, b edgeRec) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.w, b.w))
+	})
+	return recs
+}
+
 // sameGraph compares two loaded graphs record for record, in order.
 func sameGraph(a, b *property.Graph) string {
 	if a.VertexCount() != b.VertexCount() || a.EdgeCount() != b.EdgeCount() {
@@ -447,6 +503,47 @@ func FuzzReadSNAP(f *testing.F) {
 			if d := sameGraph(fast, ref); d != "" {
 				t.Fatal(d)
 			}
+		}
+	})
+}
+
+// FuzzReadV1 feeds arbitrary bytes to Read, the v1 edge-list parser. It
+// must return an error or a graph, never panic, and a graph it accepts
+// must survive Write then Read with the same vertex count, edge count and
+// edge multiset.
+func FuzzReadV1(f *testing.F) {
+	for _, seed := range []string{
+		"# graphbig v1 directed=false\nv 0\nv 1\ne 0 1 2.5\ne 1 1 1\n",
+		"# graphbig v1 directed=true\nv 3\nv 18446744073709551615\ne 3 3 0.1\ne 3 18446744073709551615 1e+21\ne 3 3 0\n",
+		"# graphbig v1 directed=false\n\n# c\nv 7\nv 7\ne 7 7 1\ne 7 7 1\n",
+		"# graphbig v1 directed=true\nv 1\ne 1 2 1\n",
+		"# graphbig v1\nv 1\ne 1 1 -0\n",
+		"# graphbig v1 directed=false\nv 1\ne 1 1 NaN\nx\n",
+		"# graphbig v1 directed=false\nv 1 2\ne 1\n",
+		"0 1\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read rejects what Write wrote: %v", err)
+		}
+		if r.Directed() != g.Directed() || r.VertexCount() != g.VertexCount() || r.EdgeCount() != g.EdgeCount() {
+			t.Fatalf("round trip: directed=%v %d vertices %d edges, read back directed=%v %d and %d",
+				g.Directed(), g.VertexCount(), g.EdgeCount(), r.Directed(), r.VertexCount(), r.EdgeCount())
+		}
+		if got, want := edgeMultiset(r), edgeMultiset(g); !slices.Equal(got, want) {
+			t.Fatalf("round trip changed the edge records:\n%v\nwant\n%v", got, want)
 		}
 	})
 }
