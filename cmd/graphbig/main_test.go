@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -134,6 +135,10 @@ func TestHostileCommandLines(t *testing.T) {
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},
+		{"trace inst count 2^56", []string{"-trace-in", file("inst56.gbt", binary.AppendUvarint([]byte("GBT1\x02"), 1<<56))}, 1,
+			"graphbig: trace: inst count 72057594037927936 out of range"},
+		{"trace branch site 2^35", []string{"-trace-in", file("site35.gbt", binary.AppendUvarint([]byte("GBT1\x03"), 1<<36))}, 1,
+			"graphbig: trace: branch site 34359738368 out of range"},
 	}
 	// Delta-stepping inputs whose bucket indices outrun any dense array: a
 	// path with one edge a trillion widths long, one whose quotient passes

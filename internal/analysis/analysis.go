@@ -18,15 +18,13 @@
 //   - analysistest.go: a golden-comment test harness compatible with the
 //     x/tools `// want "regexp"` convention.
 //
+// Beside them, helpers.go holds the small type queries the analyzers share
+// and multichecker.go runs a suite over loaded packages with sorted output.
+//
 // Every analyzer is per-package: Run sees one package's syntax and type
 // information, and nothing spans packages. The project's analyzers live
 // in subpackages (determinism, hotloop, overflowconv) and are aggregated
 // by cmd/graphbig-vet.
-//
-// The control-flow graph (cfg.go), dataflow solver (solver.go),
-// intraprocedural range analysis (interval.go, rangeanal.go, rangexfer.go,
-// rangeprove.go) and the ssa subpackage are no analyzer's dependency; only
-// their own tests exercise them.
 package analysis
 
 import (

@@ -108,9 +108,6 @@ func toFront(ways []uint64, tag uint64) (hit bool) {
 // Access touches the line containing byte address addr.
 func (c *Cache) Access(addr uint64) bool { return c.AccessLine(addr >> c.lineShift) }
 
-// LineOf converts a byte address to this cache's line address.
-func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
 // LineShift returns log2 of the line size.
 func (c *Cache) LineShift() uint { return c.lineShift }
 

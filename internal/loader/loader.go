@@ -377,7 +377,12 @@ func Load(path string) (*property.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	in, err := gunzip(f)
+	return load(f)
+}
+
+// load is Load on an open stream.
+func load(r io.Reader) (*property.Graph, error) {
+	in, err := gunzip(r)
 	if err != nil {
 		return nil, err
 	}

@@ -510,7 +510,10 @@ func FuzzReadSNAP(f *testing.F) {
 // FuzzReadV1 feeds arbitrary bytes to Read, the v1 edge-list parser. It
 // must return an error or a graph, never panic, and a graph it accepts
 // must survive Write then Read with the same vertex count, edge count and
-// edge multiset.
+// edge multiset. The same bytes gzip-wrapped go through Load's sniffing
+// path, which must agree with the parser it picks on the plain bytes:
+// Read after a v1 header, ReadSNAP otherwise. Both fail, or both give the
+// same counts and edge multiset.
 func FuzzReadV1(f *testing.F) {
 	for _, seed := range []string{
 		"# graphbig v1 directed=false\nv 0\nv 1\ne 0 1 2.5\ne 1 1 1\n",
@@ -521,12 +524,37 @@ func FuzzReadV1(f *testing.F) {
 		"# graphbig v1 directed=false\nv 1\ne 1 1 NaN\nx\n",
 		"# graphbig v1 directed=false\nv 1 2\ne 1\n",
 		"0 1\n",
+		"# graphbig v\n0 1\n",
+		"\x1f\x8b",
 		"",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Read(bytes.NewReader(data))
+		sniffed, plainErr := g, err
+		if !bytes.HasPrefix(data, []byte(v1Header)) {
+			sniffed, plainErr = ReadSNAP(bytes.NewReader(data))
+		}
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		zw.Write(data)
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lg, lerr := load(&gz)
+		if (lerr == nil) != (plainErr == nil) {
+			t.Fatalf("gzip-wrapped: %v, plain: %v", lerr, plainErr)
+		}
+		if lerr == nil {
+			if lg.Directed() != sniffed.Directed() || lg.VertexCount() != sniffed.VertexCount() || lg.EdgeCount() != sniffed.EdgeCount() {
+				t.Fatalf("gzip-wrapped: directed=%v %d vertices %d edges, plain directed=%v %d and %d",
+					lg.Directed(), lg.VertexCount(), lg.EdgeCount(), sniffed.Directed(), sniffed.VertexCount(), sniffed.EdgeCount())
+			}
+			if got, want := edgeMultiset(lg), edgeMultiset(sniffed); !slices.Equal(got, want) {
+				t.Fatalf("gzip-wrapped edge records:\n%v\nwant\n%v", got, want)
+			}
+		}
 		if err != nil {
 			return
 		}

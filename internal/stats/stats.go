@@ -116,9 +116,6 @@ func (h *Histogram) Bucket(i int) (count, lo, hi uint64) {
 	return h.buckets[i], 1 << (i - 1), 1 << i
 }
 
-// NumBuckets returns the number of populated bucket slots.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // String renders the histogram one bucket per line.
 func (h *Histogram) String() string {
 	s := ""

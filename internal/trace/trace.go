@@ -13,12 +13,17 @@
 //	  1 store  : uvarint addr-delta(zigzag), uvarint size
 //	  2 inst   : uvarint n
 //	  3 branch : uvarint site<<1|taken
-//	  4 enter  : byte class
+//	  4 enter  : uvarint class
 //	  5 exit   : —
 //
 // A size is 1 to math.MaxUint32 (instrumented code never reports an
-// access of no bytes) and a class is a mem.Class; Replay rejects a record
-// outside either range instead of handing a tracker what no run produces.
+// access of no bytes), an inst count n and a branch site are 0 to
+// math.MaxUint32, and a class is a mem.Class. Replay rejects a record
+// outside any of these ranges instead of handing a tracker what no run
+// produces: a site a uint32 would truncate, or an n far past the largest
+// batch a producer reports (growEdges' 4+oldCap, with an int32 capacity),
+// on which a machine model that walks its fetch stream a line at a time
+// would not finish.
 //
 // Address deltas against the previous access compress the stream well:
 // graph traversals revisit nearby structures constantly.
@@ -175,11 +180,17 @@ func Replay(rd io.Reader, t mem.Tracker) (uint64, error) {
 			if err != nil {
 				return events, err
 			}
+			if n > math.MaxUint32 {
+				return events, fmt.Errorf("trace: inst count %d out of range", n)
+			}
 			t.Inst(n)
 		case opBranch:
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
 				return events, err
+			}
+			if v>>1 > math.MaxUint32 {
+				return events, fmt.Errorf("trace: branch site %d out of range", v>>1)
 			}
 			t.Branch(uint32(v>>1), v&1 == 1)
 		case opEnter:

@@ -3,13 +3,17 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
+	"github.com/graphbig/graphbig-go/internal/property"
 	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
@@ -136,6 +140,41 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay(strings.NewReader("GBT1\x04\x02"), mem.NewCounting()); err == nil {
 		t.Error("unknown class should fail")
 	}
+	for _, rec := range hostileRecords() {
+		if _, err := Replay(bytes.NewReader(rec), mem.NewCounting()); err == nil {
+			t.Errorf("%x should fail", rec)
+		}
+	}
+}
+
+// hostileRecords are streams of one record past an operand's range:
+// inst counts past math.MaxUint32 (at 2^56 perfmon's fetch-stream walk
+// would not finish) and branch sites a uint32 would truncate.
+func hostileRecords() [][]byte {
+	var recs [][]byte
+	for _, n := range []uint64{1 << 32, 1 << 56, math.MaxUint64} {
+		recs = append(recs, binary.AppendUvarint([]byte{'G', 'B', 'T', '1', opInst}, n))
+	}
+	for _, v := range []uint64{1 << 33, 1<<36 | 1, math.MaxUint64} {
+		recs = append(recs, binary.AppendUvarint([]byte{'G', 'B', 'T', '1', opBranch}, v))
+	}
+	return recs
+}
+
+// TestReplayBounds replays the largest inst count and branch site the
+// format accepts.
+func TestReplayBounds(t *testing.T) {
+	rec := binary.AppendUvarint([]byte{'G', 'B', 'T', '1', opInst}, math.MaxUint32)
+	rec = append(rec, opBranch)
+	rec = binary.AppendUvarint(rec, math.MaxUint32<<1|1)
+	c := mem.NewCounting()
+	n, err := Replay(bytes.NewReader(rec), c)
+	if err != nil || n != 2 {
+		t.Fatalf("replayed %d events, err %v", n, err)
+	}
+	if c.Insts[mem.ClassUser] != math.MaxUint32+1 || c.Taken[mem.ClassUser] != 1 {
+		t.Errorf("insts %d, taken %d", c.Insts[mem.ClassUser], c.Taken[mem.ClassUser])
+	}
 }
 
 func TestQuickRoundTripAddresses(t *testing.T) {
@@ -178,3 +217,99 @@ func (a *addrSum) Inst(uint64)                 {}
 func (a *addrSum) Branch(uint32, bool)         {}
 func (a *addrSum) Enter(mem.Class)             {}
 func (a *addrSum) Exit()                       {}
+
+// FuzzReplay feeds arbitrary bytes to Replay, into a Recorder beside a
+// mem.Counting, whose cost per event is constant whatever the operands.
+// Replay must return an error or finish without panicking, and a stream
+// it accepts must re-encode to a fixed point: replaying the re-encoding
+// gives the same event count and Counting totals, and encoding it again is
+// byte-identical. The first re-encoding may differ from the input, which
+// can spell a uvarint with redundant continuation bytes.
+func FuzzReplay(f *testing.F) {
+	for _, rec := range hostileRecords() {
+		f.Add(rec)
+	}
+	f.Add([]byte("GBT1\x04\x81\x00\x02\x80\x01\x05\x05"))
+	f.Add(goldenPrefix(f, 1024))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		once, n, c, err := reencode(data)
+		if err != nil {
+			return
+		}
+		twice, n2, c2, err := reencode(once)
+		if err != nil {
+			t.Fatalf("Replay rejects what the Recorder wrote: %v", err)
+		}
+		if n2 != n || c2 != c {
+			t.Fatalf("re-encoding replays %d events %v, want %d events %v", n2, c2, n, c)
+		}
+		if !bytes.Equal(twice, once) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", once, twice)
+		}
+	})
+}
+
+// totals are a Counting's loads, stores, insts, branches and taken
+// branches by class.
+type totals [5][2]uint64
+
+// reencode replays stream into a Recorder and a Counting, returning what
+// the Recorder wrote, the event count and the Counting totals.
+func reencode(stream []byte) ([]byte, uint64, totals, error) {
+	var buf bytes.Buffer
+	rec, err := NewRecorder(&buf)
+	if err != nil {
+		return nil, 0, totals{}, err
+	}
+	c := mem.NewCounting()
+	n, err := Replay(bytes.NewReader(stream), mem.NewMulti(rec, c))
+	if err != nil {
+		return nil, 0, totals{}, err
+	}
+	if rec.Events() != n {
+		return nil, 0, totals{}, fmt.Errorf("recorded %d of %d events", rec.Events(), n)
+	}
+	if err := rec.Flush(); err != nil {
+		return nil, 0, totals{}, err
+	}
+	return buf.Bytes(), n, totals{c.Loads, c.Stores, c.Insts, c.Branches, c.Taken}, nil
+}
+
+// goldenPrefix returns the longest whole-record prefix, at most limit bytes,
+// of the BFS stream the perfmon profile golden records: LDBC at scale
+// 0.0004, seed 42.
+func goldenPrefix(tb testing.TB, limit int) []byte {
+	d, err := gen.ByName("ldbc")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := property.Clone(d.Generate(0.0004, 42, 1))
+	vw := g.View()
+	wl, err := core.ByName("BFS")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := NewRecorder(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.SetTracker(rec)
+	_, err = wl.Run(&core.RunContext{Graph: g, Opt: workloads.Options{Seed: 42, View: vw}})
+	g.SetTracker(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	// A prefix Replay accepts ends on a record boundary.
+	s := buf.Bytes()
+	k := min(len(s), limit)
+	for ; k > len(magic); k-- {
+		if _, err := Replay(bytes.NewReader(s[:k]), mem.NewCounting()); err == nil {
+			break
+		}
+	}
+	return s[:k]
+}
