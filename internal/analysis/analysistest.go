@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -30,16 +31,42 @@ func RunTest(t *testing.T, a *Analyzer, pkgpaths ...string) {
 		t.Fatal(err)
 	}
 	for _, pkgpath := range pkgpaths {
-		pkg, err := l.LoadFixture(pkgpath)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", pkgpath, err)
-		}
-		diags, err := RunAnalyzers(pkg, []*Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, pkgpath, err)
-		}
-		checkWants(t, pkg.Fset, pkg.Files, diags)
+		runFixture(t, l, a, pkgpath)
 	}
+}
+
+// RunSource is RunTest for one in-memory fixture: src, a whole Go file,
+// becomes the only file of package pkgpath under a fresh testdata root.
+// Table tests use it to keep each case's source beside its name.
+func RunSource(t *testing.T, a *Analyzer, pkgpath, src string) {
+	t.Helper()
+	root := t.TempDir()
+	dir := filepath.Join(root, filepath.FromSlash(pkgpath))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.TestdataRoot = root
+	runFixture(t, l, a, pkgpath)
+}
+
+func runFixture(t *testing.T, l *Loader, a *Analyzer, pkgpath string) {
+	t.Helper()
+	pkg, err := l.LoadFixture(pkgpath)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", pkgpath, err)
+	}
+	diags, err := RunAnalyzers(pkg, []*Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, pkgpath, err)
+	}
+	checkWants(t, pkg.Fset, pkg.Files, diags)
 }
 
 type want struct {

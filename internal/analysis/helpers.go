@@ -21,10 +21,19 @@ func HasPathSuffix(pkgpath string, suffixes ...string) bool {
 }
 
 // Callee resolves the function or method called by call, or nil for
-// builtins, conversions and calls of non-identifier expressions.
+// builtins, conversions and calls of non-identifier expressions. An
+// explicitly instantiated generic callee (rand.N[int64]) resolves to its
+// generic function.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
 	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -58,6 +58,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Scale < 3 {
 		return nil, fmt.Errorf("g500: scale %d too small", cfg.Scale)
 	}
+	if cfg.Roots < 1 {
+		return nil, fmt.Errorf("g500: %d roots, want at least 1", cfg.Roots)
+	}
 	start := time.Now()
 	g := gen.RMAT(cfg.Scale, cfg.EdgeFactor, cfg.Seed, cfg.Workers)
 	vw := g.View()
@@ -70,7 +73,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Sampled search keys: non-isolated vertices, spread deterministically.
 	var roots []property.VertexID
-	step := vw.Len()/max(cfg.Roots, 1) + 1
+	step := vw.Len()/cfg.Roots + 1
 	for i := 0; i < vw.Len() && len(roots) < cfg.Roots; i += step {
 		if vw.Verts[i].OutDegree() > 0 {
 			roots = append(roots, vw.Verts[i].ID)

@@ -1,6 +1,9 @@
 package g500
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestRunSmallScale(t *testing.T) {
 	cfg := Config{Scale: 9, EdgeFactor: 8, Roots: 4, Seed: 3}
@@ -41,6 +44,15 @@ func TestRunSmallScale(t *testing.T) {
 func TestRunRejectsTinyScale(t *testing.T) {
 	if _, err := Run(Config{Scale: 1}); err == nil {
 		t.Error("scale 1 should be rejected")
+	}
+}
+
+func TestRunRejectsNoRoots(t *testing.T) {
+	for _, roots := range []int{0, -2} {
+		_, err := Run(Config{Scale: 6, EdgeFactor: 4, Roots: roots})
+		if err == nil || err.Error() != fmt.Sprintf("g500: %d roots, want at least 1", roots) {
+			t.Errorf("roots %d: err = %v", roots, err)
+		}
 	}
 }
 

@@ -268,3 +268,71 @@ func TestSourceTypeString(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratedGraphsAreWellFormed checks every generator's output against
+// the graph invariants and against a recount of its Summarize profile:
+// property.Validate passes, no vertex has a self loop or a repeated
+// neighbour, every weight is an integer in [1,100], an undirected graph
+// holds each edge both ways with one weight, and V, E, MaxDeg and Isolated
+// match a direct count.
+func TestGeneratedGraphsAreWellFormed(t *testing.T) {
+	graphs := []struct {
+		name  string
+		build func() *property.Graph
+	}{
+		{"twitter", func() *property.Graph { return Twitter(700, 9, 0) }},
+		{"knowledge", func() *property.Graph { return Knowledge(500, 9, 0) }},
+		{"watson-gene", func() *property.Graph { return Gene(600, 9, 0) }},
+		{"ca-road", func() *property.Graph { return Road(700, 9, 0) }},
+		{"ldbc", func() *property.Graph { return LDBC(500, 9, 0) }},
+		{"dag", func() *property.Graph { return DAG(500, 9, 0) }},
+		{"rmat", func() *property.Graph { return RMAT(9, 6, 9, 0) }},
+	}
+	for _, gc := range graphs {
+		t.Run(gc.name, func(t *testing.T) {
+			g := gc.build()
+			if err := property.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+			weight := map[[2]property.VertexID]float64{}
+			verts, edges, maxDeg, isolated := 0, 0, 0, 0
+			g.ForEachVertex(func(v *property.Vertex) {
+				verts++
+				edges += len(v.Out)
+				maxDeg = max(maxDeg, v.OutDegree())
+				if v.OutDegree() == 0 && v.InDegree() == 0 {
+					isolated++
+				}
+				for _, e := range v.Out {
+					if e.To == v.ID {
+						t.Fatalf("self loop on %d", v.ID)
+					}
+					k := [2]property.VertexID{v.ID, e.To}
+					if _, dup := weight[k]; dup {
+						t.Fatalf("edge %d->%d repeated", v.ID, e.To)
+					}
+					if e.Weight < 1 || e.Weight > 100 || e.Weight != math.Trunc(e.Weight) {
+						t.Fatalf("edge %d->%d weight %v", v.ID, e.To, e.Weight)
+					}
+					weight[k] = e.Weight
+				}
+			})
+			if !g.Directed() {
+				for k, w := range weight {
+					if back, ok := weight[[2]property.VertexID{k[1], k[0]}]; !ok || back != w {
+						t.Fatalf("edge %d->%d weight %v, reverse present %v weight %v", k[0], k[1], w, ok, back)
+					}
+				}
+				edges /= 2
+			}
+			p := Summarize(g)
+			if p.V != verts || p.E != edges || p.MaxDeg != maxDeg || p.Isolated != isolated || p.Directed != g.Directed() {
+				t.Errorf("Summarize V=%d E=%d max=%d isolated=%d directed=%v; counted V=%d E=%d max=%d isolated=%d",
+					p.V, p.E, p.MaxDeg, p.Isolated, p.Directed, verts, edges, maxDeg, isolated)
+			}
+			if p.DegreeHst.Total() != uint64(verts) {
+				t.Errorf("degree histogram holds %d vertices, want %d", p.DegreeHst.Total(), verts)
+			}
+		})
+	}
+}

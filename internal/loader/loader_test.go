@@ -575,3 +575,65 @@ func FuzzReadV1(f *testing.F) {
 		}
 	})
 }
+
+// TestSaveLoadEveryGenerator round-trips every generator's graph through
+// Save and Load, plain and gzip-wrapped: counts, directedness and the
+// edge multiset with bit-exact weights must survive.
+func TestSaveLoadEveryGenerator(t *testing.T) {
+	graphs := []struct {
+		name  string
+		build func() *property.Graph
+	}{
+		{"twitter", func() *property.Graph { return gen.Twitter(400, 5, 0) }},
+		{"knowledge", func() *property.Graph { return gen.Knowledge(300, 5, 0) }},
+		{"watson-gene", func() *property.Graph { return gen.Gene(300, 5, 0) }},
+		{"ca-road", func() *property.Graph { return gen.Road(400, 5, 0) }},
+		{"ldbc", func() *property.Graph { return gen.LDBC(300, 5, 0) }},
+		{"dag", func() *property.Graph { return gen.DAG(300, 5, 0) }},
+		{"rmat", func() *property.Graph { return gen.RMAT(8, 4, 5, 0) }},
+	}
+	for _, gc := range graphs {
+		for _, zipped := range []bool{false, true} {
+			name := gc.name + "/plain"
+			if zipped {
+				name = gc.name + "/gzip"
+			}
+			t.Run(name, func(t *testing.T) {
+				g := gc.build()
+				var buf bytes.Buffer
+				if err := Write(&buf, g); err != nil {
+					t.Fatal(err)
+				}
+				data := buf.Bytes()
+				if zipped {
+					var z bytes.Buffer
+					zw := gzip.NewWriter(&z)
+					if _, err := zw.Write(data); err != nil {
+						t.Fatal(err)
+					}
+					if err := zw.Close(); err != nil {
+						t.Fatal(err)
+					}
+					data = z.Bytes()
+				}
+				path := filepath.Join(t.TempDir(), "g.el")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				r, err := Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Directed() != g.Directed() {
+					t.Errorf("directed = %v, want %v", r.Directed(), g.Directed())
+				}
+				if r.VertexCount() != g.VertexCount() || r.EdgeCount() != g.EdgeCount() {
+					t.Fatalf("counts %d/%d, want %d/%d", r.VertexCount(), r.EdgeCount(), g.VertexCount(), g.EdgeCount())
+				}
+				if got, want := edgeMultiset(r), edgeMultiset(g); !slices.Equal(got, want) {
+					t.Errorf("edge multiset changed: %d records, want %d", len(got), len(want))
+				}
+			})
+		}
+	}
+}

@@ -105,13 +105,18 @@ func bits64(v uint64) int {
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Bucket returns the count of bucket i and the half-open value range it
-// covers. Bucket 0 is exactly the value 0.
+// covers. Bucket 0 is exactly the value 0. The top bucket, 64, holds 2^63
+// and up: 2^64 does not fit a uint64, so it reports hi = math.MaxUint64
+// and its range is closed.
 func (h *Histogram) Bucket(i int) (count, lo, hi uint64) {
 	if i < 0 || i >= len(h.buckets) {
 		return 0, 0, 0
 	}
-	if i == 0 {
+	switch i {
+	case 0:
 		return h.buckets[0], 0, 1
+	case 64:
+		return h.buckets[64], 1 << 63, math.MaxUint64
 	}
 	return h.buckets[i], 1 << (i - 1), 1 << i
 }
@@ -124,7 +129,11 @@ func (h *Histogram) String() string {
 		if c == 0 {
 			continue
 		}
-		s += fmt.Sprintf("[%d,%d): %d\n", lo, hi, c)
+		end := ")"
+		if i == 64 {
+			end = "]"
+		}
+		s += fmt.Sprintf("[%d,%d%s: %d\n", lo, hi, end, c)
 	}
 	return s
 }

@@ -67,6 +67,32 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketBounds puts the least and the greatest value of every
+// bucket into a histogram of its own and checks the bucket and the range
+// it reports, up to the top bucket, whose 2^64 bound a uint64 cannot hold.
+func TestHistogramBucketBounds(t *testing.T) {
+	for i := 1; i <= 64; i++ {
+		least := uint64(1) << (i - 1)
+		greatest := least<<1 - 1 // wraps to MaxUint64 at i == 64
+		for _, v := range []uint64{least, greatest} {
+			h := NewHistogram()
+			h.Add(v)
+			c, lo, hi := h.Bucket(i)
+			if c != 1 || v < lo || (i < 64 && v >= hi) || lo != least {
+				t.Fatalf("value %d: bucket %d = %d [%d,%d)", v, i, c, lo, hi)
+			}
+		}
+	}
+	h := NewHistogram()
+	h.Add(math.MaxUint64)
+	if _, lo, hi := h.Bucket(64); lo != 1<<63 || hi != math.MaxUint64 {
+		t.Errorf("top bucket = [%d,%d]", lo, hi)
+	}
+	if got, want := h.String(), "[9223372036854775808,18446744073709551615]: 1\n"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {

@@ -313,3 +313,106 @@ func goldenPrefix(tb testing.TB, limit int) []byte {
 	}
 	return s[:k]
 }
+
+// TestWireFormat pins the bytes each event encodes to after the magic, as
+// the package comment specifies them, and that replaying those bytes into
+// a Recorder writes them back unchanged.
+func TestWireFormat(t *testing.T) {
+	cases := []struct {
+		name   string
+		record func(r *Recorder)
+		want   string // hex, after "GBT1"
+	}{
+		{"load-at-zero", func(r *Recorder) { r.Load(0, 8) }, "000008"},
+		{"load-forward-delta", func(r *Recorder) { r.Load(4096, 8) }, "00804008"},
+		{"load-backward-delta", func(r *Recorder) { r.Load(10, 4); r.Load(6, 4) }, "001404000704"},
+		{"store-shares-address-base", func(r *Recorder) { r.Load(100, 8); r.Store(100, 8) }, "00c80108010008"},
+		{"largest-size", func(r *Recorder) { r.Store(0, math.MaxUint32) }, "0100ffffffff0f"},
+		{"address-wraps-below-zero", func(r *Recorder) { r.Load(math.MaxUint64, 1) }, "000101"},
+		{"inst-zero", func(r *Recorder) { r.Inst(0) }, "0200"},
+		{"inst-largest", func(r *Recorder) { r.Inst(math.MaxUint32) }, "02ffffffff0f"},
+		{"branch-taken", func(r *Recorder) { r.Branch(5, true) }, "030b"},
+		{"branch-not-taken", func(r *Recorder) { r.Branch(5, false) }, "030a"},
+		{"branch-largest-site", func(r *Recorder) { r.Branch(math.MaxUint32, true) }, "03ffffffff1f"},
+		{"enter-user", func(r *Recorder) { r.Enter(mem.ClassUser) }, "0400"},
+		{"enter-framework-exit", func(r *Recorder) { r.Enter(mem.ClassFramework); r.Exit() }, "040105"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			r, err := NewRecorder(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.record(r)
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := buf.Bytes()
+			if string(got[:len(magic)]) != magic || fmt.Sprintf("%x", got[len(magic):]) != c.want {
+				t.Fatalf("encoded %q %x, want %q %s", got[:len(magic)], got[len(magic):], magic, c.want)
+			}
+			again, n, _, err := reencode(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != r.Events() || !bytes.Equal(again, got) {
+				t.Errorf("replay re-encodes %d events as %x, want %d events as %x", n, again, r.Events(), got)
+			}
+		})
+	}
+}
+
+// TestReplayEquivalenceEveryWorkload extends TestTraceReplayEquivalence to
+// every graph workload in the registry, the mutating ones included: the
+// full perfmon report of a replayed recording must print exactly as the
+// live profile's does.
+func TestReplayEquivalenceEveryWorkload(t *testing.T) {
+	var names []string
+	for _, w := range append(append([]core.Workload{}, core.Workloads...), core.Extensions...) {
+		if w.CPU && !w.NeedsBayes {
+			names = append(names, w.Name)
+		}
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			wl, err := core.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(tr mem.Tracker) {
+				g := gen.LDBC(300, 8, 0)
+				vw := g.View()
+				g.SetTracker(tr)
+				_, err := wl.Run(&core.RunContext{Graph: g, Opt: workloads.Options{Seed: 8, Samples: 2, View: vw}})
+				g.SetTracker(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := perfmon.NewProfile(perfmon.DefaultConfig())
+			run(live)
+
+			var buf bytes.Buffer
+			rec, err := NewRecorder(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(rec)
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			replayed := perfmon.NewProfile(perfmon.DefaultConfig())
+			n, err := Replay(&buf, replayed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != rec.Events() || n == 0 {
+				t.Fatalf("replayed %d of %d events", n, rec.Events())
+			}
+			if got, want := fmt.Sprintf("%+v", replayed.Report()), fmt.Sprintf("%+v", live.Report()); got != want {
+				t.Errorf("replayed report\n%s\nlive report\n%s", got, want)
+			}
+		})
+	}
+}

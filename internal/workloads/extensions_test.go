@@ -535,3 +535,82 @@ func TestCCompLPParallelMatches(t *testing.T) {
 			seq.Stats["components"], par.Stats["components"])
 	}
 }
+
+// TestTwinKernelsAgreeOnEveryDataset holds each alternative kernel to the
+// one it stands in for on all five datasets: direction-optimized BFS to
+// push BFS and delta-stepping to Dijkstra level for level and distance for
+// distance, label-propagation components to BFS components up to a
+// renaming of the labels. The datasets span the regimes the alternatives
+// switch on: skewed social graphs, a directed bipartite graph, a
+// high-diameter road grid.
+func TestTwinKernelsAgreeOnEveryDataset(t *testing.T) {
+	datasets := []struct {
+		name  string
+		build func() *property.Graph
+	}{
+		{"twitter", func() *property.Graph { return gen.Twitter(1200, 11, 0) }},
+		{"knowledge", func() *property.Graph { return gen.Knowledge(700, 11, 0) }},
+		{"watson-gene", func() *property.Graph { return gen.Gene(900, 11, 0) }},
+		{"ca-road", func() *property.Graph { return gen.Road(1200, 11, 0) }},
+		{"ldbc", func() *property.Graph { return gen.LDBC(900, 11, 0) }},
+	}
+	twins := []struct {
+		name, field string
+		base, alt   runWorkload
+		// labels: the field holds component labels, equal up to renaming.
+		labels bool
+	}{
+		{"BFSDirOpt", BFSLevelField, BFS, BFSDirOpt, false},
+		{"SPathDelta", SPathDistField, SPath, SPathDelta, false},
+		{"CCompLP", CCompField, CComp, CCompLP, true},
+	}
+	for _, ds := range datasets {
+		for _, tw := range twins {
+			t.Run(ds.name+"/"+tw.name, func(t *testing.T) {
+				g, h := ds.build(), ds.build()
+				gv, hv := g.View(), h.View()
+				src := gv.Verts[gv.Len()/4].ID
+				base, err := tw.base(g, Options{View: gv, Source: src, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				alt, err := tw.alt(h, Options{View: hv, Source: src, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tw.labels {
+					// CCompLP's Visited counts vertex updates over its rounds.
+					for _, k := range []string{"components", "largest"} {
+						if base.Stats[k] != alt.Stats[k] {
+							t.Errorf("%s %v, %s finds %v", k, base.Stats[k], tw.name, alt.Stats[k])
+						}
+					}
+				} else if base.Visited != alt.Visited {
+					t.Errorf("visited %d, %s visits %d", base.Visited, tw.name, alt.Visited)
+				}
+				gf, hf := g.Schema().MustField(tw.field), h.Schema().MustField(tw.field)
+				rename := map[float64]float64{}
+				used := map[float64]bool{}
+				for i, v := range gv.Verts {
+					a, b := v.Prop(gf), hv.Verts[i].Prop(hf)
+					if !tw.labels {
+						if a != b {
+							t.Fatalf("vertex %d: %v, %s stores %v", v.ID, a, tw.name, b)
+						}
+						continue
+					}
+					if r, ok := rename[a]; ok {
+						if r != b {
+							t.Fatalf("vertex %d: label %v maps to both %v and %v", v.ID, a, r, b)
+						}
+						continue
+					}
+					if used[b] {
+						t.Fatalf("vertex %d: %s label %v names two components", v.ID, tw.name, b)
+					}
+					rename[a], used[b] = b, true
+				}
+			})
+		}
+	}
+}

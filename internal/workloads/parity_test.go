@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -160,4 +161,54 @@ func TestEngineParity(t *testing.T) {
 func parityString(r parityRecord) string {
 	return fmt.Sprintf("visited=%d checksum=%v insts=%d/%d loads=%d stores=%d branches=%d",
 		r.Visited, r.Checksum, r.Insts, r.InstsFw, r.Loads, r.Stores, r.Branches)
+}
+
+// TestNativeMatchesInstrumented holds every frontier workload's native
+// result to its instrumented twin's on all five datasets, away from the
+// golden file's inputs: another seed, a source in the middle of the View
+// and an odd worker count. The tracker only observes, so Visited and the
+// checksum must agree bit for bit, and the tracker must have seen
+// framework events.
+func TestNativeMatchesInstrumented(t *testing.T) {
+	datasets := []struct {
+		name  string
+		build func() *property.Graph
+	}{
+		{"twitter", func() *property.Graph { return gen.Twitter(900, 7, 0) }},
+		{"knowledge", func() *property.Graph { return gen.Knowledge(600, 7, 0) }},
+		{"watson-gene", func() *property.Graph { return gen.Gene(700, 7, 0) }},
+		{"ca-road", func() *property.Graph { return gen.Road(900, 7, 0) }},
+		{"ldbc", func() *property.Graph { return gen.LDBC(700, 7, 0) }},
+	}
+	for _, ds := range datasets {
+		for _, wl := range parityWorkloads {
+			t.Run(ds.name+"/"+wl.name, func(t *testing.T) {
+				g := ds.build()
+				vw := g.View()
+				src := vw.Verts[vw.Len()/2].ID
+				native, err := wl.run(g, Options{View: vw, Source: src, Seed: 7, Samples: 3, Workers: 3})
+				if err != nil {
+					t.Fatalf("native: %v", err)
+				}
+
+				twin := ds.build()
+				twinView := twin.View()
+				c := mem.NewCounting()
+				twin.SetTracker(c)
+				inst, err := wl.run(twin, Options{View: twinView, Source: src, Seed: 7, Samples: 3})
+				twin.SetTracker(nil)
+				if err != nil {
+					t.Fatalf("instrumented: %v", err)
+				}
+				if native.Visited != inst.Visited || math.Float64bits(native.Checksum) != math.Float64bits(inst.Checksum) {
+					t.Errorf("native visited=%d checksum=%v, instrumented visited=%d checksum=%v",
+						native.Visited, native.Checksum, inst.Visited, inst.Checksum)
+				}
+				if c.Insts[mem.ClassFramework] == 0 || c.Loads[mem.ClassFramework] == 0 {
+					t.Errorf("tracker saw %d framework insts and %d framework loads",
+						c.Insts[mem.ClassFramework], c.Loads[mem.ClassFramework])
+				}
+			})
+		}
+	}
 }
