@@ -30,7 +30,6 @@ func main() {
 	exp := flag.String("exp", "", "experiment id(s), comma-separated (e.g. fig05,fig07); empty = all")
 	input := flag.String("input", "", "graph file (SNAP or graphbig v1 edge list, plain or gzipped) substituted for generated datasets")
 	ordering := flag.String("order", "", "vertex ordering for dataset views: "+order.FlagUsage())
-	partitions := flag.Int("partitions", 0, "k-way partition plan composed into dataset views; 0 = flat")
 	md := flag.Bool("md", false, "emit markdown tables")
 	csvOut := flag.Bool("csv", false, "emit CSV rows")
 	chart := flag.Bool("chart", false, "append an ASCII bar chart of each report's last column")
@@ -48,7 +47,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Order = *ordering
-	cfg.Partitions = *partitions
 	cfg.Input = *input
 	s := harness.NewSession(cfg)
 

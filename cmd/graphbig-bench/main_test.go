@@ -109,8 +109,7 @@ func TestHostileCommandLines(t *testing.T) {
 		{"v1 file", []string{"-exp", "tab05", "-input", file("v1", v1.Bytes())}, 0, loaded},
 		{"v1 file gzipped", []string{"-exp", "tab05", "-input", file("v1.gz", gz(v1.Bytes()))}, 0, loaded},
 		{"in whole run", []string{"-input", file("empty2", nil)}, 1, "graphbig-bench: harness: "},
-		{"partitions negative", []string{"-exp", "fig10", "-partitions", "-3", "-input", big}, 0, "BFS  thread-centric "},
-		{"partitions past n", []string{"-exp", "fig10", "-partitions", "99", "-input", big}, 0, "BFS  thread-centric "},
+		{"retired partitions flag", []string{"-exp", "fig10", "-partitions", "4", "-input", big}, 2, "flag provided but not defined: -partitions"},
 		{"scale zero", []string{"-exp", "tab05", "-scale", "0"}, 0, "ldbc  synthetic  64 "},
 		{"scale negative", []string{"-exp", "tab05", "-scale", "-1"}, 0, "ldbc  synthetic  64 "},
 		{"scale NaN", []string{"-exp", "tab05", "-scale", "NaN"}, 0, "ldbc  synthetic  64 "},

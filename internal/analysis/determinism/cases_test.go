@@ -293,6 +293,66 @@ import "math/rand/v2"
 func f(r *rand.Rand) func() float64 {
 	return r.Float64
 }`},
+		{"time-since", `
+import "time"
+
+func f(start time.Time) time.Duration {
+	return time.Since(start) // want "time.Since in a parity-critical package"
+}`},
+		{"time-until", `
+import "time"
+
+func f(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until in a parity-critical package"
+}`},
+		{"range-maps-keys", `
+import "maps"
+
+func f(m map[int]int) (n int) {
+	for k := range maps.Keys(m) { // want "range over maps.Keys is nondeterministically ordered"
+		n = n*31 + k
+	}
+	return n
+}`},
+		{"range-maps-values", `
+import "maps"
+
+func f(m map[int]int) (n int) {
+	for v := range maps.Values(m) { // want "range over maps.Values is nondeterministically ordered"
+		n = n*31 + v
+	}
+	return n
+}`},
+		{"range-maps-all", `
+import "maps"
+
+func f(m map[int]int) (n int) {
+	for k, v := range maps.All(m) { // want "range over maps.All is nondeterministically ordered"
+		n = n*31 + k + v
+	}
+	return n
+}`},
+		{"range-maps-keys-collection-silent", `
+import "maps"
+
+func f(m map[int]int) (keys []int) {
+	for k := range maps.Keys(m) {
+		keys = append(keys, k)
+	}
+	return keys
+}`},
+		{"sorted-maps-keys-silent", `
+import (
+	"maps"
+	"slices"
+)
+
+func f(m map[int]int) (n int) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		n = n*31 + k
+	}
+	return n
+}`},
 		{"parenthesized-callee", `
 import "time"
 

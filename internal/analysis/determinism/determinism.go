@@ -5,12 +5,14 @@
 // to run. Three sources of silent nondeterminism are banned in the
 // parity-critical packages:
 //
-//   - ranging over a map (Go randomizes iteration order per run) —
-//     except the canonical key-collection loop
+//   - ranging over a map (Go randomizes iteration order per run), or
+//     over maps.Keys, maps.Values or maps.All of one, which yield in
+//     the same order — except the canonical key-collection loop
 //     `for k := range m { keys = append(keys, k) }`, whose result is
 //     order-insensitive once sorted, and which is exactly the rewrite
 //     this analyzer's diagnostic asks for;
-//   - calling time.Now (wall-clock values leak into simulated state);
+//   - calling time.Now, time.Since or time.Until (wall-clock values leak
+//     into simulated state);
 //   - calling math/rand package-level functions (globally seeded; the
 //     suite threads explicit seeds through rand.New(rand.NewPCG(...))).
 //
@@ -58,7 +60,7 @@ var outputScope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid map iteration, time.Now and global math/rand in parity-critical packages",
+	Doc:  "forbid map iteration, wall-clock reads and global math/rand in parity-critical packages",
 	Run:  run,
 }
 
@@ -71,18 +73,24 @@ func run(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			if analysis.IsMap(pass.TypesInfo, n.X) && !isKeyCollectionRange(n) {
+			if isKeyCollectionRange(n) {
+				return true
+			}
+			if analysis.IsMap(pass.TypesInfo, n.X) {
 				pass.Report(n.Pos(), "range over map is nondeterministically ordered; iterate a sorted key slice instead")
+			} else if it := mapIterator(pass.TypesInfo, n.X); it != "" {
+				pass.Report(n.Pos(), "range over %s is nondeterministically ordered; iterate a sorted key slice instead", it)
 			}
 		case *ast.CallExpr:
 			if !parity {
 				return true
 			}
-			switch nondeterministicCall(pass.TypesInfo, n) {
-			case "time.Now":
-				pass.Report(n.Pos(), "time.Now in a parity-critical package makes runs irreproducible; thread timestamps in from the caller")
+			switch c := nondeterministicCall(pass.TypesInfo, n); c {
+			case "":
 			case "the global math/rand source":
 				pass.Report(n.Pos(), "global math/rand source is unseeded across runs; use an explicit rand.New(rand.NewPCG(seed, ...))")
+			default:
+				pass.Report(n.Pos(), "%s in a parity-critical package makes runs irreproducible; thread timestamps in from the caller", c)
 			}
 		}
 		return true
@@ -117,6 +125,25 @@ func isKeyCollectionRange(n *ast.RangeStmt) bool {
 	return ok && arg.Name == key.Name
 }
 
+// mapIterator returns "maps.Keys", "maps.Values" or "maps.All" when x
+// calls that function, whose iterator yields in map order, and "" for
+// anything else.
+func mapIterator(info *types.Info, x ast.Expr) string {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	fn := analysis.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "maps" {
+		return ""
+	}
+	switch fn.Name() {
+	case "Keys", "Values", "All":
+		return "maps." + fn.Name()
+	}
+	return ""
+}
+
 // randConstructors are the math/rand functions that build explicitly
 // seeded generators; everything else at package level draws from the
 // globally seeded source.
@@ -126,8 +153,9 @@ var randConstructors = map[string]bool{
 }
 
 // nondeterministicCall classifies a call as a reproducibility hazard:
-// it returns "time.Now" for wall-clock reads, "the global math/rand
-// source" for package-level math/rand draws, or "" for anything else.
+// it returns "time.Now", "time.Since" or "time.Until" for wall-clock
+// reads, "the global math/rand source" for package-level math/rand
+// draws, or "" for anything else.
 func nondeterministicCall(info *types.Info, call *ast.CallExpr) string {
 	fn := analysis.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
@@ -135,8 +163,9 @@ func nondeterministicCall(info *types.Info, call *ast.CallExpr) string {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if fn.Name() == "Now" {
-			return "time.Now"
+		switch fn.Name() {
+		case "Now", "Since", "Until":
+			return "time." + fn.Name()
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {

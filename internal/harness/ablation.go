@@ -15,7 +15,9 @@ import (
 
 // LayoutAblation compares the cache behaviour of a full adjacency sweep
 // over the compact CSR layout versus the dynamic vertex-centric layout —
-// the paper's §2 claim that CSR's compactness buys locality.
+// the paper's §2 claim that CSR's compactness buys locality. The
+// vertex-centric sweep is DCentr's instrumented run: one Neighbors walk
+// per vertex through the framework, plus one property store.
 type LayoutAblation struct {
 	CSRL3MPKI    float64
 	VertexL3MPKI float64
@@ -25,10 +27,6 @@ type LayoutAblation struct {
 
 // AblationLayout runs both sweeps over the same dataset.
 func (s *Session) AblationLayout(dataset string) (LayoutAblation, error) {
-	g, err := s.Graph(dataset)
-	if err != nil {
-		return LayoutAblation{}, err
-	}
 	c, err := s.CSR(dataset)
 	if err != nil {
 		return LayoutAblation{}, err
@@ -37,13 +35,10 @@ func (s *Session) AblationLayout(dataset string) (LayoutAblation, error) {
 	c.TraverseInstrumented(profCSR)
 	mCSR := profCSR.Report()
 
-	profVtx := perfmon.NewProfile(s.Cfg.Machine)
-	g.SetTracker(profVtx)
-	g.ForEachVertex(func(v *property.Vertex) {
-		g.Neighbors(v, func(_ int, e *property.Edge) bool { return true })
-	})
-	g.SetTracker(nil)
-	mVtx := profVtx.Report()
+	mVtx, err := s.Profile("DCentr", dataset)
+	if err != nil {
+		return LayoutAblation{}, err
+	}
 
 	return LayoutAblation{
 		CSRL3MPKI:    mCSR.L3MPKI,
@@ -86,11 +81,7 @@ type FrameworkAblation struct {
 
 // AblationFramework measures both BFS variants on the dataset.
 func (s *Session) AblationFramework(dataset string) (FrameworkAblation, error) {
-	wl, err := core.ByName("BFS")
-	if err != nil {
-		return FrameworkAblation{}, err
-	}
-	mFw, _, err := s.ProfileCPU(wl, dataset)
+	mFw, err := s.Profile("BFS", dataset)
 	if err != nil {
 		return FrameworkAblation{}, err
 	}
@@ -144,11 +135,11 @@ type ICacheAblation struct {
 
 // AblationICache profiles BFS under both code-layout models.
 func (s *Session) AblationICache(dataset string) (ICacheAblation, error) {
-	wl, err := core.ByName("BFS")
+	mFlat, err := s.Profile("BFS", dataset)
 	if err != nil {
 		return ICacheAblation{}, err
 	}
-	mFlat, _, err := s.ProfileCPU(wl, dataset)
+	wl, err := core.ByName("BFS")
 	if err != nil {
 		return ICacheAblation{}, err
 	}
@@ -156,19 +147,7 @@ func (s *Session) AblationICache(dataset string) (ICacheAblation, error) {
 	deep.CodeFootprintBytes = 4 << 20 // layered libraries
 	deep.HotRegionBytes = 256 << 10   // hot path spread across layers
 	deep.HotJumpProb = 0.9
-	// Construct the sibling session directly (s.Cfg is already
-	// scale-adjusted; NewSession would scale the caches a second time)
-	// and share the generated datasets.
-	cfg := s.Cfg
-	cfg.Machine = deep
-	deepSession := &Session{
-		Cfg:      cfg,
-		graphs:   s.graphs,
-		views:    s.views,
-		csrs:     s.csrs,
-		cpuSweep: map[string]perfmon.Metrics{},
-	}
-	mDeep, _, err := deepSession.ProfileCPU(wl, dataset)
+	mDeep, err := s.profile(wl, input{dataset: dataset}, deep)
 	if err != nil {
 		return ICacheAblation{}, err
 	}
@@ -188,23 +167,13 @@ type TraversalAblation struct {
 
 // AblationTraversal measures both BFS variants with a counting tracker.
 func (s *Session) AblationTraversal(dataset string) (TraversalAblation, error) {
-	g, err := s.Graph(dataset)
-	if err != nil {
-		return TraversalAblation{}, err
-	}
-	vw, err := s.View(dataset)
-	if err != nil {
-		return TraversalAblation{}, err
-	}
 	run := func(name string) (uint64, *workloads.Result, error) {
 		wl, err := core.ByName(name)
 		if err != nil {
 			return 0, nil, err
 		}
 		c := mem.NewCounting()
-		g.SetTracker(c)
-		defer g.SetTracker(nil)
-		res, err := wl.Run(&core.RunContext{Graph: g, Opt: workloads.Options{View: vw, Seed: s.Cfg.Seed}})
+		res, err := s.run(wl, input{dataset: dataset}, c)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -243,20 +212,13 @@ type PrefetchAblation struct {
 // AblationPrefetch profiles both workloads under both configurations.
 func (s *Session) AblationPrefetch(dataset string) (PrefetchAblation, error) {
 	run := func(name string, pref bool) (perfmon.Metrics, error) {
-		cfg := s.Cfg
-		cfg.Machine.PrefetchNextLine = pref
-		sess := &Session{
-			Cfg:      cfg,
-			graphs:   s.graphs,
-			views:    s.views,
-			csrs:     s.csrs,
-			cpuSweep: map[string]perfmon.Metrics{},
-		}
+		machine := s.Cfg.Machine
+		machine.PrefetchNextLine = pref
 		wl, err := core.ByName(name)
 		if err != nil {
 			return perfmon.Metrics{}, err
 		}
-		m, _, err := sess.ProfileCPU(wl, dataset)
+		m, err := s.profile(wl, input{dataset: dataset}, machine)
 		return m, err
 	}
 	var out PrefetchAblation
@@ -279,6 +241,3 @@ func (s *Session) AblationPrefetch(dataset string) (PrefetchAblation, error) {
 	out.ChasePrefMPKI = m.L2MPKI
 	return out, nil
 }
-
-// statically assert the tracker type used by the raw-BFS ablation.
-var _ mem.Tracker = (*perfmon.Profile)(nil)

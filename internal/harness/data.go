@@ -5,7 +5,6 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/perfmon"
 )
 
 // SharedWorkloads are the workloads that can take every input dataset —
@@ -13,28 +12,6 @@ import (
 // exactly the 8 workloads shared between the CPU and GPU sides.
 func SharedWorkloads() []string {
 	return core.GPUNames()
-}
-
-// profileOn profiles a workload on a specific dataset, caching by
-// (workload, dataset) so Fig 9 and Fig 12 share runs.
-func (s *Session) profileOn(wlName, dataset string) (perfmon.Metrics, error) {
-	key := wlName + "@" + dataset
-	if m, ok := s.dataSweep[key]; ok {
-		return m, nil
-	}
-	wl, err := core.ByName(wlName)
-	if err != nil {
-		return perfmon.Metrics{}, err
-	}
-	m, _, err := s.ProfileCPU(wl, dataset)
-	if err != nil {
-		return perfmon.Metrics{}, fmt.Errorf("harness: %s on %s: %w", wlName, dataset, err)
-	}
-	if s.dataSweep == nil {
-		s.dataSweep = make(map[string]perfmon.Metrics)
-	}
-	s.dataSweep[key] = m
-	return m, nil
 }
 
 // DatasetNames lists the five experiment datasets in Table 7 order.
@@ -56,7 +33,7 @@ func Fig9(s *Session) (Report, error) {
 	}
 	for _, wl := range SharedWorkloads() {
 		for _, ds := range DatasetNames() {
-			m, err := s.profileOn(wl, ds)
+			m, err := s.Profile(wl, ds)
 			if err != nil {
 				return Report{}, err
 			}

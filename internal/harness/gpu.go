@@ -44,9 +44,6 @@ func (s *Session) gpuPoint(wlName, dataset string) (GPUPoint, error) {
 		Seconds:  dev.TimeSeconds(),
 		Value:    res.Value,
 	}
-	if s.gpuRuns == nil {
-		s.gpuRuns = make(map[string]GPUPoint)
-	}
 	s.gpuRuns[key] = p
 	return p, nil
 }
@@ -122,7 +119,7 @@ func Fig12Data(s *Session) ([]Speedup, error) {
 	var out []Speedup
 	for _, wl := range SharedWorkloads() {
 		for _, ds := range DatasetNames() {
-			m, err := s.profileOn(wl, ds)
+			m, err := s.Profile(wl, ds)
 			if err != nil {
 				return nil, err
 			}

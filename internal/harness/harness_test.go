@@ -3,10 +3,16 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/core"
+	"github.com/graphbig/graphbig-go/internal/gen"
+	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/perfmon"
+	"github.com/graphbig/graphbig-go/internal/property"
+	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // tinySession keeps harness tests fast: ~1K-vertex datasets.
@@ -62,11 +68,12 @@ func TestScaledCaches(t *testing.T) {
 func TestProfileCPUAllWorkloads(t *testing.T) {
 	s := tinySession()
 	for _, wl := range core.Workloads {
-		m, res, err := s.ProfileCPU(wl, "ldbc")
+		prof := perfmon.NewProfile(s.Cfg.Machine)
+		res, err := s.run(wl, input{dataset: "ldbc"}, prof)
 		if err != nil {
 			t.Fatalf("%s: %v", wl.Name, err)
 		}
-		if !cpuMetricsOK(m) {
+		if m := prof.Report(); !cpuMetricsOK(m) {
 			t.Errorf("%s metrics implausible: %+v", wl.Name, m)
 		}
 		if res == nil || res.Workload == "" {
@@ -79,8 +86,7 @@ func TestMutatingWorkloadsDontCorruptCache(t *testing.T) {
 	s := tinySession()
 	g, _ := s.Graph("ldbc")
 	v0, e0 := g.VertexCount(), g.EdgeCount()
-	gup, _ := core.ByName("GUp")
-	if _, _, err := s.ProfileCPU(gup, "ldbc"); err != nil {
+	if _, err := s.Profile("GUp", "ldbc"); err != nil {
 		t.Fatal(err)
 	}
 	if g.VertexCount() != v0 || g.EdgeCount() != e0 {
@@ -148,27 +154,132 @@ func TestFig8GroupsAllTypes(t *testing.T) {
 	}
 }
 
-func TestNDPCompareFavorsCompStruct(t *testing.T) {
+func TestExt01NDPFavorsCompStruct(t *testing.T) {
 	// NDP only pays off once the working set exceeds the host LLC, so
 	// this test needs a footprint beyond the scaled cache (the tiny
 	// session's graphs are LLC-resident and the host rightly wins there).
 	cfg := DefaultConfig()
 	cfg.Scale = 0.005
 	s := NewSession(cfg)
-	bfs, err := s.NDPCompare("BFS")
+	// ext01's cell: the sweep's host profile over the NDP model's cost.
+	speedup := func(name string) float64 {
+		host, err := s.Profile(name, "ldbc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		near, err := s.ndpCycles(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if near == 0 {
+			t.Fatalf("%s: NDP model costed no cycles", name)
+		}
+		return float64(host.TotalCycles) / float64(near)
+	}
+	bfs, gibbs := speedup("BFS"), speedup("Gibbs")
+	if bfs <= 1 {
+		t.Errorf("NDP should beat the host on BFS, got %.2fx", bfs)
+	}
+	if bfs <= gibbs {
+		t.Errorf("CompStruct (BFS %.2fx) should gain more than CompProp (Gibbs %.2fx)", bfs, gibbs)
+	}
+}
+
+// TestProfilesAreHistoryFree holds every CPU workload's counters on LDBC
+// to one value: from a fresh session, from the session's own sweep, and
+// from a run after the sweep, a CSR build and ext04 have used the same
+// graph. Already at the tiny session's scale, 10 of the 13 workloads
+// read differently when a run starts from wherever the last one left the
+// graph's arena and schema.
+func TestProfilesAreHistoryFree(t *testing.T) {
+	used := tinySession()
+	sweep, err := used.CPUSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gibbs, err := s.NDPCompare("Gibbs")
+	if _, err := used.CSR("ldbc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Ext04PartitionPlacement(used); err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range core.Workloads {
+		fresh := tinySession()
+		want, err := fresh.profile(wl, input{dataset: "ldbc"}, fresh.Cfg.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := used.profile(wl, input{dataset: "ldbc"}, used.Cfg.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweep[wl.Name] != want {
+			t.Errorf("%s: sweep profile\n%+v\nwant (fresh session)\n%+v", wl.Name, sweep[wl.Name], want)
+		}
+		if again != want {
+			t.Errorf("%s: profile after sweep, CSR and ext04\n%+v\nwant (fresh session)\n%+v", wl.Name, again, want)
+		}
+	}
+}
+
+// TestReportsAreHistoryFree runs every experiment alone in a fresh
+// session and requires the report RunAll printed for it. Half the tiny
+// scale keeps the two sweeps short; at it, six reports (ext01, fig09-13)
+// differed when sessions carried history between experiments.
+func TestReportsAreHistoryFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full experiment sweeps in -short mode")
+	}
+	cfg := DefaultConfig()
+	cfg.Scale = 0.0005
+	all, err := RunAll(NewSession(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bfs.Speedup <= 1 {
-		t.Errorf("NDP should beat the host on BFS, got %.2fx", bfs.Speedup)
+	for i, e := range Experiments {
+		alone, err := e.Run(NewSession(cfg))
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if got, want := alone.String(), all[i].String(); got != want {
+			t.Errorf("%s alone:\n%s\nin RunAll:\n%s", e.ID, got, want)
+		}
 	}
-	if bfs.Speedup <= gibbs.Speedup {
-		t.Errorf("CompStruct (BFS %.2fx) should gain more than CompProp (Gibbs %.2fx)",
-			bfs.Speedup, gibbs.Speedup)
+}
+
+// TestRunsRegisterOnlyLayoutFields runs every CPU workload, extensions
+// included, natively and instrumented on fresh tiny graphs, and requires
+// every field a run registers to be one the session's fixed layout places
+// up front. (A mutating workload's instrumented run registers on its
+// clone, so only its native run is checked.)
+func TestRunsRegisterOnlyLayoutFields(t *testing.T) {
+	allowed := map[string]bool{property.SysIndexField: true}
+	for _, f := range workloads.ResultFields {
+		allowed[f] = true
+	}
+	s := tinySession()
+	for _, wl := range append(slices.Clone(core.Workloads), core.Extensions...) {
+		if wl.NeedsBayes {
+			continue
+		}
+		for _, tracked := range []bool{false, true} {
+			g := gen.LDBC(64, 1, 1)
+			before := len(g.Schema().Names())
+			var err error
+			if tracked {
+				_, err = s.run(wl, input{g: g, vw: g.View()}, mem.NewCounting())
+			} else {
+				_, err = wl.Run(&core.RunContext{Graph: g, Opt: workloads.Options{Seed: 1}})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", wl.Name, err)
+			}
+			for _, f := range g.Schema().Names()[before:] {
+				if !allowed[f] {
+					t.Errorf("%s (tracked %v) registers field %q, which workloads.ResultFields does not list", wl.Name, tracked, f)
+				}
+			}
+		}
 	}
 }
 

@@ -2,76 +2,32 @@ package harness
 
 import (
 	"github.com/graphbig/graphbig-go/internal/core"
-	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/ndp"
-	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
-	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
-// NDPPoint is one host-vs-NDP comparison cell.
-type NDPPoint struct {
-	Workload   string
-	HostCycles uint64
-	NDPCycles  uint64 // in host-clock cycles
-	Speedup    float64
-}
-
-// NDPCompare costs one workload on the host model and the NDP model from
-// a single instrumented run (the streams are identical by construction).
-func (s *Session) NDPCompare(wlName string) (NDPPoint, error) {
+// ndpCycles costs one instrumented run of the named workload on LDBC
+// (Gibbs on MUNIN) on the NDP model, in host-clock cycles of the
+// vault-parallel ensemble. The host side of the comparison is the CPU
+// sweep's profile of the same run: runs start from the dataset's fixed
+// layout, so the two models see the same event stream.
+func (s *Session) ndpCycles(wlName string) (uint64, error) {
 	wl, err := core.ByName(wlName)
 	if err != nil {
-		return NDPPoint{}, err
+		return 0, err
 	}
-	host := perfmon.NewProfile(s.Cfg.Machine)
 	near := ndp.NewProfile(ndp.DefaultConfig())
-	multi := mem.NewMulti(host, near)
-
-	ctx := &core.RunContext{Opt: workloads.Options{Seed: s.Cfg.Seed}}
-	if wl.NeedsBayes {
-		net := s.Bayes()
-		net.SetTracker(multi)
-		defer net.SetTracker(nil)
-		ctx.Bayes = net
-	} else {
-		g, err := s.Graph("ldbc")
-		if err != nil {
-			return NDPPoint{}, err
-		}
-		vw, err := s.View("ldbc")
-		if err != nil {
-			return NDPPoint{}, err
-		}
-		if wl.Mutates {
-			g = property.Clone(g)
-			vw = g.View()
-		}
-		g.SetTracker(multi)
-		defer g.SetTracker(nil)
-		ctx.Graph = g
-		ctx.Opt.View = vw
+	if _, err := s.run(wl, input{dataset: "ldbc"}, near); err != nil {
+		return 0, err
 	}
-	if _, err := wl.Run(ctx); err != nil {
-		return NDPPoint{}, err
-	}
-	hm := host.Report()
-	nm := near.Report()
-	// The comparison is one host core against the vault-parallel NDP
-	// ensemble, the configuration the cited proposals evaluate.
-	p := NDPPoint{Workload: wlName, HostCycles: hm.TotalCycles, NDPCycles: nm.HostCyclesParallel}
-	if p.NDPCycles > 0 {
-		p.Speedup = float64(p.HostCycles) / float64(p.NDPCycles)
-	}
-	return p, nil
+	return near.Report().HostCyclesParallel, nil
 }
 
 // Ext04PartitionPlacement models per-partition data placement on the NDP
 // substrate: each partition's vertex records, property blocks and edge
 // chunks are re-laid-out into their own vault-aligned region
-// (property.RelayoutPartitioned), and the instrumented event stream is
-// fanned to the host cache model and the NDP vault model simultaneously
-// (mem.Multi), so internal/cachesim (inside ndp.Profile) sees the
+// (property.RelayoutPartitioned), and the instrumented event stream feeds
+// the NDP vault model, so internal/cachesim (inside ndp.Profile) sees the
 // partitioned layout. The instrumented stream is the flat single-threaded
 // walk (the parity-pinned execution), so this measures the placement
 // sensitivity of host-style execution: as partitions spread across
@@ -102,17 +58,8 @@ func Ext04PartitionPlacement(s *Session) (Report, error) {
 			vw := g.ViewWith(property.ViewOpts{Partitions: k})
 			ndpCfg := ndp.DefaultConfig()
 			property.RelayoutPartitioned(g, vw, ndpCfg.VaultBytes)
-			host := perfmon.NewProfile(s.Cfg.Machine)
 			near := ndp.NewProfile(ndpCfg)
-			multi := mem.NewMulti(host, near)
-			g.SetTracker(multi)
-			ctx := &core.RunContext{
-				Graph: g,
-				Opt:   workloads.Options{Seed: s.Cfg.Seed, View: vw},
-			}
-			_, err = wl.Run(ctx)
-			g.SetTracker(nil)
-			if err != nil {
+			if _, err := s.run(wl, input{g: g, vw: vw}, near); err != nil {
 				return Report{}, err
 			}
 			nm := near.Report()
@@ -131,9 +78,11 @@ func Ext04PartitionPlacement(s *Session) (Report, error) {
 }
 
 // Ext01NDP is the extension experiment behind the paper's future-work
-// note: cost every CPU workload on both the host machine and the NDP
-// model. The memory-bound CompStruct workloads gain the most — the
-// premise of the NDP proposals the paper cites.
+// note: cost every CPU workload on both the host machine (the CPU sweep's
+// profile) and the NDP model, one host core against the vault-parallel
+// NDP ensemble, the configuration the cited proposals evaluate. The
+// memory-bound CompStruct workloads gain the most — the premise of the
+// NDP proposals the paper cites.
 func Ext01NDP(s *Session) (Report, error) {
 	r := Report{
 		ID:      "ext01",
@@ -141,14 +90,22 @@ func Ext01NDP(s *Session) (Report, error) {
 		Headers: []string{"workload", "type", "host Mcycles", "ndp Mcycles", "ndp speedup"},
 	}
 	for _, name := range paperOrder() {
-		p, err := s.NDPCompare(name)
+		host, err := s.Profile(name, "ldbc")
 		if err != nil {
 			return Report{}, err
 		}
+		near, err := s.ndpCycles(name)
+		if err != nil {
+			return Report{}, err
+		}
+		speedup := 0.0
+		if near > 0 {
+			speedup = float64(host.TotalCycles) / float64(near)
+		}
 		wl, _ := core.ByName(name)
 		r.AddRow(name, wl.Type.String(),
-			f2(float64(p.HostCycles)/1e6), f2(float64(p.NDPCycles)/1e6),
-			f2(p.Speedup)+"x")
+			f2(float64(host.TotalCycles)/1e6), f2(float64(near)/1e6),
+			f2(speedup)+"x")
 	}
 	r.Notes = append(r.Notes,
 		"extension beyond the paper (its conclusion names NDP as future work); expectation: CompStruct gains most, CompProp least")

@@ -2,23 +2,18 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
-	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // orderWorkloads are the frontier workloads the ordering experiment
 // profiles: the traversal-bound kernels whose LLC behavior the paper's
 // Figure 7 singles out.
-var orderWorkloads = []struct {
-	name string
-	run  func(*property.Graph, workloads.Options) (*workloads.Result, error)
-}{
-	{"BFS", workloads.BFS},
-	{"CComp", workloads.CComp},
-}
+var orderWorkloads = []string{"BFS", "CComp"}
 
 // OrderMPKI profiles one frontier workload on LDBC under the named
 // ordering and returns the simulated counter report, caching by
@@ -40,26 +35,20 @@ func (s *Session) OrderMPKI(wl string, ordering string) (perfmon.Metrics, error)
 	if err != nil {
 		return perfmon.Metrics{}, err
 	}
-	var run func(*property.Graph, workloads.Options) (*workloads.Result, error)
-	for _, w := range orderWorkloads {
-		if w.name == wl {
-			run = w.run
-		}
-	}
-	if run == nil {
+	if !slices.Contains(orderWorkloads, wl) {
 		return perfmon.Metrics{}, fmt.Errorf("harness: OrderMPKI does not profile %q", wl)
+	}
+	w, err := core.ByName(wl)
+	if err != nil {
+		return perfmon.Metrics{}, err
 	}
 	g := property.Clone(base)
 	vw := g.ViewWith(property.ViewOpts{Order: ord})
 	property.Relayout(g, vw)
-	prof := perfmon.NewProfile(s.Cfg.Machine)
-	g.SetTracker(prof)
-	_, err = run(g, workloads.Options{Seed: s.Cfg.Seed, View: vw})
-	g.SetTracker(nil)
+	m, err := s.profile(w, input{g: g, vw: vw}, s.Cfg.Machine)
 	if err != nil {
 		return perfmon.Metrics{}, err
 	}
-	m := prof.Report()
 	s.orderMPKI[key] = m
 	return m, nil
 }
@@ -80,17 +69,17 @@ func Ext03Ordering(s *Session) (Report, error) {
 	baseline := make(map[string]float64, len(orderWorkloads))
 	for _, ordering := range order.Names {
 		for _, w := range orderWorkloads {
-			m, err := s.OrderMPKI(w.name, ordering)
+			m, err := s.OrderMPKI(w, ordering)
 			if err != nil {
 				return Report{}, err
 			}
 			delta := "—"
 			if ordering == "none" {
-				baseline[w.name] = m.L3MPKI
-			} else if b := baseline[w.name]; b > 0 {
+				baseline[w] = m.L3MPKI
+			} else if b := baseline[w]; b > 0 {
 				delta = fmt.Sprintf("%+.1f%%", (m.L3MPKI/b-1)*100)
 			}
-			r.AddRow(ordering, w.name, f2(m.L1DMPKI), f2(m.L2MPKI), f2(m.L3MPKI), delta)
+			r.AddRow(ordering, w, f2(m.L1DMPKI), f2(m.L2MPKI), f2(m.L3MPKI), delta)
 		}
 	}
 	r.Notes = append(r.Notes,

@@ -4,6 +4,12 @@
 // Figs 10-13 (GPU characterization), and Tables 5/7 (datasets). Each
 // experiment returns a Report that renders as an aligned text table; the
 // cmd/graphbig-bench binary runs them all and emits EXPERIMENTS.md data.
+//
+// A report is a function of the session's configuration alone, not of
+// which experiments ran before it in the session: every instrumented run
+// goes through Session.run, which starts it from its dataset's fixed
+// simulated layout, so a (workload, dataset) profile is computed once and
+// every figure that reads it reads the same numbers.
 package harness
 
 import (
@@ -15,6 +21,7 @@ import (
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/gpuwl"
 	"github.com/graphbig/graphbig-go/internal/loader"
+	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -36,12 +43,6 @@ type Config struct {
 	// views (see order.Names). Results are ordering-invariant; only
 	// layout and timing change.
 	Order string
-	// Partitions composes a k-way partition plan into dataset views when
-	// > 0; native engine runs then execute subgraph-centrically (one
-	// sequential kernel per partition, boundary exchange between
-	// supersteps). Results are partition-invariant; instrumented runs
-	// ignore the plan, keeping parity streams byte-identical.
-	Partitions int
 	// Input, when non-empty, is a graph file (SNAP or graphbig v1 edge
 	// list, plain or gzipped; see loader.Load) substituted for every
 	// generated dataset: Graph() loads it once and serves it under any
@@ -71,21 +72,20 @@ func DefaultConfig() Config {
 }
 
 // Session lazily generates and caches datasets, views, CSR conversions and
-// per-workload profiling sweeps, so experiments sharing inputs (Figs 5-8)
-// pay for them once.
+// per-workload profiles, so experiments sharing inputs (Figs 5-9, 12,
+// ext01) pay for them once.
 type Session struct {
 	Cfg Config
 
 	graphs map[string]*property.Graph
+	marks  map[*property.Graph]uint64 // arena position after the fixed layout
 	views  map[string]*property.View
 	csrs   map[string]*csr.Graph
 	net    *bayes.Network
 
-	cpuSweep  map[string]perfmon.Metrics // by workload name, LDBC input
-	dataSweep map[string]perfmon.Metrics // by "workload@dataset"
+	profiles  map[string]perfmon.Metrics // by "workload@dataset"
 	gpuRuns   map[string]GPUPoint        // by "workload@dataset"
 	orderMPKI map[string]perfmon.Metrics // by "workload@ordering", LDBC input
-
 }
 
 // NewSession returns an empty session over cfg. The simulated GPU L2 and
@@ -116,9 +116,11 @@ func NewSession(cfg Config) *Session {
 	return &Session{
 		Cfg:       cfg,
 		graphs:    make(map[string]*property.Graph),
+		marks:     make(map[*property.Graph]uint64),
 		views:     make(map[string]*property.View),
 		csrs:      make(map[string]*csr.Graph),
-		cpuSweep:  make(map[string]perfmon.Metrics),
+		profiles:  make(map[string]perfmon.Metrics),
+		gpuRuns:   make(map[string]GPUPoint),
 		orderMPKI: make(map[string]perfmon.Metrics),
 	}
 }
@@ -126,7 +128,7 @@ func NewSession(cfg Config) *Session {
 // Graph returns the cached dataset, generating it on first use. When
 // Cfg.Input names a file, that file is loaded once and substituted
 // for every dataset name (mutating workloads still clone, so the shared
-// graph stays pristine).
+// graph stays pristine). A new graph gets its fixed layout (see layout).
 func (s *Session) Graph(name string) (*property.Graph, error) {
 	if g, ok := s.graphs[name]; ok {
 		return g, nil
@@ -138,6 +140,7 @@ func (s *Session) Graph(name string) (*property.Graph, error) {
 			if g, err = loader.Load(s.Cfg.Input); err != nil {
 				return nil, err
 			}
+			s.layout(g)
 			s.graphs["\x00input"] = g
 		}
 		s.graphs[name] = g
@@ -148,8 +151,23 @@ func (s *Session) Graph(name string) (*property.Graph, error) {
 		return nil, err
 	}
 	g := d.Generate(s.Cfg.Scale, s.Cfg.Seed, s.Cfg.Workers)
+	s.layout(g)
 	s.graphs[name] = g
 	return g, nil
+}
+
+// layout gives a new session graph its fixed simulated starting state:
+// the view index field, then every workload result field, takes its slot,
+// and the arena position after that is recorded. Every instrumented run
+// and CSR build on the graph rewinds the arena to that mark first, so
+// neither the slots nor the addresses a run sees depend on what ran
+// before it.
+func (s *Session) layout(g *property.Graph) {
+	g.EnsureField(property.SysIndexField)
+	for _, f := range workloads.ResultFields {
+		g.EnsureField(f)
+	}
+	s.marks[g] = g.Arena().Used()
 }
 
 // View returns the cached dense view of the dataset.
@@ -165,17 +183,14 @@ func (s *Session) View(name string) (*property.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := g.ViewWith(property.ViewOpts{
-		Workers:    s.Cfg.Workers,
-		Order:      ord,
-		Partitions: s.Cfg.Partitions,
-	})
+	v := g.ViewWith(property.ViewOpts{Workers: s.Cfg.Workers, Order: ord})
 	s.views[name] = v
 	return v, nil
 }
 
 // CSR returns the cached CSR conversion of the dataset (the GPU populate
-// step of §4.1).
+// step of §4.1). Its simulated arrays are placed from the dataset's layout
+// mark, like every instrumented run's structures.
 func (s *Session) CSR(name string) (*csr.Graph, error) {
 	if c, ok := s.csrs[name]; ok {
 		return c, nil
@@ -188,6 +203,7 @@ func (s *Session) CSR(name string) (*csr.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.Arena().Rewind(s.marks[g])
 	c := csr.FromProperty(g, v)
 	s.csrs[name] = c
 	return c, nil
@@ -201,59 +217,93 @@ func (s *Session) Bayes() *bayes.Network {
 	return s.net
 }
 
-// ProfileCPU runs one workload instrumented on the named dataset and
-// returns the counter report. Mutating workloads run against a clone.
-func (s *Session) ProfileCPU(wl core.Workload, dataset string) (perfmon.Metrics, *workloads.Result, error) {
-	prof := perfmon.NewProfile(s.Cfg.Machine)
-	opt := workloads.Options{Seed: s.Cfg.Seed}
-	ctx := &core.RunContext{Opt: opt}
-	if wl.NeedsBayes {
-		net := s.Bayes()
-		net.SetTracker(prof)
-		defer net.SetTracker(nil)
-		ctx.Bayes = net
-	} else {
-		g, err := s.Graph(dataset)
-		if err != nil {
-			return perfmon.Metrics{}, nil, err
-		}
-		vw, err := s.View(dataset)
-		if err != nil {
-			return perfmon.Metrics{}, nil, err
-		}
-		if wl.Mutates {
-			g = property.Clone(g)
-			vw = g.View()
-		}
-		g.SetTracker(prof)
-		defer g.SetTracker(nil)
-		ctx.Graph = g
-		ctx.Opt.View = vw
-	}
-	res, err := wl.Run(ctx)
-	if err != nil {
-		return perfmon.Metrics{}, nil, err
-	}
-	return prof.Report(), res, nil
+// input names the graph an instrumented run reads: a session dataset, or
+// a private graph and view that a caller built for this run alone.
+type input struct {
+	dataset string
+	g       *property.Graph
+	vw      *property.View
 }
 
-// CPUSweep profiles all 13 CPU workloads on LDBC (Gibbs on MUNIN), caching
-// the results — Figures 1 and 5-8 all read from this sweep.
+// run is the one harness function that installs a tracker. It runs wl
+// once, single-threaded, with tr observing every event, and removes tr
+// afterwards:
+//   - a Bayes workload reads the session's MUNIN network;
+//   - on a session dataset, the graph's arena is first rewound to its
+//     layout mark, so the run sees the same simulated state whatever ran
+//     before it;
+//   - a mutating workload runs on a clone, leaving its input as it was.
+func (s *Session) run(wl core.Workload, in input, tr mem.Tracker) (*workloads.Result, error) {
+	ctx := &core.RunContext{Opt: workloads.Options{Seed: s.Cfg.Seed}}
+	if wl.NeedsBayes {
+		ctx.Bayes = s.Bayes()
+		ctx.Bayes.SetTracker(tr)
+		defer ctx.Bayes.SetTracker(nil)
+		return wl.Run(ctx)
+	}
+	g, vw := in.g, in.vw
+	if in.dataset != "" {
+		var err error
+		if g, err = s.Graph(in.dataset); err != nil {
+			return nil, err
+		}
+		if vw, err = s.View(in.dataset); err != nil {
+			return nil, err
+		}
+		g.Arena().Rewind(s.marks[g])
+	}
+	if wl.Mutates {
+		g = property.Clone(g)
+		vw = g.View()
+	}
+	g.SetTracker(tr)
+	defer g.SetTracker(nil)
+	ctx.Graph, ctx.Opt.View = g, vw
+	return wl.Run(ctx)
+}
+
+// profile runs wl on in under the given machine model and returns the
+// counter report.
+func (s *Session) profile(wl core.Workload, in input, machine perfmon.Config) (perfmon.Metrics, error) {
+	prof := perfmon.NewProfile(machine)
+	if _, err := s.run(wl, in, prof); err != nil {
+		return perfmon.Metrics{}, err
+	}
+	return prof.Report(), nil
+}
+
+// Profile returns the counters of the named workload on dataset under the
+// session machine. Each (workload, dataset) is profiled once per session;
+// the CPU sweep, Figs 9 and 12 and ext01 all read the cached run.
+func (s *Session) Profile(wlName, dataset string) (perfmon.Metrics, error) {
+	key := wlName + "@" + dataset
+	if m, ok := s.profiles[key]; ok {
+		return m, nil
+	}
+	wl, err := core.ByName(wlName)
+	if err != nil {
+		return perfmon.Metrics{}, err
+	}
+	m, err := s.profile(wl, input{dataset: dataset}, s.Cfg.Machine)
+	if err != nil {
+		return perfmon.Metrics{}, fmt.Errorf("harness: %s on %s: %w", wlName, dataset, err)
+	}
+	s.profiles[key] = m
+	return m, nil
+}
+
+// CPUSweep profiles all 13 CPU workloads on LDBC (Gibbs on MUNIN), keyed
+// by workload name — Figures 1 and 5-8 all read from this sweep.
 func (s *Session) CPUSweep() (map[string]perfmon.Metrics, error) {
-	if len(s.cpuSweep) > 0 {
-		return s.cpuSweep, nil
-	}
-	for _, wl := range core.Workloads {
-		if !wl.CPU {
-			continue
-		}
-		m, _, err := s.ProfileCPU(wl, "ldbc")
+	sweep := make(map[string]perfmon.Metrics)
+	for _, name := range core.CPUNames() {
+		m, err := s.Profile(name, "ldbc")
 		if err != nil {
-			return nil, fmt.Errorf("harness: profiling %s: %w", wl.Name, err)
+			return nil, err
 		}
-		s.cpuSweep[wl.Name] = m
+		sweep[name] = m
 	}
-	return s.cpuSweep, nil
+	return sweep, nil
 }
 
 // RunGPU executes one GPU workload on a fresh device over the dataset's

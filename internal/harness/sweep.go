@@ -5,8 +5,6 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/perfmon"
-	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // SweepPoint is one cell of the dataset-size scaling study.
@@ -41,17 +39,10 @@ func (s *Session) SizeSweep(wlName string, fractions []float64) ([]SweepPoint, e
 			v = 64
 		}
 		g := gen.LDBC(v, s.Cfg.Seed, s.Cfg.Workers)
-		vw := g.View()
-		prof := perfmon.NewProfile(s.Cfg.Machine)
-		g.SetTracker(prof)
-		if _, err := wl.Run(&core.RunContext{
-			Graph: g,
-			Opt:   workloads.Options{Seed: s.Cfg.Seed, View: vw},
-		}); err != nil {
+		m, err := s.profile(wl, input{g: g, vw: g.View()}, s.Cfg.Machine)
+		if err != nil {
 			return nil, err
 		}
-		g.SetTracker(nil)
-		m := prof.Report()
 		out = append(out, SweepPoint{
 			Workload: wlName,
 			Vertices: g.VertexCount(),

@@ -99,6 +99,13 @@ func (a *Arena) Alloc(size, align uint64) uint64 {
 // alignment padding).
 func (a *Arena) Used() uint64 { return a.next.Load() }
 
+// Rewind makes the next allocation start at mark, a value Used returned
+// earlier: addresses handed out since then are handed out again. A caller
+// rewinds only when nothing allocated after mark is still in use, as
+// between two instrumented runs on one graph, so that each run sees the
+// same simulated addresses whatever ran before it.
+func (a *Arena) Rewind(mark uint64) { a.next.Store(mark) }
+
 // Counting is a Tracker that tallies events, split by Class. It is the
 // reference implementation used by tests and by the Figure 1 framework-time
 // experiment, where the in-framework share of retired instructions stands

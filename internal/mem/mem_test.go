@@ -27,6 +27,23 @@ func TestArenaAlignment(t *testing.T) {
 	}
 }
 
+func TestArenaRewindReplaysAddresses(t *testing.T) {
+	a := NewArena(1 << 20)
+	a.Alloc(100, 64)
+	mark := a.Used()
+	first := []uint64{a.Alloc(10, 64), a.Alloc(3, 8), a.Alloc(1, 0)}
+	a.Rewind(mark)
+	for i, size := range []uint64{10, 3, 1} {
+		align := []uint64{64, 8, 0}[i]
+		if got := a.Alloc(size, align); got != first[i] {
+			t.Errorf("allocation %d after rewind at %x, want %x", i, got, first[i])
+		}
+	}
+	if a.Used() != first[2]+1 {
+		t.Errorf("Used = %x after replay, want %x", a.Used(), first[2]+1)
+	}
+}
+
 func TestArenaConcurrent(t *testing.T) {
 	a := NewArena(4096)
 	const n, workers = 500, 8

@@ -11,9 +11,9 @@
 //   - a narrow issue width and lower clock than a host core.
 //
 // An ndp.Profile consumes the same mem.Tracker event stream as
-// perfmon.Profile, so one instrumented workload run can be costed on both
-// machines simultaneously (mem.Multi); the host-vs-NDP comparison is the
-// "ext01" experiment. Graph computing's extreme LLC miss rates (Fig 7) are
+// perfmon.Profile, so a workload run costed on one machine can be run
+// again, from the same starting state, and costed on the other; the
+// host-vs-NDP comparison is the "ext01" experiment. Graph computing's extreme LLC miss rates (Fig 7) are
 // exactly the behaviour NDP proposals target, and the model shows the
 // CompStruct workloads gaining the most.
 package ndp

@@ -26,10 +26,10 @@ func Relayout(g *Graph, vw *View) {
 // two; pass the NDP model's vault size). With the view's partition plan
 // mapped onto vault-aligned regions, every partition's vertex records,
 // property blocks and edge chunks share that partition's vault, so an
-// ndp.Profile consuming the run's event stream (typically fanned out via
-// mem.Multi alongside the host model) observes partition-local work as
-// vault-local DRAM access and boundary exchange as the cross-vault
-// traffic — the per-partition placement the HMC-style proposals assume.
+// ndp.Profile consuming the run's event stream observes partition-local
+// work as vault-local DRAM access and boundary exchange as the
+// cross-vault traffic — the per-partition placement the HMC-style
+// proposals assume.
 // The partition layout is metadata-only, same caveats as Relayout; views
 // without a partition plan fall back to the plain view-order layout.
 func RelayoutPartitioned(g *Graph, vw *View, regionBytes uint64) {

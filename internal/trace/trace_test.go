@@ -253,16 +253,16 @@ func FuzzReplay(f *testing.F) {
 // branches by class.
 type totals [5][2]uint64
 
-// reencode replays stream into a Recorder and a Counting, returning what
-// the Recorder wrote, the event count and the Counting totals.
+// reencode replays stream once into a Recorder and once into a Counting,
+// returning what the Recorder wrote, the event count and the Counting
+// totals.
 func reencode(stream []byte) ([]byte, uint64, totals, error) {
 	var buf bytes.Buffer
 	rec, err := NewRecorder(&buf)
 	if err != nil {
 		return nil, 0, totals{}, err
 	}
-	c := mem.NewCounting()
-	n, err := Replay(bytes.NewReader(stream), mem.NewMulti(rec, c))
+	n, err := Replay(bytes.NewReader(stream), rec)
 	if err != nil {
 		return nil, 0, totals{}, err
 	}
@@ -271,6 +271,10 @@ func reencode(stream []byte) ([]byte, uint64, totals, error) {
 	}
 	if err := rec.Flush(); err != nil {
 		return nil, 0, totals{}, err
+	}
+	c := mem.NewCounting()
+	if n2, err := Replay(bytes.NewReader(stream), c); err != nil || n2 != n {
+		return nil, 0, totals{}, fmt.Errorf("counting replay: %d of %d events, %v", n2, n, err)
 	}
 	return buf.Bytes(), n, totals{c.Loads, c.Stores, c.Insts, c.Branches, c.Taken}, nil
 }

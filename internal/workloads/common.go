@@ -28,6 +28,17 @@ import (
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
+// ResultFields lists every vertex property field a workload writes its
+// result into, in the order the Table 4 registry first reaches them, with
+// the CCentr extension's last. A harness that registers
+// property.SysIndexField and then these on a graph before its first run
+// fixes every field's slot, so no run's layout depends on which ran
+// before it.
+var ResultFields = []string{
+	BFSLevelField, DFSOrderField, SPathDistField, KCoreField, CCompField,
+	ColorField, DCentrField, BCentrField, CCentrField,
+}
+
 // Options carries cross-workload parameters.
 type Options struct {
 	// Workers bounds native parallelism (<=0 selects GOMAXPROCS).
