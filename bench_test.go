@@ -1,189 +1,20 @@
-// Benchmarks mapping one-to-one onto the paper's tables and figures (see
-// DESIGN.md §4): BenchmarkFigNN regenerates the data behind figure NN and
-// reports its headline values as benchmark metrics, BenchmarkTable05
-// regenerates the dataset inventory, and BenchmarkAblation* quantify the
-// design choices DESIGN.md §5 calls out. Native wall-clock benchmarks for
-// the workloads themselves follow at the bottom.
-//
-// The experiment benches share one cached session at a reduced scale so
-// `go test -bench=.` completes on a laptop; run cmd/graphbig-bench with
-// -scale for larger sweeps.
+// Native wall-clock benchmarks for the workloads themselves: the only
+// wall-clock entry point for the workloads the repository benchmark
+// (benchmark/) does not run. The paper's tables and figures, and the
+// design-choice ablations, are regenerated by cmd/graphbig-bench (see
+// DESIGN.md §4).
 package graphbig_test
 
 import (
 	"sync"
 	"testing"
 
+	"github.com/graphbig/graphbig-go/internal/bayes"
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/harness"
 	"github.com/graphbig/graphbig-go/internal/property"
-	"github.com/graphbig/graphbig-go/internal/stats"
 	"github.com/graphbig/graphbig-go/internal/workloads"
 )
-
-var (
-	sessOnce sync.Once
-	sess     *harness.Session
-)
-
-// benchSession returns the shared reduced-scale experiment session.
-func benchSession() *harness.Session {
-	sessOnce.Do(func() {
-		cfg := harness.DefaultConfig()
-		cfg.Scale = 0.004
-		sess = harness.NewSession(cfg)
-	})
-	return sess
-}
-
-func runExperiment(b *testing.B, id string) harness.Report {
-	b.Helper()
-	e, err := harness.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var r harness.Report
-	for i := 0; i < b.N; i++ {
-		r, err = e.Run(benchSession())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return r
-}
-
-func BenchmarkFig01Framework(b *testing.B) {
-	runExperiment(b, "fig01")
-	sweep, _ := benchSession().CPUSweep()
-	var shares []float64
-	for _, m := range sweep {
-		shares = append(shares, m.FrameworkShare)
-	}
-	b.ReportMetric(stats.Mean(shares)*100, "framework-%")
-}
-
-func BenchmarkFig04UseCases(b *testing.B) { runExperiment(b, "fig04") }
-
-func BenchmarkTable05Datasets(b *testing.B) {
-	r := runExperiment(b, "tab05")
-	b.ReportMetric(float64(len(r.Rows)), "datasets")
-}
-
-func BenchmarkFig05Breakdown(b *testing.B) {
-	runExperiment(b, "fig05")
-	sweep, _ := benchSession().CPUSweep()
-	b.ReportMetric(sweep["kCore"].Backend*100, "kCore-backend-%")
-	b.ReportMetric(sweep["TC"].Backend*100, "TC-backend-%")
-}
-
-func BenchmarkFig06CoreMetrics(b *testing.B) {
-	runExperiment(b, "fig06")
-	sweep, _ := benchSession().CPUSweep()
-	b.ReportMetric(sweep["TC"].BranchMiss*100, "TC-brmiss-%")
-	b.ReportMetric(sweep["BFS"].ICacheMPKI, "BFS-icache-mpki")
-}
-
-func BenchmarkFig07CacheMPKI(b *testing.B) {
-	runExperiment(b, "fig07")
-	sweep, _ := benchSession().CPUSweep()
-	b.ReportMetric(sweep["DCentr"].L3MPKI, "DCentr-l3-mpki")
-	b.ReportMetric(sweep["Gibbs"].L3MPKI, "Gibbs-l3-mpki")
-}
-
-func BenchmarkFig08ByType(b *testing.B) {
-	runExperiment(b, "fig08")
-	data, err := harness.Fig8Data(benchSession())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, d := range data {
-		if d.Type == core.CompStruct {
-			b.ReportMetric(d.L3MPKI, "CompStruct-l3-mpki")
-		}
-	}
-}
-
-func BenchmarkFig09DataSensitivity(b *testing.B) { runExperiment(b, "fig09") }
-
-func BenchmarkFig10Divergence(b *testing.B) {
-	r := runExperiment(b, "fig10")
-	b.ReportMetric(float64(len(r.Rows)), "gpu-workloads")
-}
-
-func BenchmarkFig11Throughput(b *testing.B) { runExperiment(b, "fig11") }
-
-func BenchmarkFig12Speedup(b *testing.B) {
-	runExperiment(b, "fig12")
-	data, err := harness.Fig12Data(benchSession())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var best float64
-	for _, d := range data {
-		if d.Factor > best {
-			best = d.Factor
-		}
-	}
-	b.ReportMetric(best, "max-speedup-x")
-}
-
-func BenchmarkFig13DataDivergence(b *testing.B) { runExperiment(b, "fig13") }
-
-// --- ablation benches (DESIGN.md §5) ---------------------------------------
-
-func BenchmarkAblationLayout(b *testing.B) {
-	var a harness.LayoutAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationLayout("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.CSRL3MPKI, "csr-l3-mpki")
-	b.ReportMetric(a.VertexL3MPKI, "vertex-l3-mpki")
-}
-
-func BenchmarkAblationKernelModel(b *testing.B) {
-	var a harness.KernelModelAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationKernelModel("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.ThreadBDR, "thread-bdr")
-	b.ReportMetric(a.EdgeBDR, "edge-bdr")
-}
-
-func BenchmarkAblationFramework(b *testing.B) {
-	var a harness.FrameworkAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationFramework("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.Overhead, "framework-overhead-x")
-}
-
-func BenchmarkAblationICache(b *testing.B) {
-	var a harness.ICacheAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationICache("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.FlatMPKI, "flat-icache-mpki")
-	b.ReportMetric(a.DeepMPKI, "deep-icache-mpki")
-}
-
-// --- native wall-clock workload benches -------------------------------------
 
 var (
 	natOnce  sync.Once
@@ -250,26 +81,13 @@ func BenchmarkNativeTMorph(b *testing.B) {
 	}
 }
 func BenchmarkNativeGibbs(b *testing.B) {
-	net := benchSession().Bayes()
+	net := bayes.MUNIN()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := workloads.Gibbs(net, workloads.Options{Samples: 5, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkAblationTraversal(b *testing.B) {
-	var a harness.TraversalAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationTraversal("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.Saving*100, "diropt-saving-%")
-	b.ReportMetric(a.BottomUpLevels, "bottomup-levels")
 }
 
 // Extension workloads (beyond Table 4).
@@ -284,17 +102,4 @@ func BenchmarkNativeSPathDelta(b *testing.B) {
 }
 func BenchmarkNativeCCompLP(b *testing.B) {
 	benchNative(b, "CCompLP", workloads.Options{})
-}
-
-func BenchmarkAblationPrefetch(b *testing.B) {
-	var a harness.PrefetchAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		a, err = benchSession().AblationPrefetch("ldbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(a.StreamBaseMPKI, "dcentr-l2-mpki")
-	b.ReportMetric(a.StreamPrefMPKI, "dcentr-l2-mpki-prefetch")
 }

@@ -54,9 +54,10 @@ func TestHostileCommandLines(t *testing.T) {
 	if err := loader.Write(&v1, g); err != nil {
 		t.Fatal(err)
 	}
-	// What tab05 prints for a dataset the file stood in for.
+	// What tab05 prints for an input file named name: one row, named
+	// after the file, in place of the generated datasets.
 	sum := gen.Summarize(g)
-	loaded := fmt.Sprintf("ldbc  synthetic  %d  %d ", sum.V, sum.E)
+	loaded := func(name string) string { return fmt.Sprintf("\n%s  input  %d  %d ", name, sum.V, sum.E) }
 	var path bytes.Buffer // a 3000-edge SNAP path, to be cut mid-stream
 	for i := 0; i < 3000; i++ {
 		fmt.Fprintf(&path, "%d %d\n", i, i+1)
@@ -104,16 +105,16 @@ func TestHostileCommandLines(t *testing.T) {
 		{"gzip cut mid-stream", []string{"-exp", "tab05", "-input", file("cut.gz", zpath[:len(zpath)/2])}, 1, "graphbig-bench: loader: line "},
 		{"ID past uint64", []string{"-exp", "tab05", "-input", file("over", []byte("18446744073709551616 1\n"))}, 1, "graphbig-bench: loader: line 1: "},
 		{"negative weight", []string{"-exp", "tab05", "-input", file("neg", []byte("1 2 -1\n"))}, 1, "graphbig-bench: loader: line 1: "},
-		{"largest IDs", []string{"-exp", "tab05", "-input", big}, 0, "twitter  social  3  3 "},
+		{"largest IDs", []string{"-exp", "tab05", "-input", big}, 0, "\nbig  input  3  3 "},
 		{"largest IDs viewed", []string{"-exp", "fig10", "-input", big}, 0, "BFS  thread-centric "},
-		{"v1 file", []string{"-exp", "tab05", "-input", file("v1", v1.Bytes())}, 0, loaded},
-		{"v1 file gzipped", []string{"-exp", "tab05", "-input", file("v1.gz", gz(v1.Bytes()))}, 0, loaded},
+		{"v1 file", []string{"-exp", "tab05", "-input", file("v1", v1.Bytes())}, 0, loaded("v1")},
+		{"v1 file gzipped", []string{"-exp", "tab05", "-input", file("v1.gz", gz(v1.Bytes()))}, 0, loaded("v1.gz")},
 		{"in whole run", []string{"-input", file("empty2", nil)}, 1, "graphbig-bench: harness: "},
 		{"retired partitions flag", []string{"-exp", "fig10", "-partitions", "4", "-input", big}, 2, "flag provided but not defined: -partitions"},
 		{"scale zero", []string{"-exp", "tab05", "-scale", "0"}, 0, "ldbc  synthetic  64 "},
 		{"scale negative", []string{"-exp", "tab05", "-scale", "-1"}, 0, "ldbc  synthetic  64 "},
 		{"scale NaN", []string{"-exp", "tab05", "-scale", "NaN"}, 0, "ldbc  synthetic  64 "},
-		{"unknown order", []string{"-exp", "fig10", "-order", "nope", "-input", big}, 1, `graphbig-bench: harness: GPU BFS on ldbc: order: unknown strategy "nope"`},
+		{"unknown order", []string{"-exp", "fig10", "-order", "nope", "-input", big}, 1, `graphbig-bench: harness: GPU BFS on big: order: unknown strategy "nope"`},
 		{"unknown experiment", []string{"-exp", "fig99"}, 1, `graphbig-bench: harness: unknown experiment "fig99"`},
 		{"empty experiment in list", []string{"-exp", "tab05,", "-input", big}, 1, `graphbig-bench: harness: unknown experiment ""`},
 		{"output into a missing directory", []string{"-exp", "fig04", "-o", filepath.Join(dir, "absent", "out.md")}, 1, "graphbig-bench: open "},

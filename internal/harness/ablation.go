@@ -1,94 +1,164 @@
 package harness
 
 import (
+	"fmt"
+
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gpuwl"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
 	"github.com/graphbig/graphbig-go/internal/simt"
-	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // The ablations quantify the design choices DESIGN.md §5 calls out. They
-// are not paper figures; they test the paper's *explanations*.
-
-// LayoutAblation compares the cache behaviour of a full adjacency sweep
-// over the compact CSR layout versus the dynamic vertex-centric layout —
-// the paper's §2 claim that CSR's compactness buys locality. The
-// vertex-centric sweep is DCentr's instrumented run: one Neighbors walk
-// per vertex through the framework, plus one property store.
-type LayoutAblation struct {
-	CSRL3MPKI    float64
-	VertexL3MPKI float64
-	CSRL1Hit     float64
-	VertexL1Hit  float64
+// are not paper figures; they test the paper's *explanations*. Each one
+// measures a metric under the configuration the suite runs (the baseline)
+// and under an alternative, on LDBC, and states what the explanation
+// predicts as a bound on alt/base.
+type ablation struct {
+	choice  string // the design choice
+	metric  string
+	base    string // the configuration the suite runs
+	alt     string // the alternative measured against it
+	paper   string // where the paper makes the argument
+	below   bool   // the claim: alt/base < ratio if below, > ratio otherwise
+	ratio   float64
+	measure func(*Session) (base, alt float64, err error)
 }
 
-// AblationLayout runs both sweeps over the same dataset.
-func (s *Session) AblationLayout(dataset string) (LayoutAblation, error) {
-	c, err := s.CSR(dataset)
-	if err != nil {
-		return LayoutAblation{}, err
+// holds reports whether a measured pair agrees with the claim.
+func (a ablation) holds(base, alt float64) bool {
+	if a.below {
+		return alt/base < a.ratio
 	}
-	profCSR := perfmon.NewProfile(s.Cfg.Machine)
-	c.TraverseInstrumented(profCSR)
-	mCSR := profCSR.Report()
+	return alt/base > a.ratio
+}
 
-	mVtx, err := s.Profile("DCentr", dataset)
-	if err != nil {
-		return LayoutAblation{}, err
+func (a ablation) claim() string {
+	if a.below {
+		return fmt.Sprintf("< %.3gx", a.ratio)
 	}
-
-	return LayoutAblation{
-		CSRL3MPKI:    mCSR.L3MPKI,
-		VertexL3MPKI: mVtx.L3MPKI,
-		CSRL1Hit:     mCSR.L1DHit,
-		VertexL1Hit:  mVtx.L1DHit,
-	}, nil
+	return fmt.Sprintf("> %.3gx", a.ratio)
 }
 
-// KernelModelAblation compares thread-centric and edge-centric BFS on the
-// simulated GPU — the divergence mechanism behind Figures 10/13.
-type KernelModelAblation struct {
-	ThreadBDR, EdgeBDR float64
-	ThreadMDR, EdgeMDR float64
+// ablations is abl01's table, one row per measured pair. Measures read the
+// session's cached runs where the baseline already exists (the CPU sweep's
+// DCentr and BFS profiles, fig10's GPU BFS) and run only the alternative.
+var ablations = []ablation{
+	{
+		choice: "data layout", metric: "L3 MPKI", base: "vertex-centric", alt: "CSR",
+		paper: "§2", below: true, ratio: 1, measure: layoutL3MPKI,
+	},
+	{
+		choice: "GPU kernel model", metric: "BFS BDR", base: "thread-centric", alt: "edge-centric",
+		paper: "Figs 10, 13", below: true, ratio: 1, measure: kernelBDR,
+	},
+	{
+		choice: "framework", metric: "BFS Minsts", base: "primitives", alt: "raw CSR",
+		paper: "Fig 1", below: true, ratio: 1 / 1.5, measure: frameworkMinsts,
+	},
+	{
+		choice: "software stack", metric: "BFS ICache MPKI", base: "flat", alt: "deep",
+		paper: "§5.2.1", below: false, ratio: 1, measure: stackICacheMPKI,
+	},
+	{
+		choice: "traversal", metric: "BFS Minsts", base: "top-down", alt: "direction-optimizing",
+		paper: "§5.3", below: true, ratio: 0.5, measure: traversalMinsts,
+	},
+	{
+		choice: "prefetch", metric: "DCentr L2 MPKI", base: "demand only", alt: "next-line",
+		paper: "§2", below: true, ratio: 0.9, measure: prefetchL2MPKI("DCentr"),
+	},
+	{
+		choice: "prefetch", metric: "BFS L2 MPKI", base: "demand only", alt: "next-line",
+		paper: "§2", below: true, ratio: 0.9, measure: prefetchL2MPKI("BFS"),
+	},
 }
 
-// AblationKernelModel runs both kernels over the dataset's CSR form.
-func (s *Session) AblationKernelModel(dataset string) (KernelModelAblation, error) {
-	c, err := s.CSR(dataset)
-	if err != nil {
-		return KernelModelAblation{}, err
+// Abl01DesignChoices renders the ablation table: each design choice's two
+// measurements, their ratio, and whether the paper's claim holds.
+func Abl01DesignChoices(s *Session) (Report, error) {
+	r := Report{
+		ID:      "abl01",
+		Title:   "Design-choice ablations (LDBC)",
+		Headers: []string{"choice", "metric", "baseline", "alternative", "base", "alt", "alt/base", "claim", "paper", "holds"},
 	}
-	dT := simt.NewDevice(s.Cfg.GPU)
-	gpuwl.BFS(dT, c)
-	dE := simt.NewDevice(s.Cfg.GPU)
-	gpuwl.BFSEdge(dE, c)
-	return KernelModelAblation{
-		ThreadBDR: dT.Stats().BDR(), EdgeBDR: dE.Stats().BDR(),
-		ThreadMDR: dT.Stats().MDR(), EdgeMDR: dE.Stats().MDR(),
-	}, nil
-}
-
-// FrameworkAblation compares a BFS through framework primitives against a
-// raw-structure BFS, quantifying the in-framework overhead of Figure 1.
-type FrameworkAblation struct {
-	FrameworkInsts uint64
-	RawInsts       uint64
-	Overhead       float64 // framework/raw instruction ratio
-}
-
-// AblationFramework measures both BFS variants on the dataset.
-func (s *Session) AblationFramework(dataset string) (FrameworkAblation, error) {
-	mFw, err := s.Profile("BFS", dataset)
-	if err != nil {
-		return FrameworkAblation{}, err
+	for _, a := range ablations {
+		base, alt, err := a.measure(s)
+		if err != nil {
+			return Report{}, fmt.Errorf("%s ablation: %w", a.choice, err)
+		}
+		holds := "no"
+		if a.holds(base, alt) {
+			holds = "yes"
+		}
+		r.AddRow(a.choice, a.metric, a.base, a.alt, f3(base), f3(alt), f3(alt/base)+"x", a.claim(), a.paper, holds)
 	}
-	// Raw variant: array BFS over the CSR form, bypassing every primitive.
-	c, err := s.CSR(dataset)
+	r.Notes = append(r.Notes,
+		"vertex-centric sweep: DCentr's instrumented run; CSR sweep: one pass over the CSR arrays; deep stack: 4 MiB code footprint, 256 KiB hot region",
+		"paper: CSR's compact format brings better locality (§2); edge-centric kernels balance warps (Figs 10/13); most time is spent in the framework (Fig 1); the flat stack keeps ICache MPKI low (§5.2.1)")
+	return r, nil
+}
+
+// profileOn returns the named workload's counters on LDBC under machine,
+// read from the session cache when machine is the session's own.
+func (s *Session) profileOn(wlName string, machine perfmon.Config) (perfmon.Metrics, error) {
+	if machine == s.Cfg.Machine {
+		return s.Profile(wlName, "ldbc")
+	}
+	wl, err := core.ByName(wlName)
 	if err != nil {
-		return FrameworkAblation{}, err
+		return perfmon.Metrics{}, err
+	}
+	return s.profile(wl, input{dataset: "ldbc"}, machine)
+}
+
+// layoutL3MPKI compares a full adjacency sweep over the dynamic
+// vertex-centric layout (DCentr's instrumented run: one Neighbors walk per
+// vertex through the framework, plus one property store) with one over
+// the compact CSR arrays.
+func layoutL3MPKI(s *Session) (float64, float64, error) {
+	vtx, err := s.Profile("DCentr", "ldbc")
+	if err != nil {
+		return 0, 0, err
+	}
+	c, err := s.CSR("ldbc")
+	if err != nil {
+		return 0, 0, err
+	}
+	prof := perfmon.NewProfile(s.Cfg.Machine)
+	c.TraverseInstrumented(prof)
+	return vtx.L3MPKI, prof.Report().L3MPKI, nil
+}
+
+// kernelBDR compares thread-centric BFS (fig10's run) with edge-centric
+// BFSEdge on the simulated GPU: the divergence mechanism of Figs 10/13.
+func kernelBDR(s *Session) (float64, float64, error) {
+	thread, err := s.gpuPoint("BFS", "ldbc")
+	if err != nil {
+		return 0, 0, err
+	}
+	c, err := s.CSR("ldbc")
+	if err != nil {
+		return 0, 0, err
+	}
+	d := simt.NewDevice(s.Cfg.GPU)
+	gpuwl.BFSEdge(d, c)
+	return thread.Stats.BDR(), d.Stats().BDR(), nil
+}
+
+// frameworkMinsts compares BFS through the framework primitives with an
+// array BFS over the CSR form that bypasses every primitive: the
+// in-framework overhead of Fig 1.
+func frameworkMinsts(s *Session) (float64, float64, error) {
+	fw, err := s.Profile("BFS", "ldbc")
+	if err != nil {
+		return 0, 0, err
+	}
+	c, err := s.CSR("ldbc")
+	if err != nil {
+		return 0, 0, err
 	}
 	prof := perfmon.NewProfile(s.Cfg.Machine)
 	lvl := make([]int32, c.N)
@@ -117,127 +187,64 @@ func (s *Session) AblationFramework(dataset string) (FrameworkAblation, error) {
 			}
 		}
 	}
-	mRaw := prof.Report()
-	out := FrameworkAblation{FrameworkInsts: mFw.Insts, RawInsts: mRaw.Insts}
-	if mRaw.Insts > 0 {
-		out.Overhead = float64(mFw.Insts) / float64(mRaw.Insts)
-	}
-	return out, nil
+	return float64(fw.Insts) / 1e6, float64(prof.Report().Insts) / 1e6, nil
 }
 
-// ICacheAblation compares the flat GraphBIG software stack against a
-// deep-stack configuration — the paper's §5.2.1 explanation for why its
-// ICache MPKI is low while other big-data frameworks' is high.
-type ICacheAblation struct {
-	FlatMPKI float64
-	DeepMPKI float64
-}
-
-// AblationICache profiles BFS under both code-layout models.
-func (s *Session) AblationICache(dataset string) (ICacheAblation, error) {
-	mFlat, err := s.Profile("BFS", dataset)
+// stackICacheMPKI profiles BFS under the flat GraphBIG code layout and a
+// deep-stack one (layered libraries, hot path spread across layers): the
+// §5.2.1 explanation for GraphBIG's low ICache MPKI.
+func stackICacheMPKI(s *Session) (float64, float64, error) {
+	flat, err := s.Profile("BFS", "ldbc")
 	if err != nil {
-		return ICacheAblation{}, err
-	}
-	wl, err := core.ByName("BFS")
-	if err != nil {
-		return ICacheAblation{}, err
+		return 0, 0, err
 	}
 	deep := s.Cfg.Machine
-	deep.CodeFootprintBytes = 4 << 20 // layered libraries
-	deep.HotRegionBytes = 256 << 10   // hot path spread across layers
+	deep.CodeFootprintBytes = 4 << 20
+	deep.HotRegionBytes = 256 << 10
 	deep.HotJumpProb = 0.9
-	mDeep, err := s.profile(wl, input{dataset: dataset}, deep)
+	m, err := s.profileOn("BFS", deep)
 	if err != nil {
-		return ICacheAblation{}, err
+		return 0, 0, err
 	}
-	return ICacheAblation{FlatMPKI: mFlat.ICacheMPKI, DeepMPKI: mDeep.ICacheMPKI}, nil
+	return flat.ICacheMPKI, m.ICacheMPKI, nil
 }
 
-// TraversalAblation compares classic top-down BFS against the
-// direction-optimizing variant — the edge-examination savings that make
-// bottom-up traversal the standard on low-diameter social graphs.
-type TraversalAblation struct {
-	TopDownInsts uint64
-	DirOptInsts  uint64
-	// Saving is 1 - diropt/topdown (fraction of work avoided).
-	Saving         float64
-	BottomUpLevels float64
-}
-
-// AblationTraversal measures both BFS variants with a counting tracker.
-func (s *Session) AblationTraversal(dataset string) (TraversalAblation, error) {
-	run := func(name string) (uint64, *workloads.Result, error) {
+// traversalMinsts counts the instructions of top-down BFS and of the
+// direction-optimizing variant: the edge examinations bottom-up rounds
+// save on a low-diameter social graph.
+func traversalMinsts(s *Session) (float64, float64, error) {
+	var insts [2]float64
+	for i, name := range []string{"BFS", "BFSDirOpt"} {
 		wl, err := core.ByName(name)
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, err
 		}
 		c := mem.NewCounting()
-		res, err := s.run(wl, input{dataset: dataset}, c)
-		if err != nil {
-			return 0, nil, err
+		if _, err := s.run(wl, input{dataset: "ldbc"}, c); err != nil {
+			return 0, 0, err
 		}
-		return c.TotalInsts(), res, nil
+		insts[i] = float64(c.TotalInsts()) / 1e6
 	}
-	top, _, err := run("BFS")
-	if err != nil {
-		return TraversalAblation{}, err
-	}
-	dir, res, err := run("BFSDirOpt")
-	if err != nil {
-		return TraversalAblation{}, err
-	}
-	a := TraversalAblation{TopDownInsts: top, DirOptInsts: dir, BottomUpLevels: res.Stats["bottom_up_levels"]}
-	if top > 0 {
-		a.Saving = 1 - float64(dir)/float64(top)
-	}
-	return a, nil
+	return insts[0], insts[1], nil
 }
 
-// PrefetchAblation compares demand-only caching against the adjacent-line
-// prefetcher for a streaming workload (DCentr) and a lookup-heavy one
-// (BFS). The measured result is itself a finding about the vertex-centric
-// layout: because a vertex's property block sits in the line after its
-// record, even "pointer-chasing" BFS has a strong next-line pattern, and
-// both workloads recover roughly half their L2 demand misses — the layout
-// bakes prefetchability in, supporting the paper's argument that data
-// representation drives memory behaviour (§2).
-type PrefetchAblation struct {
-	StreamBaseMPKI float64 // DCentr L2 demand MPKI, no prefetch
-	StreamPrefMPKI float64 // DCentr with prefetch
-	ChaseBaseMPKI  float64 // BFS, no prefetch
-	ChasePrefMPKI  float64 // BFS with prefetch
-}
-
-// AblationPrefetch profiles both workloads under both configurations.
-func (s *Session) AblationPrefetch(dataset string) (PrefetchAblation, error) {
-	run := func(name string, pref bool) (perfmon.Metrics, error) {
-		machine := s.Cfg.Machine
-		machine.PrefetchNextLine = pref
-		wl, err := core.ByName(name)
-		if err != nil {
-			return perfmon.Metrics{}, err
+// prefetchL2MPKI compares demand-only caching with the adjacent-line
+// prefetcher for one workload. Because a vertex's property block sits in
+// the line after its record, lookup-heavy BFS has as strong a next-line
+// pattern as streaming DCentr: the layout bakes prefetchability in (§2's
+// data-representation argument).
+func prefetchL2MPKI(wlName string) func(*Session) (float64, float64, error) {
+	return func(s *Session) (float64, float64, error) {
+		var mpki [2]float64
+		for i, on := range []bool{false, true} {
+			machine := s.Cfg.Machine
+			machine.PrefetchNextLine = on
+			m, err := s.profileOn(wlName, machine)
+			if err != nil {
+				return 0, 0, err
+			}
+			mpki[i] = m.L2MPKI
 		}
-		m, err := s.profile(wl, input{dataset: dataset}, machine)
-		return m, err
+		return mpki[0], mpki[1], nil
 	}
-	var out PrefetchAblation
-	m, err := run("DCentr", false)
-	if err != nil {
-		return out, err
-	}
-	out.StreamBaseMPKI = m.L2MPKI
-	if m, err = run("DCentr", true); err != nil {
-		return out, err
-	}
-	out.StreamPrefMPKI = m.L2MPKI
-	if m, err = run("BFS", false); err != nil {
-		return out, err
-	}
-	out.ChaseBaseMPKI = m.L2MPKI
-	if m, err = run("BFS", true); err != nil {
-		return out, err
-	}
-	out.ChasePrefMPKI = m.L2MPKI
-	return out, nil
 }

@@ -9,7 +9,8 @@ type Experiment struct {
 	Run   func(*Session) (Report, error)
 }
 
-// Experiments lists every reproduced table and figure in paper order.
+// Experiments lists every reproduced table and figure in paper order,
+// then the extensions and the ablations.
 var Experiments = []Experiment{
 	{"fig01", "framework execution-time share", Fig1},
 	{"fig04", "use-case analysis", Fig4},
@@ -27,6 +28,7 @@ var Experiments = []Experiment{
 	{"ext02", "extension: LDBC size sweep", Ext02SizeSweep},
 	{"ext03", "extension: ordering cache locality", Ext03Ordering},
 	{"ext04", "extension: partitioned NDP placement", Ext04PartitionPlacement},
+	{"abl01", "design-choice ablations (DESIGN.md §5)", Abl01DesignChoices},
 }
 
 // ByID returns the experiment with the given ID.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"github.com/graphbig/graphbig-go/internal/core"
-	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/stats"
 )
 
@@ -166,9 +165,4 @@ func Fig8(s *Session) (Report, error) {
 	r.Notes = append(r.Notes,
 		"paper: CompStruct highest MPKI+DTLB and lowest IPC; CompProp high branch miss and highest IPC; CompDyn in between")
 	return r, nil
-}
-
-// cpuMetricsOK is a tiny consistency gate used by tests.
-func cpuMetricsOK(m perfmon.Metrics) bool {
-	return m.Insts > 0 && m.TotalCycles > 0 && m.IPC > 0
 }

@@ -14,15 +14,6 @@ func SharedWorkloads() []string {
 	return core.GPUNames()
 }
 
-// DatasetNames lists the five experiment datasets in Table 7 order.
-func DatasetNames() []string {
-	names := make([]string, len(gen.Catalog))
-	for i, d := range gen.Catalog {
-		names[i] = d.Name
-	}
-	return names
-}
-
 // Fig9 reproduces Figure 9: per-dataset L1D hit rate, DTLB miss-cycle
 // share and IPC for the workloads that accept every dataset.
 func Fig9(s *Session) (Report, error) {
@@ -32,7 +23,7 @@ func Fig9(s *Session) (Report, error) {
 		Headers: []string{"workload", "dataset", "l1d_hit", "dtlb_cycles", "ipc", "l3_hit"},
 	}
 	for _, wl := range SharedWorkloads() {
-		for _, ds := range DatasetNames() {
+		for _, ds := range s.DatasetNames() {
 			m, err := s.Profile(wl, ds)
 			if err != nil {
 				return Report{}, err
@@ -46,30 +37,40 @@ func Fig9(s *Session) (Report, error) {
 }
 
 // Table5 reproduces Tables 5/7: the dataset inventory with generated
-// vertex/edge counts next to the paper-scale targets.
+// vertex/edge counts next to the paper-scale targets. With Cfg.Input set
+// it lists the input file instead, with no paper sizes to compare.
 func Table5(s *Session) (Report, error) {
 	r := Report{
 		ID:      "tab05",
 		Title:   "Datasets (generated at session scale vs paper scale)",
 		Headers: []string{"dataset", "source type", "V(gen)", "E(gen)", "avg deg", "max deg", "V(paper)", "E(paper)"},
 	}
-	for _, d := range gen.Catalog {
-		g, err := s.Graph(d.Name)
+	for _, name := range s.DatasetNames() {
+		g, err := s.Graph(name)
 		if err != nil {
 			return Report{}, err
 		}
+		typ, paperV, paperE := "input", "", ""
+		if s.Cfg.Input == "" {
+			d, _ := gen.ByName(name) // a gen.Catalog name: it resolves
+			typ, paperV, paperE = d.Type.String(), fmt.Sprintf("%d", d.PaperV), fmt.Sprintf("%d", d.PaperE)
+		}
 		p := gen.Summarize(g)
-		r.AddRow(d.Name, d.Type.String(),
+		r.AddRow(name, typ,
 			fmt.Sprintf("%d", p.V), fmt.Sprintf("%d", p.E),
 			f2(p.AvgDeg), fmt.Sprintf("%d", p.MaxDeg),
-			fmt.Sprintf("%d", d.PaperV), fmt.Sprintf("%d", d.PaperE))
+			paperV, paperE)
 	}
 	net := s.Bayes()
 	r.AddRow("munin(bayes)", "nature",
 		fmt.Sprintf("%d", len(net.Nodes)), fmt.Sprintf("%d", net.Edges()),
 		"", fmt.Sprintf("params=%d", net.Params()),
 		"1041", "1397")
-	r.Notes = append(r.Notes, fmt.Sprintf("generated at scale %.3g of the paper sizes", s.Cfg.Scale))
+	note := fmt.Sprintf("generated at scale %.3g of the paper sizes", s.Cfg.Scale)
+	if s.Cfg.Input != "" {
+		note = "loaded from " + s.Cfg.Input
+	}
+	r.Notes = append(r.Notes, note)
 	return r, nil
 }
 

@@ -10,18 +10,15 @@ import (
 
 // GPUPoint is one (workload, dataset) GPU measurement.
 type GPUPoint struct {
-	Workload string
-	Dataset  string
-	Stats    simt.Stats
-	ReadGBs  float64
-	WriteGBs float64
-	IPC      float64
-	Seconds  float64
-	Value    float64
+	Stats             simt.Stats
+	ReadGBs, WriteGBs float64
+	Seconds           float64
 }
 
-// gpuPoint runs (and caches) one GPU workload on one dataset.
+// gpuPoint runs (and caches) one GPU workload on a fresh device over the
+// dataset's CSR form.
 func (s *Session) gpuPoint(wlName, dataset string) (GPUPoint, error) {
+	dataset = s.dataset(dataset)
 	key := wlName + "@" + dataset
 	if p, ok := s.gpuRuns[key]; ok {
 		return p, nil
@@ -30,19 +27,19 @@ func (s *Session) gpuPoint(wlName, dataset string) (GPUPoint, error) {
 	if err != nil {
 		return GPUPoint{}, err
 	}
-	res, dev, err := s.RunGPU(wl, dataset)
+	dev := simt.NewDevice(s.Cfg.GPU)
+	c, err := s.CSR(dataset)
+	if err == nil {
+		_, err = wl.RunGPU(dev, c)
+	}
 	if err != nil {
 		return GPUPoint{}, fmt.Errorf("harness: GPU %s on %s: %w", wlName, dataset, err)
 	}
 	p := GPUPoint{
-		Workload: wlName,
-		Dataset:  dataset,
 		Stats:    dev.Stats(),
 		ReadGBs:  dev.ReadThroughputGBs(),
 		WriteGBs: dev.WriteThroughputGBs(),
-		IPC:      dev.Stats().IPC(),
 		Seconds:  dev.TimeSeconds(),
-		Value:    res.Value,
 	}
 	s.gpuRuns[key] = p
 	return p, nil
@@ -85,7 +82,7 @@ func Fig11(s *Session) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		r.AddRow(wl, f2(p.ReadGBs), f2(p.WriteGBs), f3(p.IPC))
+		r.AddRow(wl, f2(p.ReadGBs), f2(p.WriteGBs), f3(p.Stats.IPC()))
 	}
 	r.Notes = append(r.Notes,
 		"paper: CComp highest read throughput (89.9 GB/s), DCentr 75.2 despite atomics, TC lowest (2.0 GB/s) but highest IPC")
@@ -118,7 +115,7 @@ type Speedup struct {
 func Fig12Data(s *Session) ([]Speedup, error) {
 	var out []Speedup
 	for _, wl := range SharedWorkloads() {
-		for _, ds := range DatasetNames() {
+		for _, ds := range s.DatasetNames() {
 			m, err := s.Profile(wl, ds)
 			if err != nil {
 				return nil, err
@@ -171,7 +168,7 @@ func Fig13(s *Session) (Report, error) {
 		Headers: []string{"workload", "dataset", "BDR", "MDR"},
 	}
 	for _, wl := range core.GPUNames() {
-		for _, ds := range DatasetNames() {
+		for _, ds := range s.DatasetNames() {
 			p, err := s.gpuPoint(wl, ds)
 			if err != nil {
 				return Report{}, err

@@ -65,6 +65,11 @@ func TestScaledCaches(t *testing.T) {
 	}
 }
 
+// cpuMetricsOK is a tiny consistency gate on a profile.
+func cpuMetricsOK(m perfmon.Metrics) bool {
+	return m.Insts > 0 && m.TotalCycles > 0 && m.IPC > 0
+}
+
 func TestProfileCPUAllWorkloads(t *testing.T) {
 	s := tinySession()
 	for _, wl := range core.Workloads {
@@ -94,32 +99,6 @@ func TestMutatingWorkloadsDontCorruptCache(t *testing.T) {
 	}
 }
 
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep in -short mode")
-	}
-	s := tinySession()
-	reports, err := RunAll(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(Experiments) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(Experiments))
-	}
-	for _, r := range reports {
-		if len(r.Rows) == 0 {
-			t.Errorf("%s has no rows", r.ID)
-		}
-		if !strings.Contains(r.String(), r.Title) {
-			t.Errorf("%s text rendering missing title", r.ID)
-		}
-		md := r.Markdown()
-		if !strings.Contains(md, "|") {
-			t.Errorf("%s markdown rendering broken", r.ID)
-		}
-	}
-}
-
 func TestByIDAndOrder(t *testing.T) {
 	for _, e := range Experiments {
 		got, err := ByID(e.ID)
@@ -130,11 +109,11 @@ func TestByIDAndOrder(t *testing.T) {
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown experiment should fail")
 	}
-	// One experiment per paper artifact (11 figures/tables + fig4) plus
-	// the NDP, size-sweep, ordering-locality, and partitioned-placement
-	// extensions.
-	if len(Experiments) != 16 {
-		t.Errorf("experiments = %d, want 16", len(Experiments))
+	// One experiment per paper artifact (11 figures/tables + fig4), the
+	// NDP, size-sweep, ordering-locality, and partitioned-placement
+	// extensions, and the ablations.
+	if len(Experiments) != 17 {
+		t.Errorf("experiments = %d, want 17", len(Experiments))
 	}
 }
 
@@ -222,19 +201,34 @@ func TestProfilesAreHistoryFree(t *testing.T) {
 	}
 }
 
-// TestReportsAreHistoryFree runs every experiment alone in a fresh
-// session and requires the report RunAll printed for it. Half the tiny
-// scale keeps the two sweeps short; at it, six reports (ext01, fig09-13)
-// differed when sessions carried history between experiments.
+// TestReportsAreHistoryFree is the package's one full sweep: RunAll must
+// give every experiment a rendered report with rows, and every experiment
+// run alone in a fresh session must print the report RunAll printed for
+// it. Half the tiny scale keeps it short; at it, six reports (ext01,
+// fig09-13) differed when sessions carried history between experiments.
 func TestReportsAreHistoryFree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full experiment sweeps in -short mode")
+		t.Skip("full experiment sweep in -short mode")
 	}
 	cfg := DefaultConfig()
 	cfg.Scale = 0.0005
 	all, err := RunAll(NewSession(cfg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(all) != len(Experiments) {
+		t.Fatalf("got %d reports, want %d", len(all), len(Experiments))
+	}
+	for _, r := range all {
+		if len(r.Rows) == 0 {
+			t.Errorf("%s has no rows", r.ID)
+		}
+		if !strings.Contains(r.String(), r.Title) {
+			t.Errorf("%s text rendering missing title", r.ID)
+		}
+		if !strings.Contains(r.Markdown(), "|") {
+			t.Errorf("%s markdown rendering broken", r.ID)
+		}
 	}
 	for i, e := range Experiments {
 		alone, err := e.Run(NewSession(cfg))
@@ -283,38 +277,22 @@ func TestRunsRegisterOnlyLayoutFields(t *testing.T) {
 	}
 }
 
-func TestAblationsAgreeWithPaperClaims(t *testing.T) {
+// TestAblationClaims measures every row of abl01's table and requires the
+// paper's claim to hold: a regression that breaks one of the paper's
+// explanations fails here.
+func TestAblationClaims(t *testing.T) {
 	s := tinySession()
-	lay, err := s.AblationLayout("ldbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.CSRL3MPKI >= lay.VertexL3MPKI {
-		t.Errorf("CSR L3 MPKI %.1f should undercut vertex-centric %.1f (paper §2)",
-			lay.CSRL3MPKI, lay.VertexL3MPKI)
-	}
-	km, err := s.AblationKernelModel("ldbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if km.EdgeBDR >= km.ThreadBDR {
-		t.Errorf("edge-centric BDR %.3f should undercut thread-centric %.3f",
-			km.EdgeBDR, km.ThreadBDR)
-	}
-	fw, err := s.AblationFramework("ldbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw.Overhead <= 1.5 {
-		t.Errorf("framework overhead %.2fx should be substantial (Fig 1)", fw.Overhead)
-	}
-	ic, err := s.AblationICache("ldbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ic.FlatMPKI >= ic.DeepMPKI {
-		t.Errorf("flat stack ICache MPKI %.2f should undercut deep stack %.2f (§5.2.1)",
-			ic.FlatMPKI, ic.DeepMPKI)
+	for _, a := range ablations {
+		t.Run(a.choice+" "+a.metric, func(t *testing.T) {
+			base, alt, err := a.measure(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.holds(base, alt) {
+				t.Errorf("%s %.3f, %s %.3f; want alt/base %s (paper %s)",
+					a.base, base, a.alt, alt, a.claim(), a.paper)
+			}
+		})
 	}
 }
 
@@ -327,7 +305,7 @@ func TestFig12SpeedupsPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != len(SharedWorkloads())*len(DatasetNames()) {
+	if len(data) != len(SharedWorkloads())*len(s.DatasetNames()) {
 		t.Fatalf("speedup cells = %d", len(data))
 	}
 	for _, d := range data {
@@ -389,28 +367,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestAblationPrefetchHelpsStreamsNotChases(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scale = 0.004
-	s := NewSession(cfg)
-	a, err := s.AblationPrefetch("ldbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamGain := 1 - a.StreamPrefMPKI/a.StreamBaseMPKI
-	chaseGain := 1 - a.ChasePrefMPKI/a.ChaseBaseMPKI
-	if streamGain <= 0.1 {
-		t.Errorf("prefetch should cut streaming L2 MPKI: %.1f -> %.1f",
-			a.StreamBaseMPKI, a.StreamPrefMPKI)
-	}
-	// The vertex-centric record+property adjacency makes BFS next-line-
-	// friendly too; both gains are substantial.
-	if chaseGain <= 0.1 {
-		t.Errorf("prefetch should also help the vertex-centric lookup path: %.1f -> %.1f",
-			a.ChaseBaseMPKI, a.ChasePrefMPKI)
-	}
-}
-
 func TestChartRendering(t *testing.T) {
 	r := Report{
 		ID: "figXX", Title: "T",
@@ -438,7 +394,8 @@ func TestChartRendering(t *testing.T) {
 }
 
 // TestSessionInputSubstitution pins the -input wiring: a SNAP file
-// replaces every generated dataset name with one shared loaded graph.
+// replaces every generated dataset with one session dataset, named after
+// the file, that every per-dataset cache shares.
 func TestSessionInputSubstitution(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "toy.txt")
 	snap := "# toy SNAP graph\n0 1 2\n1 2\n2 0 0.5\n"
@@ -461,6 +418,30 @@ func TestSessionInputSubstitution(t *testing.T) {
 	}
 	if a != b {
 		t.Error("input graph not shared across dataset names")
+	}
+	if got := s.DatasetNames(); !slices.Equal(got, []string{"toy.txt"}) {
+		t.Errorf("DatasetNames() = %q, want [toy.txt]", got)
+	}
+	if _, err := s.Profile("BFS", "ldbc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Profile("BFS", "twitter"); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.profiles) != 1 {
+		t.Errorf("BFS on two dataset names profiled %d times, want once", len(s.profiles))
+	}
+	r, err := Fig9(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != len(SharedWorkloads()) {
+		t.Errorf("fig09 on an input has %d rows, want one per workload (%d)", len(r.Rows), len(SharedWorkloads()))
+	}
+	for _, row := range r.Rows {
+		if row[1] != "toy.txt" {
+			t.Errorf("fig09 row %q names dataset %q, want toy.txt", row, row[1])
+		}
 	}
 	bad := DefaultConfig()
 	bad.Input = filepath.Join(t.TempDir(), "missing.txt")

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/order"
@@ -15,18 +14,12 @@ import (
 // Figure 7 singles out.
 var orderWorkloads = []string{"BFS", "CComp"}
 
-// OrderMPKI profiles one frontier workload on LDBC under the named
-// ordering and returns the simulated counter report, caching by
-// workload@ordering. The run uses a throwaway clone whose simulated
-// addresses are re-laid-out in view order (property.Relayout), so the
-// cache model observes the locality the ordering would produce on a
-// graph loaded in that order; the session's shared parity graphs are
-// never touched.
-func (s *Session) OrderMPKI(wl string, ordering string) (perfmon.Metrics, error) {
-	key := wl + "@" + ordering
-	if m, ok := s.orderMPKI[key]; ok {
-		return m, nil
-	}
+// orderProfile profiles one frontier workload on LDBC under the named
+// ordering. The run uses a throwaway clone whose simulated addresses are
+// re-laid-out in view order (property.Relayout), so the cache model
+// observes the locality the ordering would produce on a graph loaded in
+// that order; the session's shared parity graphs are never touched.
+func (s *Session) orderProfile(wl string, ordering string) (perfmon.Metrics, error) {
 	base, err := s.Graph("ldbc")
 	if err != nil {
 		return perfmon.Metrics{}, err
@@ -35,9 +28,6 @@ func (s *Session) OrderMPKI(wl string, ordering string) (perfmon.Metrics, error)
 	if err != nil {
 		return perfmon.Metrics{}, err
 	}
-	if !slices.Contains(orderWorkloads, wl) {
-		return perfmon.Metrics{}, fmt.Errorf("harness: OrderMPKI does not profile %q", wl)
-	}
 	w, err := core.ByName(wl)
 	if err != nil {
 		return perfmon.Metrics{}, err
@@ -45,12 +35,7 @@ func (s *Session) OrderMPKI(wl string, ordering string) (perfmon.Metrics, error)
 	g := property.Clone(base)
 	vw := g.ViewWith(property.ViewOpts{Order: ord})
 	property.Relayout(g, vw)
-	m, err := s.profile(w, input{g: g, vw: vw}, s.Cfg.Machine)
-	if err != nil {
-		return perfmon.Metrics{}, err
-	}
-	s.orderMPKI[key] = m
-	return m, nil
+	return s.profile(w, input{g: g, vw: vw}, s.Cfg.Machine)
 }
 
 // Ext03Ordering is the ordering/locality experiment (DESIGN.md §8): for
@@ -69,7 +54,7 @@ func Ext03Ordering(s *Session) (Report, error) {
 	baseline := make(map[string]float64, len(orderWorkloads))
 	for _, ordering := range order.Names {
 		for _, w := range orderWorkloads {
-			m, err := s.OrderMPKI(w, ordering)
+			m, err := s.orderProfile(w, ordering)
 			if err != nil {
 				return Report{}, err
 			}

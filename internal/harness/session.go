@@ -1,7 +1,8 @@
 // Package harness defines one experiment per figure/table of the paper's
 // evaluation (§5) and regenerates it from the simulators: Fig 1 (framework
 // time), Figs 5-8 (CPU characterization), Fig 9 (CPU data sensitivity),
-// Figs 10-13 (GPU characterization), and Tables 5/7 (datasets). Each
+// Figs 10-13 (GPU characterization), and Tables 5/7 (datasets), then the
+// extensions (ext01-ext04) and the design-choice ablations (abl01). Each
 // experiment returns a Report that renders as an aligned text table; the
 // cmd/graphbig-bench binary runs them all and emits EXPERIMENTS.md data.
 //
@@ -14,12 +15,12 @@ package harness
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"github.com/graphbig/graphbig-go/internal/bayes"
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/csr"
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/gpuwl"
 	"github.com/graphbig/graphbig-go/internal/loader"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/order"
@@ -37,23 +38,21 @@ type Config struct {
 	Scale float64
 	// Seed drives dataset generation and workload sampling.
 	Seed int64
-	// Workers bounds native parallelism during generation.
-	Workers int
 	// Order names the vertex-reordering strategy composed into dataset
 	// views (see order.Names). Results are ordering-invariant; only
 	// layout and timing change.
 	Order string
 	// Input, when non-empty, is a graph file (SNAP or graphbig v1 edge
 	// list, plain or gzipped; see loader.Load) substituted for every
-	// generated dataset: Graph() loads it once and serves it under any
-	// requested name, so the experiments run on a real downloaded graph
-	// instead of the generators. Scale and Seed still label the reports.
+	// generated dataset: the session's one dataset, named after the file,
+	// whatever dataset name an experiment asks for, so the experiments run
+	// on a real downloaded graph instead of the generators. Scale and Seed
+	// still label the reports.
 	Input string
 	// Machine is the simulated CPU (Table 6).
 	Machine perfmon.Config
-	// CPUClockHz and CPUCores parameterize the Fig 12 CPU-side cost model.
+	// CPUClockHz is the clock of the Fig 12 CPU-side cost model.
 	CPUClockHz float64
-	CPUCores   int
 	// GPU is the simulated device (Table 6).
 	GPU simt.Config
 }
@@ -63,17 +62,16 @@ func DefaultConfig() Config {
 	return Config{
 		Scale:      0.02,
 		Seed:       42,
-		Workers:    0,
 		Machine:    perfmon.DefaultConfig(),
 		CPUClockHz: 2.4e9,
-		CPUCores:   16,
 		GPU:        simt.KeplerConfig(),
 	}
 }
 
 // Session lazily generates and caches datasets, views, CSR conversions and
 // per-workload profiles, so experiments sharing inputs (Figs 5-9, 12,
-// ext01) pay for them once.
+// ext01, abl01) pay for them once. Every per-dataset cache is keyed by
+// the dataset's session name (see dataset).
 type Session struct {
 	Cfg Config
 
@@ -83,9 +81,8 @@ type Session struct {
 	csrs   map[string]*csr.Graph
 	net    *bayes.Network
 
-	profiles  map[string]perfmon.Metrics // by "workload@dataset"
-	gpuRuns   map[string]GPUPoint        // by "workload@dataset"
-	orderMPKI map[string]perfmon.Metrics // by "workload@ordering", LDBC input
+	profiles map[string]perfmon.Metrics // by "workload@dataset"
+	gpuRuns  map[string]GPUPoint        // by "workload@dataset"
 }
 
 // NewSession returns an empty session over cfg. The simulated GPU L2 and
@@ -114,43 +111,60 @@ func NewSession(cfg Config) *Session {
 		}
 	}
 	return &Session{
-		Cfg:       cfg,
-		graphs:    make(map[string]*property.Graph),
-		marks:     make(map[*property.Graph]uint64),
-		views:     make(map[string]*property.View),
-		csrs:      make(map[string]*csr.Graph),
-		profiles:  make(map[string]perfmon.Metrics),
-		gpuRuns:   make(map[string]GPUPoint),
-		orderMPKI: make(map[string]perfmon.Metrics),
+		Cfg:      cfg,
+		graphs:   make(map[string]*property.Graph),
+		marks:    make(map[*property.Graph]uint64),
+		views:    make(map[string]*property.View),
+		csrs:     make(map[string]*csr.Graph),
+		profiles: make(map[string]perfmon.Metrics),
+		gpuRuns:  make(map[string]GPUPoint),
 	}
 }
 
-// Graph returns the cached dataset, generating it on first use. When
-// Cfg.Input names a file, that file is loaded once and substituted
-// for every dataset name (mutating workloads still clone, so the shared
-// graph stays pristine). A new graph gets its fixed layout (see layout).
+// dataset returns the session name of the requested dataset: the name
+// itself, or with Cfg.Input set the input file's base name, whatever was
+// asked for.
+func (s *Session) dataset(name string) string {
+	if s.Cfg.Input != "" {
+		return filepath.Base(s.Cfg.Input)
+	}
+	return name
+}
+
+// DatasetNames lists the session's datasets: the five experiment datasets
+// in Table 7 order, or the input file alone when Cfg.Input is set.
+func (s *Session) DatasetNames() []string {
+	if s.Cfg.Input != "" {
+		return []string{s.dataset("")}
+	}
+	names := make([]string, len(gen.Catalog))
+	for i, d := range gen.Catalog {
+		names[i] = d.Name
+	}
+	return names
+}
+
+// Graph returns the cached dataset, generating it (or loading Cfg.Input)
+// on first use. Mutating workloads clone it, so the shared graph stays
+// pristine. A new graph gets its fixed layout (see layout).
 func (s *Session) Graph(name string) (*property.Graph, error) {
+	name = s.dataset(name)
 	if g, ok := s.graphs[name]; ok {
 		return g, nil
 	}
+	var g *property.Graph
 	if s.Cfg.Input != "" {
-		g, ok := s.graphs["\x00input"]
-		if !ok {
-			var err error
-			if g, err = loader.Load(s.Cfg.Input); err != nil {
-				return nil, err
-			}
-			s.layout(g)
-			s.graphs["\x00input"] = g
+		var err error
+		if g, err = loader.Load(s.Cfg.Input); err != nil {
+			return nil, err
 		}
-		s.graphs[name] = g
-		return g, nil
+	} else {
+		d, err := gen.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		g = d.Generate(s.Cfg.Scale, s.Cfg.Seed, 0)
 	}
-	d, err := gen.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(s.Cfg.Scale, s.Cfg.Seed, s.Cfg.Workers)
 	s.layout(g)
 	s.graphs[name] = g
 	return g, nil
@@ -172,6 +186,7 @@ func (s *Session) layout(g *property.Graph) {
 
 // View returns the cached dense view of the dataset.
 func (s *Session) View(name string) (*property.View, error) {
+	name = s.dataset(name)
 	if v, ok := s.views[name]; ok {
 		return v, nil
 	}
@@ -183,7 +198,7 @@ func (s *Session) View(name string) (*property.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := g.ViewWith(property.ViewOpts{Workers: s.Cfg.Workers, Order: ord})
+	v := g.ViewWith(property.ViewOpts{Order: ord})
 	s.views[name] = v
 	return v, nil
 }
@@ -192,6 +207,7 @@ func (s *Session) View(name string) (*property.View, error) {
 // step of §4.1). Its simulated arrays are placed from the dataset's layout
 // mark, like every instrumented run's structures.
 func (s *Session) CSR(name string) (*csr.Graph, error) {
+	name = s.dataset(name)
 	if c, ok := s.csrs[name]; ok {
 		return c, nil
 	}
@@ -276,6 +292,7 @@ func (s *Session) profile(wl core.Workload, in input, machine perfmon.Config) (p
 // session machine. Each (workload, dataset) is profiled once per session;
 // the CPU sweep, Figs 9 and 12 and ext01 all read the cached run.
 func (s *Session) Profile(wlName, dataset string) (perfmon.Metrics, error) {
+	dataset = s.dataset(dataset)
 	key := wlName + "@" + dataset
 	if m, ok := s.profiles[key]; ok {
 		return m, nil
@@ -304,19 +321,4 @@ func (s *Session) CPUSweep() (map[string]perfmon.Metrics, error) {
 		sweep[name] = m
 	}
 	return sweep, nil
-}
-
-// RunGPU executes one GPU workload on a fresh device over the dataset's
-// CSR form, returning the workload result (with device counters inside).
-func (s *Session) RunGPU(wl core.Workload, dataset string) (gpuwl.Result, *simt.Device, error) {
-	c, err := s.CSR(dataset)
-	if err != nil {
-		return gpuwl.Result{}, nil, err
-	}
-	d := simt.NewDevice(s.Cfg.GPU)
-	res, err := wl.RunGPU(d, c)
-	if err != nil {
-		return gpuwl.Result{}, nil, err
-	}
-	return res, d, nil
 }

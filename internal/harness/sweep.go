@@ -38,7 +38,7 @@ func (s *Session) SizeSweep(wlName string, fractions []float64) ([]SweepPoint, e
 		if v < 64 {
 			v = 64
 		}
-		g := gen.LDBC(v, s.Cfg.Seed, s.Cfg.Workers)
+		g := gen.LDBC(v, s.Cfg.Seed, 0)
 		m, err := s.profile(wl, input{g: g, vw: g.View()}, s.Cfg.Machine)
 		if err != nil {
 			return nil, err

@@ -21,6 +21,7 @@ package ndp
 import (
 	"github.com/graphbig/graphbig-go/internal/cachesim"
 	"github.com/graphbig/graphbig-go/internal/mem"
+	"github.com/graphbig/graphbig-go/internal/perfmon"
 )
 
 // Config describes the NDP machine.
@@ -71,7 +72,7 @@ func DefaultConfig() Config {
 type Profile struct {
 	cfg   Config
 	cache *cachesim.Cache
-	bp    *gshareLite
+	bp    *perfmon.Gshare
 
 	insts     uint64
 	local     uint64
@@ -84,7 +85,7 @@ func NewProfile(cfg Config) *Profile {
 	return &Profile{
 		cfg:   cfg,
 		cache: cachesim.New(cfg.Cache),
-		bp:    newGshareLite(12),
+		bp:    perfmon.NewGshare(12, 12), // small table for the shallow pipeline
 	}
 }
 
@@ -125,7 +126,7 @@ func (p *Profile) Inst(n uint64) { p.insts += n }
 // Branch implements mem.Tracker.
 func (p *Profile) Branch(site uint32, taken bool) {
 	p.insts++
-	p.bp.predict(site, taken)
+	p.bp.Predict(site, taken)
 }
 
 // Enter implements mem.Tracker (class split is not used by the NDP model).
@@ -156,7 +157,7 @@ func (p *Profile) Report() Metrics {
 	retire := float64(p.insts) / float64(cfg.IssueWidth)
 	memStall := (float64(p.local)*float64(cfg.VaultLatency) +
 		float64(p.remote)*float64(cfg.RemoteVaultLatency)) / cfg.MLP
-	badspec := float64(p.bp.misses) * float64(cfg.BranchMissPenalty)
+	badspec := float64(p.bp.Misses) * float64(cfg.BranchMissPenalty)
 	cycles := retire + memStall + badspec
 	scale := float64(cfg.Units) * cfg.UnitEfficiency
 	if scale < 1 {
@@ -171,39 +172,4 @@ func (p *Profile) Report() Metrics {
 		HostCycles:         uint64(cycles * cfg.ClockRatio),
 		HostCyclesParallel: uint64(cycles * cfg.ClockRatio / scale),
 	}
-}
-
-// gshareLite is a small two-bit gshare for the shallow NDP pipeline.
-type gshareLite struct {
-	table   []uint8
-	mask    uint32
-	history uint32
-	misses  uint64
-}
-
-func newGshareLite(bits int) *gshareLite {
-	return &gshareLite{table: make([]uint8, 1<<bits), mask: uint32(1<<bits - 1)}
-}
-
-func (g *gshareLite) predict(site uint32, taken bool) {
-	idx := (site*2654435761 ^ g.history) & g.mask
-	ctr := g.table[idx]
-	if (ctr >= 2) != taken {
-		g.misses++
-	}
-	if taken {
-		if ctr < 3 {
-			g.table[idx]++
-		}
-	} else if ctr > 0 {
-		g.table[idx]--
-	}
-	g.history = (g.history<<1 | b2u(taken)) & 0xfff
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -54,7 +54,7 @@ func (p *Profile) Report() Metrics {
 	m.Insts = insts
 	m.Loads = p.loads
 	m.Stores = p.stores
-	m.Branches = p.bp.branches
+	m.Branches = p.bp.Branches
 
 	m.L1DMPKI = d.l1d.MPKI(insts)
 	// Prefetch probes inflate raw L2 access counts; expose demand MPKI.
@@ -74,14 +74,14 @@ func (p *Profile) Report() Metrics {
 	// nil checks) are accounted statistically as one per 8 instructions.
 	implicitBr := float64(insts) / 8
 	m.BranchMiss = 0
-	if b := float64(p.bp.branches) + implicitBr; b > 0 {
-		m.BranchMiss = float64(p.bp.misses) / b
+	if b := float64(p.bp.Branches) + implicitBr; b > 0 {
+		m.BranchMiss = float64(p.bp.Misses) / b
 	}
 	m.DTLBMisses = d.dtlb.Misses()
 	m.FrameworkShare = p.FrameworkShare()
 
 	retiring := float64(insts) / float64(cfg.IssueWidth)
-	badspec := float64(p.bp.misses) * float64(cfg.BranchMissPenalty)
+	badspec := float64(p.bp.Misses) * float64(cfg.BranchMissPenalty)
 	frontend := float64(p.l1i.Misses()) * float64(cfg.ICacheMissCost)
 
 	l2Hits := d.l2.Hits()

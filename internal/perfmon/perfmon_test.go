@@ -9,10 +9,10 @@ import (
 )
 
 func TestGsharePredictsLoops(t *testing.T) {
-	g := newGshare(14, 12)
+	g := NewGshare(14, 12)
 	// An always-taken loop branch becomes perfectly predicted.
 	for i := 0; i < 1000; i++ {
-		g.predict(7, true)
+		g.Predict(7, true)
 	}
 	if g.missRate() > 0.02 {
 		t.Errorf("loop branch miss rate = %v", g.missRate())
@@ -20,13 +20,13 @@ func TestGsharePredictsLoops(t *testing.T) {
 }
 
 func TestGshareRandomIsHard(t *testing.T) {
-	g := newGshare(14, 12)
+	g := NewGshare(14, 12)
 	x := uint64(88172645463325252)
 	for i := 0; i < 20000; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		g.predict(3, x&1 == 0)
+		g.Predict(3, x&1 == 0)
 	}
 	if g.missRate() < 0.3 {
 		t.Errorf("random branch miss rate = %v, want >= 0.3", g.missRate())

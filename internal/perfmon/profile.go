@@ -29,7 +29,7 @@ type Profile struct {
 	cfg Config
 
 	l1i *cachesim.Cache
-	bp  *gshare
+	bp  *Gshare
 
 	insts  [2]uint64 // retired, by mem.Class
 	loads  uint64
@@ -108,7 +108,7 @@ func NewProfile(cfg Config) *Profile {
 	return &Profile{
 		cfg:     cfg,
 		l1i:     l1i,
-		bp:      newGshare(cfg.PredictorBits, cfg.HistoryBits),
+		bp:      NewGshare(cfg.PredictorBits, cfg.HistoryBits),
 		iShift:  l1i.LineShift(),
 		jumpRNG: 0x9e3779b97f4a7c15,
 		hotJump: hotJumpThreshold(cfg.HotJumpProb),
@@ -255,7 +255,7 @@ func (p *Profile) Inst(n uint64) {
 // Branch implements mem.Tracker.
 func (p *Profile) Branch(site uint32, taken bool) {
 	p.insts[p.class()]++
-	p.bp.predict(site, taken)
+	p.bp.Predict(site, taken)
 	if taken {
 		// Jump the synthetic PC: hot-loop target most of the time, a cold
 		// path occasionally. This is what keeps GraphBIG's ICache MPKI low
