@@ -121,6 +121,30 @@ type rec struct{ id, deg int32 }
 func f(id, deg int) rec {
 	return rec{int32(id), int32(deg)} // want "int32\\(id\\) from int" "int32\\(deg\\) from int"
 }`},
+		{"type-parameter-source", `
+func f[T ~int8 | ~int | ~int16](n T) int32 {
+	return int32(n) // want "narrowing conversion int32\\(n\\) from T"
+}`},
+		{"type-parameter-source-embedded", `
+type Signed interface{ ~int8 | ~int16 | ~int32 | ~int64 }
+
+type Index interface{ Signed }
+
+func f[T Index](n T) uint16 {
+	return uint16(n) // want "narrowing conversion uint16\\(n\\) from T"
+}`},
+		{"type-parameter-destination", `
+func f[T ~int8 | ~int64](n int32) T {
+	return T(n) // want "narrowing conversion T\\(n\\) from int32"
+}`},
+		{"type-parameter-widening-silent", `
+func f[T ~int8 | ~int16 | ~int32, U ~int64 | ~uint64](n T, u int32) (int32, int64, U) {
+	return int32(n), int64(n), U(u)
+}`},
+		{"type-parameter-without-integers-silent", `
+func f[T ~float32 | ~float64, A any](x T, a A) (int8, any) {
+	return int8(x), any(a)
+}`},
 		{"widening-silent", `
 func f(a int8, b int32, c uint32, d uint16) (int, int64, uint64, int) {
 	return int(a), int64(b), uint64(c), int(d)

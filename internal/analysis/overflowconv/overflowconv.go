@@ -73,17 +73,25 @@ func run(pass *analysis.Pass) error {
 // wordBits is the width of int/uint on the build platform.
 const wordBits = 32 << (^uint(0) >> 63)
 
-// narrowing reports the conversion src -> dst reduces integer width.
+// narrowing reports the conversion src -> dst reduces integer width. A
+// type parameter is as wide as the widest integer term of its type set on
+// the source side and as narrow as the narrowest on the destination side:
+// the conversion is reported if some instantiation narrows.
 func narrowing(src, dst types.Type) bool {
-	sw := intWidth(src)
-	dw := intWidth(dst)
+	sw := intWidth(src, true)
+	dw := intWidth(dst, false)
 	return sw != 0 && dw != 0 && dw < sw
 }
 
-// intWidth returns the bit width of an integer basic type, 0 otherwise.
-// int/uint/uintptr use the build platform's width, matching the
-// compiled artifact CI checks.
-func intWidth(t types.Type) int {
+// intWidth returns the bit width of an integer type, 0 for any other.
+// int/uint/uintptr use the build platform's width, matching the compiled
+// artifact CI checks. For a type parameter it folds the widths of the
+// integer terms of its constraint, keeping the widest when wide is set and
+// the narrowest otherwise; a constraint without integer terms gives 0.
+func intWidth(t types.Type, wide bool) int {
+	if tp, ok := t.(*types.TypeParam); ok {
+		return termWidth(tp.Constraint(), wide)
+	}
 	b, ok := t.Underlying().(*types.Basic)
 	if !ok {
 		return 0
@@ -101,4 +109,29 @@ func intWidth(t types.Type) int {
 		return wordBits
 	}
 	return 0
+}
+
+// termWidth folds intWidth over the terms of a constraint: the types its
+// unions name and those of the interfaces it embeds.
+func termWidth(t types.Type, wide bool) int {
+	var terms []types.Type
+	switch u := t.Underlying().(type) {
+	case *types.Interface:
+		for i := range u.NumEmbeddeds() {
+			terms = append(terms, u.EmbeddedType(i))
+		}
+	case *types.Union:
+		for i := range u.Len() {
+			terms = append(terms, u.Term(i).Type())
+		}
+	default:
+		return intWidth(t, wide)
+	}
+	w := 0
+	for _, term := range terms {
+		if tw := termWidth(term, wide); tw != 0 && (w == 0 || (tw > w) == wide) {
+			w = tw
+		}
+	}
+	return w
 }

@@ -70,23 +70,6 @@ func cpuMetricsOK(m perfmon.Metrics) bool {
 	return m.Insts > 0 && m.TotalCycles > 0 && m.IPC > 0
 }
 
-func TestProfileCPUAllWorkloads(t *testing.T) {
-	s := tinySession()
-	for _, wl := range core.Workloads {
-		prof := perfmon.NewProfile(s.Cfg.Machine)
-		res, err := s.run(wl, input{dataset: "ldbc"}, prof)
-		if err != nil {
-			t.Fatalf("%s: %v", wl.Name, err)
-		}
-		if m := prof.Report(); !cpuMetricsOK(m) {
-			t.Errorf("%s metrics implausible: %+v", wl.Name, m)
-		}
-		if res == nil || res.Workload == "" {
-			t.Errorf("%s missing result", wl.Name)
-		}
-	}
-}
-
 func TestMutatingWorkloadsDontCorruptCache(t *testing.T) {
 	s := tinySession()
 	g, _ := s.Graph("ldbc")
@@ -114,22 +97,6 @@ func TestByIDAndOrder(t *testing.T) {
 	// extensions, and the ablations.
 	if len(Experiments) != 17 {
 		t.Errorf("experiments = %d, want 17", len(Experiments))
-	}
-}
-
-func TestFig8GroupsAllTypes(t *testing.T) {
-	s := tinySession()
-	data, err := Fig8Data(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 3 {
-		t.Fatalf("type groups = %d", len(data))
-	}
-	for _, d := range data {
-		if d.IPC <= 0 {
-			t.Errorf("%v IPC = %v", d.Type, d.IPC)
-		}
 	}
 }
 
@@ -169,12 +136,26 @@ func TestExt01NDPFavorsCompStruct(t *testing.T) {
 // from a run after the sweep, a CSR build and ext04 have used the same
 // graph. Already at the tiny session's scale, 10 of the 13 workloads
 // read differently when a run starts from wherever the last one left the
-// graph's arena and schema.
+// graph's arena and schema. The fresh runs must also return a result and
+// plausible counters, and Fig 8 must average the sweep into all three
+// computation types.
 func TestProfilesAreHistoryFree(t *testing.T) {
 	used := tinySession()
 	sweep, err := used.CPUSweep()
 	if err != nil {
 		t.Fatal(err)
+	}
+	groups, err := Fig8Data(used)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 3 {
+		t.Fatalf("Fig 8 type groups = %d, want 3", len(groups))
+	}
+	for _, d := range groups {
+		if d.IPC <= 0 {
+			t.Errorf("Fig 8 %v IPC = %v", d.Type, d.IPC)
+		}
 	}
 	if _, err := used.CSR("ldbc"); err != nil {
 		t.Fatal(err)
@@ -184,9 +165,17 @@ func TestProfilesAreHistoryFree(t *testing.T) {
 	}
 	for _, wl := range core.Workloads {
 		fresh := tinySession()
-		want, err := fresh.profile(wl, input{dataset: "ldbc"}, fresh.Cfg.Machine)
+		prof := perfmon.NewProfile(fresh.Cfg.Machine)
+		res, err := fresh.run(wl, input{dataset: "ldbc"}, prof)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", wl.Name, err)
+		}
+		if res == nil || res.Workload == "" {
+			t.Errorf("%s missing result", wl.Name)
+		}
+		want := prof.Report()
+		if !cpuMetricsOK(want) {
+			t.Errorf("%s metrics implausible: %+v", wl.Name, want)
 		}
 		again, err := used.profile(wl, input{dataset: "ldbc"}, used.Cfg.Machine)
 		if err != nil {

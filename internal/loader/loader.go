@@ -17,13 +17,16 @@ package loader
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -191,37 +194,130 @@ func build(el *property.EdgeList, directed bool) *property.Graph {
 // exactly as on generated ones. The stream may be gzip-compressed — the
 // reader sniffs the two magic bytes rather than trusting a file
 // extension.
-func ReadSNAP(r io.Reader) (*property.Graph, error) { return readSNAP(r, true) }
+//
+// The stream is read in blocks of whole lines and the blocks are parsed
+// concurrently, one worker per GOMAXPROCS (readSNAPBlocks).
+func ReadSNAP(r io.Reader) (*property.Graph, error) {
+	return readSNAPBlocks(r, snapBlock, runtime.GOMAXPROCS(0))
+}
 
-// readSNAP with fast=false sends every line through parseSNAPLine, the
-// reference the fuzz target compares the byte-level path against.
-func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
+// snapBlock is the size of the blocks ReadSNAP parses at a time: large
+// enough that handing one over costs nothing next to parsing it (about
+// 4 600 lines of the benchmark's file), small enough to stay in L2.
+const snapBlock = 64 << 10
+
+// snapInFlight is how many blocks the reader keeps in flight per worker:
+// one being parsed, one queued behind it. A block holds its bytes and
+// room for snapBlock/8 parsed lines, 256 KiB in all, so two workers keep
+// 1 MiB in flight beside the scanner's own 1 MiB buffer.
+const snapInFlight = 2
+
+// snapEdge is one parsed line, its endpoints not yet interned.
+type snapEdge struct {
+	src, dst uint64
+	w        float64
+}
+
+// lineBlock is a run of whole lines and what parsing them gave.
+type lineBlock struct {
+	data []byte
+	// rerr is the stream's failure when it had already failed as the block
+	// was cut out of it: lineErr's condition, which holds for every line
+	// of one block, since the scanner reads only when no whole line is
+	// left in its buffer.
+	rerr  error
+	edges []snapEdge
+	lines int    // lines parsed, the bad one included
+	bad   []byte // the first line that did not parse, or nil
+	done  chan struct{}
+}
+
+// parse parses the block's lines up to the first bad one. A line is what
+// bufio.ScanLines makes of it: the text before '\n', or before the end of
+// the block, less one trailing '\r'.
+func (b *lineBlock) parse() {
+	b.edges, b.lines, b.bad = b.edges[:0], 0, nil
+	for data := b.data; len(data) > 0; {
+		b.lines++
+		src, dst, w, n := parseSNAPFast(data)
+		ok := n > 0
+		if !ok {
+			line := data
+			if n = bytes.IndexByte(data, '\n') + 1; n > 0 {
+				line = data[:n-1]
+			} else {
+				n = len(data)
+			}
+			if k := len(line); k > 0 && line[k-1] == '\r' {
+				line = line[:k-1]
+			}
+			var err error
+			if src, dst, w, ok, err = parseSNAPLine(string(line), b.lines); err != nil {
+				b.bad = line
+				return
+			}
+		}
+		data = data[n:]
+		if ok { // else a blank or comment line
+			b.edges = append(b.edges, snapEdge{src, dst, w})
+		}
+	}
+}
+
+// blockSplit is a bufio.SplitFunc that cuts whole lines, about size bytes
+// of them: up to the last newline in the first size bytes, or the first
+// newline after them when a line is longer. It asks for more data exactly
+// when bufio.ScanLines would — when no whole line is buffered — so the
+// scanner reads the stream as it would for single lines, and fails, with
+// bufio.ErrTooLong or the stream's error, at the same line.
+func blockSplit(size int) bufio.SplitFunc {
+	return func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.LastIndexByte(data[:min(len(data), size)], '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	}
+}
+
+// readSNAPBlocks is ReadSNAP over blocks of about size bytes, parsed by
+// workers goroutines. A reader goroutine cuts the blocks, copying each
+// out of the scanner, the workers parse them, and the caller takes them
+// in order and interns their endpoints, so vertices get their indices in
+// order of first mention and the first bad line is the error, as if the
+// lines were read one by one.
+func readSNAPBlocks(r io.Reader, size, workers int) (*property.Graph, error) {
 	in, err := gunzip(r)
 	if err != nil {
 		return nil, err
 	}
-	var el property.EdgeList
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Split(blockSplit(size))
+	var el property.EdgeList
 	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		var src, dst uint64
-		var w float64
-		ok := false
-		if fast {
-			src, dst, w, ok = parseSNAPFast(sc.Bytes())
+	// take enters a parsed block, or returns the error of its bad line.
+	take := func(b *lineBlock) error {
+		for _, e := range b.edges {
+			el.Add(el.Intern(property.VertexID(e.src)), el.Intern(property.VertexID(e.dst)), e.w)
 		}
-		if !ok {
-			var err error
-			if src, dst, w, ok, err = parseSNAPLine(sc.Text(), lineNo); err != nil {
-				return nil, lineErr(sc, lineNo, err)
-			}
-			if !ok {
-				continue // blank or comment
-			}
+		lineNo += b.lines
+		if b.bad == nil {
+			return nil
 		}
-		el.Add(el.Intern(property.VertexID(src)), el.Intern(property.VertexID(dst)), w)
+		if b.rerr != nil {
+			return fmt.Errorf("loader: line %d: %w", lineNo, b.rerr)
+		}
+		_, _, _, _, err := parseSNAPLine(string(b.bad), lineNo)
+		return err
+	}
+	if err := pipeBlocks(sc, size, workers, take); err != nil {
+		return nil, err
 	}
 	if err := lineErr(sc, lineNo+1, nil); err != nil {
 		return nil, err
@@ -230,6 +326,67 @@ func readSNAP(r io.Reader, fast bool) (*property.Graph, error) {
 		return nil, fmt.Errorf("loader: no edges in SNAP input")
 	}
 	return build(&el, true), nil
+}
+
+// pipeBlocks runs the scanner on its own goroutine and the parse on
+// workers goroutines, in blocks of about size bytes, and calls take on
+// the parsed blocks in order until it returns an error. It returns that
+// error once the scanner and every worker have stopped, so nothing reads
+// the stream after it returns.
+func pipeBlocks(sc *bufio.Scanner, size, workers int, take func(*lineBlock) error) error {
+	// Each channel is sized to hold every block at once, so the sends on
+	// work, order and free never block; the reader waits only for a free
+	// block, and the stop signal quit.
+	blocks := snapInFlight * workers
+	free := make(chan *lineBlock, blocks)
+	for range blocks {
+		free <- &lineBlock{
+			data:  make([]byte, 0, size),
+			edges: make([]snapEdge, 0, size/8),
+			done:  make(chan struct{}, 1),
+		}
+	}
+	work := make(chan *lineBlock, blocks)
+	order := make(chan *lineBlock, blocks)
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		defer close(order)
+		defer close(work)
+		for sc.Scan() {
+			var b *lineBlock
+			select {
+			case b = <-free:
+			case <-quit:
+				return
+			}
+			b.data, b.rerr = append(b.data[:0], sc.Bytes()...), sc.Err()
+			work <- b
+			order <- b
+		}
+	}()
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				b.parse()
+				b.done <- struct{}{}
+			}
+		}()
+	}
+	var err error
+	for b := range order {
+		<-b.done
+		if err = take(b); err != nil {
+			break
+		}
+		free <- b
+	}
+	close(quit)
+	wg.Wait()
+	return err
 }
 
 // gunzip returns r buffered, behind a gzip reader when it opens with the
@@ -276,50 +433,67 @@ func parseSNAPLine(text string, lineNo int) (src, dst uint64, w float64, ok bool
 	return src, dst, w, true, nil
 }
 
-// parseSNAPFast recognises the canonical ASCII line
+// parseSNAPFast recognises the canonical ASCII line at the front of b
 //
-//	digits ws digits [ws number] [ws]      ws = spaces and tabs
+//	digits ws digits [ws number] [ws] [\r] (\n | end of b)      ws = spaces and tabs
 //
-// straight from the scanner's buffer. It reports ok=false for anything
-// else — comments and blanks, a 20-digit ID, a byte outside printable
-// ASCII, a weight strconv or validWeight would refuse — and the caller
-// sends that line through parseSNAPLine, so the two can only differ in
-// speed. Integral weights below 2^53 are exact in a float64 and converted
-// directly; other weights go through strconv.ParseFloat here too.
-func parseSNAPFast(b []byte) (src, dst uint64, w float64, ok bool) {
+// straight from the block and returns its fields and the bytes it takes,
+// newline included. It returns n = 0 for anything else — comments and
+// blanks, a 20-digit ID, a byte outside printable ASCII, a weight strconv
+// or validWeight would refuse — and the caller sends that line through
+// parseSNAPLine, so the two can only differ in speed. Integral weights
+// below 2^53 are exact in a float64 and converted directly; other weights
+// go through strconv.ParseFloat here too.
+func parseSNAPFast(b []byte) (src, dst uint64, w float64, n int) {
 	i := 0
 	if src, i = scanDigits(b, i); i < 0 {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0
 	}
 	j := skipBlanks(b, i)
 	if j == i {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0
 	}
 	if dst, i = scanDigits(b, j); i < 0 {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0
 	}
 	j = skipBlanks(b, i)
-	if j == len(b) {
-		return src, dst, 1, true
+	if n = lineEnd(b, j); n > 0 {
+		return src, dst, 1, n
 	}
 	if j == i {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0
 	}
 	end := j
 	for end < len(b) && b[end] > ' ' && b[end] < 0x7f {
 		end++
 	}
-	if skipBlanks(b, end) != len(b) {
-		return 0, 0, 0, false
+	if n = lineEnd(b, skipBlanks(b, end)); n == 0 {
+		return 0, 0, 0, 0
 	}
 	if u, k := scanDigits(b, j); k == end && end-j <= 15 {
-		return src, dst, float64(u), true
+		return src, dst, float64(u), n
 	}
 	w, err := strconv.ParseFloat(string(b[j:end]), 64)
 	if err != nil || !validWeight(w) {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0
 	}
-	return src, dst, w, true
+	return src, dst, w, n
+}
+
+// lineEnd returns the length of the line of b that ends at j, its newline
+// included — j at the end of b or at a '\n', either possibly after one
+// '\r' — or 0 when j is not the end of a line.
+func lineEnd(b []byte, j int) int {
+	if j < len(b) && b[j] == '\r' {
+		j++
+	}
+	switch {
+	case j == len(b):
+		return j
+	case b[j] == '\n':
+		return j + 1
+	}
+	return 0
 }
 
 // scanDigits reads one to nineteen decimal digits at b[i:] (nineteen

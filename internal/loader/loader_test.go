@@ -476,8 +476,42 @@ func sameGraph(a, b *property.Graph) string {
 	return ""
 }
 
-// FuzzReadSNAP holds the byte-level fast path to the general parser: on
-// any input both fail with the same message or both build the same graph.
+// readSNAPSerial is the reference ReadSNAP is held to: the stream scanned
+// line by line, every line through the general parser, one goroutine.
+func readSNAPSerial(r io.Reader) (*property.Graph, error) {
+	in, err := gunzip(r)
+	if err != nil {
+		return nil, err
+	}
+	var el property.EdgeList
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		src, dst, w, ok, err := parseSNAPLine(sc.Text(), lineNo)
+		if err != nil {
+			return nil, lineErr(sc, lineNo, err)
+		}
+		if ok {
+			el.Add(el.Intern(property.VertexID(src)), el.Intern(property.VertexID(dst)), w)
+		}
+	}
+	if err := lineErr(sc, lineNo+1, nil); err != nil {
+		return nil, err
+	}
+	if el.NumEdges() == 0 {
+		return nil, fmt.Errorf("loader: no edges in SNAP input")
+	}
+	return build(&el, true), nil
+}
+
+// FuzzReadSNAP holds the block reader — byte-level fast path, blocks of any
+// size down to one byte, one worker or several — to the serial reference:
+// on any input both fail with the same message or both build the same
+// graph. A block ends at the last newline before its size, or at the first
+// after it, so the size aims the cut anywhere: inside a line, between '\r'
+// and '\n', inside a comment, inside a gzip stream whole or cut short.
 func FuzzReadSNAP(f *testing.F) {
 	for _, seed := range []string{
 		"# c\n0 1\n1 2 2.5\n",
@@ -485,22 +519,42 @@ func FuzzReadSNAP(f *testing.F) {
 		"18446744073709551615 1\n18446744073709551616 1\n",
 		"1 2 1e3\n1 2 0x1p4\n1 2 -0\n",
 		"1 2 3 4\n",
-		"1 2 3\n1 2 3\n1\v2\n",
+		"1 2 3\n1 2 3\n1\v2\n",
 		"1 2 9007199254740993\n1 2 999999999999999\n1 2 +7\n",
 		"١ ٢\n",
 		"1 2 NaN\n",
 		"\x1f\x8b",
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed), uint16(1<<15), uint8(0))
+		f.Add([]byte(seed), uint16(2), uint8(3))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, ferr := readSNAP(bytes.NewReader(data), true)
-		ref, rerr := readSNAP(bytes.NewReader(data), false)
-		if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
-			t.Fatalf("fast path: %v\ngeneral path: %v", ferr, rerr)
+	var zipped, cut bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	zw.Write([]byte("1 2\n2 3 0.5\n# c\n3 1\n"))
+	zw.Close()
+	zw = gzip.NewWriter(&cut)
+	for i := range 400 {
+		fmt.Fprintf(zw, "%d %d\n", i, i+1)
+		if i == 350 {
+			zw.Write([]byte("7 x\n"))
 		}
-		if ferr == nil {
-			if d := sameGraph(fast, ref); d != "" {
+	}
+	zw.Close()
+	f.Add([]byte("10 20\n30 40 2.5\n"), uint16(2), uint8(1))              // inside a line
+	f.Add([]byte("1 2\r\n3 4\r\n"), uint16(4), uint8(2))                  // between \r and \n
+	f.Add([]byte("# a comment that runs on\n1 2\n"), uint16(4), uint8(2)) // inside a comment
+	f.Add(zipped.Bytes(), uint16(2), uint8(2))                            // inside a gzip stream
+	f.Add(cut.Bytes()[:cut.Len()-30], uint16(16), uint8(3))               // a gzip stream cut short
+	f.Add(cut.Bytes()[:cut.Len()-30], uint16(16), uint8(0))               // the same, one worker
+	f.Fuzz(func(t *testing.T, data []byte, size uint16, workers uint8) {
+		block, w := max(1, int(size)), 1+int(workers%4)
+		got, gerr := readSNAPBlocks(bytes.NewReader(data), block, w)
+		ref, rerr := readSNAPSerial(bytes.NewReader(data))
+		if (gerr == nil) != (rerr == nil) || (gerr != nil && gerr.Error() != rerr.Error()) {
+			t.Fatalf("blocks of %d, %d workers: %v\nserial: %v", block, w, gerr, rerr)
+		}
+		if gerr == nil {
+			if d := sameGraph(got, ref); d != "" {
 				t.Fatal(d)
 			}
 		}

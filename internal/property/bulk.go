@@ -1,6 +1,8 @@
 package property
 
 import (
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
@@ -34,16 +36,104 @@ type BulkInput interface {
 // long enough to make the call free and short enough to stay in L2.
 const bulkBlock = 4096
 
-// forEdgeBlocks calls fn on the runs of in's edge sequence, in order.
-func forEdgeBlocks(in BulkInput, fn func(run []BulkEdge)) {
+// forEdgeBlocks calls fn on the runs of edges lo..hi-1 of in's sequence, in
+// order.
+func forEdgeBlocks(in BulkInput, lo, hi int, fn func(run []BulkEdge)) {
 	buf := make([]BulkEdge, bulkBlock)
-	for e, m := 0, in.NumEdges(); e < m; {
-		run := in.Edges(e, buf)
+	for e := lo; e < hi; {
+		run := in.Edges(e, buf[:min(len(buf), hi-e)])
 		if len(run) == 0 {
 			panic("property: BulkInput.Edges returned no edge before the end of the sequence")
 		}
+		run = run[:min(len(run), hi-e)]
 		fn(run)
 		e += len(run)
+	}
+}
+
+// bulkRanges is how many contiguous ranges Bulk cuts m edges over n
+// vertices into: one per worker, none of them empty, and no more than keep
+// the per-range counters (n int32 each) within four per edge, the size of
+// the out-slab they index.
+func bulkRanges(workers, n, m int) int {
+	return max(1, min(concurrent.Workers(workers), m, 4*m/max(n, 1)))
+}
+
+// eachRange runs fn on the nr ranges of an m-edge sequence concurrently,
+// range r being edges r*m/nr up to (r+1)*m/nr.
+func eachRange(nr, m int, fn func(r, lo, hi int)) {
+	if nr == 1 {
+		fn(0, 0, m)
+		return
+	}
+	var wg sync.WaitGroup
+	for r := range nr {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(r, r*m/nr, (r+1)*m/nr)
+		}()
+	}
+	wg.Wait()
+}
+
+// growsAt reports whether a list holding c records grows to take the
+// next: at 0 and at every capacity grownCap reaches (4, 8, 16, ...).
+func growsAt(c int32) bool { return c&(c-1) == 0 && uint32(c)-1 >= 2 }
+
+// firstGrowFrom is the first record count from c on at which a list grows.
+func firstGrowFrom(c int32) int32 {
+	if c == 0 {
+		return 0
+	}
+	return max(4, int32(1)<<bits.Len32(uint32(c-1)))
+}
+
+// alignUp rounds an arena offset up to listAlign, as Arena.Alloc does.
+func alignUp(a uint64) uint64 { return (a + listAlign - 1) &^ (listAlign - 1) }
+
+// rangeBases turns per-range record counts into each range's base in every
+// row — cnt[r][v] becomes the number of v's records in ranges before r —
+// writes every row's total to off[v+1], and adds to bytes[r] the arena
+// space range r's grows take, at rec bytes a record, each chunk from a
+// listAlign boundary. Vertex ranges go to workers.
+func rangeBases(cnt [][]int32, off []int32, rec uint64, bytes []uint64, workers int) {
+	var mu sync.Mutex
+	concurrent.ParallelRange(len(off)-1, workers, func(lo, hi int) {
+		span := make([]uint64, len(cnt))
+		for v := lo; v < hi; v++ {
+			var run int32
+			for r, c := range cnt {
+				n := c[v]
+				c[v] = run
+				for k := firstGrowFrom(run); k < run+n; k = grownCap(k) {
+					span[r] += alignUp(uint64(grownCap(k)) * rec)
+				}
+				run += n
+			}
+			off[v+1] = run
+		}
+		mu.Lock()
+		for r, b := range span {
+			bytes[r] += b
+		}
+		mu.Unlock()
+	})
+}
+
+// arenaRun hands out the addresses one range's grows take, in its order,
+// as successive Alloc calls would from next on.
+type arenaRun struct{ next uint64 }
+
+// grow gives a list of total records that grows at c records its next
+// chunk: it sets *addr and *capacity when that chunk is the list's last,
+// the one the list ends in.
+func (a *arenaRun) grow(c, total int32, rec uint64, addr *uint64, capacity *int32) {
+	k := grownCap(c)
+	at := alignUp(a.next)
+	a.next = at + uint64(k)*rec
+	if k >= total {
+		*addr, *capacity = at, k
 	}
 }
 
@@ -62,15 +152,21 @@ func forEdgeBlocks(in BulkInput, fn func(run []BulkEdge)) {
 // id→vertex table stands where the shards' maps would.
 //
 // The simulated layout is a function of the order of the arena's
-// allocations, so it is replayed rather than derived, on one goroutine:
-// vertex records and index-table doublings in vertex order (place), then a
-// first pass over the edge sequence that counts degrees and calls
-// growEdges/growIn at the very edge where AddEdge would have. What the
-// layout does not depend on runs wide: the index is filled shard by
-// shard, and a second pass fills the lists — workers own disjoint
-// vertex ranges, and each scans the whole sequence for the records that
-// land in its range, so every list has one writer, is filled in sequence
-// order, and needs no lock.
+// allocations. Vertex records and index-table doublings are replayed on
+// one goroutine in vertex order (place); the index, which takes no part in
+// the layout, is filled shard by shard. The edge sequence is cut into
+// contiguous ranges, one per worker, and read twice, each edge once per
+// pass by its range's worker. The first pass counts each range's records
+// per vertex. Their prefix sums give every list its slab row and every
+// range its base in each row, and tell each range which of the list
+// growths AddEdge would make (growsAt) fall inside it and how much arena
+// space they take: a range's first chunk starts where the ranges before
+// it leave the arena. The second pass writes each range's records in
+// place from its bases — every list in sequence order, disjoint slots
+// per worker, no lock — and gives each growth the address Arena.Alloc
+// would have, in sequence order within the range; the range that grows a
+// list into its last chunk records it. One allocation then moves the
+// arena to where the last growth ends.
 //
 // Lists are capacity-limited slices of the slab (s[lo:hi:hi]): a later
 // AddEdge on a bulk-built graph reallocates that one list instead of
@@ -147,78 +243,122 @@ func Bulk(opt Options, in BulkInput, workers int) *Graph {
 	}
 	g.nVerts.Store(int64(n))
 
-	// Pass 1. outN[i+1] and inN[i+1] count vertex i's records.
-	outN := make([]int32, n+1)
-	var inN []int32
+	// Edges. The sequence is cut into nr contiguous ranges and every pass
+	// reads each edge once, in its range's worker. Pass 1 counts each
+	// range's records per vertex.
+	nr := bulkRanges(workers, n, m)
+	outCnt := make([][]int32, nr)
+	var inCnt [][]int32
 	if trackIn {
-		inN = make([]int32, n+1)
+		inCnt = make([][]int32, nr)
 	}
-	forEdgeBlocks(in, func(run []BulkEdge) {
-		for _, e := range run {
-			s, d := e.Src, e.Dst
-			if sv := &vs[s]; outN[s+1] >= sv.edgeCap {
-				g.growEdges(sv, nil)
-			}
-			outN[s+1]++
-			if mirror {
-				if dv := &vs[d]; outN[d+1] >= dv.edgeCap {
-					g.growEdges(dv, nil)
-				}
-				outN[d+1]++
-			} else if trackIn {
-				if dv := &vs[d]; inN[d+1] >= dv.inCap {
-					g.growIn(dv, nil)
-				}
-				inN[d+1]++
-			}
+	for r := range nr {
+		outCnt[r] = make([]int32, n)
+		if trackIn {
+			inCnt[r] = make([]int32, n)
 		}
+	}
+	eachRange(nr, m, func(r, lo, hi int) {
+		out := outCnt[r]
+		var inc []int32
+		if trackIn {
+			inc = inCnt[r]
+		}
+		forEdgeBlocks(in, lo, hi, func(run []BulkEdge) {
+			for _, e := range run {
+				out[e.Src]++
+				if mirror {
+					out[e.Dst]++
+				} else if trackIn {
+					inc[e.Dst]++
+				}
+			}
+		})
 	})
 	g.nEdges.Store(int64(m))
 
-	// Pass 2. The counts become row offsets into the slabs; outAt and inAt
-	// are each row's fill position.
-	outOff, inOff := outN, inN
+	// The counts become row offsets into the slabs and each range's base
+	// in every row. Range r's grows take bytes[r] of arena space, so its
+	// first chunk goes to the arena's next aligned address plus what the
+	// grows of the ranges before it take.
+	outOff := make([]int32, n+1)
+	bytes := make([]uint64, nr)
+	rangeBases(outCnt, outOff, edgeRecordBytes, bytes, workers)
+	var inOff []int32
+	if trackIn {
+		inOff = make([]int32, n+1)
+		rangeBases(inCnt, inOff, inRecordBytes, bytes, workers)
+	}
 	prefixSum32(outOff)
 	prefixSum32(inOff)
+	runs := make([]arenaRun, nr)
+	at := alignUp(g.arena.Used())
+	base := at
+	for r := range runs {
+		runs[r].next = at
+		at += bytes[r]
+	}
 	outSlab := make([]Edge, outOff[n])
-	outAt := make([]int32, n)
 	var inSlab []VertexID
-	var inAt []int32
 	if trackIn {
 		inSlab = make([]VertexID, inOff[n])
-		inAt = make([]int32, n)
-	}
-	for i := range vs {
-		if lo, hi := outOff[i], outOff[i+1]; lo < hi {
-			vs[i].Out = outSlab[lo:hi:hi]
-		}
-		if trackIn && inOff[i] < inOff[i+1] {
-			vs[i].In = inSlab[inOff[i]:inOff[i+1]:inOff[i+1]]
-		}
 	}
 	concurrent.ParallelRange(n, workers, func(lo, hi int) {
-		forEdgeBlocks(in, func(run []BulkEdge) {
+		for i := lo; i < hi; i++ {
+			if a, b := outOff[i], outOff[i+1]; a < b {
+				vs[i].Out = outSlab[a:b:b]
+			}
+			if trackIn && inOff[i] < inOff[i+1] {
+				vs[i].In = inSlab[inOff[i]:inOff[i+1]:inOff[i+1]]
+			}
+		}
+	})
+
+	// Pass 2 fills each range's records in place, from its base on: every
+	// list in sequence order, disjoint slots per worker, no lock. A record
+	// that finds its list full takes the range's next chunk, and the chunk
+	// a list ends in is set by the one range that hands it out.
+	eachRange(nr, m, func(r, lo, hi int) {
+		out, ar := outCnt[r], &runs[r]
+		var inc []int32
+		if trackIn {
+			inc = inCnt[r]
+		}
+		forEdgeBlocks(in, lo, hi, func(run []BulkEdge) {
 			for _, e := range run {
-				si, di := int(e.Src), int(e.Dst)
-				if si >= lo && si < hi {
-					row := outSlab[outOff[si]:outOff[si+1]]
-					row[outAt[si]] = Edge{To: ids[di], Weight: e.W}
-					outAt[si]++
+				s, d := e.Src, e.Dst
+				c := out[s]
+				out[s] = c + 1
+				outSlab[outOff[s]+c] = Edge{To: ids[d], Weight: e.W}
+				if growsAt(c) {
+					ar.grow(c, outOff[s+1]-outOff[s], edgeRecordBytes, &vs[s].edgeAddr, &vs[s].edgeCap)
 				}
-				if di >= lo && di < hi {
-					if mirror {
-						row := outSlab[outOff[di]:outOff[di+1]]
-						row[outAt[di]] = Edge{To: ids[si], Weight: e.W}
-						outAt[di]++
-					} else if trackIn {
-						row := inSlab[inOff[di]:inOff[di+1]]
-						row[inAt[di]] = ids[si]
-						inAt[di]++
+				if mirror {
+					c := out[d]
+					out[d] = c + 1
+					outSlab[outOff[d]+c] = Edge{To: ids[s], Weight: e.W}
+					if growsAt(c) {
+						ar.grow(c, outOff[d+1]-outOff[d], edgeRecordBytes, &vs[d].edgeAddr, &vs[d].edgeCap)
+					}
+				} else if trackIn {
+					c := inc[d]
+					inc[d] = c + 1
+					inSlab[inOff[d]+c] = ids[s]
+					if growsAt(c) {
+						ar.grow(c, inOff[d+1]-inOff[d], inRecordBytes, &vs[d].inAddr, &vs[d].inCap)
 					}
 				}
 			}
 		})
 	})
+	// The arena ends where the last grow of the last range that has any
+	// ends; one allocation from base takes it there.
+	for r := nr - 1; r >= 0; r-- {
+		if bytes[r] > 0 {
+			g.arena.Alloc(runs[r].next-base, listAlign)
+			break
+		}
+	}
 	return g
 }
 

@@ -194,7 +194,7 @@ func TestBulkEqualsIncremental(t *testing.T) {
 			if err := Validate(want); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, workers := range []int{1, 2, 3, 4, 8} {
 				for name, in := range map[string]BulkInput{"own chunks": el, "filled buffer": copied{el, false}, "one record": copied{el, true}} {
 					if d := diffGraphs(Bulk(opt, in, workers), want); d != "" {
 						t.Fatalf("round %d %s workers=%d %s (%d vertices, %d edges): %s",
@@ -202,6 +202,66 @@ func TestBulkEqualsIncremental(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBulkRangeSeams cuts the edge sequence where the grow-point merge
+// is easiest to get wrong: inside one vertex's run of records, and on the
+// very record at which a list reaches a capacity. Each edge leaves a hub
+// for one of two leaves, so the hub's list holds a record of edge e at
+// count e and the 2-, 4- and 8-way cuts of 64 edges fall on its 32nd,
+// 16th and 8th record. In the second round every seventh edge comes back
+// instead, moving the hub's cuts off the thresholds and into its in-list.
+func TestBulkRangeSeams(t *testing.T) {
+	for _, back := range []int{0, 7} {
+		for _, m := range []int{31, 32, 33, 64, 65, 96, 128} {
+			el := new(EdgeList)
+			hub, leaves := el.Intern(1000), []int32{el.Intern(7), el.Intern(8)}
+			for e := range m {
+				if back > 0 && e%back == back-1 {
+					el.Add(leaves[e%2], hub, float64(e))
+				} else {
+					el.Add(hub, leaves[e%2], float64(e))
+				}
+			}
+			for _, mode := range bulkModes {
+				want := incremental(t, mode.opt, el)
+				for _, workers := range []int{1, 2, 3, 4, 8} {
+					if nr := bulkRanges(workers, el.NumVertices(), m); nr != workers {
+						t.Fatalf("%d edges over %d vertices cut into %d ranges for %d workers", m, el.NumVertices(), nr, workers)
+					}
+					if d := diffGraphs(Bulk(mode.opt, el, workers), want); d != "" {
+						t.Fatalf("%s, back=%d, %d edges, %d ranges: %s", mode.name, back, m, workers, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGrowPoints pins the arithmetic Bulk lays lists out by to what
+// AddEdge does one record at a time: a list grows at exactly the counts
+// growsAt names, into grownCap records, and firstGrowFrom(c) is the first
+// of those counts at or after c.
+func TestGrowPoints(t *testing.T) {
+	g := New(Options{Directed: true, TrackInEdges: true})
+	g.AddVertex(1)
+	v := g.FindVertex(1)
+	next := int32(0)
+	for c := int32(0); c < 3000; c++ {
+		if next < c {
+			next = grownCap(next)
+		}
+		if got := firstGrowFrom(c); got != next {
+			t.Fatalf("firstGrowFrom(%d) = %d, want %d", c, got, next)
+		}
+		capBefore := v.edgeCap
+		if err := g.AddEdge(1, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if grew := v.edgeCap != capBefore; grew != growsAt(c) || (grew && v.edgeCap != grownCap(capBefore)) {
+			t.Fatalf("record %d: capacity %d -> %d, growsAt = %v", c, capBefore, v.edgeCap, growsAt(c))
 		}
 	}
 }

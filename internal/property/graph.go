@@ -353,13 +353,20 @@ func (g *Graph) place(sh *shard, v *Vertex) (grew bool) {
 	return grew
 }
 
+// A list's simulated chunk starts at a listAlign boundary. It is grown when
+// a record arrives to find it full — at 0 records, then at every capacity —
+// into a chunk of grownCap records: 4, then twice the last.
+const listAlign = 64
+
+func grownCap(c int32) int32 { return narrow.Index32(max(2*int(c), 4)) }
+
 // growEdges moves v's out-edge chunk to a new simulated address with doubled
 // capacity, accounting for the copy.
 func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
 	oldCap := int(v.edgeCap)
-	newCap := narrow.Index32(max(2*oldCap, 4))
+	newCap := grownCap(v.edgeCap)
 	old := v.edgeAddr
-	v.edgeAddr = g.arena.Alloc(uint64(newCap)*edgeRecordBytes, 64)
+	v.edgeAddr = g.arena.Alloc(uint64(newCap)*edgeRecordBytes, listAlign)
 	if t != nil && oldCap > 0 {
 		t.Load(old, narrow.Size32(uint64(oldCap)*edgeRecordBytes))
 		t.Store(v.edgeAddr, narrow.Size32(uint64(oldCap)*edgeRecordBytes))
@@ -370,9 +377,9 @@ func (g *Graph) growEdges(v *Vertex, t mem.Tracker) {
 
 func (g *Graph) growIn(v *Vertex, t mem.Tracker) {
 	oldCap := int(v.inCap)
-	newCap := narrow.Index32(max(2*oldCap, 4))
+	newCap := grownCap(v.inCap)
 	old := v.inAddr
-	v.inAddr = g.arena.Alloc(uint64(newCap)*inRecordBytes, 64)
+	v.inAddr = g.arena.Alloc(uint64(newCap)*inRecordBytes, listAlign)
 	if t != nil && oldCap > 0 {
 		t.Load(old, narrow.Size32(uint64(oldCap)*inRecordBytes))
 		t.Store(v.inAddr, narrow.Size32(uint64(oldCap)*inRecordBytes))
