@@ -332,7 +332,8 @@ func readSNAPBlocks(r io.Reader, size, workers int) (*property.Graph, error) {
 // workers goroutines, in blocks of about size bytes, and calls take on
 // the parsed blocks in order until it returns an error. It returns that
 // error once the scanner and every worker have stopped, so nothing reads
-// the stream after it returns.
+// the stream after it returns. The scanner starts no read after take has
+// failed: a read already under way when it fails is the most it costs.
 func pipeBlocks(sc *bufio.Scanner, size, workers int, take func(*lineBlock) error) error {
 	// Each channel is sized to hold every block at once, so the sends on
 	// work, order and free never block; the reader waits only for a free
@@ -355,11 +356,21 @@ func pipeBlocks(sc *bufio.Scanner, size, workers int, take func(*lineBlock) erro
 		defer wg.Done()
 		defer close(order)
 		defer close(work)
-		for sc.Scan() {
+		for {
+			// Hold a free block before scanning, and look at quit once more
+			// after the wait, so no read starts once take has failed.
 			var b *lineBlock
 			select {
 			case b = <-free:
 			case <-quit:
+				return
+			}
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if !sc.Scan() {
 				return
 			}
 			b.data, b.rerr = append(b.data[:0], sc.Bytes()...), sc.Err()

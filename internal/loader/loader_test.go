@@ -519,7 +519,7 @@ func FuzzReadSNAP(f *testing.F) {
 		"18446744073709551615 1\n18446744073709551616 1\n",
 		"1 2 1e3\n1 2 0x1p4\n1 2 -0\n",
 		"1 2 3 4\n",
-		"1 2 3\n1 2 3\n1\v2\n",
+		"1\u00a02 3\n1 2\u20283\n1\v2\n", // Unicode spaces: the fast path bails, strings.Fields splits
 		"1 2 9007199254740993\n1 2 999999999999999\n1 2 +7\n",
 		"١ ٢\n",
 		"1 2 NaN\n",

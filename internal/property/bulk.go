@@ -60,21 +60,13 @@ func bulkRanges(workers, n, m int) int {
 }
 
 // eachRange runs fn on the nr ranges of an m-edge sequence concurrently,
-// range r being edges r*m/nr up to (r+1)*m/nr.
+// one goroutine each, range r being edges r*m/nr up to (r+1)*m/nr.
 func eachRange(nr, m int, fn func(r, lo, hi int)) {
-	if nr == 1 {
-		fn(0, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	for r := range nr {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	concurrent.ParallelRange(nr, nr, func(a, b int) {
+		for r := a; r < b; r++ {
 			fn(r, r*m/nr, (r+1)*m/nr)
-		}()
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // growsAt reports whether a list holding c records grows to take the
