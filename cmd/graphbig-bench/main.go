@@ -9,7 +9,8 @@
 // runs a small-scale sweep in minutes. Absolute counter values are model
 // outputs, not Xeon/K40 measurements — compare shapes, not magnitudes.
 // -order composes a vertex reordering (internal/order) into every dataset
-// view. Wall-clock is measured elsewhere: `go run ./benchmark`.
+// view and re-lays-out the simulated addresses in that order, so the
+// counters see the locality it produces. Wall-clock is measured elsewhere: `go run ./benchmark`.
 package main
 
 import (

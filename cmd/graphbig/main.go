@@ -1,12 +1,16 @@
 // Command graphbig runs a single GraphBIG workload against a dataset, in
 // native (wall-clock) or profiled (simulated-counter) mode, on the CPU or
-// the simulated GPU.
+// the simulated GPU. The profiled, traced and GPU modes run through
+// harness.Session, so they print what graphbig-bench archives for the same
+// workload, dataset, scale and seed.
 //
 // Usage:
 //
 //	graphbig -workload BFS -dataset ldbc -scale 0.02          # native CPU
 //	graphbig -workload BFS -dataset ldbc -profile             # CPU counters
 //	graphbig -workload CComp -dataset ca-road -gpu            # SIMT device
+//	graphbig -workload BFS -trace-out bfs.gbt                 # record events
+//	graphbig -trace-in bfs.gbt -scale 0.02                    # replay them
 //	graphbig -workload SPath -input mygraph.txt.gz            # file input
 //	graphbig -list
 package main
@@ -14,15 +18,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
 	"github.com/graphbig/graphbig-go/internal/core"
-	"github.com/graphbig/graphbig-go/internal/csr"
-	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/harness"
-	"github.com/graphbig/graphbig-go/internal/loader"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/partition"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
@@ -40,16 +42,25 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed")
 	workers := flag.Int("workers", 0, "native worker count (0 = GOMAXPROCS)")
 	deltaW := flag.Float64("delta", 0, "SPathDelta bucket width override (0 = sampled heuristic)")
-	ordering := flag.String("order", "none", "vertex ordering composed into the view: "+order.FlagUsage())
+	ordering := flag.String("order", "none", "vertex ordering composed into the view (profiled graphs are re-laid-out in it): "+order.FlagUsage())
 	partitions := flag.Int("partitions", 0, "k-way partitioned (subgraph-centric) native execution; 0 = flat engine")
 	partitionBy := flag.String("partition-by", "edge", "partition balance target: edge|vertex")
 	profile := flag.Bool("profile", false, "run instrumented on the CPU model")
 	gpu := flag.Bool("gpu", false, "run the GPU implementation on the SIMT device")
 	samples := flag.Int("samples", 0, "workload sample parameter (BCentr sources, GUp deletions, Gibbs sweeps)")
 	traceOut := flag.String("trace-out", "", "record the instrumented event stream to a file (implies -profile semantics)")
-	traceIn := flag.String("trace-in", "", "replay a recorded trace through the CPU model and exit")
+	traceIn := flag.String("trace-in", "", "replay a recorded trace through the CPU model of -scale's session and exit")
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
+
+	cfg := harness.DefaultConfig()
+	cfg.Scale, cfg.Seed, cfg.Input = *scale, *seed, *input
+	if *profile || *gpu || *traceOut != "" {
+		// Only the simulated modes read the session's layout, so only
+		// they pay for its relayout in -order's view order.
+		cfg.Order = *ordering
+	}
+	s := harness.NewSession(cfg)
 
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
@@ -57,13 +68,13 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		prof := perfmon.NewProfile(perfmon.DefaultConfig())
+		prof := perfmon.NewProfile(s.Cfg.Machine)
 		n, err := trace.Replay(f, prof)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("replayed %d events from %s\n", n, *traceIn)
-		printMetrics(prof.Report())
+		printMetrics(os.Stdout, prof.Report())
 		return
 	}
 
@@ -91,73 +102,34 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := &core.RunContext{Opt: workloads.Options{Workers: *workers, Seed: *seed, Samples: *samples, Delta: *deltaW}}
+	opt := workloads.Options{Workers: *workers, Seed: *seed, Samples: *samples, Delta: *deltaW}
 
-	if wl.NeedsBayes {
-		s := harness.NewSession(harness.DefaultConfig())
-		ctx.Bayes = s.Bayes()
-		if *profile {
-			prof := perfmon.NewProfile(perfmon.DefaultConfig())
-			ctx.Bayes.SetTracker(prof)
-			runCPU(wl, ctx)
-			printMetrics(prof.Report())
-			return
-		}
-		runCPU(wl, ctx)
-		return
-	}
-
+	// The instrumented modes run in the session exactly as graphbig-bench
+	// does, so they print the numbers its figures archive: the session
+	// owns the dataset, its fixed layout (re-laid-out in -order's view
+	// order), the scaled caches, the clone a mutating workload runs on and
+	// Gibbs's Bayes input.
 	var g *property.Graph
-	if *input != "" {
-		g, err = loader.Load(*input)
+	if !wl.NeedsBayes {
+		if g, err = s.Graph(*dataset); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("input: %d vertices, %d edges\n", g.VertexCount(), g.EdgeCount())
+	}
+	switch {
+	case *gpu:
+		c, err := s.CSR(*dataset)
 		if err != nil {
 			fatal(err)
 		}
-	} else {
-		d, err := gen.ByName(*dataset)
-		if err != nil {
-			fatal(err)
-		}
-		g = d.Generate(*scale, *seed, *workers)
-	}
-	fmt.Printf("input: %d vertices, %d edges\n", g.VertexCount(), g.EdgeCount())
-
-	// makeView composes the requested ordering and partition plan into the
-	// dense view. For instrumented runs a non-default ordering also
-	// re-lays-out the simulated addresses (property.Relayout) so the cache
-	// model sees the locality the ordering produces; "none" keeps the seed
-	// layout and byte-identical traces. The partition plan only changes
-	// native engine scheduling — instrumented runs ignore it.
-	makeView := func(relayout bool) *property.View {
-		vw := g.ViewWith(property.ViewOpts{
-			Workers:       *workers,
-			Order:         ord,
-			Partitions:    *partitions,
-			PartitionMode: pmode,
-		})
-		if relayout && ord != nil {
-			property.Relayout(g, vw)
-		}
-		return vw
-	}
-
-	if *gpu {
-		vw := makeView(false)
-		c := csr.FromProperty(g, vw)
-		d := simt.NewDevice(simt.KeplerConfig())
+		d := simt.NewDevice(s.Cfg.GPU)
 		res, err := wl.RunGPU(d, c)
 		if err != nil {
 			fatal(err)
 		}
-		st := d.Stats()
 		fmt.Printf("%s (GPU): value=%g iterations=%d\n", res.Name, res.Value, res.Iterations)
-		fmt.Printf("BDR=%.3f MDR=%.3f IPC=%.3f read=%.2fGB/s write=%.2fGB/s time=%.3fms\n",
-			st.BDR(), st.MDR(), st.IPC(), d.ReadThroughputGBs(), d.WriteThroughputGBs(), d.TimeSeconds()*1e3)
-		return
-	}
-
-	ctx.Graph = g
-	if *traceOut != "" {
+		printDevice(os.Stdout, d)
+	case *traceOut != "":
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
@@ -166,10 +138,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ctx.Opt.View = makeView(true)
-		g.SetTracker(rec)
-		runCPU(wl, ctx)
-		g.SetTracker(nil)
+		timed(func() (*workloads.Result, error) { return s.Run(wl, *dataset, opt, rec) })
 		if err := rec.Flush(); err != nil {
 			fatal(err)
 		}
@@ -177,23 +146,33 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("recorded %d events to %s\n", rec.Events(), *traceOut)
-		return
+	case *profile:
+		prof := perfmon.NewProfile(s.Cfg.Machine)
+		timed(func() (*workloads.Result, error) { return s.Run(wl, *dataset, opt, prof) })
+		printMetrics(os.Stdout, prof.Report())
+	default:
+		// The native run builds its own view: -workers and the partition
+		// plan shape native scheduling only.
+		ctx := &core.RunContext{Graph: g, Opt: opt}
+		if wl.NeedsBayes {
+			ctx.Bayes = s.Bayes()
+		} else {
+			ctx.Opt.View = g.ViewWith(property.ViewOpts{
+				Workers:       *workers,
+				Order:         ord,
+				Partitions:    *partitions,
+				PartitionMode: pmode,
+			})
+		}
+		timed(func() (*workloads.Result, error) { return wl.Run(ctx) })
 	}
-	if *profile {
-		ctx.Opt.View = makeView(true)
-		prof := perfmon.NewProfile(perfmon.DefaultConfig())
-		g.SetTracker(prof)
-		runCPU(wl, ctx)
-		printMetrics(prof.Report())
-		return
-	}
-	ctx.Opt.View = makeView(false)
-	runCPU(wl, ctx)
 }
 
-func runCPU(wl core.Workload, ctx *core.RunContext) {
+// timed runs a workload and prints its result line, wall-clock time and
+// stats.
+func timed(run func() (*workloads.Result, error)) {
 	start := time.Now()
-	res, err := wl.Run(ctx)
+	res, err := run()
 	if err != nil {
 		fatal(err)
 	}
@@ -209,14 +188,20 @@ func runCPU(wl core.Workload, ctx *core.RunContext) {
 	}
 }
 
-func printMetrics(m perfmon.Metrics) {
-	fmt.Printf("insts=%d cycles=%d ipc=%.3f framework=%.1f%%\n",
+func printMetrics(w io.Writer, m perfmon.Metrics) {
+	fmt.Fprintf(w, "insts=%d cycles=%d ipc=%.3f framework=%.1f%%\n",
 		m.Insts, m.TotalCycles, m.IPC, m.FrameworkShare*100)
-	fmt.Printf("mpki: l1d=%.2f l2=%.2f l3=%.2f icache=%.3f\n",
+	fmt.Fprintf(w, "mpki: l1d=%.2f l2=%.2f l3=%.2f icache=%.3f\n",
 		m.L1DMPKI, m.L2MPKI, m.L3MPKI, m.ICacheMPKI)
-	fmt.Printf("branch-miss=%.2f%% dtlb-cycles=%.2f%%\n", m.BranchMiss*100, m.DTLBPenaltyPC)
-	fmt.Printf("breakdown: frontend=%.1f%% badspec=%.1f%% retiring=%.1f%% backend=%.1f%%\n",
+	fmt.Fprintf(w, "branch-miss=%.2f%% dtlb-cycles=%.2f%%\n", m.BranchMiss*100, m.DTLBPenaltyPC)
+	fmt.Fprintf(w, "breakdown: frontend=%.1f%% badspec=%.1f%% retiring=%.1f%% backend=%.1f%%\n",
 		m.Frontend*100, m.BadSpec*100, m.Retiring*100, m.Backend*100)
+}
+
+func printDevice(w io.Writer, d *simt.Device) {
+	st := d.Stats()
+	fmt.Fprintf(w, "BDR=%.3f MDR=%.3f IPC=%.3f read=%.2fGB/s write=%.2fGB/s time=%.3fms\n",
+		st.BDR(), st.MDR(), st.IPC(), d.ReadThroughputGBs(), d.WriteThroughputGBs(), d.TimeSeconds()*1e3)
 }
 
 func fatal(err error) {

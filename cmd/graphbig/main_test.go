@@ -17,10 +17,53 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/gen"
+	"github.com/graphbig/graphbig-go/internal/harness"
 	"github.com/graphbig/graphbig-go/internal/loader"
 	"github.com/graphbig/graphbig-go/internal/property"
+	"github.com/graphbig/graphbig-go/internal/simt"
 )
+
+// bin is the graphbig binary TestMain builds for the tests that drive it.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "graphbig-cli")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(dir, "graphbig")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// runCLI runs the built binary with args and returns its output and exit
+// status. A case still running after 30 s fails the test.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, args...)
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("graphbig %v: still running after 30s", args)
+	}
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("graphbig %v: %v", args, err)
+	}
+	return so.String(), se.String(), cmd.ProcessState.ExitCode()
+}
 
 // TestHostileCommandLines runs the built binary on input a user can get
 // wrong — empty, truncated and oddly formatted files, the largest IDs,
@@ -30,10 +73,6 @@ import (
 // neither can pass.
 func TestHostileCommandLines(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "graphbig")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	file := func(name string, data []byte) string {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -83,25 +122,8 @@ func TestHostileCommandLines(t *testing.T) {
 		}
 	}
 
-	run := func(args ...string) (stdout, stderr string, exit int) {
-		t.Helper()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		cmd := exec.CommandContext(ctx, bin, args...)
-		var so, se bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &so, &se
-		err := cmd.Run()
-		if ctx.Err() != nil {
-			t.Fatalf("graphbig %v: still running after 30s", args)
-		}
-		var ee *exec.ExitError
-		if err != nil && !errors.As(err, &ee) {
-			t.Fatalf("graphbig %v: %v", args, err)
-		}
-		return so.String(), se.String(), cmd.ProcessState.ExitCode()
-	}
 	result := regexp.MustCompile(`(?m)^\w+: visited=\d+ checksum=\S+`)
-	stdout, stderr, exit := run(small...)
+	stdout, stderr, exit := runCLI(t, small...)
 	ref := result.FindString(stdout)
 	if exit != 0 || ref == "" {
 		t.Fatalf("reference run: exit %d\n%s%s", exit, stdout, stderr)
@@ -135,6 +157,7 @@ func TestHostileCommandLines(t *testing.T) {
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},
+		{"Gibbs on the GPU", []string{"-workload", "Gibbs", "-gpu"}, 1, "graphbig: core: Gibbs has no GPU implementation"},
 		{"trace inst count 2^56", []string{"-trace-in", file("inst56.gbt", binary.AppendUvarint([]byte("GBT1\x02"), 1<<56))}, 1,
 			"graphbig: trace: inst count 72057594037927936 out of range"},
 		{"trace branch site 2^35", []string{"-trace-in", file("site35.gbt", binary.AppendUvarint([]byte("GBT1\x03"), 1<<36))}, 1,
@@ -165,7 +188,7 @@ func TestHostileCommandLines(t *testing.T) {
 		}
 	}
 	for _, tc := range cases {
-		stdout, stderr, exit := run(tc.args...)
+		stdout, stderr, exit := runCLI(t, tc.args...)
 		got, _, _ := strings.Cut(stderr, "\n")
 		if exit == 0 {
 			got = result.FindString(stdout)
@@ -173,6 +196,78 @@ func TestHostileCommandLines(t *testing.T) {
 		if exit != tc.exit || !strings.HasPrefix(got, tc.want) {
 			t.Errorf("%s: exit %d, %q; want exit %d, %q…\nstderr: %s", tc.name, exit, got, tc.exit, tc.want, stderr)
 		}
+	}
+}
+
+// TestInstrumentedModesPrintTheSession holds the CLI's instrumented modes
+// to the numbers graphbig-bench archives, computed in-process by a
+// harness session of the same scale and seed: -profile prints the
+// session's counters for a traversal, a mutating and the Bayes workload,
+// and for a traversal under an ordering;
+// -gpu prints the device statistics of a run on the session's CSR; and a
+// -trace-out recording replayed with -trace-in under the same -scale
+// prints -profile's counters again.
+func TestInstrumentedModesPrintTheSession(t *testing.T) {
+	cfg := harness.DefaultConfig()
+	cfg.Scale = 0.005
+	s := harness.NewSession(cfg)
+	args := func(wl string, mode ...string) []string {
+		return append([]string{"-workload", wl, "-dataset", "ldbc", "-scale", "0.005"}, mode...)
+	}
+	check := func(name string, mode []string, want string) {
+		t.Helper()
+		stdout, stderr, exit := runCLI(t, mode...)
+		if exit != 0 || !strings.HasSuffix(stdout, want) {
+			t.Errorf("%s: exit %d, stdout\n%s\nwant it to end in\n%s\nstderr: %s", name, exit, stdout, want, stderr)
+		}
+	}
+	profiles := make(map[string]string)
+	for _, wl := range []string{"BFS", "kCore", "GUp", "Gibbs"} {
+		m, err := s.Profile(wl, "ldbc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		printMetrics(&want, m)
+		profiles[wl] = want.String()
+		check(wl+" -profile", args(wl, "-profile"), profiles[wl])
+	}
+	// An ordering re-lays-out the profiled graph in view order, in the
+	// CLI as in the session.
+	cfg.Order = "rcm"
+	m, err := harness.NewSession(cfg).Profile("BFS", "ldbc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ordered strings.Builder
+	printMetrics(&ordered, m)
+	if ordered.String() == profiles["BFS"] {
+		t.Error("BFS profiles the same under -order rcm as without it")
+	}
+	check("BFS -order rcm -profile", args("BFS", "-order", "rcm", "-profile"), ordered.String())
+
+	c, err := s.CSR("ldbc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kcore, err := core.ByName("kCore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := simt.NewDevice(s.Cfg.GPU)
+	if _, err := kcore.RunGPU(d, c); err != nil {
+		t.Fatal(err)
+	}
+	var dev strings.Builder
+	printDevice(&dev, d)
+	check("kCore -gpu", args("kCore", "-gpu"), dev.String())
+
+	for _, wl := range []string{"BFS", "Gibbs"} {
+		path := filepath.Join(t.TempDir(), wl+".gbt")
+		if _, stderr, exit := runCLI(t, args(wl, "-trace-out", path)...); exit != 0 {
+			t.Fatalf("%s -trace-out: exit %d\n%s", wl, exit, stderr)
+		}
+		check(wl+" -trace-in", []string{"-trace-in", path, "-scale", "0.005"}, profiles[wl])
 	}
 }
 

@@ -8,9 +8,9 @@ package main
 import (
 	"fmt"
 
+	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/csr"
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/gpuwl"
 	"github.com/graphbig/graphbig-go/internal/simt"
 )
 
@@ -25,12 +25,16 @@ func main() {
 		c := csr.FromProperty(g, vw)
 		fmt.Printf("\n%s: %d vertices, %d edge records (CSR)\n", dsName, c.N, c.NumEdges())
 		fmt.Printf("%-8s %-14s %6s %6s %8s %10s\n", "kernel", "model", "BDR", "MDR", "IPC", "read GB/s")
-		for _, wl := range gpuwl.All() {
+		for _, name := range core.GPUNames() {
+			wl, _ := core.ByName(name) // a core.GPUNames name: it resolves
 			dev := simt.NewDevice(simt.KeplerConfig())
-			res := wl.Run(dev, c)
+			res, err := wl.RunGPU(dev, c)
+			if err != nil {
+				panic(err)
+			}
 			st := dev.Stats()
 			model := "thread-centric"
-			if wl.Name == "CComp" || wl.Name == "TC" {
+			if name == "CComp" || name == "TC" {
 				model = "edge-centric"
 			}
 			fmt.Printf("%-8s %-14s %6.3f %6.3f %8.3f %10.2f   (value=%g)\n",

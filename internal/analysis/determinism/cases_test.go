@@ -299,6 +299,30 @@ import "time"
 func f(start time.Time) time.Duration {
 	return time.Since(start) // want "time.Since in a parity-critical package"
 }`},
+		{"time-now-as-value", `
+import "time"
+
+var clock = time.Now // want "time.Now in a parity-critical package"
+
+func f() time.Time {
+	now := time.Now // want "time.Now in a parity-critical package"
+	_ = clock
+	return now()
+}`},
+		{"time-since-as-argument", `
+import "time"
+
+func apply(fn func(time.Time) time.Duration, t time.Time) time.Duration { return fn(t) }
+
+func f(start time.Time) time.Duration {
+	return apply(time.Since, start) // want "time.Since in a parity-critical package"
+}`},
+		{"rand-as-value", `
+import "math/rand/v2"
+
+func f() func() float64 {
+	return rand.Float64 // want "global math/rand source"
+}`},
 		{"time-until", `
 import "time"
 

@@ -11,10 +11,12 @@
 //     `for k := range m { keys = append(keys, k) }`, whose result is
 //     order-insensitive once sorted, and which is exactly the rewrite
 //     this analyzer's diagnostic asks for;
-//   - calling time.Now, time.Since or time.Until (wall-clock values leak
-//     into simulated state);
-//   - calling math/rand package-level functions (globally seeded; the
-//     suite threads explicit seeds through rand.New(rand.NewPCG(...))).
+//   - using time.Now, time.Since or time.Until, called or taken as a
+//     value (`clock := time.Now`, or passed as an argument): wall-clock
+//     values leak into simulated state;
+//   - using math/rand package-level functions, called or taken as a value
+//     (globally seeded; the suite threads explicit seeds through
+//     rand.New(rand.NewPCG(...))).
 //
 // Output-only packages (harness reports, cmd front-ends) legitimately
 // measure wall-clock time, so they are held to the map-iteration rule
@@ -81,11 +83,11 @@ func run(pass *analysis.Pass) error {
 			} else if it := mapIterator(pass.TypesInfo, n.X); it != "" {
 				pass.Report(n.Pos(), "range over %s is nondeterministically ordered; iterate a sorted key slice instead", it)
 			}
-		case *ast.CallExpr:
+		case *ast.Ident:
 			if !parity {
 				return true
 			}
-			switch c := nondeterministicCall(pass.TypesInfo, n); c {
+			switch c := nondeterministicUse(pass.TypesInfo, n); c {
 			case "":
 			case "the global math/rand source":
 				pass.Report(n.Pos(), "global math/rand source is unseeded across runs; use an explicit rand.New(rand.NewPCG(seed, ...))")
@@ -152,13 +154,15 @@ var randConstructors = map[string]bool{
 	"NewZipf": true, "NewChaCha8": true,
 }
 
-// nondeterministicCall classifies a call as a reproducibility hazard:
-// it returns "time.Now", "time.Since" or "time.Until" for wall-clock
-// reads, "the global math/rand source" for package-level math/rand
-// draws, or "" for anything else.
-func nondeterministicCall(info *types.Info, call *ast.CallExpr) string {
-	fn := analysis.Callee(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
+// nondeterministicUse classifies a reference to a function as a
+// reproducibility hazard: it returns "time.Now", "time.Since" or
+// "time.Until" for wall-clock reads, "the global math/rand source" for
+// package-level math/rand draws, or "" for anything else. It looks at the
+// identifier that names the function, so a call site and a function value
+// each report once.
+func nondeterministicUse(info *types.Info, id *ast.Ident) string {
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
 		return ""
 	}
 	switch fn.Pkg().Path() {

@@ -64,6 +64,16 @@ func f(a [][][]int32, deg map[int32]int) (s int) {
 	}
 	return s
 }`},
+		{"package-var-func-literal", `
+var f = func(rows [][]int32, deg map[int32]int) (s int) {
+	for _, row := range rows {
+		s += deg[row[0]]
+		for _, w := range row {
+			s += deg[w] // want "map indexing in a nested hot loop"
+		}
+	}
+	return s
+}`},
 		{"map-index-three-clause-loops", `
 func f(n int, deg map[int]int) (s int) {
 	for i := 0; i < n; i++ {

@@ -17,7 +17,9 @@
 // Function literals inherit the loop depth of their enclosing scope: the
 // engine's ForItems/ForChunks bodies run once per work item, so a loop
 // inside a closure inside a loop is a nested hot loop even though the
-// closure resets syntactic nesting. Depth-1 code (per-vertex setup,
+// closure resets syntactic nesting. A function literal bound by a
+// package-level var (`var f = func(...) {…}`) is walked from depth 0, like
+// a declared function. Depth-1 code (per-vertex setup,
 // per-round buffers) is deliberately exempt — amortized O(V) work is not
 // the hazard, O(E) work is.
 package hotloop
@@ -45,12 +47,25 @@ func run(pass *analysis.Pass) error {
 	if !analysis.HasPathSuffix(pass.Pkg.Path(), scope...) {
 		return nil
 	}
+	visit := func(n ast.Node, depth int) { check(pass, n, depth) }
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				walkLoopDepth(fd.Body, func(n ast.Node, depth int) {
-					check(pass, n, depth)
-				})
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					walkLoopDepth(d.Body, visit)
+				}
+			case *ast.GenDecl:
+				// Function literals bound by package-level vars
+				// (`var f = func(...) {…}`) are kernels too.
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, v := range spec.(*ast.ValueSpec).Values {
+						walkLoopDepth(v, visit)
+					}
+				}
 			}
 		}
 	}

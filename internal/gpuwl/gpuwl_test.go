@@ -145,32 +145,18 @@ func TestEdgeCentricBeatsThreadCentricOnSkew(t *testing.T) {
 	}
 }
 
-func TestAllRegistryMatchesCore(t *testing.T) {
-	names := map[string]bool{}
-	for _, w := range gpuwl.All() {
-		names[w.Name] = true
-		if w.Run == nil {
-			t.Errorf("%s has nil runner", w.Name)
-		}
-	}
-	for _, n := range core.GPUNames() {
-		if !names[n] {
-			t.Errorf("core GPU workload %s missing from gpuwl.All", n)
-		}
-	}
-	if len(names) != 8 {
-		t.Errorf("gpuwl.All has %d entries, want 8", len(names))
-	}
-}
-
 func TestEmptyGraphSafe(t *testing.T) {
 	g := property.New(property.Options{})
 	vw := g.View()
 	c := csr.FromProperty(g, vw)
-	for _, w := range gpuwl.All() {
-		res := w.Run(dev(), c)
-		if res.Name == "" {
-			t.Errorf("%s empty-graph result unnamed", w.Name)
+	for _, n := range core.GPUNames() {
+		w, err := core.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.RunGPU(dev(), c)
+		if err != nil || res.Name == "" {
+			t.Errorf("%s on the empty graph: %q, %v", n, res.Name, err)
 		}
 	}
 }

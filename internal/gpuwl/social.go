@@ -145,23 +145,3 @@ func BCentr(d *simt.Device, g *csr.Graph) Result {
 	}
 	return Result{Name: "BCentr", Stats: d.Stats(), Value: sum, Iterations: iters}
 }
-
-// All returns the eight GPU workloads in the paper's reporting order.
-func All() []struct {
-	Name string
-	Run  Runner
-} {
-	return []struct {
-		Name string
-		Run  Runner
-	}{
-		{"BFS", BFS},
-		{"SPath", SPath},
-		{"kCore", KCore},
-		{"CComp", CComp},
-		{"GColor", GColor},
-		{"TC", TC},
-		{"DCentr", DCentr},
-		{"BCentr", BCentr},
-	}
-}

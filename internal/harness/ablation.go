@@ -9,6 +9,7 @@ import (
 	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
 	"github.com/graphbig/graphbig-go/internal/simt"
+	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // The ablations quantify the design choices DESIGN.md §5 calls out. They
@@ -220,7 +221,7 @@ func traversalMinsts(s *Session) (float64, float64, error) {
 			return 0, 0, err
 		}
 		c := mem.NewCounting()
-		if _, err := s.run(wl, input{dataset: "ldbc"}, c); err != nil {
+		if _, err := s.run(wl, input{dataset: "ldbc"}, workloads.Options{Seed: s.Cfg.Seed}, c); err != nil {
 			return 0, 0, err
 		}
 		insts[i] = float64(c.TotalInsts()) / 1e6

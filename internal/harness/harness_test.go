@@ -166,7 +166,7 @@ func TestProfilesAreHistoryFree(t *testing.T) {
 	for _, wl := range core.Workloads {
 		fresh := tinySession()
 		prof := perfmon.NewProfile(fresh.Cfg.Machine)
-		res, err := fresh.run(wl, input{dataset: "ldbc"}, prof)
+		res, err := fresh.Run(wl, "ldbc", workloads.Options{Seed: fresh.Cfg.Seed}, prof)
 		if err != nil {
 			t.Fatalf("%s: %v", wl.Name, err)
 		}
@@ -250,7 +250,7 @@ func TestRunsRegisterOnlyLayoutFields(t *testing.T) {
 			before := len(g.Schema().Names())
 			var err error
 			if tracked {
-				_, err = s.run(wl, input{g: g, vw: g.View()}, mem.NewCounting())
+				_, err = s.run(wl, input{g: g, vw: g.View()}, workloads.Options{Seed: s.Cfg.Seed}, mem.NewCounting())
 			} else {
 				_, err = wl.Run(&core.RunContext{Graph: g, Opt: workloads.Options{Seed: 1}})
 			}

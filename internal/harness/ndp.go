@@ -4,6 +4,7 @@ import (
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/ndp"
 	"github.com/graphbig/graphbig-go/internal/property"
+	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
 // ndpCycles costs one instrumented run of the named workload on LDBC
@@ -17,7 +18,7 @@ func (s *Session) ndpCycles(wlName string) (uint64, error) {
 		return 0, err
 	}
 	near := ndp.NewProfile(ndp.DefaultConfig())
-	if _, err := s.run(wl, input{dataset: "ldbc"}, near); err != nil {
+	if _, err := s.run(wl, input{dataset: "ldbc"}, workloads.Options{Seed: s.Cfg.Seed}, near); err != nil {
 		return 0, err
 	}
 	return near.Report().HostCyclesParallel, nil
@@ -59,7 +60,7 @@ func Ext04PartitionPlacement(s *Session) (Report, error) {
 			ndpCfg := ndp.DefaultConfig()
 			property.RelayoutPartitioned(g, vw, ndpCfg.VaultBytes)
 			near := ndp.NewProfile(ndpCfg)
-			if _, err := s.run(wl, input{g: g, vw: vw}, near); err != nil {
+			if _, err := s.run(wl, input{g: g, vw: vw}, workloads.Options{Seed: s.Cfg.Seed}, near); err != nil {
 				return Report{}, err
 			}
 			nm := near.Report()

@@ -39,8 +39,9 @@ type Config struct {
 	// Seed drives dataset generation and workload sampling.
 	Seed int64
 	// Order names the vertex-reordering strategy composed into dataset
-	// views (see order.Names). Results are ordering-invariant; only
-	// layout and timing change.
+	// views and re-laid-out into their simulated addresses (see order.Names
+	// and layout; "" and "none" are the identity). Results are
+	// ordering-invariant; only layout and timing change.
 	Order string
 	// Input, when non-empty, is a graph file (SNAP or graphbig v1 edge
 	// list, plain or gzipped; see loader.Load) substituted for every
@@ -152,9 +153,12 @@ func (s *Session) Graph(name string) (*property.Graph, error) {
 	if g, ok := s.graphs[name]; ok {
 		return g, nil
 	}
+	ord, err := order.ByName(s.Cfg.Order)
+	if err != nil {
+		return nil, err
+	}
 	var g *property.Graph
 	if s.Cfg.Input != "" {
-		var err error
 		if g, err = loader.Load(s.Cfg.Input); err != nil {
 			return nil, err
 		}
@@ -165,41 +169,45 @@ func (s *Session) Graph(name string) (*property.Graph, error) {
 		}
 		g = d.Generate(s.Cfg.Scale, s.Cfg.Seed, 0)
 	}
-	s.layout(g)
+	s.layout(name, g, ord)
 	s.graphs[name] = g
 	return g, nil
 }
 
 // layout gives a new session graph its fixed simulated starting state:
-// the view index field, then every workload result field, takes its slot,
-// and the arena position after that is recorded. Every instrumented run
-// and CSR build on the graph rewinds the arena to that mark first, so
-// neither the slots nor the addresses a run sees depend on what ran
-// before it.
-func (s *Session) layout(g *property.Graph) {
+// the view index field, then every workload result field, takes its slot;
+// under a non-identity Cfg.Order the records and edge chunks are re-laid-out
+// in the ordered view's order (property.Relayout), so the cache model sees
+// the locality the ordering produces; and the arena position after that is
+// recorded. Every instrumented run and CSR build on the graph rewinds the
+// arena to that mark first, so neither the slots nor the addresses a run
+// sees depend on what ran before it.
+func (s *Session) layout(name string, g *property.Graph, ord property.OrderFunc) {
 	g.EnsureField(property.SysIndexField)
 	for _, f := range workloads.ResultFields {
 		g.EnsureField(f)
 	}
+	if ord != nil {
+		vw := g.ViewWith(property.ViewOpts{Order: ord})
+		property.Relayout(g, vw)
+		s.views[name] = vw
+	}
 	s.marks[g] = g.Arena().Used()
 }
 
-// View returns the cached dense view of the dataset.
+// View returns the cached dense view of the dataset: the ordered view the
+// layout built, or the ID-ordered one.
 func (s *Session) View(name string) (*property.View, error) {
-	name = s.dataset(name)
-	if v, ok := s.views[name]; ok {
-		return v, nil
-	}
 	g, err := s.Graph(name)
 	if err != nil {
 		return nil, err
 	}
-	ord, err := order.ByName(s.Cfg.Order)
-	if err != nil {
-		return nil, err
+	name = s.dataset(name)
+	v, ok := s.views[name]
+	if !ok {
+		v = g.View()
+		s.views[name] = v
 	}
-	v := g.ViewWith(property.ViewOpts{Order: ord})
-	s.views[name] = v
 	return v, nil
 }
 
@@ -242,15 +250,15 @@ type input struct {
 }
 
 // run is the one harness function that installs a tracker. It runs wl
-// once, single-threaded, with tr observing every event, and removes tr
-// afterwards:
+// once, single-threaded, with the caller's options and tr observing every
+// event, and removes tr afterwards:
 //   - a Bayes workload reads the session's MUNIN network;
 //   - on a session dataset, the graph's arena is first rewound to its
 //     layout mark, so the run sees the same simulated state whatever ran
 //     before it;
 //   - a mutating workload runs on a clone, leaving its input as it was.
-func (s *Session) run(wl core.Workload, in input, tr mem.Tracker) (*workloads.Result, error) {
-	ctx := &core.RunContext{Opt: workloads.Options{Seed: s.Cfg.Seed}}
+func (s *Session) run(wl core.Workload, in input, opt workloads.Options, tr mem.Tracker) (*workloads.Result, error) {
+	ctx := &core.RunContext{Opt: opt}
 	if wl.NeedsBayes {
 		ctx.Bayes = s.Bayes()
 		ctx.Bayes.SetTracker(tr)
@@ -278,11 +286,17 @@ func (s *Session) run(wl core.Workload, in input, tr mem.Tracker) (*workloads.Re
 	return wl.Run(ctx)
 }
 
+// Run calls run on the named session dataset with the caller's options, for
+// front ends (cmd/graphbig) that print what the experiments archive.
+func (s *Session) Run(wl core.Workload, dataset string, opt workloads.Options, tr mem.Tracker) (*workloads.Result, error) {
+	return s.run(wl, input{dataset: dataset}, opt, tr)
+}
+
 // profile runs wl on in under the given machine model and returns the
 // counter report.
 func (s *Session) profile(wl core.Workload, in input, machine perfmon.Config) (perfmon.Metrics, error) {
 	prof := perfmon.NewProfile(machine)
-	if _, err := s.run(wl, in, prof); err != nil {
+	if _, err := s.run(wl, in, workloads.Options{Seed: s.Cfg.Seed}, prof); err != nil {
 		return perfmon.Metrics{}, err
 	}
 	return prof.Report(), nil

@@ -10,13 +10,19 @@
 // structures (queues, heaps, stacks, count arrays) live at simulated
 // addresses so the profiler observes the complete footprint.
 //
-// Each workload has a single implementation serving two modes:
+// Every workload runs in two modes:
 //
 //   - native: no tracker installed; parallel workloads fan out across
 //     Options.Workers goroutines — these runs feed the wall-clock benches.
 //   - instrumented: a mem.Tracker (usually *perfmon.Profile) is installed
 //     on the graph; the run is single-threaded and deterministic — these
 //     runs regenerate the paper's Figures 1 and 5–9.
+//
+// Most workloads serve both modes from one implementation. Five do not:
+// BFSDirOpt, SPath, kCore, GColor and BCentr run a native kernel over the
+// View's flat arrays and a separate framework walk (kcoreTracked and the like)
+// when a tracker is installed; the parity tests hold the two to one
+// result. ROADMAP item 9 plans to fold them.
 package workloads
 
 import (
