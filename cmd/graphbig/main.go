@@ -26,7 +26,6 @@ import (
 	"github.com/graphbig/graphbig-go/internal/core"
 	"github.com/graphbig/graphbig-go/internal/harness"
 	"github.com/graphbig/graphbig-go/internal/order"
-	"github.com/graphbig/graphbig-go/internal/partition"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
 	"github.com/graphbig/graphbig-go/internal/property"
 	"github.com/graphbig/graphbig-go/internal/simt"
@@ -43,8 +42,6 @@ func main() {
 	workers := flag.Int("workers", 0, "native worker count (0 = GOMAXPROCS)")
 	deltaW := flag.Float64("delta", 0, "SPathDelta bucket width override (0 = sampled heuristic)")
 	ordering := flag.String("order", "none", "vertex ordering composed into the view (profiled graphs are re-laid-out in it): "+order.FlagUsage())
-	partitions := flag.Int("partitions", 0, "k-way partitioned (subgraph-centric) native execution; 0 = flat engine")
-	partitionBy := flag.String("partition-by", "edge", "partition balance target: edge|vertex")
 	profile := flag.Bool("profile", false, "run instrumented on the CPU model")
 	gpu := flag.Bool("gpu", false, "run the GPU implementation on the SIMT device")
 	samples := flag.Int("samples", 0, "workload sample parameter (BCentr sources, GUp deletions, Gibbs sweeps)")
@@ -94,11 +91,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ord, err := order.ByName(*ordering)
-	if err != nil {
+	if *gpu && !wl.GPU {
+		// Fail before the dataset is built, with RunGPU's error.
+		_, err := wl.RunGPU(nil, nil)
 		fatal(err)
 	}
-	pmode, err := partition.ModeByName(*partitionBy)
+	ord, err := order.ByName(*ordering)
 	if err != nil {
 		fatal(err)
 	}
@@ -151,18 +149,13 @@ func main() {
 		timed(func() (*workloads.Result, error) { return s.Run(wl, *dataset, opt, prof) })
 		printMetrics(os.Stdout, prof.Report())
 	default:
-		// The native run builds its own view: -workers and the partition
-		// plan shape native scheduling only.
+		// The native run builds its own view: -workers shapes native
+		// scheduling only.
 		ctx := &core.RunContext{Graph: g, Opt: opt}
 		if wl.NeedsBayes {
 			ctx.Bayes = s.Bayes()
 		} else {
-			ctx.Opt.View = g.ViewWith(property.ViewOpts{
-				Workers:       *workers,
-				Order:         ord,
-				Partitions:    *partitions,
-				PartitionMode: pmode,
-			})
+			ctx.Opt.View = g.ViewWith(property.ViewOpts{Workers: *workers, Order: ord})
 		}
 		timed(func() (*workloads.Result, error) { return wl.Run(ctx) })
 	}

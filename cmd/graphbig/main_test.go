@@ -145,19 +145,20 @@ func TestHostileCommandLines(t *testing.T) {
 		{"largest IDs", []string{"-input", file("big", []byte(
 			"18446744073709551615 9223372036854775807\n9223372036854775807 1\n1 18446744073709551615\n"))}, 0, "BFS: visited=3 checksum=3"},
 		{"ID past uint64", []string{"-input", file("over", []byte("18446744073709551616 1\n"))}, 1, "graphbig: loader: line 1: "},
+		{"trace file as a graph", []string{"-input", file("bfs.gbt", append([]byte("GBT1\x04\x01\x02 \x03\x01 \x90\x81 \x90\x01"), bytes.Repeat([]byte{0xf0, 0xb6}, 512)...))}, 1,
+			"graphbig: loader: line 1: want `src dst [weight]`, got \"GBT1\\x04\\x01\\x02 \\x03\\x01 \\x90\\x81 \\x90\\x01\\xf0\\xb6\\xf0\\xb6\"..."},
 		{"v1 file", []string{"-input", file("v1", v1.Bytes())}, 0, ref},
 		{"v1 file gzipped", []string{"-input", file("v1.gz", gz(v1.Bytes()))}, 0, ref},
 		{"delta NaN", append([]string{"-workload", "SPathDelta", "-delta", "NaN"}, small...), 1, "graphbig: workloads: SPathDelta: delta NaN "},
 		{"delta negative", append([]string{"-workload", "SPathDelta", "-delta", "-1"}, small...), 1, "graphbig: workloads: SPathDelta: delta -1 "},
 		{"delta +Inf", append([]string{"-workload", "SPathDelta", "-delta", "+Inf"}, small...), 1, "graphbig: workloads: SPathDelta: delta +Inf "},
 		{"delta 1e-300", append([]string{"-workload", "SPathDelta", "-delta", "1e-300"}, small...), 1, "graphbig: workloads: SPathDelta: delta 1e-300 "},
-		{"partitions negative", append([]string{"-partitions", "-3"}, small...), 0, ref},
+		{"retired partitions flag", append([]string{"-partitions", "4"}, small...), 2, "flag provided but not defined: -partitions"},
 		{"scale zero", []string{"-scale", "0"}, 0, "BFS: visited=64 "},
 		{"scale negative", []string{"-scale", "-1"}, 0, "BFS: visited=64 "},
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},
-		{"Gibbs on the GPU", []string{"-workload", "Gibbs", "-gpu"}, 1, "graphbig: core: Gibbs has no GPU implementation"},
 		{"trace inst count 2^56", []string{"-trace-in", file("inst56.gbt", binary.AppendUvarint([]byte("GBT1\x02"), 1<<56))}, 1,
 			"graphbig: trace: inst count 72057594037927936 out of range"},
 		{"trace branch site 2^35", []string{"-trace-in", file("site35.gbt", binary.AppendUvarint([]byte("GBT1\x03"), 1<<36))}, 1,
@@ -166,7 +167,7 @@ func TestHostileCommandLines(t *testing.T) {
 	// Delta-stepping inputs whose bucket indices outrun any dense array: a
 	// path with one edge a trillion widths long, one whose quotient passes
 	// the largest int, and a width far below LDBC's integer weights. Each
-	// must come out as Bellman-Ford says, flat, partitioned and profiled.
+	// must come out as Bellman-Ford says, native and profiled.
 	for _, in := range []struct {
 		name string
 		args []string
@@ -182,7 +183,7 @@ func TestHostileCommandLines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, mode := range [][]string{nil, {"-partitions", "2"}, {"-profile"}} {
+		for _, mode := range [][]string{nil, {"-profile"}} {
 			args := append(append([]string{"-workload", "SPathDelta"}, in.args...), mode...)
 			cases = append(cases, hostile{fmt.Sprint("SPathDelta ", in.name, mode), args, 0, bellmanFordLine(g)})
 		}
@@ -195,6 +196,19 @@ func TestHostileCommandLines(t *testing.T) {
 		}
 		if exit != tc.exit || !strings.HasPrefix(got, tc.want) {
 			t.Errorf("%s: exit %d, %q; want exit %d, %q…\nstderr: %s", tc.name, exit, got, tc.exit, tc.want, stderr)
+		}
+	}
+}
+
+// TestGPUModeWithoutKernel asks for the GPU run of the workloads that have
+// no GPU kernel: graphbig must fail before it builds a dataset, so nothing
+// reaches stdout, not even the input line.
+func TestGPUModeWithoutKernel(t *testing.T) {
+	for _, wl := range []string{"DFS", "Gibbs"} {
+		stdout, stderr, exit := runCLI(t, "-workload", wl, "-gpu")
+		want := "graphbig: core: " + wl + " has no GPU implementation\n"
+		if exit != 1 || stdout != "" || stderr != want {
+			t.Errorf("%s -gpu: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", wl, exit, stdout, stderr, want)
 		}
 	}
 }
@@ -319,4 +333,26 @@ func bellmanFordLine(g *property.Graph) string {
 		}
 	}
 	return fmt.Sprintf("SPathDelta: visited=%d checksum=%g", visited, sum)
+}
+
+// TestListPrintsRegistry holds -list to the registry: one row per
+// workload, in order, with the GPU mark exactly on the GPU workloads.
+func TestListPrintsRegistry(t *testing.T) {
+	stdout, stderr, exit := runCLI(t, "-list")
+	if exit != 0 {
+		t.Fatalf("exit %d: %s", exit, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	if len(lines) != len(core.Workloads)+1 {
+		t.Fatalf("%d lines for %d workloads:\n%s", len(lines), len(core.Workloads), stdout)
+	}
+	// Columns are fixed-width; the GPU mark sits after name, type and
+	// category.
+	const mark = 9 + 1 + 11 + 1 + 27 + 1
+	for i, w := range core.Workloads {
+		row := lines[i+1]
+		if strings.Fields(row)[0] != w.Name || len(row) <= mark || (row[mark] == '*') != w.GPU {
+			t.Errorf("row %d: %q, want %s with GPU %v", i, row, w.Name, w.GPU)
+		}
+	}
 }

@@ -81,14 +81,8 @@ type OrderFunc = property.OrderFunc
 // PartitionPlan describes a k-way contiguous partitioning of a view's
 // index space: per-partition vertex ranges, ownership, and the boundary
 // vertices whose edges cross partitions. Build one by setting
-// ViewOpts.Partitions; the engine then runs subgraph-centrically (one
-// sequential kernel per partition, boundary exchange between supersteps)
-// with results identical to flat execution.
+// ViewOpts.Partitions; it describes the view and changes no engine run.
 type PartitionPlan = partition.Plan
-
-// PartitionMode selects the partitioner's balance target (edge- or
-// vertex-balanced contiguous chunking).
-type PartitionMode = partition.Mode
 
 // Engine is the unified direction-optimizing frontier engine; workload
 // authors build traversals on it (see internal/engine).

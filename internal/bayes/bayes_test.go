@@ -150,3 +150,24 @@ func TestQuickCfgIndexInRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStateAddrDistinct: every node's sampled value has its own 8-byte,
+// 8-aligned simulated slot, so the instrumented Gibbs sweep's state loads
+// never alias.
+func TestStateAddrDistinct(t *testing.T) {
+	nw, err := Generate(Config{Nodes: 120, Edges: 170, TargetParams: 3000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]int32, len(nw.Nodes))
+	for i := range int32(len(nw.Nodes)) {
+		a := nw.StateAddr(i)
+		if a%8 != 0 {
+			t.Errorf("node %d: slot %#x not 8-aligned", i, a)
+		}
+		if j, dup := seen[a]; dup {
+			t.Fatalf("nodes %d and %d share slot %#x", j, i, a)
+		}
+		seen[a] = i
+	}
+}

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -131,5 +132,27 @@ func TestQuickWorkingSetFits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeometryAccessors checks what Sets and LineShift report against the
+// configuration: the line size is 1<<LineShift, and the sets are a power
+// of two whose capacity does not exceed the configured size.
+func TestGeometryAccessors(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8},
+		{SizeBytes: 3 << 20, LineBytes: 64, Ways: 12},
+		{SizeBytes: 48 << 10, LineBytes: 128, Ways: 6},
+	} {
+		t.Run(fmt.Sprintf("%dB-%dway", cfg.SizeBytes, cfg.Ways), func(t *testing.T) {
+			c := New(cfg)
+			if 1<<c.LineShift() != cfg.LineBytes {
+				t.Errorf("LineShift %d for %d-byte lines", c.LineShift(), cfg.LineBytes)
+			}
+			sets := c.Sets()
+			if sets < 1 || sets&(sets-1) != 0 || sets*cfg.Ways*cfg.LineBytes > cfg.SizeBytes || 2*sets*cfg.Ways*cfg.LineBytes <= cfg.SizeBytes {
+				t.Errorf("%d sets", sets)
+			}
+		})
 	}
 }

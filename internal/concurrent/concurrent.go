@@ -197,92 +197,6 @@ func ParallelItems(n, workers int, grain int, body func(i int)) {
 	wg.Wait()
 }
 
-// Mailboxes is the boundary-exchange buffer of partitioned execution: a
-// k x k matrix of append-only message lists, box[src][dst]. During a
-// superstep each partition appends only to its own row (single writer, no
-// synchronization); after a barrier each partition drains only its own
-// column (single reader). The phases never overlap, so the type needs no
-// atomics — the barrier between them is the caller's (ParallelItems
-// returning is one).
-//
-// Drain visits sources in ascending order, so for merge operations that
-// are order-sensitive the result is deterministic for a given plan
-// regardless of worker count; for commutative merges (min-label
-// exchange) determinism is free either way.
-type Mailboxes[T any] struct {
-	k   int
-	box [][]T // box[src*k+dst]
-}
-
-// NewMailboxes returns an empty k-partition exchange buffer.
-func NewMailboxes[T any](k int) *Mailboxes[T] {
-	return &Mailboxes[T]{k: k, box: make([][]T, k*k)}
-}
-
-// K returns the partition count.
-func (m *Mailboxes[T]) K() int { return m.k }
-
-// Put appends msg to the src->dst box. Only partition src's worker may
-// call it during a superstep.
-func (m *Mailboxes[T]) Put(src, dst int32, msg T) {
-	m.box[int(src)*m.k+int(dst)] = append(m.box[int(src)*m.k+int(dst)], msg)
-}
-
-// Drain invokes fn for every message addressed to dst, in ascending
-// source order, and empties those boxes (retaining capacity). Only
-// partition dst's worker may call it during an exchange phase.
-func (m *Mailboxes[T]) Drain(dst int32, fn func(msg T)) int {
-	n := 0
-	for src := 0; src < m.k; src++ {
-		b := m.box[src*m.k+int(dst)]
-		for i := range b {
-			fn(b[i])
-		}
-		n += len(b)
-		m.box[src*m.k+int(dst)] = b[:0]
-	}
-	return n
-}
-
-// Validate checks the structural invariants of the exchange buffer:
-// the box matrix must be exactly k x k with k > 0, and when
-// requireEmpty is set every box must have been drained — the state the
-// buffer must be in between traversals (a non-empty box there means an
-// exchange window closed without its apply phase running). It is a
-// debug assertion for tests and engine teardown paths.
-//
-// The row-writer/column-reader phase contract itself — Put only from
-// partition src during a superstep, Drain only from partition dst after
-// the barrier, never concurrently — is not observable from inside the
-// type: the whole point of the design is that there is no
-// synchronization state to witness. The race detector and the
-// partitioned differential tests catch a violation (DESIGN.md §7).
-func (m *Mailboxes[T]) Validate(requireEmpty bool) error {
-	if m.k <= 0 {
-		return fmt.Errorf("concurrent: Mailboxes has non-positive partition count %d", m.k)
-	}
-	if len(m.box) != m.k*m.k {
-		return fmt.Errorf("concurrent: Mailboxes has %d boxes for k=%d, want %d", len(m.box), m.k, m.k*m.k)
-	}
-	if requireEmpty {
-		for i, b := range m.box {
-			if len(b) != 0 {
-				return fmt.Errorf("concurrent: Mailboxes box %d->%d holds %d undrained message(s)", i/m.k, i%m.k, len(b))
-			}
-		}
-	}
-	return nil
-}
-
-// Pending reports the total queued messages (call only between phases).
-func (m *Mailboxes[T]) Pending() int64 {
-	var n int64
-	for i := range m.box {
-		n += int64(len(m.box[i]))
-	}
-	return n
-}
-
 // Counter is a cache-line padded sharded counter for high-contention adds.
 type Counter struct {
 	shards []paddedInt64

@@ -200,86 +200,3 @@ func TestChunkBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestMailboxesRowColumnDiscipline(t *testing.T) {
-	const k = 5
-	m := NewMailboxes[int32](k)
-	if m.K() != k {
-		t.Fatalf("K = %d", m.K())
-	}
-	// Phase 1: every partition appends to its own row concurrently.
-	ParallelItems(k, k, 1, func(src int) {
-		for dst := int32(0); dst < k; dst++ {
-			if int32(src) == dst {
-				continue
-			}
-			for i := int32(0); i < 10; i++ {
-				m.Put(int32(src), dst, int32(src)*1000+dst*10+i)
-			}
-		}
-	})
-	if m.Pending() != k*(k-1)*10 {
-		t.Fatalf("Pending = %d, want %d", m.Pending(), k*(k-1)*10)
-	}
-	// Phase 2 (after the ParallelItems barrier): every partition drains
-	// its own column concurrently; sources must arrive ascending.
-	var total atomic.Int64
-	ParallelItems(k, k, 1, func(dst int) {
-		lastSrc := int32(-1)
-		n := m.Drain(int32(dst), func(msg int32) {
-			src := msg / 1000
-			if src < lastSrc {
-				t.Errorf("dst %d: source order violated: %d after %d", dst, src, lastSrc)
-			}
-			lastSrc = src
-			if (msg/10)%100 != int32(dst) {
-				t.Errorf("dst %d received foreign message %d", dst, msg)
-			}
-		})
-		total.Add(int64(n))
-	})
-	if total.Load() != k*(k-1)*10 {
-		t.Fatalf("drained %d, want %d", total.Load(), k*(k-1)*10)
-	}
-	if m.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d", m.Pending())
-	}
-	// Boxes are reusable: capacity retained, contents cleared.
-	m.Put(1, 2, 7)
-	if m.Pending() != 1 {
-		t.Fatal("reuse after drain failed")
-	}
-}
-
-// TestMailboxesValidate exercises the debug assertion: a fresh buffer
-// validates in both modes, an undrained box fails only the
-// requireEmpty (between-traversals) mode naming the src->dst pair, and
-// a structurally corrupted matrix fails unconditionally.
-func TestMailboxesValidate(t *testing.T) {
-	m := NewMailboxes[int32](3)
-	if err := m.Validate(true); err != nil {
-		t.Fatalf("fresh buffer: %v", err)
-	}
-	m.Put(1, 2, 42)
-	if err := m.Validate(false); err != nil {
-		t.Fatalf("structural check with pending message: %v", err)
-	}
-	err := m.Validate(true)
-	if err == nil {
-		t.Fatal("requireEmpty missed an undrained box")
-	}
-	if want := "1->2"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name the box %s", err, want)
-	}
-	m.Drain(2, func(int32) {})
-	if err := m.Validate(true); err != nil {
-		t.Fatalf("after drain: %v", err)
-	}
-	m.box = m.box[:4]
-	if m.Validate(false) == nil {
-		t.Error("truncated box matrix passed validation")
-	}
-	if NewMailboxes[int32](0).Validate(false) == nil {
-		t.Error("k=0 buffer passed validation")
-	}
-}

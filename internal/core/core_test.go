@@ -153,3 +153,13 @@ func TestRunErrors(t *testing.T) {
 		t.Error("DFS has no GPU implementation; RunGPU should fail")
 	}
 }
+
+// TestComputationTypeNames pins the names the figures print, an unknown
+// value included.
+func TestComputationTypeNames(t *testing.T) {
+	for c, want := range map[ComputationType]string{CompStruct: "CompStruct", CompProp: "CompProp", CompDyn: "CompDyn", 9: "unknown"} {
+		if got := c.String(); got != want {
+			t.Errorf("ComputationType(%d).String() = %q, want %q", int(c), got, want)
+		}
+	}
+}

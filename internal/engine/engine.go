@@ -49,8 +49,7 @@ type Engine struct {
 	// across Traverse calls (CComp runs one traversal per component).
 	cur, next *concurrent.Frontier
 	bits      [2]*concurrent.HierBitmap
-	sparse    []int32    // scratch for bitmap sparsification at pull exit
-	prt       *partState // partitioned-mode scaffolding (partitioned.go)
+	sparse    []int32 // scratch for bitmap sparsification at pull exit
 }
 
 // New returns an engine over g's view. workers follows the suite rule:

@@ -16,9 +16,9 @@ const ringCap = 1 << 16
 const maxBucket = 1 << 62
 
 // Buckets is delta-stepping's one bucket structure (DESIGN.md §12): one
-// ring per shard — a worker of the flat kernel, a partition, or the
-// instrumented walk in internal/workloads. Only whoever relaxes as shard p
-// pushes into ring p, so pushes take no lock.
+// ring per shard — a worker of the native kernel, or the instrumented walk
+// in internal/workloads. Only whoever relaxes as shard p pushes into ring
+// p, so pushes take no lock.
 type Buckets struct {
 	delta float64
 	rings []ring
@@ -77,7 +77,7 @@ func (q *Buckets) Drain(relax func(work []int32, b int)) (drained int64) {
 			relax(work, b)
 		}
 	}
-	// Rewind: a partition's next superstep may push below the last bucket.
+	// Rewind, so pushes after the drain may go below its last bucket.
 	for i := range q.rings {
 		q.rings[i].base = 0
 	}

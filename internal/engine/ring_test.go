@@ -20,8 +20,8 @@ type drained struct {
 // scanned one index at a time. The universe mixes a run of consecutive
 // buckets (pushes inside the window, growth), clusters past ringCap and
 // across long empty gaps (spills, jumps) and the saturated index; each
-// program runs one to three drains over the same Buckets, as a partition
-// does across supersteps, with one to three shards.
+// program runs one to three drains over the same Buckets, refilled in
+// between, with one to three shards.
 func TestRingMatchesDenseModel(t *testing.T) {
 	// The run past ringCap starts where a full-size window from the first
 	// run ends, so spills land on, just inside and just past its top.
@@ -146,6 +146,34 @@ func TestBucketOfSaturates(t *testing.T) {
 	for d, want := range map[float64]int{0: 0, 5.5: 2, 1e12: 5e11, 1e19: maxBucket, 1e300: maxBucket, math.Inf(1): maxBucket} {
 		if got := q.Of(d); got != want {
 			t.Errorf("Of(%v) = %d, want %d", d, got, want)
+		}
+	}
+}
+
+// TestDrainRewinds refills buckets after a drain, below the last bucket it
+// drained: the next drain must take them, lowest first, as from empty
+// buckets.
+func TestDrainRewinds(t *testing.T) {
+	q := NewBuckets(1, 2)
+	for b := range 10 {
+		q.Push(b%2, float64(b), int32(b))
+	}
+	var got []drained
+	record := func(work []int32, b int) { got = append(got, drained{b, slices.Clone(work)}) }
+	if n := q.Drain(record); n != 10 || got[9].b != 9 {
+		t.Fatalf("first drain: %d buckets, last %v", n, got[len(got)-1])
+	}
+	got = got[:0]
+	q.Push(1, 3, 30)
+	q.Push(0, 1, 10)
+	q.Push(0, 3, 31)
+	if n := q.Drain(record); n != 2 {
+		t.Fatalf("second drain: %d buckets, want 2", n)
+	}
+	want := []drained{{1, []int32{10}}, {3, []int32{31, 30}}}
+	for i := range want {
+		if got[i].b != want[i].b || !slices.Equal(got[i].list, want[i].list) {
+			t.Fatalf("second drain handed %v, want %v", got, want)
 		}
 	}
 }

@@ -38,11 +38,8 @@ type Spec struct {
 	TrackedVisit func(k int, u, round int32, emit func(v int32) int)
 }
 
-// Stats summarizes one Traverse call. PushRounds/PullRounds count global
-// rounds in flat mode; in partitioned mode PushRounds is the sum of
-// partition-local rounds and PullRounds is zero, since the local kernel
-// is push-only. Supersteps and BoundarySent are zero outside partitioned
-// mode, SerialRounds outside native flat mode.
+// Stats summarizes one Traverse call. SerialRounds is zero outside native
+// runs.
 type Stats struct {
 	Reached    int64 // vertices claimed, including the sources
 	Depth      int32 // highest round assigned (0 if only sources)
@@ -54,11 +51,9 @@ type Stats struct {
 	// the engine has one worker); the rest forked.
 	SerialRounds int
 
-	Supersteps int // partitioned mode: boundary-exchange iterations
-	// BoundarySent counts the cross-partition messages posted in
-	// partitioned mode: each superstep, one per (sender partition, remote
-	// target) pair, since a sender combines its cut edges into one
-	// minimum per target.
+	// Always zero: read by the repository benchmark until ROADMAP 1(a)
+	// removes them along with partitioned-social.
+	Supersteps   int
 	BoundarySent int64
 }
 
@@ -85,12 +80,9 @@ func (e *Engine) Traverse(spec *Spec, srcs ...int32) Stats {
 		cur.Push(s)
 	}
 	st := Stats{Reached: int64(len(srcs))}
-	switch {
-	case e.Tracked():
+	if e.Tracked() {
 		e.trackedPush(spec, cur, next, &st)
-	case e.partitionedOK(spec):
-		e.partitionedTraverse(spec, cur, &st)
-	default:
+	} else {
 		e.nativeTraverse(spec, cur, next, &st)
 	}
 	return st

@@ -160,3 +160,33 @@ func TestEmptyGraphSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestBFSEdgeMatchesBFS holds the edge-centric BFS to the thread-centric
+// one: the same vertices reached, and on a hub-dominated graph less branch
+// divergence, the trade the kernel-model ablation measures. Both kernels
+// store levels, so each run reports DRAM write traffic.
+func TestBFSEdgeMatchesBFS(t *testing.T) {
+	_, ldbc := fixtures(t)
+	tw := gen.Twitter(3000, 5, 0)
+	for _, tc := range []struct {
+		name string
+		c    *csr.Graph
+	}{{"ldbc", ldbc}, {"twitter", csr.FromProperty(tw, tw.View())}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dt, de := dev(), dev()
+			thread, edge := gpuwl.BFS(dt, tc.c), gpuwl.BFSEdge(de, tc.c)
+			if edge.Value != thread.Value || edge.Value < 1 {
+				t.Errorf("BFSEdge reached %v, BFS %v", edge.Value, thread.Value)
+			}
+			if dt.WriteThroughputGBs() <= 0 || de.WriteThroughputGBs() <= 0 {
+				t.Errorf("write throughput %v and %v GB/s, want both positive", dt.WriteThroughputGBs(), de.WriteThroughputGBs())
+			}
+			if tc.name == "twitter" && de.Stats().BDR() >= dt.Stats().BDR() {
+				t.Errorf("edge-centric BDR %.3f not below thread-centric %.3f", de.Stats().BDR(), dt.Stats().BDR())
+			}
+		})
+	}
+	if res := gpuwl.BFSEdge(dev(), csr.FromProperty(property.New(property.Options{}), property.New(property.Options{}).View())); res.Value != 0 || res.Name != "BFSEdge" {
+		t.Errorf("empty graph: %+v", res)
+	}
+}

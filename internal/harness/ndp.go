@@ -34,11 +34,10 @@ func (s *Session) ndpCycles(wlName string) (uint64, error) {
 // sensitivity of host-style execution: as partitions spread across
 // vaults, every cut-edge touch becomes a crossbar hop and the local-miss
 // share falls. The remote-miss delta against k=1 approximates the
-// cross-vault traffic a subgraph-centric scheduler (the native engine's
-// partitioned mode) would internalize by running each vault's work on its
-// own unit and batching boundary exchange — the quantitative case for
-// pairing partitioned placement with partitioned execution. Runs happen
-// on throwaway clones; parity graphs are never re-laid-out.
+// cross-vault traffic a subgraph-centric scheduler would internalize by
+// running each vault's work on its own unit and batching boundary
+// exchange; no such scheduler is modelled (DESIGN.md §10). Runs happen on
+// throwaway clones; parity graphs are never re-laid-out.
 func Ext04PartitionPlacement(s *Session) (Report, error) {
 	r := Report{
 		ID:      "ext04",

@@ -98,6 +98,28 @@ func lineErr(sc *bufio.Scanner, lineNo int, err error) error {
 	return err
 }
 
+// excerptLen bounds the quoted text of an input line in an error message.
+const excerptLen = 64
+
+// excerpt quotes s for an error message. Past excerptLen bytes of quoted
+// text it quotes the longest prefix that fits and appends "...", so a
+// binary file or a very long line still makes one short line of stderr.
+func excerpt(s string) string {
+	q := strconv.Quote(s)
+	if len(q) <= excerptLen {
+		return q
+	}
+	q = `""`
+	for i := range s {
+		p := strconv.Quote(s[:i])
+		if len(p) > excerptLen {
+			break
+		}
+		q = p
+	}
+	return q + "..."
+}
+
 // Read parses an edge-list stream into a new property graph. Weights must
 // be non-negative and finite; duplicate and self edges are kept as
 // parallel records.
@@ -109,7 +131,7 @@ func Read(r io.Reader) (*property.Graph, error) {
 	}
 	head := sc.Text()
 	if !strings.HasPrefix(head, v1Header) {
-		return nil, lineErr(sc, 1, fmt.Errorf("loader: bad header %q", head))
+		return nil, lineErr(sc, 1, fmt.Errorf("loader: line 1: bad header %s", excerpt(head)))
 	}
 	directed := strings.Contains(head, "directed=true")
 	var el property.EdgeList
@@ -169,7 +191,7 @@ func readV1Line(el *property.EdgeList, line string, lineNo int) error {
 		}
 		el.Add(si, di, w)
 	default:
-		return fmt.Errorf("loader: line %d: unknown record %q", lineNo, fields[0])
+		return fmt.Errorf("loader: line %d: unknown record %s", lineNo, excerpt(fields[0]))
 	}
 	return nil
 }
@@ -424,7 +446,7 @@ func parseSNAPLine(text string, lineNo int) (src, dst uint64, w float64, ok bool
 	}
 	fields := strings.Fields(line)
 	if len(fields) != 2 && len(fields) != 3 {
-		return 0, 0, 0, false, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %q", lineNo, line)
+		return 0, 0, 0, false, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %s", lineNo, excerpt(line))
 	}
 	if src, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
 		return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)

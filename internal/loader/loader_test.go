@@ -285,13 +285,31 @@ func TestScanErrorsNameTheLine(t *testing.T) {
 	}
 	zw.Close()
 	cut := buf.Bytes()[:buf.Len()/2]
+	// A 1 KiB first line of binary, as a trace file passed for a graph
+	// begins: its error quotes a short excerpt, not the line.
+	bin := make([]byte, 1<<10)
+	for i := range bin {
+		if bin[i] = byte(i*37 + 1); bin[i] == '\n' || bin[i] == '#' {
+			bin[i] = 0xff
+		}
+	}
+	binary := string(bin) + "\n0 1\n"
 	for name, err := range map[string]error{
-		"long SNAP line": readErr(ReadSNAP(strings.NewReader(long))),
-		"long v1 line":   readErr(Read(strings.NewReader("# graphbig v1 directed=false\nv 1\nv " + strings.Repeat("7", 1<<20+1) + "\n"))),
-		"truncated gzip": readErr(ReadSNAP(bytes.NewReader(cut))),
+		"long SNAP line":        readErr(ReadSNAP(strings.NewReader(long))),
+		"long v1 line":          readErr(Read(strings.NewReader("# graphbig v1 directed=false\nv 1\nv " + strings.Repeat("7", 1<<20+1) + "\n"))),
+		"truncated gzip":        readErr(ReadSNAP(bytes.NewReader(cut))),
+		"binary line 1":         readErr(ReadSNAP(strings.NewReader(binary))),
+		"binary line 1, serial": readErr(readSNAPSerial(strings.NewReader(binary))),
+		"binary line 1, blocks": readErr(readSNAPBlocks(strings.NewReader(binary), 64, 4)),
+		"binary line 1, v1":     readErr(Read(strings.NewReader(binary))),
+		"binary line 2, v1":     readErr(Read(strings.NewReader("# graphbig v1 directed=false\n" + string(bin) + "\n"))),
 	} {
 		if err == nil || !strings.HasPrefix(err.Error(), "loader: line ") {
 			t.Errorf("%s: error %v, want a loader: line N: error", name, err)
+			continue
+		}
+		if at, ok := strings.CutPrefix(name, "binary "); ok && (len(err.Error()) >= 160 || !strings.Contains(err.Error(), at[:6]+": ")) {
+			t.Errorf("%s: %d-byte error %q, want one under 160 bytes naming the line", name, len(err.Error()), err)
 		}
 	}
 	if err := readErr(ReadSNAP(strings.NewReader(long))); !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 3:") {
@@ -689,5 +707,43 @@ func TestSaveLoadEveryGenerator(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestExcerpt pins the quoting of input lines in error messages: a short
+// line is quoted whole, a long or binary one is cut to at most excerptLen
+// bytes of quoted text, on a rune boundary, and marked with "...".
+func TestExcerpt(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"empty", "", `""`},
+		{"short", "0 1 2 3", `"0 1 2 3"`},
+		{"exactly fits", strings.Repeat("a", excerptLen-2), `"` + strings.Repeat("a", excerptLen-2) + `"`},
+		{"one past", strings.Repeat("a", excerptLen-1), `"` + strings.Repeat("a", excerptLen-2) + `"...`},
+		{"binary", strings.Repeat("\x01", 1<<10), `"` + strings.Repeat(`\x01`, (excerptLen-2)/4) + `"...`},
+		{"runes kept whole", strings.Repeat("é", 100), `"` + strings.Repeat("é", (excerptLen-2)/2) + `"...`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := excerpt(tc.in)
+			if got != tc.want {
+				t.Errorf("excerpt = %s, want %s", got, tc.want)
+			}
+			if q := strings.TrimSuffix(got, "..."); len(q) > excerptLen {
+				t.Errorf("%d bytes of quoted text, over %d", len(q), excerptLen)
+			}
+		})
+	}
+}
+
+// TestSaveReportsCreateError saves into a directory that does not exist:
+// Save returns the error and leaves no file behind.
+func TestSaveReportsCreateError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "g.el")
+	if err := Save(path, gen.LDBC(20, 1, 0)); err == nil {
+		t.Fatal("Save into a missing directory succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("Save left %s behind: %v", path, err)
 	}
 }

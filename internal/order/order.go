@@ -30,8 +30,7 @@
 //     order (RCM without the final reversal). Each component's BFS tree
 //     lands on one contiguous index run, so chunking the index space into
 //     contiguous ranges (internal/partition) yields connected subgraphs
-//     with small boundary sets; it is the ordering ViewOpts.Partitions
-//     composes for low-cut partitioned execution (DESIGN.md §10).
+//     with small boundary sets.
 //   - None: the identity (ID-sorted baseline).
 package order
 

@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -284,6 +285,20 @@ func TestDeterminism(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s not deterministic at %d", name, i)
 			}
+		}
+	}
+}
+
+// TestFlagUsageNamesEveryStrategy holds the -order help text to the
+// registry: it lists Names in order, and every name it lists resolves.
+func TestFlagUsageNamesEveryStrategy(t *testing.T) {
+	names := strings.Split(FlagUsage(), "|")
+	if !slices.Equal(names, Names) {
+		t.Fatalf("FlagUsage lists %v, registry has %v", names, Names)
+	}
+	for _, name := range names {
+		if _, err := ByName(name); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -1,19 +1,16 @@
 // Package partition shards a resolved CSR into k contiguous vertex ranges
-// — the unit of parallelism for subgraph-centric execution (DESIGN.md
-// §10). GoFFish and the Ammar–Özsu survey argue that once a graph
-// outgrows one cache, socket or machine, running whole-subgraph kernels
-// locally to convergence and exchanging only boundary state between
-// supersteps beats per-vertex scheduling; the partition plan computed here
-// is what the engine's partitioned traversal mode, the NDP placement
-// model and the boundary-traffic counters all share.
+// and reports the cut: which vertices are on a boundary and how many edge
+// records cross one. The NDP placement model (ext04) places each range in
+// its own memory vault and reads the plan to split local from remote
+// misses (DESIGN.md §10).
 //
 // Partitions are contiguous in the view's dense index space on purpose:
 // the ordering layer (internal/order) already co-locates related vertices
 // on adjacent indices, so composing a locality permutation (the "cluster"
 // strategy is designed for exactly this) and then greedy-chunking the
 // index space yields connected, low-cut subgraphs without a separate
-// graph-partitioning solver — and every per-partition structure (distance
-// ranges, frontiers, placement regions) stays a cheap [lo,hi) pair.
+// graph-partitioning solver — and every per-partition structure stays a
+// cheap [lo,hi) pair.
 //
 // Like internal/order, the package is dependency-free: planners see only
 // the vertex count and the flat CSR arrays.
@@ -45,19 +42,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("partition.Mode(%d)", int(m))
 }
 
-// ModeByName parses a -partition-by flag value.
-func ModeByName(name string) (Mode, error) {
-	switch name {
-	case "", "edge":
-		return EdgeBalanced, nil
-	case "vertex":
-		return VertexBalanced, nil
-	}
-	return 0, fmt.Errorf("partition: unknown mode %q (have edge, vertex)", name)
-}
-
 // Plan is a k-way contiguous partitioning of the dense vertex space
-// [0,n), with the derived metadata partitioned execution needs.
+// [0,n), with its ownership map and cut.
 type Plan struct {
 	// K is the partition count (after clamping to at most n non-empty
 	// ranges; a request larger than n yields K = max(n,1)).
@@ -67,12 +53,10 @@ type Plan struct {
 	// Bounds has K+1 entries: partition p owns dense indices
 	// [Bounds[p], Bounds[p+1]).
 	Bounds []int32
-	// Owner maps every dense index to its partition — O(1) routing for
-	// the boundary exchange.
+	// Owner maps every dense index to its partition.
 	Owner []int32
 	// Boundary marks the vertices with at least one cross-partition edge
-	// (outgoing or incoming): exactly the set whose state must be
-	// exchanged between supersteps.
+	// (outgoing or incoming).
 	Boundary []bool
 	// Edges is the per-partition count of out-edge records owned by the
 	// partition's vertices (intra- and cross-partition alike).

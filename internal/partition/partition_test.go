@@ -197,19 +197,13 @@ func TestPerPartitionEdgeAccounting(t *testing.T) {
 	}
 }
 
-func TestModeByName(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{{"", EdgeBalanced, true}, {"edge", EdgeBalanced, true}, {"vertex", VertexBalanced, true}, {"metis", 0, false}} {
-		m, err := ModeByName(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && m != tc.want) {
-			t.Fatalf("ModeByName(%q) = %v, %v", tc.in, m, err)
+// TestModeNames pins the names the plan's Mode prints under, an unknown
+// value included.
+func TestModeNames(t *testing.T) {
+	for m, want := range map[Mode]string{EdgeBalanced: "edge", VertexBalanced: "vertex", 7: "partition.Mode(7)"} {
+		if got := m.String(); got != want {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
-	}
-	if EdgeBalanced.String() != "edge" || VertexBalanced.String() != "vertex" {
-		t.Fatal("mode names drifted")
 	}
 }
 
@@ -298,4 +292,24 @@ func FuzzPartitionPlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestImbalanceByMode measures a plan by what it balanced. Every edge of a
+// four-vertex graph leaves vertex 0: split in two, the vertex counts are
+// even but one partition holds all the edges.
+func TestImbalanceByMode(t *testing.T) {
+	off := []int32{0, 6, 6, 6, 6}
+	nbr := []int32{1, 2, 3, 1, 2, 3}
+	for mode, want := range map[Mode]float64{VertexBalanced: 1, EdgeBalanced: 2} {
+		p := New(4, off, nbr, off, nbr, 2, mode)
+		if p.K != 2 || p.Imbalance() != want {
+			t.Errorf("%v: K=%d bounds %v, imbalance %v, want %v", mode, p.K, p.Bounds, p.Imbalance(), want)
+		}
+	}
+	if got := New(0, []int32{0}, nil, []int32{0}, nil, 3, EdgeBalanced).Imbalance(); got != 1 {
+		t.Errorf("empty plan: imbalance %v, want 1", got)
+	}
+	if got := New(3, []int32{0, 0, 0, 0}, nil, []int32{0, 0, 0, 0}, nil, 3, EdgeBalanced).Imbalance(); got != 1 {
+		t.Errorf("edgeless plan: imbalance %v, want 1", got)
+	}
 }

@@ -58,9 +58,9 @@ type View struct {
 	segs []segment
 
 	// parts is the partition plan recorded by ViewOpts.Partitions (nil
-	// when partitioned execution was not requested). It is computed over
-	// the final index space — after any ordering permutation — so each
-	// partition's vertices are contiguous.
+	// when none was requested). It is computed over the final index space
+	// — after any ordering permutation — so each partition's vertices are
+	// contiguous.
 	parts *partition.Plan
 }
 
@@ -83,15 +83,12 @@ type ViewOpts struct {
 	// Order, when non-nil, is composed into the dense index space after
 	// resolution. nil keeps the ID-sorted baseline numbering.
 	Order OrderFunc
-	// Partitions, when > 0, records a k-way contiguous partition plan
-	// (internal/partition) in the view, computed over the final — i.e.
-	// post-Order — index space. The plan is what switches the engine
-	// into partitioned subgraph-centric execution (DESIGN.md §10);
-	// adjacency arrays and per-vertex results are unaffected.
+	// Partitions, when > 0, records an edge-balanced k-way contiguous
+	// partition plan (internal/partition) in the view, computed over the
+	// final — i.e. post-Order — index space. Adjacency arrays, engine
+	// runs and per-vertex results are unaffected; the NDP placement
+	// model reads the plan (DESIGN.md §10).
 	Partitions int
-	// PartitionMode selects the balance target when Partitions > 0
-	// (edge-balanced by default).
-	PartitionMode partition.Mode
 }
 
 // View snapshots the graph and index-resolves its adjacency with default
@@ -116,7 +113,7 @@ func (g *Graph) ViewWith(opt ViewOpts) *View {
 	}
 	if opt.Partitions > 0 {
 		vw.parts = partition.New(len(vs), vw.NbrOff, vw.Nbr, vw.InOff, vw.InNbr,
-			opt.Partitions, opt.PartitionMode)
+			opt.Partitions, partition.EdgeBalanced)
 	}
 	g.publishIndex(vw, idxSlot)
 	return vw
@@ -563,6 +560,5 @@ func (vw *View) InAdj(i int32) []int32 { return vw.InNbr[vw.InOff[i]:vw.InOff[i+
 func (vw *View) EdgeTotal() int64 { return int64(len(vw.Nbr)) }
 
 // Partitions returns the partition plan recorded at construction, or nil
-// when the view was built without ViewOpts.Partitions. A non-nil plan is
-// the signal that selects the engine's partitioned traversal mode.
+// when the view was built without ViewOpts.Partitions.
 func (vw *View) Partitions() *partition.Plan { return vw.parts }

@@ -531,3 +531,38 @@ func TestRelayoutPartitionedVaultAlignment(t *testing.T) {
 		}
 	}
 }
+
+// TestViewDegreesAndEdgeTotal checks the View's degree accessors against
+// its adjacency and the vertex records: Degree(i) is len(Adj(i)), the
+// degrees sum to EdgeTotal, and on a directed graph tracking in-edges the
+// record's OutDegree and InDegree match Adj and InAdj.
+func TestViewDegreesAndEdgeTotal(t *testing.T) {
+	g := New(Options{Directed: true, TrackInEdges: true})
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		g.AddVertex(VertexID(i))
+	}
+	for i := 0; i < 1500; i++ {
+		if err := g.AddEdge(VertexID(rng.Intn(300)), VertexID(rng.Intn(300)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !g.Directed() {
+		t.Fatal("a directed graph reports undirected")
+	}
+	vw := g.View()
+	var sum int64
+	for i := range int32(vw.Len()) {
+		d := vw.Degree(i)
+		if int(d) != len(vw.Adj(i)) || int(d) != vw.Verts[i].OutDegree() {
+			t.Fatalf("vertex %d: Degree %d, Adj %d, OutDegree %d", i, d, len(vw.Adj(i)), vw.Verts[i].OutDegree())
+		}
+		if in := vw.Verts[i].InDegree(); in != len(vw.InAdj(i)) {
+			t.Fatalf("vertex %d: InDegree %d, InAdj %d", i, in, len(vw.InAdj(i)))
+		}
+		sum += int64(d)
+	}
+	if sum != vw.EdgeTotal() || sum != 1500 {
+		t.Errorf("degrees sum to %d, EdgeTotal %d, want 1500", sum, vw.EdgeTotal())
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -418,5 +419,42 @@ func TestReplayEquivalenceEveryWorkload(t *testing.T) {
 				t.Errorf("replayed report\n%s\nlive report\n%s", got, want)
 			}
 		})
+	}
+}
+
+// failAfter is a writer that takes n bytes and then fails.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRecorderReportsWriteError fills the recorder's buffer past a writer
+// that fails: Err reports the failure, the recorder stops counting events
+// once it has, and Flush returns the same error.
+func TestRecorderReportsWriteError(t *testing.T) {
+	rec, err := NewRecorder(&failAfter{n: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<20 && rec.Err() == nil; i++ {
+		rec.Load(uint64(i)*64, 8)
+	}
+	if rec.Err() == nil {
+		t.Fatal("a failing writer left Err nil")
+	}
+	n := rec.Events()
+	rec.Store(0, 8)
+	if rec.Events() != n {
+		t.Errorf("events counted after the write error: %d -> %d", n, rec.Events())
+	}
+	if err := rec.Flush(); err != rec.Err() {
+		t.Errorf("Flush = %v, want the recorded %v", err, rec.Err())
 	}
 }

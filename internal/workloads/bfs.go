@@ -37,7 +37,7 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
+	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
 
 	dist := make([]int32, n)
@@ -88,14 +88,10 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 			sum += float64(dist[i])
 		}
 	}
-	res := &Result{
+	return &Result{
 		Workload: "BFS",
 		Visited:  st.Reached,
 		Checksum: sum,
 		Stats:    map[string]float64{"depth": float64(st.Depth)},
-	}
-	if t == nil {
-		partitionStats(vw, res, st.Supersteps, st.BoundarySent)
-	}
-	return res, nil
+	}, nil
 }

@@ -41,7 +41,7 @@ func BFSDirOpt(g *property.Graph, opt Options) (*Result, error) {
 		return bfsDirOptTracked(g, vw, lvl, srcIdx, opt)
 	}
 
-	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
+	eng := engine.New(g, vw, opt.Workers)
 	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1

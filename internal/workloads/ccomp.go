@@ -34,7 +34,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 			v.SetPropRaw(lbl, -1)
 		}
 	}
-	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
+	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
 
 	dist := make([]int32, n)
@@ -47,8 +47,6 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 	comps := 0
 	var touched int64
 	var largest int64
-	supersteps := 0
-	var boundarySent int64
 	for s := 0; s < n; s++ {
 		inst(t, 2)
 		seen := dist[s] >= 0
@@ -92,13 +90,11 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		if st.Reached > largest {
 			largest = st.Reached
 		}
-		supersteps += st.Supersteps
-		boundarySent += st.BoundarySent
 	}
 	if t == nil {
 		property.SetColumn(vw, lbl, labels)
 	}
-	res := &Result{
+	return &Result{
 		Workload: "CComp",
 		Visited:  touched,
 		Checksum: float64(comps),
@@ -106,9 +102,5 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 			"components": float64(comps),
 			"largest":    float64(largest),
 		},
-	}
-	if t == nil {
-		partitionStats(vw, res, supersteps, boundarySent)
-	}
-	return res, nil
+	}, nil
 }

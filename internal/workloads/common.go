@@ -28,7 +28,6 @@ package workloads
 import (
 	"errors"
 
-	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -70,22 +69,8 @@ type Options struct {
 	Seed int64
 	// View is an optional pre-built vertex view; a plain one is created if
 	// nil. Harness code builds the view before installing the tracker so
-	// that snapshot setup is not attributed to the measured region. A View
-	// built with ViewOpts.Partitions runs the engine-backed traversal
-	// workloads partitioned (subgraph-centric): each partition's kernel runs
-	// locally and boundary frontiers are exchanged between supersteps.
-	// Results are identical to flat execution; instrumented runs stay
-	// single-threaded and flat.
+	// that snapshot setup is not attributed to the measured region.
 	View *property.View
-	// engineSink, when non-nil, collects every engine the run constructs
-	// (threaded through the newEngine funnel). The metamorphic suites set
-	// it to assert the exchange-buffer phase discipline after each run;
-	// production code leaves it nil. Deliberately a caller-owned sink, not
-	// a package-level registry or callback, so engines never become
-	// reachable from package-level state, and tests that run at the same
-	// time never see each other's engines (a package-level registry would
-	// be shared by all of them).
-	engineSink *[]*engine.Engine
 }
 
 // Result is the outcome of one workload run.
@@ -109,22 +94,6 @@ func view(g *property.Graph, opt *Options) *property.View {
 		opt.View = g.View()
 	}
 	return opt.View
-}
-
-// partitionStats folds the partition plan's shape and the run's boundary
-// traffic into a Result's stats. Workloads call it on native partitioned
-// runs only; with no plan on the view it is a no-op, so flat Results keep
-// their original key set.
-func partitionStats(vw *property.View, r *Result, supersteps int, boundarySent int64) {
-	plan := vw.Partitions()
-	if plan == nil {
-		return
-	}
-	r.Stats["partitions"] = float64(plan.K)
-	r.Stats["supersteps"] = float64(supersteps)
-	r.Stats["boundary_sent"] = float64(boundarySent)
-	r.Stats["cut_edges"] = float64(plan.CutEdges)
-	r.Stats["boundary_verts"] = float64(plan.BoundaryCount())
 }
 
 // workers resolves effective parallelism: instrumented runs are pinned to

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -32,7 +33,7 @@ func DCentr(g *property.Graph, opt Options) (*Result, error) {
 		norm = 1 / float64(n-1)
 	}
 	if t == nil {
-		eng := newEngine(g, vw, opt.Workers, opt.engineSink)
+		eng := engine.New(g, vw, opt.Workers)
 		dcv := make([]float64, n)
 		eng.ForVertices(256, func(i int) {
 			deg := int(vw.Degree(narrow.Index32(i)))

@@ -1,10 +1,14 @@
 package workloads
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
+	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/gen"
+	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -293,60 +297,123 @@ func heavyPath(w float64) *property.Graph {
 	return g
 }
 
-// TestSPathDeltaPartitionSweepBitwise pins the flat CAS kernel against
-// Bellman-Ford and the partitioned kernel against the flat one across a
-// k-sweep: per-vertex distances must be bitwise identical (all three take
-// minima over the same left-to-right float path sums, so no tolerance is
-// needed). The second input is the one the retired wall-clock ratchet ran
-// this check on; the two paths drain through spilled and saturated
-// buckets.
+// TestSPathDeltaPartitionSweepBitwise pins the delta-stepping kernel
+// against Bellman-Ford, and BFS, BFSDirOpt, CComp and SPathDelta on the
+// View that partitioned-social and ext04 build (cluster order and a k-way
+// plan) against the same kernel on a plain View. A plan only describes
+// the View, so per-vertex results must be bitwise identical by vertex ID
+// (component labels canonicalized), the Result.Stats key sets equal, and
+// the engine's superstep counters zero. The path inputs drain through
+// spilled and saturated buckets; they are directed, and on a directed
+// graph CComp's out-edge components depend on the order its seeds are
+// tried in, so there CComp is left out.
 func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
 	ldbc, err := gen.ByName("ldbc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name  string
-		build func() *property.Graph
-		ks    []int
+	kernels := []struct {
+		name, field string
+		fn          runWorkload
 	}{
-		{"ldbc-1500", func() *property.Graph { return gen.LDBC(1500, 21, 0) }, []int{1, 2, 3, 5, 8}},
-		{"ldbc-0.02", func() *property.Graph { return ldbc.Generate(0.02, 42, 0) }, []int{1, 2, 4}},
-		{"path-1e12", func() *property.Graph { return heavyPath(1e12) }, []int{1, 2, 4}},
-		{"path-1e19", func() *property.Graph { return heavyPath(1e19) }, []int{1, 2, 4}},
+		{"BFS", BFSLevelField, BFS},
+		{"BFSDirOpt", BFSLevelField, BFSDirOpt},
+		{"CComp", CCompField, CComp},
+		{"SPathDelta", SPathDistField, SPathDelta},
+	}
+	type outcome struct {
+		res   *Result
+		props map[property.VertexID]float64
+		reach int64 // engine.Traverse from the source
+	}
+	// runAll runs every kernel from src on g through vw, reading each
+	// result field back by vertex ID before the next kernel runs.
+	runAll := func(t *testing.T, g *property.Graph, vw *property.View, src property.VertexID) map[string]outcome {
+		t.Helper()
+		out := make(map[string]outcome, len(kernels))
+		for _, kn := range kernels {
+			res, err := kn.fn(g, Options{Source: src, View: vw, Workers: 3})
+			if err != nil {
+				t.Fatalf("%s: %v", kn.name, err)
+			}
+			slot := g.Schema().MustField(kn.field)
+			props := make(map[property.VertexID]float64, vw.Len())
+			for _, v := range vw.Verts {
+				props[v.ID] = v.Prop(slot)
+			}
+			if kn.name == "CComp" {
+				props = canonLabels(props)
+			}
+			out[kn.name] = outcome{res: res, props: props}
+		}
+		dist := make([]int32, vw.Len())
+		for i := range dist {
+			dist[i] = -1
+		}
+		s := vw.IndexOf(src)
+		dist[s] = 0
+		st := engine.New(g, vw, 3).Traverse(&engine.Spec{Dist: dist}, s)
+		if st.Supersteps != 0 || st.BoundarySent != 0 {
+			t.Errorf("Traverse reports %d supersteps and %d boundary messages, want 0", st.Supersteps, st.BoundarySent)
+		}
+		out["Traverse"] = outcome{reach: st.Reached}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		build    func() *property.Graph
+		directed bool
+	}{
+		{"ldbc-1500", func() *property.Graph { return gen.LDBC(1500, 21, 0) }, false},
+		{"ldbc-0.02", func() *property.Graph { return ldbc.Generate(0.02, 42, 0) }, false},
+		{"path-1e12", func() *property.Graph { return heavyPath(1e12) }, true},
+		{"path-1e19", func() *property.Graph { return heavyPath(1e19) }, true},
 	} {
 		base := tc.build()
 		fvw := base.View()
 		src := fvw.Verts[0].ID
-		flat, err := SPathDelta(base, Options{Source: src, View: fvw})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := runAll(t, base, fvw, src)
 		fd := base.Schema().MustField(SPathDistField)
 		for i, want := range bellmanFord(fvw, 0) {
+			if got := plain["SPathDelta"].props[fvw.Verts[i].ID]; got != want {
+				t.Fatalf("%s: dist[%d] = %v, Bellman-Ford says %v", tc.name, fvw.Verts[i].ID, got, want)
+			}
 			if got := fvw.Verts[i].Prop(fd); got != want {
-				t.Fatalf("%s flat: dist[%d] = %v, Bellman-Ford says %v", tc.name, fvw.Verts[i].ID, got, want)
+				t.Fatalf("%s: field dist[%d] = %v, Bellman-Ford says %v", tc.name, fvw.Verts[i].ID, got, want)
 			}
 		}
-		for _, k := range tc.ks {
+		for _, k := range []int{1, 2, 4} {
 			g := tc.build()
-			vw := g.ViewWith(property.ViewOpts{Partitions: k})
-			res, err := SPathDelta(g, Options{Source: src, View: vw, Workers: 3})
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			vw := g.ViewWith(property.ViewOpts{Order: order.Cluster, Partitions: k})
+			if plan := vw.Partitions(); plan == nil || plan.K != k {
+				t.Fatalf("%s k=%d: the View carries plan %v", tc.name, k, plan)
 			}
-			if res.Visited != flat.Visited || res.Checksum != flat.Checksum {
-				t.Fatalf("%s k=%d: %d/%g vs flat %d/%g",
-					tc.name, k, res.Visited, res.Checksum, flat.Visited, flat.Checksum)
+			got := runAll(t, g, vw, src)
+			if got["Traverse"].reach != plain["Traverse"].reach {
+				t.Errorf("%s k=%d: Traverse reached %d, plain %d", tc.name, k, got["Traverse"].reach, plain["Traverse"].reach)
 			}
-			pd := g.Schema().MustField(SPathDistField)
-			for i := range vw.Verts {
-				j := fvw.IndexOf(vw.Verts[i].ID)
-				if j < 0 {
-					t.Fatalf("%s k=%d: vertex %d missing from flat view", tc.name, k, vw.Verts[i].ID)
+			for _, kn := range kernels {
+				if tc.directed && kn.name == "CComp" {
+					continue
 				}
-				if a, b := vw.Verts[i].Prop(pd), fvw.Verts[j].Prop(fd); a != b {
-					t.Fatalf("%s k=%d: dist[%d] = %v, flat %v", tc.name, k, vw.Verts[i].ID, a, b)
+				a, b := got[kn.name], plain[kn.name]
+				// SPathDelta's checksum sums floats in View order, so on
+				// the 1e19 path it rounds differently; its per-vertex
+				// distances below are the exact check.
+				if a.res.Visited != b.res.Visited || kn.name != "SPathDelta" && a.res.Checksum != b.res.Checksum {
+					t.Errorf("%s k=%d %s: %d/%g, plain %d/%g", tc.name, k, kn.name,
+						a.res.Visited, a.res.Checksum, b.res.Visited, b.res.Checksum)
+				}
+				if ak, bk := slices.Sorted(maps.Keys(a.res.Stats)), slices.Sorted(maps.Keys(b.res.Stats)); !slices.Equal(ak, bk) {
+					t.Errorf("%s k=%d %s: stats keys %v, plain %v", tc.name, k, kn.name, ak, bk)
+				}
+				if len(a.props) != len(b.props) {
+					t.Fatalf("%s k=%d %s: %d vertices, plain %d", tc.name, k, kn.name, len(a.props), len(b.props))
+				}
+				for id, want := range b.props {
+					if math.Float64bits(a.props[id]) != math.Float64bits(want) {
+						t.Fatalf("%s k=%d %s: vertex %d = %v, plain %v", tc.name, k, kn.name, id, a.props[id], want)
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
+	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -44,7 +45,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 		return gcolorTracked(g, vw, col, prio, maxIters, opt)
 	}
 
-	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
+	eng := engine.New(g, vw, opt.Workers)
 	colors := make([]int64, n)
 	for i := range colors {
 		colors[i] = -1

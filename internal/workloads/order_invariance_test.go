@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -22,36 +21,11 @@ import (
 
 type runWorkload func(g *property.Graph, opt Options) (*Result, error)
 
-// validateEngines returns an Options.engineSink that captures every engine
-// the workload under test constructs, plus a function asserting the
-// exchange-buffer phase discipline on each one: after a run, every mailbox
-// epoch must be sealed with all messages drained
-// (Engine.ValidateExchange(true), which walks both the engine's bitset
-// exchange and the SSSP bucket exchange). Workloads that never enter
-// partitioned mode validate trivially, so the check is safe to apply
-// uniformly across the metamorphic suites.
-func validateEngines(t *testing.T) (*[]*engine.Engine, func()) {
-	t.Helper()
-	var engines []*engine.Engine
-	check := func() {
-		if len(engines) == 0 {
-			return
-		}
-		for _, e := range engines {
-			if err := e.ValidateExchange(true); err != nil {
-				t.Fatalf("exchange phase discipline violated after run: %v", err)
-			}
-		}
-	}
-	return &engines, check
-}
-
 // frozenView snapshots the View's adjacency arrays and vertex order and
 // returns a check that they are bit-identical after a run. The View is
 // published memory: a scratch buffer the engine recycles between phases
-// (Engine.sparse, partState.nx, Mailboxes.box) must never be one of its
-// arrays, or the next phase's writes land in the graph every later run
-// reads.
+// (Engine.sparse) must never be one of its arrays, or the next phase's
+// writes land in the graph every later run reads.
 func frozenView(t *testing.T, vw *property.View) func() {
 	t.Helper()
 	verts := slices.Clone(vw.Verts)
@@ -86,12 +60,10 @@ func propsByID(t *testing.T, seed uint64, ord property.OrderFunc, fn runWorkload
 	g := randomGraph(seed)
 	vw := g.ViewWith(property.ViewOpts{Order: ord})
 	frozen := frozenView(t, vw)
-	sink, check := validateEngines(t)
-	_, err := fn(g, Options{View: vw, Source: 0, Seed: int64(seed), Samples: samples, engineSink: sink})
+	_, err := fn(g, Options{View: vw, Source: 0, Seed: int64(seed), Samples: samples})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	check()
 	frozen()
 	slot := g.Schema().MustField(field)
 	out := make(map[property.VertexID]float64, vw.Len())

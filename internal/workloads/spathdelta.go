@@ -13,9 +13,9 @@ import (
 // (Meyer & Sanders), the parallel alternative to the Table 4 Dijkstra
 // implementation: vertices are bucketed by tentative distance in bands of
 // width delta, and each bucket's relaxations run in parallel until it
-// drains. Native runs are Engine.SSSP, flat or partitioned (DESIGN.md §12,
-// §10); instrumented runs drain the same engine.Buckets with the framework
-// walk as the relax body. Distances equal Dijkstra's in every mode.
+// drains. Native runs are Engine.SSSP (DESIGN.md §12); instrumented runs
+// drain the same engine.Buckets with the framework walk as the relax body.
+// Distances equal Dijkstra's in both modes.
 //
 // opt.Delta overrides the bucket width, which by default is tunedDelta's
 // (legacyVertexDelta's when instrumented). An override that is NaN,
@@ -54,7 +54,7 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	if t != nil {
 		st = trackedSPathDelta(g, vw, dist, delta, srcIdx, distF, idxSlot, t)
 	} else {
-		st = newEngine(g, vw, opt.Workers, opt.engineSink).SSSP(dist, delta, srcIdx)
+		st = engine.New(g, vw, opt.Workers).SSSP(dist, delta, srcIdx)
 	}
 
 	property.SetColumn(vw, distF, dist)
@@ -66,7 +66,7 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 			sum += dist[i]
 		}
 	}
-	res := &Result{
+	return &Result{
 		Workload: "SPathDelta",
 		Visited:  settled,
 		Checksum: sum,
@@ -75,11 +75,7 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 			"buckets": float64(st.Buckets),
 			"relaxed": float64(st.Relaxed),
 		},
-	}
-	if t == nil {
-		partitionStats(vw, res, st.Supersteps, st.BoundarySent)
-	}
-	return res, nil
+	}, nil
 }
 
 // minDelta is the narrowest bucket width accepted as an override. The

@@ -413,3 +413,46 @@ func TestGibbsDeterministic(t *testing.T) {
 		t.Log("different seeds coincided (possible but unlikely)")
 	}
 }
+
+// TestGColorDenseNeighbourhood colors a 70-clique. Its last vertices see
+// more than 64 colored neighbors, past the instrumented kernel's 64-bit
+// used-color set, so that kernel falls back to the exact rescan. Native
+// and instrumented alike must give every vertex its own color.
+func TestGColorDenseNeighbourhood(t *testing.T) {
+	const k = 70
+	for _, tracked := range []bool{false, true} {
+		t.Run(map[bool]string{false: "native", true: "instrumented"}[tracked], func(t *testing.T) {
+			g := property.New(property.Options{})
+			for i := 0; i < k; i++ {
+				g.AddVertex(property.VertexID(i))
+			}
+			for u := 0; u < k; u++ {
+				for v := u + 1; v < k; v++ {
+					if err := g.AddEdge(property.VertexID(u), property.VertexID(v), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			vw := g.View()
+			if tracked {
+				g.SetTracker(mem.NewCounting())
+			}
+			res, err := GColor(g, Options{View: vw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Visited != k || res.Stats["colors"] != k {
+				t.Errorf("%d colored with %v colors, want %d and %d", res.Visited, res.Stats["colors"], k, k)
+			}
+			col := g.Schema().MustField(ColorField)
+			seen := make(map[float64]bool, k)
+			for _, v := range vw.Verts {
+				c := v.Prop(col)
+				if c < 0 || c >= k || seen[c] {
+					t.Fatalf("vertex %d has color %v, taken or out of range", v.ID, c)
+				}
+				seen[c] = true
+			}
+		})
+	}
+}

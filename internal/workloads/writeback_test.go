@@ -23,7 +23,7 @@ import (
 //
 // The graphs cover the View shapes the column writer sees: ID-ordered over
 // generated rows (a few segments per chunk), a cluster-ordered View with a
-// 2-way plan (partitioned engine, up to a segment per vertex), and a View
+// 2-way plan (up to a segment per vertex), and a View
 // taken after deletions (a segment break at every dead row).
 func TestNativeWriteBackOverStaleField(t *testing.T) {
 	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
