@@ -79,7 +79,7 @@ func main() {
 		fmt.Println("workload  type        category                    gpu  algorithm")
 		for _, w := range core.Workloads {
 			gpuMark := " "
-			if w.GPU {
+			if w.GPU() {
 				gpuMark = "*"
 			}
 			fmt.Printf("%-9s %-11s %-27s %-4s %s\n", w.Name, w.Type, w.Category, gpuMark, w.Algorithm)
@@ -91,7 +91,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *gpu && !wl.GPU {
+	if *gpu && !wl.GPU() {
 		// Fail before the dataset is built, with RunGPU's error.
 		_, err := wl.RunGPU(nil, nil)
 		fatal(err)

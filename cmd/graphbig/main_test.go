@@ -351,8 +351,8 @@ func TestListPrintsRegistry(t *testing.T) {
 	const mark = 9 + 1 + 11 + 1 + 27 + 1
 	for i, w := range core.Workloads {
 		row := lines[i+1]
-		if strings.Fields(row)[0] != w.Name || len(row) <= mark || (row[mark] == '*') != w.GPU {
-			t.Errorf("row %d: %q, want %s with GPU %v", i, row, w.Name, w.GPU)
+		if strings.Fields(row)[0] != w.Name || len(row) <= mark || (row[mark] == '*') != w.GPU() {
+			t.Errorf("row %d: %q, want %s with GPU %v", i, row, w.Name, w.GPU())
 		}
 	}
 }

@@ -36,8 +36,6 @@ type Workload struct {
 	Category  Category
 	Type      ComputationType
 	Algorithm string // the cited algorithm implemented
-	CPU       bool
-	GPU       bool
 	// Mutates marks workloads that modify their input graph (callers
 	// clone or regenerate between runs).
 	Mutates bool
@@ -64,6 +62,9 @@ func (w Workload) Run(ctx *RunContext) (*workloads.Result, error) {
 	return w.runCPU(ctx)
 }
 
+// GPU reports whether the workload has a GPU implementation.
+func (w Workload) GPU() bool { return w.runGPU != nil }
+
 // RunGPU executes the GPU implementation on the given device and CSR graph.
 func (w Workload) RunGPU(d *simt.Device, g *csr.Graph) (gpuwl.Result, error) {
 	if w.runGPU == nil {
@@ -78,88 +79,77 @@ var Workloads = []Workload{
 	{
 		Name: "BFS", Category: CatTraversal, Type: CompStruct,
 		Algorithm: "level-synchronous breadth-first search",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.BFS(c.Graph, c.Opt) },
-		runGPU: gpuwl.BFS,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.BFS(c.Graph, c.Opt) },
+		runGPU:    gpuwl.BFS,
 	},
 	{
 		Name: "DFS", Category: CatTraversal, Type: CompStruct,
 		Algorithm: "iterative preorder depth-first search",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.DFS(c.Graph, c.Opt) },
 	},
 	{
 		Name: "GCons", Category: CatUpdate, Type: CompDyn,
 		Algorithm: "framework-primitive graph construction",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.GCons(c.Graph, c.Opt) },
 	},
 	{
 		Name: "GUp", Category: CatUpdate, Type: CompDyn,
 		Algorithm: "random vertex deletion (graph update)",
-		CPU:       true, Mutates: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.GUp(c.Graph, c.Opt) },
+		Mutates:   true,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.GUp(c.Graph, c.Opt) },
 	},
 	{
 		Name: "TMorph", Category: CatUpdate, Type: CompDyn,
 		Algorithm: "DAG moralization (topology morphing)",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.TMorph(c.Graph, c.Opt) },
 	},
 	{
 		Name: "SPath", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "Dijkstra's single-source shortest paths",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.SPath(c.Graph, c.Opt) },
-		runGPU: gpuwl.SPath,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.SPath(c.Graph, c.Opt) },
+		runGPU:    gpuwl.SPath,
 	},
 	{
 		Name: "kCore", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "Matula-Beck k-core decomposition",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.KCore(c.Graph, c.Opt) },
-		runGPU: gpuwl.KCore,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.KCore(c.Graph, c.Opt) },
+		runGPU:    gpuwl.KCore,
 	},
 	{
 		Name: "CComp", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "BFS components (CPU) / Soman hooking (GPU)",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.CComp(c.Graph, c.Opt) },
-		runGPU: gpuwl.CComp,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.CComp(c.Graph, c.Opt) },
+		runGPU:    gpuwl.CComp,
 	},
 	{
 		Name: "GColor", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "Luby/Jones-Plassmann graph coloring",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.GColor(c.Graph, c.Opt) },
-		runGPU: gpuwl.GColor,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.GColor(c.Graph, c.Opt) },
+		runGPU:    gpuwl.GColor,
 	},
 	{
 		Name: "TC", Category: CatAnalytics, Type: CompProp,
 		Algorithm: "Schank's ordered triangle counting",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.TC(c.Graph, c.Opt) },
-		runGPU: gpuwl.TC,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.TC(c.Graph, c.Opt) },
+		runGPU:    gpuwl.TC,
 	},
 	{
 		Name: "Gibbs", Category: CatAnalytics, Type: CompProp,
-		Algorithm: "Gibbs sampling for Bayesian inference",
-		CPU:       true, NeedsBayes: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.Gibbs(c.Bayes, c.Opt) },
+		Algorithm:  "Gibbs sampling for Bayesian inference",
+		NeedsBayes: true,
+		runCPU:     func(c *RunContext) (*workloads.Result, error) { return workloads.Gibbs(c.Bayes, c.Opt) },
 	},
 	{
 		Name: "DCentr", Category: CatSocial, Type: CompStruct,
 		Algorithm: "degree centrality",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.DCentr(c.Graph, c.Opt) },
-		runGPU: gpuwl.DCentr,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.DCentr(c.Graph, c.Opt) },
+		runGPU:    gpuwl.DCentr,
 	},
 	{
 		Name: "BCentr", Category: CatSocial, Type: CompStruct,
 		Algorithm: "Brandes' betweenness centrality (sampled)",
-		CPU:       true, GPU: true,
-		runCPU: func(c *RunContext) (*workloads.Result, error) { return workloads.BCentr(c.Graph, c.Opt) },
-		runGPU: gpuwl.BCentr,
+		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.BCentr(c.Graph, c.Opt) },
+		runGPU:    gpuwl.BCentr,
 	},
 }
 
@@ -171,25 +161,21 @@ var Extensions = []Workload{
 	{
 		Name: "CCentr", Category: CatSocial, Type: CompStruct,
 		Algorithm: "sampled closeness centrality (extension)",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.CCentr(c.Graph, c.Opt) },
 	},
 	{
 		Name: "BFSDirOpt", Category: CatTraversal, Type: CompStruct,
 		Algorithm: "direction-optimizing BFS (extension)",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.BFSDirOpt(c.Graph, c.Opt) },
 	},
 	{
 		Name: "SPathDelta", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "delta-stepping SSSP (extension)",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.SPathDelta(c.Graph, c.Opt) },
 	},
 	{
 		Name: "CCompLP", Category: CatAnalytics, Type: CompStruct,
 		Algorithm: "label-propagation components (extension)",
-		CPU:       true,
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.CCompLP(c.Graph, c.Opt) },
 	},
 }
@@ -214,9 +200,7 @@ func ByName(name string) (Workload, error) {
 func CPUNames() []string {
 	out := make([]string, 0, len(Workloads))
 	for _, w := range Workloads {
-		if w.CPU {
-			out = append(out, w.Name)
-		}
+		out = append(out, w.Name)
 	}
 	return out
 }
@@ -225,7 +209,7 @@ func CPUNames() []string {
 func GPUNames() []string {
 	out := make([]string, 0, len(Workloads))
 	for _, w := range Workloads {
-		if w.GPU {
+		if w.GPU() {
 			out = append(out, w.Name)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -120,6 +121,16 @@ func excerpt(s string) string {
 	return q + "..."
 }
 
+// numErr reports a number field strconv refused. The field is quoted
+// through excerpt, so a very long field still makes one short line.
+func numErr(lineNo int, err error) error {
+	var ne *strconv.NumError
+	if !errors.As(err, &ne) {
+		return fmt.Errorf("loader: line %d: %w", lineNo, err)
+	}
+	return fmt.Errorf("loader: line %d: strconv.%s: parsing %s: %w", lineNo, ne.Func, excerpt(ne.Num), ne.Err)
+}
+
 // Read parses an edge-list stream into a new property graph. Weights must
 // be non-negative and finite; duplicate and self edges are kept as
 // parallel records.
@@ -162,7 +173,7 @@ func readV1Line(el *property.EdgeList, line string, lineNo int) error {
 		}
 		id, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+			return numErr(lineNo, err)
 		}
 		el.Intern(property.VertexID(id))
 	case "e":
@@ -171,15 +182,15 @@ func readV1Line(el *property.EdgeList, line string, lineNo int) error {
 		}
 		src, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+			return numErr(lineNo, err)
 		}
 		dst, err := strconv.ParseUint(fields[2], 10, 64)
 		if err != nil {
-			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+			return numErr(lineNo, err)
 		}
 		w, err := strconv.ParseFloat(fields[3], 64)
 		if err != nil {
-			return fmt.Errorf("loader: line %d: %w", lineNo, err)
+			return numErr(lineNo, err)
 		}
 		if err := checkWeight(lineNo, w); err != nil {
 			return err
@@ -449,15 +460,15 @@ func parseSNAPLine(text string, lineNo int) (src, dst uint64, w float64, ok bool
 		return 0, 0, 0, false, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %s", lineNo, excerpt(line))
 	}
 	if src, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-		return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+		return 0, 0, 0, false, numErr(lineNo, err)
 	}
 	if dst, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-		return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+		return 0, 0, 0, false, numErr(lineNo, err)
 	}
 	w = 1
 	if len(fields) == 3 {
 		if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
-			return 0, 0, 0, false, fmt.Errorf("loader: line %d: %w", lineNo, err)
+			return 0, 0, 0, false, numErr(lineNo, err)
 		}
 		if err = checkWeight(lineNo, w); err != nil {
 			return 0, 0, 0, false, err

@@ -294,6 +294,9 @@ func TestScanErrorsNameTheLine(t *testing.T) {
 		}
 	}
 	binary := string(bin) + "\n0 1\n"
+	// A 1 000-byte field strconv refuses: its error quotes an excerpt.
+	xs := strings.Repeat("x", 1000)
+	number := xs + " 1\n"
 	for name, err := range map[string]error{
 		"long SNAP line":        readErr(ReadSNAP(strings.NewReader(long))),
 		"long v1 line":          readErr(Read(strings.NewReader("# graphbig v1 directed=false\nv 1\nv " + strings.Repeat("7", 1<<20+1) + "\n"))),
@@ -303,12 +306,20 @@ func TestScanErrorsNameTheLine(t *testing.T) {
 		"binary line 1, blocks": readErr(readSNAPBlocks(strings.NewReader(binary), 64, 4)),
 		"binary line 1, v1":     readErr(Read(strings.NewReader(binary))),
 		"binary line 2, v1":     readErr(Read(strings.NewReader("# graphbig v1 directed=false\n" + string(bin) + "\n"))),
+		"number line 1":         readErr(ReadSNAP(strings.NewReader(number))),
+		"number line 1, serial": readErr(readSNAPSerial(strings.NewReader(number))),
+		"number line 1, blocks": readErr(readSNAPBlocks(strings.NewReader(number), 64, 4)),
+		"number line 4, v1":     readErr(Read(strings.NewReader("# graphbig v1 directed=false\nv 1\nv 2\ne 1 " + xs + " 1\n"))),
 	} {
 		if err == nil || !strings.HasPrefix(err.Error(), "loader: line ") {
 			t.Errorf("%s: error %v, want a loader: line N: error", name, err)
 			continue
 		}
-		if at, ok := strings.CutPrefix(name, "binary "); ok && (len(err.Error()) >= 160 || !strings.Contains(err.Error(), at[:6]+": ")) {
+		at, ok := strings.CutPrefix(name, "binary ")
+		if !ok {
+			at, ok = strings.CutPrefix(name, "number ")
+		}
+		if ok && (len(err.Error()) >= 160 || !strings.Contains(err.Error(), at[:6]+": ")) {
 			t.Errorf("%s: %d-byte error %q, want one under 160 bytes naming the line", name, len(err.Error()), err)
 		}
 	}

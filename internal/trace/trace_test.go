@@ -375,7 +375,7 @@ func TestWireFormat(t *testing.T) {
 func TestReplayEquivalenceEveryWorkload(t *testing.T) {
 	var names []string
 	for _, w := range append(append([]core.Workload{}, core.Workloads...), core.Extensions...) {
-		if w.CPU && !w.NeedsBayes {
+		if !w.NeedsBayes {
 			names = append(names, w.Name)
 		}
 	}

@@ -25,17 +25,24 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	}
 	lvl := g.EnsureField(BFSLevelField)
 	idxSlot := g.EnsureField(property.SysIndexField)
-	t := g.Tracker()
-	if t != nil {
-		// TrackedVisit reads the level property as its visited test; the
-		// native run writes every slot once, after the traversal.
-		for _, v := range vw.Verts {
-			v.SetPropRaw(lvl, -1)
-		}
-	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
+	}
+	t := g.Tracker()
+	if t == nil {
+		st, sum := bfsLevels(g, vw, lvl, srcIdx, opt.Workers)
+		return &Result{
+			Workload: "BFS",
+			Visited:  st.Reached,
+			Checksum: sum,
+			Stats:    map[string]float64{"depth": float64(st.Depth)},
+		}, nil
+	}
+
+	// TrackedVisit reads the level property as its visited test.
+	for _, v := range vw.Verts {
+		v.SetPropRaw(lvl, -1)
 	}
 	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
@@ -48,50 +55,36 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	g.SetProp(vw.Verts[srcIdx], lvl, 0)
 	qSim.St(0)
 
-	var st engine.Stats
-	if t != nil {
-		st = eng.Traverse(&engine.Spec{
-			Dist: dist,
-			TrackedVisit: func(k int, ui, round int32, emit func(v int32) int) {
-				qSim.Ld(k)
-				inst(t, 3)
-				levelVal := float64(round)
-				u := vw.Verts[ui]
-				g.Neighbors(u, func(_ int, e *property.Edge) bool {
-					nb := g.FindVertex(e.To)
-					if nb == nil {
-						return true
-					}
-					seen := g.GetProp(nb, lvl) >= 0
-					branch(t, siteVisited, seen)
-					if seen {
-						return true
-					}
-					nbIdx := int32(g.GetProp(nb, idxSlot))
-					dist[nbIdx] = round
-					g.SetProp(nb, lvl, levelVal)
-					qSim.St(emit(nbIdx))
-					inst(t, 2)
+	st := eng.Traverse(&engine.Spec{
+		Dist: dist,
+		TrackedVisit: func(k int, ui, round int32, emit func(v int32) int) {
+			qSim.Ld(k)
+			inst(t, 3)
+			levelVal := float64(round)
+			u := vw.Verts[ui]
+			g.Neighbors(u, func(_ int, e *property.Edge) bool {
+				nb := g.FindVertex(e.To)
+				if nb == nil {
 					return true
-				})
-			},
-		}, srcIdx)
-	} else {
-		st = eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
-		property.SetColumn(vw, lvl, dist)
-	}
-
-	// Verification pass (uninstrumented): level checksum.
-	sum := 0.0
-	for i := range dist {
-		if dist[i] >= 0 {
-			sum += float64(dist[i])
-		}
-	}
+				}
+				seen := g.GetProp(nb, lvl) >= 0
+				branch(t, siteVisited, seen)
+				if seen {
+					return true
+				}
+				nbIdx := int32(g.GetProp(nb, idxSlot))
+				dist[nbIdx] = round
+				g.SetProp(nb, lvl, levelVal)
+				qSim.St(emit(nbIdx))
+				inst(t, 2)
+				return true
+			})
+		},
+	}, srcIdx)
 	return &Result{
 		Workload: "BFS",
 		Visited:  st.Reached,
-		Checksum: sum,
+		Checksum: levelSum(dist),
 		Stats:    map[string]float64{"depth": float64(st.Depth)},
 	}, nil
 }

@@ -20,41 +20,18 @@ import (
 // measures — is part of the recorded figures.
 func BFSDirOpt(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
-	n := vw.Len()
-	if n == 0 {
+	if vw.Len() == 0 {
 		return nil, ErrEmptyGraph
 	}
 	lvl := g.EnsureField(BFSLevelField)
-	t := g.Tracker()
-	if t != nil {
-		// The tracked formulation reads the level property as its visited
-		// test; the native run writes every slot once, after the traversal.
-		for _, v := range vw.Verts {
-			v.SetPropRaw(lvl, -1)
-		}
-	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
 	}
-	if t != nil {
-		return bfsDirOptTracked(g, vw, lvl, srcIdx, opt)
+	if g.Tracker() != nil {
+		return bfsDirOptTracked(g, vw, lvl, srcIdx), nil
 	}
-
-	eng := engine.New(g, vw, opt.Workers)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[srcIdx] = 0
-	st := eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
-	property.SetColumn(vw, lvl, dist)
-	sum := 0.0
-	for i := range dist {
-		if dist[i] >= 0 {
-			sum += float64(dist[i])
-		}
-	}
+	st, sum := bfsLevels(g, vw, lvl, srcIdx, opt.Workers)
 	return &Result{
 		Workload: "BFSDirOpt",
 		Visited:  st.Reached,
@@ -66,14 +43,45 @@ func BFSDirOpt(g *property.Graph, opt Options) (*Result, error) {
 	}, nil
 }
 
-// bfsDirOptTracked is the original single-threaded bitmap formulation with
-// the alpha = 14 frontier-count switch, retained verbatim for instrumented
-// runs.
-func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int32, opt Options) (*Result, error) {
+// bfsLevels is the native run of BFS and BFSDirOpt: the engine's
+// direction-optimizing traversal from srcIdx, its levels handed back to
+// the field with SetColumn. It returns the engine's stats and the sum of
+// the reached levels.
+func bfsLevels(g *property.Graph, vw *property.View, lvl int, srcIdx int32, workers int) (engine.Stats, float64) {
+	dist := make([]int32, vw.Len())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[srcIdx] = 0
+	st := engine.New(g, vw, workers).Traverse(&engine.Spec{Dist: dist}, srcIdx)
+	property.SetColumn(vw, lvl, dist)
+	return st, levelSum(dist)
+}
+
+// levelSum is the level checksum: the sum of every reached level.
+func levelSum(dist []int32) float64 {
+	sum := 0.0
+	for _, d := range dist {
+		if d >= 0 {
+			sum += float64(d)
+		}
+	}
+	return sum
+}
+
+// bfsDirOptTracked is the original bitmap formulation with the alpha = 14
+// frontier-count switch, retained for instrumented runs: its per-level
+// event stream, bottom-up sweeps included, is part of the recorded
+// figures. It runs single-threaded, in vertex index order.
+func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int32) *Result {
 	const alpha = 14
 	n := vw.Len()
 	t := g.Tracker()
-	w := workers(g, opt)
+	idxSlot := g.Schema().MustField(property.SysIndexField)
+	// The tracked formulation reads the level property as its visited test.
+	for _, v := range vw.Verts {
+		v.SetPropRaw(lvl, -1)
+	}
 
 	frontier := concurrent.NewHierBitmap(n)
 	next := concurrent.NewHierBitmap(n)
@@ -91,18 +99,16 @@ func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int3
 	for frontierSize > 0 {
 		depth++
 		levelVal := float64(depth)
-		var produced int64
+		produced := 0
 		if frontierSize > n/alpha {
 			// Bottom-up: every unvisited vertex scans its neighbors for a
 			// frontier member.
 			bottomUpLevels++
-			cnt := concurrent.NewCounter()
-			concurrent.ParallelItems(n, w, 256, func(i int) {
-				v := vw.Verts[i]
+			for i, v := range vw.Verts {
 				seen := g.GetProp(v, lvl) >= 0
 				branch(t, siteVisited, seen)
 				if seen {
-					return
+					continue
 				}
 				g.Neighbors(v, func(_ int, e *property.Edge) bool {
 					nb := g.FindVertex(e.To)
@@ -115,22 +121,19 @@ func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int3
 						g.SetProp(v, lvl, levelVal)
 						next.Set(i)
 						fSim.St(i / 64)
-						cnt.Add(i, 1)
+						produced++
 						return false // parent found; stop scanning
 					}
 					return true
 				})
-			})
-			produced = cnt.Value()
+			}
 		} else {
 			// Top-down over the frontier bitmap.
-			cnt := concurrent.NewCounter()
-			concurrent.ParallelItems(n, w, 256, func(i int) {
+			for i, u := range vw.Verts {
 				fSim.Ld(i / 64)
 				if !frontier.Test(i) {
-					return
+					continue
 				}
-				u := vw.Verts[i]
 				g.Neighbors(u, func(_ int, e *property.Edge) bool {
 					nb := g.FindVertex(e.To)
 					if nb == nil {
@@ -139,21 +142,18 @@ func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int3
 					seen := g.GetProp(nb, lvl) >= 0
 					branch(t, siteVisited, seen)
 					if !seen {
-						// The bitmap arbitrates parallel discovery.
-						j := int(vwIndex(g, nb))
-						if next.TrySet(j) {
-							g.SetProp(nb, lvl, levelVal)
-							fSim.St(j / 64)
-							cnt.Add(i, 1)
-						}
+						j := int(g.GetProp(nb, idxSlot))
+						g.SetProp(nb, lvl, levelVal)
+						next.Set(j)
+						fSim.St(j / 64)
+						produced++
 					}
 					return true
 				})
-			})
-			produced = cnt.Value()
+			}
 		}
-		reached += produced
-		frontierSize = int(produced)
+		reached += int64(produced)
+		frontierSize = produced
 		frontier, next = next, frontier
 		next.Clear()
 	}
@@ -172,10 +172,5 @@ func bfsDirOptTracked(g *property.Graph, vw *property.View, lvl int, srcIdx int3
 			"depth":            float64(depth - 1),
 			"bottom_up_levels": float64(bottomUpLevels),
 		},
-	}, nil
-}
-
-// vwIndex reads a vertex's dense index through the framework.
-func vwIndex(g *property.Graph, v *property.Vertex) int32 {
-	return int32(g.GetProp(v, g.Schema().MustField(property.SysIndexField)))
+	}
 }

@@ -12,9 +12,11 @@ const CCompField = "cc.label"
 // CComp labels connected components. Following the paper (§4.2), the CPU
 // implementation runs successive BFS traversals — one per component — on
 // the unified frontier engine, which direction-optimizes inside each
-// component in native mode. On directed graphs it computes weakly-connected
-// components of the out-edge structure only (the suite's datasets store
-// undirected graphs mirrored).
+// component in native mode. Seeds are tried in View order, each labelling
+// the unlabeled vertices it reaches by out-edges: on undirected graphs,
+// stored mirrored like the suite's datasets, those are the connected
+// components for any order. On a directed graph they are neither the weakly
+// connected components nor independent of the View's order.
 //
 // The per-call Dist array doubles as the visited set across components, so
 // each engine traversal claims only unlabeled vertices.

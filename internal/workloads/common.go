@@ -18,11 +18,13 @@
 //     on the graph; the run is single-threaded and deterministic — these
 //     runs regenerate the paper's Figures 1 and 5–9.
 //
-// Most workloads serve both modes from one implementation. Five do not:
-// BFSDirOpt, SPath, kCore, GColor and BCentr run a native kernel over the
-// View's flat arrays and a separate framework walk (kcoreTracked and the like)
-// when a tracker is installed; the parity tests hold the two to one
-// result. ROADMAP item 9 plans to fold them.
+// Most workloads serve both modes from one function; kCore and BCentr
+// branch per vertex, never per edge, between the View's Adj arrays and the
+// framework walk. SPath, BFSDirOpt and GColor keep a separate tracked
+// formulation (spathTracked and the like): SPath's heap costs the native
+// kernel 22 % when shared under tracker guards, and the other two track
+// different algorithms whose event streams are archived. DESIGN.md §6 has
+// the measurements; the parity tests hold every pair to one result.
 package workloads
 
 import (

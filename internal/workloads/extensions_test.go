@@ -8,6 +8,7 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/gen"
+	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -297,6 +298,68 @@ func heavyPath(w float64) *property.Graph {
 	return g
 }
 
+// TestCCompDirectedIsOutReachInViewOrder pins what CComp computes on a
+// directed graph: seeds are tried in View order, and each labels the
+// unlabeled vertices it reaches by out-edges. Those are not the weakly
+// connected components, and they depend on the order: the directed path
+// heavyPath is one component on a plain View, whose first seed is the
+// path's head, and two under order.Cluster. Native and instrumented runs
+// agree with an out-reach reference on both Views.
+func TestCCompDirectedIsOutReachInViewOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  property.ViewOpts
+		comps float64
+	}{
+		{"plain", property.ViewOpts{}, 1},
+		{"cluster", property.ViewOpts{Order: order.Cluster}, 2},
+	} {
+		for _, tracked := range []bool{false, true} {
+			g := heavyPath(1)
+			vw := g.ViewWith(tc.opts)
+			if tracked {
+				g.SetTracker(mem.NewCounting())
+			}
+			res, err := CComp(g, Options{View: vw, Workers: 2})
+			g.SetTracker(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats["components"] != tc.comps {
+				t.Errorf("%s tracked=%v: %v components, want %v", tc.name, tracked, res.Stats["components"], tc.comps)
+			}
+			// Reference: a BFS over out-edges from each unlabeled vertex
+			// in View order.
+			want := make([]int32, vw.Len())
+			for i := range want {
+				want[i] = -1
+			}
+			label := int32(0)
+			for s := range want {
+				if want[s] >= 0 {
+					continue
+				}
+				want[s] = label
+				for q := []int32{int32(s)}; len(q) > 0; q = q[1:] {
+					for _, w := range vw.Adj(q[0]) {
+						if want[w] < 0 {
+							want[w] = label
+							q = append(q, w)
+						}
+					}
+				}
+				label++
+			}
+			slot := g.Schema().MustField(CCompField)
+			for i, v := range vw.Verts {
+				if got := v.Prop(slot); got != float64(want[i]) {
+					t.Fatalf("%s tracked=%v: vertex %d labelled %v, out-reach from View order says %d", tc.name, tracked, v.ID, got, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSPathDeltaPartitionSweepBitwise pins the delta-stepping kernel
 // against Bellman-Ford, and BFS, BFSDirOpt, CComp and SPathDelta on the
 // View that partitioned-social and ext04 build (cluster order and a k-way
@@ -306,7 +369,8 @@ func heavyPath(w float64) *property.Graph {
 // the engine's superstep counters zero. The path inputs drain through
 // spilled and saturated buckets; they are directed, and on a directed
 // graph CComp's out-edge components depend on the order its seeds are
-// tried in, so there CComp is left out.
+// tried in (TestCCompDirectedIsOutReachInViewOrder), so there CComp is
+// left out.
 func TestSPathDeltaPartitionSweepBitwise(t *testing.T) {
 	ldbc, err := gen.ByName("ldbc")
 	if err != nil {

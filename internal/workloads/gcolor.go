@@ -42,7 +42,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 		for _, v := range vw.Verts {
 			v.SetPropRaw(col, -1)
 		}
-		return gcolorTracked(g, vw, col, prio, maxIters, opt)
+		return gcolorTracked(g, vw, col, prio, maxIters), nil
 	}
 
 	eng := engine.New(g, vw, opt.Workers)
@@ -154,27 +154,25 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 }
 
 // gcolorTracked is the original one-pass framework formulation retained
-// for instrumented (single-threaded, deterministic) runs.
-func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(property.VertexID) uint64, maxIters int, opt Options) (*Result, error) {
+// for instrumented runs: single-threaded, in work-list order.
+func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(property.VertexID) uint64, maxIters int) *Result {
 	n := vw.Len()
 	t := g.Tracker()
-	w := workers(g, opt)
 
 	work := make([]int32, n)
 	for i := range work {
 		work[i] = narrow.Index32(i)
 	}
+	next := make([]int32, 0, n)
 	wSim := newSimArr(g, n, 4)
 
 	rounds := 0
-	var colored atomic.Int64
-	var maxColorA atomic.Int64
+	var colored, maxColor int64
 	for len(work) > 0 && rounds < maxIters {
 		rounds++
-		nextWork := concurrent.NewFrontier(len(work))
-		concurrent.ParallelItems(len(work), w, 32, func(k int) {
+		for k, vi := range work {
 			wSim.Ld(k)
-			v := vw.Verts[work[k]]
+			v := vw.Verts[vi]
 			p := prio(v.ID)
 			inst(t, 4)
 			// Local maximum test among uncolored neighbors.
@@ -205,9 +203,9 @@ func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(prop
 			})
 			branch(t, siteColor, isMax)
 			if !isMax {
-				nextWork.Push(work[k])
-				wSim.St(nextWork.Len() - 1)
-				return
+				next = append(next, vi)
+				wSim.St(len(next) - 1)
+				continue
 			}
 			// Smallest color not used by any colored neighbor.
 			c := int64(0)
@@ -220,15 +218,10 @@ func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(prop
 				c = exactSmallestColor(g, v, col)
 			}
 			g.SetProp(v, col, float64(c))
-			colored.Add(1)
-			for {
-				m := maxColorA.Load()
-				if c <= m || maxColorA.CompareAndSwap(m, c) {
-					break
-				}
-			}
-		})
-		work = append(work[:0], nextWork.Slice()...)
+			colored++
+			maxColor = max(maxColor, c)
+		}
+		work, next = next, work[:0]
 	}
 
 	sum := 0.0
@@ -237,13 +230,13 @@ func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(prop
 	}
 	return &Result{
 		Workload: "GColor",
-		Visited:  colored.Load(),
+		Visited:  colored,
 		Checksum: sum,
 		Stats: map[string]float64{
 			"rounds": float64(rounds),
-			"colors": float64(maxColorA.Load() + 1),
+			"colors": float64(maxColor + 1),
 		},
-	}, nil
+	}
 }
 
 // exactSmallestColor handles neighborhoods using colors beyond the 64-bit

@@ -16,8 +16,11 @@ const KCoreField = "kcore"
 // updates scatter across the whole graph — the mix that places kCore
 // among the most backend-bound workloads in Figure 5.
 //
-// The native path peels over the view's resolved Adj arrays with the same
-// bucket mechanics; instrumented runs keep the framework walk below.
+// Both modes share the bucket sort, the peel and the bucket move. Per
+// peeled vertex a native run ranges the view's resolved Adj array; an
+// instrumented run walks the same neighbors through Neighbors, FindVertex
+// and GetProp, and reports its simulated array accesses in tracker-only
+// blocks that the native loops never enter.
 func KCore(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
 	n := vw.Len()
@@ -25,112 +28,27 @@ func KCore(g *property.Graph, opt Options) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	core := g.EnsureField(KCoreField)
-	if g.Tracker() != nil {
-		return kcoreTracked(g, vw, core)
-	}
-
-	deg := make([]int32, n)
-	maxDeg := int32(0)
-	for i, v := range vw.Verts {
-		deg[i] = narrow.Index32(v.OutDegree())
-		if deg[i] > maxDeg {
-			maxDeg = deg[i]
-		}
-	}
-	// Bucket sort by degree: bin[d] = start offset of degree-d vertices.
-	bin := make([]int32, maxDeg+2)
-	for i := 0; i < n; i++ {
-		bin[deg[i]+1]++
-	}
-	for d := int32(1); d <= maxDeg+1; d++ {
-		bin[d] += bin[d-1]
-	}
-	vert := make([]int32, n) // vertices in degree order
-	pos := make([]int32, n)  // position of vertex i in vert
-	next := make([]int32, maxDeg+1)
-	copy(next, bin[:maxDeg+1])
-	for i := 0; i < n; i++ {
-		p := next[deg[i]]
-		next[deg[i]]++
-		vert[p] = narrow.Index32(i)
-		pos[i] = p
-	}
-
-	// Peel in increasing degree order.
-	maxCore := int32(0)
-	sum := 0.0
-	for p := 0; p < n; p++ {
-		vi := vert[p]
-		c := deg[vi]
-		if c > maxCore {
-			maxCore = c
-		}
-		sum += float64(c)
-		for _, wi := range vw.Adj(vi) {
-			if deg[wi] > c {
-				// Swap w with the first vertex of its current bucket and
-				// shrink w's degree by one.
-				dw := deg[wi]
-				pw := pos[wi]
-				ps := bin[dw]
-				us := vert[ps]
-				if us != wi {
-					vert[pw], vert[ps] = us, wi
-					pos[wi], pos[us] = ps, pw
-				}
-				bin[dw]++
-				deg[wi]--
-			}
-		}
-	}
-	// A peeled vertex's degree is never lowered again, so deg now holds
-	// every core number.
-	property.SetColumn(vw, core, deg)
-	return &Result{
-		Workload: "kCore",
-		Visited:  int64(n),
-		Checksum: sum,
-		Stats:    map[string]float64{"max_core": float64(maxCore)},
-	}, nil
-}
-
-// kcoreTracked is the original framework-primitive peel retained for
-// instrumented runs.
-func kcoreTracked(g *property.Graph, vw *property.View, core int) (*Result, error) {
-	n := vw.Len()
 	idxSlot := g.EnsureField(property.SysIndexField)
 	t := g.Tracker()
 
 	deg := make([]int32, n)
-	degSim := newSimArr(g, n, 4)
 	maxDeg := int32(0)
 	for i, v := range vw.Verts {
 		deg[i] = narrow.Index32(v.OutDegree())
-		degSim.St(i)
-		inst(t, 2)
 		if deg[i] > maxDeg {
 			maxDeg = deg[i]
 		}
 	}
 	// Bucket sort by degree: bin[d] = start offset of degree-d vertices.
 	bin := make([]int32, maxDeg+2)
-	binSim := newSimArr(g, int(maxDeg)+2, 4)
 	for i := 0; i < n; i++ {
 		bin[deg[i]+1]++
-		degSim.Ld(i)
-		binSim.St(int(deg[i]) + 1)
-		inst(t, 2)
 	}
 	for d := int32(1); d <= maxDeg+1; d++ {
 		bin[d] += bin[d-1]
-		binSim.Ld(int(d))
-		binSim.St(int(d))
-		inst(t, 2)
 	}
 	vert := make([]int32, n) // vertices in degree order
 	pos := make([]int32, n)  // position of vertex i in vert
-	vertSim := newSimArr(g, n, 4)
-	posSim := newSimArr(g, n, 4)
 	next := make([]int32, maxDeg+1)
 	copy(next, bin[:maxDeg+1])
 	for i := 0; i < n; i++ {
@@ -138,24 +56,83 @@ func kcoreTracked(g *property.Graph, vw *property.View, core int) (*Result, erro
 		next[deg[i]]++
 		vert[p] = narrow.Index32(i)
 		pos[i] = p
-		vertSim.St(int(p))
-		posSim.St(i)
-		inst(t, 4)
+	}
+
+	degSim, binSim := newSimArr(g, n, 4), newSimArr(g, int(maxDeg)+2, 4)
+	vertSim, posSim := newSimArr(g, n, 4), newSimArr(g, n, 4)
+	if t != nil {
+		// The set-up above emits nothing; replay its accesses in order.
+		for i := 0; i < n; i++ {
+			degSim.St(i)
+			inst(t, 2)
+		}
+		for i := 0; i < n; i++ {
+			degSim.Ld(i)
+			binSim.St(int(deg[i]) + 1)
+			inst(t, 2)
+		}
+		for d := 1; d <= int(maxDeg)+1; d++ {
+			binSim.Ld(d)
+			binSim.St(d)
+			inst(t, 2)
+		}
+		for i := 0; i < n; i++ {
+			vertSim.St(int(pos[i]))
+			posSim.St(i)
+			inst(t, 4)
+		}
+	}
+
+	// move swaps neighbor wi with the first vertex of its current bucket
+	// and shrinks wi's degree by one.
+	move := func(wi int32) {
+		dw := deg[wi]
+		pw := pos[wi]
+		ps := bin[dw]
+		us := vert[ps]
+		if us != wi {
+			vert[pw], vert[ps] = us, wi
+			pos[wi], pos[us] = ps, pw
+		}
+		bin[dw]++
+		deg[wi]--
+		if t != nil {
+			posSim.Ld(int(wi))
+			binSim.Ld(int(dw))
+			vertSim.Ld(int(ps))
+			if us != wi {
+				vertSim.St(int(pw))
+				vertSim.St(int(ps))
+				posSim.St(int(wi))
+				posSim.St(int(us))
+			}
+			binSim.St(int(dw))
+			degSim.St(int(wi))
+			inst(t, 8)
+		}
 	}
 
 	// Peel in increasing degree order.
 	maxCore := int32(0)
 	sum := 0.0
 	for p := 0; p < n; p++ {
-		vertSim.Ld(p)
 		vi := vert[p]
-		v := vw.Verts[vi]
 		c := deg[vi]
 		if c > maxCore {
 			maxCore = c
 		}
-		g.SetProp(v, core, float64(c))
 		sum += float64(c)
+		if t == nil {
+			for _, wi := range vw.Adj(vi) {
+				if deg[wi] > c {
+					move(wi)
+				}
+			}
+			continue
+		}
+		vertSim.Ld(p)
+		v := vw.Verts[vi]
+		g.SetProp(v, core, float64(c))
 		g.Neighbors(v, func(_ int, e *property.Edge) bool {
 			nb := g.FindVertex(e.To)
 			if nb == nil {
@@ -166,32 +143,14 @@ func kcoreTracked(g *property.Graph, vw *property.View, core int) (*Result, erro
 			higher := deg[wi] > c
 			branch(t, sitePeel, higher)
 			if higher {
-				// Swap w with the first vertex of its current bucket and
-				// shrink w's degree by one.
-				dw := deg[wi]
-				pw := pos[wi]
-				ps := bin[dw]
-				us := vert[ps]
-				posSim.Ld(int(wi))
-				binSim.Ld(int(dw))
-				vertSim.Ld(int(ps))
-				if us != wi {
-					vert[pw], vert[ps] = us, wi
-					pos[wi], pos[us] = ps, pw
-					vertSim.St(int(pw))
-					vertSim.St(int(ps))
-					posSim.St(int(wi))
-					posSim.St(int(us))
-				}
-				bin[dw]++
-				deg[wi]--
-				binSim.St(int(dw))
-				degSim.St(int(wi))
-				inst(t, 8)
+				move(wi)
 			}
 			return true
 		})
 	}
+	// A peeled vertex's degree is never lowered again, so deg now holds
+	// every core number.
+	property.SetColumn(vw, core, deg)
 	return &Result{
 		Workload: "kCore",
 		Visited:  int64(n),
