@@ -94,8 +94,9 @@ type TraversalSpec = engine.Spec
 // TraversalStats summarizes one Engine.Traverse call.
 type TraversalStats = engine.Stats
 
-// NewEngine returns a frontier engine over g's view; workers <= 0 selects
-// GOMAXPROCS, and instrumented graphs always run single-threaded.
+// NewEngine returns a frontier engine over vw; workers <= 0 selects
+// GOMAXPROCS. The engine runs native kernels only: it records no event on
+// an instrumented graph.
 func NewEngine(g *Graph, vw *View, workers int) *Engine {
 	return engine.New(g, vw, workers)
 }

@@ -2,14 +2,6 @@ package concurrent
 
 import "testing"
 
-func BenchmarkHierBitmapTrySet(b *testing.B) {
-	bm := NewHierBitmap(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.TrySet(i & (1<<20 - 1))
-	}
-}
-
 func BenchmarkFrontierPush(b *testing.B) {
 	f := NewFrontier(b.N + 1)
 	b.ResetTimer()

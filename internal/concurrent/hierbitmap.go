@@ -47,33 +47,15 @@ func (b *HierBitmap) mark(wi int) {
 	b.sum[wi>>6].Or(1 << (uint(wi) & 63))
 }
 
-// TrySet atomically sets bit i and reports whether this call changed it.
-// Safe to race with Test/Set/TrySet; not with Clear or the scans.
+// Set sets bit i. Safe to race with Test and Set; not with Clear or the
+// scans.
 //
-// Both setters arbitrate through a Load+CAS loop rather than the
-// value-returning atomic Or: the CAS publishes the summary mark before
-// any racer can observe the leaf word non-zero. (The one-shot Or form
-// also miscompiles under register pressure on go1.24.0 amd64 — its
-// CMPXCHG expansion clobbers a live register — so the CAS loop is
-// load-bearing, not stylistic.)
-func (b *HierBitmap) TrySet(i int) bool {
-	wi := i >> 6
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := b.words[wi].Load()
-		if old&mask != 0 {
-			return false
-		}
-		if b.words[wi].CompareAndSwap(old, old|mask) {
-			if old == 0 {
-				b.mark(wi)
-			}
-			return true
-		}
-	}
-}
-
-// Set sets bit i unconditionally.
+// Set arbitrates through a Load+CAS loop rather than the value-returning
+// atomic Or: the CAS publishes the summary mark before any racer can
+// observe the leaf word non-zero. (The one-shot Or form also miscompiles
+// under register pressure on go1.24.0 amd64 — its CMPXCHG expansion
+// clobbers a live register — so the CAS loop is load-bearing, not
+// stylistic.)
 func (b *HierBitmap) Set(i int) {
 	wi := i >> 6
 	mask := uint64(1) << (uint(i) & 63)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -17,12 +16,7 @@ func TestHierBitmapBasics(t *testing.T) {
 	if b.Test(0) || b.Test(129) {
 		t.Error("fresh bitmap has set bits")
 	}
-	if !b.TrySet(129) {
-		t.Error("first TrySet must succeed")
-	}
-	if b.TrySet(129) {
-		t.Error("second TrySet must fail")
-	}
+	b.Set(129)
 	if !b.Test(129) {
 		t.Error("bit not set")
 	}
@@ -63,13 +57,8 @@ func runBitmapOps(t *testing.T, n int, ops []byte) {
 		a, b := int(ops[1])<<8|int(ops[2]), int(ops[3])<<8|int(ops[4])
 		i := a % n
 		switch ops[0] % 8 {
-		case 0, 1:
+		case 0, 1, 2, 3:
 			h.Set(i)
-			model[i] = true
-		case 2, 3:
-			if got := h.TrySet(i); got == model[i] {
-				t.Fatalf("n=%d: TrySet(%d) = %v with the bit already %v", n, i, got, model[i])
-			}
 			model[i] = true
 		case 4:
 			if h.Test(i) != model[i] {
@@ -133,11 +122,6 @@ func TestHierBitmapAppendSetBoundaries(t *testing.T) {
 					t.Fatalf("Test(%d) = %v", i, b.Test(i))
 				}
 			}
-			for _, i := range want {
-				if b.TrySet(int(i)) {
-					t.Errorf("TrySet(%d) claimed a set bit", i)
-				}
-			}
 			b.Clear()
 			if got := b.AppendSet(nil); len(got) != 0 {
 				t.Errorf("AppendSet after Clear = %v", got)
@@ -156,28 +140,23 @@ func FuzzHierBitmap(f *testing.F) {
 	})
 }
 
-func TestHierBitmapTrySetExactlyOnce(t *testing.T) {
+// TestHierBitmapRacingSetsKeepSummary has workers set interleaved bits
+// that share leaf words: every summary mark must survive the racing
+// setters, or a populated word hides from the scans.
+func TestHierBitmapRacingSetsKeepSummary(t *testing.T) {
 	const n, workers = 1 << 14, 8
 	b := NewHierBitmap(n)
-	var wins atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if b.TrySet(i) {
-					wins.Add(1)
-				}
+			for i := w; i < n; i += workers {
+				b.Set(i)
 			}
 		}()
 	}
 	wg.Wait()
-	if wins.Load() != n {
-		t.Errorf("wins = %d, want %d (each bit claimed exactly once)", wins.Load(), n)
-	}
-	// Every summary mark must have survived the racing setters: a lost
-	// mark would hide a populated word from the scans.
 	got := b.AppendSet(nil)
 	if len(got) != n {
 		t.Fatalf("AppendSet found %d bits, want %d", len(got), n)

@@ -12,13 +12,9 @@
 // vertex range so every slot has a single writer, keeping the engine clean
 // under the race detector.
 //
-// Instrumented runs (a mem.Tracker installed on the graph) pin the engine
-// to single-threaded push mode, mirroring the suite-wide workers() rule:
-// the engine supplies only the frontier scaffolding while the workload's
-// TrackedVisit callback walks the framework primitives
-// (Neighbors/FindVertex/GetProp/SetProp) itself, so the simulated event
-// stream — and hence Figures 1 and 5-9 — is bit-identical to the
-// pre-engine implementations.
+// The engine runs native kernels only: it never reads the graph's
+// mem.Tracker. Instrumented runs (Figures 1 and 5-9) are the workloads'
+// own single-threaded loops over the framework primitives.
 package engine
 
 import (
@@ -40,7 +36,6 @@ const (
 // within a workload run (frontier buffers are cached); it is not safe for
 // concurrent use by multiple goroutines.
 type Engine struct {
-	g       *property.Graph
 	vw      *property.View
 	workers int // raw request; resolved by Workers()
 	n       int
@@ -52,24 +47,14 @@ type Engine struct {
 	sparse    []int32 // scratch for bitmap sparsification at pull exit
 }
 
-// New returns an engine over g's view. workers follows the suite rule:
-// <= 0 selects GOMAXPROCS, and instrumented graphs are always pinned to a
-// single worker.
+// New returns an engine over vw; workers <= 0 selects GOMAXPROCS. g is
+// unused (ROADMAP 1(a) drops it with the benchmark's call).
 func New(g *property.Graph, vw *property.View, workers int) *Engine {
-	return &Engine{g: g, vw: vw, workers: workers, n: vw.Len()}
+	return &Engine{vw: vw, workers: workers, n: vw.Len()}
 }
 
-// Tracked reports whether an instrumentation sink is installed, which pins
-// the engine to deterministic single-threaded push mode.
-func (e *Engine) Tracked() bool { return e.g.Tracker() != nil }
-
-// Workers resolves the effective parallelism (1 when tracked).
-func (e *Engine) Workers() int {
-	if e.Tracked() {
-		return 1
-	}
-	return concurrent.Workers(e.workers)
-}
+// Workers resolves the effective parallelism.
+func (e *Engine) Workers() int { return concurrent.Workers(e.workers) }
 
 // N returns the vertex count of the view.
 func (e *Engine) N() int { return e.n }
@@ -77,12 +62,9 @@ func (e *Engine) N() int { return e.n }
 // View returns the underlying index-resolved snapshot.
 func (e *Engine) View() *property.View { return e.vw }
 
-// Graph returns the underlying property graph.
-func (e *Engine) Graph() *property.Graph { return e.g }
-
 // ForVertices runs body(i) for every dense index, work-stealing across the
 // engine's workers with the given grain; with one worker it runs inline in
-// index order, which keeps instrumented runs deterministic.
+// index order.
 func (e *Engine) ForVertices(grain int, body func(i int)) {
 	concurrent.ParallelItems(e.n, e.Workers(), grain, body)
 }

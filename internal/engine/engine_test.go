@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/gen"
@@ -184,55 +185,35 @@ func TestTraverseMultiComponentReuse(t *testing.T) {
 	}
 }
 
-// A tracker pins the engine to the single-threaded TrackedVisit loop and
-// never writes the native labels.
-func TestTraverseTrackedMode(t *testing.T) {
-	g := chain(6)
-	vw := g.View() // view before tracker, matching the harness ordering
-	g.SetTracker(mem.NewCounting())
+// TestTraverseIgnoresTracker pins the engine's contract: it runs its
+// native kernel whatever is installed on the graph. With a tracker
+// installed, a 4-worker Traverse returns the bare graph's Dist, Labels and
+// Stats, and the tracker counts no event.
+func TestTraverseIgnoresTracker(t *testing.T) {
+	g := gen.LDBC(3000, 9, 1)
+	vw := g.View()
+	run := func() ([]int32, []int32, Stats) {
+		dist, labels := newDist(vw.Len()), newDist(vw.Len())
+		dist[0], labels[0] = 0, 5
+		st := New(g, vw, 4).Traverse(&Spec{Dist: dist, Label: 5, Labels: labels}, 0)
+		return dist, labels, st
+	}
+	wantDist, wantLabels, wantSt := run()
+	if wantSt.PullRounds == 0 {
+		t.Fatal("no pull rounds; the direction optimizer was not exercised")
+	}
+	c := mem.NewCounting()
+	g.SetTracker(c)
 	defer g.SetTracker(nil)
-
-	e := New(g, vw, 8)
-	if !e.Tracked() || e.Workers() != 1 {
-		t.Fatalf("Tracked=%v Workers=%d, want tracked single-worker", e.Tracked(), e.Workers())
+	dist, labels, st := run()
+	if st != wantSt {
+		t.Errorf("stats %+v, want the bare graph's %+v", st, wantSt)
 	}
-	dist := newDist(e.N())
-	dist[0] = 0
-	labels := newDist(e.N())
-	var order []int32
-	st := e.Traverse(&Spec{
-		Dist:   dist,
-		Label:  5,
-		Labels: labels,
-		TrackedVisit: func(k int, u, round int32, emit func(v int32) int) {
-			for _, v := range vw.Adj(u) {
-				if dist[v] < 0 {
-					dist[v] = round
-					// One emit per round on a chain: slot in the next
-					// frontier is always 0 (frontiers reset each round).
-					if slot := emit(v); slot != 0 {
-						t.Errorf("emit slot %d, want 0", slot)
-					}
-					order = append(order, v)
-				}
-			}
-		},
-	}, 0)
-	if st.Reached != 6 || st.Depth != 5 {
-		t.Errorf("stats %+v, want Reached=6 Depth=5", st)
+	if !slices.Equal(dist, wantDist) || !slices.Equal(labels, wantLabels) {
+		t.Error("Dist or Labels differ from the bare graph's")
 	}
-	if st.PullRounds != 0 {
-		t.Errorf("tracked run took pull rounds: %+v", st)
-	}
-	for v, l := range labels {
-		if l != -1 {
-			t.Errorf("tracked run wrote native label %d to vertex %d", l, v)
-		}
-	}
-	for i, v := range order {
-		if v != int32(i+1) {
-			t.Fatalf("discovery order %v not deterministic chain order", order)
-		}
+	if c.Loads != [2]uint64{} || c.Stores != [2]uint64{} || c.Insts != [2]uint64{} || c.Branches != [2]uint64{} {
+		t.Errorf("Traverse recorded tracker events: %+v", *c)
 	}
 }
 

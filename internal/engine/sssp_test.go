@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/gen"
-	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
@@ -155,28 +154,19 @@ func TestPlanLeavesKernelsUnchanged(t *testing.T) {
 }
 
 // TestForVerticesVisitsEachOnce covers the engine's vertex map and its
-// accessors: every dense index is visited exactly once, across workers
-// and pinned to one worker under a tracker.
+// accessors: every dense index is visited exactly once across workers.
 func TestForVerticesVisitsEachOnce(t *testing.T) {
 	g := gen.Road(3000, 3, 0)
 	vw := g.View()
-	for _, tracked := range []bool{false, true} {
-		if tracked {
-			g.SetTracker(mem.NewCounting())
-		}
-		e := New(g, vw, 4)
-		if e.View() != vw || e.Graph() != g || e.N() != vw.Len() {
-			t.Fatal("accessors do not return what the engine was built over")
-		}
-		if e.Tracked() != tracked || tracked && e.Workers() != 1 {
-			t.Errorf("tracked=%v: Workers %d, Tracked %v", tracked, e.Workers(), e.Tracked())
-		}
-		hits := make([]int32, e.N())
-		e.ForVertices(16, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("tracked=%v: vertex %d visited %d times", tracked, i, h)
-			}
+	e := New(g, vw, 4)
+	if e.View() != vw || e.N() != vw.Len() || e.Workers() != 4 {
+		t.Fatal("accessors do not return what the engine was built over")
+	}
+	hits := make([]int32, e.N())
+	e.ForVertices(16, func(i int) { hits[i]++ })
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("vertex %d visited %d times", i, h)
 		}
 	}
 }

@@ -26,20 +26,9 @@ type Spec struct {
 	// NoPull forces pure push mode (for workloads whose semantics depend
 	// on push-order effects, or for comparison runs).
 	NoPull bool
-
-	// TrackedVisit hosts the workload's instrumented per-frontier-item
-	// body: k is the position of u in the current frontier, and emit
-	// enqueues a newly discovered vertex for the next round, returning its
-	// position in that frontier (legacy loops record a simulated store at
-	// that slot). When a tracker is installed the engine runs a
-	// single-threaded push loop that only calls TrackedVisit — the event
-	// stream is entirely the workload's own, bit-identical to the
-	// pre-engine implementations.
-	TrackedVisit func(k int, u, round int32, emit func(v int32) int)
 }
 
-// Stats summarizes one Traverse call. SerialRounds is zero outside native
-// runs.
+// Stats summarizes one Traverse call.
 type Stats struct {
 	Reached    int64 // vertices claimed, including the sources
 	Depth      int32 // highest round assigned (0 if only sources)
@@ -57,64 +46,6 @@ type Stats struct {
 	BoundarySent int64
 }
 
-// Traverse runs a level-synchronous traversal from srcs. Sources must
-// already have Dist[src] set (by convention 0) by the caller; Traverse
-// claims every vertex reachable through unvisited slots and returns the
-// per-call stats.
-//
-// Native runs direction-optimize: rounds run in push mode (scatter from a
-// sparse frontier) until the frontier's out-degree sum exceeds
-// unexplored/Alpha, then in pull mode (every unvisited vertex scans its
-// in-neighbors against a dense bitmap, single writer per slot) until the
-// awake count drops below n/Beta, then in push mode to the end. A push
-// round forks across the workers (atomic CAS claims) only when its
-// frontier holds more than serialGrain edge visits; at or below that it
-// is a sequential loop on the caller. Instrumented runs always use the
-// single-threaded push loop around Spec.TrackedVisit.
-func (e *Engine) Traverse(spec *Spec, srcs ...int32) Stats {
-	if len(spec.Dist) != e.n {
-		panic("engine: Spec.Dist length does not match view")
-	}
-	cur, next := e.frontiers()
-	for _, s := range srcs {
-		cur.Push(s)
-	}
-	st := Stats{Reached: int64(len(srcs))}
-	if e.Tracked() {
-		e.trackedPush(spec, cur, next, &st)
-	} else {
-		e.nativeTraverse(spec, cur, next, &st)
-	}
-	return st
-}
-
-// trackedPush is the deterministic single-threaded frontier loop backing
-// instrumented runs. All per-vertex and per-edge work — and therefore the
-// entire tracker event stream — lives in the workload's TrackedVisit.
-func (e *Engine) trackedPush(spec *Spec, cur, next *concurrent.Frontier, st *Stats) {
-	// emit captures next by reference, so the frontier swap below retargets
-	// it automatically.
-	emit := func(v int32) int {
-		next.Push(v)
-		return next.Len() - 1
-	}
-	round := int32(1)
-	for cur.Len() > 0 {
-		fr := cur.Slice()
-		for k := range fr {
-			spec.TrackedVisit(k, fr[k], round, emit)
-		}
-		st.Reached += int64(next.Len())
-		if next.Len() > 0 {
-			st.Depth = round
-		}
-		st.PushRounds++
-		cur, next = next, cur
-		next.Reset()
-		round++
-	}
-}
-
 // serialGrain is the round floor, in edge visits: a push round whose
 // frontier has an out-degree sum at or below it costs less than forking
 // it does (goroutine launches, the WaitGroup barrier, waking threads that
@@ -127,11 +58,29 @@ func (e *Engine) trackedPush(spec *Spec, cur, next *concurrent.Frontier, st *Sta
 // forks. SSSP's bucket drains apply the same floor.
 const serialGrain = 256 << 10
 
-// nativeTraverse is the flat native loop. Each round picks its direction
-// from the Alpha test and, for push rounds, its width from the frontier's
-// own work estimate: scout, the out-degree sum of the live frontier, is
-// exactly the number of edge visits the round is about to make.
-func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *Stats) {
+// Traverse runs a level-synchronous traversal from srcs. Sources must
+// already have Dist[src] set (by convention 0) by the caller; Traverse
+// claims every vertex reachable through unvisited slots and returns the
+// per-call stats.
+//
+// Rounds run in push mode (scatter from a sparse frontier) until the
+// frontier's out-degree sum exceeds unexplored/Alpha, then in pull mode
+// (every unvisited vertex scans its in-neighbors against a dense bitmap,
+// single writer per slot) until the awake count drops below n/Beta, then
+// in push mode to the end. A push round forks across the workers (atomic
+// CAS claims) only when its frontier holds more than serialGrain edge
+// visits, an estimate that is exact: scout, the out-degree sum of the live
+// frontier, is the number of edge visits the round is about to make. At or
+// below the floor the round is a sequential loop on the caller.
+func (e *Engine) Traverse(spec *Spec, srcs ...int32) Stats {
+	if len(spec.Dist) != e.n {
+		panic("engine: Spec.Dist length does not match view")
+	}
+	cur, next := e.frontiers()
+	for _, s := range srcs {
+		cur.Push(s)
+	}
+	st := Stats{Reached: int64(len(srcs))}
 	oneWorker := e.Workers() == 1
 	// edgesLeft approximates the unexplored-edge count driving the
 	// push->pull switch.
@@ -141,7 +90,7 @@ func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *
 	round := int32(1)
 	for cur.Len() > 0 {
 		if pull && scout > edgesLeft/Alpha {
-			e.pullPhase(spec, cur, &round, st)
+			e.pullPhase(spec, cur, &round, &st)
 			scout = e.degreeSum(cur.Slice())
 			// The pull phase ran until the frontier was past its peak and
 			// scanned the remainder on the way: finish in push. Testing
@@ -168,6 +117,7 @@ func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *
 		next.Reset()
 		round++
 	}
+	return st
 }
 
 // degreeSum is the scout count of a frontier: the edge visits expanding

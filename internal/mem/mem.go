@@ -174,8 +174,3 @@ func (c *Counting) FrameworkShare() float64 {
 	}
 	return float64(c.Insts[ClassFramework]) / float64(t)
 }
-
-// TotalMemOps returns loads+stores summed over classes.
-func (c *Counting) TotalMemOps() uint64 {
-	return c.Loads[0] + c.Loads[1] + c.Stores[0] + c.Stores[1]
-}

@@ -114,9 +114,6 @@ func TestCountingClasses(t *testing.T) {
 	if c.Taken[ClassFramework] != 1 || c.Taken[ClassUser] != 0 {
 		t.Error("taken counts wrong")
 	}
-	if c.TotalMemOps() != 2 {
-		t.Errorf("TotalMemOps = %d", c.TotalMemOps())
-	}
 	share := c.FrameworkShare()
 	if share <= 0 || share >= 1 {
 		t.Errorf("FrameworkShare = %v", share)

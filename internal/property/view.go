@@ -77,8 +77,8 @@ type OrderFunc func(n int, nbrOff, nbr []int32) []int32
 // ViewOpts configures ViewWith.
 type ViewOpts struct {
 	// Workers bounds construction parallelism (<= 0 selects GOMAXPROCS).
-	// Output is identical for every worker count; instrumented graphs pin
-	// to 1 so tracked runs stay deterministic.
+	// Output is identical for every worker count, and construction emits
+	// no tracker event, so instrumented graphs build in parallel too.
 	Workers int
 	// Order, when non-nil, is composed into the dense index space after
 	// resolution. nil keeps the ID-sorted baseline numbering.
@@ -101,9 +101,6 @@ func (g *Graph) View() *View { return g.ViewWith(ViewOpts{}) }
 // state and opt.Order only, never of opt.Workers or goroutine schedule.
 func (g *Graph) ViewWith(opt ViewOpts) *View {
 	workers := concurrent.Workers(opt.Workers)
-	if g.trk != nil {
-		workers = 1
-	}
 	vs, idx := indexByID(g.gather(workers))
 	idxSlot := g.EnsureField(SysIndexField)
 	vw := &View{Verts: vs, idx: idx}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 )
 
@@ -131,6 +132,21 @@ func TestViewParallelMatchesReference(t *testing.T) {
 				viewsEqual(t, name, ref, vw)
 			}
 		}
+	}
+}
+
+// TestViewWithIgnoresTracker holds ViewWith to its contract on an
+// instrumented graph: with a tracker installed, a 4-worker build equals
+// the View of the bare graph and records no event.
+func TestViewWithIgnoresTracker(t *testing.T) {
+	g := buildViewTestGraph(t, 3000, 7, idsSparse)
+	want := g.ViewWith(ViewOpts{Workers: 4})
+	c := mem.NewCounting()
+	g.SetTracker(c)
+	defer g.SetTracker(nil)
+	viewsEqual(t, "tracked", g.ViewWith(ViewOpts{Workers: 4}), want)
+	if c.Loads != [2]uint64{} || c.Stores != [2]uint64{} || c.Insts != [2]uint64{} || c.Branches != [2]uint64{} {
+		t.Errorf("ViewWith recorded tracker events: %+v", *c)
 	}
 }
 

@@ -63,7 +63,6 @@ const (
 	evLoad
 	evStore
 	evAtomic
-	evShared
 )
 
 type event struct {
@@ -100,14 +99,6 @@ func (l *Lane) St(addr uint64, size uint32) {
 // the same step serialize.
 func (l *Lane) Atomic(addr uint64, size uint32) {
 	l.ev = append(l.ev, event{addr: addr, w: 1, size: size, kind: evAtomic})
-}
-
-// Shared records a shared-memory (scratchpad) access. Shared memory never
-// touches DRAM, but lanes whose addresses map to the same bank in one
-// step serialize — the bank-conflict component of the paper's replayed-
-// instruction definition of MDR. Banks are 4 bytes wide, 32 of them.
-func (l *Lane) Shared(addr uint64) {
-	l.ev = append(l.ev, event{addr: addr, w: 1, size: 4, kind: evShared})
 }
 
 // Stats aggregates warp-execution counters for one launch or one device
@@ -200,9 +191,6 @@ func (d *Device) Alloc(n, elemBytes int) uint64 {
 // Stats returns the counters accumulated since device creation.
 func (d *Device) Stats() Stats { return d.agg }
 
-// ResetStats clears accumulated counters (the L2 stays warm).
-func (d *Device) ResetStats() { d.agg = Stats{} }
-
 // TimeSeconds converts the accumulated cycles to seconds at the core clock.
 func (d *Device) TimeSeconds() float64 {
 	return float64(d.agg.Cycles) / (d.cfg.CoreClockMHz * 1e6)
@@ -255,7 +243,6 @@ func (d *Device) Launch(threads int, fn func(tid int32, ln *Lane)) Stats {
 			segs = segs[:0]
 			atomSegs := 0
 			atomConflicts := uint64(0)
-			var banks [32]uint8 // shared-memory bank occupancy this step
 			for i := 0; i < width; i++ {
 				ln := &d.lanes[i]
 				if k >= len(ln.ev) {
@@ -270,10 +257,6 @@ func (d *Device) Launch(threads int, fn func(tid int32, ln *Lane)) Stats {
 					if uint64(e.w) > issued {
 						issued = uint64(e.w)
 					}
-					continue
-				}
-				if e.kind == evShared {
-					banks[(e.addr/4)%32]++
 					continue
 				}
 				first := e.addr / uint64(cfg.SegmentBytes)
@@ -299,19 +282,6 @@ func (d *Device) Launch(threads int, fn func(tid int32, ln *Lane)) Stats {
 				if e.kind == evStore || e.kind == evAtomic {
 					st.DRAMWriteB += uint64(e.size)
 				}
-			}
-			// Bank conflicts: the step replays until the most-contended
-			// bank has served every lane.
-			var worstBank uint8
-			for _, b := range banks {
-				if b > worstBank {
-					worstBank = b
-				}
-			}
-			if worstBank > 1 {
-				extra := uint64(worstBank - 1)
-				st.Replays += extra
-				issued += extra
 			}
 			if n := uint64(len(segs)); n > 0 {
 				st.Transactions += n

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates mean and variance online (Welford's algorithm).
@@ -136,30 +135,6 @@ func (h *Histogram) String() string {
 		s += fmt.Sprintf("[%d,%d%s: %d\n", lo, hi, end, c)
 	}
 	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of xs, interpolating
-// between ranks. It sorts a copy; xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(c) {
-		return c[lo]
-	}
-	return c[lo]*(1-frac) + c[lo+1]*frac
 }
 
 // Mean returns the arithmetic mean of xs (0 when empty).

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRunning(t *testing.T) {
@@ -90,51 +89,6 @@ func TestHistogramBucketBounds(t *testing.T) {
 	}
 	if got, want := h.String(), "[9223372036854775808,18446744073709551615]: 1\n"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Error("extremes wrong")
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("p25 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// Must not mutate input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestQuickPercentileBounds(t *testing.T) {
-	f := func(xs []float64, p uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		q := Percentile(xs, float64(p%101))
-		lo, hi := xs[0], xs[0]
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		return q >= lo && q <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"github.com/graphbig/graphbig-go/internal/engine"
-	"github.com/graphbig/graphbig-go/internal/property"
-)
+import "github.com/graphbig/graphbig-go/internal/property"
 
 // BFSLevelField is the vertex property holding the BFS level (program
 // state lives in properties, per the paper's framework description).
@@ -13,10 +10,9 @@ const BFSLevelField = "bfs.level"
 // opt.Source, writing each reached vertex's level into BFSLevelField.
 // It is the suite's most-used workload (10 of the 21 use cases, Fig 4).
 //
-// Both modes run on the unified frontier engine. Native runs
-// direction-optimize over the view's index-resolved adjacency; the
-// instrumented run supplies the per-edge framework walk as the engine's
-// TrackedVisit body, reproducing the pre-engine event stream exactly.
+// Native runs direction-optimize on the frontier engine over the view's
+// index-resolved adjacency; the instrumented run is a sequential
+// level-synchronous loop over the framework primitives.
 func BFS(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
 	n := vw.Len()
@@ -40,29 +36,27 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 		}, nil
 	}
 
-	// TrackedVisit reads the level property as its visited test.
+	// The tracked loop reads the level property as its visited test.
 	for _, v := range vw.Verts {
 		v.SetPropRaw(lvl, -1)
 	}
-	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
-
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[srcIdx] = 0
 	g.SetProp(vw.Verts[srcIdx], lvl, 0)
 	qSim.St(0)
 
-	st := eng.Traverse(&engine.Spec{
-		Dist: dist,
-		TrackedVisit: func(k int, ui, round int32, emit func(v int32) int) {
+	// cur and next are the current and next level, the two halves of one
+	// buffer; qSim's slot is the position within a level. sum is the level
+	// checksum, one level at a time.
+	levels := make([]int32, 2*n)
+	cur, next := levels[:1:n], levels[n:n]
+	cur[0] = srcIdx
+	reached, depth, sum := int64(1), int32(0), 0.0
+	for round := int32(1); len(cur) > 0; round++ {
+		levelVal := float64(round)
+		for k, ui := range cur {
 			qSim.Ld(k)
 			inst(t, 3)
-			levelVal := float64(round)
-			u := vw.Verts[ui]
-			g.Neighbors(u, func(_ int, e *property.Edge) bool {
+			g.Neighbors(vw.Verts[ui], func(_ int, e *property.Edge) bool {
 				nb := g.FindVertex(e.To)
 				if nb == nil {
 					return true
@@ -73,18 +67,24 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 					return true
 				}
 				nbIdx := int32(g.GetProp(nb, idxSlot))
-				dist[nbIdx] = round
 				g.SetProp(nb, lvl, levelVal)
-				qSim.St(emit(nbIdx))
+				next = append(next, nbIdx)
+				qSim.St(len(next) - 1)
 				inst(t, 2)
 				return true
 			})
-		},
-	}, srcIdx)
+		}
+		if len(next) > 0 {
+			depth = round
+		}
+		reached += int64(len(next))
+		sum += levelVal * float64(len(next))
+		cur, next = next, cur[:0]
+	}
 	return &Result{
 		Workload: "BFS",
-		Visited:  st.Reached,
-		Checksum: levelSum(dist),
-		Stats:    map[string]float64{"depth": float64(st.Depth)},
+		Visited:  reached,
+		Checksum: sum,
+		Stats:    map[string]float64{"depth": float64(depth)},
 	}, nil
 }

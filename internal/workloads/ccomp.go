@@ -10,16 +10,17 @@ import (
 const CCompField = "cc.label"
 
 // CComp labels connected components. Following the paper (§4.2), the CPU
-// implementation runs successive BFS traversals — one per component — on
-// the unified frontier engine, which direction-optimizes inside each
-// component in native mode. Seeds are tried in View order, each labelling
+// implementation runs successive BFS traversals, one per component: native
+// runs on the frontier engine, which direction-optimizes inside each
+// component, instrumented runs as a sequential level-synchronous loop over
+// the framework primitives. Seeds are tried in View order, each labelling
 // the unlabeled vertices it reaches by out-edges: on undirected graphs,
 // stored mirrored like the suite's datasets, those are the connected
 // components for any order. On a directed graph they are neither the weakly
 // connected components nor independent of the View's order.
 //
-// The per-call Dist array doubles as the visited set across components, so
-// each engine traversal claims only unlabeled vertices.
+// The Dist array doubles as the visited set across components, so each
+// traversal claims only unlabeled vertices.
 func CComp(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
 	n := vw.Len()
@@ -29,12 +30,18 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 	lbl := g.EnsureField(CCompField)
 	idxSlot := g.EnsureField(property.SysIndexField)
 	t := g.Tracker()
+	// cur and next are the tracked loop's current and next level, the two
+	// halves of one buffer reused across components; qSim's slot is the
+	// position within a level.
+	var cur, next []int32
 	if t != nil {
-		// TrackedVisit reads the label property as its visited test; the
-		// native run overwrites every slot after the last traversal.
+		// The tracked loop reads the label property as its visited test;
+		// the native run overwrites every slot after the last traversal.
 		for _, v := range vw.Verts {
 			v.SetPropRaw(lbl, -1)
 		}
+		levels := make([]int32, 2*n)
+		cur, next = levels[:0:n], levels[n:n]
 	}
 	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
@@ -62,35 +69,41 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		labels[s] = label
 		g.SetProp(vw.Verts[s], lbl, float64(label))
 
-		spec := engine.Spec{Dist: dist, Label: label, Labels: labels}
-		if t != nil {
+		src := narrow.Index32(s)
+		reached := int64(1)
+		if t == nil {
+			reached = eng.Traverse(&engine.Spec{Dist: dist, Label: label, Labels: labels}, src).Reached
+		} else {
 			labelVal := float64(label)
-			spec.TrackedVisit = func(k int, ui, round int32, emit func(v int32) int) {
-				qSim.Ld(k)
-				u := vw.Verts[ui]
-				g.Neighbors(u, func(_ int, e *property.Edge) bool {
-					nb := g.FindVertex(e.To)
-					if nb == nil {
+			cur = append(cur, src)
+			for round := int32(1); len(cur) > 0; round++ {
+				for k, ui := range cur {
+					qSim.Ld(k)
+					g.Neighbors(vw.Verts[ui], func(_ int, e *property.Edge) bool {
+						nb := g.FindVertex(e.To)
+						if nb == nil {
+							return true
+						}
+						seen := g.GetProp(nb, lbl) >= 0
+						branch(t, siteVisited, seen)
+						if seen {
+							return true
+						}
+						nbIdx := int32(g.GetProp(nb, idxSlot))
+						dist[nbIdx] = round
+						g.SetProp(nb, lbl, labelVal)
+						next = append(next, nbIdx)
+						qSim.St(len(next) - 1)
 						return true
-					}
-					seen := g.GetProp(nb, lbl) >= 0
-					branch(t, siteVisited, seen)
-					if seen {
-						return true
-					}
-					nbIdx := int32(g.GetProp(nb, idxSlot))
-					dist[nbIdx] = round
-					labels[nbIdx] = label
-					g.SetProp(nb, lbl, labelVal)
-					qSim.St(emit(nbIdx))
-					return true
-				})
+					})
+				}
+				reached += int64(len(next))
+				cur, next = next, cur[:0]
 			}
 		}
-		st := eng.Traverse(&spec, narrow.Index32(s))
-		touched += st.Reached
-		if st.Reached > largest {
-			largest = st.Reached
+		touched += reached
+		if reached > largest {
+			largest = reached
 		}
 	}
 	if t == nil {

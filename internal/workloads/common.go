@@ -20,11 +20,13 @@
 //
 // Most workloads serve both modes from one function; kCore and BCentr
 // branch per vertex, never per edge, between the View's Adj arrays and the
-// framework walk. SPath, BFSDirOpt and GColor keep a separate tracked
-// formulation (spathTracked and the like): SPath's heap costs the native
-// kernel 22 % when shared under tracker guards, and the other two track
-// different algorithms whose event streams are archived. DESIGN.md §6 has
-// the measurements; the parity tests hold every pair to one result.
+// framework walk. BFS, CComp and DCentr keep a sequential tracked loop
+// beside their engine call: the engine runs native kernels only. SPath,
+// BFSDirOpt and GColor keep a separate tracked formulation (spathTracked
+// and the like): SPath's heap costs the native kernel 22 % when shared
+// under tracker guards, and the other two track different algorithms
+// whose event streams are archived. DESIGN.md §6 has the measurements;
+// the parity tests hold every pair to one result.
 package workloads
 
 import (

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/engine"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -55,9 +54,7 @@ func DCentr(g *property.Graph, opt Options) (*Result, error) {
 		}, nil
 	}
 
-	w := workers(g, opt)
-	concurrent.ParallelItems(n, w, 256, func(i int) {
-		v := vw.Verts[i]
+	for _, v := range vw.Verts {
 		deg := 0
 		g.Neighbors(v, func(_ int, e *property.Edge) bool {
 			deg++
@@ -70,7 +67,7 @@ func DCentr(g *property.Graph, opt Options) (*Result, error) {
 			inst(t, 2)
 		}
 		g.SetProp(v, dc, float64(deg)*norm)
-	})
+	}
 	sum := 0.0
 	for _, v := range vw.Verts {
 		sum += v.Prop(dc)
