@@ -17,8 +17,6 @@
 //
 //	-run a,b,...    run only the named analyzers (default: the full suite)
 //	-list           print the registered analyzers with their one-line docs
-//	-timings        print per-analyzer wall-clock to stderr after the run
-//	-timings-out f  write the same numbers as a JSON array to f
 //	-json           emit the findings as JSON instead of text
 //
 // Exit status is 0 when the tree is clean, 1 when any analyzer reports a
@@ -30,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -85,65 +84,54 @@ func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
 	return sel, nil
 }
 
+// writeFindings prints finds to w: one "file:line:col: message [analyzer]"
+// line each, the format the CI problem matcher parses, or with asJSON an
+// indented JSON array ("[]", never null, for a clean tree).
+func writeFindings(w io.Writer, finds []analysis.Finding, asJSON bool) error {
+	if !asJSON {
+		for _, f := range finds {
+			if _, err := fmt.Fprintf(w, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if finds == nil {
+		finds = []analysis.Finding{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(finds)
+}
+
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	timings := flag.Bool("timings", false, "print per-analyzer wall-clock to stderr")
-	timingsOut := flag.String("timings-out", "", "write per-analyzer wall-clock as a JSON array to this file (the CI trajectory artifact)")
 	list := flag.Bool("list", false, "print every registered analyzer with its one-line doc and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-timings] [-timings-out f.json] [-json] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
+		fmt.Fprintf(os.Stderr, "usage: graphbig-vet [-list] [-run a,b,...] [-json] [packages]\n\nanalyzers:\n%s", analysis.Doc(Analyzers()))
 	}
 	flag.Parse()
 	if *list {
 		fmt.Print(analysis.Doc(Analyzers()))
 		return
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
+		os.Exit(2)
+	}
 	selected, err := selectAnalyzers(*runList)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	res, err := analysis.VetAll(selected, flag.Args()...)
+	finds, err := analysis.VetAll(selected, flag.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	if *timings {
-		total := 0.0
-		for _, t := range res.Timings {
-			fmt.Fprintf(os.Stderr, "graphbig-vet: %-16s %8.3fs\n", t.Analyzer, t.Seconds)
-			total += t.Seconds
-		}
-		fmt.Fprintf(os.Stderr, "graphbig-vet: %-16s %8.3fs\n", "total", total)
+	if err := writeFindings(os.Stdout, finds, *jsonOut); err != nil {
+		fail(err)
 	}
-	if *timingsOut != "" {
-		buf, err := json.MarshalIndent(res.Timings, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*timingsOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
-			os.Exit(2)
-		}
-	}
-	if *jsonOut {
-		finds := res.Findings
-		if finds == nil {
-			finds = []analysis.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(finds); err != nil {
-			fmt.Fprintln(os.Stderr, "graphbig-vet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range res.Findings {
-			fmt.Fprintf(os.Stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-	if n := len(res.Findings); n > 0 {
+	if n := len(finds); n > 0 {
 		fmt.Fprintf(os.Stderr, "graphbig-vet: %d finding(s)\n", n)
 		os.Exit(1)
 	}

@@ -34,18 +34,18 @@ func TestAnalyzersRegistered(t *testing.T) {
 }
 
 // TestVetCleanPackage runs the suite over known-clean module packages and
-// expects zero findings — the exit-0 smoke test.
+// expects zero findings and no text output — the exit-0 smoke test.
 func TestVetCleanPackage(t *testing.T) {
-	var out bytes.Buffer
-	n, err := analysis.Vet(&out, Analyzers(), "./internal/stats", "./internal/csr")
+	finds, err := analysis.VetAll(Analyzers(), "./internal/stats", "./internal/csr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("Vet on clean packages reported %d finding(s):\n%s", n, out.String())
+	var out bytes.Buffer
+	if err := writeFindings(&out, finds, false); err != nil {
+		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("Vet wrote output with zero findings:\n%s", out.String())
+	if len(finds) != 0 || out.Len() != 0 {
+		t.Fatalf("vet on clean packages reported %d finding(s):\n%s", len(finds), out.String())
 	}
 }
 
@@ -91,46 +91,38 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 }
 
-// TestVetRunFilterTimings: VetAll with a -run subset reports one timing
-// entry per selected analyzer and no findings on a clean package.
-func TestVetRunFilterTimings(t *testing.T) {
+// TestVetRunFilter: VetAll with a -run subset reports no findings on a
+// clean package.
+func TestVetRunFilter(t *testing.T) {
 	sel, err := selectAnalyzers("determinism,hotloop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.VetAll(sel, "./internal/stats")
+	finds, err := analysis.VetAll(sel, "./internal/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("VetAll on a clean package reported %d finding(s)", len(res.Findings))
-	}
-	if len(res.Timings) != 2 || res.Timings[0].Analyzer != "determinism" || res.Timings[1].Analyzer != "hotloop" {
-		t.Fatalf("VetAll timings = %+v, want one entry per selected analyzer in order", res.Timings)
-	}
-	for _, tm := range res.Timings {
-		if tm.Seconds < 0 {
-			t.Fatalf("negative wall-clock for %s", tm.Analyzer)
-		}
+	if len(finds) != 0 {
+		t.Fatalf("VetAll on a clean package reported %d finding(s)", len(finds))
 	}
 }
 
-// TestVetJSONCleanPackage: -json must emit a well-formed (empty) array on
+// TestJSONOutputCleanPackage: -json must emit a well-formed (empty) array on
 // a clean tree, never null — CI pipes it straight into jq.
-func TestVetJSONCleanPackage(t *testing.T) {
-	var out bytes.Buffer
-	n, err := analysis.VetJSON(&out, Analyzers(), "./internal/stats")
+func TestJSONOutputCleanPackage(t *testing.T) {
+	finds, err := analysis.VetAll(Analyzers(), "./internal/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("VetJSON on a clean package reported %d finding(s):\n%s", n, out.String())
+	var out bytes.Buffer
+	if err := writeFindings(&out, finds, true); err != nil {
+		t.Fatal(err)
 	}
-	var finds []analysis.Finding
-	if err := json.Unmarshal(out.Bytes(), &finds); err != nil {
-		t.Fatalf("VetJSON wrote invalid JSON: %v\n%s", err, out.String())
+	var got []analysis.Finding
+	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+		t.Fatalf("-json wrote invalid JSON: %v\n%s", err, out.String())
 	}
-	if finds == nil {
-		t.Fatalf("VetJSON wrote null, want []: %s", out.String())
+	if got == nil || len(got) != 0 {
+		t.Fatalf("-json on a clean package wrote %s, want []", out.String())
 	}
 }

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,6 +18,10 @@ import (
 // matrixPath is the catch matrix: the seeded-bug corpus and, per row, which
 // detectors caught it at the commit the suite was cut down from.
 const matrixPath = "../../results/vet_catch_matrix.json"
+
+// matcherPath is the CI problem matcher that turns graphbig-vet's text
+// output into annotations.
+const matcherPath = "../../.github/graphbig-vet-problem-matcher.json"
 
 type matrixRow struct {
 	Name string `json:"name"`
@@ -55,8 +62,11 @@ func (m *catchMatrix) analyzerOnly(r matrixRow) bool {
 // copy of the module's sources, each row is vetted over its own package's
 // pattern, and every registered analyzer must fire exactly when the matrix
 // says it did. A row that only analyzers caught must still be caught by
-// one of them, so dropping an analyzer the matrix kept fails here.
+// one of them, so dropping an analyzer the matrix kept fails here. Each
+// row's findings, printed as text, must parse under the CI problem matcher
+// back to the same file, line, column, message and analyzer.
 func TestCatchMatrix(t *testing.T) {
+	matcher := problemMatcher(t)
 	buf, err := os.ReadFile(matrixPath)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +100,7 @@ func TestCatchMatrix(t *testing.T) {
 		if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := analysis.VetAll(Analyzers(), "./"+filepath.Dir(r.File)+"/...")
+		finds, err := analysis.VetAll(Analyzers(), "./"+filepath.Dir(r.File)+"/...")
 		if err := os.WriteFile(path, src, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -99,9 +109,10 @@ func TestCatchMatrix(t *testing.T) {
 			continue
 		}
 		fired := map[string]bool{}
-		for _, f := range res.Findings {
+		for _, f := range finds {
 			fired[f.Analyzer] = true
 		}
+		checkMatcher(t, r.Name, matcher, finds)
 		for _, a := range names {
 			want := r.Caught[a] != nil && *r.Caught[a]
 			if fired[a] != want {
@@ -110,6 +121,50 @@ func TestCatchMatrix(t *testing.T) {
 		}
 		if m.analyzerOnly(r) && len(fired) == 0 {
 			t.Errorf("%s: only analyzers caught this row at the parent, and none of the registered ones fires", r.Name)
+		}
+	}
+}
+
+// problemMatcher compiles the one pattern of the CI problem matcher.
+func problemMatcher(t *testing.T) *regexp.Regexp {
+	t.Helper()
+	buf, err := os.ReadFile(matcherPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pm struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp string `json:"regexp"`
+			} `json:"pattern"`
+		} `json:"problemMatcher"`
+	}
+	if err := json.Unmarshal(buf, &pm); err != nil {
+		t.Fatal(err)
+	}
+	if len(pm.ProblemMatcher) != 1 || len(pm.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("%s: want one matcher with one pattern", matcherPath)
+	}
+	return regexp.MustCompile(pm.ProblemMatcher[0].Pattern[0].Regexp)
+}
+
+// checkMatcher prints finds through the text printer and checks that the
+// matcher reads every line back as the finding it came from.
+func checkMatcher(t *testing.T, row string, matcher *regexp.Regexp, finds []analysis.Finding) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := writeFindings(&out, finds, false); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) != len(finds)+1 || lines[len(finds)] != "" {
+		t.Fatalf("%s: %d findings printed as %q", row, len(finds), out.String())
+	}
+	for i, f := range finds {
+		line := lines[i]
+		want := []string{line, f.File, strconv.Itoa(f.Line), strconv.Itoa(f.Col), f.Message, f.Analyzer}
+		if got := matcher.FindStringSubmatch(line); !slices.Equal(got, want) {
+			t.Errorf("%s: problem matcher reads %q as %q, want %q", row, line, got, want)
 		}
 	}
 }

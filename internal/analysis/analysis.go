@@ -12,14 +12,16 @@
 //
 //   - analysis.go: the Analyzer/Pass/Diagnostic contract.
 //   - loader.go: an offline package loader that resolves import paths with
-//     `go list`, parses with go/parser and type-checks with go/types
-//     (standard-library dependencies are type-checked from GOROOT source,
-//     the same strategy as go/internal/srcimporter).
+//     `go list`, and parses and type-checks module packages and fixtures
+//     with go/parser and go/types. Standard-library imports are read from
+//     the export data the go command builds (`go list -export`, through
+//     go/importer), and fixture files are the ones go/build selects.
 //   - analysistest.go: a golden-comment test harness compatible with the
 //     x/tools `// want "regexp"` convention.
 //
 // Beside them, helpers.go holds the small type queries the analyzers share
-// and multichecker.go runs a suite over loaded packages with sorted output.
+// and multichecker.go runs a suite over loaded packages and returns the
+// findings sorted; cmd/graphbig-vet prints them as text or JSON.
 //
 // Every analyzer is per-package: Run sees one package's syntax and type
 // information, and nothing spans packages. The project's analyzers live

@@ -1,15 +1,16 @@
 package analysis
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,10 +31,10 @@ type Package struct {
 }
 
 // Loader parses and type-checks packages without any network access: import
-// paths are resolved by the local go command (`go list`), and every package
-// — standard library included — is type-checked from source in dependency
-// order. This is the same strategy as go/internal/srcimporter and costs a
-// few seconds for the std closure, which is acceptable for a vet tool.
+// paths are resolved by the local go command (`go list`), module packages
+// and fixtures are type-checked from source in dependency order, and
+// standard-library imports are read from the export data the go command
+// builds for them (`go list -export`), as the compiler itself reads them.
 type Loader struct {
 	// ModuleRoot is the directory containing go.mod; `go list` runs there.
 	ModuleRoot string
@@ -43,6 +44,7 @@ type Loader struct {
 	TestdataRoot string
 
 	fset   *token.FileSet
+	std    types.Importer            // standard library, from export data
 	pkgs   map[string]*types.Package // fully checked, by import path
 	loaded map[string]*Package       // parsed+checked result, by import path
 	meta   map[string]*listedPkg     // `go list` results, by import path
@@ -52,7 +54,6 @@ type listedPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 }
 
@@ -62,9 +63,11 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	fset := token.NewFileSet()
 	return &Loader{
 		ModuleRoot: root,
-		fset:       token.NewFileSet(),
+		fset:       fset,
+		std:        importer.ForCompiler(fset, "gc", lookupExport),
 		pkgs:       map[string]*types.Package{},
 		loaded:     map[string]*Package{},
 		meta:       map[string]*listedPkg{},
@@ -88,22 +91,29 @@ func findModuleRoot(dir string) (string, error) {
 	}
 }
 
-// goList runs `go list -deps -json` for patterns and records the results
-// (dependency order) in l.meta, returning the listed import paths in order.
-func (l *Loader) goList(patterns ...string) ([]string, error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Standard"}, patterns...)
+// goCmd runs the go command in dir and returns its standard output.
+func goCmd(dir string, args ...string) (*bytes.Buffer, error) {
 	cmd := exec.Command("go", args...)
-	cmd.Dir = l.ModuleRoot
-	// Pure-Go file lists: cgo-free std variants type-check from source.
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Dir = dir
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
+		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, errb.String())
 	}
-	var order []string
-	dec := json.NewDecoder(&out)
+	return &out, nil
+}
+
+// goList runs `go list -deps -json` for patterns and records the results
+// in l.meta, returning the listed import paths in dependency order. The
+// export data of the standard-library packages listed is located as well.
+func (l *Loader) goList(patterns ...string) ([]string, error) {
+	out, err := goCmd(l.ModuleRoot, append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	var order, std []string
+	dec := json.NewDecoder(out)
 	for dec.More() {
 		var p listedPkg
 		if err := dec.Decode(&p); err != nil {
@@ -113,62 +123,96 @@ func (l *Loader) goList(patterns ...string) ([]string, error) {
 			l.meta[p.ImportPath] = &p
 		}
 		order = append(order, p.ImportPath)
+		if p.Standard {
+			std = append(std, p.ImportPath)
+		}
 	}
-	return order, nil
+	return order, listExports(l.ModuleRoot, std)
 }
 
-// Load lists patterns (e.g. "./..."), type-checks the full dependency
-// closure, and returns the non-standard-library packages in a stable
-// (import path) order.
+// stdExports maps every standard-library import path this process has met
+// to its export data file in the go build cache. It is process-wide
+// because every Loader (one per vet run, analyzer test and fixture) asks
+// for the same packages, and each `go list -export` costs a go command.
+var stdExports = struct {
+	sync.Mutex
+	files map[string]string
+}{files: map[string]string{}}
+
+// listExports locates, with one `go list -export`, the export data of the
+// std packages in paths that the process has not met yet.
+func listExports(dir string, paths []string) error {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	var miss []string
+	for _, p := range paths {
+		if _, ok := stdExports.files[p]; !ok && p != "unsafe" {
+			miss = append(miss, p)
+		}
+	}
+	if len(miss) == 0 {
+		return nil
+	}
+	out, err := goCmd(dir, append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, miss...)...)
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		stdExports.files[path] = file
+	}
+	return nil
+}
+
+// exportFile reports the export data file of a std package, and whether
+// the process has met the package.
+func exportFile(path string) (string, bool) {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	file, ok := stdExports.files[path]
+	return file, ok
+}
+
+// lookupExport opens the export data of a std package for go/importer.
+func lookupExport(path string) (io.ReadCloser, error) {
+	file, _ := exportFile(path)
+	if file == "" {
+		return nil, fmt.Errorf("analysis: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// Load lists patterns (e.g. "./..."), type-checks the module packages of
+// the dependency closure from source, and returns them in import path
+// order.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	order, err := l.goList(patterns...)
 	if err != nil {
 		return nil, err
 	}
 	var res []*Package
-	seen := map[string]bool{}
 	for _, path := range order {
+		if l.meta[path].Standard {
+			continue
+		}
 		pkg, err := l.checkListed(path)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil && !l.meta[path].Standard && !seen[path] {
-			seen[path] = true
-			res = append(res, pkg)
-		}
+		res = append(res, pkg)
 	}
 	sort.Slice(res, func(i, j int) bool { return res[i].PkgPath < res[j].PkgPath })
 	return res, nil
 }
 
-// checkListed type-checks one `go list`-ed package (deps must already be
-// checked; Load iterates in dependency order, and Import falls back to an
-// on-demand go list for anything missed). Returns nil for "unsafe" and
-// for standard-library packages, which are served from the process-wide
-// cache without keeping syntax.
+// checkListed type-checks one `go list`-ed module package. Its module
+// dependencies must already be checked: Load and Import iterate in
+// dependency order.
 func (l *Loader) checkListed(path string) (*Package, error) {
-	if path == "unsafe" {
-		l.pkgs[path] = types.Unsafe
-		return nil, nil
-	}
 	if pkg, done := l.loaded[path]; done {
 		return pkg, nil
 	}
-	if _, done := l.pkgs[path]; done {
-		return nil, nil // checked as a bare types.Package (no syntax kept)
-	}
-	m, ok := l.meta[path]
-	if !ok {
-		return nil, fmt.Errorf("analysis: package %s not listed", path)
-	}
-	if m.Standard {
-		tpkg, err := stdPackage(path, l.meta)
-		if err != nil {
-			return nil, err
-		}
-		l.pkgs[path] = tpkg
-		return nil, nil
-	}
+	m := l.meta[path]
 	files := make([]string, len(m.GoFiles))
 	for i, f := range m.GoFiles {
 		files[i] = filepath.Join(m.Dir, f)
@@ -176,98 +220,11 @@ func (l *Loader) checkListed(path string) (*Package, error) {
 	return l.check(path, m.Dir, files)
 }
 
-// stdCache is the process-wide store of type-checked standard-library
-// packages. The std closure costs a few seconds to check from source and
-// is identical for every Loader (same GOROOT, same CGO_ENABLED=0 file
-// set), so re-checking it per RunAnalyzers invocation — one loader per
-// Vet call, per analyzer test, per fixture — wasted almost all of every
-// run. Cached std packages keep no syntax; their objects' positions refer
-// to the cache's private FileSet, which is fine because analyzers only
-// ever report positions inside module or fixture files.
-var stdCache = struct {
-	mu     sync.Mutex
-	fset   *token.FileSet
-	pkgs   map[string]*types.Package
-	checks int // type-check invocations, observable by tests/benchmarks
-}{
-	fset: token.NewFileSet(),
-	pkgs: map[string]*types.Package{},
-}
-
-// StdTypeChecks reports how many standard-library packages have been
-// type-checked process-wide. The loader benchmark and cache regression
-// test use it to assert reuse (the count must not grow on a warm load).
-func StdTypeChecks() int {
-	stdCache.mu.Lock()
-	defer stdCache.mu.Unlock()
-	return stdCache.checks
-}
-
-// stdPackage returns the cached std package for path, checking it (and
-// its std dependencies, dependency-first) on a cache miss. meta supplies
-// `go list` results; the caller's listing always covers the closure it
-// asks for, so no fallback listing is needed.
-func stdPackage(path string, meta map[string]*listedPkg) (*types.Package, error) {
-	stdCache.mu.Lock()
-	defer stdCache.mu.Unlock()
-	return stdPackageLocked(path, meta)
-}
-
-func stdPackageLocked(path string, meta map[string]*listedPkg) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if p, ok := stdCache.pkgs[path]; ok {
-		return p, nil
-	}
-	m, ok := meta[path]
-	if !ok {
-		return nil, fmt.Errorf("analysis: std package %s not listed", path)
-	}
-	for _, imp := range m.Imports {
-		if _, err := stdPackageLocked(imp, meta); err != nil {
-			return nil, err
-		}
-	}
-	var files []*ast.File
-	for _, f := range m.GoFiles {
-		af, err := parser.ParseFile(stdCache.fset, filepath.Join(m.Dir, f), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, af)
-	}
-	conf := types.Config{
-		Importer: stdCacheImporter{},
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	tpkg, err := conf.Check(path, stdCache.fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking std %s: %w", path, err)
-	}
-	stdCache.pkgs[path] = tpkg
-	stdCache.checks++
-	return tpkg, nil
-}
-
-// stdCacheImporter serves imports during a std check from the cache. The
-// mutex is already held by stdPackageLocked and dependencies are checked
-// first, so this is a pure map read.
-type stdCacheImporter struct{}
-
-func (stdCacheImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if p, ok := stdCache.pkgs[path]; ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("analysis: std import %q not yet checked", path)
-}
-
 // LoadFixture parses and type-checks the fixture package at
 // TestdataRoot/<pkgpath>, resolving its imports against fixture siblings,
-// the enclosing module, and the standard library.
+// the enclosing module, and the standard library. Its files are the ones
+// go/build selects: build constraints hold, no _test.go, no "_" or "."
+// prefix.
 func (l *Loader) LoadFixture(pkgpath string) (*Package, error) {
 	if l.TestdataRoot == "" {
 		return nil, fmt.Errorf("analysis: loader has no TestdataRoot")
@@ -276,77 +233,15 @@ func (l *Loader) LoadFixture(pkgpath string) (*Package, error) {
 		return pkg, nil
 	}
 	dir := filepath.Join(l.TestdataRoot, pkgpath)
-	ents, err := os.ReadDir(dir)
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: fixture %s: %w", pkgpath, err)
 	}
-	var files []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		// The go tool's ignore conventions: editors and vendoring drop
-		// "_"/"." prefixed files into testdata trees, and fixtures may be
-		// build-tag-gated (e.g. arch-specific positives).
-		if strings.HasPrefix(n, "_") || strings.HasPrefix(n, ".") {
-			continue
-		}
-		path := filepath.Join(dir, n)
-		ok, err := buildTagsSatisfied(path)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		files = append(files, path)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	files := make([]string, len(bp.GoFiles))
+	for i, f := range bp.GoFiles {
+		files[i] = filepath.Join(dir, f)
 	}
 	return l.check(pkgpath, dir, files)
-}
-
-// buildTagsSatisfied reports whether the file's build constraints
-// (`//go:build` and legacy `// +build` lines before the package clause)
-// hold for the current GOOS/GOARCH with the gc toolchain. Release tags
-// (go1.x) are treated as satisfied — fixtures gate on platforms and
-// custom tags, not on future Go versions.
-func buildTagsSatisfied(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-		var expr constraint.Expr
-		switch {
-		case constraint.IsGoBuild(line):
-			expr, err = constraint.Parse(line)
-		case constraint.IsPlusBuild(line):
-			expr, err = constraint.Parse(line)
-		default:
-			continue
-		}
-		if err != nil {
-			return false, fmt.Errorf("analysis: %s: bad build constraint: %v", path, err)
-		}
-		if !expr.Eval(buildTagMatches) {
-			return false, nil
-		}
-	}
-	return true, sc.Err()
-}
-
-func buildTagMatches(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-		strings.HasPrefix(tag, "go1")
 }
 
 // check parses files and type-checks them as package path.
@@ -386,15 +281,12 @@ func (l *Loader) check(path, dir string, filenames []string) (*Package, error) {
 }
 
 // Import implements types.Importer. It serves already-checked packages and
-// otherwise resolves path through fixtures or `go list` on demand.
+// otherwise resolves path as a fixture sibling, a std package whose export
+// data is located, or through `go list` on demand.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	// Fixture sibling?
 	if l.TestdataRoot != "" {
 		if st, err := os.Stat(filepath.Join(l.TestdataRoot, path)); err == nil && st.IsDir() {
 			if _, err := l.LoadFixture(path); err != nil {
@@ -403,20 +295,30 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 			return l.pkgs[path], nil
 		}
 	}
-	// Module or standard-library package: list its closure and check the
-	// parts not seen yet, dependency-first.
-	order, err := l.goList(path)
+	if _, met := exportFile(path); !met && path != "unsafe" {
+		// List the closure and check its module packages, dependency-first.
+		order, err := l.goList(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range order {
+			if !l.meta[p].Standard {
+				if _, err := l.checkListed(p); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if m := l.meta[path]; m == nil || !m.Standard {
+			if p, ok := l.pkgs[path]; ok {
+				return p, nil
+			}
+			return nil, fmt.Errorf("analysis: import %q did not resolve", path)
+		}
+	}
+	p, err := l.std.Import(path)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range order {
-		if _, err := l.checkListed(p); err != nil {
-			return nil, err
-		}
-	}
-	pkg, ok := l.pkgs[path]
-	if !ok {
-		return nil, fmt.Errorf("analysis: import %q did not resolve", path)
-	}
-	return pkg, nil
+	l.pkgs[path] = p
+	return p, nil
 }

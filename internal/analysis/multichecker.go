@@ -1,12 +1,9 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one diagnostic with its position resolved, the
@@ -19,27 +16,12 @@ type Finding struct {
 	Message  string `json:"message"`
 }
 
-// AnalyzerTiming is one analyzer's wall-clock accumulated across every
-// package, in suite order — what the CI time-budget step records.
-type AnalyzerTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Seconds  float64 `json:"seconds"`
-}
-
-// VetResult bundles one run of the suite: the findings and per-analyzer
-// wall-clock.
-type VetResult struct {
-	Findings []Finding        `json:"findings"`
-	Timings  []AnalyzerTiming `json:"timings"`
-}
-
 // VetAll loads the packages matching patterns (module packages only;
-// the standard-library closure is type-checked but never analyzed) and
-// applies every analyzer to each package, each analyzer timed
-// individually.
+// standard-library imports are read from export data and never analyzed)
+// and applies every analyzer to each package.
 // Findings come back sorted by file, line, column. Test files are not
 // analyzed: the invariants protect shipped simulation and engine code.
-func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
+func VetAll(analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -52,27 +34,18 @@ func VetAll(analyzers []*Analyzer, patterns ...string) (*VetResult, error) {
 		return nil, err
 	}
 	var finds []Finding
-	elapsed := make([]time.Duration, len(analyzers))
 	for _, pkg := range pkgs {
-		for i, a := range analyzers {
-			start := time.Now()
-			diags, err := RunAnalyzers(pkg, []*Analyzer{a})
-			elapsed[i] += time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				finds = append(finds, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message})
-			}
+		diags, err := RunAnalyzers(pkg, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range diags {
+			pos := pkg.Fset.Position(d.Pos)
+			finds = append(finds, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message})
 		}
 	}
 	SortFindings(finds)
-	res := &VetResult{Findings: finds}
-	for i, a := range analyzers {
-		res.Timings = append(res.Timings, AnalyzerTiming{Analyzer: a.Name, Seconds: elapsed[i].Seconds()})
-	}
-	return res, nil
+	return finds, nil
 }
 
 // SortFindings orders findings deterministically by (file, line, col,
@@ -96,48 +69,6 @@ func SortFindings(finds []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// VetFindings runs VetAll and returns just the findings.
-func VetFindings(analyzers []*Analyzer, patterns ...string) ([]Finding, error) {
-	res, err := VetAll(analyzers, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// Vet runs VetFindings and writes one "file:line:col: message [analyzer]"
-// line per finding — the format the CI problem matcher parses. It returns
-// the number of findings.
-func Vet(w io.Writer, analyzers []*Analyzer, patterns ...string) (int, error) {
-	finds, err := VetFindings(analyzers, patterns...)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range finds {
-		fmt.Fprintf(w, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-	}
-	return len(finds), nil
-}
-
-// VetJSON runs VetFindings and writes the findings as a JSON array (empty
-// array, not null, for a clean tree — consumers can always range over
-// it). It returns the number of findings.
-func VetJSON(w io.Writer, analyzers []*Analyzer, patterns ...string) (int, error) {
-	finds, err := VetFindings(analyzers, patterns...)
-	if err != nil {
-		return 0, err
-	}
-	if finds == nil {
-		finds = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(finds); err != nil {
-		return 0, err
-	}
-	return len(finds), nil
 }
 
 // Doc renders a one-line-per-analyzer summary for -help output.

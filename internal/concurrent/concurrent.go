@@ -196,38 +196,3 @@ func ParallelItems(n, workers int, grain int, body func(i int)) {
 	}
 	wg.Wait()
 }
-
-// Counter is a cache-line padded sharded counter for high-contention adds.
-type Counter struct {
-	shards []paddedInt64
-}
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [7]int64
-}
-
-// NewCounter returns a counter sharded across GOMAXPROCS slots.
-func NewCounter() *Counter {
-	return &Counter{shards: make([]paddedInt64, runtime.GOMAXPROCS(0))}
-}
-
-// Add adds delta using shard s (callers pass their worker index). A
-// zero-value Counter has no shards and drops the add instead of
-// panicking on the modulo.
-func (c *Counter) Add(s int, delta int64) {
-	ns := len(c.shards)
-	if ns == 0 {
-		return
-	}
-	c.shards[s%ns].v.Add(delta)
-}
-
-// Value returns the current total.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}

@@ -144,24 +144,6 @@ func TestQuickParallelRangePartition(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(w, 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Value() != 16000 {
-		t.Errorf("Value = %d, want 16000", c.Value())
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Error("explicit worker count not honored")

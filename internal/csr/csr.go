@@ -92,16 +92,6 @@ func (c *Graph) Degree(i int32) int {
 	return int(c.RowPtr[i+1] - c.RowPtr[i])
 }
 
-// Neigh returns the neighbor slice of dense vertex i.
-func (c *Graph) Neigh(i int32) []int32 {
-	return c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
-}
-
-// Weights returns the edge-weight slice of dense vertex i.
-func (c *Graph) Weights(i int32) []float64 {
-	return c.W[c.RowPtr[i]:c.RowPtr[i+1]]
-}
-
 // ToCOO expands the CSR into coordinate form.
 func (c *Graph) ToCOO() *COO {
 	co := &COO{

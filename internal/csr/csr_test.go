@@ -35,17 +35,17 @@ func TestFromPropertyStructure(t *testing.T) {
 		t.Fatalf("edges = %d, want 8", c.NumEdges())
 	}
 	// Vertex 0 has neighbors 1 and 3, sorted.
-	n0 := c.Neigh(0)
+	n0 := c.Col[c.RowPtr[0]:c.RowPtr[1]]
 	if len(n0) != 2 || n0[0] != 1 || n0[1] != 3 {
-		t.Errorf("Neigh(0) = %v, want [1 3] sorted", n0)
+		t.Errorf("row 0 = %v, want [1 3] sorted", n0)
 	}
 	if c.Degree(0) != 2 || c.Degree(2) != 1 {
 		t.Errorf("degrees wrong: %d, %d", c.Degree(0), c.Degree(2))
 	}
 	// Weights co-sorted with columns: 0-1 weight 1, 0-3 weight 3.
-	w0 := c.Weights(0)
+	w0 := c.W[c.RowPtr[0]:c.RowPtr[1]]
 	if w0[0] != 1 || w0[1] != 3 {
-		t.Errorf("Weights(0) = %v", w0)
+		t.Errorf("row 0 weights = %v", w0)
 	}
 	// IDs map back.
 	for i := 0; i < c.N; i++ {
@@ -79,7 +79,7 @@ func TestRowsSorted(t *testing.T) {
 	vw := g.View()
 	c := FromProperty(g, vw)
 	for i := int32(0); i < int32(c.N); i++ {
-		row := c.Neigh(i)
+		row := c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
 		for k := 1; k < len(row); k++ {
 			if row[k-1] > row[k] {
 				t.Fatalf("row %d not sorted at %d", i, k)
@@ -115,7 +115,8 @@ func TestToCOO(t *testing.T) {
 	}
 	for k := range coo.Src {
 		found := false
-		for _, nb := range c.Neigh(coo.Src[k]) {
+		src := coo.Src[k]
+		for _, nb := range c.Col[c.RowPtr[src]:c.RowPtr[src+1]] {
 			if nb == coo.Dst[k] {
 				found = true
 				break

@@ -1,9 +1,9 @@
 // Package engine implements the suite's unified vertex-centric frontier
 // engine: one direction-optimizing (push/pull) traversal core plus shared
 // vertex-map scaffolding, hosting the native paths of the frontier
-// workloads (BFS, BFSDirOpt, CComp, CCompLP, SPathDelta, GColor, DCentr,
-// BCentr) and the index-resolved adjacency the remaining analytics kernels
-// (SPath, kCore) iterate directly.
+// workloads (BFS, BFSDirOpt, CComp, SPathDelta, GColor, DCentr) and the
+// index-resolved adjacency the remaining analytics kernels (SPath, kCore)
+// iterate directly.
 //
 // Native (wall-clock) runs iterate the property.View's flat CSR-like
 // arrays — dense int32 neighbor indices with zero per-edge FindVertex hash

@@ -89,6 +89,9 @@ func Fig11(s *Session) (Report, error) {
 	return r, nil
 }
 
+// cpuClockHz is the clock of the Fig 12 CPU-side cost model.
+const cpuClockHz = 2.4e9
+
 // cpuParallelEff models the 16-core scaling of each shared workload's CPU
 // implementation, the missing factor between the single-core profile and
 // the paper's 16-core baseline in Figure 12. Traversals scale worst
@@ -124,7 +127,7 @@ func Fig12Data(s *Session) ([]Speedup, error) {
 			if err != nil {
 				return nil, err
 			}
-			cpuSec := float64(m.TotalCycles) / s.Cfg.CPUClockHz / cpuParallelEff[wl]
+			cpuSec := float64(m.TotalCycles) / cpuClockHz / cpuParallelEff[wl]
 			sp := Speedup{Workload: wl, Dataset: ds, CPUSec: cpuSec, GPUSec: p.Seconds}
 			if p.Seconds > 0 {
 				sp.Factor = cpuSec / p.Seconds

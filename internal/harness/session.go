@@ -52,8 +52,6 @@ type Config struct {
 	Input string
 	// Machine is the simulated CPU (Table 6).
 	Machine perfmon.Config
-	// CPUClockHz is the clock of the Fig 12 CPU-side cost model.
-	CPUClockHz float64
 	// GPU is the simulated device (Table 6).
 	GPU simt.Config
 }
@@ -61,11 +59,10 @@ type Config struct {
 // DefaultConfig returns a small-scale session (LDBC ≈ 20K vertices).
 func DefaultConfig() Config {
 	return Config{
-		Scale:      0.02,
-		Seed:       42,
-		Machine:    perfmon.DefaultConfig(),
-		CPUClockHz: 2.4e9,
-		GPU:        simt.KeplerConfig(),
+		Scale:   0.02,
+		Seed:    42,
+		Machine: perfmon.DefaultConfig(),
+		GPU:     simt.KeplerConfig(),
 	}
 }
 

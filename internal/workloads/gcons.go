@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"sync/atomic"
+
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -29,32 +31,22 @@ func GCons(g *property.Graph, opt Options) (*Result, error) {
 	concurrent.ParallelItems(n, w, 128, func(i int) {
 		ng.AddVertex(vw.Verts[i].ID)
 	})
-	var edges int64
-	if w > 1 {
-		cnt := concurrent.NewCounter()
-		concurrent.ParallelItems(n, w, 32, func(i int) {
-			v := vw.Verts[i]
-			g.Neighbors(v, func(_ int, e *property.Edge) bool {
-				if ng.AddEdge(v.ID, e.To, e.Weight) == nil {
-					cnt.Add(i, 1)
-				}
-				return true
-			})
+	// One atomic add per vertex, not per edge.
+	var edges atomic.Int64
+	concurrent.ParallelItems(n, w, 32, func(i int) {
+		v := vw.Verts[i]
+		var added int64
+		g.Neighbors(v, func(_ int, e *property.Edge) bool {
+			if ng.AddEdge(v.ID, e.To, e.Weight) == nil {
+				added++
+			}
+			return true
 		})
-		edges = cnt.Value()
-	} else {
-		for _, v := range vw.Verts {
-			g.Neighbors(v, func(_ int, e *property.Edge) bool {
-				if ng.AddEdge(v.ID, e.To, e.Weight) == nil {
-					edges++
-				}
-				return true
-			})
-		}
-	}
+		edges.Add(added)
+	})
 	return &Result{
 		Workload: "GCons",
-		Visited:  edges,
+		Visited:  edges.Load(),
 		Checksum: float64(ng.VertexCount()) + float64(ng.EdgeCount()),
 		Stats: map[string]float64{
 			"vertices": float64(ng.VertexCount()),
