@@ -73,6 +73,42 @@ func TestLoadDepsClosure(t *testing.T) {
 	}
 }
 
+// TestStdExportsReused: once one loader has located the export data of a
+// package's std imports, a second loader reads them from the process-wide
+// memo and runs no further `go list -export`.
+func TestStdExportsReused(t *testing.T) {
+	warm, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := warm.Load("./internal/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var std []string
+	for _, imp := range pkgs[0].Types.Imports() {
+		std = append(std, imp.Path())
+		if _, ok := exportFile(imp.Path()); !ok {
+			t.Errorf("std import %s has no memoized export data", imp.Path())
+		}
+	}
+	if len(std) == 0 {
+		t.Fatal("internal/stats imports no std package; test proves nothing")
+	}
+	// A go command run from a directory that does not exist fails, so
+	// this passes only if every path is served from the memo.
+	if err := listExports(filepath.Join(t.TempDir(), "absent"), std); err != nil {
+		t.Fatalf("listExports re-ran go list for met packages: %v", err)
+	}
+	cold, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Load("./internal/stats"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkLoaderWarm measures a full loader construction + package load
 // once the process has located the standard library's export data — the
 // cost every RunAnalyzers call after the first pays.

@@ -95,6 +95,30 @@ func TestBFSDirOptParallelMatches(t *testing.T) {
 	}
 }
 
+// TestGConsParallelMatches: the per-vertex edge counts that parallel
+// workers add into one atomic total must sum to the same figure as a
+// single worker's, and to the edges the constructed graph holds.
+func TestGConsParallelMatches(t *testing.T) {
+	seq, err := GCons(gen.LDBC(1500, 3, 0), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := GCons(gen.LDBC(1500, 3, 0), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Visited == 0 {
+		t.Fatal("GCons added no edges")
+	}
+	if par.Visited != seq.Visited || par.Checksum != seq.Checksum {
+		t.Errorf("parallel GCons = %d edges (checksum %v), sequential = %d (checksum %v)",
+			par.Visited, par.Checksum, seq.Visited, seq.Checksum)
+	}
+	if float64(par.Visited) != par.Stats["edges"] {
+		t.Errorf("counted %d added edges, constructed graph holds %v", par.Visited, par.Stats["edges"])
+	}
+}
+
 // TestSampleDelta pins the edge-sampled delta heuristic: small arrays
 // are covered exhaustively (stride 1), the estimate is the exact mean
 // then, large arrays sample deterministically, and the result is
