@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/harness"
 	"github.com/graphbig/graphbig-go/internal/order"
 )
@@ -45,6 +46,10 @@ func main() {
 		return
 	}
 
+	// With -input too: ext02's size sweep generates LDBC graphs at -scale.
+	if err := gen.CheckScale(*scale, gen.Catalog...); err != nil {
+		fatal(err)
+	}
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Order = *ordering

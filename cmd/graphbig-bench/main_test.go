@@ -113,7 +113,11 @@ func TestHostileCommandLines(t *testing.T) {
 		{"retired partitions flag", []string{"-exp", "fig10", "-partitions", "4", "-input", big}, 2, "flag provided but not defined: -partitions"},
 		{"scale zero", []string{"-exp", "tab05", "-scale", "0"}, 0, "ldbc  synthetic  64 "},
 		{"scale negative", []string{"-exp", "tab05", "-scale", "-1"}, 0, "ldbc  synthetic  64 "},
-		{"scale NaN", []string{"-exp", "tab05", "-scale", "NaN"}, 0, "ldbc  synthetic  64 "},
+		{"scale NaN", []string{"-exp", "tab05", "-scale", "NaN"}, 1, "graphbig-bench: gen: scale NaN is not a finite number"},
+		{"scale +Inf", []string{"-exp", "tab05", "-scale", "+Inf"}, 1, "graphbig-bench: gen: scale +Inf is not a finite number"},
+		{"scale 1e300", []string{"-exp", "tab05", "-scale", "1e300"}, 1, "graphbig-bench: gen: scale 1e+300 gives twitter "},
+		{"scale 1e300 with a file", []string{"-exp", "tab05", "-scale", "1e300", "-input", big}, 1, "graphbig-bench: gen: scale 1e+300 gives twitter "},
+		{"size sweep with a file at scale 1000", []string{"-exp", "ext02", "-scale", "1000", "-input", big}, 1, "graphbig-bench: gen: scale 1000 gives twitter "},
 		{"unknown order", []string{"-exp", "fig10", "-order", "nope", "-input", big}, 1, `graphbig-bench: harness: GPU BFS on big: order: unknown strategy "nope"`},
 		{"unknown experiment", []string{"-exp", "fig99"}, 1, `graphbig-bench: harness: unknown experiment "fig99"`},
 		{"empty experiment in list", []string{"-exp", "tab05,", "-input", big}, 1, `graphbig-bench: harness: unknown experiment ""`},

@@ -46,6 +46,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if err := gen.CheckScale(*scale, d); err != nil {
+			fatal(err)
+		}
 		g = d.Generate(*scale, *seed, 0)
 	}
 	p := gen.Summarize(g)

@@ -83,6 +83,9 @@ func TestCommandLines(t *testing.T) {
 			"ldbc: 300 vertices, ", "ldbc.el", dataset("ldbc", 0.0003, 3)},
 		{"scale zero keeps the 64-vertex floor", []string{"-scale", "0", "-o", "z.el"}, 0,
 			"ldbc: 64 vertices, ", "z.el", dataset("ldbc", 0, 42)},
+		{"scale NaN", []string{"-scale", "NaN"}, 1, "graphbig-gen: gen: scale NaN is not a finite number", "", nil},
+		{"scale -Inf", []string{"-scale", "-Inf"}, 1, "graphbig-gen: gen: scale -Inf is not a finite number", "", nil},
+		{"scale 1e300", []string{"-scale", "1e300"}, 1, "graphbig-gen: gen: scale 1e+300 gives ldbc ", "", nil},
 		{"list", []string{"-list"}, 0, "twitter      social       paper scale: 11000000 vertices", "", nil},
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig-gen: gen: unknown dataset "nope"`, "", nil},
 		{"output directory missing", []string{"-scale", "0", "-o", filepath.Join("absent", "g.el")}, 1, "graphbig-gen: open ", "", nil},

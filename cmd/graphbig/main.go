@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/graphbig/graphbig-go/internal/core"
+	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/harness"
 	"github.com/graphbig/graphbig-go/internal/order"
 	"github.com/graphbig/graphbig-go/internal/perfmon"
@@ -50,6 +51,13 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
 
+	var generated []gen.Dataset
+	if d, err := gen.ByName(*dataset); err == nil && *input == "" {
+		generated = append(generated, d) // an unknown name fails below
+	}
+	if err := gen.CheckScale(*scale, generated...); err != nil {
+		fatal(err)
+	}
 	cfg := harness.DefaultConfig()
 	cfg.Scale, cfg.Seed, cfg.Input = *scale, *seed, *input
 	if *profile || *gpu || *traceOut != "" {

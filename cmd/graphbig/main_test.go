@@ -156,6 +156,11 @@ func TestHostileCommandLines(t *testing.T) {
 		{"retired partitions flag", append([]string{"-partitions", "4"}, small...), 2, "flag provided but not defined: -partitions"},
 		{"scale zero", []string{"-scale", "0"}, 0, "BFS: visited=64 "},
 		{"scale negative", []string{"-scale", "-1"}, 0, "BFS: visited=64 "},
+		{"scale NaN", []string{"-scale", "NaN"}, 1, "graphbig: gen: scale NaN is not a finite number"},
+		{"scale +Inf", []string{"-scale", "+Inf"}, 1, "graphbig: gen: scale +Inf is not a finite number"},
+		{"scale NaN with a file", []string{"-scale", "NaN", "-input", file("v1n", v1.Bytes())}, 1, "graphbig: gen: scale NaN is not a finite number"},
+		{"scale 1e300", []string{"-scale", "1e300"}, 1, "graphbig: gen: scale 1e+300 gives ldbc "},
+		{"scale past the View's offsets", []string{"-dataset", "twitter", "-scale", "13"}, 1, "graphbig: gen: scale 13 gives twitter 2.21e+09 edge records"},
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},

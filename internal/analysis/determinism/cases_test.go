@@ -50,7 +50,7 @@ func TestDeterminismScopes(t *testing.T) {
 	}
 	output := []string{
 		"internal/harness", "cmd/graphbig", "cmd/graphbig-bench",
-		"cmd/graphbig-gen", "cmd/graphbig-g500",
+		"cmd/graphbig-gen",
 	}
 	outside := []string{
 		"internal/engine", "internal/property", "cmd/graphbig-vet",

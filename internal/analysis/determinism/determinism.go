@@ -57,7 +57,6 @@ var outputScope = []string{
 	"cmd/graphbig",
 	"cmd/graphbig-bench",
 	"cmd/graphbig-gen",
-	"cmd/graphbig-g500",
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -3,6 +3,9 @@
 // GraphBIG the GPU side organizes graph data as CSR/COO; the graph
 // populating step converts the dynamic vertex-centric graph in CPU memory
 // (package property) into these arrays before kernels run (paper §4.1).
+// Here that step is free: a property.View already holds its adjacency as a
+// CSR with every row sorted by destination, so a Graph is the View's arrays
+// under CSR names.
 //
 // CSR also carries a simulated address layout so the cache model can
 // compare the locality of the compact format against the vertex-centric
@@ -10,73 +13,39 @@
 package csr
 
 import (
-	"sort"
-
 	"github.com/graphbig/graphbig-go/internal/mem"
 	"github.com/graphbig/graphbig-go/internal/narrow"
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
-// rowSorter co-sorts one CSR row's destinations and weights.
-type rowSorter struct {
-	col []int32
-	w   []float64
-}
-
-func (r *rowSorter) Len() int           { return len(r.col) }
-func (r *rowSorter) Less(i, j int) bool { return r.col[i] < r.col[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.col[i], r.col[j] = r.col[j], r.col[i]
-	r.w[i], r.w[j] = r.w[j], r.w[i]
-}
-
 // Graph is a CSR graph over the dense vertex indices of a property.View.
-// Edge k of vertex i occupies Col[RowPtr[i]+k]. An undirected property
-// graph yields both directions (its mirrored records), which is the layout
-// GPU kernels expect.
+// Edge k of vertex i occupies Col[RowPtr[i]+k], and each row ascends by
+// destination. An undirected property graph yields both directions (its
+// mirrored records), which is the layout GPU kernels expect. RowPtr, Col
+// and W are the View's NbrOff, Nbr and NbrW: read them, never write them.
 type Graph struct {
 	N      int
-	RowPtr []int64
+	RowPtr []int32
 	Col    []int32
 	W      []float64
-	IDs    []property.VertexID // dense index -> original vertex ID
 
 	rowAddr, colAddr, wAddr uint64
 }
 
 // COO is the coordinate-list variant: one (src,dst) record per edge, used
-// by the edge-centric GPU kernels (CComp, TC).
+// by the edge-centric GPU kernels (CComp, TC). Dst is the CSR's Col.
 type COO struct {
 	Src, Dst []int32
-	W        []float64
 }
 
-// FromProperty converts vw's snapshot of g: the View already holds every
-// live vertex's out-records over dense indices, with destinations that fell
-// outside it (deleted vertices) dropped, so its rows are copied, not
-// resolved a second time.
+// FromProperty converts vw's snapshot of g. The View already holds every
+// live vertex's out-records over dense indices, rows sorted, with
+// destinations that fell outside it (deleted vertices) dropped, so the
+// Graph takes its arrays as they are. Only the simulated layout is new:
+// three contiguous arrays, as a real CSR would be, with 8-byte row
+// pointers.
 func FromProperty(g *property.Graph, vw *property.View) *Graph {
-	n := vw.Len()
-	c := &Graph{
-		N:      n,
-		RowPtr: make([]int64, n+1),
-		Col:    make([]int32, len(vw.Nbr)),
-		W:      make([]float64, len(vw.NbrW)),
-		IDs:    make([]property.VertexID, n),
-	}
-	copy(c.Col, vw.Nbr)
-	copy(c.W, vw.NbrW)
-	// Canonical CSR keeps each row sorted by destination (the dynamic
-	// store keeps insertion order); kernels rely on ordered rows.
-	var row rowSorter
-	for i, v := range vw.Verts {
-		c.IDs[i] = v.ID
-		lo, hi := vw.NbrOff[i], vw.NbrOff[i+1]
-		c.RowPtr[i+1] = int64(hi)
-		row.col, row.w = c.Col[lo:hi], c.W[lo:hi]
-		sort.Sort(&row)
-	}
-	// Simulated layout: three contiguous arrays, as a real CSR would be.
+	c := &Graph{N: vw.Len(), RowPtr: vw.NbrOff, Col: vw.Nbr, W: vw.NbrW}
 	ar := g.Arena()
 	c.rowAddr = ar.Alloc(uint64(len(c.RowPtr))*8, 64)
 	c.colAddr = ar.Alloc(uint64(len(c.Col))*4, 64)
@@ -92,19 +61,13 @@ func (c *Graph) Degree(i int32) int {
 	return int(c.RowPtr[i+1] - c.RowPtr[i])
 }
 
-// ToCOO expands the CSR into coordinate form.
+// ToCOO expands the CSR into coordinate form; only Src is allocated.
 func (c *Graph) ToCOO() *COO {
-	co := &COO{
-		Src: make([]int32, len(c.Col)),
-		Dst: make([]int32, len(c.Col)),
-		W:   make([]float64, len(c.Col)),
-	}
+	co := &COO{Src: make([]int32, len(c.Col)), Dst: c.Col}
 	n := narrow.Index32(c.N)
 	for i := int32(0); i < n; i++ {
 		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
 			co.Src[k] = i
-			co.Dst[k] = c.Col[k]
-			co.W[k] = c.W[k]
 		}
 	}
 	return co
@@ -117,10 +80,10 @@ func (c *Graph) ToCOO() *COO {
 func (c *Graph) RowAddr(i int32) uint64 { return c.rowAddr + uint64(i)*8 }
 
 // ColAddr returns the simulated address of Col[k].
-func (c *Graph) ColAddr(k int64) uint64 { return c.colAddr + uint64(k)*4 }
+func (c *Graph) ColAddr(k int32) uint64 { return c.colAddr + uint64(k)*4 }
 
 // WAddr returns the simulated address of W[k].
-func (c *Graph) WAddr(k int64) uint64 { return c.wAddr + uint64(k)*8 }
+func (c *Graph) WAddr(k int32) uint64 { return c.wAddr + uint64(k)*8 }
 
 // TraverseInstrumented performs a full sequential sweep over all adjacency
 // lists, reporting every access to t. It is the CSR half of the

@@ -1,8 +1,8 @@
 package csr
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/gen"
@@ -47,30 +47,51 @@ func TestFromPropertyStructure(t *testing.T) {
 	if w0[0] != 1 || w0[1] != 3 {
 		t.Errorf("row 0 weights = %v", w0)
 	}
-	// IDs map back.
-	for i := 0; i < c.N; i++ {
-		if c.IDs[i] != vw.Verts[i].ID {
-			t.Errorf("IDs[%d] = %d", i, c.IDs[i])
-		}
+}
+
+// TestFromPropertySharesViewArrays: the CSR is the View's adjacency under
+// CSR names, so FromProperty allocates no array, only the Graph header.
+// buildGraph's row 0 is stored unsorted (0->3 before 0->1); the View sorts
+// it, weights beside their destinations.
+func TestFromPropertySharesViewArrays(t *testing.T) {
+	g, vw := buildGraph(t)
+	c := FromProperty(g, vw)
+	if &c.RowPtr[0] != &vw.NbrOff[0] || len(c.RowPtr) != len(vw.NbrOff) {
+		t.Error("RowPtr is not the View's NbrOff")
+	}
+	if &c.Col[0] != &vw.Nbr[0] || len(c.Col) != len(vw.Nbr) {
+		t.Error("Col is not the View's Nbr")
+	}
+	if &c.W[0] != &vw.NbrW[0] || len(c.W) != len(vw.NbrW) {
+		t.Error("W is not the View's NbrW")
+	}
+	if row, w := vw.Adj(0), vw.AdjW(0); !slices.Equal(row, []int32{1, 3}) || !slices.Equal(w, []float64{1, 3}) {
+		t.Errorf("View row 0 = %v weights %v, want [1 3] [1 3]", row, w)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { FromProperty(g, vw) }); allocs > 1 {
+		t.Errorf("FromProperty made %v allocations, want only the Graph", allocs)
 	}
 }
 
 // TestFromPropertyLeavesViewUnchanged: the View is published and shared,
-// so sorting rows must happen in FromProperty's own arrays. buildGraph's
-// row 0 is unsorted (0->3 before 0->1), so a conversion that borrowed the
-// View's arrays would reorder them.
+// and the CSR and its COO borrow its arrays, so converting and reading them
+// must leave every array of the View as it was.
 func TestFromPropertyLeavesViewUnchanged(t *testing.T) {
-	g, vw := buildGraph(t)
+	g := gen.LDBC(500, 3, 0)
+	vw := g.View()
 	nbr, nbrW, nbrOff := slices.Clone(vw.Nbr), slices.Clone(vw.NbrW), slices.Clone(vw.NbrOff)
-	FromProperty(g, vw)
-	if !slices.Equal(vw.Nbr, nbr) {
-		t.Errorf("FromProperty changed the View: Nbr %v -> %v", nbr, vw.Nbr)
+	inNbr, inOff := slices.Clone(vw.InNbr), slices.Clone(vw.InOff)
+	c := FromProperty(g, vw)
+	c.ToCOO()
+	c.TraverseInstrumented(mem.NewCounting())
+	if !slices.Equal(vw.Nbr, nbr) || !slices.Equal(vw.InNbr, inNbr) {
+		t.Error("FromProperty or its readers changed the View's Nbr or InNbr")
 	}
 	if !slices.Equal(vw.NbrW, nbrW) {
-		t.Errorf("FromProperty changed the View: NbrW %v -> %v", nbrW, vw.NbrW)
+		t.Error("FromProperty or its readers changed the View's NbrW")
 	}
-	if !slices.Equal(vw.NbrOff, nbrOff) {
-		t.Errorf("FromProperty changed the View: NbrOff %v -> %v", nbrOff, vw.NbrOff)
+	if !slices.Equal(vw.NbrOff, nbrOff) || !slices.Equal(vw.InOff, inOff) {
+		t.Error("FromProperty or its readers changed the View's NbrOff or InOff")
 	}
 }
 
@@ -113,6 +134,9 @@ func TestToCOO(t *testing.T) {
 	if len(coo.Src) != c.NumEdges() {
 		t.Fatalf("COO size = %d", len(coo.Src))
 	}
+	if &coo.Dst[0] != &c.Col[0] || len(coo.Dst) != len(c.Col) {
+		t.Error("COO Dst is not the CSR's Col")
+	}
 	for k := range coo.Src {
 		found := false
 		src := coo.Src[k]
@@ -125,6 +149,20 @@ func TestToCOO(t *testing.T) {
 		if !found {
 			t.Errorf("COO edge %d->%d not in CSR", coo.Src[k], coo.Dst[k])
 		}
+	}
+}
+
+// TestToCOOAllocatesOnlySrc: Dst is the CSR's Col, so ToCOO allocates the
+// COO header and its Src array and nothing else, whatever the edge count.
+func TestToCOOAllocatesOnlySrc(t *testing.T) {
+	g := gen.LDBC(500, 3, 0)
+	c := FromProperty(g, g.View())
+	var coo *COO // kept, so the COO itself is always on the heap
+	if allocs := testing.AllocsPerRun(20, func() { coo = c.ToCOO() }); allocs > 2 {
+		t.Errorf("ToCOO made %v allocations, want the COO and its Src", allocs)
+	}
+	if len(coo.Src) != c.NumEdges() {
+		t.Errorf("COO has %d records, want %d", len(coo.Src), c.NumEdges())
 	}
 }
 
@@ -159,24 +197,30 @@ func TestTraverseInstrumented(t *testing.T) {
 	}
 }
 
-// fromPropertyByLookup is FromProperty as it was before it copied the
+// fromPropertyByLookup is FromProperty as it was before it took the
 // View's rows: every out-record of every vertex resolved again through
-// IndexOf, appended, and the row sorted. Kept as the oracle for the copy.
+// IndexOf, appended, and the row sorted stably by destination. Kept as the
+// oracle for the View's sorted rows.
 func fromPropertyByLookup(g *property.Graph, vw *property.View) *Graph {
 	n := vw.Len()
-	c := &Graph{N: n, RowPtr: make([]int64, n+1), IDs: make([]property.VertexID, n)}
+	c := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	type record struct {
+		to int32
+		w  float64
+	}
 	for i, v := range vw.Verts {
-		c.IDs[i] = v.ID
-		c.RowPtr[i] = int64(len(c.Col))
+		var recs []record
 		for _, e := range v.Out {
 			if j := vw.IndexOf(e.To); j >= 0 {
-				c.Col = append(c.Col, j)
-				c.W = append(c.W, e.Weight)
+				recs = append(recs, record{j, e.Weight})
 			}
 		}
-		sort.Sort(&rowSorter{c.Col[c.RowPtr[i]:], c.W[c.RowPtr[i]:]})
+		slices.SortStableFunc(recs, func(a, b record) int { return cmp.Compare(a.to, b.to) })
+		for _, r := range recs {
+			c.Col, c.W = append(c.Col, r.to), append(c.W, r.w)
+		}
+		c.RowPtr[i+1] = int32(len(c.Col))
 	}
-	c.RowPtr[n] = int64(len(c.Col))
 	ar := g.Arena()
 	c.rowAddr = ar.Alloc(uint64(len(c.RowPtr))*8, 64)
 	c.colAddr = ar.Alloc(uint64(len(c.Col))*4, 64)
@@ -187,7 +231,7 @@ func fromPropertyByLookup(g *property.Graph, vw *property.View) *Graph {
 // TestFromPropertyMatchesLookupLoop builds every input twice, so both
 // conversions allocate from arenas in the same state, and requires the
 // same arrays and the same three simulated base addresses: on LDBC
-// (unsorted rows, the benchmark's input), on a road grid with deleted
+// (the benchmark's input), on a road grid with deleted
 // vertices (holes in the ID space, so indices are not IDs), and on LDBC
 // under an ordering permutation.
 func TestFromPropertyMatchesLookupLoop(t *testing.T) {
@@ -219,7 +263,7 @@ func TestFromPropertyMatchesLookupLoop(t *testing.T) {
 	} {
 		got, want := FromProperty(build()), fromPropertyByLookup(build())
 		if got.N != want.N || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) ||
-			!slices.Equal(got.W, want.W) || !slices.Equal(got.IDs, want.IDs) {
+			!slices.Equal(got.W, want.W) {
 			t.Errorf("%s: arrays differ from the lookup loop's (%d vertices, %d vs %d records)", name, got.N, len(got.Col), len(want.Col))
 		}
 		if got.rowAddr != want.rowAddr || got.colAddr != want.colAddr || got.wAddr != want.wAddr {

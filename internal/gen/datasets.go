@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -56,6 +57,22 @@ func (d Dataset) Generate(scale float64, seed int64, workers int) *property.Grap
 		v = 64
 	}
 	return d.Build(v, seed, workers)
+}
+
+// CheckScale returns an error for a scale that cannot generate every one
+// of ds: one that is not a finite number, or one at which a dataset's
+// paper-scale edge count, each edge stored in both directions, would
+// overflow the int32 offsets of a property.View.
+func CheckScale(scale float64, ds ...Dataset) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("gen: scale %v is not a finite number", scale)
+	}
+	for _, d := range ds {
+		if records := 2 * float64(d.PaperE) * scale; records > math.MaxInt32 {
+			return fmt.Errorf("gen: scale %g gives %s %.3g edge records, more than a View's %d", scale, d.Name, records, math.MaxInt32)
+		}
+	}
+	return nil
 }
 
 // Catalog lists the five experiment datasets in the paper's Table 7 order.

@@ -33,6 +33,31 @@ func TestCatalogComplete(t *testing.T) {
 	}
 }
 
+// TestCheckScale: the paper's own sizes pass, the whole catalog included,
+// and a non-finite scale or one past the View's int32 offsets does not.
+// Nothing is generated.
+func TestCheckScale(t *testing.T) {
+	twitter, err := ByName("twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{1, 12, 0, -1} {
+		if err := CheckScale(scale, Catalog...); err != nil {
+			t.Errorf("scale %v: %v", scale, err)
+		}
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckScale(scale); err == nil {
+			t.Errorf("scale %v passed", scale)
+		}
+	}
+	for _, scale := range []float64{13, 1e300} {
+		if err := CheckScale(scale, twitter); err == nil {
+			t.Errorf("scale %v passed for twitter", scale)
+		}
+	}
+}
+
 func TestGenerateScalesVertices(t *testing.T) {
 	d, _ := ByName("ldbc")
 	g := d.Generate(0.001, 1, 0)

@@ -249,7 +249,7 @@ func TC(d *simt.Device, g *csr.Graph) Result {
 		small int32 // vertex whose list is probed element-wise
 		big   int32 // vertex whose list is binary-searched
 		v     int32 // the larger endpoint (triangle ordering filter)
-		off   int64 // starting offset within the small list
+		off   int32 // starting offset within the small list
 	}
 	var items []item
 	for t := range coo.Src {
@@ -287,7 +287,7 @@ func TC(d *simt.Device, g *csr.Graph) Result {
 			ln.Op(1)
 			lo, hi := lo0, hi0
 			for lo < hi {
-				mid := (lo + hi) / 2
+				mid := lo + (hi-lo)/2
 				ln.Ld(g.ColAddr(mid), 4)
 				ln.Op(2)
 				if g.Col[mid] < w {
@@ -305,8 +305,9 @@ func TC(d *simt.Device, g *csr.Graph) Result {
 	return Result{Name: "TC", Stats: d.Stats(), Value: float64(triangles), Iterations: 1}
 }
 
-// lowerBound returns the first index in sorted xs with xs[i] >= x.
-func lowerBound(xs []int32, x int32) int64 {
+// lowerBound returns the first index in sorted xs with xs[i] >= x. Rows
+// of a csr.Graph are sorted because the View's are.
+func lowerBound(xs []int32, x int32) int32 {
 	lo, hi := 0, len(xs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -316,5 +317,5 @@ func lowerBound(xs []int32, x int32) int64 {
 			hi = mid
 		}
 	}
-	return int64(lo)
+	return int32(lo)
 }

@@ -2,6 +2,7 @@ package property
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -568,16 +569,19 @@ func (g *Graph) SetProp(v *Vertex, slot int, x float64) {
 	v.SetPropRaw(slot, x)
 }
 
-// removeOutRecord deletes the first record src->dst, reporting whether one
-// was removed. Caller holds src's shard lock (or runs single-threaded).
-func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, t mem.Tracker) bool {
+// removeOutRecord deletes the first record src->dst, of weight *w when w is
+// non-nil, and returns its weight and whether one was removed. Caller holds
+// src's shard lock (or runs single-threaded).
+func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, w *float64, t mem.Tracker) (float64, bool) {
 	for i := range src.Out {
+		hit := src.Out[i].To == dst && (w == nil || math.Float64bits(src.Out[i].Weight) == math.Float64bits(*w))
 		if t != nil {
 			t.Load(src.edgeAddr+uint64(i)*edgeRecordBytes, edgeRecordBytes)
-			t.Branch(siteEdgeScan, src.Out[i].To != dst)
+			t.Branch(siteEdgeScan, !hit)
 			t.Inst(2)
 		}
-		if src.Out[i].To == dst {
+		if hit {
+			removed := src.Out[i].Weight
 			last := len(src.Out) - 1
 			src.Out[i] = src.Out[last]
 			src.Out = src.Out[:last]
@@ -586,10 +590,10 @@ func (g *Graph) removeOutRecord(src *Vertex, dst VertexID, t mem.Tracker) bool {
 				t.Store(src.addr, 8)
 				t.Inst(4)
 			}
-			return true
+			return removed, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 func (g *Graph) removeInRecord(dst *Vertex, src VertexID, t mem.Tracker) bool {
@@ -614,7 +618,9 @@ func (g *Graph) removeInRecord(dst *Vertex, src VertexID, t mem.Tracker) bool {
 }
 
 // DeleteEdge removes one src->dst edge (both mirrored records on an
-// undirected graph). It reports whether an edge was removed.
+// undirected graph: the first src->dst record and a dst->src record of the
+// same weight, so that every record keeps a mirror of its own weight). It
+// reports whether an edge was removed.
 func (g *Graph) DeleteEdge(src, dst VertexID) bool {
 	t := g.trk
 	if t != nil {
@@ -631,14 +637,14 @@ func (g *Graph) DeleteEdge(src, dst VertexID) bool {
 	}
 	ssh, dsh := g.shardOf(src), g.shardOf(dst)
 	g.lockPair(ssh, dsh)
-	removed := g.removeOutRecord(sv, dst, t)
+	w, removed := g.removeOutRecord(sv, dst, nil, t)
 	if removed {
 		if g.directed {
 			if g.trackIn {
 				g.removeInRecord(dv, src, t)
 			}
 		} else {
-			g.removeOutRecord(dv, src, t)
+			g.removeOutRecord(dv, src, &w, t)
 		}
 		g.nEdges.Add(-1)
 	}
@@ -690,7 +696,7 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 			if g.directed {
 				g.removeInRecord(nb, id, t)
 			} else {
-				g.removeOutRecord(nb, id, t)
+				g.removeOutRecord(nb, id, nil, t)
 			}
 		}
 		removed++
@@ -705,7 +711,7 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 				continue
 			}
 			if src := g.FindVertex(srcID); src != nil {
-				if g.removeOutRecord(src, id, t) {
+				if _, ok := g.removeOutRecord(src, id, nil, t); ok {
 					removed++
 				}
 			}

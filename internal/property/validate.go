@@ -1,6 +1,9 @@
 package property
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Validate checks the graph's structural invariants and returns the first
 // violation found, or nil. It is used by the fuzz-style tests and is safe
@@ -8,7 +11,8 @@ import "fmt"
 //
 //   - every indexed vertex is live and findable,
 //   - no edge points at a missing vertex,
-//   - undirected storage is symmetric (mirrored record multiplicity),
+//   - undirected storage is symmetric (each record's mirror, of the same
+//     weight, with the same multiplicity),
 //   - directed in-lists exactly mirror out-records when tracked,
 //   - the logical edge counter matches the stored records.
 func Validate(g *Graph) error {
@@ -32,13 +36,13 @@ func Validate(g *Graph) error {
 				return
 			}
 			if !g.directed && e.To != v.ID {
-				if countOut(to, v.ID) != countOut(v, e.To) {
+				if countOut(to, v.ID, &e.Weight) != countOut(v, e.To, &e.Weight) {
 					err = fmt.Errorf("property: asymmetric undirected storage %d<->%d", v.ID, e.To)
 					return
 				}
 			}
 			if g.directed && g.trackIn {
-				if countIn(to, v.ID) != countOut(v, e.To) {
+				if countIn(to, v.ID) != countOut(v, e.To, nil) {
 					err = fmt.Errorf("property: in-list of %d does not mirror %d's out-records", e.To, v.ID)
 					return
 				}
@@ -62,10 +66,11 @@ func Validate(g *Graph) error {
 	return nil
 }
 
-func countOut(v *Vertex, to VertexID) int {
+// countOut counts v's records to to, of weight *w only when w is non-nil.
+func countOut(v *Vertex, to VertexID, w *float64) int {
 	n := 0
 	for _, e := range v.Out {
-		if e.To == to {
+		if e.To == to && (w == nil || math.Float64bits(e.Weight) == math.Float64bits(*w)) {
 			n++
 		}
 	}

@@ -30,7 +30,9 @@ func TestValidateAfterRandomMutations(t *testing.T) {
 			case 0, 1, 2:
 				g.AddVertex(a)
 			case 3:
-				_ = g.AddEdge(a, b, 1)
+				// Few weights, so parallel edges of different weights and
+				// mirrors removed by weight both come up.
+				_ = g.AddEdge(a, b, float64(r.IntN(3)))
 			case 4:
 				g.DeleteEdge(a, b)
 			case 5:

@@ -3,10 +3,10 @@ package property
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/narrow"
@@ -19,13 +19,13 @@ import (
 // framework vertex to its index with a property read.
 //
 // A view is additionally index-resolved: at snapshot time the adjacency of
-// every live vertex is materialized into flat CSR-like arrays over the
-// dense indices (NbrOff/Nbr/NbrW, plus reverse arrays for directed
-// graphs). Native hot loops iterate these dense int32 arrays with zero
-// per-edge FindVertex hash lookups — the pointer-chasing overhead the
-// paper attributes to dynamic property-graph frameworks (§4.1) —
-// while instrumented runs keep using the framework primitives so the
-// tracker event stream is unchanged. Edges whose target is dead are
+// every live vertex is materialized into flat CSR arrays over the dense
+// indices, each row sorted by destination (NbrOff/Nbr/NbrW, plus reverse
+// arrays for directed graphs). Native hot loops iterate these dense int32
+// arrays with zero per-edge FindVertex hash lookups — the pointer-chasing
+// overhead the paper attributes to dynamic property-graph frameworks
+// (§4.1) — while instrumented runs keep using the framework primitives so
+// the tracker event stream is unchanged. Edges whose target is dead are
 // dropped during resolution, mirroring the nil-check every workload
 // performs after FindVertex.
 //
@@ -39,8 +39,10 @@ type View struct {
 	idx   idIndex // VertexID -> index into Verts
 
 	// NbrOff has one entry per vertex plus a terminator: the out-neighbors
-	// of dense index i occupy Nbr[NbrOff[i]:NbrOff[i+1]], in adjacency-list
-	// order, with parallel edge weights in NbrW.
+	// of dense index i occupy Nbr[NbrOff[i]:NbrOff[i+1]] in ascending index
+	// order, with parallel edge weights in NbrW. Parallel records to one
+	// neighbour are in ascending weight order. csr.Graph reads these arrays
+	// as its own.
 	NbrOff []int32
 	Nbr    []int32
 	NbrW   []float64
@@ -48,8 +50,8 @@ type View struct {
 	// InOff/InNbr are the reverse (in-neighbor) arrays used by pull-phase
 	// traversal. On undirected graphs they alias the forward arrays; on
 	// directed graphs they are built from the out-edges regardless of
-	// Options.TrackInEdges. In-neighbors of each vertex appear in
-	// ascending dense-index order.
+	// Options.TrackInEdges. Either way the in-neighbors of each vertex
+	// appear in ascending dense-index order.
 	InOff []int32
 	InNbr []int32
 
@@ -117,11 +119,11 @@ func (g *Graph) ViewWith(opt ViewOpts) *View {
 }
 
 // ViewReference is the seed serial implementation (shard-order gather,
-// single-threaded sort, map-probed resolution), retained as the honest
-// wall-clock baseline for the view-construction benchmarks and as a
-// differential-testing oracle for ViewWith: it resolves through a map of
-// its own, never through the flat table, so the two share no lookup. Its
-// output is identical to View().
+// single-threaded sort, map-probed resolution, a stable sort per row),
+// retained as the honest wall-clock baseline for the view-construction
+// benchmarks and as a differential-testing oracle for ViewWith: it resolves
+// through a map of its own, never through the flat table, so the two share
+// no lookup. Its output is identical to View().
 func (g *Graph) ViewReference() *View {
 	n := g.VertexCount()
 	vs := make([]*Vertex, 0, n)
@@ -237,8 +239,8 @@ func indexByID(parts [][]idVert) ([]*Vertex, idIndex) {
 // resolve builds the flat adjacency arrays from the snapshot. The output
 // is byte-identical to resolveReference for every worker count: pass one
 // counts each vertex's live out-degree into its own offset slot, pass two
-// fills each vertex's private [off[i], off[i+1]) output range, so no two
-// workers ever write the same element.
+// fills and sorts each vertex's private [off[i], off[i+1]) output range, so
+// no two workers ever write the same element.
 func (vw *View) resolve(directed bool, workers int) {
 	n := len(vw.Verts)
 	idx := &vw.idx
@@ -266,14 +268,36 @@ func (vw *View) resolve(directed bool, workers int) {
 			// worker-owned windows.
 			row := nbr[off[i]:off[i+1]]
 			wrow := wts[off[i]:off[i+1]]
-			p := 0
 			out := vw.Verts[i].Out
+			// The row is insertion-sorted as it fills: a record moves past
+			// the records before it that sort after it, which in a row
+			// stored in ID order, as nearly every row is, are none. A record
+			// that would move more than maxShift places is left short of
+			// its place and the row heapsorted once it is full, so no row
+			// costs more than O(len log len).
+			p, sorted := 0, true
 			for k := range out {
-				if j := idx.get(out[k].To); j >= 0 {
-					row[p] = j
-					wrow[p] = out[k].Weight
-					p++
+				j := idx.get(out[k].To)
+				if j < 0 {
+					continue
 				}
+				w := out[k].Weight
+				q := p
+				for ; q > 0 && row[q-1] >= j; q-- {
+					if row[q-1] == j && weightKey(wrow[q-1]) <= weightKey(w) {
+						break
+					}
+					if p-q == maxShift {
+						sorted = false
+						break
+					}
+					row[q], wrow[q] = row[q-1], wrow[q-1]
+				}
+				row[q], wrow[q] = j, w
+				p++
+			}
+			if !sorted {
+				heapSortRow(row, wrow)
 			}
 		}
 	})
@@ -282,11 +306,63 @@ func (vw *View) resolve(directed bool, workers int) {
 		vw.InOff, vw.InNbr = off, nbr
 		return
 	}
-	vw.InOff, vw.InNbr = reverseCSR(n, off, nbr, workers)
+	in := transpose(csrRows{off: off, nbr: nbr}, nil, nil, workers)
+	vw.InOff, vw.InNbr = in.off, in.nbr
 }
 
-// resolveReference is the seed serial resolution kept verbatim as the
-// differential oracle (see ViewReference).
+// weightKey maps a weight to an integer in the weight's numeric order, -0
+// before +0 and NaNs outermost, so that records to one destination have
+// one order whatever order their list holds them in.
+func weightKey(w float64) uint64 {
+	b := math.Float64bits(w)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// maxShift bounds how far resolve moves one record while a row fills.
+const maxShift = 12
+
+// recordBefore reports whether the record (j, w) sorts before (k, v): by
+// destination, then by weight.
+func recordBefore(j int32, w float64, k int32, v float64) bool {
+	return j < k || j == k && weightKey(w) < weightKey(v)
+}
+
+// heapSortRow orders one row in place by destination and then weight, each
+// weight moving with its destination, with no buffer and in
+// O(len log len).
+func heapSortRow(row []int32, w []float64) {
+	w = w[:len(row)]
+	swap := func(a, b int) {
+		row[a], row[b] = row[b], row[a]
+		w[a], w[b] = w[b], w[a]
+	}
+	// sift moves record i down the max-heap of the first n records.
+	sift := func(i, n int) {
+		for c := 2*i + 1; c < n; i, c = c, 2*c+1 {
+			if c+1 < n && recordBefore(row[c], w[c], row[c+1], w[c+1]) {
+				c++
+			}
+			if !recordBefore(row[i], w[i], row[c], w[c]) {
+				return
+			}
+			swap(i, c)
+		}
+	}
+	for i := len(row)/2 - 1; i >= 0; i-- {
+		sift(i, len(row))
+	}
+	for n := len(row) - 1; n > 0; n-- {
+		swap(0, n)
+		sift(0, n)
+	}
+}
+
+// resolveReference is the seed serial resolution kept as the differential
+// oracle (see ViewReference), with each row then sorted by destination
+// and weight through a slice of its own records.
 func (vw *View) resolveReference(directed bool, pos map[VertexID]int32) {
 	n := len(vw.Verts)
 	off := make([]int32, n+1)
@@ -303,13 +379,23 @@ func (vw *View) resolveReference(directed bool, pos map[VertexID]int32) {
 	nbr := make([]int32, deg)
 	wts := make([]float64, deg)
 	p := 0
+	type record struct {
+		to int32
+		w  float64
+	}
 	for _, v := range vw.Verts {
+		var recs []record
 		for k := range v.Out {
 			if j, ok := pos[v.Out[k].To]; ok {
-				nbr[p] = j
-				wts[p] = v.Out[k].Weight
-				p++
+				recs = append(recs, record{j, v.Out[k].Weight})
 			}
+		}
+		slices.SortFunc(recs, func(a, b record) int {
+			return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(weightKey(a.w), weightKey(b.w)))
+		})
+		for _, r := range recs {
+			nbr[p], wts[p] = r.to, r.w
+			p++
 		}
 	}
 	vw.NbrOff, vw.Nbr, vw.NbrW = off, nbr, wts
@@ -331,81 +417,106 @@ func prefixSum32(off []int32) {
 	}
 }
 
-// reverseCSR builds the in-neighbor arrays: a counting sort of the forward
-// edges by target, sources in ascending order within each bucket. The
-// parallel path uses per-worker histograms — hist[w*n+j] counts worker w's
-// edges into bucket j, then is transformed in place into worker w's write
-// cursor inside bucket j — so the fill phase is write-disjoint and the
-// output matches the serial counting sort exactly (workers own ascending
-// contiguous source ranges).
-func reverseCSR(n int, off, nbr []int32, workers int) (inOff, inNbr []int32) {
-	if workers > n/1024 {
-		// Histogram memory is workers*n; small graphs gain nothing.
-		workers = n / 1024
-	}
-	if workers > 16 {
-		workers = 16
-	}
-	if workers <= 1 || n == 0 {
-		return reverseCSRSerial(n, off, nbr)
-	}
+// csrRows is one CSR: row i is nbr[off[i]:off[i+1]], with weights beside
+// it in w when w is non-nil.
+type csrRows struct {
+	off, nbr []int32
+	w        []float64
+}
+
+// transpose is a counting sort of src's records by destination: row d of
+// the result lists every source s of a record s->d, sources ascending and
+// one source's records in its row's order, with the record's weight beside
+// it when src carries weights. Row s of the input is src's row perm[s],
+// and a destination j is renamed inv[j]; nil perm and inv are the
+// identity. The result is in new arrays.
+//
+// Each worker counts the records of a contiguous source range into its own
+// histogram — hist[wi*n+d] counts worker wi's records into bucket d — which
+// a column scan then turns into that worker's write cursor inside bucket d,
+// so the fill phase is write-disjoint and its output the serial counting
+// sort's for every worker count.
+func transpose(src csrRows, perm, inv []int32, workers int) csrRows {
+	sOff, sNbr, sW := src.off, src.nbr, src.w
+	n := len(sOff) - 1
+	// Histogram memory is workers*n; small graphs gain nothing.
+	workers = max(1, min(workers, n/1024, 16))
 	bounds := concurrent.ChunkBounds(n, workers)
-	w := len(bounds) - 1
-	hist := make([]int32, w*n)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			h := hist[wi*n : wi*n+n]
-			for _, j := range nbr[off[bounds[wi]]:off[bounds[wi+1]]] {
-				h[j]++
-			}
-		}(wi)
-	}
-	wg.Wait()
-	// Column scan: per bucket j, replace counts with each worker's
-	// exclusive start inside the bucket and record the bucket total.
-	inOff = make([]int32, n+1)
-	concurrent.ParallelRange(n, w, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var run int32
-			for wi := 0; wi < w; wi++ {
-				c := hist[wi*n+j]
-				hist[wi*n+j] = run
-				run += c
-			}
-			inOff[j+1] = run
+	nw := len(bounds) - 1
+	row := func(s int) (int32, int32) {
+		if perm != nil {
+			s = int(perm[s])
 		}
-	})
-	prefixSum32(inOff)
-	inNbr = make([]int32, off[n])
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
+		return sOff[s], sOff[s+1]
+	}
+	hist := make([]int32, nw*n)
+	concurrent.ParallelRange(nw, nw, func(lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
 			h := hist[wi*n : wi*n+n]
-			// Worker wi's slots in bucket j are
-			// [inOff[j]+hist[wi*n+j], inOff[j]+hist[wi*n+j]+count), carved
-			// by the column scan above, so the workers' writes are
-			// disjoint: the per-bucket counts sum monotonically across
-			// workers. TestReverseCSRParallelMatchesSerial pins it against
-			// the serial counting sort.
-			for i := bounds[wi]; i < bounds[wi+1]; i++ {
-				for k := off[i]; k < off[i+1]; k++ {
-					j := nbr[k]
-					inNbr[inOff[j]+h[j]] = narrow.Index32(i)
+			for s := bounds[wi]; s < bounds[wi+1]; s++ {
+				a, b := row(s)
+				for _, j := range sNbr[a:b] {
+					if inv != nil {
+						j = inv[j]
+					}
 					h[j]++
 				}
 			}
-		}(wi)
+		}
+	})
+	t := csrRows{off: make([]int32, n+1), nbr: make([]int32, len(sNbr))}
+	if sW != nil {
+		t.w = make([]float64, len(sW))
 	}
-	wg.Wait()
-	return inOff, inNbr
+	tOff, tNbr, tW := t.off, t.nbr, t.w
+	// Column scan: per bucket d, replace counts with each worker's
+	// exclusive start inside the bucket and record the bucket total.
+	tOff[0] = 0
+	concurrent.ParallelRange(n, nw, func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			var run int32
+			for wi := 0; wi < nw; wi++ {
+				c := hist[wi*n+d]
+				hist[wi*n+d] = run
+				run += c
+			}
+			tOff[d+1] = run
+		}
+	})
+	prefixSum32(tOff)
+	concurrent.ParallelRange(nw, nw, func(lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
+			h := hist[wi*n : wi*n+n]
+			// Worker wi's slots in bucket d are [tOff[d]+h[d], tOff[d]+h[d]+count),
+			// carved by the column scan above, so the workers' writes are
+			// disjoint. TestTransposeMatchesSerial pins it against the
+			// serial counting sort.
+			for s := bounds[wi]; s < bounds[wi+1]; s++ {
+				a, b := row(s)
+				s32 := narrow.Index32(s)
+				var ws []float64
+				if sW != nil {
+					ws = sW[a:b]
+				}
+				for k, d := range sNbr[a:b] {
+					if inv != nil {
+						d = inv[d]
+					}
+					at := tOff[d] + h[d]
+					h[d]++
+					tNbr[at] = s32
+					if ws != nil {
+						tW[at] = ws[k]
+					}
+				}
+			}
+		}
+	})
+	return t
 }
 
-// reverseCSRSerial is the seed counting sort (also the oracle the property
-// test in view_test.go checks the parallel path against).
+// reverseCSRSerial is the seed counting sort: the in-neighbour arrays of
+// ViewReference, and the oracle the property tests check transpose against.
 func reverseCSRSerial(n int, off, nbr []int32) (inOff, inNbr []int32) {
 	inOff = make([]int32, n+1)
 	for _, j := range nbr {
@@ -427,9 +538,15 @@ func reverseCSRSerial(n int, off, nbr []int32) (inOff, inNbr []int32) {
 }
 
 // applyOrder composes perm (perm[new] = old) into the view: Verts, the
-// forward CSR and the id→index table move together, and the reverse arrays are rebuilt so
-// in-neighbors stay ascending in the new index space. Within-vertex
-// neighbor order is preserved under relabeling.
+// forward CSR and the id→index table move together. A transpose reads the
+// old rows in the new source order and renames their destinations, which
+// gives every vertex's in-neighbours ascending in the new index space, each
+// record with its weight and one source's records to a vertex in weight
+// order. On an undirected View those are the vertex's own rows: every
+// record has a mirror of the same weight (AddEdge stores both, DeleteEdge
+// and DeleteVertex remove both), so in-row d holds exactly d's records, in
+// (destination, weight) order. A directed View keeps them as InOff/InNbr,
+// and a second transpose turns them back into its out-rows.
 func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 	n := len(vw.Verts)
 	if len(perm) != n {
@@ -445,42 +562,18 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 		inv[oi] = narrow.Index32(ni)
 	}
 
-	oldVerts, oldOff, oldNbr, oldWts := vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW
 	verts := make([]*Vertex, n)
-	off := make([]int32, n+1)
-	concurrent.ParallelRange(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			o := perm[i]
-			verts[i] = oldVerts[o]
-			off[i+1] = oldOff[o+1] - oldOff[o]
-		}
-	})
-	prefixSum32(off)
-	nbr := make([]int32, len(oldNbr))
-	wts := make([]float64, len(oldWts))
-	concurrent.ParallelRange(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			o := perm[i]
-			s := oldOff[o]
-			// Row [off[i], off[i+1]) is vertex i's alone (prefixSum32), so
-			// the cut slices are worker-owned windows.
-			row := nbr[off[i]:off[i+1]]
-			wrow := wts[off[i]:off[i+1]]
-			for k := range row {
-				row[k] = inv[oldNbr[s+narrow.Index32(k)]]
-				wrow[k] = oldWts[s+narrow.Index32(k)]
-			}
-		}
-	})
-	for i, v := range verts {
-		vw.idx.put(v.ID, narrow.Index32(i))
+	for i, o := range perm {
+		verts[i] = vw.Verts[o]
+		vw.idx.put(verts[i].ID, narrow.Index32(i))
 	}
-	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW = verts, off, nbr, wts
-	if !directed {
-		vw.InOff, vw.InNbr = off, nbr
-		return
+	in := transpose(csrRows{vw.NbrOff, vw.Nbr, vw.NbrW}, perm, inv, workers)
+	out := in
+	if directed {
+		out = transpose(in, nil, nil, workers)
 	}
-	vw.InOff, vw.InNbr = reverseCSR(n, off, nbr, workers)
+	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW = verts, out.off, out.nbr, out.w
+	vw.InOff, vw.InNbr = in.off, in.nbr
 }
 
 // publishIndex writes each snapshot vertex's dense index into its

@@ -1,9 +1,12 @@
 package property
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/mem"
@@ -52,7 +55,7 @@ func buildViewTestGraph(t testing.TB, n int, seed int64, layout int) *Graph {
 	for i := 0; i < n; i++ {
 		d := rng.Intn(8)
 		if i%17 == 0 {
-			d += 24 // a few heavy hitters
+			d += 40 // a few heavy hitters, rows of several dozen records
 		}
 		for k := 0; k < d; k++ {
 			to := ids[rng.Intn(n)]
@@ -166,44 +169,72 @@ func fuzzID(b byte) VertexID {
 }
 
 // permuted is ref under perm (perm[new] = old), spelled out serially: what
-// ViewOpts.Order must produce, derived from the reference view alone.
+// ViewOpts.Order must produce, derived from the reference view alone. Each
+// row is ref's row renamed and then sorted by its new indices and weights.
 func permuted(ref *View, perm []int32, directed bool) *View {
 	n := len(perm)
 	inv := make([]int32, n)
 	for ni, oi := range perm {
 		inv[oi] = int32(ni)
 	}
-	vw := &View{NbrOff: make([]int32, n+1), InOff: make([]int32, n+1), idx: idIndex{sparse: map[VertexID]int32{}}}
-	in := make([][]int32, n)
+	vw := &View{NbrOff: make([]int32, n+1), idx: idIndex{sparse: map[VertexID]int32{}}}
+	type record struct {
+		to int32
+		w  float64
+	}
 	for i, o := range perm {
 		vw.Verts = append(vw.Verts, ref.Verts[o])
 		vw.idx.sparse[ref.Verts[o].ID] = int32(i)
+		var recs []record
 		for k, j := range ref.Adj(o) {
-			vw.Nbr = append(vw.Nbr, inv[j])
-			vw.NbrW = append(vw.NbrW, ref.AdjW(o)[k])
-			in[inv[j]] = append(in[inv[j]], int32(i))
+			recs = append(recs, record{inv[j], ref.AdjW(o)[k]})
+		}
+		slices.SortFunc(recs, func(a, b record) int {
+			return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(weightKey(a.w), weightKey(b.w)))
+		})
+		for _, r := range recs {
+			vw.Nbr = append(vw.Nbr, r.to)
+			vw.NbrW = append(vw.NbrW, r.w)
 		}
 		vw.NbrOff[i+1] = int32(len(vw.Nbr))
 	}
-	if !directed {
-		vw.InOff, vw.InNbr = vw.NbrOff, vw.Nbr
-		return vw
-	}
-	for j, srcs := range in {
-		vw.InNbr = append(vw.InNbr, srcs...)
-		vw.InOff[j+1] = int32(len(vw.InNbr))
+	vw.InOff, vw.InNbr = vw.NbrOff, vw.Nbr
+	if directed {
+		vw.InOff, vw.InNbr = reverseCSRSerial(n, vw.NbrOff, vw.Nbr)
 	}
 	return vw
 }
 
+// rowsSorted fails unless every row of vw, and every in-row, ascends, and
+// the records of a row to one destination ascend by weight.
+func rowsSorted(t testing.TB, label string, vw *View) {
+	t.Helper()
+	for i := range vw.Verts {
+		for name, row := range map[string][]int32{"Adj": vw.Adj(int32(i)), "InAdj": vw.InAdj(int32(i))} {
+			if !slices.IsSorted(row) {
+				t.Fatalf("%s: %s(%d) = %v is not sorted", label, name, i, row)
+			}
+		}
+		row, w := vw.Adj(int32(i)), vw.AdjW(int32(i))
+		for k := 1; k < len(row); k++ {
+			if row[k] == row[k-1] && weightKey(w[k]) < weightKey(w[k-1]) {
+				t.Fatalf("%s: row %d: records to %d out of weight order, %v then %v", label, i, row[k], w[k-1], w[k])
+			}
+		}
+	}
+}
+
 // FuzzViewBuild builds small adversarial graphs — IDs either side of the
 // flat table's limit, huge IDs alone among dense ones, deleted vertices,
-// self and duplicate edges, directed with and without in-lists and
-// undirected — and holds ViewWith at 1, 2 and 4 workers, with and without
-// an Order permutation, to ViewReference field by field: Verts, the five
-// CSR arrays, IndexOf of every ID present and of absent ones, and the
-// sys.index each vertex was left with. The reference resolves through its
-// own map, so no lookup is shared with the path under test.
+// self and duplicate edges (a byte sets the weight, so duplicates differ),
+// directed with and without in-lists and undirected — and holds ViewWith
+// at 1, 2 and 4 workers, with and without an Order permutation, to
+// ViewReference field by field: Verts, the five CSR arrays, IndexOf of
+// every ID present and of absent ones, and the sys.index each vertex was
+// left with. Every row and in-row of both must ascend, and the records of
+// a row to one destination by weight. The reference
+// resolves through its own map, so no lookup is shared with the path under
+// test.
 func FuzzViewBuild(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 3, 9, 0, 1, 9, 1, 2, 9, 2, 0, 9, 1, 1, 9, 0, 1})                   // directed triangle, a self loop, a duplicate
@@ -211,6 +242,10 @@ func FuzzViewBuild(f *testing.F) {
 	f.Add([]byte{0x42, 7, 9, 0, 240, 9, 240, 1, 9, 1, 2})                              // 2^64-1 among dense ones, undirected, 2 shards
 	f.Add([]byte{0x87, 5, 9, 0, 1, 9, 1, 2, 9, 2, 3, 9, 3, 108, 9, 109, 0, 0, 2, 0})   // ordered, straddling IDs, a delete
 	f.Add([]byte{0xc4, 2, 9, 5, 6, 9, 6, 7, 9, 7, 5, 9, 244, 5, 1, 6, 7, 9, 246, 247}) // ordered undirected, 8 shards, DeleteEdge
+	f.Add([]byte{0x04, 1, 2, 1, 3, 3, 1, 2, 4, 1, 2, 1, 1, 3, 1, 2, 1, 5, 0, 2})       // ordered undirected, duplicates; 1->2 and 2->1 left with weights 3 and 4
+	f.Add([]byte{0x07, 2, 2, 1, 3, 3, 1, 2, 4, 1, 2, 6, 1, 2, 1, 1, 3, 5, 0, 2})       // ordered directed, duplicates of three weights
+	f.Add([]byte{0x04, 0, 2, 1, 0, 3, 1, 2, 4, 2, 1, 5, 3, 3})                         // ordered undirected, a row with a repeated, out-of-order destination, a self loop
+	f.Add([]byte{0x04, 0, 2, 1, 2, 3, 1, 3, 4, 1, 3, 1, 1, 2})                         // ordered undirected; deleting 1->2 swaps 1's records to 3 out of weight order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -241,6 +276,7 @@ func FuzzViewBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := g.ViewReference()
+		rowsSorted(t, "reference", want)
 		n := want.Len()
 		var order OrderFunc
 		if data[0]&4 != 0 && n > 0 {
@@ -256,6 +292,7 @@ func FuzzViewBuild(f *testing.F) {
 		for _, workers := range []int{1, 2, 4} {
 			vw := g.ViewWith(ViewOpts{Workers: workers, Order: order})
 			viewsEqual(t, fmt.Sprintf("workers=%d", workers), want, vw)
+			rowsSorted(t, fmt.Sprintf("workers=%d", workers), vw)
 			for i, v := range vw.Verts {
 				if v.Prop(idxSlot) != float64(i) {
 					t.Fatalf("workers=%d: sys.index of %d = %v, want %d", workers, v.ID, v.Prop(idxSlot), i)
@@ -276,45 +313,263 @@ func FuzzViewBuild(f *testing.F) {
 	})
 }
 
-// TestReverseCSRParallelMatchesSerial is the satellite property test: the
-// per-worker-histogram counting sort must match the serial counting sort
-// exactly for arbitrary CSRs and worker counts.
+// randomCSR returns a CSR over n vertices, n above transpose's
+// serial-fallback floor, with up to five records a row to random
+// destinations; w[k] is k, so a weight names its record.
+func randomCSR(rng *rand.Rand) (n int, off, nbr []int32, w []float64) {
+	n = 1024 + rng.Intn(6000)
+	off = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + int32(rng.Intn(6))
+	}
+	nbr = make([]int32, off[n])
+	w = make([]float64, off[n])
+	for i := range nbr {
+		nbr[i] = int32(rng.Intn(n))
+		w[i] = float64(i)
+	}
+	return n, off, nbr, w
+}
+
+// TestReverseCSRParallelMatchesSerial: the in-lists of a directed View are
+// transpose without a permutation or weights, and the per-worker-histogram
+// counting sort must match the serial counting sort exactly for arbitrary
+// CSRs and worker counts.
 func TestReverseCSRParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
-		n := 1024 + rng.Intn(6000) // above the serial-fallback floor
-		off := make([]int32, n+1)
-		for i := 0; i < n; i++ {
-			off[i+1] = off[i] + int32(rng.Intn(6))
-		}
-		nbr := make([]int32, off[n])
-		for i := range nbr {
-			nbr[i] = int32(rng.Intn(n))
-		}
+		n, off, nbr, _ := randomCSR(rng)
 		wantOff, wantNbr := reverseCSRSerial(n, off, nbr)
-		for _, w := range []int{2, 3, 7, 16} {
-			gotOff, gotNbr := reverseCSR(n, off, nbr, w)
-			for i := range wantOff {
-				if gotOff[i] != wantOff[i] {
-					t.Fatalf("w=%d inOff[%d] = %d != %d", w, i, gotOff[i], wantOff[i])
-				}
+		for _, workers := range []int{1, 2, 3, 7, 16} {
+			got := transpose(csrRows{off: off, nbr: nbr}, nil, nil, workers)
+			if !slices.Equal(got.off, wantOff) || !slices.Equal(got.nbr, wantNbr) || got.w != nil {
+				t.Fatalf("workers=%d: transpose differs from the serial counting sort", workers)
 			}
-			for i := range wantNbr {
-				if gotNbr[i] != wantNbr[i] {
-					t.Fatalf("w=%d inNbr[%d] = %d != %d", w, i, gotNbr[i], wantNbr[i])
+		}
+	}
+}
+
+// TestTransposeMatchesSerial is the property test of transpose under a
+// permutation: for arbitrary CSRs and worker counts it must equal the
+// serial counting sort of the renamed rows, carrying each record's weight.
+func TestTransposeMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 30; trial++ {
+		n, off, nbr, w := randomCSR(rng)
+		perm := rng.Perm(n)
+		perm32, inv := make([]int32, n), make([]int32, n)
+		for i, o := range perm {
+			perm32[i], inv[o] = int32(o), int32(i)
+		}
+		// The renamed rows, serially.
+		rOff, rNbr := make([]int32, n+1), []int32{}
+		for i, o := range perm32 {
+			for k := off[o]; k < off[o+1]; k++ {
+				rNbr = append(rNbr, inv[nbr[k]])
+			}
+			rOff[i+1] = int32(len(rNbr))
+		}
+		pOff, pNbr := reverseCSRSerial(n, rOff, rNbr)
+		for _, workers := range []int{1, 2, 3, 7, 16} {
+			got := transpose(csrRows{off, nbr, w}, perm32, inv, workers)
+			gotOff, gotNbr, gotW := got.off, got.nbr, got.w
+			if !slices.Equal(gotOff, pOff) || !slices.Equal(gotNbr, pNbr) {
+				t.Fatalf("workers=%d: permuted transpose differs from the serial counting sort", workers)
+			}
+			// Each output entry s in row d carries the weight of a record
+			// s->d, and every record's weight appears once.
+			seen := make([]bool, len(w))
+			for d := 0; d < n; d++ {
+				for k := gotOff[d]; k < gotOff[d+1]; k++ {
+					rec := int(gotW[k])
+					o := sort.Search(n, func(i int) bool { return int(off[i+1]) > rec })
+					if seen[rec] || inv[o] != gotNbr[k] || inv[nbr[rec]] != int32(d) {
+						t.Fatalf("workers=%d: weight %v beside %d in row %d", workers, gotW[k], gotNbr[k], d)
+					}
+					seen[rec] = true
 				}
 			}
 		}
 	}
 }
 
+// TestHeapSortRow holds resolve's fallback sort to a sort of (destination,
+// weight) records by destination and then weight, destinations up to the
+// int32 limit and repeated weights included, and requires it to allocate
+// nothing.
+func TestHeapSortRow(t *testing.T) {
+	type record struct {
+		to int32
+		w  float64
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		row, w := make([]int32, n), make([]float64, n)
+		want := make([]record, n)
+		for k := range row {
+			row[k], w[k] = int32(rng.Intn(n/3+1)), float64(rng.Intn(5)-2)
+			if trial%5 == 0 {
+				row[k] = math.MaxInt32 - row[k]
+			}
+			want[k] = record{row[k], w[k]}
+		}
+		slices.SortFunc(want, func(a, b record) int { return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.w, b.w)) })
+		heapSortRow(row, w)
+		for k, r := range want {
+			if row[k] != r.to || w[k] != r.w {
+				t.Fatalf("trial %d: record %d = (%d, %v), want (%d, %v)", trial, k, row[k], w[k], r.to, r.w)
+			}
+		}
+	}
+	orig := make([]int32, 64)
+	for k := range orig {
+		orig[k] = int32(len(orig) - k/2)
+	}
+	row, w := make([]int32, len(orig)), make([]float64, len(orig))
+	allocs := testing.AllocsPerRun(10, func() {
+		copy(row, orig)
+		heapSortRow(row, w)
+	})
+	if allocs != 0 {
+		t.Errorf("heapSortRow made %v allocations, want 0", allocs)
+	}
+}
+
+// TestWeightKey checks that weightKey orders weights as numbers, -0 before
+// +0, on both sides of zero.
+func TestWeightKey(t *testing.T) {
+	ws := []float64{math.Inf(-1), -3.5, -1, math.Copysign(0, -1), 0, 1e-300, 2, math.Inf(1)}
+	for k := 1; k < len(ws); k++ {
+		if weightKey(ws[k-1]) >= weightKey(ws[k]) {
+			t.Errorf("weightKey(%v) >= weightKey(%v)", ws[k-1], ws[k])
+		}
+	}
+}
+
+// TestResolveSortsRows stores rows of 1, 2, 13, 14 and 96 records, each
+// in descending destination order with every destination twice at two
+// weights stored in descending order, so every record has to move: as far
+// as maxShift places at 13 records, one place further at 14, which leaves
+// the row to heapSortRow. Directed and undirected, at 1, 2 and 4 workers,
+// the View must equal ViewReference with every row ascending by
+// destination and then weight.
+func TestResolveSortsRows(t *testing.T) {
+	lengths := []int{1, 2, maxShift + 1, maxShift + 2, 96}
+	for _, directed := range []bool{true, false} {
+		g := New(Options{Directed: directed, TrackInEdges: directed, Shards: 4})
+		nv := len(lengths) + slices.Max(lengths)
+		for i := 0; i < nv; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		for i, l := range lengths {
+			for k := 0; k < l; k++ {
+				to := VertexID(len(lengths) + (l-1-k)/2)
+				if err := g.AddEdge(VertexID(i), to, float64(l-k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := g.ViewReference()
+		for _, workers := range []int{1, 2, 4} {
+			label := fmt.Sprintf("directed=%v workers=%d", directed, workers)
+			vw := g.ViewWith(ViewOpts{Workers: workers})
+			viewsEqual(t, label, want, vw)
+			rowsSorted(t, label, vw)
+			for i, l := range lengths {
+				if d := vw.Degree(int32(i)); int(d) != l {
+					t.Fatalf("%s: row %d has %d records, want %d", label, i, d, l)
+				}
+			}
+		}
+	}
+}
+
+// TestOrderFuncMayKeepItsArrays: ViewWith writes the ordered View's rows
+// into arrays of its own, so the NbrOff and Nbr an OrderFunc was handed
+// read the same after the build as during it.
+func TestOrderFuncMayKeepItsArrays(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		g := New(Options{Directed: directed, Shards: 4})
+		for i := 0; i < 50; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		for i := 0; i < 200; i++ {
+			if err := g.AddEdge(VertexID(i%50), VertexID(i*7%50), float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var kept, keptOff, seen, seenOff []int32
+		order := func(n int, off, nbr []int32) []int32 {
+			kept, keptOff = nbr, off
+			seen, seenOff = slices.Clone(nbr), slices.Clone(off)
+			perm := make([]int32, n)
+			for i := range perm {
+				perm[i] = int32(n - 1 - i)
+			}
+			return perm
+		}
+		g.ViewWith(ViewOpts{Order: order})
+		if !slices.Equal(kept, seen) || !slices.Equal(keptOff, seenOff) {
+			t.Errorf("directed=%v: the arrays the OrderFunc kept were overwritten", directed)
+		}
+	}
+}
+
+// TestViewOrderParallelMatchesPermutedReference runs applyOrder's
+// transposes on graphs large enough for several workers, directed with
+// in-lists and undirected: under a random permutation, ViewWith at 1, 2
+// and 4 workers must equal the reference View renamed and each row sorted,
+// which permuted spells out serially.
+func TestViewOrderParallelMatchesPermutedReference(t *testing.T) {
+	undirected := New(Options{Shards: 16})
+	rng := rand.New(rand.NewSource(41))
+	const n = 5000
+	for i := 0; i < n; i++ {
+		undirected.AddVertex(VertexID(i))
+	}
+	for i := 0; i < n; i++ {
+		d := rng.Intn(6)
+		if i%23 == 0 {
+			d += 64
+		}
+		for k := 0; k < d; k++ {
+			if err := undirected.AddEdge(VertexID(i), VertexID(rng.Intn(n)), float64(rng.Intn(9)+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *Graph
+		directed bool
+	}{
+		{"directed", buildViewTestGraph(t, n, 31, idsSparse), true},
+		{"undirected", undirected, false},
+	} {
+		ref := tc.g.ViewReference()
+		perm := make([]int32, ref.Len())
+		for i, o := range rng.Perm(ref.Len()) {
+			perm[i] = int32(o)
+		}
+		want := permuted(ref, perm, tc.directed)
+		order := func(int, []int32, []int32) []int32 { return perm }
+		for _, workers := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
+			vw := tc.g.ViewWith(ViewOpts{Workers: workers, Order: order})
+			viewsEqual(t, label, want, vw)
+			rowsSorted(t, label, vw)
+		}
+	}
+}
+
 // TestViewOrderComposition checks the remap contract: under any
-// permutation the per-VertexID adjacency (neighbor ID multisets with
-// weights), IndexOf, sys.index, and the reverse arrays all stay mutually
-// consistent with the unordered baseline.
+// permutation the per-VertexID adjacency (neighbor IDs with weights),
+// IndexOf, sys.index, and the reverse arrays all stay mutually consistent
+// with the unordered reference, and every row ascends in the new indices.
 func TestViewOrderComposition(t *testing.T) {
 	g := buildViewTestGraph(t, 500, 21, idsSparse)
-	base := g.View()
+	base := g.ViewReference()
 	idxSlot := g.EnsureField(SysIndexField)
 
 	reverse := func(n int) OrderFunc {
@@ -363,14 +618,18 @@ func TestViewOrderComposition(t *testing.T) {
 		if vw.Len() != base.Len() {
 			t.Fatalf("%s: length changed", name)
 		}
+		rowsSorted(t, name, vw)
 		got := adjOf(vw)
 		for id, es := range want {
 			ges := got[id]
 			if len(ges) != len(es) {
 				t.Fatalf("%s: vertex %d degree %d != %d", name, id, len(ges), len(es))
 			}
+			// The reference's rows ascend by ID; put the permuted row in
+			// that order too, records to one neighbour keeping their
+			// weight order.
+			slices.SortStableFunc(ges, func(a, b edge) int { return cmp.Compare(a.to, b.to) })
 			for k := range es {
-				// Within-vertex neighbor order must be preserved exactly.
 				if ges[k] != es[k] {
 					t.Fatalf("%s: vertex %d edge %d = %v != %v", name, id, k, ges[k], es[k])
 				}

@@ -22,8 +22,9 @@ const BCentrField = "bcentr"
 // same neighbors through Neighbors, FindVertex and GetProp, accumulates
 // into the field as well, and reports its simulated array accesses in
 // tracker-only blocks that the native loops never enter. Sigma sums are
-// integer-exact and both walks keep the per-vertex adjacency order, so
-// the centralities are bit-identical across modes.
+// integer-exact, and both modes add a vertex's dependency terms in the one
+// loop over its Adj row, so the centralities are bit-identical across
+// modes.
 //
 // opt.Samples selects the number of source vertices (default 8, spread
 // deterministically over the vertex range); exact betweenness uses
@@ -126,13 +127,15 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 		for oi := len(order) - 1; oi >= 0; oi-- {
 			vi := order[oi]
 			dv := dist[vi]
-			if t == nil {
-				for _, wi := range vw.Adj(vi) {
-					if dist[wi] == dv+1 {
-						delta[vi] += sigma[vi] / sigma[wi] * (1 + delta[wi])
-					}
+			// Both modes sum the successor terms in Adj order, so the
+			// rounding, and the result, is the same; the tracked walk
+			// below only reports the accesses, in adjacency-list order.
+			for _, wi := range vw.Adj(vi) {
+				if dist[wi] == dv+1 {
+					delta[vi] += sigma[vi] / sigma[wi] * (1 + delta[wi])
 				}
-			} else {
+			}
+			if t != nil {
 				ordSim.Ld(oi)
 				g.Neighbors(vw.Verts[vi], func(_ int, e *property.Edge) bool {
 					nb := g.FindVertex(e.To)
@@ -148,7 +151,6 @@ func BCentr(g *property.Graph, opt Options) (*Result, error) {
 						sigSim.Ld(int(wi))
 						dltSim.Ld(int(wi))
 						dltSim.Ld(int(vi))
-						delta[vi] += sigma[vi] / sigma[wi] * (1 + delta[wi])
 						dltSim.St(int(vi))
 						inst(t, 8)
 					}

@@ -23,7 +23,8 @@ const CCompField = "cc.label"
 // traversal claims only unlabeled vertices.
 func CComp(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
-	n := vw.Len()
+	verts := vw.Verts
+	n := len(verts)
 	if n == 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -34,23 +35,29 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 	// halves of one buffer reused across components; qSim's slot is the
 	// position within a level.
 	var cur, next []int32
+	// labels is the native run's result column, which the engine fills and
+	// SetColumn writes back.
+	var labels []int32
 	if t != nil {
 		// The tracked loop reads the label property as its visited test;
 		// the native run overwrites every slot after the last traversal.
-		for _, v := range vw.Verts {
+		for _, v := range verts {
 			v.SetPropRaw(lbl, -1)
 		}
 		levels := make([]int32, 2*n)
 		cur, next = levels[:0:n], levels[n:n]
+	} else {
+		labels = make([]int32, n)
+		for i := range labels {
+			labels[i] = -1
+		}
 	}
 	eng := engine.New(g, vw, opt.Workers)
 	qSim := newSimArr(g, n, 4)
 
 	dist := make([]int32, n)
-	labels := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1
-		labels[i] = -1
 	}
 
 	comps := 0
@@ -66,12 +73,12 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		label := narrow.Index32(comps)
 		comps++
 		dist[s] = 0
-		labels[s] = label
-		g.SetProp(vw.Verts[s], lbl, float64(label))
+		g.SetProp(verts[s], lbl, float64(label))
 
 		src := narrow.Index32(s)
 		reached := int64(1)
 		if t == nil {
+			labels[s] = label
 			reached = eng.Traverse(&engine.Spec{Dist: dist, Label: label, Labels: labels}, src).Reached
 		} else {
 			labelVal := float64(label)
@@ -79,7 +86,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 			for round := int32(1); len(cur) > 0; round++ {
 				for k, ui := range cur {
 					qSim.Ld(k)
-					g.Neighbors(vw.Verts[ui], func(_ int, e *property.Edge) bool {
+					g.Neighbors(verts[ui], func(_ int, e *property.Edge) bool {
 						nb := g.FindVertex(e.To)
 						if nb == nil {
 							return true
