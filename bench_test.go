@@ -91,15 +91,9 @@ func BenchmarkNativeGibbs(b *testing.B) {
 }
 
 // Extension workloads (beyond Table 4).
-func BenchmarkNativeCCentr(b *testing.B) {
-	benchNative(b, "CCentr", workloads.Options{Samples: 8})
-}
 func BenchmarkNativeBFSDirOpt(b *testing.B) {
 	benchNative(b, "BFSDirOpt", workloads.Options{})
 }
 func BenchmarkNativeSPathDelta(b *testing.B) {
 	benchNative(b, "SPathDelta", workloads.Options{})
-}
-func BenchmarkNativeCCompLP(b *testing.B) {
-	benchNative(b, "CCompLP", workloads.Options{})
 }

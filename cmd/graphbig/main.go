@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,13 +85,10 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("workload  type        category                    gpu  algorithm")
-		for _, w := range core.Workloads {
-			gpuMark := " "
-			if w.GPU() {
-				gpuMark = "*"
-			}
-			fmt.Printf("%-9s %-11s %-27s %-4s %s\n", w.Name, w.Type, w.Category, gpuMark, w.Algorithm)
+		fmt.Println("workload   type        category                    gpu  ext  algorithm")
+		mark := map[bool]string{false: " ", true: "*"}
+		for i, w := range slices.Concat(core.Workloads, core.Extensions) {
+			fmt.Printf("%-10s %-11s %-27s %-4s %-4s %s\n", w.Name, w.Type, w.Category, mark[w.GPU()], mark[i >= len(core.Workloads)], w.Algorithm)
 		}
 		return
 	}

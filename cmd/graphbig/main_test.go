@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +165,8 @@ func TestHostileCommandLines(t *testing.T) {
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig: gen: unknown dataset "nope"`},
 		{"unknown order", []string{"-order", "nope"}, 1, `graphbig: order: unknown strategy "nope"`},
 		{"unknown workload", []string{"-workload", "nope"}, 1, `graphbig: core: unknown workload "nope"`},
+		{"deleted CCentr", []string{"-workload", "CCentr"}, 1, `graphbig: core: unknown workload "CCentr"`},
+		{"deleted CCompLP", []string{"-workload", "CCompLP"}, 1, `graphbig: core: unknown workload "CCompLP"`},
 		{"trace inst count 2^56", []string{"-trace-in", file("inst56.gbt", binary.AppendUvarint([]byte("GBT1\x02"), 1<<56))}, 1,
 			"graphbig: trace: inst count 72057594037927936 out of range"},
 		{"trace branch site 2^35", []string{"-trace-in", file("site35.gbt", binary.AppendUvarint([]byte("GBT1\x03"), 1<<36))}, 1,
@@ -340,24 +343,28 @@ func bellmanFordLine(g *property.Graph) string {
 	return fmt.Sprintf("SPathDelta: visited=%d checksum=%g", visited, sum)
 }
 
-// TestListPrintsRegistry holds -list to the registry: one row per
-// workload, in order, with the GPU mark exactly on the GPU workloads.
+// TestListPrintsRegistry holds -list to the registry: one row per Table 4
+// workload and then one per extension, in order, with the GPU mark exactly
+// on the GPU workloads and the extension mark exactly on the extensions.
 func TestListPrintsRegistry(t *testing.T) {
 	stdout, stderr, exit := runCLI(t, "-list")
 	if exit != 0 {
 		t.Fatalf("exit %d: %s", exit, stderr)
 	}
+	entries := slices.Concat(core.Workloads, core.Extensions)
 	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
-	if len(lines) != len(core.Workloads)+1 {
-		t.Fatalf("%d lines for %d workloads:\n%s", len(lines), len(core.Workloads), stdout)
+	if len(lines) != len(entries)+1 {
+		t.Fatalf("%d lines for %d registry entries:\n%s", len(lines), len(entries), stdout)
 	}
 	// Columns are fixed-width; the GPU mark sits after name, type and
-	// category.
-	const mark = 9 + 1 + 11 + 1 + 27 + 1
-	for i, w := range core.Workloads {
-		row := lines[i+1]
-		if strings.Fields(row)[0] != w.Name || len(row) <= mark || (row[mark] == '*') != w.GPU() {
-			t.Errorf("row %d: %q, want %s with GPU %v", i, row, w.Name, w.GPU())
+	// category, the extension mark one column further.
+	const gpuMark = 10 + 1 + 11 + 1 + 27 + 1
+	const extMark = gpuMark + 4 + 1
+	for i, w := range entries {
+		row, ext := lines[i+1], i >= len(core.Workloads)
+		if strings.Fields(row)[0] != w.Name || len(row) <= extMark ||
+			(row[gpuMark] == '*') != w.GPU() || (row[extMark] == '*') != ext {
+			t.Errorf("row %d: %q, want %s with GPU %v, extension %v", i, row, w.Name, w.GPU(), ext)
 		}
 	}
 }

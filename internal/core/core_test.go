@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/bayes"
@@ -27,6 +28,17 @@ func TestRegistryShape(t *testing.T) {
 		if !wantGPU[n] {
 			t.Errorf("unexpected GPU workload %s", n)
 		}
+	}
+	// The extensions are the two kernels an experiment reads.
+	var ext []string
+	for _, w := range Extensions {
+		ext = append(ext, w.Name)
+		if w.GPU() || w.NeedsBayes || w.Mutates {
+			t.Errorf("%s: GPU %v, Bayes %v, mutates %v; want a CPU graph kernel", w.Name, w.GPU(), w.NeedsBayes, w.Mutates)
+		}
+	}
+	if want := []string{"BFSDirOpt", "SPathDelta"}; !slices.Equal(ext, want) {
+		t.Errorf("extensions %v, want %v", ext, want)
 	}
 }
 
@@ -99,8 +111,39 @@ func TestByName(t *testing.T) {
 	if err != nil || w.Name != "BFS" {
 		t.Fatalf("ByName(BFS) = %v, %v", w, err)
 	}
-	if _, err := ByName("XYZ"); err == nil {
-		t.Error("ByName(XYZ) should fail")
+	for _, name := range []string{"XYZ", "CCentr", "CCompLP"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%s) should fail", name)
+		}
+	}
+}
+
+// TestEveryEntryRunsByName resolves every registry entry, the extensions
+// included, by its name and runs its CPU implementation: the result must
+// carry the entry's own name, so an entry wired to another kernel fails.
+func TestEveryEntryRunsByName(t *testing.T) {
+	net, err := bayes.Generate(bayes.Config{Nodes: 20, Edges: 25, TargetParams: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range slices.Concat(Workloads, Extensions) {
+		t.Run(entry.Name, func(t *testing.T) {
+			w, err := ByName(entry.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &RunContext{Graph: smallGraph(t), Opt: workloads.Options{Samples: 2}}
+			if w.NeedsBayes {
+				ctx = &RunContext{Bayes: net, Opt: workloads.Options{Samples: 2}}
+			}
+			res, err := w.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Name != entry.Name || res.Workload != entry.Name {
+				t.Errorf("ByName(%s) is %s and runs %s", entry.Name, w.Name, res.Workload)
+			}
+		})
 	}
 }
 
@@ -116,23 +159,6 @@ func smallGraph(t *testing.T) *property.Graph {
 		}
 	}
 	return g
-}
-
-func TestRunDispatch(t *testing.T) {
-	g := smallGraph(t)
-	for _, w := range Workloads {
-		if w.NeedsBayes || w.Mutates {
-			continue
-		}
-		res, err := w.Run(&RunContext{Graph: g, Opt: workloads.Options{Samples: 2}})
-		if err != nil {
-			t.Errorf("%s: %v", w.Name, err)
-			continue
-		}
-		if res.Workload == "" {
-			t.Errorf("%s returned unnamed result", w.Name)
-		}
-	}
 }
 
 func TestRunErrors(t *testing.T) {

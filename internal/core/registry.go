@@ -153,30 +153,19 @@ var Workloads = []Workload{
 	},
 }
 
-// Extensions lists workloads beyond the paper's Table 4: the closeness
-// centrality the paper mentions but omits (§4.2), the direction-optimized
-// traversal and delta-stepping SSSP used by the traversal-strategy
-// ablation, and the label-propagation components variant.
+// Extensions lists workloads beyond the paper's Table 4: the
+// direction-optimizing BFS behind the traversal-strategy ablation (abl01)
+// and the delta-stepping SSSP behind ext04 and the repository benchmark.
 var Extensions = []Workload{
 	{
-		Name: "CCentr", Category: CatSocial, Type: CompStruct,
-		Algorithm: "sampled closeness centrality (extension)",
-		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.CCentr(c.Graph, c.Opt) },
-	},
-	{
 		Name: "BFSDirOpt", Category: CatTraversal, Type: CompStruct,
-		Algorithm: "direction-optimizing BFS (extension)",
+		Algorithm: "direction-optimizing BFS",
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.BFSDirOpt(c.Graph, c.Opt) },
 	},
 	{
 		Name: "SPathDelta", Category: CatAnalytics, Type: CompStruct,
-		Algorithm: "delta-stepping SSSP (extension)",
+		Algorithm: "delta-stepping SSSP",
 		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.SPathDelta(c.Graph, c.Opt) },
-	},
-	{
-		Name: "CCompLP", Category: CatAnalytics, Type: CompStruct,
-		Algorithm: "label-propagation components (extension)",
-		runCPU:    func(c *RunContext) (*workloads.Result, error) { return workloads.CCompLP(c.Graph, c.Opt) },
 	},
 }
 

@@ -732,13 +732,11 @@ func (g *Graph) DeleteVertex(id VertexID) (int, error) {
 	sh.idxCount--
 	sh.mu.Unlock()
 	g.nVerts.Add(-1)
-	if !g.directed {
-		// Undirected logical edges were counted once; we visited each once
-		// via the out list.
-		g.nEdges.Add(int64(-removed))
-	} else {
-		g.nEdges.Add(int64(-removed))
-	}
+	// removed counts logical edges on both kinds of graph: an undirected
+	// edge is counted once (its out record here, its mirror cleaned at the
+	// neighbour), a directed one once per out or in record, and self loops
+	// were folded in above.
+	g.nEdges.Add(int64(-removed))
 	if t != nil {
 		t.Store(sh.bucketAddr(id), indexBucketBytes)
 		t.Store(v.addr, vertexRecordBytes)

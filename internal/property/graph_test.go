@@ -173,6 +173,47 @@ func TestDeleteVertexDirectedNeedsInEdges(t *testing.T) {
 	}
 }
 
+// TestDeleteVertexEdgeCount deletes vertex 0 from small graphs of both
+// kinds, with self loops, parallel and two-way edges, and holds
+// DeleteVertex's return and EdgeCount to the records that remain.
+func TestDeleteVertexEdgeCount(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		directed bool
+		edges    [][2]VertexID
+		removed  int
+	}{
+		{"undirected", false, [][2]VertexID{{0, 1}, {0, 2}, {1, 2}}, 2},
+		{"undirected self loop", false, [][2]VertexID{{0, 0}, {0, 1}, {1, 2}}, 2},
+		{"undirected parallel edges", false, [][2]VertexID{{0, 1}, {1, 0}, {1, 2}}, 2},
+		{"directed", true, [][2]VertexID{{0, 1}, {2, 0}, {1, 2}}, 2},
+		{"directed self loop", true, [][2]VertexID{{0, 0}, {0, 1}, {1, 0}, {1, 2}}, 3},
+		{"directed two-way", true, [][2]VertexID{{0, 1}, {1, 0}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(Options{Directed: tc.directed, TrackInEdges: tc.directed})
+			for i := VertexID(0); i < 3; i++ {
+				g.AddVertex(i)
+			}
+			for _, e := range tc.edges {
+				if err := g.AddEdge(e[0], e[1], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			removed, err := g.DeleteVertex(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if removed != tc.removed || g.EdgeCount() != len(tc.edges)-tc.removed {
+				t.Errorf("removed %d, EdgeCount %d; want %d and %d", removed, g.EdgeCount(), tc.removed, len(tc.edges)-tc.removed)
+			}
+			if err := Validate(g); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestDeleteMissingVertex(t *testing.T) {
 	g := New(Options{})
 	if n, err := g.DeleteVertex(42); err != nil || n != 0 {

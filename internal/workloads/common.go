@@ -1,7 +1,10 @@
 // Package workloads implements the 13 CPU workloads of the GraphBIG suite
 // (paper Table 4): graph traversal (BFS, DFS), graph construction/update
 // (GCons, GUp, TMorph), graph analytics (SPath, kCore, CComp, GColor, TC,
-// Gibbs) and social analysis (DCentr, BCentr).
+// Gibbs) and social analysis (DCentr, BCentr). Two extensions stand in for
+// BFS and SPath where an experiment asks for another strategy: BFSDirOpt
+// (direction-optimizing BFS, the traversal-strategy ablation) and
+// SPathDelta (delta-stepping SSSP, ext04 and the repository benchmark).
 //
 // Every workload runs against the vertex-centric property-graph framework
 // and reaches the graph exclusively through framework primitives, the way
@@ -38,14 +41,14 @@ import (
 )
 
 // ResultFields lists every vertex property field a workload writes its
-// result into, in the order the Table 4 registry first reaches them, with
-// the CCentr extension's last. A harness that registers
+// result into, in the order the Table 4 registry first reaches them (the
+// extensions write BFS's and SPath's fields). A harness that registers
 // property.SysIndexField and then these on a graph before its first run
 // fixes every field's slot, so no run's layout depends on which ran
 // before it.
 var ResultFields = []string{
 	BFSLevelField, DFSOrderField, SPathDistField, KCoreField, CCompField,
-	ColorField, DCentrField, BCentrField, CCentrField,
+	ColorField, DCentrField, BCentrField,
 }
 
 // Options carries cross-workload parameters.
@@ -59,8 +62,6 @@ type Options struct {
 	// Samples sizes sampled work: BCentr source count, GUp deletion count,
 	// Gibbs sweep count (each workload documents its default).
 	Samples int
-	// MaxIters bounds iterative workloads (GColor rounds, Gibbs burn-in).
-	MaxIters int
 	// Delta, when > 0, overrides SPathDelta's sampled bucket-width
 	// heuristic. Final distances do not depend on it (delta-stepping
 	// converges to the same shortest-path sums for any width), but

@@ -13,42 +13,6 @@ import (
 	"github.com/graphbig/graphbig-go/internal/property"
 )
 
-func TestCCentrPath(t *testing.T) {
-	// Path 0-1-2, full sampling: closeness(1) = 2/2 * 1 = 1 (sum of
-	// distances 1+1=2, reached-1 = 2, frac = 1).
-	g := pathGraph(t, 3)
-	_, err := CCentr(g, Options{Samples: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := g.Schema().MustField(CCentrField)
-	vw := g.View()
-	if got := vw.Verts[1].Prop(cc); math.Abs(got-1) > 1e-12 {
-		t.Errorf("closeness(middle) = %v, want 1", got)
-	}
-	// Ends: distances 1+2=3, closeness = 2/3.
-	if got := vw.Verts[0].Prop(cc); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("closeness(end) = %v, want 2/3", got)
-	}
-}
-
-func TestCCentrDisconnected(t *testing.T) {
-	g := buildUndirected(t, 3, [][3]int{{0, 1, 1}}) // 2,3 isolated
-	res, err := CCentr(g, Options{Samples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := g.Schema().MustField(CCentrField)
-	vw := g.View()
-	// Vertex 0 reaches 1 of 3 others: closeness = 1/1 * (1/3).
-	if got := vw.Verts[0].Prop(cc); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("closeness = %v, want 1/3 (Wasserman-Faust)", got)
-	}
-	if res.Checksum <= 0 {
-		t.Error("no centrality accumulated")
-	}
-}
-
 func TestBFSDirOptMatchesBFS(t *testing.T) {
 	g := gen.LDBC(1500, 13, 0)
 	base, err := BFS(g, Options{})
@@ -633,9 +597,6 @@ func TestSPathDeltaParallelMatches(t *testing.T) {
 
 func TestExtensionsOnTrivialGraphs(t *testing.T) {
 	empty := property.New(property.Options{})
-	if _, err := CCentr(empty, Options{}); err != ErrEmptyGraph {
-		t.Error("CCentr on empty graph should fail")
-	}
 	if _, err := BFSDirOpt(empty, Options{}); err != ErrEmptyGraph {
 		t.Error("BFSDirOpt on empty graph should fail")
 	}
@@ -645,7 +606,7 @@ func TestExtensionsOnTrivialGraphs(t *testing.T) {
 	single := property.New(property.Options{})
 	single.AddVertex(1)
 	for name, run := range map[string]func(*property.Graph, Options) (*Result, error){
-		"CCentr": CCentr, "BFSDirOpt": BFSDirOpt, "SPathDelta": SPathDelta,
+		"BFSDirOpt": BFSDirOpt, "SPathDelta": SPathDelta,
 	} {
 		if _, err := run(single, Options{}); err != nil {
 			t.Errorf("%s on single vertex: %v", name, err)
@@ -653,51 +614,12 @@ func TestExtensionsOnTrivialGraphs(t *testing.T) {
 	}
 }
 
-func TestCCompLPMatchesCComp(t *testing.T) {
-	g := gen.Gene(2000, 9, 0)
-	bfsBased, err := CComp(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := gen.Gene(2000, 9, 0)
-	lp, err := CCompLP(g2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfsBased.Stats["components"] != lp.Stats["components"] {
-		t.Errorf("components: bfs %v vs lp %v",
-			bfsBased.Stats["components"], lp.Stats["components"])
-	}
-	if bfsBased.Stats["largest"] != lp.Stats["largest"] {
-		t.Errorf("largest: bfs %v vs lp %v",
-			bfsBased.Stats["largest"], lp.Stats["largest"])
-	}
-}
-
-func TestCCompLPParallelMatches(t *testing.T) {
-	g := gen.LDBC(1000, 4, 0)
-	seq, err := CCompLP(g, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := gen.LDBC(1000, 4, 0)
-	par, err := CCompLP(g2, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats["components"] != par.Stats["components"] {
-		t.Errorf("parallel LP differs: %v vs %v",
-			seq.Stats["components"], par.Stats["components"])
-	}
-}
-
 // TestTwinKernelsAgreeOnEveryDataset holds each alternative kernel to the
 // one it stands in for on all five datasets: direction-optimized BFS to
-// push BFS and delta-stepping to Dijkstra level for level and distance for
-// distance, label-propagation components to BFS components up to a
-// renaming of the labels. The datasets span the regimes the alternatives
-// switch on: skewed social graphs, a directed bipartite graph, a
-// high-diameter road grid.
+// push BFS and delta-stepping to Dijkstra, level for level and distance for
+// distance. The datasets span the regimes the alternatives switch on:
+// skewed social graphs, a directed bipartite graph, a high-diameter road
+// grid.
 func TestTwinKernelsAgreeOnEveryDataset(t *testing.T) {
 	datasets := []struct {
 		name  string
@@ -712,12 +634,9 @@ func TestTwinKernelsAgreeOnEveryDataset(t *testing.T) {
 	twins := []struct {
 		name, field string
 		base, alt   runWorkload
-		// labels: the field holds component labels, equal up to renaming.
-		labels bool
 	}{
-		{"BFSDirOpt", BFSLevelField, BFS, BFSDirOpt, false},
-		{"SPathDelta", SPathDistField, SPath, SPathDelta, false},
-		{"CCompLP", CCompField, CComp, CCompLP, true},
+		{"BFSDirOpt", BFSLevelField, BFS, BFSDirOpt},
+		{"SPathDelta", SPathDistField, SPath, SPathDelta},
 	}
 	for _, ds := range datasets {
 		for _, tw := range twins {
@@ -733,37 +652,14 @@ func TestTwinKernelsAgreeOnEveryDataset(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tw.labels {
-					// CCompLP's Visited counts vertex updates over its rounds.
-					for _, k := range []string{"components", "largest"} {
-						if base.Stats[k] != alt.Stats[k] {
-							t.Errorf("%s %v, %s finds %v", k, base.Stats[k], tw.name, alt.Stats[k])
-						}
-					}
-				} else if base.Visited != alt.Visited {
+				if base.Visited != alt.Visited {
 					t.Errorf("visited %d, %s visits %d", base.Visited, tw.name, alt.Visited)
 				}
 				gf, hf := g.Schema().MustField(tw.field), h.Schema().MustField(tw.field)
-				rename := map[float64]float64{}
-				used := map[float64]bool{}
 				for i, v := range gv.Verts {
-					a, b := v.Prop(gf), hv.Verts[i].Prop(hf)
-					if !tw.labels {
-						if a != b {
-							t.Fatalf("vertex %d: %v, %s stores %v", v.ID, a, tw.name, b)
-						}
-						continue
+					if a, b := v.Prop(gf), hv.Verts[i].Prop(hf); a != b {
+						t.Fatalf("vertex %d: %v, %s stores %v", v.ID, a, tw.name, b)
 					}
-					if r, ok := rename[a]; ok {
-						if r != b {
-							t.Fatalf("vertex %d: label %v maps to both %v and %v", v.ID, a, r, b)
-						}
-						continue
-					}
-					if used[b] {
-						t.Fatalf("vertex %d: %s label %v names two components", v.ID, tw.name, b)
-					}
-					rename[a], used[b] = b, true
 				}
 			})
 		}

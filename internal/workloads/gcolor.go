@@ -12,6 +12,11 @@ import (
 // ColorField is the vertex property holding the assigned color.
 const ColorField = "gcolor.color"
 
+// gcolorMaxRounds caps GColor's rounds. A round colors at least the
+// highest-priority uncolored vertex, so the cap binds only on a graph that
+// needs more rounds than this; its remaining vertices stay at -1.
+const gcolorMaxRounds = 4 * 1024
+
 // GColor colors the graph with the Luby/Jones-Plassmann parallel heuristic
 // the paper cites [14]: each round, every uncolored vertex whose random
 // priority beats all of its uncolored neighbors takes the smallest color
@@ -32,17 +37,13 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	col := g.EnsureField(ColorField)
-	maxIters := opt.MaxIters
-	if maxIters <= 0 {
-		maxIters = 4 * 1024
-	}
 	prio := func(id property.VertexID) uint64 { return mix64(uint64(id) + uint64(opt.Seed)) }
 	if g.Tracker() != nil {
 		// The tracked rounds read the field to find the uncolored vertices.
 		for _, v := range vw.Verts {
 			v.SetPropRaw(col, -1)
 		}
-		return gcolorTracked(g, vw, col, prio, maxIters), nil
+		return gcolorTracked(g, vw, col, prio), nil
 	}
 
 	eng := engine.New(g, vw, opt.Workers)
@@ -62,7 +63,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 	rounds := 0
 	var colored int64
 	var maxColorA atomic.Int64
-	for len(work) > 0 && rounds < maxIters {
+	for len(work) > 0 && rounds < gcolorMaxRounds {
 		rounds++
 		// Phase 1: local-maximum test among uncolored neighbors.
 		eng.ForItems(len(work), 32, func(k int) {
@@ -155,7 +156,7 @@ func GColor(g *property.Graph, opt Options) (*Result, error) {
 
 // gcolorTracked is the original one-pass framework formulation retained
 // for instrumented runs: single-threaded, in work-list order.
-func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(property.VertexID) uint64, maxIters int) *Result {
+func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(property.VertexID) uint64) *Result {
 	n := vw.Len()
 	t := g.Tracker()
 
@@ -168,7 +169,7 @@ func gcolorTracked(g *property.Graph, vw *property.View, col int, prio func(prop
 
 	rounds := 0
 	var colored, maxColor int64
-	for len(work) > 0 && rounds < maxIters {
+	for len(work) > 0 && rounds < gcolorMaxRounds {
 		rounds++
 		for k, vi := range work {
 			wSim.Ld(k)

@@ -33,29 +33,12 @@ func Gibbs(net *bayes.Network, opt Options) (*Result, error) {
 	for i := range state {
 		state[i] = narrow.Index32(r.IntN(int(net.Nodes[i].States)))
 	}
-	// Evidence nodes (observed variables, the expert-system use case) are
-	// clamped to their observed state and never resampled. opt.MaxIters
-	// doubles as the evidence count here: the first MaxIters nodes are
-	// observed at state 0 (deterministic, so runs are reproducible).
-	evidence := make([]bool, n)
-	nEvidence := opt.MaxIters
-	if nEvidence > n/2 {
-		nEvidence = n / 2
-	}
-	for i := 0; i < nEvidence; i++ {
-		evidence[i] = true
-		state[i] = 0
-	}
 	probs := make([]float64, 0, 16)
 	var drawn int64
 	hist := make([]int64, 8) // state histogram of node 0 (posterior sample)
 	n32 := narrow.Index32(n)
 	for sw := 0; sw < sweeps; sw++ {
 		for i := int32(0); i < n32; i++ {
-			if evidence[i] {
-				inst(t, 1)
-				continue
-			}
 			nd := &net.Nodes[i]
 			probs = probs[:0]
 			total := 0.0

@@ -136,29 +136,17 @@ func TestOrderInvarianceExact(t *testing.T) {
 }
 
 func TestOrderInvarianceComponents(t *testing.T) {
-	cases := []struct {
-		name  string
-		fn    runWorkload
-		field string
-	}{
-		{"CComp", CComp, CCompField},
-		{"CCompLP", CCompLP, CCompField},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 12; seed++ {
-				base := canonLabels(propsByID(t, seed, nil, tc.fn, tc.field, 0))
-				for oname, ord := range orderStrategies(t) {
-					got := canonLabels(propsByID(t, seed, ord, tc.fn, tc.field, 0))
-					for id, want := range base {
-						if got[id] != want {
-							t.Fatalf("seed %d order %s: component of %d = %v, want %v",
-								seed, oname, id, got[id], want)
-						}
-					}
+	for seed := uint64(1); seed <= 12; seed++ {
+		base := canonLabels(propsByID(t, seed, nil, CComp, CCompField, 0))
+		for oname, ord := range orderStrategies(t) {
+			got := canonLabels(propsByID(t, seed, ord, CComp, CCompField, 0))
+			for id, want := range base {
+				if got[id] != want {
+					t.Fatalf("seed %d order %s: component of %d = %v, want %v",
+						seed, oname, id, got[id], want)
 				}
 			}
-		})
+		}
 	}
 }
 

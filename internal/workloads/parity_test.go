@@ -56,7 +56,6 @@ var parityWorkloads = []struct {
 	{"SPath", SPath},
 	{"SPathDelta", SPathDelta},
 	{"CComp", CComp},
-	{"CCompLP", CCompLP},
 	{"kCore", KCore},
 	{"GColor", GColor},
 	{"DCentr", DCentr},

@@ -161,31 +161,36 @@ func TestCCompCounts(t *testing.T) {
 	}
 }
 
-// TestGColorMaxIters: MaxIters bounds the rounds, natively and under a
-// tracker. One round colors only the vertices that beat every neighbour's
-// priority; on a path that leaves the rest at -1.
-func TestGColorMaxIters(t *testing.T) {
-	for _, tracked := range []bool{false, true} {
-		g := pathGraph(t, 40)
-		vw := g.View()
-		if tracked {
-			g.SetTracker(mem.NewCounting())
-		}
-		res, err := GColor(g, Options{View: vw, MaxIters: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := g.Schema().MustField(ColorField)
-		colored := int64(0)
-		for _, v := range vw.Verts {
-			if v.Prop(col) >= 0 {
-				colored++
+// TestGColorColorsEveryVertex: GColor's rounds run until no vertex is
+// left uncolored, natively and under a tracker, and both modes take the
+// same rounds. A path needs several.
+func TestGColorColorsEveryVertex(t *testing.T) {
+	rounds := map[string]float64{}
+	for _, mode := range []string{"native", "tracked"} {
+		t.Run(mode, func(t *testing.T) {
+			g := pathGraph(t, 40)
+			vw := g.View()
+			if mode == "tracked" {
+				g.SetTracker(mem.NewCounting())
 			}
-		}
-		if res.Stats["rounds"] != 1 || colored != res.Visited || colored == 0 || colored == int64(vw.Len()) {
-			t.Errorf("tracked=%v: %v rounds, %d of %d colored (Visited %d); want 1 round and some left uncolored",
-				tracked, res.Stats["rounds"], colored, vw.Len(), res.Visited)
-		}
+			res, err := GColor(g, Options{View: vw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := g.Schema().MustField(ColorField)
+			for _, v := range vw.Verts {
+				if v.Prop(col) < 0 {
+					t.Fatalf("vertex %d uncolored after %v rounds", v.ID, res.Stats["rounds"])
+				}
+			}
+			if res.Visited != int64(vw.Len()) || res.Stats["rounds"] < 2 {
+				t.Errorf("%d of %d colored in %v rounds, want all in several", res.Visited, vw.Len(), res.Stats["rounds"])
+			}
+			rounds[mode] = res.Stats["rounds"]
+		})
+	}
+	if rounds["native"] != rounds["tracked"] {
+		t.Errorf("native rounds %v, tracked %v", rounds["native"], rounds["tracked"])
 	}
 }
 
@@ -327,17 +332,29 @@ func TestTMorphMarriesParents(t *testing.T) {
 	}
 }
 
+// TestGibbsRuns: every sweep resamples every node once, and Samples 0
+// selects the documented default of 10 sweeps.
 func TestGibbsRuns(t *testing.T) {
 	net, err := bayes.Generate(bayes.Config{Nodes: 50, Edges: 70, TargetParams: 2000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Gibbs(net, Options{Samples: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited != 5*50 {
-		t.Errorf("draws = %d, want 250", res.Visited)
+	for _, tc := range []struct {
+		name            string
+		samples, sweeps int
+	}{
+		{"default sweeps", 0, 10},
+		{"5 sweeps", 5, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Gibbs(net, Options{Samples: tc.samples, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Visited != int64(tc.sweeps*50) || res.Stats["sweeps"] != float64(tc.sweeps) {
+				t.Errorf("draws = %d over %v sweeps, want %d over %d", res.Visited, res.Stats["sweeps"], tc.sweeps*50, tc.sweeps)
+			}
+		})
 	}
 }
 
@@ -365,30 +382,6 @@ func TestInstrumentedMatchesNative(t *testing.T) {
 	}
 	if c.FrameworkShare() <= 0 || c.FrameworkShare() >= 1 {
 		t.Errorf("framework share = %v, want in (0,1)", c.FrameworkShare())
-	}
-}
-
-func TestGibbsEvidenceClamping(t *testing.T) {
-	net, err := bayes.Generate(bayes.Config{Nodes: 40, Edges: 55, TargetParams: 1500, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxIters doubles as the evidence count: clamped nodes are skipped,
-	// so the draw count shrinks accordingly.
-	res, err := Gibbs(net, Options{Samples: 4, MaxIters: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited != 4*(40-10) {
-		t.Errorf("draws = %d, want %d (evidence nodes skipped)", res.Visited, 4*30)
-	}
-	// Evidence cap: at most half the nodes.
-	res, err = Gibbs(net, Options{Samples: 1, MaxIters: 1000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited != 40-20 {
-		t.Errorf("draws = %d, want 20 (evidence capped at n/2)", res.Visited)
 	}
 }
 

@@ -61,7 +61,6 @@ func TestNativeWriteBackOverStaleField(t *testing.T) {
 		{"BFS", BFSLevelField, BFS, BFS},
 		{"BFSDirOpt", BFSLevelField, BFSDirOpt, BFSDirOpt},
 		{"CComp", CCompField, CComp, CComp},
-		{"CCompLP", CCompField, CCompLP, CCompLP},
 		{"SPath", SPathDistField, SPath, SPath},
 		{"SPathDelta", SPathDistField, SPathDelta, SPath},
 		{"GColor", ColorField, GColor, GColor},
