@@ -33,8 +33,6 @@ func main() {
 	input := flag.String("input", "", "graph file (SNAP or graphbig v1 edge list, plain or gzipped) substituted for generated datasets")
 	ordering := flag.String("order", "", "vertex ordering for dataset views: "+order.FlagUsage())
 	md := flag.Bool("md", false, "emit markdown tables")
-	csvOut := flag.Bool("csv", false, "emit CSV rows")
-	chart := flag.Bool("chart", false, "append an ASCII bar chart of each report's last column")
 	out := flag.String("o", "", "write output to file instead of stdout")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
@@ -79,27 +77,15 @@ func main() {
 	}
 
 	var b strings.Builder
-	switch {
-	case *csvOut:
-		for _, r := range reports {
-			b.WriteString(r.CSV())
-			b.WriteByte('\n')
-		}
-	case *md:
+	if *md {
 		fmt.Fprintf(&b, "# GraphBIG-Go experiment results\n\nscale=%.3g seed=%d elapsed=%s\n\n",
 			cfg.Scale, cfg.Seed, time.Since(start).Round(time.Millisecond))
 		for _, r := range reports {
 			b.WriteString(r.Markdown())
 		}
-	default:
+	} else {
 		for _, r := range reports {
 			b.WriteString(r.String())
-			if *chart && len(r.Headers) > 0 {
-				if c := r.Chart(len(r.Headers) - 1); c != "" {
-					b.WriteByte('\n')
-					b.WriteString(c)
-				}
-			}
 			b.WriteByte('\n')
 		}
 		fmt.Fprintf(&b, "elapsed: %s\n", time.Since(start).Round(time.Millisecond))

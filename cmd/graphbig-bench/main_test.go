@@ -111,6 +111,8 @@ func TestHostileCommandLines(t *testing.T) {
 		{"v1 file gzipped", []string{"-exp", "tab05", "-input", file("v1.gz", gz(v1.Bytes()))}, 0, loaded("v1.gz")},
 		{"in whole run", []string{"-input", file("empty2", nil)}, 1, "graphbig-bench: harness: "},
 		{"retired partitions flag", []string{"-exp", "fig10", "-partitions", "4", "-input", big}, 2, "flag provided but not defined: -partitions"},
+		{"retired csv flag", []string{"-exp", "tab05", "-csv"}, 2, "flag provided but not defined: -csv"},
+		{"retired chart flag", []string{"-exp", "tab05", "-chart"}, 2, "flag provided but not defined: -chart"},
 		{"scale zero", []string{"-exp", "tab05", "-scale", "0"}, 0, "ldbc  synthetic  64 "},
 		{"scale negative", []string{"-exp", "tab05", "-scale", "-1"}, 0, "ldbc  synthetic  64 "},
 		{"scale NaN", []string{"-exp", "tab05", "-scale", "NaN"}, 1, "graphbig-bench: gen: scale NaN is not a finite number"},

@@ -1,10 +1,9 @@
-// Command graphbig-gen generates one of the five GraphBIG datasets (or an
-// R-MAT graph) and writes it as an edge-list file.
+// Command graphbig-gen generates one of the five GraphBIG datasets and
+// writes it as an edge-list file.
 //
 // Usage:
 //
 //	graphbig-gen -dataset ldbc -scale 0.1 -seed 42 -o ldbc.el
-//	graphbig-gen -dataset rmat -rmat-scale 16 -o rmat16.el
 //	graphbig-gen -list
 package main
 
@@ -15,16 +14,13 @@ import (
 
 	"github.com/graphbig/graphbig-go/internal/gen"
 	"github.com/graphbig/graphbig-go/internal/loader"
-	"github.com/graphbig/graphbig-go/internal/property"
 )
 
 func main() {
-	dataset := flag.String("dataset", "ldbc", "dataset name (see -list) or 'rmat'")
+	dataset := flag.String("dataset", "ldbc", "dataset name (see -list)")
 	scale := flag.Float64("scale", 0.02, "fraction of the paper-scale size (Table 7)")
 	seed := flag.Int64("seed", 42, "generation seed")
 	out := flag.String("o", "", "output file (default <dataset>.el)")
-	rmatScale := flag.Int("rmat-scale", 14, "log2 vertex count for -dataset rmat")
-	rmatEF := flag.Int("rmat-ef", 16, "edge factor for -dataset rmat")
 	list := flag.Bool("list", false, "list datasets and exit")
 	stats := flag.Bool("stats", false, "print the degree histogram after generating")
 	flag.Parse()
@@ -34,23 +30,17 @@ func main() {
 			fmt.Printf("%-12s %-12s paper scale: %d vertices / %d edges\n",
 				d.Name, d.Type.String(), d.PaperV, d.PaperE)
 		}
-		fmt.Println("rmat         synthetic    Graph500-style Kronecker generator")
 		return
 	}
 
-	var g *property.Graph
-	if *dataset == "rmat" {
-		g = gen.RMAT(*rmatScale, *rmatEF, *seed, 0)
-	} else {
-		d, err := gen.ByName(*dataset)
-		if err != nil {
-			fatal(err)
-		}
-		if err := gen.CheckScale(*scale, d); err != nil {
-			fatal(err)
-		}
-		g = d.Generate(*scale, *seed, 0)
+	d, err := gen.ByName(*dataset)
+	if err != nil {
+		fatal(err)
 	}
+	if err := gen.CheckScale(*scale, d); err != nil {
+		fatal(err)
+	}
+	g := d.Generate(*scale, *seed, 0)
 	p := gen.Summarize(g)
 	path := *out
 	if path == "" {

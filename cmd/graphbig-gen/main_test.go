@@ -77,8 +77,6 @@ func TestCommandLines(t *testing.T) {
 			"ldbc: 300 vertices, ", "l.el", dataset("ldbc", 0.0003, 3)},
 		{"other seed", []string{"-dataset", "ldbc", "-scale", "0.0003", "-seed", "4", "-o", "l4.el"}, 0,
 			"ldbc: 300 vertices, ", "l4.el", dataset("ldbc", 0.0003, 4)},
-		{"rmat", []string{"-dataset", "rmat", "-rmat-scale", "7", "-rmat-ef", "4", "-seed", "3", "-o", "m.el"}, 0,
-			"rmat: 128 vertices, ", "m.el", func() *property.Graph { return gen.RMAT(7, 4, 3, 0) }},
 		{"default output path", []string{"-dataset", "ldbc", "-scale", "0.0003", "-seed", "3"}, 0,
 			"ldbc: 300 vertices, ", "ldbc.el", dataset("ldbc", 0.0003, 3)},
 		{"scale zero keeps the 64-vertex floor", []string{"-scale", "0", "-o", "z.el"}, 0,
@@ -88,6 +86,8 @@ func TestCommandLines(t *testing.T) {
 		{"scale 1e300", []string{"-scale", "1e300"}, 1, "graphbig-gen: gen: scale 1e+300 gives ldbc ", "", nil},
 		{"list", []string{"-list"}, 0, "twitter      social       paper scale: 11000000 vertices", "", nil},
 		{"unknown dataset", []string{"-dataset", "nope"}, 1, `graphbig-gen: gen: unknown dataset "nope"`, "", nil},
+		{"retired rmat dataset", []string{"-dataset", "rmat"}, 1, `graphbig-gen: gen: unknown dataset "rmat"`, "", nil},
+		{"retired rmat-scale flag", []string{"-rmat-scale", "7"}, 2, "flag provided but not defined: -rmat-scale", "", nil},
 		{"output directory missing", []string{"-scale", "0", "-o", filepath.Join("absent", "g.el")}, 1, "graphbig-gen: open ", "", nil},
 		{"malformed flag value", []string{"-scale", "tiny"}, 2, `invalid value "tiny" for flag -scale`, "", nil},
 	}
@@ -120,18 +120,19 @@ func TestCommandLines(t *testing.T) {
 		})
 	}
 
-	t.Run("list names every dataset", func(t *testing.T) {
+	t.Run("list names the catalog", func(t *testing.T) {
 		stdout, _, exit := run(t, dir, "-list")
 		if exit != 0 {
 			t.Fatalf("exit %d", exit)
 		}
-		for _, d := range gen.Catalog {
-			if !strings.Contains(stdout, d.Name+" ") {
-				t.Errorf("-list omits %s:\n%s", d.Name, stdout)
-			}
+		lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+		if len(lines) != len(gen.Catalog) {
+			t.Fatalf("-list prints %d lines, want one per catalog dataset (%d):\n%s", len(lines), len(gen.Catalog), stdout)
 		}
-		if !strings.Contains(stdout, "\nrmat ") {
-			t.Errorf("-list omits rmat:\n%s", stdout)
+		for i, d := range gen.Catalog {
+			if !strings.HasPrefix(lines[i], d.Name+" ") {
+				t.Errorf("-list line %d is %q, want %s", i, lines[i], d.Name)
+			}
 		}
 	})
 	t.Run("stats prints the degree histogram", func(t *testing.T) {

@@ -35,13 +35,16 @@ import (
 	"github.com/graphbig/graphbig-go/internal/workloads"
 )
 
+// maxWorkers bounds -workers.
+const maxWorkers = 1024
+
 func main() {
 	wlName := flag.String("workload", "BFS", "workload name (see -list)")
 	dataset := flag.String("dataset", "ldbc", "generated dataset name")
 	input := flag.String("input", "", "graph file: SNAP or graphbig-gen edge list, plain or gzipped (overrides -dataset)")
 	scale := flag.Float64("scale", 0.02, "generation scale")
 	seed := flag.Int64("seed", 42, "seed")
-	workers := flag.Int("workers", 0, "native worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, fmt.Sprintf("native worker count in [0, %d] (0 = GOMAXPROCS)", maxWorkers))
 	deltaW := flag.Float64("delta", 0, "SPathDelta bucket width override (0 = sampled heuristic)")
 	ordering := flag.String("order", "none", "vertex ordering composed into the view (profiled graphs are re-laid-out in it): "+order.FlagUsage())
 	profile := flag.Bool("profile", false, "run instrumented on the CPU model")
@@ -52,6 +55,11 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
 
+	if *workers < 0 || *workers > maxWorkers {
+		// Workers each get a goroutine and SSSP bucket ring, so an
+		// unchecked count allocates before any work is done.
+		fatal(fmt.Errorf("-workers %d is outside [0, %d]", *workers, maxWorkers))
+	}
 	var generated []gen.Dataset
 	if d, err := gen.ByName(*dataset); err == nil && *input == "" {
 		generated = append(generated, d) // an unknown name fails below

@@ -155,6 +155,9 @@ func TestHostileCommandLines(t *testing.T) {
 		{"delta +Inf", append([]string{"-workload", "SPathDelta", "-delta", "+Inf"}, small...), 1, "graphbig: workloads: SPathDelta: delta +Inf "},
 		{"delta 1e-300", append([]string{"-workload", "SPathDelta", "-delta", "1e-300"}, small...), 1, "graphbig: workloads: SPathDelta: delta 1e-300 "},
 		{"retired partitions flag", append([]string{"-partitions", "4"}, small...), 2, "flag provided but not defined: -partitions"},
+		{"workers 1024", append([]string{"-workers", "1024"}, small...), 0, ref},
+		{"workers 1025", append([]string{"-workers", "1025"}, small...), 1, "graphbig: -workers 1025 is outside [0, 1024]"},
+		{"workers negative", append([]string{"-workers", "-1"}, small...), 1, "graphbig: -workers -1 is outside [0, 1024]"},
 		{"scale zero", []string{"-scale", "0"}, 0, "BFS: visited=64 "},
 		{"scale negative", []string{"-scale", "-1"}, 0, "BFS: visited=64 "},
 		{"scale NaN", []string{"-scale", "NaN"}, 1, "graphbig: gen: scale NaN is not a finite number"},

@@ -19,9 +19,3 @@ func BenchmarkRoad10K(b *testing.B) {
 		_ = Road(10000, 42, 0)
 	}
 }
-
-func BenchmarkRMATScale12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = RMAT(12, 8, 42, 0)
-	}
-}

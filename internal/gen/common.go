@@ -1,8 +1,8 @@
 // Package gen synthesizes the five GraphBIG datasets (paper Tables 5 and 7)
-// plus auxiliary structures (layered DAGs, R-MAT graphs). The proprietary
-// inputs (Twitter crawl, IBM Knowledge Repo, IBM Watson Gene graph) are
-// replaced by generators that reproduce the topological signatures the
-// paper's analysis depends on; see DESIGN.md §2 for the substitution table.
+// as undirected property graphs. The proprietary inputs (Twitter crawl,
+// IBM Knowledge Repo, IBM Watson Gene graph) are replaced by generators
+// that reproduce the topological signatures the paper's analysis depends
+// on; see DESIGN.md §2 for the substitution table.
 //
 // All generators are deterministic in (size, seed): per-vertex RNG streams
 // are derived from the seed and the vertex id, and Build hands the sorted
@@ -81,17 +81,16 @@ func zipfRank(r *rand.Rand, n int, skew float64) int32 {
 
 // BuildOpts configures edge-list materialization into a property graph.
 type BuildOpts struct {
-	Directed bool
-	TrackIn  bool
-	Schema   *property.Schema
-	Workers  int
+	Schema  *property.Schema
+	Workers int
 }
 
 // Build materializes v vertices (IDs 0..v-1) and the packed edge list into
-// a property graph. The list is sorted and de-duplicated first; self loops
-// are dropped. Edge weights are derived deterministically from endpoints.
-// The graph is what one goroutine adding the vertices and then the sorted
-// edges would build, at every worker count (property.Bulk).
+// an undirected property graph. The list is sorted and de-duplicated
+// first; self loops are dropped. Edge weights are derived
+// deterministically from endpoints. The graph is what one goroutine adding
+// the vertices and then the sorted edges would build, at every worker
+// count (property.Bulk).
 func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
 	slices.Sort(edges)
 	w := 0
@@ -109,10 +108,8 @@ func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
 		w++
 	}
 	return property.Bulk(property.Options{
-		Directed:     o.Directed,
-		TrackInEdges: o.TrackIn,
-		Schema:       o.Schema,
-		Hint:         v,
+		Schema: o.Schema,
+		Hint:   v,
 	}, packedEdges{v, edges[:w]}, o.Workers)
 }
 

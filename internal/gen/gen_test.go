@@ -100,15 +100,11 @@ func adjacencyHash(g *property.Graph) uint64 {
 // TestDeterminismAcrossWorkers: every generator emits one graph, down to
 // the order inside every adjacency list, whatever the worker count.
 func TestDeterminismAcrossWorkers(t *testing.T) {
-	builders := map[string]func(v int, seed int64, workers int) *property.Graph{"dag": DAG}
 	for _, d := range Catalog {
-		builders[d.Name] = d.Build
-	}
-	for name, build := range builders {
-		want := adjacencyHash(build(3000, 7, 1))
+		want := adjacencyHash(d.Build(3000, 7, 1))
 		for _, workers := range []int{2, 4, 8} {
-			if got := adjacencyHash(build(3000, 7, workers)); got != want {
-				t.Errorf("%s: adjacency hash %016x at %d workers, %016x at 1", name, got, workers, want)
+			if got := adjacencyHash(d.Build(3000, 7, workers)); got != want {
+				t.Errorf("%s: adjacency hash %016x at %d workers, %016x at 1", d.Name, got, workers, want)
 			}
 		}
 	}
@@ -225,46 +221,13 @@ func TestKnowledgeBipartite(t *testing.T) {
 	}
 }
 
-func TestDAGIsAcyclicByConstruction(t *testing.T) {
-	g := DAG(1000, 9, 0)
-	if !g.Directed() {
-		t.Fatal("DAG must be directed")
-	}
-	g.ForEachVertex(func(v *property.Vertex) {
-		for _, e := range v.Out {
-			if e.To <= v.ID {
-				t.Errorf("back edge %d -> %d breaks topological order", v.ID, e.To)
-			}
-		}
-		for _, p := range v.In {
-			if p >= v.ID {
-				t.Errorf("in-edge from %d to %d breaks order", p, v.ID)
-			}
-		}
-	})
-}
-
-func TestRMAT(t *testing.T) {
-	g := RMAT(10, 8, 3, 0)
-	if g.VertexCount() != 1024 {
-		t.Errorf("rmat vertices = %d, want 1024", g.VertexCount())
-	}
-	p := Summarize(g)
-	if p.E < 1024 || p.E > 8*1024 {
-		t.Errorf("rmat edges = %d, out of band", p.E)
-	}
-	if p.DegCV < 0.8 {
-		t.Errorf("rmat degree CV = %.2f, want skewed", p.DegCV)
-	}
-}
-
 func TestBuildDedupsAndDropsSelfLoops(t *testing.T) {
 	edges := []uint64{
 		pack(1, 2), pack(1, 2), // duplicate
 		pack(3, 3), // self loop
 		pack(2, 4),
 	}
-	g := Build(5, edges, BuildOpts{Directed: true})
+	g := Build(5, edges, BuildOpts{})
 	if g.EdgeCount() != 2 {
 		t.Errorf("EdgeCount = %d, want 2 (dedup + self-loop drop)", g.EdgeCount())
 	}
@@ -310,8 +273,6 @@ func TestGeneratedGraphsAreWellFormed(t *testing.T) {
 		{"watson-gene", func() *property.Graph { return Gene(600, 9, 0) }},
 		{"ca-road", func() *property.Graph { return Road(700, 9, 0) }},
 		{"ldbc", func() *property.Graph { return LDBC(500, 9, 0) }},
-		{"dag", func() *property.Graph { return DAG(500, 9, 0) }},
-		{"rmat", func() *property.Graph { return RMAT(9, 6, 9, 0) }},
 	}
 	for _, gc := range graphs {
 		t.Run(gc.name, func(t *testing.T) {
@@ -357,6 +318,57 @@ func TestGeneratedGraphsAreWellFormed(t *testing.T) {
 			}
 			if p.DegreeHst.Total() != uint64(verts) {
 				t.Errorf("degree histogram holds %d vertices, want %d", p.DegreeHst.Total(), verts)
+			}
+		})
+	}
+}
+
+// TestBuildIsUndirected pins what every dataset asks of Build: each kept
+// edge is stored once from each endpoint, with one weight, and no vertex
+// tracks in-edges.
+func TestBuildIsUndirected(t *testing.T) {
+	g := Build(4, []uint64{packUndirected(2, 0), packUndirected(1, 3)}, BuildOpts{})
+	if g.Directed() || g.EdgeCount() != 2 {
+		t.Fatalf("directed %v with %d edges, want undirected with 2", g.Directed(), g.EdgeCount())
+	}
+	for _, e := range [][2]property.VertexID{{0, 2}, {2, 0}, {1, 3}, {3, 1}} {
+		v := g.FindVertex(e[0])
+		if v == nil || v.InDegree() != 0 {
+			t.Fatalf("vertex %d: %+v, want it present with no in-edges", e[0], v)
+		}
+		found := false
+		for _, out := range v.Out {
+			if out.To == e[1] {
+				found = true
+				if want := edgeWeight(int32(min(e[0], e[1])), int32(max(e[0], e[1]))); out.Weight != want {
+					t.Errorf("edge %d->%d weight %v, want %v", e[0], e[1], out.Weight, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("edge %d->%d missing", e[0], e[1])
+		}
+	}
+}
+
+// TestTinySizesClampToAFloor asks each dataset for fewer vertices than it
+// can shape: every such request builds the same small, well-formed,
+// undirected graph, never an empty one.
+func TestTinySizesClampToAFloor(t *testing.T) {
+	for _, d := range Catalog {
+		t.Run(d.Name, func(t *testing.T) {
+			floor := d.Build(0, 3, 1)
+			want := adjacencyHash(floor)
+			for _, v := range []int{1, 2} {
+				if got := adjacencyHash(d.Build(v, 3, 2)); got != want {
+					t.Errorf("%d vertices asked: adjacency hash %016x, %016x at 0", v, got, want)
+				}
+			}
+			if err := property.Validate(floor); err != nil {
+				t.Fatal(err)
+			}
+			if floor.Directed() || floor.VertexCount() < 8 || floor.EdgeCount() == 0 {
+				t.Errorf("floor graph: directed %v, %d vertices, %d edges", floor.Directed(), floor.VertexCount(), floor.EdgeCount())
 			}
 		})
 	}

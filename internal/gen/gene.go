@@ -28,7 +28,7 @@ func Gene(v int, seed int64, workers int) *property.Graph {
 	edges := perVertexEdges(v, seed, workers, 16, func(r *rand.Rand, u int32, out []uint64) []uint64 {
 		// Module membership is positional: module m covers a contiguous
 		// block whose size is derived deterministically from m.
-		mod, base, span := geneModule(int(u), v, seed)
+		base, span := geneModule(int(u), v, seed)
 		// Intra-module: connect to each later member with probability p.
 		p := 0.22
 		for t := int(u) + 1; t < base+span; t++ {
@@ -44,7 +44,6 @@ func Gene(v int, seed int64, workers int) *property.Graph {
 				out = append(out, packUndirected(u, t))
 			}
 		}
-		_ = mod
 		return out
 	})
 	g := Build(v, edges, BuildOpts{Workers: workers, Schema: GeneSchema()})
@@ -62,14 +61,14 @@ func Gene(v int, seed int64, workers int) *property.Graph {
 	return g
 }
 
-// geneModule returns the module id and the [base, base+span) vertex range
-// of vertex u. Module sizes vary between 8 and 40 vertices and the layout
+// geneModule returns the [base, base+span) vertex range of vertex u's
+// module. Module sizes vary between 8 and 40 vertices and the layout
 // is deterministic in (v, seed).
-func geneModule(u, v int, seed int64) (mod, base, span int) {
+func geneModule(u, v int, seed int64) (base, span int) {
 	// Walk module blocks; sizes derive from the module counter. To stay
 	// O(1) use a fixed stride grid of 24 and perturb the boundary.
 	const stride = 24
-	mod = u / stride
+	mod := u / stride
 	base = mod * stride
 	span = 8 + int(mix(uint64(mod)+uint64(seed))%33) // 8..40
 	if base+span > v {
@@ -78,5 +77,5 @@ func geneModule(u, v int, seed int64) (mod, base, span int) {
 	if span < 1 {
 		span = 1
 	}
-	return mod, base, span
+	return base, span
 }

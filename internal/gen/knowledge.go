@@ -28,7 +28,6 @@ func Knowledge(v int, seed int64, workers int) *property.Graph {
 	if nDocs < 4 {
 		nDocs = 4
 	}
-	nUsers := v - nDocs
 	nTopics := nDocs/50 + 1
 	docsPerTopic := nDocs / nTopics
 	if docsPerTopic < 1 {
@@ -70,6 +69,5 @@ func Knowledge(v int, seed int64, workers int) *property.Graph {
 			vx.SetPropRaw(topicF, float64(int(vx.ID)/docsPerTopic))
 		}
 	})
-	_ = nUsers
 	return g
 }

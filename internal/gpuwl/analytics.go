@@ -70,12 +70,8 @@ func KCore(d *simt.Device, g *csr.Graph) Result {
 			iters++
 		}
 	}
-	maxCore := int32(0)
 	sum := 0.0
 	for _, c := range core {
-		if c > maxCore {
-			maxCore = c
-		}
 		sum += float64(c)
 	}
 	return Result{Name: "kCore", Stats: d.Stats(), Value: sum, Iterations: iters}

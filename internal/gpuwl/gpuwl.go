@@ -8,6 +8,8 @@
 package gpuwl
 
 import (
+	"math"
+
 	"github.com/graphbig/graphbig-go/internal/csr"
 	"github.com/graphbig/graphbig-go/internal/simt"
 )
@@ -16,8 +18,9 @@ import (
 type Result struct {
 	Name  string
 	Stats simt.Stats
-	// Value is a workload checksum (reached count, triangles, components…)
-	// pinned by tests against the CPU implementation.
+	// Value is a workload checksum (reached count, triangles, components,
+	// the sum of reached SPath distances…) pinned by tests against the CPU
+	// implementation.
 	Value float64
 	// Iterations counts host-side kernel-launch rounds.
 	Iterations int
@@ -32,10 +35,6 @@ type Runner func(d *simt.Device, g *csr.Graph) Result
 // the frontier. Per-thread work tracks vertex degree, so degree variance
 // turns directly into warp divergence.
 func BFS(d *simt.Device, g *csr.Graph) Result {
-	return bfsFrom(d, g, 0)
-}
-
-func bfsFrom(d *simt.Device, g *csr.Graph, src int32) Result {
 	n := g.N
 	lvl := make([]int32, n)
 	for i := range lvl {
@@ -44,7 +43,7 @@ func bfsFrom(d *simt.Device, g *csr.Graph, src int32) Result {
 	if n == 0 {
 		return Result{Name: "BFS"}
 	}
-	lvl[src] = 0
+	lvl[0] = 0
 	lvlAddr := d.Alloc(n, 4)
 	reached := 1
 	iters := 0
@@ -90,8 +89,8 @@ func SPath(d *simt.Device, g *csr.Graph) Result {
 	if n == 0 {
 		return Result{Name: "SPath"}
 	}
-	const inf = 1 << 60
-	dist := make([]int64, n)
+	inf := math.Inf(1)
+	dist := make([]float64, n)
 	active := make([]bool, n)
 	for i := range dist {
 		dist[i] = inf
@@ -101,7 +100,6 @@ func SPath(d *simt.Device, g *csr.Graph) Result {
 	distAddr := d.Alloc(n, 8)
 	actAddr := d.Alloc(n, 1)
 	iters := 0
-	settled := 0
 	for iters < 4*n {
 		changed := false
 		d.Launch(n, func(tid int32, ln *simt.Lane) {
@@ -120,7 +118,7 @@ func SPath(d *simt.Device, g *csr.Graph) Result {
 				ln.Ld(g.ColAddr(k), 4)
 				ln.Ld(g.WAddr(k), 8)
 				nb := g.Col[k]
-				nd := du + int64(g.W[k])
+				nd := du + g.W[k]
 				ln.Op(3)
 				ln.Ld(distAddr+uint64(nb)*8, 8)
 				if nd < dist[nb] {
@@ -141,9 +139,8 @@ func SPath(d *simt.Device, g *csr.Graph) Result {
 	sum := 0.0
 	for _, dv := range dist {
 		if dv < inf {
-			settled++
-			sum += float64(dv)
+			sum += dv
 		}
 	}
-	return Result{Name: "SPath", Stats: d.Stats(), Value: float64(settled), Iterations: iters}
+	return Result{Name: "SPath", Stats: d.Stats(), Value: sum, Iterations: iters}
 }

@@ -74,8 +74,55 @@ func TestGPUMatchesCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 		gpu := gpuwl.SPath(dev(), c)
-		if int64(gpu.Value) != cpu.Visited {
-			t.Errorf("settled: gpu %v vs cpu %d", gpu.Value, cpu.Visited)
+		if gpu.Value != cpu.Checksum {
+			t.Errorf("distance sum: gpu %v vs cpu %v", gpu.Value, cpu.Checksum)
+		}
+	})
+	t.Run("SPath fractional weights", func(t *testing.T) {
+		// A 60-vertex ring with chords, weighted in quarters and eighths:
+		// relaxing over truncated weights reaches other distances.
+		g := property.New(property.Options{})
+		for i := property.VertexID(0); i < 60; i++ {
+			g.AddVertex(i)
+		}
+		for i := property.VertexID(0); i < 60; i++ {
+			if err := g.AddEdge(i, (i+1)%60, 0.25+float64(i%5)/2); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AddEdge(i, (i+7)%60, 1.125+float64(i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vw := g.View()
+		cpu, err := workloads.SPath(g, workloads.Options{Source: vw.Verts[0].ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpu := gpuwl.SPath(dev(), csr.FromProperty(g, vw))
+		if gpu.Value != cpu.Checksum {
+			t.Errorf("distance sum: gpu %v vs cpu %v", gpu.Value, cpu.Checksum)
+		}
+	})
+	t.Run("SPath unreachable vertices", func(t *testing.T) {
+		// Two weighted triangles: the one without the source stays at
+		// +Inf and adds nothing to the distance sum.
+		g := property.New(property.Options{})
+		for i := property.VertexID(0); i < 6; i++ {
+			g.AddVertex(i)
+		}
+		for _, e := range [][2]property.VertexID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
+			if err := g.AddEdge(e[0], e[1], 0.5+float64(e[0])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vw := g.View()
+		cpu, err := workloads.SPath(g, workloads.Options{Source: vw.Verts[0].ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpu := gpuwl.SPath(dev(), csr.FromProperty(g, vw))
+		if gpu.Value != cpu.Checksum || cpu.Visited != 3 {
+			t.Errorf("distance sum: gpu %v vs cpu %v over %d settled vertices", gpu.Value, cpu.Checksum, cpu.Visited)
 		}
 	})
 	t.Run("DCentr", func(t *testing.T) {

@@ -7,13 +7,6 @@ import (
 	"github.com/graphbig/graphbig-go/internal/gen"
 )
 
-// SharedWorkloads are the workloads that can take every input dataset —
-// the set the paper uses for its data-sensitivity studies (Fig 9, 12, 13):
-// exactly the 8 workloads shared between the CPU and GPU sides.
-func SharedWorkloads() []string {
-	return core.GPUNames()
-}
-
 // Fig9 reproduces Figure 9: per-dataset L1D hit rate, DTLB miss-cycle
 // share and IPC for the workloads that accept every dataset.
 func Fig9(s *Session) (Report, error) {
@@ -22,7 +15,9 @@ func Fig9(s *Session) (Report, error) {
 		Title:   "Data sensitivity (CPU): L1D hit / DTLB penalty / IPC",
 		Headers: []string{"workload", "dataset", "l1d_hit", "dtlb_cycles", "ipc", "l3_hit"},
 	}
-	for _, wl := range SharedWorkloads() {
+	// The workloads that take every dataset are the 8 shared between the
+	// CPU and GPU sides, the set of the paper's data-sensitivity studies.
+	for _, wl := range core.GPUNames() {
 		for _, ds := range s.DatasetNames() {
 			m, err := s.Profile(wl, ds)
 			if err != nil {

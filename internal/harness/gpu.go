@@ -117,7 +117,7 @@ type Speedup struct {
 // on both sides, as in the paper.
 func Fig12Data(s *Session) ([]Speedup, error) {
 	var out []Speedup
-	for _, wl := range SharedWorkloads() {
+	for _, wl := range core.GPUNames() {
 		for _, ds := range s.DatasetNames() {
 			m, err := s.Profile(wl, ds)
 			if err != nil {
@@ -155,7 +155,7 @@ func Fig12(s *Session) (Report, error) {
 			f3(d.CPUSec*1e3), f3(d.GPUSec*1e3), f2(d.Factor)+"x")
 		byWl[d.Workload] = append(byWl[d.Workload], d.Factor)
 	}
-	for _, wl := range SharedWorkloads() {
+	for _, wl := range core.GPUNames() {
 		r.AddRow(wl, "geomean", "", "", f2(stats.GeoMean(byWl[wl]))+"x")
 	}
 	r.Notes = append(r.Notes,

@@ -294,7 +294,7 @@ func TestFig12SpeedupsPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != len(SharedWorkloads())*len(s.DatasetNames()) {
+	if len(data) != len(core.GPUNames())*len(s.DatasetNames()) {
 		t.Fatalf("speedup cells = %d", len(data))
 	}
 	for _, d := range data {
@@ -356,29 +356,22 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestChartRendering(t *testing.T) {
-	r := Report{
-		ID: "figXX", Title: "T",
-		Headers: []string{"workload", "mpki"},
-	}
-	r.AddRow("BFS", "48.77")
-	r.AddRow("TC", "12.4%")
-	r.AddRow("avg", "") // skipped
-	c := r.Chart(1)
-	if !strings.Contains(c, "BFS") || !strings.Contains(c, "#") {
-		t.Errorf("chart missing bars: %q", c)
-	}
-	if strings.Contains(c, "avg") {
-		t.Error("non-numeric row should be skipped")
-	}
-	if (Report{}).Chart(0) != "" {
-		t.Error("empty report should render no chart")
-	}
-	if v, ok := parseNumeric("3.2x"); !ok || v != 3.2 {
-		t.Errorf("parseNumeric(3.2x) = %v, %v", v, ok)
-	}
-	if _, ok := parseNumeric("n/a"); ok {
-		t.Error("parseNumeric should reject non-numbers")
+// TestReportMarkdown pins the table graphbig-bench -md prints: a heading
+// with the capitalised ID, a header row, a separator with one cell per
+// column, the rows, and each note in italics.
+func TestReportMarkdown(t *testing.T) {
+	r := Report{ID: "fig07", Title: "Cache misses", Headers: []string{"workload", "MPKI"}}
+	r.AddRow("BFS", "12.50")
+	r.AddRow("kCore", "3.10")
+	r.Notes = append(r.Notes, "scale 0.02")
+	want := "### Fig07 — Cache misses\n\n" +
+		"| workload | MPKI |\n" +
+		"|---|---|\n" +
+		"| BFS | 12.50 |\n" +
+		"| kCore | 3.10 |\n" +
+		"\n*scale 0.02*\n\n"
+	if got := r.Markdown(); got != want {
+		t.Errorf("Markdown() =\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -424,8 +417,8 @@ func TestSessionInputSubstitution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != len(SharedWorkloads()) {
-		t.Errorf("fig09 on an input has %d rows, want one per workload (%d)", len(r.Rows), len(SharedWorkloads()))
+	if len(r.Rows) != len(core.GPUNames()) {
+		t.Errorf("fig09 on an input has %d rows, want one per workload (%d)", len(r.Rows), len(core.GPUNames()))
 	}
 	for _, row := range r.Rows {
 		if row[1] != "toy.txt" {

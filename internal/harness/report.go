@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"strings"
 )
@@ -68,93 +67,7 @@ func (r Report) Markdown() string {
 	return b.String()
 }
 
-// CSV renders the report as RFC-4180 rows (headers first); the ID and
-// title travel in a leading comment row.
-func (r Report) CSV() string {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	_ = w.Write([]string{"# " + r.ID, r.Title})
-	_ = w.Write(r.Headers)
-	for _, row := range r.Rows {
-		_ = w.Write(row)
-	}
-	w.Flush()
-	return b.String()
-}
-
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func fi(x int) string      { return fmt.Sprintf("%d", x) }
 func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
 func pc1(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
-
-// Chart renders one numeric column of the report as a horizontal ASCII
-// bar chart — a terminal-readable stand-in for the paper's figures.
-// Column values may carry %, x, or unit suffixes; non-numeric rows are
-// skipped. Returns "" if fewer than two rows parse.
-func (r Report) Chart(col int) string {
-	type bar struct {
-		label string
-		val   float64
-		raw   string
-	}
-	var bars []bar
-	maxVal := 0.0
-	labelW := 0
-	for _, row := range r.Rows {
-		if col >= len(row) || len(row) == 0 {
-			continue
-		}
-		v, ok := parseNumeric(row[col])
-		if !ok {
-			continue
-		}
-		label := row[0]
-		if len(row) > 2 && !looksNumeric(row[1]) {
-			label += "/" + row[1] // workload/dataset style rows
-		}
-		bars = append(bars, bar{label: label, val: v, raw: row[col]})
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(label) > labelW {
-			labelW = len(label)
-		}
-	}
-	if len(bars) < 2 || maxVal <= 0 {
-		return ""
-	}
-	const width = 48
-	var b strings.Builder
-	header := r.Headers[0]
-	if col < len(r.Headers) {
-		fmt.Fprintf(&b, "%s by %s:\n", r.Headers[col], header)
-	}
-	for _, bar := range bars {
-		n := int(bar.val / maxVal * width)
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "%-*s |%-*s %s\n", labelW, bar.label, width, strings.Repeat("#", n), bar.raw)
-	}
-	return b.String()
-}
-
-// parseNumeric extracts a float from a cell like "48.77", "12.4%", "3.2x".
-func parseNumeric(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	s = strings.TrimSuffix(s, "%")
-	s = strings.TrimSuffix(s, "x")
-	if s == "" {
-		return 0, false
-	}
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func looksNumeric(s string) bool {
-	_, ok := parseNumeric(s)
-	return ok
-}

@@ -53,8 +53,25 @@ func TestRoundTripUndirected(t *testing.T) {
 	}
 }
 
+// directedFixture builds a directed graph with in-edges tracked: n
+// vertices, each but the last with an edge to its successor and most with
+// one to a vertex further on, under fractional weights.
+func directedFixture(n int) *property.Graph {
+	var l property.EdgeList
+	for u := range n {
+		l.Intern(property.VertexID(u))
+	}
+	for u := range n - 1 {
+		l.Add(int32(u), int32(u+1), float64(1+u%7)/4)
+		if v := u + 2 + u*5%(n-u); v < n {
+			l.Add(int32(u), int32(v), float64(1+u%11)/8)
+		}
+	}
+	return property.Bulk(property.Options{Directed: true, TrackInEdges: true, Hint: n}, &l, 1)
+}
+
 func TestRoundTripDirected(t *testing.T) {
-	g := gen.DAG(200, 6, 0)
+	g := directedFixture(200)
 	path := filepath.Join(t.TempDir(), "dag.el")
 	if err := Save(path, g); err != nil {
 		t.Fatal(err)
@@ -188,7 +205,7 @@ func TestReadSNAPGzipAndErrors(t *testing.T) {
 // (v1 lists every vertex in storage order, SNAP only edge endpoints in
 // first-mention order) the edge counts must agree.
 func TestLoadSniffsFormat(t *testing.T) {
-	g := gen.DAG(200, 6, 0)
+	g := directedFixture(200)
 	var v1, snap bytes.Buffer
 	if err := Write(&v1, g); err != nil {
 		t.Fatal(err)
@@ -672,8 +689,7 @@ func TestSaveLoadEveryGenerator(t *testing.T) {
 		{"watson-gene", func() *property.Graph { return gen.Gene(300, 5, 0) }},
 		{"ca-road", func() *property.Graph { return gen.Road(400, 5, 0) }},
 		{"ldbc", func() *property.Graph { return gen.LDBC(300, 5, 0) }},
-		{"dag", func() *property.Graph { return gen.DAG(300, 5, 0) }},
-		{"rmat", func() *property.Graph { return gen.RMAT(8, 4, 5, 0) }},
+		{"directed", func() *property.Graph { return directedFixture(300) }},
 	}
 	for _, gc := range graphs {
 		for _, zipped := range []bool{false, true} {

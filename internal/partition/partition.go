@@ -4,6 +4,9 @@
 // its own memory vault and reads the plan to split local from remote
 // misses (DESIGN.md §10).
 //
+// Split points are edge-balanced: each range holds close to |E|/k out-edge
+// records, the work of the engine's edge-scanning loops.
+//
 // Partitions are contiguous in the view's dense index space on purpose:
 // the ordering layer (internal/order) already co-locates related vertices
 // on adjacent indices, so composing a locality permutation (the "cluster"
@@ -21,23 +24,15 @@ import "fmt"
 // Mode selects how split points are chosen.
 type Mode int
 
-const (
-	// EdgeBalanced picks split points so every partition holds close to
-	// |E|/k edge records — the right balance target for edge-dominated
-	// kernels (the engine's push/pull loops are O(edges scanned)).
-	EdgeBalanced Mode = iota
-	// VertexBalanced picks near-equal vertex ranges — the right target
-	// for vertex-dominated sweeps and for sizing per-partition state.
-	VertexBalanced
-)
+// EdgeBalanced picks split points so every partition holds close to |E|/k
+// edge records — the right balance target for edge-dominated kernels (the
+// engine's push/pull loops are O(edges scanned)). It is the only mode.
+const EdgeBalanced Mode = 0
 
 // String names the mode for flags and JSON records.
 func (m Mode) String() string {
-	switch m {
-	case EdgeBalanced:
+	if m == EdgeBalanced {
 		return "edge"
-	case VertexBalanced:
-		return "vertex"
 	}
 	return fmt.Sprintf("partition.Mode(%d)", int(m))
 }
@@ -48,8 +43,6 @@ type Plan struct {
 	// K is the partition count (after clamping to at most n non-empty
 	// ranges; a request larger than n yields K = max(n,1)).
 	K int
-	// Mode records how the split points were chosen.
-	Mode Mode
 	// Bounds has K+1 entries: partition p owns dense indices
 	// [Bounds[p], Bounds[p+1]).
 	Bounds []int32
@@ -70,18 +63,12 @@ type Plan struct {
 // forward (out-neighbor) arrays; inOff/inNbr are the reverse arrays used
 // to mark vertices whose only cross-partition edges are incoming (pass
 // the forward arrays again for undirected graphs — View does). k <= 0 is
-// treated as 1; k > n is clamped.
+// treated as 1; k > n is clamped. Split points are always edge-balanced:
+// mode is unused (ROADMAP item 1 drops it with the benchmark's call).
 func New(n int, off, nbr, inOff, inNbr []int32, k int, mode Mode) *Plan {
-	var bounds []int32
-	switch mode {
-	case VertexBalanced:
-		bounds = vertexBounds(n, k)
-	default:
-		bounds = edgeBounds(n, off, k)
-	}
+	bounds := edgeBounds(n, off, k)
 	p := &Plan{
 		K:        len(bounds) - 1,
-		Mode:     mode,
 		Bounds:   bounds,
 		Owner:    make([]int32, n),
 		Boundary: make([]bool, n),
@@ -122,31 +109,6 @@ func New(n int, off, nbr, inOff, inNbr []int32, k int, mode Mode) *Plan {
 		}
 	}
 	return p
-}
-
-// vertexBounds is ChunkBounds in int32: near-equal vertex ranges with the
-// remainder spread over the leading partitions.
-func vertexBounds(n, k int) []int32 {
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1 // n == 0: one empty range
-	}
-	bounds := make([]int32, k+1)
-	q, r := n/k, n%k
-	acc := 0
-	for w := range bounds {
-		bounds[w] = int32(acc)
-		acc += q
-		if w < r {
-			acc++
-		}
-	}
-	return bounds
 }
 
 // edgeBounds greedily chunks [0,n) so each partition's out-edge count
@@ -192,9 +154,6 @@ func (p *Plan) Of(v int32) int32 { return p.Owner[v] }
 // Range returns the vertex range [lo,hi) of partition q.
 func (p *Plan) Range(q int) (lo, hi int32) { return p.Bounds[q], p.Bounds[q+1] }
 
-// Len returns the vertex count of partition q.
-func (p *Plan) Len(q int) int { return int(p.Bounds[q+1] - p.Bounds[q]) }
-
 // BoundaryCount returns the number of boundary vertices.
 func (p *Plan) BoundaryCount() int {
 	c := 0
@@ -206,21 +165,15 @@ func (p *Plan) BoundaryCount() int {
 	return c
 }
 
-// Imbalance returns the max-over-mean ratio of the per-partition counts
-// the plan balanced (edges for EdgeBalanced, vertices for
-// VertexBalanced); 1.0 is perfect balance. Empty plans report 1.0.
+// Imbalance returns the max-over-mean ratio of the per-partition edge
+// counts; 1.0 is perfect balance. Empty and edgeless plans report 1.0.
 func (p *Plan) Imbalance() float64 {
 	if p.K == 0 {
 		return 1
 	}
 	var max, total float64
 	for q := 0; q < p.K; q++ {
-		var c float64
-		if p.Mode == VertexBalanced {
-			c = float64(p.Len(q))
-		} else {
-			c = float64(p.Edges[q])
-		}
+		c := float64(p.Edges[q])
 		total += c
 		if c > max {
 			max = c

@@ -44,32 +44,30 @@ func buildCSR(n int, edges [][2]int32) (off, nbr, inOff, inNbr []int32) {
 	return off, nbr, inOff, inNbr
 }
 
-// TestPlanDisjointCover pins the first partitioner invariant: for every
-// mode and k, the ranges are a disjoint cover of [0,n) and Owner agrees
-// with Bounds everywhere.
+// TestPlanDisjointCover pins the first partitioner invariant: for every k,
+// the ranges are a disjoint cover of [0,n) and Owner agrees with Bounds
+// everywhere.
 func TestPlanDisjointCover(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + r.Intn(300)
 		m := r.Intn(6 * n)
 		off, nbr, inOff, inNbr := randCSR(r, n, m)
-		for _, mode := range []Mode{EdgeBalanced, VertexBalanced} {
-			for _, k := range []int{1, 2, 3, 7, n, n + 5} {
-				p := New(n, off, nbr, inOff, inNbr, k, mode)
-				if p.K < 1 || p.K > n {
-					t.Fatalf("n=%d k=%d mode=%v: got K=%d", n, k, mode, p.K)
+		for _, k := range []int{1, 2, 3, 7, n, n + 5} {
+			p := New(n, off, nbr, inOff, inNbr, k, EdgeBalanced)
+			if p.K < 1 || p.K > n {
+				t.Fatalf("n=%d k=%d: got K=%d", n, k, p.K)
+			}
+			if len(p.Bounds) != p.K+1 || p.Bounds[0] != 0 || p.Bounds[p.K] != int32(n) {
+				t.Fatalf("n=%d k=%d: bounds %v do not cover [0,%d)", n, k, p.Bounds, n)
+			}
+			for q := 0; q < p.K; q++ {
+				if p.Bounds[q] >= p.Bounds[q+1] {
+					t.Fatalf("n=%d k=%d: empty or inverted partition %d: %v", n, k, q, p.Bounds)
 				}
-				if len(p.Bounds) != p.K+1 || p.Bounds[0] != 0 || p.Bounds[p.K] != int32(n) {
-					t.Fatalf("n=%d k=%d mode=%v: bounds %v do not cover [0,%d)", n, k, mode, p.Bounds, n)
-				}
-				for q := 0; q < p.K; q++ {
-					if p.Bounds[q] >= p.Bounds[q+1] {
-						t.Fatalf("n=%d k=%d mode=%v: empty or inverted partition %d: %v", n, k, mode, q, p.Bounds)
-					}
-					for v := p.Bounds[q]; v < p.Bounds[q+1]; v++ {
-						if p.Owner[v] != int32(q) {
-							t.Fatalf("Owner[%d]=%d, want %d", v, p.Owner[v], q)
-						}
+				for v := p.Bounds[q]; v < p.Bounds[q+1]; v++ {
+					if p.Owner[v] != int32(q) {
+						t.Fatalf("Owner[%d]=%d, want %d", v, p.Owner[v], q)
 					}
 				}
 			}
@@ -102,7 +100,7 @@ func TestEdgeBalanceTolerance(t *testing.T) {
 			p := New(n, off, nbr, inOff, inNbr, k, EdgeBalanced)
 			target := int64(off[n])/int64(p.K) + 1
 			for q := 0; q < p.K; q++ {
-				if p.Len(q) == 1 {
+				if p.Bounds[q+1]-p.Bounds[q] == 1 {
 					continue // clamped to keep the range non-empty
 				}
 				if p.Edges[q] > target+maxDeg {
@@ -136,33 +134,31 @@ func TestBoundaryExact(t *testing.T) {
 		n := 1 + r.Intn(200)
 		m := r.Intn(5 * n)
 		off, nbr, inOff, inNbr := randCSR(r, n, m)
-		for _, mode := range []Mode{EdgeBalanced, VertexBalanced} {
-			for _, k := range []int{1, 2, 4, 9} {
-				p := New(n, off, nbr, inOff, inNbr, k, mode)
-				cut := int64(0)
-				for u := int32(0); u < int32(n); u++ {
-					want := false
-					for _, v := range nbr[off[u]:off[u+1]] {
-						if p.Owner[v] != p.Owner[u] {
-							want = true
-							cut++
-						}
-					}
-					for _, v := range inNbr[inOff[u]:inOff[u+1]] {
-						if p.Owner[v] != p.Owner[u] {
-							want = true
-						}
-					}
-					if p.Boundary[u] != want {
-						t.Fatalf("n=%d k=%d mode=%v: Boundary[%d]=%v, want %v", n, k, mode, u, p.Boundary[u], want)
+		for _, k := range []int{1, 2, 4, 9} {
+			p := New(n, off, nbr, inOff, inNbr, k, EdgeBalanced)
+			cut := int64(0)
+			for u := int32(0); u < int32(n); u++ {
+				want := false
+				for _, v := range nbr[off[u]:off[u+1]] {
+					if p.Owner[v] != p.Owner[u] {
+						want = true
+						cut++
 					}
 				}
-				if p.CutEdges != cut {
-					t.Fatalf("n=%d k=%d mode=%v: CutEdges=%d, want %d", n, k, mode, p.CutEdges, cut)
+				for _, v := range inNbr[inOff[u]:inOff[u+1]] {
+					if p.Owner[v] != p.Owner[u] {
+						want = true
+					}
 				}
-				if k == 1 && (p.CutEdges != 0 || p.BoundaryCount() != 0) {
-					t.Fatalf("k=1 must have no cut: cut=%d boundary=%d", p.CutEdges, p.BoundaryCount())
+				if p.Boundary[u] != want {
+					t.Fatalf("n=%d k=%d: Boundary[%d]=%v, want %v", n, k, u, p.Boundary[u], want)
 				}
+			}
+			if p.CutEdges != cut {
+				t.Fatalf("n=%d k=%d: CutEdges=%d, want %d", n, k, p.CutEdges, cut)
+			}
+			if k == 1 && (p.CutEdges != 0 || p.BoundaryCount() != 0) {
+				t.Fatalf("k=1 must have no cut: cut=%d boundary=%d", p.CutEdges, p.BoundaryCount())
 			}
 		}
 	}
@@ -200,7 +196,7 @@ func TestPerPartitionEdgeAccounting(t *testing.T) {
 // TestModeNames pins the names the plan's Mode prints under, an unknown
 // value included.
 func TestModeNames(t *testing.T) {
-	for m, want := range map[Mode]string{EdgeBalanced: "edge", VertexBalanced: "vertex", 7: "partition.Mode(7)"} {
+	for m, want := range map[Mode]string{EdgeBalanced: "edge", 7: "partition.Mode(7)"} {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
@@ -212,18 +208,18 @@ func TestEmptyAndTiny(t *testing.T) {
 	if p.K != 1 || p.Bounds[0] != 0 || p.Bounds[1] != 0 {
 		t.Fatalf("empty graph plan: %+v", p)
 	}
-	p = New(1, []int32{0, 0}, nil, []int32{0, 0}, nil, 8, VertexBalanced)
-	if p.K != 1 || p.Len(0) != 1 {
+	p = New(1, []int32{0, 0}, nil, []int32{0, 0}, nil, 8, EdgeBalanced)
+	if p.K != 1 || p.Bounds[1] != 1 {
 		t.Fatalf("single-vertex plan: %+v", p)
 	}
 }
 
 // FuzzPartitionPlan decodes small adversarial graphs — no vertices, no
 // edges, every edge on one hub, more partitions asked for than vertices,
-// none or a negative number asked for — and checks a plan in both modes
-// against counts made edge by edge: the ranges tile [0,n) with no empty
-// one, Owner follows them, and CutEdges, Boundary and Edges are what a
-// walk over the edge list finds.
+// none or a negative number asked for — and checks a plan against counts
+// made edge by edge: the ranges tile [0,n) with no empty one, Owner
+// follows them, and CutEdges, Boundary and Edges are what a walk over the
+// edge list finds.
 func FuzzPartitionPlan(f *testing.F) {
 	f.Add([]byte{0, 3})                                     // empty graph
 	f.Add([]byte{8, 3})                                     // isolated vertices
@@ -243,68 +239,63 @@ func FuzzPartitionPlan(f *testing.F) {
 			}
 		}
 		off, nbr, inOff, inNbr := buildCSR(n, edges)
-		for _, mode := range []Mode{EdgeBalanced, VertexBalanced} {
-			p := New(n, off, nbr, inOff, inNbr, k, mode)
-			if want := max(1, min(k, n)); p.K != want || len(p.Bounds) != want+1 {
-				t.Fatalf("n=%d k=%d %v: K=%d with %d bounds, want %d", n, k, mode, p.K, len(p.Bounds), want)
+		p := New(n, off, nbr, inOff, inNbr, k, EdgeBalanced)
+		if want := max(1, min(k, n)); p.K != want || len(p.Bounds) != want+1 {
+			t.Fatalf("n=%d k=%d: K=%d with %d bounds, want %d", n, k, p.K, len(p.Bounds), want)
+		}
+		if p.Bounds[0] != 0 || p.Bounds[p.K] != int32(n) {
+			t.Fatalf("n=%d k=%d: bounds %v do not span [0,%d)", n, k, p.Bounds, n)
+		}
+		for q := 0; q < p.K; q++ {
+			lo, hi := p.Range(q)
+			if n > 0 && lo >= hi {
+				t.Fatalf("n=%d k=%d: partition %d is [%d,%d)", n, k, q, lo, hi)
 			}
-			if p.Bounds[0] != 0 || p.Bounds[p.K] != int32(n) {
-				t.Fatalf("n=%d k=%d %v: bounds %v do not span [0,%d)", n, k, mode, p.Bounds, n)
-			}
-			for q := 0; q < p.K; q++ {
-				lo, hi := p.Range(q)
-				if n > 0 && lo >= hi {
-					t.Fatalf("n=%d k=%d %v: partition %d is [%d,%d)", n, k, mode, q, lo, hi)
-				}
-				for v := lo; v < hi; v++ {
-					if p.Of(v) != int32(q) {
-						t.Fatalf("n=%d k=%d %v: Owner[%d]=%d inside partition %d", n, k, mode, v, p.Of(v), q)
-					}
+			for v := lo; v < hi; v++ {
+				if p.Of(v) != int32(q) {
+					t.Fatalf("n=%d k=%d: Owner[%d]=%d inside partition %d", n, k, v, p.Of(v), q)
 				}
 			}
-			var cut int64
-			boundary := make([]bool, n)
-			owned := make([]int64, p.K)
-			for _, e := range edges {
-				qu, qv := p.Owner[e[0]], p.Owner[e[1]]
-				owned[qu]++
-				if qu != qv {
-					cut++
-					boundary[e[0]], boundary[e[1]] = true, true
-				}
+		}
+		var cut int64
+		boundary := make([]bool, n)
+		owned := make([]int64, p.K)
+		for _, e := range edges {
+			qu, qv := p.Owner[e[0]], p.Owner[e[1]]
+			owned[qu]++
+			if qu != qv {
+				cut++
+				boundary[e[0]], boundary[e[1]] = true, true
 			}
-			nb := 0
-			for v, b := range boundary {
-				if p.Boundary[v] != b {
-					t.Fatalf("n=%d k=%d %v: Boundary[%d]=%v, an edge walk says %v", n, k, mode, v, p.Boundary[v], b)
-				}
-				if b {
-					nb++
-				}
+		}
+		nb := 0
+		for v, b := range boundary {
+			if p.Boundary[v] != b {
+				t.Fatalf("n=%d k=%d: Boundary[%d]=%v, an edge walk says %v", n, k, v, p.Boundary[v], b)
 			}
-			if p.CutEdges != cut || p.BoundaryCount() != nb {
-				t.Fatalf("n=%d k=%d %v: CutEdges=%d BoundaryCount=%d, an edge walk says %d and %d", n, k, mode, p.CutEdges, p.BoundaryCount(), cut, nb)
+			if b {
+				nb++
 			}
-			for q := range owned {
-				if p.Edges[q] != owned[q] {
-					t.Fatalf("n=%d k=%d %v: partition %d holds %d edges; an edge walk says %d", n, k, mode, q, p.Edges[q], owned[q])
-				}
+		}
+		if p.CutEdges != cut || p.BoundaryCount() != nb {
+			t.Fatalf("n=%d k=%d: CutEdges=%d BoundaryCount=%d, an edge walk says %d and %d", n, k, p.CutEdges, p.BoundaryCount(), cut, nb)
+		}
+		for q := range owned {
+			if p.Edges[q] != owned[q] {
+				t.Fatalf("n=%d k=%d: partition %d holds %d edges; an edge walk says %d", n, k, q, p.Edges[q], owned[q])
 			}
 		}
 	})
 }
 
-// TestImbalanceByMode measures a plan by what it balanced. Every edge of a
-// four-vertex graph leaves vertex 0: split in two, the vertex counts are
-// even but one partition holds all the edges.
-func TestImbalanceByMode(t *testing.T) {
+// TestImbalanceCountsEdges measures a plan by its edge counts. Every edge
+// of a four-vertex graph leaves vertex 0: split in two, the vertex counts
+// are even but one partition holds all the edges.
+func TestImbalanceCountsEdges(t *testing.T) {
 	off := []int32{0, 6, 6, 6, 6}
 	nbr := []int32{1, 2, 3, 1, 2, 3}
-	for mode, want := range map[Mode]float64{VertexBalanced: 1, EdgeBalanced: 2} {
-		p := New(4, off, nbr, off, nbr, 2, mode)
-		if p.K != 2 || p.Imbalance() != want {
-			t.Errorf("%v: K=%d bounds %v, imbalance %v, want %v", mode, p.K, p.Bounds, p.Imbalance(), want)
-		}
+	if p := New(4, off, nbr, off, nbr, 2, EdgeBalanced); p.K != 2 || p.Imbalance() != 2 {
+		t.Errorf("K=%d bounds %v, imbalance %v, want 2", p.K, p.Bounds, p.Imbalance())
 	}
 	if got := New(0, []int32{0}, nil, []int32{0}, nil, 3, EdgeBalanced).Imbalance(); got != 1 {
 		t.Errorf("empty plan: imbalance %v, want 1", got)
